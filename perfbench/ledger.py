@@ -8,11 +8,12 @@ Run from the repository root:
 For every workload in BENCHMARK.json it makes one untraced run per seed
 and records, for each end-to-end metric, the median, the quartiles and
 the spread (interquartile distance over the median) of the runs, beside
-the metric's bound. It then makes one traced run per workload and records
-its per-layer table, and from those the two shares that decide whether
-batched multi-run replay is worth building: the replay share of an
-mbpta-rm campaign and the trace build+compile share of a baseline-hwm
-campaign. Runs go one at a time, so they do not disturb each other.
+the metric's bound. It then makes --traced traced runs per workload, on
+the first seeds, and records the median and quartiles of each per-layer
+metric, and from those the two shares that decide whether batched
+multi-run replay is worth building: the replay share of an mbpta-rm
+campaign and the trace build+compile share of a baseline-hwm campaign.
+Runs go one at a time, so they do not disturb each other.
 """
 
 import argparse
@@ -35,9 +36,16 @@ def run(bench, workload, seed, trace):
     return rep
 
 
+def summary(vals):
+    """Median, quartiles and spread of a list of values."""
+    q1, med, q3 = statistics.quantiles(vals, n=4)
+    return {"median": med, "q1": q1, "q3": q3, "spread": (q3 - q1) / med if med else 0.0, "values": vals}
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--seeds", type=int, default=10)
+    ap.add_argument("--traced", type=int, default=5)
     ap.add_argument("--seed0", type=int, default=1000)
     ap.add_argument("--out", default="perfbench/BASELINE.json")
     args = ap.parse_args()
@@ -53,15 +61,14 @@ def main():
             print(f"{w} seed {seed}: {time.time() - start:.1f}s", file=sys.stderr, flush=True)
         e2e = {}
         for name, bound in bounds.items():
-            vals = [r["metrics"][name]["value"] for r in reps]
-            q1, med, q3 = statistics.quantiles(vals, n=4)
-            e2e[name] = {"unit": reps[0]["metrics"][name]["unit"], "median": med, "q1": q1, "q3": q3,
-                         "spread": (q3 - q1) / med, "bound": bound, "values": vals}
-        traced = run(bench, w, out["seeds"][0], 1)
+            e2e[name] = {"unit": reps[0]["metrics"][name]["unit"], "bound": bound,
+                         **summary([r["metrics"][name]["value"] for r in reps])}
+        traced = [run(bench, w, seed, 1) for seed in out["seeds"][:args.traced]]
         out["workloads"][w] = {
             "attempted": sum(r["attempted"] for r in reps), "failed": sum(r["failed"] for r in reps),
             "end_to_end": e2e,
-            "per_layer": {k: v["value"] for k, v in sorted(traced["metrics"].items())},
+            "per_layer": {k: {"unit": v["unit"], **summary([t["metrics"][k]["value"] for t in traced])}
+                          for k, v in sorted(traced[0]["metrics"].items())},
         }
     wl = out["workloads"]
     out["shares"] = {
@@ -74,7 +81,8 @@ def main():
     for w, r in wl.items():
         for name, s in r["end_to_end"].items():
             print(f"{w:13s} {name:16s} median={s['median']:<12.6g} spread={s['spread']:.3f} bound={s['bound']}")
-    print(json.dumps(out["shares"]))
+    for name, s in out["shares"].items():
+        print(f"{name}: median={s['median']:.3f} q1={s['q1']:.3f} q3={s['q3']:.3f}")
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"syscall"
@@ -15,8 +16,7 @@ import (
 
 // sample is one successful request's latency.
 type sample struct {
-	key   string // the campaign's label: which catalog entry a miss was
-	after int    // for a hit, the number of misses before it: its batch
+	round int
 	ms    float64
 }
 
@@ -29,7 +29,7 @@ type tally struct {
 	failures  []string // the first few, for the log
 	misses    []sample
 	hits      []sample
-	work      work      // what the successful requests did
+	work      []work    // per round: what its successful requests did
 	queueWait []float64 // ms, service misses
 	overhead  []float64 // ms, service misses: latency minus execution
 	events    []float64 // NDJSON lines per service miss
@@ -65,6 +65,8 @@ func (t *tally) check(w core.WireRequest, o outcome) error {
 	return nil
 }
 
+// add records one request's outcome in the current round, the last one
+// of t.work.
 func (t *tally) add(w core.WireRequest, o outcome, miss bool) {
 	t.attempted++
 	if err := t.check(w, o); err != nil {
@@ -74,10 +76,14 @@ func (t *tally) add(w core.WireRequest, o outcome, miss bool) {
 		}
 		return
 	}
-	s := sample{key: w.Label(), after: len(t.misses), ms: o.latency.Seconds() * 1e3}
-	t.work.runs += o.runs
-	t.work.accesses += o.accesses
-	t.work.requests += o.requests
+	if len(t.work) == 0 {
+		t.work = append(t.work, work{})
+	}
+	r := len(t.work) - 1
+	s := sample{round: r, ms: o.latency.Seconds() * 1e3}
+	t.work[r].runs += o.runs
+	t.work[r].accesses += o.accesses
+	t.work[r].requests += o.requests
 	if !miss {
 		t.hits = append(t.hits, s)
 		return
@@ -93,92 +99,93 @@ func (t *tally) add(w core.WireRequest, o outcome, miss bool) {
 
 // Shared hosts alternate between their normal speed and bursts, from one
 // to tens of seconds long, in which the same code runs up to twice as
-// slowly; in some runs the bursts take half the time. A total over the
-// window, or a median over its repetitions, moves with them. So the
-// metrics below take each repeated piece of work at its best repetition,
-// the minimum of its times. That moves only when every repetition is
-// slowed, as it is by a slower program.
+// slowly. A total over the window, or a median over its rounds, moves
+// with them. So the end-to-end figures are computed over the faster half
+// of the run's rounds, by round duration: the rounds in which the host
+// was unhurried. A slower program slows every round, so it still shows.
+// A run measures a fixed number of rounds, so both sides of a comparison
+// keep the same number.
 
-// bestTime is the minimum of repeated timings.
-func bestTime(xs []float64) float64 { return quantile(xs, 0) }
-
-// missQuantile is the p-quantile over catalog entries of each entry's
-// best miss latency across rounds: the latency spread of a round on an
-// unhurried host.
-func (t *tally) missQuantile(p float64) float64 { return quantile(perKeyBest(t.misses), p) }
-
-// hitQuantile is the best over batches of each batch's hit-latency
-// p-quantile, a batch being the hits sent after one miss. Batches take a
-// millisecond or two each and are spread over the window, so the best
-// one comes from a moment when the host was unhurried.
-func (t *tally) hitQuantile(p float64) float64 {
-	byBatch := map[int][]float64{}
-	for _, s := range t.hits {
-		byBatch[s.after] = append(byBatch[s.after], s.ms)
+// fastRounds returns the indices of the faster half of the measured
+// rounds (at least one), as a set.
+func (t *tally) fastRounds() map[int]bool {
+	idx := make([]int, len(t.roundSecs))
+	for i := range idx {
+		idx[i] = i
 	}
-	var qs []float64
-	for _, xs := range byBatch {
-		qs = append(qs, quantile(xs, p))
+	sort.SliceStable(idx, func(a, b int) bool { return t.roundSecs[idx[a]] < t.roundSecs[idx[b]] })
+	keep := map[int]bool{}
+	for _, i := range idx[:(len(idx)+1)/2] {
+		keep[i] = true
 	}
-	return bestTime(qs)
+	return keep
+}
+
+// missQuantile is the p-quantile of the miss latencies of the fast
+// rounds.
+func (t *tally) missQuantile(p float64) float64 { return fastQuantile(t.misses, t.fastRounds(), p) }
+
+// hitQuantile is the p-quantile of the hit latencies of the fast rounds.
+func (t *tally) hitQuantile(p float64) float64 { return fastQuantile(t.hits, t.fastRounds(), p) }
+
+func fastQuantile(ss []sample, fast map[int]bool, p float64) float64 {
+	var xs []float64
+	for _, s := range ss {
+		if fast[s.round] {
+			xs = append(xs, s.ms)
+		}
+	}
+	return quantile(xs, p)
 }
 
 // rates returns the simulated runs, simulated accesses and requests per
-// host second of a typical round. The client runs requests back to back,
-// so a round takes the sum of its requests: every entry's best miss
-// latency plus the round's hits at their best, for the average work of a
-// round.
+// host second over the fast rounds.
 func (t *tally) rates() (runs, accesses, requests float64) {
-	var hits []float64
+	var sec float64
+	var w work
+	for r := range t.fastRounds() {
+		sec += t.roundSecs[r]
+		w.runs += t.work[r].runs
+		w.accesses += t.work[r].accesses
+		w.requests += t.work[r].requests
+	}
+	return float64(w.runs) / sec, float64(w.accesses) / sec, float64(w.requests) / sec
+}
+
+// samples returns the number of misses and hits the figures rest on.
+func (t *tally) samples() (misses, hits int) {
+	fast := t.fastRounds()
+	for _, s := range t.misses {
+		if fast[s.round] {
+			misses++
+		}
+	}
 	for _, s := range t.hits {
-		hits = append(hits, s.ms)
+		if fast[s.round] {
+			hits++
+		}
 	}
-	n := float64(len(t.roundSecs))
-	sec := bestTime(hits) / 1e3 * float64(len(t.hits)) / n
-	for _, ms := range perKeyBest(t.misses) {
-		sec += ms / 1e3
-	}
-	return float64(t.work.runs) / n / sec, float64(t.work.accesses) / n / sec, float64(t.work.requests) / n / sec
+	return misses, hits
 }
 
-// perKeyBest returns each catalog entry's best latency, in entry-name
-// order.
-func perKeyBest(ss []sample) []float64 {
-	byKey := map[string][]float64{}
-	for _, s := range ss {
-		byKey[s.key] = append(byKey[s.key], s.ms)
-	}
-	keys := make([]string, 0, len(byKey))
-	for k := range byKey {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]float64, len(keys))
-	for i, k := range keys {
-		out[i] = bestTime(byKey[k])
-	}
-	return out
-}
-
-// measure runs whole rounds of the workload's request stream until the
-// window is covered: it stops once the elapsed time plus half the last
-// round reaches cfg.seconds, so a run ends within half a round of it.
-// Between rounds, outside their durations, it times fresh set-ups of the
-// system under test until the run has cfg.setupReps of them, counting the
-// one made before the window: spread over the window, they do not all
-// fall into one slow burst of the host.
+// measure runs cfg.def.rounds(cfg.seconds) whole rounds of the workload's
+// request stream. Between rounds, outside their durations, it times fresh
+// set-ups of the system under test until the run has cfg.setupReps of
+// them, counting the one made before the window: spread over the window,
+// they do not all fall into one slow burst of the host. A host so slow
+// that the rounds overrun the window by 20% ends the window early,
+// keeping the run within its time budget.
 //
 // The process is pinned to one CPU per round, in turn: on a shared host
 // each CPU has its own slow spells, which can outlast a run, and the
-// best-repetition metrics then come from whichever CPU was unhurried.
+// fast rounds then come from whichever CPU was unhurried.
 func measure(ctx context.Context, cfg config, s sut) (_ *tally, _ time.Duration, err error) {
-	all, err := getAffinity()
+	cpus, restore, err := oneCPU()
 	if err != nil {
 		return nil, 0, err
 	}
-	cpus := all.cpus()
 	defer func() {
-		if rerr := setAffinity(all); err == nil {
+		if rerr := restore(); err == nil {
 			err = rerr
 		}
 	}()
@@ -186,23 +193,24 @@ func measure(ctx context.Context, cfg config, s sut) (_ *tally, _ time.Duration,
 	t := newTally(cfg.golden)
 	start := time.Now()
 	misses := 0
-	for round := 0; ; round++ {
+	for round := 0; round < cfg.def.rounds(cfg.seconds); round++ {
 		ops := p.nextRound()
-		if ops == nil {
-			break
-		}
 		if cfg.maxMisses > 0 {
 			ops = truncate(ops, cfg.maxMisses-misses)
 		}
 		if err := pin(cpus, round); err != nil {
 			return nil, 0, err
 		}
+		// Every round starts from a collected heap, outside its timing, so
+		// that the garbage of earlier rounds and set-ups, collected or not
+		// depending on the moment, does not raise the peak resident set.
+		runtime.GC()
+		t.work = append(t.work, work{})
 		rs := time.Now()
 		for _, o := range ops {
 			do(ctx, s, o, t)
 		}
-		last := time.Since(rs)
-		t.roundSecs = append(t.roundSecs, last.Seconds())
+		t.roundSecs = append(t.roundSecs, time.Since(rs).Seconds())
 		if len(t.setupSecs)+1 < cfg.setupReps {
 			x, d, err := setUp(ctx, cfg)
 			if err != nil {
@@ -217,7 +225,7 @@ func measure(ctx context.Context, cfg config, s sut) (_ *tally, _ time.Duration,
 			}
 		}
 		if ctx.Err() != nil || (cfg.maxMisses > 0 && misses >= cfg.maxMisses) ||
-			(time.Since(start)+last/2).Seconds() >= cfg.seconds {
+			time.Since(start).Seconds() >= 1.2*cfg.seconds {
 			break
 		}
 	}
@@ -253,6 +261,24 @@ func (m cpuSet) cpus() []int {
 		}
 	}
 	return out
+}
+
+// oneCPU prepares the process to run on one CPU at a time, set with pin:
+// it lists the CPUs the process may use and sets GOMAXPROCS to 1, so that
+// the runtime's garbage collector paces itself for the one CPU it gets.
+// With more Ps than CPUs its mark workers lag by however long the kernel
+// makes them wait, and the heap, hence the peak resident set, grows by
+// chance. restore sets back the CPUs and GOMAXPROCS.
+func oneCPU() (cpus []int, restore func() error, err error) {
+	all, err := getAffinity()
+	if err != nil {
+		return nil, nil, err
+	}
+	procs := runtime.GOMAXPROCS(1)
+	return all.cpus(), func() error {
+		runtime.GOMAXPROCS(procs)
+		return setAffinity(all)
+	}, nil
 }
 
 // pin sets the process to the i-th of cpus, in turn.
@@ -297,18 +323,19 @@ func truncate(ops []op, n int) []op {
 }
 
 // do sends one request: a miss submits its fresh campaign, a hit repeats
-// a campaign completed earlier in the run.
+// a campaign completed earlier in the run. Only the service has hits.
 func do(ctx context.Context, s sut, o op, t *tally) {
 	if o.miss {
 		t.add(o.wire, s.miss(ctx, o.wire), true)
 		return
 	}
-	if len(t.completed) == 0 {
-		t.add(core.WireRequest{}, outcome{err: fmt.Errorf("no completed campaign to repeat")}, false)
+	srv, ok := s.(*serviceSUT)
+	if !ok || len(t.completed) == 0 {
+		t.add(core.WireRequest{}, outcome{err: fmt.Errorf("no result store holds a completed campaign to repeat")}, false)
 		return
 	}
 	w := t.completed[o.pick%len(t.completed)]
-	t.add(w, s.hit(ctx, w), false)
+	t.add(w, srv.hit(ctx, w), false)
 }
 
 // setUp builds the system under test and warms it with one short

@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand/v2"
 
 	"repro/internal/core"
@@ -20,28 +21,36 @@ var kernels = []string{
 const probeKernel = "tblook01"
 
 // workloadDef describes one benchmark workload: which campaigns it
-// submits, how, and how many repeat (hit) requests follow each fresh
-// (miss) one.
+// submits, how, and, on the service, how many repeat (hit) requests
+// follow each fresh (miss) one.
 type workloadDef struct {
 	name      string
 	placement string // L1 placement on the wire; "Modulo" selects modulo+LRU everywhere
 	baseline  bool   // high-water-mark protocol instead of MBPTA
 	service   bool   // drive an in-process campaign service over HTTP
 	runs      int    // runs per timing campaign
-	hits      int    // hit requests issued after every miss
+	hits      int    // hit requests issued after every miss (service only)
 	security  []core.WireSecurity
 	secRuns   int // attack rounds per security campaign
 	// variants is the number of master seeds per catalog entry. A run
 	// consumes one variant per entry per round, so it bounds the rounds a
 	// run can measure.
 	variants int
+	// roundSeconds is the nominal length of one round with its share of
+	// the set-ups timed between rounds, measured on the commit that
+	// introduced the benchmark. A run measures a fixed number of rounds,
+	// --seconds over this, whatever the program's speed.
+	roundSeconds float64
 }
 
 var workloads = []workloadDef{
-	{name: "mbpta-rm", placement: "RM", runs: 200, hits: 32, variants: 32},
-	{name: "baseline-hwm", placement: "Modulo", baseline: true, runs: 64, hits: 32, variants: 32},
+	{name: "mbpta-rm", placement: "RM", runs: 200, variants: 32, roundSeconds: 3.1},
+	{name: "baseline-hwm", placement: "Modulo", baseline: true, runs: 32, variants: 32, roundSeconds: 1.9},
 	{
-		name: "service-mix", placement: "RM", service: true, runs: 200, hits: 8, variants: 32,
+		// Eight repeats per fresh campaign is an assumed read-heavy mix
+		// (results fetched again by several consumers); no recorded
+		// traffic fixes it.
+		name: "service-mix", placement: "RM", service: true, runs: 150, hits: 8, variants: 32, roundSeconds: 2.4,
 		security: []core.WireSecurity{{Protocol: "eviction"}, {Protocol: "occupancy"}, {Protocol: "primeprobe"}},
 		secRuns:  64,
 	},
@@ -141,6 +150,11 @@ func newPlan(d workloadDef, seed uint64) *plan {
 		p.perms = append(p.perms, p.rng.Perm(d.variants))
 	}
 	return p
+}
+
+// rounds is the number of rounds a run of the given length measures.
+func (d workloadDef) rounds(seconds float64) int {
+	return min(max(1, int(math.Round(seconds/d.roundSeconds))), d.variants)
 }
 
 // nextRound returns the next round: every catalog entry once, in seeded

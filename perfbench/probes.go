@@ -27,7 +27,7 @@ import (
 // traced is the traced pass: it times calls into each layer's public
 // functions on the workload's own inputs and fills m with the per-layer
 // metrics. t holds the outcomes of the run's measured window; hits and
-// lookups are the store counters over that window. It returns the tally
+// misses are the service store's counters over that window. It returns the tally
 // of the campaigns the pass itself ran, which are checked like any other.
 func traced(ctx context.Context, cfg config, t *tally, hits, misses uint64, m map[string]metric) (*tally, error) {
 	kind, err := placement.ParseKind(cfg.def.placement)
@@ -35,8 +35,7 @@ func traced(ctx context.Context, cfg config, t *tally, hits, misses uint64, m ma
 		return nil, err
 	}
 	spec := core.PlatformFor(kind)
-	bare, err := kernelProbes(cfg, spec, kind, m)
-	if err != nil {
+	if err := kernelProbes(cfg, spec, kind, m); err != nil {
 		return nil, err
 	}
 	if err := campaignProbes(ctx, cfg, m); err != nil {
@@ -45,18 +44,20 @@ func traced(ctx context.Context, cfg config, t *tally, hits, misses uint64, m ma
 	if err := securityProbe(cfg, kind, spec.IL1.Replacement, m); err != nil {
 		return nil, err
 	}
-	if err := serviceProbes(cfg, m); err != nil {
-		return nil, err
-	}
-	pt, err := pairProbe(ctx, cfg, spec.LineBytes, bare, m)
+	probe, err := serviceProbes(cfg, m)
 	if err != nil {
 		return nil, err
 	}
-	if hits+misses > 0 {
-		m["service.store_hit_ratio"] = metric{float64(hits) / float64(hits+misses), "ratio"}
-	} else {
-		m["service.store_hit_ratio"] = metric{0, "ratio"}
+	pt, err := pairProbe(ctx, cfg, spec, m)
+	if err != nil {
+		return nil, err
 	}
+	if !cfg.def.service {
+		// No request of the in-process workloads reaches a store; the
+		// ratio is the service probe's, one submission and one repeat.
+		hits, misses = probe.Hits, probe.Misses
+	}
+	m["service.store_hit_ratio"] = metric{float64(hits) / float64(max(hits+misses, 1)), "ratio"}
 	if cfg.def.service {
 		// The service reports queue wait and execution per job; the
 		// in-process workloads take them from the traced engine instead.
@@ -98,32 +99,30 @@ func timeBatch(n int, budget time.Duration, f func(i int)) time.Duration {
 const replayRuns = 20
 
 // kernelProbes measures the trace build, compile, index-plan and replay
-// layers on every kernel of the workload, under its platform. It returns
-// the bare per-run replay time of each kernel.
-func kernelProbes(cfg config, spec core.PlatformSpec, kind placement.Kind, m map[string]metric) (map[string]time.Duration, error) {
+// layers on every kernel of the workload, under its platform.
+func kernelProbes(cfg config, spec core.PlatformSpec, kind placement.Kind, m map[string]metric) error {
 	var build, compile, index, replay time.Duration
 	var lines, indexed, accesses int
 	var allocs uint64
 	var il1, dl1, l2 uint64
-	bare := map[string]time.Duration{}
 	layout := workload.DefaultLayout()
 	for _, name := range kernels {
 		wl, err := workload.ByName(name)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		var tr trace.Trace
 		build += timeMedian(3, func() { tr = wl.Build(layout) })
 		var ct *trace.Compiled
 		compile += timeMedian(3, func() { ct, err = trace.Compile(tr, spec.LineBytes) })
 		if err != nil {
-			return nil, err
+			return err
 		}
 		lines += len(ct.ILines) + len(ct.DLines)
 
 		pol, err := placement.New(kind, spec.L1SizeBytes/(spec.L1Ways*spec.LineBytes))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		all := append(append([]uint64(nil), ct.ILines...), ct.DLines...)
 		out := make([]uint32, len(all))
@@ -137,7 +136,7 @@ func kernelProbes(cfg config, spec core.PlatformSpec, kind placement.Kind, m map
 
 		p, err := spec.Build()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		p.Reseed(cfg.seed)
 		p.RunCompiled(ct) // size the index plans before counting allocations
@@ -158,7 +157,6 @@ func kernelProbes(cfg config, spec core.PlatformSpec, kind placement.Kind, m map
 		runtime.ReadMemStats(&ms)
 		allocs += ms.Mallocs - mallocs
 		replay += own
-		bare[name] = own / replayRuns
 	}
 	n := float64(len(kernels))
 	m["workload.build_ms"] = metric{build.Seconds() * 1e3 / n, "ms"}
@@ -170,7 +168,7 @@ func kernelProbes(cfg config, spec core.PlatformSpec, kind placement.Kind, m map
 	m["cache.il1_misses"] = metric{float64(il1), "count"}
 	m["cache.dl1_misses"] = metric{float64(dl1), "count"}
 	m["cache.l2_misses"] = metric{float64(l2), "count"}
-	return bare, nil
+	return nil
 }
 
 // campaignProbes runs one campaign of the probe kernel at the workload's
@@ -295,23 +293,25 @@ func securityProbe(cfg config, kind placement.Kind, repl cache.ReplacementKind, 
 // serviceProbes times the service layers a request crosses, on the
 // workload's own requests: decoding the wire form, fingerprinting it,
 // looking it up in the result store, and serving a completed campaign's
-// status with its result (handler only, no socket).
-func serviceProbes(cfg config, m map[string]metric) error {
+// status with its result (handler only, no socket). It returns the probe
+// service's store counters after one submission and one repeat.
+func serviceProbes(cfg config, m map[string]metric) (service.StoreStats, error) {
+	var none service.StoreStats
 	cat := cfg.def.catalog()
 	w := cat[0]
 	body, err := json.Marshal(w)
 	if err != nil {
-		return err
+		return none, err
 	}
 	var derr error
 	dec := timeBatch(200, 20*time.Millisecond, func(int) { _, derr = core.DecodeWireRequest(bytes.NewReader(body)) })
 	if derr != nil {
-		return derr
+		return none, derr
 	}
 	m["service.decode_us"] = metric{dec.Seconds() * 1e6, "us"}
 	fpt := timeBatch(200, 20*time.Millisecond, func(int) { _, derr = w.Fingerprint() })
 	if derr != nil {
-		return derr
+		return none, derr
 	}
 	m["service.fingerprint_us"] = metric{fpt.Seconds() * 1e6, "us"}
 
@@ -319,7 +319,7 @@ func serviceProbes(cfg config, m map[string]metric) error {
 	fps := make([]string, len(cat))
 	for i, c := range cat {
 		if fps[i], err = c.Fingerprint(); err != nil {
-			return err
+			return none, err
 		}
 		st.GetOrCreate(fps[i], func() any { return i })
 	}
@@ -328,14 +328,17 @@ func serviceProbes(cfg config, m map[string]metric) error {
 
 	srv, err := service.New(service.Config{Workers: workers, Jobs: 1})
 	if err != nil {
-		return err
+		return none, err
 	}
 	defer srv.Close()
 	job, _, err := srv.Submit(w)
 	if err != nil {
-		return err
+		return none, err
 	}
 	<-job.Done()
+	if _, cached, err := srv.Submit(w); err != nil || !cached {
+		return none, fmt.Errorf("repeat of %s was not served from the store (%v)", w.Label(), err)
+	}
 	h := srv.Handler()
 	var code int
 	enc := timeBatch(50, 20*time.Millisecond, func(int) {
@@ -344,17 +347,16 @@ func serviceProbes(cfg config, m map[string]metric) error {
 		code = rec.Code
 	})
 	if code != http.StatusOK {
-		return fmt.Errorf("status probe answered %d", code)
+		return none, fmt.Errorf("status probe answered %d", code)
 	}
 	m["service.result_encode_us"] = metric{enc.Seconds() * 1e6, "us"}
-	return nil
+	return srv.Store().Stats(), nil
 }
 
 // clock timestamps one campaign's engine events as they are delivered.
 type clock struct {
 	mu                                  sync.Mutex
-	started, firstRun, compiled, replay time.Time
-	finished                            time.Time
+	started, compiled, replay, finished time.Time
 	events                              int
 }
 
@@ -366,10 +368,6 @@ func (c *clock) sink(ev core.Event) {
 	switch ev.Kind {
 	case core.CampaignStarted:
 		c.started = now
-	case core.RunCompleted:
-		if c.firstRun.IsZero() {
-			c.firstRun = now
-		}
 	case core.PhaseDone:
 		switch ev.Phase {
 		case core.PhaseCompile:
@@ -385,7 +383,7 @@ func (c *clock) sink(ev core.Event) {
 func (c *clock) reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.started, c.firstRun, c.compiled, c.replay, c.finished = time.Time{}, time.Time{}, time.Time{}, time.Time{}, time.Time{}
+	c.started, c.compiled, c.replay, c.finished = time.Time{}, time.Time{}, time.Time{}, time.Time{}
 	c.events = 0
 }
 
@@ -394,17 +392,24 @@ func (c *clock) reset() {
 // event, until a third of the budget has passed (at least two pairs). The
 // traced runs give the phase times and what share of a campaign the
 // replay and the trace build+compile take; the pairs give the tracing
-// overhead.
-func pairProbe(ctx context.Context, cfg config, lineBytes int, bare map[string]time.Duration, m map[string]metric) (_ *tally, err error) {
+// overhead. Right after each pair, on the same CPU, the campaign's
+// kernel is replayed bare, as many runs as the campaign made.
+//
+// An MBPTA campaign builds and compiles its trace once, then replays it:
+// the phases follow from the compile and replay PhaseDone events. A
+// baseline campaign rebuilds and recompiles its trace every run, between
+// the replays, so its replay is taken as the bare replay time and
+// its build+compile as the rest of the loop up to the replay PhaseDone.
+// Either way the compile, replay and analyze phases split one campaign.
+func pairProbe(ctx context.Context, cfg config, spec core.PlatformSpec, m map[string]metric) (_ *tally, err error) {
 	// Each pair runs on one CPU, the CPUs in turn, so that its two sides
-	// and the trace builds timed after it see the same host speed.
-	all, err := getAffinity()
+	// see the same host speed.
+	cpus, restore, err := oneCPU()
 	if err != nil {
 		return nil, err
 	}
-	cpus := all.cpus()
 	defer func() {
-		if rerr := setAffinity(all); err == nil {
+		if rerr := restore(); err == nil {
 			err = rerr
 		}
 	}()
@@ -413,7 +418,7 @@ func pairProbe(ctx context.Context, cfg config, lineBytes int, bare map[string]t
 	plain := newEngineSUT(cfg.def, workers, nil)
 	tracedSUT := newEngineSUT(cfg.def, workers, c.sink)
 	var compile, replay, analyze, queue, overhead, events []float64
-	var plainSum, tracedSum, campaignSum, replaySum, bareSum, prepSum time.Duration
+	var plainSum, tracedSum, campaignSum, loopSum, replaySum, bareSum, prepSum time.Duration
 	start := time.Now()
 	pairs := 0
 	for _, o := range newPlan(cfg.def, cfg.seed).nextRound() {
@@ -452,32 +457,34 @@ func pairProbe(ctx context.Context, cfg config, lineBytes int, bare map[string]t
 		pairs++
 		plainSum += po.latency
 		tracedSum += to.latency
-		c.mu.Lock()
-		compiled := c.compiled
-		if compiled.IsZero() {
-			compiled = c.firstRun // baseline campaigns compile per run
+		bareRuns, err := bareReplay(spec, o.wire.Workload, o.wire.Runs, cfg.seed)
+		if err != nil {
+			return pt, err
 		}
-		compile = append(compile, ms(compiled.Sub(c.started)))
-		replay = append(replay, ms(c.replay.Sub(compiled)))
+		c.mu.Lock()
+		loop := c.replay.Sub(c.compiled) // replay phase; on baseline the whole run loop
+		prep := c.compiled.Sub(c.started)
+		rep := loop
+		if o.wire.Baseline {
+			loop = c.replay.Sub(c.started)
+			rep = bareRuns
+			prep = loop - rep
+		} else if c.compiled.IsZero() {
+			c.mu.Unlock()
+			return pt, fmt.Errorf("campaign %s reported no compile phase", o.wire.Label())
+		}
+		compile = append(compile, ms(prep))
+		replay = append(replay, ms(rep))
 		analyze = append(analyze, ms(c.finished.Sub(c.replay)))
 		queue = append(queue, ms(c.started.Sub(call)))
 		overhead = append(overhead, ms(to.latency-c.finished.Sub(c.started)))
 		events = append(events, float64(c.events))
-		replaySum += c.replay.Sub(compiled)
+		prepSum += prep
+		replaySum += rep
+		loopSum += loop
 		campaignSum += c.finished.Sub(c.started)
 		c.mu.Unlock()
-		bareSum += time.Duration(o.wire.Runs) * bare[o.wire.Workload]
-		// As many trace builds as the campaign made, timed right after it:
-		// the same garbage to collect, and the same host speed.
-		builds := 1
-		if o.wire.Baseline {
-			builds = o.wire.Runs // every run rebuilds its trace
-		}
-		prep, err := prepTime(o.wire.Workload, lineBytes, builds)
-		if err != nil {
-			return pt, err
-		}
-		prepSum += prep
+		bareSum += bareRuns
 	}
 	if pairs == 0 {
 		return pt, fmt.Errorf("traced pass completed no campaign pair")
@@ -485,7 +492,7 @@ func pairProbe(ctx context.Context, cfg config, lineBytes int, bare map[string]t
 	m["core.compile_phase_ms"] = metric{median(compile), "ms"}
 	m["core.replay_phase_ms"] = metric{median(replay), "ms"}
 	m["core.analyze_phase_ms"] = metric{median(analyze), "ms"}
-	m["core.replay_overhead_ratio"] = metric{float64(replaySum) / float64(bareSum), "ratio"}
+	m["core.replay_overhead_ratio"] = metric{float64(loopSum) / float64(bareSum), "ratio"}
 	m["core.replay_share"] = metric{float64(replaySum) / float64(campaignSum), "ratio"}
 	m["core.build_compile_share"] = metric{float64(prepSum) / float64(campaignSum), "ratio"}
 	m["obs.tracing_overhead"] = metric{float64(tracedSum)/float64(plainSum) - 1, "ratio"}
@@ -497,18 +504,27 @@ func pairProbe(ctx context.Context, cfg config, lineBytes int, bare map[string]t
 	return pt, nil
 }
 
-// prepTime is the time to build a kernel's trace on the default layout
-// and compile it, n times over.
-func prepTime(kernel string, lineBytes, n int) (time.Duration, error) {
+// bareReplay is the time of runs reseeded RunCompiled replays of a
+// kernel's default-layout trace on a platform of spec.
+func bareReplay(spec core.PlatformSpec, kernel string, runs int, seed uint64) (time.Duration, error) {
 	wl, err := workload.ByName(kernel)
 	if err != nil {
 		return 0, err
 	}
+	ct, err := trace.Compile(wl.Build(workload.DefaultLayout()), spec.LineBytes)
+	if err != nil {
+		return 0, err
+	}
+	p, err := spec.Build()
+	if err != nil {
+		return 0, err
+	}
+	p.Reseed(seed)
+	p.RunCompiled(ct) // size the index plans outside the timing
 	start := time.Now()
-	for i := 0; i < n; i++ {
-		if _, err := trace.Compile(wl.Build(workload.DefaultLayout()), lineBytes); err != nil {
-			return 0, err
-		}
+	for r := 0; r < runs; r++ {
+		p.Reseed(prng.Derive(seed, r))
+		p.RunCompiled(ct)
 	}
 	return time.Since(start), nil
 }

@@ -37,10 +37,6 @@ type outcome struct {
 type sut interface {
 	// miss submits a fresh campaign and waits for its result.
 	miss(ctx context.Context, w core.WireRequest) outcome
-	// hit repeats a completed campaign, which must come from the store.
-	hit(ctx context.Context, w core.WireRequest) outcome
-	// storeStats snapshots the result store's counters.
-	storeStats() service.StoreStats
 	close()
 }
 
@@ -51,25 +47,20 @@ func newSUT(cfg config) (sut, error) {
 	return newEngineSUT(cfg.def, workers, nil), nil
 }
 
-// engineSUT runs campaigns on a core.Engine and serves repeats from the
-// service's content-addressed Store by wire fingerprint: the same lookup
-// the service makes, without HTTP.
+// engineSUT runs campaigns on a core.Engine.
 type engineSUT struct {
-	eng   *core.Engine
-	store *service.Store
+	eng *core.Engine
 	// wire digests results in their service wire form, so campaigns of
 	// the service workload check against the same recorded digests.
 	wire bool
 }
-
-type storedResult struct{ res core.Result }
 
 func newEngineSUT(d workloadDef, workers int, sink func(core.Event)) *engineSUT {
 	opts := []core.EngineOption{core.WithWorkers(workers)}
 	if sink != nil {
 		opts = append(opts, core.WithEvents(sink))
 	}
-	return &engineSUT{eng: core.NewEngine(opts...), store: service.NewStore(1024, nil, nil), wire: d.service}
+	return &engineSUT{eng: core.NewEngine(opts...), wire: d.service}
 }
 
 func (s *engineSUT) miss(ctx context.Context, w core.WireRequest) outcome {
@@ -78,55 +69,23 @@ func (s *engineSUT) miss(ctx context.Context, w core.WireRequest) outcome {
 	if err != nil {
 		return outcome{err: err}
 	}
-	fp, err := w.Fingerprint()
-	if err != nil {
-		return outcome{err: err}
-	}
-	v, created := s.store.GetOrCreate(fp, func() any { return &storedResult{} })
-	if !created {
-		return outcome{err: fmt.Errorf("fresh campaign %s was already in the store", w.Label())}
-	}
 	res, err := s.eng.Run(ctx, req)
 	lat := time.Since(start)
 	if err != nil {
-		s.store.Delete(fp)
 		return outcome{err: err}
 	}
-	v.(*storedResult).res = res
-	return s.outcome(lat, req.Runs, &res)
-}
-
-func (s *engineSUT) hit(_ context.Context, w core.WireRequest) outcome {
-	start := time.Now()
-	fp, err := w.Fingerprint()
-	if err != nil {
-		return outcome{err: err}
-	}
-	v, created := s.store.GetOrCreate(fp, func() any { return &storedResult{} })
-	lat := time.Since(start)
-	if created {
-		return outcome{err: fmt.Errorf("repeat of %s missed the store", w.Label())}
-	}
-	o := s.outcome(lat, 0, &v.(*storedResult).res)
-	o.accesses = 0
-	return o
-}
-
-func (s *engineSUT) outcome(lat time.Duration, runs int, res *core.Result) outcome {
-	digest := digestResult(res)
+	digest := digestResult(&res)
 	if s.wire {
-		digest = digestWire(wireOf(res))
+		digest = digestWire(wireOf(&res))
 	}
 	return outcome{
 		latency:  lat,
 		digest:   digest,
-		runs:     runs,
+		runs:     req.Runs,
 		accesses: int64(res.Levels.IL1.Accesses + res.Levels.DL1.Accesses),
 		requests: 1,
 	}
 }
-
-func (s *engineSUT) storeStats() service.StoreStats { return s.store.Stats() }
 
 func (s *engineSUT) close() {}
 
@@ -276,8 +235,6 @@ func (s *serviceSUT) follow(ctx context.Context, id string) (int, error) {
 	}
 	return lines, errors.New("events of " + id + ": stream ended without an end line")
 }
-
-func (s *serviceSUT) storeStats() service.StoreStats { return s.srv.Store().Stats() }
 
 func (s *serviceSUT) close() {
 	s.ts.Close()
