@@ -99,7 +99,11 @@ func run(ctx context.Context, cfg config) (report, error) {
 	if len(cfg.golden) == 0 {
 		return report{}, fmt.Errorf("no recorded digests for workload %s", cfg.def.name)
 	}
-	s, first, err := setUp(ctx, cfg)
+	ref, err := newReference()
+	if err != nil {
+		return report{}, err
+	}
+	s, first, err := setUp(ctx, cfg, ref)
 	if err != nil {
 		return report{}, err
 	}
@@ -113,7 +117,7 @@ func run(ctx context.Context, cfg config) (report, error) {
 		win.seconds = cfg.seconds / 3
 	}
 	before := storeStats(s)
-	t, elapsed, err := measure(ctx, win, s)
+	t, elapsed, err := measure(ctx, win, s, ref)
 	if err != nil {
 		return report{}, err
 	}
@@ -136,11 +140,11 @@ func run(ctx context.Context, cfg config) (report, error) {
 		m["runs_per_s"] = metric{runs, "1/s"}
 		m["maccesses_per_s"] = metric{accesses / 1e6, "Macc/s"}
 		m["requests_per_s"] = metric{requests, "1/s"}
-		m["miss_p50_ms"] = metric{t.missQuantile(0.5), "ms"}
-		m["miss_p90_ms"] = metric{t.missQuantile(0.9), "ms"}
+		m["miss_p50_ms"] = metric{quantile(t.misses, 0.5), "ms"}
+		m["miss_p90_ms"] = metric{quantile(t.misses, 0.9), "ms"}
 		if cfg.def.hits > 0 {
-			m["hit_p50_ms"] = metric{t.hitQuantile(0.5), "ms"}
-			m["hit_p90_ms"] = metric{t.hitQuantile(0.9), "ms"}
+			m["hit_p50_ms"] = metric{quantile(t.hits, 0.5), "ms"}
+			m["hit_p90_ms"] = metric{quantile(t.hits, 0.9), "ms"}
 		} else {
 			// The engine keeps no results, so a repeated campaign runs
 			// again: its latency is a miss's. Every workload reports every
@@ -182,10 +186,9 @@ func logReport(cfg config, rep report, t *tally, elapsed time.Duration) {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	fm, fh := t.samples()
-	fmt.Printf("# %s seed=%d trace=%t window=%.1fs rounds=%d misses=%d hits=%d; fast half: misses=%d hits=%d\n",
-		cfg.def.name, cfg.seed, cfg.trace, elapsed.Seconds(), len(t.roundSecs), len(t.misses), len(t.hits), fm, fh)
-	fmt.Printf("# round seconds:")
+	fmt.Printf("# %s seed=%d trace=%t window=%.1fs rounds=%d misses=%d hits=%d\n",
+		cfg.def.name, cfg.seed, cfg.trace, elapsed.Seconds(), len(t.roundSecs), len(t.misses), len(t.hits))
+	fmt.Printf("# round seconds, nominal:")
 	for _, sec := range t.roundSecs {
 		fmt.Printf(" %.3f", sec)
 	}

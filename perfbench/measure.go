@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
 	"strconv"
 	"syscall"
 	"time"
@@ -14,28 +13,23 @@ import (
 	"repro/internal/core"
 )
 
-// sample is one successful request's latency.
-type sample struct {
-	round int
-	ms    float64
-}
-
 // tally collects the outcomes of a measured request stream.
 type tally struct {
 	golden map[string]string
 
 	attempted int
 	failed    int
-	failures  []string // the first few, for the log
-	misses    []sample
-	hits      []sample
-	work      []work    // per round: what its successful requests did
+	failures  []string  // the first few, for the log
+	misses    []float64 // ms, latency of each successful miss, scaled once its group ends
+	hits      []float64 // ms, the same for hits
+	done      work      // what the successful requests did
 	queueWait []float64 // ms, service misses
 	overhead  []float64 // ms, service misses: latency minus execution
 	events    []float64 // NDJSON lines per service miss
 	completed []core.WireRequest
-	roundSecs []float64 // duration of each measured round
-	setupSecs []float64 // set-up times taken between rounds
+	roundSecs []float64         // per round: its requests' time in nominal seconds
+	groupSecs map[int][]float64 // per catalog entry: its groups' nominal seconds
+	setupSecs []float64         // set-up times taken between rounds, scaled
 }
 
 type work struct {
@@ -44,7 +38,9 @@ type work struct {
 	requests int
 }
 
-func newTally(golden map[string]string) *tally { return &tally{golden: golden} }
+func newTally(golden map[string]string) *tally {
+	return &tally{golden: golden, groupSecs: map[int][]float64{}}
+}
 
 // check compares an outcome's digest with the recorded one.
 func (t *tally) check(w core.WireRequest, o outcome) error {
@@ -65,8 +61,7 @@ func (t *tally) check(w core.WireRequest, o outcome) error {
 	return nil
 }
 
-// add records one request's outcome in the current round, the last one
-// of t.work.
+// add records one request's outcome.
 func (t *tally) add(w core.WireRequest, o outcome, miss bool) {
 	t.attempted++
 	if err := t.check(w, o); err != nil {
@@ -76,100 +71,61 @@ func (t *tally) add(w core.WireRequest, o outcome, miss bool) {
 		}
 		return
 	}
-	if len(t.work) == 0 {
-		t.work = append(t.work, work{})
-	}
-	r := len(t.work) - 1
-	s := sample{round: r, ms: o.latency.Seconds() * 1e3}
-	t.work[r].runs += o.runs
-	t.work[r].accesses += o.accesses
-	t.work[r].requests += o.requests
+	ms := o.latency.Seconds() * 1e3
+	t.done.runs += o.runs
+	t.done.accesses += o.accesses
+	t.done.requests += o.requests
 	if !miss {
-		t.hits = append(t.hits, s)
+		t.hits = append(t.hits, ms)
 		return
 	}
-	t.misses = append(t.misses, s)
+	t.misses = append(t.misses, ms)
 	t.completed = append(t.completed, w)
 	if o.events > 0 {
 		t.queueWait = append(t.queueWait, o.queueWait.Seconds()*1e3)
-		t.overhead = append(t.overhead, s.ms-o.exec.Seconds()*1e3)
+		t.overhead = append(t.overhead, ms-o.exec.Seconds()*1e3)
 		t.events = append(t.events, float64(o.events))
 	}
 }
 
-// Shared hosts alternate between their normal speed and bursts, from one
-// to tens of seconds long, in which the same code runs up to twice as
-// slowly. A total over the window, or a median over its rounds, moves
-// with them. So the end-to-end figures are computed over the faster half
-// of the run's rounds, by round duration: the rounds in which the host
-// was unhurried. A slower program slows every round, so it still shows.
-// A run measures a fixed number of rounds, so both sides of a comparison
-// keep the same number.
+// Every end-to-end time is scaled by the reference passes made just
+// before and after it (see reference.go), which takes out most of the
+// host's slow spells. The figures then use every round of the run: the
+// rates rest on each catalog entry's median group time over the rounds,
+// and the latency quantiles are over every miss or hit. A run measures a
+// fixed number of rounds, so both sides of a comparison keep the same
+// number.
 
-// fastRounds returns the indices of the faster half of the measured
-// rounds (at least one), as a set.
-func (t *tally) fastRounds() map[int]bool {
-	idx := make([]int, len(t.roundSecs))
-	for i := range idx {
-		idx[i] = i
+// rescale multiplies the latencies of the misses and hits recorded since
+// there were m of one and h of the other by f.
+func (t *tally) rescale(m, h int, f float64) {
+	for i := m; i < len(t.misses); i++ {
+		t.misses[i] *= f
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return t.roundSecs[idx[a]] < t.roundSecs[idx[b]] })
-	keep := map[int]bool{}
-	for _, i := range idx[:(len(idx)+1)/2] {
-		keep[i] = true
+	for i := h; i < len(t.hits); i++ {
+		t.hits[i] *= f
 	}
-	return keep
-}
-
-// missQuantile is the p-quantile of the miss latencies of the fast
-// rounds.
-func (t *tally) missQuantile(p float64) float64 { return fastQuantile(t.misses, t.fastRounds(), p) }
-
-// hitQuantile is the p-quantile of the hit latencies of the fast rounds.
-func (t *tally) hitQuantile(p float64) float64 { return fastQuantile(t.hits, t.fastRounds(), p) }
-
-func fastQuantile(ss []sample, fast map[int]bool, p float64) float64 {
-	var xs []float64
-	for _, s := range ss {
-		if fast[s.round] {
-			xs = append(xs, s.ms)
-		}
-	}
-	return quantile(xs, p)
 }
 
 // rates returns the simulated runs, simulated accesses and requests per
-// host second over the fast rounds.
+// nominal host second of a typical round: a round's mean work over the
+// sum of every catalog entry's median group time. The median keeps a
+// campaign that a change of host speed caught midway from moving the
+// figure.
 func (t *tally) rates() (runs, accesses, requests float64) {
 	var sec float64
-	var w work
-	for r := range t.fastRounds() {
-		sec += t.roundSecs[r]
-		w.runs += t.work[r].runs
-		w.accesses += t.work[r].accesses
-		w.requests += t.work[r].requests
+	for _, ds := range t.groupSecs {
+		sec += median(ds)
 	}
-	return float64(w.runs) / sec, float64(w.accesses) / sec, float64(w.requests) / sec
-}
-
-// samples returns the number of misses and hits the figures rest on.
-func (t *tally) samples() (misses, hits int) {
-	fast := t.fastRounds()
-	for _, s := range t.misses {
-		if fast[s.round] {
-			misses++
-		}
-	}
-	for _, s := range t.hits {
-		if fast[s.round] {
-			hits++
-		}
-	}
-	return misses, hits
+	n := float64(len(t.roundSecs)) * sec
+	return float64(t.done.runs) / n, float64(t.done.accesses) / n, float64(t.done.requests) / n
 }
 
 // measure runs cfg.def.rounds(cfg.seconds) whole rounds of the workload's
-// request stream. Between rounds, outside their durations, it times fresh
+// request stream. A round is a sequence of groups, a miss with the hits
+// that follow it; a pass of the reference is made before the round and
+// after every group, outside the requests' times, and each group's times
+// are scaled by the two passes around it. Between rounds it times fresh
 // set-ups of the system under test until the run has cfg.setupReps of
 // them, counting the one made before the window: spread over the window,
 // they do not all fall into one slow burst of the host. A host so slow
@@ -177,9 +133,8 @@ func (t *tally) samples() (misses, hits int) {
 // keeping the run within its time budget.
 //
 // The process is pinned to one CPU per round, in turn: on a shared host
-// each CPU has its own slow spells, which can outlast a run, and the
-// fast rounds then come from whichever CPU was unhurried.
-func measure(ctx context.Context, cfg config, s sut) (_ *tally, _ time.Duration, err error) {
+// each CPU has its own slow spells.
+func measure(ctx context.Context, cfg config, s sut, ref *reference) (_ *tally, _ time.Duration, err error) {
 	cpus, restore, err := oneCPU()
 	if err != nil {
 		return nil, 0, err
@@ -201,18 +156,29 @@ func measure(ctx context.Context, cfg config, s sut) (_ *tally, _ time.Duration,
 		if err := pin(cpus, round); err != nil {
 			return nil, 0, err
 		}
-		// Every round starts from a collected heap, outside its timing, so
-		// that the garbage of earlier rounds and set-ups, collected or not
-		// depending on the moment, does not raise the peak resident set.
-		runtime.GC()
-		t.work = append(t.work, work{})
-		rs := time.Now()
-		for _, o := range ops {
-			do(ctx, s, o, t)
+		var nominal float64
+		before := ref.time()
+		for rest := ops; len(rest) > 0; {
+			n := 1
+			for n < len(rest) && !rest[n].miss {
+				n++
+			}
+			m, h := len(t.misses), len(t.hits)
+			gs := time.Now()
+			for _, o := range rest[:n] {
+				do(ctx, s, o, t)
+			}
+			d := time.Since(gs).Seconds()
+			after := ref.time()
+			f := refScale([]float64{before, after})
+			t.rescale(m, h, f)
+			t.groupSecs[rest[0].entry] = append(t.groupSecs[rest[0].entry], d*f)
+			nominal += d * f
+			before, rest = after, rest[n:]
 		}
-		t.roundSecs = append(t.roundSecs, time.Since(rs).Seconds())
+		t.roundSecs = append(t.roundSecs, nominal)
 		if len(t.setupSecs)+1 < cfg.setupReps {
-			x, d, err := setUp(ctx, cfg)
+			x, d, err := setUp(ctx, cfg, ref)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -339,8 +305,10 @@ func do(ctx context.Context, s sut, o op, t *tally) {
 }
 
 // setUp builds the system under test and warms it with one short
-// campaign per kernel. It returns it with the time that took, in seconds.
-func setUp(ctx context.Context, cfg config) (sut, float64, error) {
+// campaign per kernel. It returns it with the time that took, in nominal
+// seconds: scaled by reference passes made just before and after.
+func setUp(ctx context.Context, cfg config, ref *reference) (sut, float64, error) {
+	before := ref.time()
 	start := time.Now()
 	s, err := newSUT(cfg)
 	if err != nil {
@@ -354,5 +322,6 @@ func setUp(ctx context.Context, cfg config) (sut, float64, error) {
 			return nil, 0, fmt.Errorf("warm-up: %w", o.err)
 		}
 	}
-	return s, time.Since(start).Seconds(), nil
+	d := time.Since(start).Seconds()
+	return s, d * refScale([]float64{before, ref.time()}), nil
 }

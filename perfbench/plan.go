@@ -129,9 +129,10 @@ func campaignSeed(name string, entry, variant int) uint64 {
 // op is one request of a round: a miss submits a fresh campaign, a hit
 // repeats a completed one chosen by pick.
 type op struct {
-	miss bool
-	wire core.WireRequest
-	pick int
+	miss  bool
+	entry int // a miss's catalog entry
+	wire  core.WireRequest
+	pick  int
 }
 
 // plan generates a workload's request stream from the workload seed:
@@ -166,7 +167,7 @@ func (p *plan) nextRound() []op {
 	}
 	var ops []op
 	for _, e := range p.rng.Perm(p.def.entries()) {
-		ops = append(ops, op{miss: true, wire: p.def.request(e, p.perms[e][p.round])})
+		ops = append(ops, op{miss: true, entry: e, wire: p.def.request(e, p.perms[e][p.round])})
 		for h := 0; h < p.def.hits; h++ {
 			ops = append(ops, op{pick: p.rng.IntN(1 << 30)})
 		}
