@@ -97,17 +97,17 @@ serve:
 bench:
 	$(GO) test -bench=. -benchtime=1x -v .
 
-# Hot-path microbenchmarks: legacy per-access replay vs the compiled
-# index-plan path, per placement policy plus an end-to-end campaign pair.
+# Hot-path microbenchmarks: the compiled replay per placement policy plus
+# one-worker MBPTA and baseline campaigns.
 bench-hotpath:
 	$(GO) test -run='^$$' -bench=HotPath -benchtime=10x .
 
 # Short fixed-scale trajectory snapshot (per-campaign HWM/mean/pWCET and
-# wall time); regenerate and commit BENCH_PR5.json when touching the hot
-# path (BENCH_JSON=path overrides the output file). CI runs this, asserts
-# the results are bit-identical to the previous PR's committed snapshot
-# via bench-compare, and uploads the JSON as an artifact.
-BENCH_JSON ?= BENCH_PR5.json
+# wall time); regenerate BENCH_PR13.json when touching the hot path
+# (BENCH_JSON=path overrides the output file). CI runs this, asserts the
+# results are bit-identical to every committed snapshot via
+# bench-compare, and uploads the JSON as an artifact.
+BENCH_JSON ?= BENCH_PR13.json
 bench-json:
 	$(GO) run ./cmd/paperbench -short -json $(BENCH_JSON)
 

@@ -14,17 +14,18 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	res, an, err := randmod.RunAndAnalyze(randmod.Campaign{
+	res, err := randmod.NewEngine().Run(context.Background(), randmod.Request{
 		Spec:       randmod.PaperPlatform(randmod.RM),
 		Workload:   w,
 		Runs:       100,
 		MasterSeed: 7,
+		Analyze:    true,
 	})
 	if err != nil {
 		panic(err)
 	}
 	fmt.Println("runs:", len(res.Times))
-	fmt.Println("pWCET@1e-15 above hwm:", an.PWCET15 > res.HWM())
+	fmt.Println("pWCET@1e-15 above hwm:", res.Analysis.PWCET15 > res.HWM())
 	// Output:
 	// runs: 100
 	// pWCET@1e-15 above hwm: true
@@ -46,12 +47,12 @@ func Example_hardwareCost() {
 // distribution per seed.
 func Example_placementComparison() {
 	w := randmod.SyntheticWorkload(4*1024, 10, 4)
-	det, err := randmod.Campaign{
+	det, err := randmod.NewEngine().Run(context.Background(), randmod.Request{
 		Spec:       randmod.DeterministicPlatform(),
 		Workload:   w,
 		Runs:       3,
 		MasterSeed: 1,
-	}.Run()
+	})
 	if err != nil {
 		panic(err)
 	}

@@ -21,28 +21,12 @@ import (
 	"os/signal"
 
 	"repro"
-	"repro/internal/cache"
-	"repro/internal/placement"
 	"repro/internal/prng"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
-
-func platform() sim.Config {
-	mk := func(name string, size int, pk placement.Kind, w cache.WritePolicy) cache.Config {
-		return cache.Config{
-			Name: name, SizeBytes: size, Ways: 4, LineBytes: 32,
-			Placement: pk, Replacement: cache.Random, Write: w,
-		}
-	}
-	return sim.Config{
-		IL1: mk("IL1", 16*1024, placement.RM, cache.WriteThrough),
-		DL1: mk("DL1", 16*1024, placement.RM, cache.WriteThrough),
-		L2:  mk("L2", 128*1024, placement.HRP, cache.WriteBack),
-	}
-}
 
 func main() {
 	const seeds = 25
@@ -53,7 +37,17 @@ func main() {
 	hog := workload.Synthetic(160*1024, 8, 4) // streams through memory
 	layout := workload.DefaultLayout()
 	subjectTrace := subject.Build(layout)
-	hogTrace := hog.Build(layout)
+	// The platform is the paper's, RM in the L1s; every core replays
+	// compiled traces, shared read-only across the sweep's workers.
+	spec := randmod.PaperPlatform(randmod.RM)
+	subjectCT, err := trace.Compile(subjectTrace, spec.LineBytes)
+	if err != nil {
+		log.Fatal(err)
+	}
+	hogCT, err := trace.Compile(hog.Build(layout), spec.LineBytes)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -62,13 +56,13 @@ func main() {
 	// seeds; each worker owns a private 4-core system, and every run
 	// derives its seed from the run index, so the vector is bit-identical
 	// for any pool size.
-	sweep := func(traces []trace.Trace) []float64 {
+	sweep := func(cts []*trace.Compiled) []float64 {
 		times := make([]float64, seeds)
 		err := randmod.ShardRunsContext(ctx, 0, seeds,
-			func() (*sim.System, error) { return sim.NewSystem(platform(), 4) },
+			func() (*sim.System, error) { return sim.NewSystem(spec.Config(), 4) },
 			func(sys *sim.System, run int) error {
 				sys.Reseed(prng.Derive(1, run))
-				times[run] = float64(sys.RunAll(traces)[0].Cycles)
+				times[run] = float64(sys.RunAll(cts)[0].Cycles)
 				return nil
 			})
 		if err != nil {
@@ -77,8 +71,8 @@ func main() {
 		return times
 	}
 
-	solo := sweep([]trace.Trace{subjectTrace, nil, nil, nil})
-	contended := sweep([]trace.Trace{subjectTrace, hogTrace, hogTrace, hogTrace})
+	solo := sweep([]*trace.Compiled{subjectCT, nil, nil, nil})
+	contended := sweep([]*trace.Compiled{subjectCT, hogCT, hogCT, hogCT})
 
 	fmt.Printf("subject workload: %s (%d accesses), %d hardware seeds\n",
 		subject.Name, len(subjectTrace), seeds)

@@ -1,10 +1,7 @@
-// Hot-path microbenchmarks: the per-run replay loop, legacy per-access
-// placement hashing vs the compiled index-plan path (PR 4), per placement
-// policy, plus an end-to-end MBPTA campaign pair. CI runs these with
-// -bench=HotPath -benchtime=1x as a smoke; run with a real -benchtime to
-// measure. The compiled path is bit-exact to the legacy one (see the
-// differential tests in internal/sim and internal/core), so the ratio of
-// the two numbers is pure throughput.
+// Hot-path microbenchmarks: the per-run compiled replay loop per
+// placement policy, plus end-to-end MBPTA and HWM-baseline campaigns
+// through a one-worker Engine. CI runs these with -bench=HotPath
+// -benchtime=1x as a smoke; run with a real -benchtime to measure.
 package randmod
 
 import (
@@ -21,7 +18,7 @@ import (
 
 // hotPathSetup builds the paper platform for an L1 placement kind and the
 // trace of a representative EEMBC-like workload, both ready to replay.
-func hotPathSetup(b *testing.B, kind placement.Kind) (*sim.Core, trace.Trace, *trace.Compiled) {
+func hotPathSetup(b *testing.B, kind placement.Kind) (*sim.Core, *trace.Compiled) {
 	b.Helper()
 	w, err := workload.ByName("tblook01")
 	if err != nil {
@@ -37,23 +34,7 @@ func hotPathSetup(b *testing.B, kind placement.Kind) (*sim.Core, trace.Trace, *t
 	if err != nil {
 		b.Fatal(err)
 	}
-	return p, tr, ct
-}
-
-// BenchmarkHotPathLegacy measures the pre-PR-4 per-run replay loop: one
-// placement-policy hash per access (plus a Benes walk for RM).
-func BenchmarkHotPathLegacy(b *testing.B) {
-	for _, kind := range placement.Kinds() {
-		b.Run(kind.String(), func(b *testing.B) {
-			p, tr, _ := hotPathSetup(b, kind)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p.Reseed(prng.Derive(0xBE7C4, i))
-				p.Run(tr)
-			}
-			b.ReportMetric(float64(len(tr)), "accesses/op")
-		})
-	}
+	return p, ct
 }
 
 // BenchmarkHotPathCompiled measures the compiled replay: per run, index
@@ -64,7 +45,7 @@ func BenchmarkHotPathLegacy(b *testing.B) {
 func BenchmarkHotPathCompiled(b *testing.B) {
 	for _, kind := range placement.Kinds() {
 		b.Run(kind.String(), func(b *testing.B) {
-			p, _, ct := hotPathSetup(b, kind)
+			p, ct := hotPathSetup(b, kind)
 			p.Reseed(prng.Derive(0xBE7C4, 0))
 			p.RunCompiled(ct) // warm-up: allocate the index plans
 			b.ReportAllocs()
@@ -78,51 +59,10 @@ func BenchmarkHotPathCompiled(b *testing.B) {
 	}
 }
 
-// BenchmarkHotPathCampaignLegacy replays a whole MBPTA campaign through
-// the pre-PR-4 hot loop (sequential, legacy sim.Core.Run), the baseline
-// the PR's >= 1.5x throughput target is measured against.
-func BenchmarkHotPathCampaignLegacy(b *testing.B) {
-	p, tr, _ := hotPathSetup(b, placement.RM)
-	const runs = 40
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for run := 0; run < runs; run++ {
-			p.Reseed(prng.Derive(0x9A9E6, run))
-			p.Run(tr)
-		}
-	}
-	b.ReportMetric(float64(runs*len(tr)), "accesses/op")
-}
-
-// BenchmarkHotPathBaselineLegacy replays the deterministic HWM baseline
-// protocol (per-run randomized layout, trace rebuilt every run) through
-// the pre-PR-4 loop. Unlike MBPTA there is no build-once amortization,
-// so this pair documents that routing baselines through the compiled
-// path is at worst a wash: the per-run trace build dominates.
-func BenchmarkHotPathBaselineLegacy(b *testing.B) {
-	w, err := workload.ByName("tblook01")
-	if err != nil {
-		b.Fatal(err)
-	}
-	spec := core.PlatformFor(placement.Modulo)
-	p, err := spec.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	const runs = 10
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for run := 0; run < runs; run++ {
-			seed := prng.Derive(0x9A9E6^0xDE7, run)
-			layout := workload.RandomizedLayout(prng.New(seed))
-			p.Reseed(seed)
-			p.Run(w.Build(layout))
-		}
-	}
-}
-
-// BenchmarkHotPathBaselineCompiled is the same baseline campaign through
-// the Engine, which compiles each per-run trace before replaying it.
+// BenchmarkHotPathBaselineCompiled runs the deterministic HWM baseline
+// protocol (per-run randomized layout, trace rebuilt and compiled every
+// run) through the Engine. Unlike MBPTA there is no build-once
+// amortization, so the per-run trace build dominates.
 func BenchmarkHotPathBaselineCompiled(b *testing.B) {
 	w, err := workload.ByName("tblook01")
 	if err != nil {
@@ -141,10 +81,9 @@ func BenchmarkHotPathBaselineCompiled(b *testing.B) {
 	}
 }
 
-// BenchmarkHotPathCampaignCompiled runs the same campaign through the
-// Engine, which routes every run over the compiled path; workers are
-// pinned to 1 so the ratio to the legacy number isolates the hot-loop
-// speedup from parallelism.
+// BenchmarkHotPathCampaignCompiled runs a 40-run MBPTA campaign through
+// the Engine with workers pinned to 1, so it measures the hot loop plus
+// the campaign's streaming overhead without parallelism.
 func BenchmarkHotPathCampaignCompiled(b *testing.B) {
 	w, err := workload.ByName("tblook01")
 	if err != nil {

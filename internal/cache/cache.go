@@ -4,10 +4,14 @@
 // to MBPTA (random) and to the deterministic baseline (LRU, plus FIFO and
 // PLRU for ablations), and write-through/write-back handling.
 //
-// The model is behavioural, not cycle-structural: Access reports hits,
-// misses, and evictions; the simulator in internal/sim converts those into
-// cycles. Placement is consulted once per access with the line address, so
-// the policies behave bit-exactly as their hardware counterparts would.
+// The model is behavioural, not cycle-structural: a replay Kernel reports
+// hits, misses, evictions and writebacks as AccessBits; the simulator in
+// internal/sim converts those into cycles. Placement is consulted once per
+// unique line per run: callers build an index plan with
+// placement.IndexAll after each reseed and pass each access's precomputed
+// set to the kernel, which is bit-exact to consulting the policy on every
+// access as the hardware does (the per-access reference model in this
+// package's tests pins that).
 package cache
 
 import (
@@ -146,15 +150,6 @@ func (s Stats) MissRatio() float64 {
 	return float64(s.Misses) / float64(s.Accesses)
 }
 
-// Result reports the outcome of one access.
-type Result struct {
-	Hit           bool
-	Evicted       bool   // a valid line was displaced
-	WritebackAddr uint64 // line address pushed down (valid only if Writeback)
-	Writeback     bool   // the displaced line was dirty
-	Filled        bool   // a new line was installed (miss with allocation)
-}
-
 // Cache is one cache level. Not safe for concurrent use.
 //
 // The tag state is struct-of-arrays: one flat line-address slice plus one
@@ -165,14 +160,13 @@ type Result struct {
 // bitmasks lets the replay kernels probe a whole set with one load and a
 // bit scan instead of striding across array-of-structs entries.
 type Cache struct {
-	cfg     Config
-	pol     placement.Policy
-	sets    int
-	ways    int
-	offBits uint
-	addrs   []uint64 // sets*ways line addresses, set-major
-	valid   []uint64 // per-set valid bitmask, bit w = way w
-	dirty   []uint64 // per-set dirty bitmask, bit w = way w
+	cfg   Config
+	pol   placement.Policy
+	sets  int
+	ways  int
+	addrs []uint64 // sets*ways line addresses, set-major
+	valid []uint64 // per-set valid bitmask, bit w = way w
+	dirty []uint64 // per-set dirty bitmask, bit w = way w
 
 	// Replacement state, one of the following depending on kind.
 	repl    ReplacementKind
@@ -207,16 +201,15 @@ func NewWithPolicy(cfg Config, pol placement.Policy) (*Cache, error) {
 		return nil, fmt.Errorf("cache %s: policy maps %d sets, geometry has %d", cfg.Name, pol.Sets(), cfg.Sets())
 	}
 	c := &Cache{
-		cfg:     cfg,
-		pol:     pol,
-		sets:    cfg.Sets(),
-		ways:    cfg.Ways,
-		offBits: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
-		addrs:   make([]uint64, cfg.Sets()*cfg.Ways),
-		valid:   make([]uint64, cfg.Sets()),
-		dirty:   make([]uint64, cfg.Sets()),
-		repl:    cfg.Replacement,
-		rng:     prng.New(initialStream(cfg.Name)),
+		cfg:   cfg,
+		pol:   pol,
+		sets:  cfg.Sets(),
+		ways:  cfg.Ways,
+		addrs: make([]uint64, cfg.Sets()*cfg.Ways),
+		valid: make([]uint64, cfg.Sets()),
+		dirty: make([]uint64, cfg.Sets()),
+		repl:  cfg.Replacement,
+		rng:   prng.New(initialStream(cfg.Name)),
 	}
 	switch cfg.Replacement {
 	case LRU, FIFO:
@@ -258,12 +251,6 @@ func (c *Cache) Policy() placement.Policy { return c.pol }
 // Stats returns the accumulated counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// ResetStats zeroes the counters without touching cache contents.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
-
-// LineAddr converts a byte address to a line address.
-func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.offBits }
-
 // Reseed installs a fresh per-run seed into the placement policy and the
 // replacement randomness, then flushes contents: after a placement change
 // the old contents are unreachable, so the hardware flushes for consistency
@@ -297,16 +284,8 @@ func (c *Cache) Flush() {
 	c.stats.Flushes++
 }
 
-// Lookup reports whether the line holding addr is present, without updating
-// replacement state or counters.
-func (c *Cache) Lookup(addr uint64) bool {
-	la := c.LineAddr(addr)
-	set := int(c.pol.Index(la))
-	return c.probe(la, set) >= 0
-}
-
-// LookupLine is Lookup for a line address with a precomputed set index
-// (see ReadLine for the plan contract): presence without updating
+// LookupLine reports whether line la is present in set, which must equal
+// Policy().Index(la) under the current seed, without updating
 // replacement state or counters. The security attack kernels use it to
 // test eviction without perturbing the replacement state under
 // measurement.
@@ -327,202 +306,4 @@ func (c *Cache) probe(la uint64, set int) int {
 		}
 	}
 	return -1
-}
-
-// Read performs a load or instruction fetch for addr.
-func (c *Cache) Read(addr uint64) Result { return c.access(addr, false) }
-
-// Write performs a store to addr. Under WriteThrough the line is updated if
-// present and, unless AllocOnWrite is set, a miss does not allocate. Under
-// WriteBack the line is allocated on miss (if AllocOnWrite) and dirtied.
-func (c *Cache) Write(addr uint64) Result { return c.access(addr, true) }
-
-// ReadLine is Read for a line address with a precomputed set index: the
-// compiled campaign hot path, where the placement policy was consulted
-// once per unique line at reseed time (an index plan, placement.IndexAll)
-// instead of once per access. set must equal Policy().Index(la) under the
-// current seed; behaviour, counters and replacement-RNG draws are then
-// bit-identical to Read(la << offBits).
-func (c *Cache) ReadLine(la uint64, set uint32) Result {
-	return c.accessLine(la, int(set), false)
-}
-
-// WriteLine is Write for a line address with a precomputed set index; see
-// ReadLine for the contract.
-func (c *Cache) WriteLine(la uint64, set uint32) Result {
-	return c.accessLine(la, int(set), true)
-}
-
-func (c *Cache) access(addr uint64, isWrite bool) Result {
-	la := c.LineAddr(addr)
-	return c.accessLine(la, int(c.pol.Index(la)), isWrite)
-}
-
-func (c *Cache) accessLine(la uint64, set int, isWrite bool) Result {
-	c.stats.Accesses++
-
-	if w := c.probe(la, set); w >= 0 {
-		c.stats.Hits++
-		c.touch(set, w)
-		if isWrite && c.cfg.Write == WriteBack {
-			c.dirty[set] |= 1 << uint(w)
-		}
-		return Result{Hit: true}
-	}
-
-	c.stats.Misses++
-	if isWrite && !c.allocatesOnWrite() {
-		// Write-through no-allocate: the store bypasses this level.
-		return Result{}
-	}
-	res := Result{Filled: true}
-	w := c.victim(set)
-	bit := uint64(1) << uint(w)
-	if c.valid[set]&bit != 0 {
-		res.Evicted = true
-		c.stats.Evictions++
-		if c.dirty[set]&bit != 0 {
-			res.Writeback = true
-			res.WritebackAddr = c.addrs[set*c.ways+w]
-			c.stats.Writebacks++
-		}
-	}
-	c.addrs[set*c.ways+w] = la
-	c.valid[set] |= bit
-	if isWrite && c.cfg.Write == WriteBack {
-		c.dirty[set] |= bit
-	} else {
-		c.dirty[set] &^= bit
-	}
-	c.touch(set, w)
-	return res
-}
-
-func (c *Cache) allocatesOnWrite() bool {
-	if c.cfg.Write == WriteBack {
-		return true
-	}
-	return c.cfg.AllocOnWrite
-}
-
-// touch records a use of way w in set for the replacement policy.
-func (c *Cache) touch(set, w int) {
-	switch c.repl {
-	case LRU:
-		c.tick++
-		c.lruTick[set*c.ways+w] = c.tick
-	case FIFO:
-		// FIFO only stamps on fill; access() calls touch on both hit and
-		// fill, so stamp only when the slot was just (re)written. The fill
-		// path overwrites addr first, hits keep the old stamp: emulate by
-		// stamping only when the stamp is zero or the line was replaced.
-		idx := set*c.ways + w
-		if c.lruTick[idx] == 0 {
-			c.tick++
-			c.lruTick[idx] = c.tick
-		}
-	case PLRU:
-		c.plruTouch(set, w)
-	case Random:
-		// stateless
-	}
-}
-
-// victim picks the way to replace in set. Deterministic policies fill
-// invalid ways first, as conventional hardware does. Random replacement
-// deliberately does not: the MBPTA-compliant evict-on-miss design selects
-// any way with probability 1/W on every miss (the LEON-style policy the
-// MBPTA literature analyses), which makes even warm-up behaviour
-// probabilistic -- the source of run-to-run variability for programs whose
-// footprint fits in the cache.
-func (c *Cache) victim(set int) int {
-	base := set * c.ways
-	if c.repl == Random {
-		return c.rng.Intn(c.ways)
-	}
-	if free := ^c.valid[set] & (1<<uint(c.ways) - 1); free != 0 {
-		w := bits.TrailingZeros64(free) // lowest invalid way, as a scan would find
-		if c.repl == FIFO {
-			c.lruTick[base+w] = 0 // force restamp on fill
-		}
-		return w
-	}
-	switch c.repl {
-	case LRU, FIFO:
-		oldest, oldestTick := 0, c.lruTick[base]
-		for w := 1; w < c.ways; w++ {
-			if c.lruTick[base+w] < oldestTick {
-				oldest, oldestTick = w, c.lruTick[base+w]
-			}
-		}
-		if c.repl == FIFO {
-			c.lruTick[base+oldest] = 0 // restamp on fill
-		}
-		return oldest
-	case PLRU:
-		return c.plruVictim(set)
-	default: // Random
-		return c.rng.Intn(c.ways)
-	}
-}
-
-// plruTouch updates the PLRU tree so the path to way w is protected.
-func (c *Cache) plruTouch(set, w int) {
-	levels := bits.TrailingZeros(uint(c.ways)) // tree depth
-	node := 0
-	treeBits := c.plru[set]
-	for level := 0; level < levels; level++ {
-		bit := (w >> uint(levels-1-level)) & 1
-		if bit == 0 {
-			treeBits |= 1 << uint(node) // point away: to the right
-		} else {
-			treeBits &^= 1 << uint(node) // point away: to the left
-		}
-		node = 2*node + 1 + bit
-	}
-	c.plru[set] = treeBits
-}
-
-// plruVictim follows the PLRU tree pointers to the least-recently-protected
-// way.
-func (c *Cache) plruVictim(set int) int {
-	levels := bits.TrailingZeros(uint(c.ways))
-	node := 0
-	w := 0
-	treeBits := c.plru[set]
-	for level := 0; level < levels; level++ {
-		bit := int(treeBits >> uint(node) & 1)
-		w = w<<1 | bit
-		node = 2*node + 1 + bit
-	}
-	return w
-}
-
-// Occupancy returns the number of valid lines, for tests.
-func (c *Cache) Occupancy() int {
-	n := 0
-	for _, m := range c.valid {
-		n += bits.OnesCount64(m)
-	}
-	return n
-}
-
-// DirtyLines returns the number of dirty lines, for tests.
-func (c *Cache) DirtyLines() int {
-	n := 0
-	for set, m := range c.dirty {
-		n += bits.OnesCount64(m & c.valid[set])
-	}
-	return n
-}
-
-// SetContents returns the line addresses currently valid in a set, for
-// tests and debugging.
-func (c *Cache) SetContents(set int) []uint64 {
-	var out []uint64
-	base := set * c.ways
-	for m := c.valid[set]; m != 0; m &= m - 1 {
-		out = append(out, c.addrs[base+bits.TrailingZeros64(m)])
-	}
-	return out
 }

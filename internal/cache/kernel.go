@@ -6,11 +6,10 @@ import (
 	"repro/internal/prng"
 )
 
-// AccessBits is the compact outcome of one kernel access, the replay-loop
-// counterpart of Result (which the legacy byte-address path keeps
-// returning). The flags mirror Result's booleans; WritebackAddr has no
-// kernel equivalent because the compiled replay only charges cycles for a
-// writeback, it never routes the victim's address.
+// AccessBits is the compact outcome of one kernel access: which of hit,
+// fill, eviction and writeback happened. Callers charge cycles and count
+// memory transactions from these flags alone; the kernel never reports
+// a victim's address because no caller routes it anywhere.
 type AccessBits uint8
 
 // Access outcome flags.
@@ -33,10 +32,10 @@ const (
 // A Kernel aliases its cache's tag state (the SoA slices never reallocate
 // after construction, Flush and Reseed clear them in place), so one Kernel
 // bound at platform construction serves every subsequent run. Between
-// Begin and End the kernel owns the cache: interleaving legacy Read/Write
-// calls inside that window would race the tick and counter snapshots.
+// Begin and End the kernel owns the cache's tick and counters.
 // Replacement-RNG draws go straight to the cache's own generator, in the
-// same order as the legacy path, so post-run streams are bit-identical.
+// order a per-access model draws them, so the kernels stay bit-identical
+// to the reference model in this package's tests.
 type Kernel struct {
 	c *Cache
 
@@ -149,8 +148,8 @@ func (k *Kernel) End() Stats {
 }
 
 // Read performs a load or fetch of line la with a precomputed set index;
-// bit-identical in behaviour, counters and RNG draws to the legacy
-// ReadLine (see the fuzz and differential tests).
+// bit-identical in behaviour, counters and RNG draws to the per-access
+// reference model (see the fuzz and differential tests).
 //
 //rm:hotpath
 func (k *Kernel) Read(la uint64, set uint32) AccessBits { return k.read(k, la, set) }
@@ -272,7 +271,7 @@ func (k *Kernel) fillPLRU(la uint64, set uint32, dirty bool) AccessBits {
 func (k *Kernel) fillRandom(la uint64, set uint32, dirty bool) AccessBits {
 	// Evict-on-miss: any way with probability 1/W, invalid ways included,
 	// drawn from the cache's replacement stream (same draw order as the
-	// legacy victim path).
+	// per-access reference model).
 	return k.install(la, set, k.rng.Intn(k.ways), dirty)
 }
 

@@ -22,7 +22,7 @@ func kernelConfig(pk placement.Kind, rk ReplacementKind, write WritePolicy, allo
 	}
 }
 
-// resultBits converts a legacy Result to the kernel's flag form.
+// resultBits converts a reference-model Result to the kernel's flag form.
 func resultBits(r Result) AccessBits {
 	var b AccessBits
 	if r.Hit {
@@ -40,13 +40,13 @@ func resultBits(r Result) AccessBits {
 	return b
 }
 
-// driveEquivalence replays one access sequence through the legacy access
-// path and the kernel path on identically seeded caches and fails on any
-// divergence: per-access outcomes, per-run Stats, cumulative Stats,
-// occupancy, dirty lines, replacement tick and RNG state.
+// driveEquivalence replays one access sequence through the per-access
+// reference model and the kernel path on identically seeded caches and
+// fails on any divergence: per-access outcomes, per-run Stats, cumulative
+// Stats, occupancy, dirty lines, replacement tick and RNG state.
 func driveEquivalence(t *testing.T, cfg Config, seed uint64, ops []uint16) {
 	t.Helper()
-	legacy, err := New(cfg)
+	ref, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,30 +54,30 @@ func driveEquivalence(t *testing.T, cfg Config, seed uint64, ops []uint16) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy.Reseed(seed)
+	ref.Reseed(seed)
 	kc.Reseed(seed)
 	k := NewKernel(kc)
 	k.Begin()
-	before := legacy.Stats()
+	before := ref.Stats()
 	for i, op := range ops {
 		la := uint64(op >> 1)
 		set := kc.pol.Index(la)
 		var want Result
 		var got AccessBits
 		if op&1 == 1 {
-			want = legacy.Write(la << legacy.offBits)
+			want = ref.Write(la * uint64(cfg.LineBytes))
 			got = k.Write(la, set)
 		} else {
-			want = legacy.Read(la << legacy.offBits)
+			want = ref.Read(la * uint64(cfg.LineBytes))
 			got = k.Read(la, set)
 		}
 		if got != resultBits(want) {
-			t.Fatalf("%v/%v/%v op %d (la %#x write=%v): kernel %04b, legacy %+v",
+			t.Fatalf("%v/%v/%v op %d (la %#x write=%v): kernel %04b, ref %+v",
 				cfg.Placement, cfg.Replacement, cfg.Write, i, la, op&1 == 1, got, want)
 		}
 	}
 	delta := k.End()
-	after := legacy.Stats()
+	after := ref.Stats()
 	wantDelta := Stats{
 		Accesses:   after.Accesses - before.Accesses,
 		Hits:       after.Hits - before.Hits,
@@ -86,25 +86,25 @@ func driveEquivalence(t *testing.T, cfg Config, seed uint64, ops []uint16) {
 		Writebacks: after.Writebacks - before.Writebacks,
 	}
 	if delta != wantDelta {
-		t.Fatalf("%v/%v/%v: run delta %+v, legacy %+v", cfg.Placement, cfg.Replacement, cfg.Write, delta, wantDelta)
+		t.Fatalf("%v/%v/%v: run delta %+v, ref %+v", cfg.Placement, cfg.Replacement, cfg.Write, delta, wantDelta)
 	}
-	if kc.Stats() != legacy.Stats() {
-		t.Fatalf("%v/%v/%v: cumulative stats %+v, legacy %+v", cfg.Placement, cfg.Replacement, cfg.Write, kc.Stats(), legacy.Stats())
+	if kc.Stats() != ref.Stats() {
+		t.Fatalf("%v/%v/%v: cumulative stats %+v, ref %+v", cfg.Placement, cfg.Replacement, cfg.Write, kc.Stats(), ref.Stats())
 	}
-	if kc.Occupancy() != legacy.Occupancy() || kc.DirtyLines() != legacy.DirtyLines() {
+	if kc.Occupancy() != ref.Occupancy() || kc.DirtyLines() != ref.DirtyLines() {
 		t.Fatalf("%v/%v/%v: occupancy %d/%d dirty %d/%d diverged", cfg.Placement, cfg.Replacement, cfg.Write,
-			kc.Occupancy(), legacy.Occupancy(), kc.DirtyLines(), legacy.DirtyLines())
+			kc.Occupancy(), ref.Occupancy(), kc.DirtyLines(), ref.DirtyLines())
 	}
-	if kc.tick != legacy.tick {
-		t.Fatalf("%v/%v/%v: tick %d, legacy %d", cfg.Placement, cfg.Replacement, cfg.Write, kc.tick, legacy.tick)
+	if kc.tick != ref.tick {
+		t.Fatalf("%v/%v/%v: tick %d, ref %d", cfg.Placement, cfg.Replacement, cfg.Write, kc.tick, ref.tick)
 	}
 	k32, k31, k29 := kc.rng.State()
-	l32, l31, l29 := legacy.rng.State()
+	l32, l31, l29 := ref.rng.State()
 	if k32 != l32 || k31 != l31 || k29 != l29 {
 		t.Fatalf("%v/%v/%v: replacement RNG state diverged", cfg.Placement, cfg.Replacement, cfg.Write)
 	}
 	for set := 0; set < kc.sets; set++ {
-		kcs, lcs := kc.SetContents(set), legacy.SetContents(set)
+		kcs, lcs := kc.SetContents(set), ref.SetContents(set)
 		if len(kcs) != len(lcs) {
 			t.Fatalf("%v/%v/%v: set %d contents diverged", cfg.Placement, cfg.Replacement, cfg.Write, set)
 		}
@@ -150,10 +150,10 @@ func TestKernelEquivalenceAllConfigs(t *testing.T) {
 
 // TestKernelReusableAcrossRuns checks the campaign pattern: one bound
 // kernel, many Reseed+replay rounds, still bit-exact against a fresh
-// legacy cache replaying the same rounds.
+// reference-model cache replaying the same rounds.
 func TestKernelReusableAcrossRuns(t *testing.T) {
 	cfg := kernelConfig(placement.RM, Random, WriteBack, false)
-	legacy, _ := New(cfg)
+	ref, _ := New(cfg)
 	kc, _ := New(cfg)
 	k := NewKernel(kc)
 	g := prng.New(0x5EED)
@@ -163,33 +163,33 @@ func TestKernelReusableAcrossRuns(t *testing.T) {
 	}
 	for run := 0; run < 5; run++ {
 		seed := prng.Derive(77, run)
-		legacy.Reseed(seed)
+		ref.Reseed(seed)
 		kc.Reseed(seed)
 		k.Begin()
 		for _, op := range ops {
 			la := uint64(op >> 1)
 			set := kc.pol.Index(la)
 			if op&1 == 1 {
-				want := resultBits(legacy.Write(la << legacy.offBits))
+				want := resultBits(ref.Write(la * uint64(cfg.LineBytes)))
 				if got := k.Write(la, set); got != want {
 					t.Fatalf("run %d: write diverged: %04b vs %04b", run, got, want)
 				}
 			} else {
-				want := resultBits(legacy.Read(la << legacy.offBits))
+				want := resultBits(ref.Read(la * uint64(cfg.LineBytes)))
 				if got := k.Read(la, set); got != want {
 					t.Fatalf("run %d: read diverged: %04b vs %04b", run, got, want)
 				}
 			}
 		}
 		k.End()
-		if kc.Stats() != legacy.Stats() {
-			t.Fatalf("run %d: stats diverged: %+v vs %+v", run, kc.Stats(), legacy.Stats())
+		if kc.Stats() != ref.Stats() {
+			t.Fatalf("run %d: stats diverged: %+v vs %+v", run, kc.Stats(), ref.Stats())
 		}
 	}
 }
 
 // FuzzAccessEquivalence drives fuzzer-chosen access sequences through the
-// kernel path and the legacy access path on identically configured caches
+// kernel path and the per-access reference model on identically configured caches
 // and requires identical per-access Results, Stats, occupancy and
 // replacement state. The configuration (placement, replacement, write
 // arrangement) is part of the fuzz input, so the corpus explores every

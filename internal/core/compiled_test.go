@@ -2,39 +2,45 @@ package core
 
 import (
 	"context"
+	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/placement"
 	"repro/internal/prng"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
-// legacyCampaign replays the pre-compiled-path MBPTA protocol with the
-// legacy per-access loop — sequentially, one platform, sim.Core.Run — and
-// returns the reference Times and Levels the Runner must reproduce
-// bit-for-bit now that it routes runs through RunCompiled.
-func legacyCampaign(t *testing.T, spec PlatformSpec, w workload.Workload, runs int, seed uint64) ([]float64, LevelStats) {
+// sequentialCampaign replays the MBPTA protocol in the plainest possible
+// loop — sequentially, one platform, one Compiled, RunCompiled per run —
+// and returns the reference Times and Levels the Runner must reproduce
+// bit-for-bit through its sharding, seeding and streaming accumulation.
+func sequentialCampaign(t *testing.T, spec PlatformSpec, w workload.Workload, runs int, seed uint64) ([]float64, LevelStats) {
 	t.Helper()
 	p, err := spec.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := w.Build(workload.DefaultLayout())
+	ct, err := trace.Compile(w.Build(workload.DefaultLayout()), spec.LineBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
 	times := make([]float64, runs)
 	var levels LevelStats
 	for run := 0; run < runs; run++ {
 		p.Reseed(prng.Derive(seed, run))
-		r := p.Run(tr)
+		r := p.RunCompiled(ct)
 		times[run] = float64(r.Cycles)
 		levels.add(r)
 	}
 	return times, levels
 }
 
-// legacyBaseline replays the pre-compiled-path HWM protocol with the
-// legacy loop (per-run randomized layout, sim.Core.Run).
-func legacyBaseline(t *testing.T, spec PlatformSpec, w workload.Workload, runs int, seed uint64) []float64 {
+// sequentialBaseline replays the HWM protocol the same way (per-run
+// randomized layout, compiled and replayed on one platform).
+func sequentialBaseline(t *testing.T, spec PlatformSpec, w workload.Workload, runs int, seed uint64) []float64 {
 	t.Helper()
 	p, err := spec.Build()
 	if err != nil {
@@ -44,8 +50,12 @@ func legacyBaseline(t *testing.T, spec PlatformSpec, w workload.Workload, runs i
 	for run := 0; run < runs; run++ {
 		s := prng.Derive(seed^hwmSeedTag, run)
 		layout := workload.RandomizedLayout(prng.New(s))
+		ct, err := trace.Compile(w.Build(layout), spec.LineBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
 		p.Reseed(s)
-		times[run] = float64(p.Run(w.Build(layout)).Cycles)
+		times[run] = float64(p.RunCompiled(ct).Cycles)
 	}
 	return times
 }
@@ -65,11 +75,13 @@ var engineWriteArrangements = []struct {
 }
 
 // TestEngineRunMatchesLegacyHotLoop is the engine-level differential
-// test of the compiled campaign path: for every placement kind, every
-// replacement policy and every write arrangement, Engine.Run at workers
-// 1 and 4 must reproduce the legacy per-access hot loop bit-for-bit —
-// same Times, same summed per-level Stats — for both MBPTA and baseline
-// protocols.
+// test: for every placement kind, every replacement policy and every
+// write arrangement, Engine.Run at workers 1 and 4 must reproduce a
+// sequential RunCompiled loop bit-for-bit — same Times, same summed
+// per-level Stats — for both MBPTA and baseline protocols. What it pins
+// is the engine's sharding, per-run seeding and accumulation; the replay
+// itself is pinned against the per-access reference models by the sim
+// and cache tests.
 func TestEngineRunMatchesLegacyHotLoop(t *testing.T) {
 	w, err := workload.ByName("bitmnp01")
 	if err != nil {
@@ -83,8 +95,8 @@ func TestEngineRunMatchesLegacyHotLoop(t *testing.T) {
 				spec.IL1.Replacement, spec.DL1.Replacement, spec.L2.Replacement = rk, rk, rk
 				spec.DL1.Write, spec.L2.Write = wa.dl1, wa.l2
 				seed := uint64(0xBEEF) ^ uint64(pk)<<8 ^ uint64(rk) ^ uint64(wa.dl1)<<16
-				wantTimes, wantLevels := legacyCampaign(t, spec, w, runs, seed)
-				wantBase := legacyBaseline(t, spec, w, runs, seed)
+				wantTimes, wantLevels := sequentialCampaign(t, spec, w, runs, seed)
+				wantBase := sequentialBaseline(t, spec, w, runs, seed)
 
 				for _, workers := range []int{1, 4} {
 					eng := NewEngine(WithWorkers(workers))
@@ -96,12 +108,12 @@ func TestEngineRunMatchesLegacyHotLoop(t *testing.T) {
 					}
 					for i := range wantTimes {
 						if res.Times[i] != wantTimes[i] {
-							t.Fatalf("%v/%v/%s workers=%d: Times[%d] = %v, legacy hot loop %v",
+							t.Fatalf("%v/%v/%s workers=%d: Times[%d] = %v, sequential loop %v",
 								pk, rk, wa.name, workers, i, res.Times[i], wantTimes[i])
 						}
 					}
 					if res.Levels != wantLevels {
-						t.Fatalf("%v/%v/%s workers=%d: Levels = %+v, legacy %+v",
+						t.Fatalf("%v/%v/%s workers=%d: Levels = %+v, sequential %+v",
 							pk, rk, wa.name, workers, res.Levels, wantLevels)
 					}
 
@@ -113,12 +125,63 @@ func TestEngineRunMatchesLegacyHotLoop(t *testing.T) {
 					}
 					for i := range wantBase {
 						if base.Times[i] != wantBase[i] {
-							t.Fatalf("%v/%v/%s workers=%d: baseline Times[%d] = %v, legacy %v",
+							t.Fatalf("%v/%v/%s workers=%d: baseline Times[%d] = %v, sequential %v",
 								pk, rk, wa.name, workers, i, base.Times[i], wantBase[i])
 						}
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestEngineRejectsUnsupportedLineSize: compiled replay is the only
+// replay path, so a line size it cannot number (24B is not a power of
+// two) fails the campaign with a wrapped error instead of switching
+// paths — for MBPTA and baseline requests alike, before any run
+// completes, without a worker panic, and with the one CampaignFinished
+// event carrying the error.
+func TestEngineRejectsUnsupportedLineSize(t *testing.T) {
+	w, err := workload.ByName("rspeed01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, baseline := range []bool{false, true} {
+		spec := PaperPlatform(placement.RM)
+		spec.LineBytes = 24
+		var runs, finished int
+		var finErr error
+		eng := NewEngine(WithWorkers(2), WithEvents(func(ev Event) {
+			switch ev.Kind {
+			case RunCompleted:
+				runs++
+			case CampaignFinished:
+				finished++
+				finErr = ev.Err
+			}
+		}))
+		_, err := eng.Run(context.Background(), Request{
+			Spec: spec, Workload: w, Runs: 8, MasterSeed: 1, Baseline: baseline,
+		})
+		if err == nil {
+			t.Fatalf("baseline=%v: 24B lines accepted", baseline)
+		}
+		if errors.Unwrap(err) == nil {
+			t.Errorf("baseline=%v: error %q does not wrap its cause", baseline, err)
+		}
+		var pe *PanicError
+		if errors.As(err, &pe) {
+			t.Errorf("baseline=%v: rejection surfaced as a worker panic: %v", baseline, err)
+		}
+		if !strings.Contains(err.Error(), "line size") {
+			t.Errorf("baseline=%v: error %q does not name the line size", baseline, err)
+		}
+		if runs != 0 {
+			t.Errorf("baseline=%v: %d RunCompleted events for a rejected campaign", baseline, runs)
+		}
+		if finished != 1 || finErr == nil {
+			t.Errorf("baseline=%v: %d CampaignFinished events (err %v), want one carrying the error",
+				baseline, finished, finErr)
 		}
 	}
 }

@@ -9,7 +9,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/cache"
@@ -19,7 +18,6 @@ import (
 	"repro/internal/prng"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // WriteSetup optionally overrides a cache level's write arrangement. The
@@ -98,8 +96,11 @@ func PlatformFor(kind placement.Kind) PlatformSpec {
 	return PaperPlatform(kind)
 }
 
-// Build instantiates the platform.
-func (s PlatformSpec) Build() (*sim.Core, error) {
+// Config resolves the spec into the simulator's per-level cache
+// configuration: write-through L1s and a write-back L2 unless a level's
+// CacheSetup.Write overrides it. Build instantiates this configuration;
+// multicore drivers hand it to sim.NewSystem.
+func (s PlatformSpec) Config() sim.Config {
 	mk := func(name string, size, ways int, cs CacheSetup, write cache.WritePolicy) cache.Config {
 		cfg := cache.Config{
 			Name:        name,
@@ -120,31 +121,16 @@ func (s PlatformSpec) Build() (*sim.Core, error) {
 		}
 		return cfg
 	}
-	cfg := sim.Config{
+	return sim.Config{
 		IL1: mk("IL1", s.L1SizeBytes, s.L1Ways, s.IL1, cache.WriteThrough),
 		DL1: mk("DL1", s.L1SizeBytes, s.L1Ways, s.DL1, cache.WriteThrough),
 		L2:  mk("L2", s.L2SizeBytes, s.L2Ways, s.L2, cache.WriteBack),
 		Lat: s.Lat,
 	}
-	return sim.New(cfg)
 }
 
-// Campaign is a measurement campaign: the same program run Runs times on a
-// randomized platform, drawing a fresh hardware seed per run.
-type Campaign struct {
-	Spec       PlatformSpec
-	Workload   workload.Workload
-	Runs       int
-	MasterSeed uint64
-	// Layout optionally overrides the default memory layout.
-	Layout *workload.Layout
-	// Workers shards the runs across a pool of simulation workers, each
-	// with its own platform instance. Zero or negative selects
-	// runtime.GOMAXPROCS(0). Runs are independent (each reseeds and
-	// flushes every level), so Times and all aggregates are bit-identical
-	// for any worker count.
-	Workers int
-}
+// Build instantiates the platform.
+func (s PlatformSpec) Build() (*sim.Core, error) { return sim.New(s.Config()) }
 
 // CampaignResult holds the collected measurements.
 type CampaignResult struct {
@@ -188,101 +174,9 @@ func (r CampaignResult) Mean() float64 {
 	return stats.Mean(r.Times)
 }
 
-// Request converts the campaign into an Engine Request, the migration
-// path from the legacy blocking API: eng.Run(ctx, c.Request()).
-func (c Campaign) Request() Request {
-	return Request{
-		Spec:       c.Spec,
-		Workload:   c.Workload,
-		Runs:       c.Runs,
-		MasterSeed: c.MasterSeed,
-		Layout:     c.Layout,
-	}
-}
-
-// Run executes the campaign: per run, a fresh seed is derived, all cache
-// levels reseed and flush (the paper's run-to-completion protocol), and
-// the program's trace is replayed. Runs are sharded across Workers
-// platform instances; the trace is built once and shared read-only.
-//
-// Deprecated: Run blocks with no cancellation, progress or pool sharing;
-// it is a thin request to a private single-campaign Runner. Use
-// Engine.Run(ctx, c.Request()) instead.
-func (c Campaign) Run() (CampaignResult, error) {
-	r := Runner{Pool: NewPool(c.Workers)}
-	//rm:ctxroot deprecated blocking shim; the replacement Engine.Run takes the caller's ctx
-	res, err := r.Run(context.Background(), c.Request())
-	if err != nil {
-		return CampaignResult{}, err
-	}
-	return res.CampaignResult, nil
-}
-
-// HWMCampaign is the deterministic industrial-practice baseline: the same
-// program on a deterministic platform, with the *memory layout* randomized
-// across runs (module placement, stack depth...), taking the high-water
-// mark. This is what the 20% engineering margin is applied to (Section
-// 4.4).
-type HWMCampaign struct {
-	Spec       PlatformSpec // typically DeterministicPlatform()
-	Workload   workload.Workload
-	Runs       int
-	MasterSeed uint64
-	// Layout optionally overrides the base layout the per-run
-	// randomization perturbs (nil keeps the legacy behaviour: absolute
-	// displacements over the default layout). Determinism contract: run
-	// k's layout is a pure function of (MasterSeed, k, *Layout) --
-	// workload.RandomizedLayoutFrom(*Layout, prng derived from
-	// (MasterSeed^hwmSeedTag, k)) -- so Times is bit-identical for any
-	// worker count, any batch interleaving, and any host.
-	Layout *workload.Layout
-	// Workers shards the layout runs across a pool of simulation workers
-	// (zero or negative selects runtime.GOMAXPROCS(0)). Each run draws
-	// its layout from a PRNG stream derived from the run index, so Times
-	// is bit-identical for any worker count.
-	Workers int
-}
-
-// HWMResult reports the deterministic baseline campaign.
-type HWMResult struct {
-	Times []float64
-	HWM   float64
-	Mean  float64
-}
-
 // hwmSeedTag keeps the baseline's layout streams disjoint from the
 // randomized campaign's hardware-seed streams under the same master seed.
 const hwmSeedTag = 0xDE7
-
-// Request converts the baseline campaign into an Engine Request.
-func (c HWMCampaign) Request() Request {
-	return Request{
-		Spec:       c.Spec,
-		Workload:   c.Workload,
-		Runs:       c.Runs,
-		MasterSeed: c.MasterSeed,
-		Layout:     c.Layout,
-		Baseline:   true,
-	}
-}
-
-// Run executes the baseline campaign: each run rebuilds the trace under a
-// freshly randomized layout and starts from cold caches. The layout of
-// run k is drawn from a PRNG stream derived from (MasterSeed, k) alone --
-// runs are independent, so they shard across Workers platform instances
-// with bit-identical results for any worker count.
-//
-// Deprecated: Run blocks with no cancellation, progress or pool sharing.
-// Use Engine.Run(ctx, c.Request()) instead.
-func (c HWMCampaign) Run() (HWMResult, error) {
-	r := Runner{Pool: NewPool(c.Workers)}
-	//rm:ctxroot deprecated blocking shim; the replacement Engine.Run takes the caller's ctx
-	res, err := r.Run(context.Background(), c.Request())
-	if err != nil {
-		return HWMResult{}, err
-	}
-	return HWMResult{Times: res.Times, HWM: stats.Max(res.Times), Mean: stats.Mean(res.Times)}, nil
-}
 
 // Analysis is the MBPTA pipeline output for one campaign.
 type Analysis struct {
@@ -338,21 +232,4 @@ func ditherTies(xs []float64) []float64 {
 		out[i] = x + g.Float64() - 0.5
 	}
 	return out
-}
-
-// RunAndAnalyze is the end-to-end MBPTA flow of Figure 1: run the
-// campaign, check admissibility, fit, and report.
-//
-// Deprecated: it blocks with no cancellation, progress or pool sharing.
-// Set Request.Analyze and use Engine.Run instead.
-func RunAndAnalyze(c Campaign) (CampaignResult, Analysis, error) {
-	req := c.Request()
-	req.Analyze = true
-	r := Runner{Pool: NewPool(c.Workers)}
-	//rm:ctxroot deprecated blocking shim; the replacement Engine.Run takes the caller's ctx
-	res, err := r.Run(context.Background(), req)
-	if err != nil || res.Analysis == nil {
-		return res.CampaignResult, Analysis{}, err
-	}
-	return res.CampaignResult, *res.Analysis, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cache"
@@ -9,6 +10,12 @@ import (
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
+
+// runWith runs one campaign on a private engine with the given pool size
+// (non-positive selects GOMAXPROCS).
+func runWith(workers int, req Request) (Result, error) {
+	return NewEngine(WithWorkers(workers)).Run(context.Background(), req)
+}
 
 func TestPaperPlatformShape(t *testing.T) {
 	s := PaperPlatform(placement.RM)
@@ -43,10 +50,10 @@ func TestDeterministicPlatformShape(t *testing.T) {
 
 func TestCampaignValidation(t *testing.T) {
 	w, _ := workload.ByName("puwmod01")
-	if _, err := (Campaign{Spec: PaperPlatform(placement.RM), Workload: w}).Run(); err == nil {
+	if _, err := runWith(0, Request{Spec: PaperPlatform(placement.RM), Workload: w}); err == nil {
 		t.Fatal("zero runs accepted")
 	}
-	if _, err := (Campaign{Spec: PaperPlatform(placement.RM), Runs: 5}).Run(); err == nil {
+	if _, err := runWith(0, Request{Spec: PaperPlatform(placement.RM), Runs: 5}); err == nil {
 		t.Fatal("missing workload accepted")
 	}
 }
@@ -57,10 +64,10 @@ func TestCampaignReproducible(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() []float64 {
-		res, err := Campaign{
+		res, err := runWith(0, Request{
 			Spec: PaperPlatform(placement.RM), Workload: w,
 			Runs: 20, MasterSeed: 99,
-		}.Run()
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,10 +86,10 @@ func TestCampaignSeedsMatter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Campaign{
+	res, err := runWith(0, Request{
 		Spec: PaperPlatform(placement.RM), Workload: w,
 		Runs: 30, MasterSeed: 5,
-	}.Run()
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,10 +108,10 @@ func TestDeterministicCampaignIsConstant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Campaign{
+	res, err := runWith(0, Request{
 		Spec: DeterministicPlatform(), Workload: w,
 		Runs: 5, MasterSeed: 5,
-	}.Run()
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,20 +131,20 @@ func TestHWMCampaignVariesWithLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := HWMCampaign{
+	res, err := runWith(0, Request{
 		Spec: DeterministicPlatform(), Workload: w,
-		Runs: 25, MasterSeed: 5,
-	}.Run()
+		Runs: 25, MasterSeed: 5, Baseline: true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.StdDev(res.Times) == 0 {
 		t.Fatal("layout randomization produced no timing variation")
 	}
-	if res.HWM < res.Mean {
+	if res.HWM() < res.Mean() {
 		t.Fatal("hwm below mean")
 	}
-	if _, err := (HWMCampaign{Spec: DeterministicPlatform(), Workload: w}).Run(); err == nil {
+	if _, err := runWith(0, Request{Spec: DeterministicPlatform(), Workload: w, Baseline: true}); err == nil {
 		t.Fatal("zero runs accepted")
 	}
 }
@@ -147,13 +154,14 @@ func TestAnalyzePipelineOnCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, an, err := RunAndAnalyze(Campaign{
+	res, err := runWith(0, Request{
 		Spec: PaperPlatform(placement.RM), Workload: w,
-		Runs: 300, MasterSeed: 11,
+		Runs: 300, MasterSeed: 11, Analyze: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	an := *res.Analysis
 	if !an.IIDPass {
 		t.Errorf("i.i.d. tests failed on an RM campaign: WW=%.2f KSp=%.3f", an.WW.Stat, an.KS.P)
 	}
@@ -194,11 +202,11 @@ func TestRMvsModuloSingleSegment(t *testing.T) {
 	// within-segment conflicts (the paper's core guarantee at system
 	// level).
 	w := workload.Synthetic(4*1024, 20, 4) // exactly one L1 segment
-	rm, err := Campaign{Spec: PaperPlatform(placement.RM), Workload: w, Runs: 30, MasterSeed: 3}.Run()
+	rm, err := runWith(0, Request{Spec: PaperPlatform(placement.RM), Workload: w, Runs: 30, MasterSeed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := Campaign{Spec: DeterministicPlatform(), Workload: w, Runs: 2, MasterSeed: 3}.Run()
+	det, err := runWith(0, Request{Spec: DeterministicPlatform(), Workload: w, Runs: 2, MasterSeed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,14 +20,14 @@ func TestDiagnosticSynthetic20KB(t *testing.T) {
 	w := workload.Synthetic(20*1024, 50, 4)
 	const runs = 200
 
-	runPolicy := func(kind placement.Kind) CampaignResult {
+	runPolicy := func(kind placement.Kind) Result {
 		start := time.Now()
-		res, err := Campaign{
+		res, err := runWith(0, Request{
 			Spec:       PaperPlatform(kind),
 			Workload:   w,
 			Runs:       runs,
 			MasterSeed: 42,
-		}.Run()
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,11 +80,11 @@ func TestDiagnosticAveragePerformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rm, err := Campaign{Spec: PaperPlatform(placement.RM), Workload: w, Runs: 50, MasterSeed: 7}.Run()
+	rm, err := runWith(0, Request{Spec: PaperPlatform(placement.RM), Workload: w, Runs: 50, MasterSeed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := Campaign{Spec: DeterministicPlatform(), Workload: w, Runs: 3, MasterSeed: 7}.Run()
+	det, err := runWith(0, Request{Spec: DeterministicPlatform(), Workload: w, Runs: 3, MasterSeed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,11 @@ type Request struct {
 	MasterSeed uint64
 	// Layout optionally overrides the base memory layout. MBPTA campaigns
 	// build their single shared trace from it; Baseline campaigns perturb
-	// it per run (see HWMCampaign's determinism contract).
+	// it per run. Run k's baseline layout is a pure function of
+	// (MasterSeed, k, *Layout): workload.RandomizedLayoutFrom(*Layout, a
+	// PRNG derived from (MasterSeed^hwmSeedTag, k)), or RandomizedLayout
+	// over the default layout when nil. Baseline Times are therefore
+	// bit-identical for any worker count, batch interleaving and host.
 	Layout *workload.Layout
 	// Baseline selects the industrial high-water-mark protocol instead of
 	// the MBPTA one: each run rebuilds the trace under a freshly
@@ -148,11 +152,10 @@ func (r Request) name() string {
 
 // Result is the outcome of one Request. It embeds the classic
 // CampaignResult: MBPTA requests fill all of it; Baseline requests fill
-// Times and the per-level counters (which the legacy HWMResult
-// discarded) but leave the Trace accounting zero, since the trace is
-// rebuilt per run rather than shared. When the campaign was cancelled
-// mid-flight, Times holds the completed runs at their indices and zeros
-// elsewhere, alongside the returned error.
+// Times and the per-level counters but leave the Trace accounting zero,
+// since the trace is rebuilt per run rather than shared. When the
+// campaign was cancelled mid-flight, Times holds the completed runs at
+// their indices and zeros elsewhere, alongside the returned error.
 type Result struct {
 	Name string
 	CampaignResult
@@ -235,10 +238,8 @@ type Event struct {
 }
 
 // Runner executes campaign Requests over a shared Pool of simulation
-// workers. It is the core execution primitive of the library:
-// Campaign.Run, HWMCampaign.Run and RunAndAnalyze are thin deprecated
-// requests to a private Runner, and Engine layers options, defaults and
-// batch orchestration on top of one.
+// workers. It is the core execution primitive of the library: Engine
+// layers options, defaults and batch orchestration on top of one.
 //
 // The zero value is ready to use (it allocates a private GOMAXPROCS pool
 // on first run). A Runner is safe for concurrent use.
@@ -415,17 +416,13 @@ func (r *Runner) runOnce(ctx context.Context, index int, req Request) (Result, e
 			// any randomized policy in Spec becomes a pure function of the
 			// run index instead of carrying PRNG state across runs.
 			p.Reseed(seed)
-			// The baseline rebuilds its trace per run, so the compiled form
-			// is rebuilt per run too (unlike MBPTA's build-once; measured a
-			// wash even for the cheap modulo+LRU spec, since the trace build
-			// dominates — see BenchmarkHotPathBaseline*). Replays are
-			// bit-identical to p.Run(tr) by RunCompiled's contract.
-			if p.SupportsCompiled(req.Spec.LineBytes) {
-				if ct, err := trace.Compile(tr, req.Spec.LineBytes); err == nil {
-					return p.RunCompiled(ct), nil
-				}
+			// The baseline rebuilds its trace per run, so it compiles per
+			// run too (unlike MBPTA's build-once).
+			ct, err := trace.Compile(tr, req.Spec.LineBytes)
+			if err != nil {
+				return sim.Result{}, fmt.Errorf("core: workload %s run %d: %w", req.Workload.Name, run, err)
 			}
-			return p.Run(tr), nil
+			return p.RunCompiled(ct), nil
 		}
 	} else {
 		layout := workload.DefaultLayout()
@@ -443,12 +440,13 @@ func (r *Runner) runOnce(ctx context.Context, index int, req Request) (Result, e
 		// Compile once per campaign: the trace is fixed while only seeds
 		// change, so all workers share one read-only Compiled and each run
 		// materializes its index plans from it (the campaign hot path).
-		// A nil ct (odd line size) falls back to the legacy per-access
-		// path, which is bit-identical by contract.
-		ct, _ := trace.Compile(tr, req.Spec.LineBytes)
+		ct, err := trace.Compile(tr, req.Spec.LineBytes)
 		r.pool().release()
 		if len(tr) == 0 {
 			return finish(fmt.Errorf("core: workload %s built an empty trace", req.Workload.Name))
+		}
+		if err != nil {
+			return finish(fmt.Errorf("core: campaign %s: %w", res.Name, err))
 		}
 		f, l, st := tr.Counts()
 		res.Trace.Accesses = len(tr)
@@ -456,10 +454,7 @@ func (r *Runner) runOnce(ctx context.Context, index int, req Request) (Result, e
 		phase(PhaseCompile)
 		do = func(p *sim.Core, run int) (sim.Result, error) {
 			p.Reseed(prng.Derive(req.MasterSeed, run))
-			if ct != nil && p.SupportsCompiled(ct.LineBytes) {
-				return p.RunCompiled(ct), nil
-			}
-			return p.Run(tr), nil
+			return p.RunCompiled(ct), nil
 		}
 	}
 

@@ -15,7 +15,7 @@ import (
 // TestRunBatchMatchesSequential pins the acceptance criterion of the
 // Engine redesign: a batch of campaigns (MBPTA RM, MBPTA hRP, and the
 // HWM baseline) scheduled over one shared pool produces Times
-// bit-identical to the legacy sequential single-campaign path, for
+// bit-identical to each campaign run alone on a one-worker engine, for
 // worker counts {1, 4, GOMAXPROCS}.
 func TestRunBatchMatchesSequential(t *testing.T) {
 	w1, err := workload.ByName("puwmod01")
@@ -27,30 +27,22 @@ func TestRunBatchMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	const runs = 30
-	campaigns := []Campaign{
+	reqs := []Request{
 		{Spec: PaperPlatform(placement.RM), Workload: w1, Runs: runs, MasterSeed: 11},
 		{Spec: PaperPlatform(placement.HRP), Workload: w2, Runs: runs, MasterSeed: 22},
+		{Spec: DeterministicPlatform(), Workload: w1, Runs: 12, MasterSeed: 33, Baseline: true},
 	}
-	hwm := HWMCampaign{Spec: DeterministicPlatform(), Workload: w1, Runs: 12, MasterSeed: 33}
 
-	// Sequential legacy reference.
+	// Sequential reference: each request alone on a one-worker engine.
 	var want [][]float64
-	for _, c := range campaigns {
-		c.Workers = 1
-		res, err := c.Run()
+	for _, req := range reqs {
+		res, err := runWith(1, req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, res.Times)
 	}
-	hwm.Workers = 1
-	href, err := hwm.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want = append(want, href.Times)
 
-	reqs := []Request{campaigns[0].Request(), campaigns[1].Request(), hwm.Request()}
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		eng := NewEngine(WithWorkers(workers))
 		results, err := eng.RunBatch(context.Background(), reqs)
@@ -222,10 +214,10 @@ func TestHWMCampaignLayoutOverride(t *testing.T) {
 	base.Stack += 12
 	base.Table += 4
 	run := func(layout *workload.Layout, workers int) []float64 {
-		res, err := HWMCampaign{
+		res, err := runWith(workers, Request{
 			Spec: DeterministicPlatform(), Workload: w,
-			Runs: 10, MasterSeed: 9, Layout: layout, Workers: workers,
-		}.Run()
+			Runs: 10, MasterSeed: 9, Layout: layout, Baseline: true,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,34 +271,39 @@ func TestEngineDefaultRuns(t *testing.T) {
 	}
 }
 
-// TestEngineRunMatchesLegacy: Engine.Run with Analyze reproduces the
-// deprecated RunAndAnalyze byte-for-byte (same times, same pWCET).
+// TestEngineRunMatchesLegacy: an analyzed Engine.Run on a 3-worker pool
+// reproduces the legacy buffered flow byte-for-byte — a sequential
+// campaign's times fed to the buffered Analyze (same times, same
+// per-level counters, same pWCET).
 func TestEngineRunMatchesLegacy(t *testing.T) {
 	w, err := workload.ByName("ttsprk01")
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := Campaign{Spec: PaperPlatform(placement.RM), Workload: w, Runs: 60, MasterSeed: 4}
-	legacyRes, legacyAn, err := RunAndAnalyze(c)
+	req := Request{Spec: PaperPlatform(placement.RM), Workload: w, Runs: 60, MasterSeed: 4}
+	seqRes, err := runWith(1, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := c.Request()
+	seqAn, err := Analyze(seqRes.Times)
+	if err != nil {
+		t.Fatal(err)
+	}
 	req.Analyze = true
-	res, err := NewEngine(WithWorkers(3)).Run(context.Background(), req)
+	res, err := runWith(3, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range legacyRes.Times {
-		if res.Times[i] != legacyRes.Times[i] {
-			t.Fatalf("Times[%d] differ: engine %v legacy %v", i, res.Times[i], legacyRes.Times[i])
+	for i := range seqRes.Times {
+		if res.Times[i] != seqRes.Times[i] {
+			t.Fatalf("Times[%d] differ: engine %v sequential %v", i, res.Times[i], seqRes.Times[i])
 		}
 	}
-	if res.Levels != legacyRes.Levels {
-		t.Errorf("Levels differ: engine %+v legacy %+v", res.Levels, legacyRes.Levels)
+	if res.Levels != seqRes.Levels {
+		t.Errorf("Levels differ: engine %+v sequential %+v", res.Levels, seqRes.Levels)
 	}
-	if res.Analysis.PWCET15 != legacyAn.PWCET15 {
-		t.Errorf("pWCET@1e-15 differ: engine %v legacy %v", res.Analysis.PWCET15, legacyAn.PWCET15)
+	if res.Analysis.PWCET15 != seqAn.PWCET15 {
+		t.Errorf("pWCET@1e-15 differ: engine %v buffered %v", res.Analysis.PWCET15, seqAn.PWCET15)
 	}
 }
 

@@ -103,24 +103,20 @@ func (p *Pool) release() {
 	<-p.slots
 }
 
-// ShardRuns executes runs [0, runs) across a pool of workers. Each worker
-// calls build once to obtain its private execution context (simulators are
-// not safe for concurrent use) and then processes a contiguous block of
-// run indices; do must derive all randomness from the run index alone and
-// write any per-run output into run-indexed slots, which makes results
-// bit-identical for any worker count. Non-positive workers selects
-// runtime.GOMAXPROCS(0). The error of the lowest-numbered failing shard is
-// returned. Exposed for drivers whose execution context is not a single
-// sim.Core (e.g. the multicore contention study's sim.System).
-func ShardRuns[T any](workers, runs int, build func() (T, error), do func(ctx T, run int) error) error {
-	//rm:ctxroot compatibility wrapper; callers that can cancel use ShardRunsContext
-	return ShardRunsContext(context.Background(), workers, runs, build, do)
-}
-
-// ShardRunsContext is the context-aware ShardRuns: cancelling ctx aborts
-// the sweep between runs (and while waiting for pool slots) and returns
-// ctx.Err(). Runs that completed before the cancellation have written
-// their run-indexed outputs; the rest are untouched.
+// ShardRunsContext executes runs [0, runs) across a pool of workers. Each
+// worker calls build once to obtain its private execution context
+// (simulators are not safe for concurrent use) and then processes
+// contiguous blocks of run indices; do must derive all randomness from the
+// run index alone and write any per-run output into run-indexed slots,
+// which makes results bit-identical for any worker count. Non-positive
+// workers selects runtime.GOMAXPROCS(0). The error of the lowest-numbered
+// failing shard is returned. Exposed for drivers whose execution context
+// is not a single sim.Core (e.g. the multicore example's sim.System).
+//
+// Cancelling ctx aborts the sweep between runs (and while waiting for
+// pool slots) and returns ctx.Err(). Runs that completed before the
+// cancellation have written their run-indexed outputs; the rest are
+// untouched.
 func ShardRunsContext[T any](ctx context.Context, workers, runs int, build func() (T, error), do func(ctx T, run int) error) error {
 	return ShardRunsPool(ctx, NewPool(workers), runs, build, do)
 }

@@ -25,12 +25,12 @@ func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ref CampaignResult
+	var ref Result
 	for i, workers := range workerCounts() {
-		res, err := Campaign{
+		res, err := runWith(workers, Request{
 			Spec: PaperPlatform(placement.RM), Workload: w,
-			Runs: 50, MasterSeed: 1234, Workers: workers,
-		}.Run()
+			Runs: 50, MasterSeed: 1234,
+		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -66,12 +66,12 @@ func TestHWMCampaignDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ref HWMResult
+	var ref Result
 	for i, workers := range workerCounts() {
-		res, err := HWMCampaign{
+		res, err := runWith(workers, Request{
 			Spec: DeterministicPlatform(), Workload: w,
-			Runs: 20, MasterSeed: 1234, Workers: workers,
-		}.Run()
+			Runs: 20, MasterSeed: 1234, Baseline: true,
+		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -85,9 +85,9 @@ func TestHWMCampaignDeterministicAcrossWorkers(t *testing.T) {
 					workers, run, res.Times[run], ref.Times[run])
 			}
 		}
-		if res.HWM != ref.HWM || res.Mean != ref.Mean {
+		if res.HWM() != ref.HWM() || res.Mean() != ref.Mean() {
 			t.Errorf("workers=%d: hwm/mean (%v, %v) differ from sequential (%v, %v)",
-				workers, res.HWM, res.Mean, ref.HWM, ref.Mean)
+				workers, res.HWM(), res.Mean(), ref.HWM(), ref.Mean())
 		}
 	}
 }
@@ -100,10 +100,10 @@ func TestHWMCampaignDeterministicWithRandomizedSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(workers int) []float64 {
-		res, err := HWMCampaign{
+		res, err := runWith(workers, Request{
 			Spec: PaperPlatform(placement.RM), Workload: w,
-			Runs: 12, MasterSeed: 77, Workers: workers,
-		}.Run()
+			Runs: 12, MasterSeed: 77, Baseline: true,
+		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -119,14 +119,14 @@ func TestHWMCampaignDeterministicWithRandomizedSpec(t *testing.T) {
 
 func TestHWMCampaignValidation(t *testing.T) {
 	spec := DeterministicPlatform()
-	if _, err := (HWMCampaign{Spec: spec, Runs: 5}).Run(); err == nil {
+	if _, err := runWith(0, Request{Spec: spec, Runs: 5, Baseline: true}); err == nil {
 		t.Fatal("missing workload accepted")
 	}
 	empty := workload.Workload{
 		Name:  "empty",
 		Build: func(workload.Layout) trace.Trace { return nil },
 	}
-	if _, err := (HWMCampaign{Spec: spec, Workload: empty, Runs: 5}).Run(); err == nil {
+	if _, err := runWith(0, Request{Spec: spec, Workload: empty, Runs: 5, Baseline: true}); err == nil {
 		t.Fatal("empty trace accepted")
 	}
 }
@@ -138,10 +138,10 @@ func TestCampaignRejectsBadSpec(t *testing.T) {
 	}
 	bad := PaperPlatform(placement.RM)
 	bad.L1Ways = 3 // sets no longer a power of two
-	if _, err := (Campaign{Spec: bad, Workload: w, Runs: 8, Workers: 4}).Run(); err == nil {
+	if _, err := runWith(4, Request{Spec: bad, Workload: w, Runs: 8}); err == nil {
 		t.Fatal("invalid platform spec accepted by the worker pool")
 	}
-	if _, err := (HWMCampaign{Spec: bad, Workload: w, Runs: 8, Workers: 4}).Run(); err == nil {
+	if _, err := runWith(4, Request{Spec: bad, Workload: w, Runs: 8, Baseline: true}); err == nil {
 		t.Fatal("invalid platform spec accepted by the hwm worker pool")
 	}
 }
@@ -168,10 +168,10 @@ func TestWorkerPoolUnderRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Campaign{
+	res, err := runWith(8, Request{
 		Spec: PaperPlatform(placement.RM), Workload: w,
-		Runs: 16, MasterSeed: 9, Workers: 8,
-	}.Run()
+		Runs: 16, MasterSeed: 9,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

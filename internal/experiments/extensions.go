@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/evt"
 	"repro/internal/placement"
@@ -52,19 +51,17 @@ func Multicore(ctx context.Context, eng *core.Engine, s Scale, subjectName strin
 		return res, err
 	}
 	hog := workload.Synthetic(160*1024, 4, 4)
-	layout := workload.DefaultLayout()
-	subjectTrace := subject.Build(layout)
-	hogTrace := hog.Build(layout)
-
 	spec := core.PaperPlatform(placement.RM)
-	mkSystem := func() (*sim.System, error) {
-		return sim.NewSystem(sim.Config{
-			IL1: cacheCfg("IL1", spec, spec.IL1, false),
-			DL1: cacheCfg("DL1", spec, spec.DL1, false),
-			L2:  cacheCfg("L2", spec, spec.L2, true),
-			Lat: spec.Lat,
-		}, 4)
+	layout := workload.DefaultLayout()
+	subjectCT, err := trace.Compile(subject.Build(layout), spec.LineBytes)
+	if err != nil {
+		return res, err
 	}
+	hogCT, err := trace.Compile(hog.Build(layout), spec.LineBytes)
+	if err != nil {
+		return res, err
+	}
+	mkSystem := func() (*sim.System, error) { return sim.NewSystem(spec.Config(), 4) }
 
 	runs := s.Runs / 4
 	if runs < 40 {
@@ -74,11 +71,11 @@ func Multicore(ctx context.Context, eng *core.Engine, s Scale, subjectName strin
 		times := make([]float64, runs)
 		err := core.ShardRunsPool(ctx, eng.Pool(), runs, mkSystem, func(sys *sim.System, r int) error {
 			sys.Reseed(prng.Derive(MasterSeed, r))
-			traces := []trace.Trace{subjectTrace, nil, nil, nil}
+			cts := []*trace.Compiled{subjectCT, nil, nil, nil}
 			if withHogs {
-				traces = []trace.Trace{subjectTrace, hogTrace, hogTrace, hogTrace}
+				cts = []*trace.Compiled{subjectCT, hogCT, hogCT, hogCT}
 			}
-			out := sys.RunAll(traces)
+			out := sys.RunAll(cts)
 			times[r] = float64(out[0].Cycles)
 			return nil
 		})
@@ -109,23 +106,6 @@ func Multicore(ctx context.Context, eng *core.Engine, s Scale, subjectName strin
 		res.IIDPassCont = an.IIDPass
 	}
 	return res, nil
-}
-
-// cacheCfg translates a core.CacheSetup into a cache.Config for the
-// multicore system builder.
-func cacheCfg(name string, spec core.PlatformSpec, cs core.CacheSetup, isL2 bool) cache.Config {
-	size := spec.L1SizeBytes
-	ways := spec.L1Ways
-	write := cache.WriteThrough
-	if isL2 {
-		size = spec.L2SizeBytes
-		ways = spec.L2Ways
-		write = cache.WriteBack
-	}
-	return cache.Config{
-		Name: name, SizeBytes: size, Ways: ways, LineBytes: spec.LineBytes,
-		Placement: cs.Placement, Replacement: cs.Replacement, Write: write,
-	}
 }
 
 // Render formats the contention study.

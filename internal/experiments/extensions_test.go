@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 )
@@ -25,6 +26,40 @@ func TestMulticoreContention(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q", want)
 		}
+	}
+}
+
+// TestMulticorePinned pins the contention study's floats bit for bit at
+// tiny scale: the means, high-water marks, slowdown and both pWCETs are
+// pure functions of the seeds, so any drift in the multicore replay or
+// the bus model changes their bits.
+func TestMulticorePinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign test skipped in -short mode")
+	}
+	r, err := Multicore(context.Background(), NewEngine(tinyScale()), tinyScale(), "puwmod01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		got  float64
+		want uint64
+	}{
+		{"SoloMean", r.SoloMean, 0x40ecd6599999999a},
+		{"SoloHWM", r.SoloHWM, 0x40ece40000000000},
+		{"ContendedMean", r.ContendedMean, 0x40ecfa099999999a},
+		{"ContendedHWM", r.ContendedHWM, 0x40ed0ce000000000},
+		{"MeanSlowdown", r.MeanSlowdown, 0x3f73ccfd5bfc9c00},
+		{"SoloPWCET", r.SoloPWCET, 0x40ed1931d446fcd4},
+		{"ContendedPWCET", r.ContendedPWCET, 0x40edcd287de66aa4},
+	} {
+		if bits := math.Float64bits(c.got); bits != c.want {
+			t.Errorf("%s = %v (%#x), pinned %v (%#x)", c.name, c.got, bits, math.Float64frombits(c.want), c.want)
+		}
+	}
+	if !r.IIDPassSolo || !r.IIDPassCont {
+		t.Errorf("i.i.d. verdicts %v/%v, pinned true/true", r.IIDPassSolo, r.IIDPassCont)
 	}
 }
 

@@ -8,9 +8,10 @@
 //     or unsorted map iteration silently breaks the i.i.d. premise of
 //     the whole analysis (and reseed-reproducibility with it).
 //   - Zero-alloc hot paths. The compiled replay kernels are trusted
-//     because they stay bit-exact and allocation-free against the legacy
-//     oracle; a defer, closure or fmt call on an annotated hot path
-//     defeats that contract long before a benchmark notices.
+//     because they stay bit-exact and allocation-free against the
+//     per-access reference oracle in the tests; a defer, closure or fmt
+//     call on an annotated hot path defeats that contract long before a
+//     benchmark notices.
 //
 // The analyzers mirror the golang.org/x/tools/go/analysis API shape
 // (Analyzer, Pass, Diagnostic) but are self-contained on the standard

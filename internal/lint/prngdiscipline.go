@@ -19,7 +19,7 @@ import (
 //   - In kernel code (//rm:hotpath functions), a PRNG draw nested under
 //     a conditional whose condition reads the receiver's state is
 //     flagged: draw order is part of the bit-exactness contract between
-//     the compiled kernels and the legacy oracle, and a draw that
+//     the compiled kernels and the reference oracle, and a draw that
 //     happens only for some cache contents makes the stream position a
 //     function of the contents. Draws must sit on unconditional paths
 //     (see fillRandom: the victim draw happens on every miss, never

@@ -36,16 +36,6 @@ func planSlot(buf []uint32, n int) []uint32 {
 	return buf[:n]
 }
 
-// SupportsCompiled reports whether compiled traces of the given line size
-// can replay on this core: RunCompiled bypasses each level's LineAddr, so
-// every level must share the compiled line size. Platforms built from a
-// single sim.Config always do.
-func (c *Core) SupportsCompiled(lineBytes int) bool {
-	return c.il1.Config().LineBytes == lineBytes &&
-		c.dl1.Config().LineBytes == lineBytes &&
-		c.l2.Config().LineBytes == lineBytes
-}
-
 // preparePlans refreshes the per-level index plans for ct. A new Compiled
 // (or a first run) sizes and builds everything; on repeat replays of the
 // same Compiled only the levels whose placement policy actually
@@ -71,29 +61,28 @@ func (c *Core) preparePlans(ct *trace.Compiled) {
 	c.plan.builtFor = ct
 }
 
-// RunCompiled executes a compiled trace to completion: identical cache
-// state transitions, cycle counts, per-level statistics and
-// replacement-RNG draws as Run on the source trace — the legacy Run stays
-// as the differential oracle — but with the per-access placement hashing
-// hoisted out of the loop and the per-access replacement/write-policy
-// branching compiled away into the monomorphic cache.Kernel triple bound
-// at platform construction. Callers fix the run's mapping first (Reseed
-// or Flush, as with Run); RunCompiled then refreshes the index plans
-// (skipping seed-invariant deterministic placements, see preparePlans)
-// and replays with array lookups, accumulating statistics in kernel-local
-// counters that flush once at run end.
+// RunCompiled executes a compiled trace to completion and returns its
+// cycle count and per-level statistics for this run only. Cache contents
+// persist across calls; callers fix the run's mapping first (Reseed, or
+// Flush for a seedless baseline), matching the paper's run-to-completion
+// analysis unit. RunCompiled then refreshes the index plans (skipping
+// seed-invariant deterministic placements, see preparePlans) and replays
+// the ops through the monomorphic cache.Kernel triple bound at platform
+// construction: placement hashing is hoisted out of the loop into array
+// lookups, replacement and write-policy branching is compiled away, and
+// statistics accumulate in kernel-local counters that flush once at run
+// end.
 //
 // This is the MBPTA campaign hot path: a campaign replays the same
 // Compiled hundreds of times (it is immutable and shared across worker
 // cores) while only the seeds change.
 //
-// RunCompiled panics if the compiled line size does not match every
-// level (see SupportsCompiled).
+// RunCompiled panics if the compiled line size is not the platform's.
 //
 //rm:hotpath
 func (c *Core) RunCompiled(ct *trace.Compiled) Result {
-	if !c.SupportsCompiled(ct.LineBytes) {
-		badLineSize(ct.LineBytes)
+	if ct.LineBytes != c.lineBytes {
+		badLineSize(ct.LineBytes, c.lineBytes)
 	}
 	c.preparePlans(ct)
 
@@ -154,13 +143,13 @@ func (c *Core) RunCompiled(ct *trace.Compiled) Result {
 	}
 }
 
-// badLineSize is RunCompiled's cold panic helper: formatting stays off
+// badLineSize is the replay loops' cold panic helper: formatting stays off
 // the annotated hot path so the escape-analysis gate
 // (scripts/check-noalloc.sh) sees no heap traffic in its span. noinline
 // keeps the compiler from folding the Sprintf escape back into the
 // caller's span.
 //
 //go:noinline
-func badLineSize(lineBytes int) {
-	panic(fmt.Sprintf("sim: RunCompiled: compiled line size %dB does not match all cache levels", lineBytes))
+func badLineSize(got, want int) {
+	panic(fmt.Sprintf("sim: compiled line size %dB does not match the platform's %dB lines", got, want))
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
@@ -32,9 +33,10 @@ func mixedTrace(seed uint64, n int) trace.Trace {
 
 // TestRunCompiledBitExact is the differential property test of the
 // compiled execution path: for every placement kind × replacement policy
-// × L1/L2 write-policy arrangement, RunCompiled must reproduce the legacy
-// Run bit-for-bit — cycles, per-level hit/miss/eviction/writeback
-// counters, and (via the shared RNG state) every subsequent run too.
+// × L1/L2 write-policy arrangement, RunCompiled must reproduce the
+// per-access reference Run bit-for-bit — cycles, per-level
+// hit/miss/eviction/writeback counters, and (via the shared RNG state)
+// every subsequent run too.
 func TestRunCompiledBitExact(t *testing.T) {
 	type writeSetup struct {
 		name    string
@@ -57,7 +59,7 @@ func TestRunCompiledBitExact(t *testing.T) {
 				cfg.DL1.Write, cfg.DL1.AllocOnWrite = ws.l1Write, ws.l1Alloc
 				cfg.L2.Write = ws.l2Write
 
-				legacy, err := New(cfg)
+				ref, err := New(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -72,12 +74,12 @@ func TestRunCompiledBitExact(t *testing.T) {
 				}
 				for run := 0; run < 3; run++ {
 					seed := prng.Derive(42, run)
-					legacy.Reseed(seed)
+					ref.Reseed(seed)
 					compiled.Reseed(seed)
-					want := legacy.Run(tr)
+					want := ref.Run(tr)
 					got := compiled.RunCompiled(ct)
 					if got != want {
-						t.Fatalf("%v/%v/%s run %d: compiled %+v, legacy %+v",
+						t.Fatalf("%v/%v/%s run %d: compiled %+v, ref %+v",
 							pk, rk, ws.name, run, got, want)
 					}
 				}
@@ -96,7 +98,7 @@ func TestRunCompiledSharedAcrossCores(t *testing.T) {
 		t.Fatal(err)
 	}
 	for core := 0; core < 3; core++ {
-		legacy, err := New(cfg)
+		ref, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,10 +107,10 @@ func TestRunCompiledSharedAcrossCores(t *testing.T) {
 			t.Fatal(err)
 		}
 		seed := prng.Derive(9, core)
-		legacy.Reseed(seed)
+		ref.Reseed(seed)
 		compiled.Reseed(seed)
-		if got, want := compiled.RunCompiled(ct), legacy.Run(tr); got != want {
-			t.Fatalf("core %d: compiled %+v, legacy %+v", core, got, want)
+		if got, want := compiled.RunCompiled(ct), ref.Run(tr); got != want {
+			t.Fatalf("core %d: compiled %+v, ref %+v", core, got, want)
 		}
 	}
 }
@@ -117,11 +119,11 @@ func TestRunCompiledSharedAcrossCores(t *testing.T) {
 // rule: on a hierarchy whose placements are all seed-invariant
 // (Modulo/XORFold), repeat replays of the same Compiled skip the IndexAll
 // rebuilds entirely after the first run — and stay bit-exact against the
-// legacy loop across reseeds, which is what makes the skip legal.
+// per-access reference across reseeds, which is what makes the skip legal.
 func TestRunCompiledPlanReuseDeterministic(t *testing.T) {
 	cfg := paperConfig(placement.Modulo)
 	cfg.L2.Placement = placement.XORFold // fully deterministic hierarchy
-	legacy, err := New(cfg)
+	ref, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +138,7 @@ func TestRunCompiledPlanReuseDeterministic(t *testing.T) {
 	}
 	for run := 0; run < 4; run++ {
 		seed := prng.Derive(11, run)
-		legacy.Reseed(seed)
+		ref.Reseed(seed)
 		compiled.Reseed(seed)
 		if run == 1 {
 			// Poison the plans after the first build: if the reuse rule
@@ -148,8 +150,8 @@ func TestRunCompiledPlanReuseDeterministic(t *testing.T) {
 				t.Fatal("plan not retained for the same Compiled")
 			}
 		}
-		if got, want := compiled.RunCompiled(ct), legacy.Run(tr); got != want {
-			t.Fatalf("run %d: compiled %+v, legacy %+v", run, got, want)
+		if got, want := compiled.RunCompiled(ct), ref.Run(tr); got != want {
+			t.Fatalf("run %d: compiled %+v, ref %+v", run, got, want)
 		}
 	}
 }
@@ -159,7 +161,7 @@ func TestRunCompiledPlanReuseDeterministic(t *testing.T) {
 // deterministic placements) because the line tables differ.
 func TestRunCompiledAlternatingTraces(t *testing.T) {
 	cfg := paperConfig(placement.Modulo)
-	legacy, err := New(cfg)
+	ref, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,43 +181,58 @@ func TestRunCompiledAlternatingTraces(t *testing.T) {
 	}
 	for run := 0; run < 6; run++ {
 		seed := prng.Derive(23, run)
-		legacy.Reseed(seed)
+		ref.Reseed(seed)
 		compiled.Reseed(seed)
 		tr, ct := trA, ctA
 		if run%2 == 1 {
 			tr, ct = trB, ctB
 		}
-		if got, want := compiled.RunCompiled(ct), legacy.Run(tr); got != want {
-			t.Fatalf("run %d: compiled %+v, legacy %+v", run, got, want)
+		if got, want := compiled.RunCompiled(ct), ref.Run(tr); got != want {
+			t.Fatalf("run %d: compiled %+v, ref %+v", run, got, want)
 		}
 	}
 }
 
+// TestRunCompiledRejectsLineSizeMismatch: the platform's levels share one
+// line size (New rejects a mix), and both replay loops refuse a trace
+// compiled for any other line size instead of replaying it wrongly.
 func TestRunCompiledRejectsLineSizeMismatch(t *testing.T) {
+	mixed := paperConfig(placement.RM)
+	mixed.L2.LineBytes = 64
+	mixed.L2.SizeBytes = 256 * 1024 // keeps the L2 geometry itself valid
+	if _, err := New(mixed); err == nil || !strings.Contains(err.Error(), "line size") {
+		t.Fatalf("New accepted mixed line sizes (err %v)", err)
+	}
+	if _, err := NewSystem(mixed, 2); err == nil {
+		t.Fatal("NewSystem accepted mixed line sizes")
+	}
+
 	c, err := New(paperConfig(placement.RM))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !c.SupportsCompiled(32) || c.SupportsCompiled(64) {
-		t.Fatal("SupportsCompiled wrong for the paper platform (32B lines)")
 	}
 	ct, err := trace.Compile(mixedTrace(1, 10), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("line-size mismatch not rejected")
-		}
-	}()
-	c.RunCompiled(ct)
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s: line-size mismatch not rejected", name)
+			}
+		}()
+		f()
+	}
+	mustPanic("RunCompiled", func() { c.RunCompiled(ct) })
+	sys, err := NewSystem(paperConfig(placement.RM), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPanic("RunAll", func() { sys.RunAll([]*trace.Compiled{nil, ct}) })
 }
 
-func BenchmarkRunLegacy(b *testing.B) { benchRun(b, false) }
-
-func BenchmarkRunCompiled(b *testing.B) { benchRun(b, true) }
-
-func benchRun(b *testing.B, compiled bool) {
+func BenchmarkRunCompiled(b *testing.B) {
 	cfg := paperConfig(placement.RM)
 	c, err := New(cfg)
 	if err != nil {
@@ -229,11 +246,7 @@ func benchRun(b *testing.B, compiled bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Reseed(prng.Derive(5, i))
-		if compiled {
-			c.RunCompiled(ct)
-		} else {
-			c.Run(tr)
-		}
+		c.RunCompiled(ct)
 	}
 	b.ReportMetric(float64(len(tr)), "accesses/op")
 }

@@ -54,11 +54,13 @@ func (s *System) Reseed(runSeed uint64) {
 	}
 }
 
-// RunAll executes one trace per core concurrently under the shared-bus
-// model and returns per-core results. Cores with a nil trace idle. As
-// with Core.Run, each Result reports this call only: per-level counters
-// are diffed against snapshots taken on entry, so repeated RunAll calls
-// (or interleaved Core.Run calls) never double-count.
+// RunAll replays one compiled trace per core concurrently under the
+// shared-bus model and returns per-core results. A nil entry is an idle
+// core. As with RunCompiled, each Result reports this call only: every
+// active core begins its three kernels on entry and takes the per-call
+// Stats from End, so repeated RunAll calls (or interleaved RunCompiled
+// calls) never double-count. RunAll panics if len(cts) differs from the
+// core count or a compiled line size is not the platform's.
 //
 // The model is event-driven: each core retires accesses in order; accesses
 // that need a memory transaction (L2 miss or L2 writeback) must win the
@@ -66,23 +68,25 @@ func (s *System) Reseed(runSeed uint64) {
 // among cores whose request is pending when the bus frees, the one
 // following the last grantee wins. This is a time-composable bus in the
 // sense of the MBPTA multicore designs the paper cites.
-func (s *System) RunAll(traces []trace.Trace) []Result {
+func (s *System) RunAll(cts []*trace.Compiled) []Result {
 	n := len(s.cores)
-	if len(traces) != n {
-		panic("sim: RunAll needs one trace per core")
+	if len(cts) != n {
+		panic("sim: RunAll needs one compiled trace per core")
+	}
+	for i, c := range s.cores {
+		if ct := cts[i]; ct != nil {
+			if ct.LineBytes != c.lineBytes {
+				badLineSize(ct.LineBytes, c.lineBytes)
+			}
+			c.preparePlans(ct)
+			c.kil1.Begin()
+			c.kdl1.Begin()
+			c.kl2.Begin()
+		}
 	}
 	results := make([]Result, n)
 	clocks := make([]uint64, n) // core-local completion time
-	pos := make([]int, n)       // next access index per core
-	// Per-call counters are diffs against these snapshots, matching
-	// Core.Run: a second RunAll on the same System (or a prior Core.Run)
-	// must not leak its accesses/misses into this call's Results.
-	type levelSnap struct{ il1, dl1, l2 cache.Stats }
-	before := make([]levelSnap, n)
-	for i, c := range s.cores {
-		il1, dl1, l2 := c.Caches()
-		before[i] = levelSnap{il1.Stats(), dl1.Stats(), l2.Stats()}
-	}
+	pos := make([]int, n)       // next op index per core
 	var busFreeAt uint64
 	lastGrant := n - 1
 
@@ -93,7 +97,7 @@ func (s *System) RunAll(traces []trace.Trace) []Result {
 		sel := -1
 		for off := 1; off <= n; off++ {
 			i := (lastGrant + off) % n
-			if traces[i] == nil || pos[i] >= len(traces[i]) {
+			if cts[i] == nil || pos[i] >= len(cts[i].Ops) {
 				continue
 			}
 			if sel == -1 || clocks[i] < clocks[sel] {
@@ -103,12 +107,9 @@ func (s *System) RunAll(traces []trace.Trace) []Result {
 		if sel == -1 {
 			break
 		}
-		c := s.cores[sel]
-		a := traces[sel][pos[sel]]
+		ct := cts[sel]
+		local, memTxns := s.cores[sel].step(ct, ct.Ops[pos[sel]])
 		pos[sel]++
-		results[sel].Accesses++
-
-		local, memTxns := c.timeAccess(a)
 		t := clocks[sel] + local
 		for k := 0; k < memTxns; k++ {
 			grant := t
@@ -123,54 +124,58 @@ func (s *System) RunAll(traces []trace.Trace) []Result {
 	}
 
 	for i, c := range s.cores {
-		results[i].Cycles = clocks[i]
-		il1, dl1, l2 := c.Caches()
-		results[i].IL1 = diffStats(before[i].il1, il1.Stats())
-		results[i].DL1 = diffStats(before[i].dl1, dl1.Stats())
-		results[i].L2 = diffStats(before[i].l2, l2.Stats())
+		if cts[i] == nil {
+			continue
+		}
+		results[i] = Result{
+			Cycles:   clocks[i],
+			Accesses: len(cts[i].Ops),
+			IL1:      c.kil1.End(),
+			DL1:      c.kdl1.End(),
+			L2:       c.kl2.End(),
+		}
 	}
 	return results
 }
 
-// timeAccess performs the cache state updates of one access and returns the
-// core-local cycles plus the number of memory-bus transactions it needs.
-func (c *Core) timeAccess(a trace.Access) (local uint64, memTxns int) {
+// step replays one op of ct through the core's kernels and returns the
+// core-local cycles plus the number of memory-bus transactions it needs
+// (an L2 miss or fill, and an L2 dirty-victim writeback, one each). The
+// index plans must already describe ct.
+func (c *Core) step(ct *trace.Compiled, op trace.Op) (local uint64, memTxns int) {
 	lat := c.lat
-	switch a.Kind {
+	var b cache.AccessBits
+	switch op.Kind {
 	case trace.Fetch:
 		local = lat.L1Hit
-		if !c.il1.Read(a.Addr).Hit {
-			local += lat.L2Hit
-			r := c.l2.Read(a.Addr)
-			if !r.Hit {
-				memTxns++
-			}
-			if r.Writeback {
-				memTxns++
-			}
+		if c.kil1.Read(ct.ILines[op.ID], c.plan.il1[op.ID])&cache.BitHit != 0 {
+			return local, 0
+		}
+		local += lat.L2Hit
+		b = c.kl2.Read(ct.ILines[op.ID], c.plan.l2i[op.ID])
+		if b&cache.BitHit == 0 {
+			memTxns++
 		}
 	case trace.Load:
 		local = lat.L1Hit
-		if !c.dl1.Read(a.Addr).Hit {
-			local += lat.L2Hit
-			r := c.l2.Read(a.Addr)
-			if !r.Hit {
-				memTxns++
-			}
-			if r.Writeback {
-				memTxns++
-			}
+		if c.kdl1.Read(ct.DLines[op.ID], c.plan.dl1[op.ID])&cache.BitHit != 0 {
+			return local, 0
+		}
+		local += lat.L2Hit
+		b = c.kl2.Read(ct.DLines[op.ID], c.plan.l2d[op.ID])
+		if b&cache.BitHit == 0 {
+			memTxns++
 		}
 	default: // Store
 		local = lat.L1Hit + lat.StoreBus
-		c.dl1.Write(a.Addr)
-		r := c.l2.Write(a.Addr)
-		if !r.Hit && r.Filled {
-			memTxns++
+		c.kdl1.Write(ct.DLines[op.ID], c.plan.dl1[op.ID]) // write-through: updates line if present
+		b = c.kl2.Write(ct.DLines[op.ID], c.plan.l2d[op.ID])
+		if b&cache.BitFilled != 0 {
+			memTxns++ // write-allocate fill
 		}
-		if r.Writeback {
-			memTxns++
-		}
+	}
+	if b&cache.BitWriteback != 0 {
+		memTxns++
 	}
 	return local, memTxns
 }

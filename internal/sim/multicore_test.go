@@ -10,8 +10,8 @@ import (
 
 // TestRunAllStatsArePerCall is the regression test for the cumulative-
 // stats bug: RunAll used to copy each cache's lifetime counters into its
-// Results, so a second RunAll on the same System (or any prior Core.Run)
-// double-counted accesses and misses.
+// Results, so a second RunAll on the same System (or any prior
+// single-core run) double-counted accesses and misses.
 func TestRunAllStatsArePerCall(t *testing.T) {
 	sys, err := NewSystem(paperConfig(placement.RM), 2)
 	if err != nil {
@@ -22,10 +22,10 @@ func TestRunAllStatsArePerCall(t *testing.T) {
 	for i := 0; i < 4000; i++ {
 		b.Load(uint64(i*32) % (64 * 1024))
 	}
-	traces := []trace.Trace{b.Trace(), b.Trace()}
+	cts := compileAll(t, 32, b.Trace(), b.Trace())
 
-	first := sys.RunAll(traces)
-	second := sys.RunAll(traces)
+	first := sys.RunAll(cts)
+	second := sys.RunAll(cts)
 	for i := range first {
 		if got := second[i].DL1.Accesses; got != first[i].DL1.Accesses {
 			t.Fatalf("core %d: second RunAll reports %d DL1 accesses, first %d (cumulative, not per-call)",
@@ -41,11 +41,11 @@ func TestRunAllStatsArePerCall(t *testing.T) {
 		}
 	}
 
-	// Interleaving a direct Core.Run must not leak into RunAll either.
-	sys.Cores()[0].Run(traces[0])
-	third := sys.RunAll(traces)
+	// Interleaving a direct RunCompiled must not leak into RunAll either.
+	sys.Cores()[0].RunCompiled(cts[0])
+	third := sys.RunAll(cts)
 	if third[0].DL1.Accesses != 4000 {
-		t.Fatalf("RunAll after Core.Run reports %d DL1 accesses, want 4000", third[0].DL1.Accesses)
+		t.Fatalf("RunAll after RunCompiled reports %d DL1 accesses, want 4000", third[0].DL1.Accesses)
 	}
 }
 
@@ -82,7 +82,7 @@ func TestLatenciesValidation(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		b.Load(uint64(i * 32))
 	}
-	res := sys.RunAll([]trace.Trace{b.Trace()})
+	res := sys.RunAll(compileAll(t, 32, b.Trace()))
 	// 100 L1-cycle charges + 100 L2 misses at 1 memory cycle each bounds
 	// the run far below any wrapped-uint64 absurdity.
 	if res[0].Cycles == 0 || res[0].Cycles > 10000 {

@@ -1,10 +1,12 @@
 // Package sim implements the LEON3-like platform timing model on which the
 // paper's experiments run: an in-order core with private IL1 and DL1
 // caches, a per-core partition of the shared L2, and a fixed-latency
-// memory. It substitutes the paper's FPGA prototype (see DESIGN.md): the
-// cache behaviour is modelled bit-exactly, the pipeline is reduced to
-// cycle accounting, which preserves the placement-induced execution-time
-// distributions that MBPTA analyses.
+// memory. It substitutes the paper's FPGA prototype: the cache behaviour
+// is modelled bit-exactly, the pipeline is reduced to cycle accounting,
+// which preserves the placement-induced execution-time distributions that
+// MBPTA analyses. Every run replays a compiled trace (trace.Compiled)
+// through the per-level cache kernels, single-core (RunCompiled) or under
+// the shared-bus model (System.RunAll).
 package sim
 
 import (
@@ -12,7 +14,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/prng"
-	"repro/internal/trace"
 )
 
 // Latencies configures the cycle charges of the memory hierarchy.
@@ -87,21 +88,29 @@ func (r Result) IPA() float64 {
 type Core struct {
 	il1, dl1, l2 *cache.Cache
 	lat          Latencies
+	// lineBytes is the line size every level shares (New enforces it),
+	// and so the only line size a compiled trace may carry here.
+	lineBytes int
 
-	// plan is the reusable per-run index-plan scratch of the compiled
-	// execution path (see RunCompiled).
+	// plan is the reusable per-run index-plan scratch (see RunCompiled).
 	plan indexPlan
-	// kil1/kdl1/kl2 are the monomorphic replay kernels of the compiled
-	// path, bound once per level at construction (each kernel aliases its
-	// cache's tag state and pre-selects the access functions for the
-	// level's replacement kind and write arrangement).
+	// kil1/kdl1/kl2 are the monomorphic replay kernels, bound once per
+	// level at construction (each kernel aliases its cache's tag state
+	// and pre-selects the access functions for the level's replacement
+	// kind and write arrangement).
 	kil1, kdl1, kl2 *cache.Kernel
 }
 
 // New builds the platform. The L2 configuration describes this core's
 // partition of the shared L2 (the paper partitions the L2 across the four
-// cores, so a single-task experiment sees a private 128KB slice).
+// cores, so a single-task experiment sees a private 128KB slice). Every
+// level must use the same line size: a compiled trace numbers lines of
+// one size.
 func New(cfg Config) (*Core, error) {
+	if cfg.DL1.LineBytes != cfg.IL1.LineBytes || cfg.L2.LineBytes != cfg.IL1.LineBytes {
+		return nil, fmt.Errorf("sim: all levels must share one line size, got IL1 %dB, DL1 %dB, L2 %dB",
+			cfg.IL1.LineBytes, cfg.DL1.LineBytes, cfg.L2.LineBytes)
+	}
 	il1, err := cache.New(cfg.IL1)
 	if err != nil {
 		return nil, fmt.Errorf("sim: IL1: %w", err)
@@ -120,9 +129,10 @@ func New(cfg Config) (*Core, error) {
 	}
 	return &Core{
 		il1: il1, dl1: dl1, l2: l2, lat: lat,
-		kil1: cache.NewKernel(il1),
-		kdl1: cache.NewKernel(dl1),
-		kl2:  cache.NewKernel(l2),
+		lineBytes: cfg.IL1.LineBytes,
+		kil1:      cache.NewKernel(il1),
+		kdl1:      cache.NewKernel(dl1),
+		kl2:       cache.NewKernel(l2),
 	}, nil
 }
 
@@ -144,70 +154,4 @@ func (c *Core) Flush() {
 	c.il1.Flush()
 	c.dl1.Flush()
 	c.l2.Flush()
-}
-
-// Run executes the trace to completion and returns its cycle count and
-// per-level statistics for this run only. Cache contents persist across
-// calls; callers start runs with Reseed or Flush, matching the paper's
-// run-to-completion analysis unit.
-func (c *Core) Run(tr trace.Trace) Result {
-	il1Before, dl1Before, l2Before := c.il1.Stats(), c.dl1.Stats(), c.l2.Stats()
-	var cycles uint64
-	lat := c.lat
-	for _, a := range tr {
-		switch a.Kind {
-		case trace.Fetch:
-			cycles += lat.L1Hit
-			if !c.il1.Read(a.Addr).Hit {
-				cycles += c.l2Read(a.Addr)
-			}
-		case trace.Load:
-			cycles += lat.L1Hit
-			if !c.dl1.Read(a.Addr).Hit {
-				cycles += c.l2Read(a.Addr)
-			}
-		default: // Store
-			cycles += lat.L1Hit + lat.StoreBus
-			c.dl1.Write(a.Addr) // write-through: updates line if present
-			r := c.l2.Write(a.Addr)
-			if !r.Hit && r.Filled {
-				cycles += lat.Memory // write-allocate fill
-			}
-			if r.Writeback {
-				cycles += lat.Writeback
-			}
-		}
-	}
-	return Result{
-		Cycles:   cycles,
-		Accesses: len(tr),
-		IL1:      diffStats(il1Before, c.il1.Stats()),
-		DL1:      diffStats(dl1Before, c.dl1.Stats()),
-		L2:       diffStats(l2Before, c.l2.Stats()),
-	}
-}
-
-// l2Read serves an L1 read miss from the L2 partition and returns the
-// extra cycles beyond the L1 hit charge.
-func (c *Core) l2Read(addr uint64) uint64 {
-	cycles := c.lat.L2Hit
-	r := c.l2.Read(addr)
-	if !r.Hit {
-		cycles += c.lat.Memory
-	}
-	if r.Writeback {
-		cycles += c.lat.Writeback
-	}
-	return cycles
-}
-
-func diffStats(before, after cache.Stats) cache.Stats {
-	return cache.Stats{
-		Accesses:   after.Accesses - before.Accesses,
-		Hits:       after.Hits - before.Hits,
-		Misses:     after.Misses - before.Misses,
-		Evictions:  after.Evictions - before.Evictions,
-		Writebacks: after.Writebacks - before.Writebacks,
-		Flushes:    after.Flushes - before.Flushes,
-	}
 }

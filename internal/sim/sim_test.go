@@ -180,14 +180,14 @@ func TestSystemRoundRobinBusContention(t *testing.T) {
 		return b.Trace()
 	}
 	traces := []trace.Trace{mkTrace(0), mkTrace(1 << 24), mkTrace(2 << 24), mkTrace(3 << 24)}
-	contended := sys.RunAll(traces)
+	contended := sys.RunAll(compileAll(t, 32, traces...))
 
 	solo, err := NewSystem(paperConfig(placement.RM), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	solo.Reseed(7)
-	soloRes := solo.RunAll([]trace.Trace{mkTrace(0), nil, nil, nil})
+	soloRes := solo.RunAll(compileAll(t, 32, mkTrace(0), nil, nil, nil))
 
 	if contended[0].Cycles <= soloRes[0].Cycles {
 		t.Fatalf("no bus interference: contended %d <= solo %d",
@@ -213,7 +213,7 @@ func TestSystemValidation(t *testing.T) {
 			t.Fatal("trace count mismatch not detected")
 		}
 	}()
-	sys.RunAll([]trace.Trace{nil})
+	sys.RunAll([]*trace.Compiled{nil})
 }
 
 func TestSystemDeterministic(t *testing.T) {
@@ -227,7 +227,7 @@ func TestSystemDeterministic(t *testing.T) {
 		for i := 0; i < 5000; i++ {
 			b.Load(uint64(i*32) % (64 * 1024))
 		}
-		res := sys.RunAll([]trace.Trace{b.Trace(), b.Trace()})
+		res := sys.RunAll(compileAll(t, 32, b.Trace(), b.Trace()))
 		return res[0].Cycles + res[1].Cycles
 	}
 	if run() != run() {

@@ -99,7 +99,7 @@ func RandomizedLayout(g *prng.PRNG) Layout {
 // RandomizedLayout but applies it to a caller-supplied base layout:
 // region bases shift by 0..16KB-32 and each scatter slot gains a
 // line-granular displacement on top of the base's. This is what
-// HWMCampaign's optional Layout override perturbs, letting the baseline
+// a baseline campaign's optional Layout override perturbs, letting the baseline
 // explore mapping variability around a specific link map instead of the
 // default one. The result is a pure function of (base, the PRNG state),
 // so campaigns built on it stay bit-identical for any worker count.

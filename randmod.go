@@ -29,8 +29,7 @@
 // campaign results are bit-identical to running each Request alone, for
 // any pool size. Cancelling ctx aborts mid-campaign with an error
 // wrapping context.Canceled and the partial measurement vector in the
-// Result. The legacy one-shot entry points (Campaign.Run, RunAndAnalyze)
-// remain as deprecated shims over a private single-campaign engine.
+// Result.
 //
 // The heavy lifting lives in the internal packages (placement policies,
 // Benes networks, the cache and platform simulator, EVT and i.i.d.
@@ -279,14 +278,6 @@ type ResumeMismatchError = core.ResumeMismatchError
 // the campaign fails cleanly, the shared pool survives.
 type PanicError = core.PanicError
 
-// Campaign is a measurement campaign: one program, many runs, a fresh
-// hardware seed per run. Set Workers to shard the runs across a pool of
-// simulation workers (0 = GOMAXPROCS); Times is bit-identical for any
-// worker count. Campaign.Run is the legacy blocking entry point; new
-// code should submit Campaign.Request() (or a Request literal) to an
-// Engine.
-type Campaign = core.Campaign
-
 // CampaignResult holds collected measurements and aggregate statistics.
 type CampaignResult = core.CampaignResult
 
@@ -294,22 +285,10 @@ type CampaignResult = core.CampaignResult
 // summed deterministically across worker shards.
 type LevelStats = core.LevelStats
 
-// HWMCampaign is the deterministic industrial-practice baseline
-// (randomized memory layouts on a deterministic platform, high-water mark).
-// It accepts the same Workers knob as Campaign.
-type HWMCampaign = core.HWMCampaign
-
-// ShardRuns fans a loop of independent, run-indexed simulations out over a
-// worker pool; see core.ShardRuns for the determinism contract.
-//
-// Deprecated: use ShardRunsContext, which adds cancellation.
-func ShardRuns[T any](workers, runs int, build func() (T, error), do func(ctx T, run int) error) error {
-	return core.ShardRuns(workers, runs, build, do)
-}
-
-// ShardRunsContext is the context-aware ShardRuns: cancelling ctx aborts
-// the sweep between runs and returns ctx.Err(); completed runs keep
-// their run-indexed outputs.
+// ShardRunsContext fans a loop of independent, run-indexed simulations
+// out over a worker pool (0 = GOMAXPROCS); see core.ShardRunsContext for
+// the determinism contract. Cancelling ctx aborts the sweep between runs
+// and returns ctx.Err(); completed runs keep their run-indexed outputs.
 func ShardRunsContext[T any](ctx context.Context, workers, runs int, build func() (T, error), do func(c T, run int) error) error {
 	return core.ShardRunsContext(ctx, workers, runs, build, do)
 }
@@ -319,14 +298,6 @@ type Analysis = core.Analysis
 
 // Analyze applies the MBPTA statistical pipeline to execution times.
 func Analyze(times []float64) (Analysis, error) { return core.Analyze(times) }
-
-// RunAndAnalyze runs a campaign and applies the MBPTA pipeline.
-//
-// Deprecated: set Request.Analyze and use Engine.Run, which adds
-// cancellation, progress and pool sharing.
-func RunAndAnalyze(c Campaign) (CampaignResult, Analysis, error) {
-	return core.RunAndAnalyze(c)
-}
 
 // Standard per-run exceedance cutoffs (paper Section 4.3).
 const (

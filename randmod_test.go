@@ -15,15 +15,17 @@ func TestPublicQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, an, err := RunAndAnalyze(Campaign{
+	res, err := NewEngine().Run(context.Background(), Request{
 		Spec:       PaperPlatform(RM),
 		Workload:   w,
 		Runs:       300,
 		MasterSeed: 2,
+		Analyze:    true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	an := *res.Analysis
 	if len(res.Times) != 300 {
 		t.Fatalf("collected %d measurements", len(res.Times))
 	}
@@ -115,11 +117,11 @@ func TestPublicEngineSurface(t *testing.T) {
 		t.Fatalf("Workers() = %d, want 4", eng.Workers())
 	}
 	// One batch mixing an analyzed MBPTA campaign (Runs from the engine
-	// default) and an HWM baseline request built from a legacy literal.
-	hwm := HWMCampaign{Spec: DeterministicPlatform(), Workload: w, Runs: 10, MasterSeed: 2}
+	// default) and an HWM baseline request.
+	hwm := Request{Spec: DeterministicPlatform(), Workload: w, Runs: 10, MasterSeed: 2, Baseline: true}
 	results, err := eng.RunBatch(context.Background(), []Request{
 		{Spec: PaperPlatform(RM), Workload: w, MasterSeed: 2, Analyze: true},
-		hwm.Request(),
+		hwm,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -135,16 +137,6 @@ func TestPublicEngineSurface(t *testing.T) {
 	}
 	if runsSeen != 60 {
 		t.Fatalf("event stream saw %d runs, want 60", runsSeen)
-	}
-	// The batch member is bit-identical to the deprecated blocking path.
-	legacy, err := hwm.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range legacy.Times {
-		if results[1].Times[i] != legacy.Times[i] {
-			t.Fatalf("Times[%d]: batch %v, legacy %v", i, results[1].Times[i], legacy.Times[i])
-		}
 	}
 	// Cancellation is part of the public contract.
 	ctx, cancel := context.WithCancel(context.Background())

@@ -9,6 +9,6 @@
 #   make bench-json && sh scripts/bench-compare.sh
 set -e
 cd "$(dirname "$0")/.."
-OLD=${1:-BENCH_PR4.json}
-NEW=${2:-BENCH_PR5.json}
+OLD=${1:-BENCH_PR5.json}
+NEW=${2:-BENCH_PR13.json}
 exec go run ./cmd/benchcompare "$OLD" "$NEW"
