@@ -42,11 +42,13 @@ vuln:
 		echo "vuln: govulncheck not installed; skipping"; \
 	fi
 
-# Seed-corpus fuzz pass over the compiled-replay equivalence oracle and
-# the lackey trace parser (CI runs the same targets with a time budget).
+# Seed-corpus fuzz pass over the compiled-replay equivalence oracle, the
+# lackey trace parser and the baseline's trace relocation (CI runs the
+# same targets with a time budget).
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzAccessEquivalence -fuzztime=10s ./internal/cache
 	$(GO) test -run='^$$' -fuzz=FuzzParseLackey -fuzztime=10s ./internal/trace
+	$(GO) test -run='^$$' -fuzz=FuzzRelocate -fuzztime=10s ./internal/workload
 
 test:
 	$(GO) test ./...

@@ -1,10 +1,10 @@
-// Benchmark harness: one benchmark per table/figure of the paper (see
-// DESIGN.md section 4 for the experiment index). Each benchmark executes
-// the corresponding experiment end-to-end at a reduced scale chosen so a
-// single iteration completes in seconds; set REPRO_FULL=1 to use the
-// paper's campaign sizes. The rendered tables are emitted via b.Log on
-// the first iteration, so `go test -bench=. -v` doubles as a results
-// regeneration run.
+// Benchmark harness: one benchmark per table/figure of the paper (the
+// experiment index is cmd/paperbench's -exp list). Each benchmark
+// executes the corresponding experiment end-to-end at a reduced scale
+// chosen so a single iteration completes in seconds; set REPRO_FULL=1 to
+// use the paper's campaign sizes. The rendered tables are emitted via
+// b.Log on the first iteration, so `go test -bench=. -v` doubles as a
+// results regeneration run.
 package randmod
 
 import (

@@ -60,9 +60,9 @@ func BenchmarkHotPathCompiled(b *testing.B) {
 }
 
 // BenchmarkHotPathBaselineCompiled runs the deterministic HWM baseline
-// protocol (per-run randomized layout, trace rebuilt and compiled every
-// run) through the Engine. Unlike MBPTA there is no build-once
-// amortization, so the per-run trace build dominates.
+// protocol through the Engine: the trace builds and compiles once per
+// campaign in relocatable form, and each run relocates its line tables
+// to a freshly randomized layout before replaying it.
 func BenchmarkHotPathBaselineCompiled(b *testing.B) {
 	w, err := workload.ByName("tblook01")
 	if err != nil {

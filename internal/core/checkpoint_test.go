@@ -253,9 +253,12 @@ func TestResumeMismatchRejected(t *testing.T) {
 	}
 }
 
-// TestShardPanicRecovered pins the satellite: a panicking workload fails
-// its campaign cleanly with a typed *PanicError, and the shared pool
-// survives to run the next campaign.
+// TestShardPanicRecovered pins panic containment: a panicking workload
+// fails its campaign cleanly with a typed *PanicError, and the shared
+// pool releases every slot and runs the next campaign. The workload
+// builds once per campaign, under a pool slot, for every campaign kind
+// that has one: MBPTA, baseline (the relocatable compile) and the
+// occupancy protocol's victim.
 func TestShardPanicRecovered(t *testing.T) {
 	w, err := workload.ByName("tblook01")
 	if err != nil {
@@ -267,18 +270,26 @@ func TestShardPanicRecovered(t *testing.T) {
 			panic("synthetic workload panic")
 		},
 	}
-	eng := NewEngine(WithWorkers(2))
-	// Baseline campaigns rebuild the trace inside pool workers, so the
-	// panic detonates on the sharded path proper.
-	_, err = eng.Run(context.Background(), Request{
-		Spec: DeterministicPlatform(), Workload: bomb, Runs: 16, MasterSeed: 7, Baseline: true,
-	})
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *PanicError", err)
+	occupancy := secRequest(security.Occupancy, 16)
+	occupancy.Workload = bomb
+	reqs := map[string]Request{
+		"mbpta":     {Spec: PaperPlatform(placement.RM), Workload: bomb, Runs: 16, MasterSeed: 7},
+		"baseline":  {Spec: DeterministicPlatform(), Workload: bomb, Runs: 16, MasterSeed: 7, Baseline: true},
+		"occupancy": occupancy,
 	}
-	if pe.Value != "synthetic workload panic" || pe.Stack == "" {
-		t.Fatalf("PanicError carries value %v, stack len %d", pe.Value, len(pe.Stack))
+	eng := NewEngine(WithWorkers(2))
+	for name, req := range reqs {
+		_, err = eng.Run(context.Background(), req)
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("%s: err = %v, want *PanicError", name, err)
+		}
+		if pe.Value != "synthetic workload panic" || pe.Stack == "" {
+			t.Fatalf("%s: PanicError carries value %v, stack len %d", name, pe.Value, len(pe.Stack))
+		}
+		if eng.Pool().InUse() != 0 {
+			t.Fatalf("%s: pool leaked %d slots", name, eng.Pool().InUse())
+		}
 	}
 	// The pool must have released every slot: a normal campaign on the
 	// same engine completes.

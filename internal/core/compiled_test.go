@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math/bits"
 	"strings"
 	"testing"
 
@@ -38,26 +39,148 @@ func sequentialCampaign(t *testing.T, spec PlatformSpec, w workload.Workload, ru
 	return times, levels
 }
 
-// sequentialBaseline replays the HWM protocol the same way (per-run
-// randomized layout, compiled and replayed on one platform).
-func sequentialBaseline(t *testing.T, spec PlatformSpec, w workload.Workload, runs int, seed uint64) []float64 {
+// sequentialBaseline replays the HWM protocol the plainest way: per run,
+// draw the randomized layout around base (RandomizedLayout when nil),
+// rebuild and compile the trace at it, and replay on one platform. It is
+// the reference the engine's build-once relocation must reproduce.
+func sequentialBaseline(t *testing.T, spec PlatformSpec, w workload.Workload, runs int, seed uint64, base *workload.Layout) ([]float64, LevelStats) {
 	t.Helper()
 	p, err := spec.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	times := make([]float64, runs)
+	var levels LevelStats
 	for run := 0; run < runs; run++ {
 		s := prng.Derive(seed^hwmSeedTag, run)
 		layout := workload.RandomizedLayout(prng.New(s))
+		if base != nil {
+			layout = workload.RandomizedLayoutFrom(*base, prng.New(s))
+		}
 		ct, err := trace.Compile(w.Build(layout), spec.LineBytes)
 		if err != nil {
 			t.Fatal(err)
 		}
 		p.Reseed(s)
-		times[run] = float64(p.RunCompiled(ct).Cycles)
+		r := p.RunCompiled(ct)
+		times[run] = float64(r.Cycles)
+		levels.add(r)
 	}
-	return times
+	return times, levels
+}
+
+// TestBaselineRelocationMatchesRebuild is the differential test of the
+// baseline's build-once relocation: Engine.Run must reproduce the per-run
+// rebuild bit-for-bit, Times and Levels, for every workload plus a
+// captured trace, lines of 16 to 128 bytes, a deterministic and a
+// randomized platform, the default base and an unaligned base whose Data
+// and Table objects overlap — and for a base near 2^64 whose addresses
+// wrap.
+func TestBaselineRelocationMatchesRebuild(t *testing.T) {
+	overlap := workload.BaselineLayout()
+	overlap.Data += 4
+	overlap.Table = overlap.Data + 0x404
+	overlap.Scatter[1] = 20
+	wrap := workload.BaselineLayout()
+	wrap.Code, wrap.Stack = ^uint64(0)-100, 2
+	a2, err := workload.ByName("a2time01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := append(workload.All(), workload.FromTrace("captured", "", a2.Build(workload.DefaultLayout())))
+	platforms := []PlatformSpec{DeterministicPlatform(), PaperPlatform(placement.RM)}
+	eng := NewEngine(WithWorkers(2))
+	check := func(w workload.Workload, spec PlatformSpec, base *workload.Layout) {
+		t.Helper()
+		const runs = 3
+		seed := uint64(spec.LineBytes)<<8 ^ uint64(len(w.Name))
+		wantTimes, wantLevels := sequentialBaseline(t, spec, w, runs, seed, base)
+		res, err := eng.Run(context.Background(), Request{
+			Spec: spec, Workload: w, Runs: runs, MasterSeed: seed, Layout: base, Baseline: true,
+		})
+		if err != nil {
+			t.Fatalf("%s %v/%dB: %v", w.Name, spec.IL1.Placement, spec.LineBytes, err)
+		}
+		for i := range wantTimes {
+			if res.Times[i] != wantTimes[i] {
+				t.Fatalf("%s %v/%dB base %v: Times[%d] = %v, rebuild %v",
+					w.Name, spec.IL1.Placement, spec.LineBytes, base, i, res.Times[i], wantTimes[i])
+			}
+		}
+		if res.Levels != wantLevels {
+			t.Fatalf("%s %v/%dB base %v: Levels = %+v, rebuild %+v",
+				w.Name, spec.IL1.Placement, spec.LineBytes, base, res.Levels, wantLevels)
+		}
+	}
+	for _, w := range ws {
+		if testing.Short() && w.Name == "synth160k" {
+			continue
+		}
+		for _, lb := range []int{16, 32, 64, 128} {
+			for _, spec := range platforms {
+				spec.LineBytes = lb
+				for _, base := range []*workload.Layout{nil, &overlap} {
+					check(w, spec, base)
+				}
+			}
+		}
+	}
+	for _, w := range workload.EEMBC() {
+		for _, spec := range platforms {
+			spec.LineBytes = 64
+			check(w, spec, &wrap)
+		}
+	}
+}
+
+// TestBaselineRejectsLayoutDependentWorkload: a workload that breaks the
+// Build contract (here its trace length depends on l.Code) fails a
+// baseline campaign at the start with a *workload.RelocationError — no
+// run completes, nothing panics, and the one CampaignFinished carries
+// the error.
+func TestBaselineRejectsLayoutDependentWorkload(t *testing.T) {
+	w := workload.Workload{
+		Name: "layout-dependent",
+		Build: func(l workload.Layout) trace.Trace {
+			tr := make(trace.Trace, 64+bits.OnesCount64(l.Code))
+			for i := range tr {
+				tr[i] = trace.Access{Addr: l.Data + uint64(4*i), Kind: trace.Load}
+			}
+			return tr
+		},
+	}
+	var runs, finished int
+	var finErr error
+	eng := NewEngine(WithWorkers(2), WithEvents(func(ev Event) {
+		switch ev.Kind {
+		case RunCompleted:
+			runs++
+		case CampaignFinished:
+			finished++
+			finErr = ev.Err
+		}
+	}))
+	_, err := eng.Run(context.Background(), Request{
+		Spec: DeterministicPlatform(), Workload: w, Runs: 8, MasterSeed: 1, Baseline: true,
+	})
+	var re *workload.RelocationError
+	if !errors.As(err, &re) {
+		t.Fatalf("err = %v, want a *workload.RelocationError", err)
+	}
+	var pe *PanicError
+	if errors.As(err, &pe) {
+		t.Fatalf("rejection surfaced as a panic: %v", err)
+	}
+	if runs != 0 || finished != 1 || finErr == nil {
+		t.Fatalf("%d RunCompleted, %d CampaignFinished (err %v); want 0 and one carrying the error",
+			runs, finished, finErr)
+	}
+	// The same workload is fine for MBPTA, which builds at one layout.
+	if _, err := eng.Run(context.Background(), Request{
+		Spec: DeterministicPlatform(), Workload: w, Runs: 2, MasterSeed: 1,
+	}); err != nil {
+		t.Fatalf("MBPTA campaign over the same workload: %v", err)
+	}
 }
 
 // engineWriteArrangements are the write setups the engine-level
@@ -96,7 +219,7 @@ func TestEngineRunMatchesLegacyHotLoop(t *testing.T) {
 				spec.DL1.Write, spec.L2.Write = wa.dl1, wa.l2
 				seed := uint64(0xBEEF) ^ uint64(pk)<<8 ^ uint64(rk) ^ uint64(wa.dl1)<<16
 				wantTimes, wantLevels := sequentialCampaign(t, spec, w, runs, seed)
-				wantBase := sequentialBaseline(t, spec, w, runs, seed)
+				wantBase, wantBaseLevels := sequentialBaseline(t, spec, w, runs, seed, nil)
 
 				for _, workers := range []int{1, 4} {
 					eng := NewEngine(WithWorkers(workers))
@@ -128,6 +251,10 @@ func TestEngineRunMatchesLegacyHotLoop(t *testing.T) {
 							t.Fatalf("%v/%v/%s workers=%d: baseline Times[%d] = %v, sequential %v",
 								pk, rk, wa.name, workers, i, base.Times[i], wantBase[i])
 						}
+					}
+					if base.Levels != wantBaseLevels {
+						t.Fatalf("%v/%v/%s workers=%d: baseline Levels = %+v, sequential %+v",
+							pk, rk, wa.name, workers, base.Levels, wantBaseLevels)
 					}
 				}
 			}

@@ -31,13 +31,15 @@ type Request struct {
 	// it per run. Run k's baseline layout is a pure function of
 	// (MasterSeed, k, *Layout): workload.RandomizedLayoutFrom(*Layout, a
 	// PRNG derived from (MasterSeed^hwmSeedTag, k)), or RandomizedLayout
-	// over the default layout when nil. Baseline Times are therefore
-	// bit-identical for any worker count, batch interleaving and host.
+	// when nil. Baseline Times are therefore bit-identical for any worker
+	// count, batch interleaving and host.
 	Layout *workload.Layout
 	// Baseline selects the industrial high-water-mark protocol instead of
-	// the MBPTA one: each run rebuilds the trace under a freshly
+	// the MBPTA one: each run replays the program under a freshly
 	// randomized memory layout (typically on a deterministic platform)
-	// rather than drawing a fresh hardware seed over a fixed layout.
+	// rather than drawing a fresh hardware seed over a fixed layout. The
+	// workload is compiled once per campaign and each run relocates its
+	// lines to the run's layout (see workload.Relocatable).
 	Baseline bool
 	// Analyze additionally applies the MBPTA statistical pipeline to the
 	// collected times and stores it in Result.Analysis.
@@ -152,10 +154,9 @@ func (r Request) name() string {
 
 // Result is the outcome of one Request. It embeds the classic
 // CampaignResult: MBPTA requests fill all of it; Baseline requests fill
-// Times and the per-level counters but leave the Trace accounting zero,
-// since the trace is rebuilt per run rather than shared. When the
-// campaign was cancelled mid-flight, Times holds the completed runs at
-// their indices and zeros elsewhere, alongside the returned error.
+// Times and the per-level counters but leave the Trace accounting zero.
+// When the campaign was cancelled mid-flight, Times holds the completed
+// runs at their indices and zeros elsewhere, alongside the returned error.
 type Result struct {
 	Name string
 	CampaignResult
@@ -183,8 +184,8 @@ const (
 	// PhaseDone fires when a campaign phase ends (Event.Phase names it:
 	// "compile", "replay", "analyze"), so observers can attribute wall
 	// time without any clock read on the execution path. Phases that do
-	// not apply to a campaign kind simply never fire (baseline campaigns
-	// rebuild their trace per run, security campaigns never analyze).
+	// not apply to a campaign simply never fire (security campaigns
+	// without a victim workload compile nothing and never analyze).
 	PhaseDone
 	// SnapshotTaken fires each time the streaming accumulators advance
 	// over a longer contiguous run prefix; Event.Snapshot carries the
@@ -396,67 +397,60 @@ func (r *Runner) runOnce(ctx context.Context, index int, req Request) (Result, e
 		return finish(errors.New("core: campaign needs a workload"))
 	}
 
-	var do func(p *sim.Core, run int) (sim.Result, error)
+	layout := workload.DefaultLayout()
 	if req.Baseline {
-		do = func(p *sim.Core, run int) (sim.Result, error) {
-			seed := prng.Derive(req.MasterSeed^hwmSeedTag, run)
-			g := prng.New(seed)
-			var layout workload.Layout
-			if req.Layout != nil {
-				layout = workload.RandomizedLayoutFrom(*req.Layout, g)
-			} else {
-				layout = workload.RandomizedLayout(g)
-			}
-			tr := req.Workload.Build(layout)
-			if len(tr) == 0 {
-				return sim.Result{}, fmt.Errorf("core: workload %s built an empty trace for run %d", req.Workload.Name, run)
-			}
-			// Reseed rather than Flush: deterministic policies ignore the
-			// seed (so the typical modulo+LRU baseline is unchanged), while
-			// any randomized policy in Spec becomes a pure function of the
-			// run index instead of carrying PRNG state across runs.
-			p.Reseed(seed)
-			// The baseline rebuilds its trace per run, so it compiles per
-			// run too (unlike MBPTA's build-once).
-			ct, err := trace.Compile(tr, req.Spec.LineBytes)
+		layout = workload.BaselineLayout()
+	}
+	if req.Layout != nil {
+		layout = *req.Layout
+	}
+	var do func(p *sim.Core, run int) (sim.Result, error)
+	if err := r.buildOnce(ctx, res.Name, func() error {
+		if req.Baseline {
+			// Layouts change per run, the program does not: compile once at
+			// the base layout and relocate the line tables per run.
+			rel, err := req.Workload.Relocatable(layout, req.Spec.LineBytes)
 			if err != nil {
-				return sim.Result{}, fmt.Errorf("core: workload %s run %d: %w", req.Workload.Name, run, err)
+				return fmt.Errorf("core: campaign %s: %w", res.Name, err)
 			}
-			return p.RunCompiled(ct), nil
-		}
-	} else {
-		layout := workload.DefaultLayout()
-		if req.Layout != nil {
-			layout = *req.Layout
-		}
-		// The one-time trace build (and its compilation) runs under a pool
-		// slot too: a large RunBatch spawns one goroutine per request, and
-		// without the gate they would all build concurrently regardless of
-		// the pool size.
-		if err := r.pool().acquire(ctx); err != nil {
-			return finish(fmt.Errorf("core: campaign %s aborted before any runs: %w", res.Name, err))
+			if rel.Len() == 0 {
+				return fmt.Errorf("core: workload %s built an empty trace", req.Workload.Name)
+			}
+			do = func(p *sim.Core, run int) (sim.Result, error) {
+				seed := prng.Derive(req.MasterSeed^hwmSeedTag, run)
+				ct := rel.Relocate(workload.RandomizedLayoutFrom(layout, prng.New(seed)))
+				// Reseed rather than Flush: deterministic policies ignore the
+				// seed (so the typical modulo+LRU baseline is unchanged), while
+				// any randomized policy in Spec becomes a pure function of the
+				// run index instead of carrying PRNG state across runs.
+				p.Reseed(seed)
+				return p.RunCompiled(ct), nil
+			}
+			return nil
 		}
 		tr := req.Workload.Build(layout)
+		if len(tr) == 0 {
+			return fmt.Errorf("core: workload %s built an empty trace", req.Workload.Name)
+		}
 		// Compile once per campaign: the trace is fixed while only seeds
 		// change, so all workers share one read-only Compiled and each run
 		// materializes its index plans from it (the campaign hot path).
 		ct, err := trace.Compile(tr, req.Spec.LineBytes)
-		r.pool().release()
-		if len(tr) == 0 {
-			return finish(fmt.Errorf("core: workload %s built an empty trace", req.Workload.Name))
-		}
 		if err != nil {
-			return finish(fmt.Errorf("core: campaign %s: %w", res.Name, err))
+			return fmt.Errorf("core: campaign %s: %w", res.Name, err)
 		}
 		f, l, st := tr.Counts()
 		res.Trace.Accesses = len(tr)
 		res.Trace.Fetches, res.Trace.Loads, res.Trace.Stores = f, l, st
-		phase(PhaseCompile)
 		do = func(p *sim.Core, run int) (sim.Result, error) {
 			p.Reseed(prng.Derive(req.MasterSeed, run))
 			return p.RunCompiled(ct), nil
 		}
+		return nil
+	}); err != nil {
+		return finish(err)
 	}
+	phase(PhaseCompile)
 
 	// All aggregates stream through the campaign accumulator; the buffered
 	// vector is only allocated when the caller wants it back.
@@ -531,6 +525,20 @@ func (r *Runner) runOnce(ctx context.Context, index int, req Request) (Result, e
 		phase(PhaseAnalyze)
 	}
 	return finish(nil)
+}
+
+// buildOnce runs a campaign's one-time trace build and compilation under
+// a pool slot: a large RunBatch spawns one goroutine per request, and
+// without the gate they would all build concurrently regardless of the
+// pool size. A panic in build fails the campaign with a *PanicError, and
+// the slot is released either way.
+func (r *Runner) buildOnce(ctx context.Context, name string, build func() error) error {
+	p := r.pool()
+	if err := p.acquire(ctx); err != nil {
+		return fmt.Errorf("core: campaign %s aborted before any runs: %w", name, err)
+	}
+	defer p.release()
+	return protect(build)
 }
 
 // Engine is the context-aware front door of the library: one shared

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -150,7 +152,10 @@ func TestEngineEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	const runs = 16
-	type tally struct{ started, finished, runsDone, lastDone int }
+	type tally struct {
+		started, finished, runsDone, lastDone int
+		phases                                []string
+	}
 	tallies := map[string]*tally{}
 	eng := NewEngine(WithWorkers(4), WithEvents(func(ev Event) {
 		tl := tallies[ev.Campaign]
@@ -161,6 +166,8 @@ func TestEngineEvents(t *testing.T) {
 		switch ev.Kind {
 		case CampaignStarted:
 			tl.started++
+		case PhaseDone:
+			tl.phases = append(tl.phases, fmt.Sprintf("%s@%d", ev.Phase, ev.Done))
 		case RunCompleted:
 			tl.runsDone++
 			if ev.Done != tl.lastDone+1 {
@@ -195,6 +202,11 @@ func TestEngineEvents(t *testing.T) {
 		if tl.started != 1 || tl.finished != 1 || tl.runsDone != runs {
 			t.Errorf("%s: started=%d finished=%d runs=%d, want 1/1/%d",
 				name, tl.started, tl.finished, tl.runsDone, runs)
+		}
+		// Baseline campaigns compile once too, so every timing campaign
+		// reports compile before its first run and replay after its last.
+		if want := []string{"compile@0", fmt.Sprintf("replay@%d", runs)}; !reflect.DeepEqual(tl.phases, want) {
+			t.Errorf("%s: phases %v, want %v", name, tl.phases, want)
 		}
 	}
 }

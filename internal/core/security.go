@@ -40,21 +40,21 @@ func (r *Runner) runSecurity(ctx context.Context, index int, req Request, res *R
 	}
 
 	// The occupancy victim's trace builds once per campaign, under a pool
-	// slot like the MBPTA trace build; all workers share the read-only
-	// compiled form.
+	// slot like the timing campaigns' builds; all workers share the
+	// read-only compiled form.
 	var vic *security.Victim
 	if spec.Protocol == security.Occupancy && req.Workload.Build != nil {
-		if err := r.pool().acquire(ctx); err != nil {
-			return finish(fmt.Errorf("core: campaign %s aborted before any rounds: %w", res.Name, err))
-		}
 		layout := workload.DefaultLayout()
 		if req.Layout != nil {
 			layout = *req.Layout
 		}
-		vic, err = security.VictimFromTrace(req.Workload.Build(layout))
-		r.pool().release()
-		if err != nil {
-			return finish(fmt.Errorf("core: compiling victim workload %s: %w", req.Workload.Name, err))
+		if err := r.buildOnce(ctx, res.Name, func() (err error) {
+			if vic, err = security.VictimFromTrace(req.Workload.Build(layout)); err != nil {
+				return fmt.Errorf("core: compiling victim workload %s: %w", req.Workload.Name, err)
+			}
+			return nil
+		}); err != nil {
+			return finish(err)
 		}
 		r.emit(Event{Kind: PhaseDone, Campaign: res.Name, CampaignKind: KindSecurity, Index: index,
 			Phase: PhaseCompile, Total: req.Runs})

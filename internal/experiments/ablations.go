@@ -99,7 +99,7 @@ func (r CollisionResult) Render() string {
 	return b.String()
 }
 
-// --- Ablations of the design choices DESIGN.md calls out ------------------
+// --- Ablations of the paper's design choices --------------------------------
 
 // AblationRow is one design point of an ablation sweep.
 type AblationRow struct {
@@ -143,7 +143,7 @@ func ablationPoint(ctx context.Context, eng *core.Engine, design string, spec co
 }
 
 // AblationReplacement quantifies the cost of MBPTA-required random
-// replacement against LRU under RM placement (DESIGN.md, Section 7).
+// replacement against LRU under RM placement.
 func AblationReplacement(ctx context.Context, eng *core.Engine, s Scale, benchName string) (AblationResult, error) {
 	w, err := workload.ByName(benchName)
 	if err != nil {
@@ -265,7 +265,7 @@ func (r EstimatorResult) Render() string {
 
 // AblationRMVariant compares full Benes-permutation RM against the
 // rotation-only variant and hRP on one benchmark: layout diversity versus
-// hardware cost (DESIGN.md, Section 7).
+// hardware cost.
 func AblationRMVariant(ctx context.Context, eng *core.Engine, s Scale, benchName string) (AblationResult, error) {
 	w, err := workload.ByName(benchName)
 	if err != nil {

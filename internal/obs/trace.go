@@ -8,9 +8,9 @@ import (
 // CampaignTrace is one completed campaign's trace span: what the engine
 // spent its wall time on, phase by phase. Phases are recorded from the
 // Engine's event stream at phase boundaries (compile → replay → analyze),
-// so the replay kernels themselves stay untouched; phases a campaign kind
-// does not have (baseline campaigns compile per run, security campaigns
-// never analyze) stay zero.
+// so the replay kernels themselves stay untouched; phases a campaign does
+// not have (security campaigns without a victim workload compile nothing
+// and never analyze) stay zero.
 type CampaignTrace struct {
 	// Campaign is the display label of the campaign.
 	Campaign string `json:"campaign"`

@@ -19,7 +19,7 @@
 // reproduce the published structural character of each benchmark (hot-loop
 // code footprints of a few KB, multiple KB-scale data objects, lookup
 // tables, pointer chases, stack traffic) because those are the features
-// cache placement reacts to. See DESIGN.md for the substitution rationale.
+// cache placement reacts to.
 package workload
 
 import (
@@ -87,12 +87,16 @@ func DefaultLayout() Layout {
 // library and table alignment, stack depth. Used by the high-water-mark
 // baseline of Figure 4(b).
 func RandomizedLayout(g *prng.PRNG) Layout {
-	// The default layout's deliberate scatter is replaced, not compounded:
-	// zeroing it first makes RandomizedLayoutFrom reproduce the historical
-	// absolute displacements bit-for-bit.
-	base := DefaultLayout()
-	base.Scatter = [ScatterSlots]uint64{}
-	return RandomizedLayoutFrom(base, g)
+	return RandomizedLayoutFrom(BaselineLayout(), g)
+}
+
+// BaselineLayout is the base layout RandomizedLayout perturbs: the
+// default layout with its deliberate scatter replaced, not compounded, so
+// the draws reproduce the historical absolute displacements bit-for-bit.
+func BaselineLayout() Layout {
+	l := DefaultLayout()
+	l.Scatter = [ScatterSlots]uint64{}
+	return l
 }
 
 // RandomizedLayoutFrom draws the same displacement stream as
@@ -121,7 +125,16 @@ func RandomizedLayoutFrom(base Layout, g *prng.PRNG) Layout {
 type Workload struct {
 	Name        string
 	Description string
-	Build       func(l Layout) trace.Trace
+	// Build returns the program's trace under layout l. The
+	// high-water-mark baseline relies on two properties of it:
+	//   - every address is a layout-independent offset plus each layout
+	//     field (Code, Data, Table, Stack, Pool, Scatter[k]) at most once;
+	//   - the trace's length, access kinds and order do not depend on l.
+	// Relocatable reports a violation that shows at its tagged layout
+	// (every field shifted by a distinct high bit) as a *RelocationError.
+	// EEMBC(), Synthetic and FromTrace (whose addresses use no field)
+	// satisfy both.
+	Build func(l Layout) trace.Trace
 }
 
 // FromTrace wraps an externally captured address trace (e.g. a valgrind

@@ -226,6 +226,9 @@ func TestRandomizedLayoutFrom(t *testing.T) {
 	// state.
 	legacyBase := DefaultLayout()
 	legacyBase.Scatter = [ScatterSlots]uint64{}
+	if BaselineLayout() != legacyBase {
+		t.Fatalf("BaselineLayout() = %+v, want the default with zero scatter", BaselineLayout())
+	}
 	for seed := uint64(1); seed < 20; seed++ {
 		if got, want := RandomizedLayoutFrom(legacyBase, prng.New(seed)), RandomizedLayout(prng.New(seed)); got != want {
 			t.Fatalf("seed %d: From(default/zero-scatter) %+v != legacy %+v", seed, got, want)
