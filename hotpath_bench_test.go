@@ -39,8 +39,9 @@ func hotPathSetup(b *testing.B, kind placement.Kind) (*sim.Core, *trace.Compiled
 
 // BenchmarkHotPathCompiled measures the compiled replay: per run, index
 // plans over the trace's unique lines (rebuilt only for randomized
-// placements after the first run), then monomorphic-kernel array-lookup
-// replay. The steady state must report 0 allocs/op: the first run's plan
+// placements after the first run), then the way-hinted replay of the
+// folded ops. It reports accesses/op and ops/op, whose ratio is the fold
+// ratio. The steady state must report 0 allocs/op: the first run's plan
 // allocation happens in the warm-up before the timer.
 func BenchmarkHotPathCompiled(b *testing.B) {
 	for _, kind := range placement.Kinds() {
@@ -55,6 +56,7 @@ func BenchmarkHotPathCompiled(b *testing.B) {
 				p.RunCompiled(ct)
 			}
 			b.ReportMetric(float64(ct.Len()), "accesses/op")
+			b.ReportMetric(float64(len(ct.Ops)), "ops/op")
 		})
 	}
 }

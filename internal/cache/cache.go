@@ -129,6 +129,11 @@ func (c Config) Validate() error {
 	if s < 2 || s&(s-1) != 0 {
 		return fmt.Errorf("cache %s: %d sets, must be a power of two >= 2", c.Name, s)
 	}
+	if s > MaxSets {
+		// Index-plan entries pack the set into SetBits bits beside an
+		// 8-bit way hint (see SetBits).
+		return fmt.Errorf("cache %s: %d sets exceeds the modelled maximum of %d", c.Name, s, MaxSets)
+	}
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -46,6 +47,31 @@ func TestValidateRejections(t *testing.T) {
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("config %q validated", cfg.Name)
+		}
+	}
+}
+
+// TestValidateCapsPlanGeometry pins the two caps the packed index-plan
+// entries rely on: at most 64 ways (the per-set bitmasks, and the 8-bit
+// way hint) and at most MaxSets sets (the SetBits-bit set field).
+// Validate alone is exercised, so no tag state is allocated.
+func TestValidateCapsPlanGeometry(t *testing.T) {
+	for _, c := range []struct {
+		cfg  Config
+		want string // "" = valid
+	}{
+		{Config{Name: "w64", SizeBytes: 64 * 32 * 2, Ways: 64, LineBytes: 32}, ""},
+		{Config{Name: "w65", SizeBytes: 65 * 32 * 2, Ways: 65, LineBytes: 32}, "ways"},
+		{Config{Name: "s24", SizeBytes: MaxSets, Ways: 1, LineBytes: 1}, ""},
+		{Config{Name: "s25", SizeBytes: 2 * MaxSets, Ways: 1, LineBytes: 1}, "sets exceeds"},
+		{Config{Name: "s25w", SizeBytes: 2 * MaxSets * 4 * 32, Ways: 4, LineBytes: 32}, "sets exceeds"},
+	} {
+		err := c.cfg.Validate()
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: %v", c.cfg.Name, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: err = %v, want one mentioning %q", c.cfg.Name, err, c.want)
 		}
 	}
 }

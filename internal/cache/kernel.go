@@ -20,14 +20,31 @@ const (
 	BitWriteback                        // the displaced line was dirty
 )
 
-// Kernel is the monomorphic replay engine of one cache level: the access
-// paths of the compiled campaign loop with every per-access decision that
-// is fixed by the configuration — replacement kind, write policy, write
-// allocation — resolved once, when the kernel is bound, instead of
-// branched on per access. Read and write dispatch through function values
-// selected per (replacement kind × write arrangement); statistics
-// accumulate in kernel-local counters and flush into the cache once per
-// run (End), so the hot path touches no shared Stats fields.
+// Index-plan entries (see placement.IndexAll and sim.Core.RunCompiled)
+// pack a set index and a way hint into one uint32: the set in the low
+// SetBits bits, the way the line last occupied in the top 8.
+// Config.Validate caps a level at MaxSets sets and 64 ways, so both
+// always fit, and an entry fresh from IndexAll hints way 0. Every reader of an entry masks
+// the set with SetMask; the kernel's slow paths accept either form.
+const (
+	SetBits = 24
+	SetMask = 1<<SetBits - 1
+	MaxSets = 1 << SetBits
+)
+
+// Kernel is the replay engine of one cache level, split into a hit path
+// and one generic slow path. The hit path is a set of inlinable methods
+// the replay loops call after a Hinted check on an index-plan entry has
+// found the line in its hinted way: ReadHit and WriteHit apply the
+// replacement and dirty-bit updates of a hit without scanning the set,
+// and Hits adds the hits the loop counted. A hinted hit is the hit the
+// scan would find, since a line occupies at most one way of its set (it
+// is installed only on a miss). Everything else — misses, way
+// mispredictions and the security engine's accesses — goes through Read
+// and Write, one scan-and-fill routine that switches on the replacement
+// kind and write arrangement and returns the plan entry of the way it hit
+// or filled, so the caller can refresh its hint. Statistics accumulate in
+// kernel-local counters and flush into the cache once per run (End).
 //
 // A Kernel aliases its cache's tag state (the SoA slices never reallocate
 // after construction, Flush and Reseed clear them in place), so one Kernel
@@ -52,16 +69,23 @@ type Kernel struct {
 	plruLevels int
 	tick       uint64
 
-	read  func(k *Kernel, la uint64, set uint32) AccessBits
-	write func(k *Kernel, la uint64, set uint32) AccessBits
+	// PLRU touch tables (plruTables), nil under other kinds.
+	plruPath, plruAway []uint64
+
+	// The level's replacement kind and write arrangement; isLRU and
+	// isPLRU duplicate repl so the hit path stays within the inlining
+	// budget.
+	repl          ReplacementKind
+	isLRU, isPLRU bool
+	writeBack     bool // stores dirty lines (and always allocate)
+	noAlloc       bool // write-through without allocate-on-write: store misses bypass
 
 	accesses, hits, evictions, writebacks uint64
 }
 
-// NewKernel binds a replay kernel to a cache level, selecting the access
-// functions for the level's replacement kind and write arrangement. The
-// cache's configuration was validated at construction, so every
-// combination has a kernel.
+// NewKernel binds a replay kernel to a cache level. The cache's
+// configuration was validated at construction, so every combination of
+// replacement kind and write arrangement is supported.
 func NewKernel(c *Cache) *Kernel {
 	k := &Kernel{
 		c:          c,
@@ -74,44 +98,15 @@ func NewKernel(c *Cache) *Kernel {
 		ways:       c.ways,
 		wayMask:    1<<uint(c.ways) - 1,
 		plruLevels: bits.TrailingZeros(uint(c.ways)),
+		repl:       c.repl,
+		isLRU:      c.repl == LRU,
+		isPLRU:     c.repl == PLRU,
+		writeBack:  c.cfg.Write == WriteBack,
+		noAlloc:    c.cfg.Write == WriteThrough && !c.cfg.AllocOnWrite,
 	}
-	type pair struct {
-		read  func(k *Kernel, la uint64, set uint32) AccessBits
-		write func(k *Kernel, la uint64, set uint32) AccessBits
+	if k.isPLRU {
+		k.plruPath, k.plruAway = plruTables(k.ways, k.plruLevels)
 	}
-	// arrangement: 0 = write-through no-allocate, 1 = write-through
-	// allocate-on-write, 2 = write-back (always allocates).
-	arrangement := 0
-	switch {
-	case c.cfg.Write == WriteBack:
-		arrangement = 2
-	case c.cfg.AllocOnWrite:
-		arrangement = 1
-	}
-	table := map[ReplacementKind][3]pair{
-		LRU: {
-			{readLRU, writeLRUThroughNoAlloc},
-			{readLRU, writeLRUThroughAlloc},
-			{readLRU, writeLRUBack},
-		},
-		FIFO: {
-			{readFIFO, writeFIFOThroughNoAlloc},
-			{readFIFO, writeFIFOThroughAlloc},
-			{readFIFO, writeFIFOBack},
-		},
-		PLRU: {
-			{readPLRU, writePLRUThroughNoAlloc},
-			{readPLRU, writePLRUThroughAlloc},
-			{readPLRU, writePLRUBack},
-		},
-		Random: {
-			{readRandom, writeRandomThroughNoAlloc},
-			{readRandom, writeRandomThroughAlloc},
-			{readRandom, writeRandomBack},
-		},
-	}
-	p := table[c.repl][arrangement]
-	k.read, k.write = p.read, p.write
 	return k
 }
 
@@ -147,21 +142,153 @@ func (k *Kernel) End() Stats {
 	return d
 }
 
-// Read performs a load or fetch of line la with a precomputed set index;
-// bit-identical in behaviour, counters and RNG draws to the per-access
-// reference model (see the fuzz and differential tests).
+// Hinted reports whether the way plan entry e hints holds line la in e's
+// set: one tag compare instead of a set scan. A stale hint (the line was
+// evicted or moved, or the entry was rebuilt) fails the check and costs
+// one slow-path access, so hints never need invalidating.
 //
 //rm:hotpath
-func (k *Kernel) Read(la uint64, set uint32) AccessBits { return k.read(k, la, set) }
+func (k *Kernel) Hinted(la uint64, e uint32) bool {
+	set, w := e&SetMask, e>>SetBits
+	return k.valid[set]>>(w&63)&1 != 0 && k.addrs[int(set)*k.ways+int(w)] == la
+}
 
-// Write performs a store to line la with a precomputed set index; see Read.
+// ReadHit applies n read hits on the line in the way e hints, which a
+// Hinted check has confirmed: LRU advances its tick by n and stamps the
+// way once, leaving the state n separate hits leave; PLRU protects the
+// way (idempotent); FIFO and Random change nothing. The caller counts the
+// hits (Hits).
 //
 //rm:hotpath
-func (k *Kernel) Write(la uint64, set uint32) AccessBits { return k.write(k, la, set) }
+func (k *Kernel) ReadHit(e uint32, n uint64) {
+	if k.isLRU {
+		k.tick += n
+		k.lruTick[int(e&SetMask)*k.ways+int(e>>SetBits)] = k.tick
+	} else if k.isPLRU {
+		set, w := e&SetMask, e>>SetBits
+		k.plru[set] = k.plru[set]&^k.plruPath[w] | k.plruAway[w]
+	}
+}
+
+// WriteHit applies a store hit on the line in the way e hints: ReadHit's
+// replacement update, plus the dirty bit on a write-back level.
+//
+//rm:hotpath
+func (k *Kernel) WriteHit(e uint32) {
+	k.ReadHit(e, 1)
+	if k.writeBack {
+		k.dirty[e&SetMask] |= 1 << (e >> SetBits)
+	}
+}
+
+// Hits adds n hits served by the hit path to the run's counters.
+//
+//rm:hotpath
+func (k *Kernel) Hits(n uint64) {
+	k.accesses += n
+	k.hits += n
+}
+
+// Read performs a load or fetch of line la in the set of plan entry e
+// (its way hint is ignored) and returns the outcome plus the entry of the
+// way the line now occupies. It is bit-identical in behaviour, counters
+// and RNG draws to the per-access reference model (see the fuzz and
+// differential tests).
+//
+//rm:hotpath
+func (k *Kernel) Read(la uint64, e uint32) (AccessBits, uint32) {
+	return k.access(la, e&SetMask, false)
+}
+
+// Write performs a store to line la in the set of plan entry e; see Read.
+// A write-through no-allocate miss bypasses the level: it returns no
+// flags and e's set with a way-0 hint.
+//
+//rm:hotpath
+func (k *Kernel) Write(la uint64, e uint32) (AccessBits, uint32) {
+	return k.access(la, e&SetMask, true)
+}
+
+// access is the one slow path: scan the set, serve a hit like the hit
+// path does, otherwise pick a victim and fill. Reads never dirty a line;
+// write-through no-allocate store misses leave the level untouched (no
+// fill, no RNG draw); write-through allocate fills clean; write-back hits
+// and fills dirty the line.
+//
+//rm:hotpath
+func (k *Kernel) access(la uint64, set uint32, write bool) (AccessBits, uint32) {
+	k.accesses++
+	base := int(set) * k.ways
+	for m := k.valid[set]; m != 0; m &= m - 1 {
+		w := bits.TrailingZeros64(m)
+		if k.addrs[base+w] == la {
+			k.hits++
+			e := set | uint32(w)<<SetBits
+			if write {
+				k.WriteHit(e)
+			} else {
+				k.ReadHit(e, 1)
+			}
+			return BitHit, e
+		}
+	}
+	if write && k.noAlloc {
+		return 0, set
+	}
+	w := k.victim(set)
+	r := k.install(la, set, w, write && k.writeBack)
+	e := set | uint32(w)<<SetBits
+	if k.repl == FIFO { // FIFO stamps on every fill, never on hits
+		k.tick++
+		k.lruTick[base+w] = k.tick
+	} else {
+		k.ReadHit(e, 1) // LRU stamps, PLRU protects, Random keeps no state
+	}
+	return r, e
+}
+
+// victim picks the way a miss in set fills: a free way first under LRU,
+// FIFO and PLRU (then the oldest stamp, or the PLRU tree's choice), any
+// way under Random.
+//
+//rm:hotpath
+func (k *Kernel) victim(set uint32) int {
+	if k.repl == Random {
+		return k.randomWay()
+	}
+	if free := ^k.valid[set] & k.wayMask; free != 0 {
+		return bits.TrailingZeros64(free)
+	}
+	if k.isPLRU {
+		w, node := 0, 0
+		treeBits := k.plru[set]
+		for level := 0; level < k.plruLevels; level++ {
+			bit := int(treeBits >> uint(node) & 1)
+			w = w<<1 | bit
+			node = 2*node + 1 + bit
+		}
+		return w
+	}
+	base := int(set) * k.ways
+	oldest, oldestTick := 0, k.lruTick[base]
+	for i := 1; i < k.ways; i++ {
+		if k.lruTick[base+i] < oldestTick {
+			oldest, oldestTick = i, k.lruTick[base+i]
+		}
+	}
+	return oldest
+}
+
+// randomWay is Random replacement's evict-on-miss draw: any way with
+// probability 1/W, invalid ways included, from the cache's replacement
+// stream (same draw order as the per-access reference model). The draw
+// is unconditional, so every miss path reaches it.
+//
+//rm:hotpath
+func (k *Kernel) randomWay() int { return k.rng.Intn(k.ways) }
 
 // install places la into way w of set, accounting an eviction (and a
-// writeback for a dirty victim), and returns the fill outcome. Shared cold
-// path of every fill.
+// writeback for a dirty victim), and returns the fill outcome.
 //
 //rm:hotpath
 func (k *Kernel) install(la uint64, set uint32, w int, dirty bool) AccessBits {
@@ -185,346 +312,21 @@ func (k *Kernel) install(la uint64, set uint32, w int, dirty bool) AccessBits {
 	return r
 }
 
-// plruProtect updates the PLRU tree so the path to way w points away.
-//
-//rm:hotpath
-func (k *Kernel) plruProtect(set uint32, w int) {
-	node := 0
-	treeBits := k.plru[set]
-	for level := 0; level < k.plruLevels; level++ {
-		bit := (w >> uint(k.plruLevels-1-level)) & 1
-		if bit == 0 {
-			treeBits |= 1 << uint(node)
-		} else {
-			treeBits &^= 1 << uint(node)
-		}
-		node = 2*node + 1 + bit
-	}
-	k.plru[set] = treeBits
-}
-
-// ---------------------------------------------------------------------------
-// Fills: the per-replacement miss paths (victim selection + install).
-
-//rm:hotpath
-func (k *Kernel) fillLRU(la uint64, set uint32, dirty bool) AccessBits {
-	base := int(set) * k.ways
-	var w int
-	if free := ^k.valid[set] & k.wayMask; free != 0 {
-		w = bits.TrailingZeros64(free)
-	} else {
-		oldest, oldestTick := 0, k.lruTick[base]
-		for i := 1; i < k.ways; i++ {
-			if k.lruTick[base+i] < oldestTick {
-				oldest, oldestTick = i, k.lruTick[base+i]
-			}
-		}
-		w = oldest
-	}
-	r := k.install(la, set, w, dirty)
-	k.tick++
-	k.lruTick[base+w] = k.tick
-	return r
-}
-
-//rm:hotpath
-func (k *Kernel) fillFIFO(la uint64, set uint32, dirty bool) AccessBits {
-	base := int(set) * k.ways
-	var w int
-	if free := ^k.valid[set] & k.wayMask; free != 0 {
-		w = bits.TrailingZeros64(free)
-	} else {
-		oldest, oldestTick := 0, k.lruTick[base]
-		for i := 1; i < k.ways; i++ {
-			if k.lruTick[base+i] < oldestTick {
-				oldest, oldestTick = i, k.lruTick[base+i]
-			}
-		}
-		w = oldest
-	}
-	r := k.install(la, set, w, dirty)
-	k.tick++ // FIFO restamps on every fill, never on hits
-	k.lruTick[base+w] = k.tick
-	return r
-}
-
-//rm:hotpath
-func (k *Kernel) fillPLRU(la uint64, set uint32, dirty bool) AccessBits {
-	var w int
-	if free := ^k.valid[set] & k.wayMask; free != 0 {
-		w = bits.TrailingZeros64(free)
-	} else {
+// plruTables returns, per way w, the tree nodes on the PLRU path to w
+// and the node bits that point that path away from w, so a touch is one
+// masked store (see ReadHit).
+func plruTables(ways, levels int) (path, away []uint64) {
+	path, away = make([]uint64, ways), make([]uint64, ways)
+	for w := range path {
 		node := 0
-		treeBits := k.plru[set]
-		for level := 0; level < k.plruLevels; level++ {
-			bit := int(treeBits >> uint(node) & 1)
-			w = w<<1 | bit
+		for level := 0; level < levels; level++ {
+			bit := (w >> uint(levels-1-level)) & 1
+			path[w] |= 1 << uint(node)
+			if bit == 0 {
+				away[w] |= 1 << uint(node)
+			}
 			node = 2*node + 1 + bit
 		}
 	}
-	r := k.install(la, set, w, dirty)
-	k.plruProtect(set, w)
-	return r
-}
-
-//rm:hotpath
-func (k *Kernel) fillRandom(la uint64, set uint32, dirty bool) AccessBits {
-	// Evict-on-miss: any way with probability 1/W, invalid ways included,
-	// drawn from the cache's replacement stream (same draw order as the
-	// per-access reference model).
-	return k.install(la, set, k.rng.Intn(k.ways), dirty)
-}
-
-// ---------------------------------------------------------------------------
-// Read kernels, one per replacement kind. Reads never dirty a line, so the
-// write arrangement only reaches them through the fill's dirty-victim
-// check, which install handles uniformly (write-through levels simply
-// never have dirty bits set).
-
-//rm:hotpath
-func readLRU(k *Kernel, la uint64, set uint32) AccessBits {
-	k.accesses++
-	base := int(set) * k.ways
-	for m := k.valid[set]; m != 0; m &= m - 1 {
-		w := bits.TrailingZeros64(m)
-		if k.addrs[base+w] == la {
-			k.hits++
-			k.tick++
-			k.lruTick[base+w] = k.tick
-			return BitHit
-		}
-	}
-	return k.fillLRU(la, set, false)
-}
-
-//rm:hotpath
-func readFIFO(k *Kernel, la uint64, set uint32) AccessBits {
-	k.accesses++
-	base := int(set) * k.ways
-	for m := k.valid[set]; m != 0; m &= m - 1 {
-		w := bits.TrailingZeros64(m)
-		if k.addrs[base+w] == la {
-			k.hits++ // FIFO ignores touches: stamp only on fill
-			return BitHit
-		}
-	}
-	return k.fillFIFO(la, set, false)
-}
-
-//rm:hotpath
-func readPLRU(k *Kernel, la uint64, set uint32) AccessBits {
-	k.accesses++
-	base := int(set) * k.ways
-	for m := k.valid[set]; m != 0; m &= m - 1 {
-		w := bits.TrailingZeros64(m)
-		if k.addrs[base+w] == la {
-			k.hits++
-			k.plruProtect(set, w)
-			return BitHit
-		}
-	}
-	return k.fillPLRU(la, set, false)
-}
-
-//rm:hotpath
-func readRandom(k *Kernel, la uint64, set uint32) AccessBits {
-	k.accesses++
-	base := int(set) * k.ways
-	for m := k.valid[set]; m != 0; m &= m - 1 {
-		w := bits.TrailingZeros64(m)
-		if k.addrs[base+w] == la {
-			k.hits++ // random replacement is stateless on hits
-			return BitHit
-		}
-	}
-	return k.fillRandom(la, set, false)
-}
-
-// ---------------------------------------------------------------------------
-// Write kernels, one per (replacement kind × write arrangement).
-//
-// Write-through no-allocate: a store hit updates replacement state, a
-// store miss bypasses the level entirely (no fill, no RNG draw).
-// Write-through allocate: a store miss fills, but the line stays clean.
-// Write-back: hits and fills dirty the line; misses always allocate.
-
-//rm:hotpath
-func writeLRUThroughNoAlloc(k *Kernel, la uint64, set uint32) AccessBits {
-	k.accesses++
-	base := int(set) * k.ways
-	for m := k.valid[set]; m != 0; m &= m - 1 {
-		w := bits.TrailingZeros64(m)
-		if k.addrs[base+w] == la {
-			k.hits++
-			k.tick++
-			k.lruTick[base+w] = k.tick
-			return BitHit
-		}
-	}
-	return 0
-}
-
-//rm:hotpath
-func writeLRUThroughAlloc(k *Kernel, la uint64, set uint32) AccessBits {
-	k.accesses++
-	base := int(set) * k.ways
-	for m := k.valid[set]; m != 0; m &= m - 1 {
-		w := bits.TrailingZeros64(m)
-		if k.addrs[base+w] == la {
-			k.hits++
-			k.tick++
-			k.lruTick[base+w] = k.tick
-			return BitHit
-		}
-	}
-	return k.fillLRU(la, set, false)
-}
-
-//rm:hotpath
-func writeLRUBack(k *Kernel, la uint64, set uint32) AccessBits {
-	k.accesses++
-	base := int(set) * k.ways
-	for m := k.valid[set]; m != 0; m &= m - 1 {
-		w := bits.TrailingZeros64(m)
-		if k.addrs[base+w] == la {
-			k.hits++
-			k.tick++
-			k.lruTick[base+w] = k.tick
-			k.dirty[set] |= 1 << uint(w)
-			return BitHit
-		}
-	}
-	return k.fillLRU(la, set, true)
-}
-
-//rm:hotpath
-func writeFIFOThroughNoAlloc(k *Kernel, la uint64, set uint32) AccessBits {
-	k.accesses++
-	base := int(set) * k.ways
-	for m := k.valid[set]; m != 0; m &= m - 1 {
-		w := bits.TrailingZeros64(m)
-		if k.addrs[base+w] == la {
-			k.hits++
-			return BitHit
-		}
-	}
-	return 0
-}
-
-//rm:hotpath
-func writeFIFOThroughAlloc(k *Kernel, la uint64, set uint32) AccessBits {
-	k.accesses++
-	base := int(set) * k.ways
-	for m := k.valid[set]; m != 0; m &= m - 1 {
-		w := bits.TrailingZeros64(m)
-		if k.addrs[base+w] == la {
-			k.hits++
-			return BitHit
-		}
-	}
-	return k.fillFIFO(la, set, false)
-}
-
-//rm:hotpath
-func writeFIFOBack(k *Kernel, la uint64, set uint32) AccessBits {
-	k.accesses++
-	base := int(set) * k.ways
-	for m := k.valid[set]; m != 0; m &= m - 1 {
-		w := bits.TrailingZeros64(m)
-		if k.addrs[base+w] == la {
-			k.hits++
-			k.dirty[set] |= 1 << uint(w)
-			return BitHit
-		}
-	}
-	return k.fillFIFO(la, set, true)
-}
-
-//rm:hotpath
-func writePLRUThroughNoAlloc(k *Kernel, la uint64, set uint32) AccessBits {
-	k.accesses++
-	base := int(set) * k.ways
-	for m := k.valid[set]; m != 0; m &= m - 1 {
-		w := bits.TrailingZeros64(m)
-		if k.addrs[base+w] == la {
-			k.hits++
-			k.plruProtect(set, w)
-			return BitHit
-		}
-	}
-	return 0
-}
-
-//rm:hotpath
-func writePLRUThroughAlloc(k *Kernel, la uint64, set uint32) AccessBits {
-	k.accesses++
-	base := int(set) * k.ways
-	for m := k.valid[set]; m != 0; m &= m - 1 {
-		w := bits.TrailingZeros64(m)
-		if k.addrs[base+w] == la {
-			k.hits++
-			k.plruProtect(set, w)
-			return BitHit
-		}
-	}
-	return k.fillPLRU(la, set, false)
-}
-
-//rm:hotpath
-func writePLRUBack(k *Kernel, la uint64, set uint32) AccessBits {
-	k.accesses++
-	base := int(set) * k.ways
-	for m := k.valid[set]; m != 0; m &= m - 1 {
-		w := bits.TrailingZeros64(m)
-		if k.addrs[base+w] == la {
-			k.hits++
-			k.plruProtect(set, w)
-			k.dirty[set] |= 1 << uint(w)
-			return BitHit
-		}
-	}
-	return k.fillPLRU(la, set, true)
-}
-
-//rm:hotpath
-func writeRandomThroughNoAlloc(k *Kernel, la uint64, set uint32) AccessBits {
-	k.accesses++
-	base := int(set) * k.ways
-	for m := k.valid[set]; m != 0; m &= m - 1 {
-		w := bits.TrailingZeros64(m)
-		if k.addrs[base+w] == la {
-			k.hits++
-			return BitHit
-		}
-	}
-	return 0
-}
-
-//rm:hotpath
-func writeRandomThroughAlloc(k *Kernel, la uint64, set uint32) AccessBits {
-	k.accesses++
-	base := int(set) * k.ways
-	for m := k.valid[set]; m != 0; m &= m - 1 {
-		w := bits.TrailingZeros64(m)
-		if k.addrs[base+w] == la {
-			k.hits++
-			return BitHit
-		}
-	}
-	return k.fillRandom(la, set, false)
-}
-
-//rm:hotpath
-func writeRandomBack(k *Kernel, la uint64, set uint32) AccessBits {
-	k.accesses++
-	base := int(set) * k.ways
-	for m := k.valid[set]; m != 0; m &= m - 1 {
-		w := bits.TrailingZeros64(m)
-		if k.addrs[base+w] == la {
-			k.hits++
-			k.dirty[set] |= 1 << uint(w)
-			return BitHit
-		}
-	}
-	return k.fillRandom(la, set, true)
+	return path, away
 }

@@ -41,9 +41,11 @@ func resultBits(r Result) AccessBits {
 }
 
 // driveEquivalence replays one access sequence through the per-access
-// reference model and the kernel path on identically seeded caches and
-// fails on any divergence: per-access outcomes, per-run Stats, cumulative
-// Stats, occupancy, dirty lines, replacement tick and RNG state.
+// reference model and the kernel — its hit path where the line's last
+// plan entry still hints its way, its slow path otherwise — on
+// identically seeded caches and fails on any divergence: per-access
+// outcomes, per-run Stats, cumulative Stats, occupancy, dirty lines,
+// replacement tick and RNG state.
 func driveEquivalence(t *testing.T, cfg Config, seed uint64, ops []uint16) {
 	t.Helper()
 	ref, err := New(cfg)
@@ -59,21 +61,51 @@ func driveEquivalence(t *testing.T, cfg Config, seed uint64, ops []uint16) {
 	k := NewKernel(kc)
 	k.Begin()
 	before := ref.Stats()
+	hints := make(map[uint64]uint32)
 	for i, op := range ops {
 		la := uint64(op >> 1)
 		set := kc.pol.Index(la)
 		var want Result
-		var got AccessBits
-		if op&1 == 1 {
+		write := op&1 == 1
+		if write {
 			want = ref.Write(la * uint64(cfg.LineBytes))
-			got = k.Write(la, set)
 		} else {
 			want = ref.Read(la * uint64(cfg.LineBytes))
-			got = k.Read(la, set)
+		}
+		// Serve the access the way the replay loops do: the hit path when
+		// the line's last entry still names its way, the slow path
+		// otherwise (with a possibly stale hint that must not matter).
+		var got AccessBits
+		e, ok := hints[la]
+		switch {
+		case ok && k.Hinted(la, e):
+			if write {
+				k.WriteHit(e)
+			} else {
+				k.ReadHit(e, 1)
+			}
+			k.Hits(1)
+			got = BitHit
+		case write:
+			got, e = k.Write(la, set|uint32(i%kc.ways)<<SetBits)
+		default:
+			got, e = k.Read(la, set|uint32(i%kc.ways)<<SetBits)
 		}
 		if got != resultBits(want) {
 			t.Fatalf("%v/%v/%v op %d (la %#x write=%v): kernel %04b, ref %+v",
-				cfg.Placement, cfg.Replacement, cfg.Write, i, la, op&1 == 1, got, want)
+				cfg.Placement, cfg.Replacement, cfg.Write, i, la, write, got, want)
+		}
+		// The returned entry names the way the line now occupies, which is
+		// what a Hinted check then confirms.
+		if e&SetMask != set {
+			t.Fatalf("op %d: entry set %d, want %d", i, e&SetMask, set)
+		}
+		if got != 0 {
+			if !k.Hinted(la, e) {
+				t.Fatalf("%v/%v/%v op %d: returned way %d does not hold la %#x",
+					cfg.Placement, cfg.Replacement, cfg.Write, i, e>>SetBits, la)
+			}
+			hints[la] = e
 		}
 	}
 	delta := k.End()
@@ -171,12 +203,12 @@ func TestKernelReusableAcrossRuns(t *testing.T) {
 			set := kc.pol.Index(la)
 			if op&1 == 1 {
 				want := resultBits(ref.Write(la * uint64(cfg.LineBytes)))
-				if got := k.Write(la, set); got != want {
+				if got, _ := k.Write(la, set); got != want {
 					t.Fatalf("run %d: write diverged: %04b vs %04b", run, got, want)
 				}
 			} else {
 				want := resultBits(ref.Read(la * uint64(cfg.LineBytes)))
-				if got := k.Read(la, set); got != want {
+				if got, _ := k.Read(la, set); got != want {
 					t.Fatalf("run %d: read diverged: %04b vs %04b", run, got, want)
 				}
 			}

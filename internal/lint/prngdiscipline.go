@@ -22,7 +22,7 @@ import (
 //     the compiled kernels and the reference oracle, and a draw that
 //     happens only for some cache contents makes the stream position a
 //     function of the contents. Draws must sit on unconditional paths
-//     (see fillRandom: the victim draw happens on every miss, never
+//     (see randomWay: the victim draw happens on every miss, never
 //     under a tag-dependent branch).
 func PRNGDiscipline() *Analyzer {
 	a := &Analyzer{

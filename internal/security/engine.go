@@ -334,7 +334,7 @@ func (e *Engine) touchAll(ids []int32) {
 func (e *Engine) probeMisses(ids []int32) int {
 	miss := 0
 	for _, id := range ids {
-		if e.k.Read(e.lines[id], e.plan[id])&cache.BitHit == 0 {
+		if b, _ := e.k.Read(e.lines[id], e.plan[id]); b&cache.BitHit == 0 {
 			miss++
 		}
 	}

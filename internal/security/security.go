@@ -299,32 +299,45 @@ type Victim struct {
 	Ops   []uint32 // indices into Lines
 }
 
-// VictimFromTrace compiles a workload trace into a Victim at the attacked
+// VictimFromTrace numbers a workload trace into a Victim at the attacked
 // cache's line size, merging the instruction and data streams (the
-// occupancy channel observes total footprint, not stream identity).
+// occupancy channel observes total footprint, not stream identity):
+// instruction lines first, then data lines, each in first-touch order, and
+// one op per access in trace order. It does not go through trace.Compile,
+// whose same-line read folding is exact only for split L1s: here both
+// streams share one attacked cache.
 func VictimFromTrace(tr trace.Trace) (*Victim, error) {
-	ct, err := trace.Compile(tr, CacheLineBytes)
-	if err != nil {
-		return nil, err
-	}
-	if len(ct.Ops) == 0 {
+	if len(tr) == 0 {
 		return nil, errors.New("security: victim workload built an empty trace")
 	}
-	v := &Victim{
-		Lines: make([]uint64, 0, len(ct.ILines)+len(ct.DLines)),
-		Ops:   make([]uint32, len(ct.Ops)),
-	}
-	v.Lines = append(v.Lines, ct.ILines...)
-	v.Lines = append(v.Lines, ct.DLines...)
-	off := uint32(len(ct.ILines))
-	for i, op := range ct.Ops {
-		if op.Kind == trace.Fetch {
-			v.Ops[i] = op.ID
-		} else {
-			v.Ops[i] = off + op.ID
+	var lines [2][]uint64 // per stream: fetches, then loads and stores
+	ids := [2]map[uint64]uint32{make(map[uint64]uint32), make(map[uint64]uint32)}
+	v := &Victim{Ops: make([]uint32, len(tr))}
+	for i, a := range tr {
+		s := streamOf(a.Kind)
+		la := a.Addr / CacheLineBytes
+		id, ok := ids[s][la]
+		if !ok {
+			id = uint32(len(lines[s]))
+			ids[s][la] = id
+			lines[s] = append(lines[s], la)
 		}
+		v.Ops[i] = id
 	}
+	off := uint32(len(lines[0]))
+	for i, a := range tr {
+		v.Ops[i] += off * uint32(streamOf(a.Kind))
+	}
+	v.Lines = append(lines[0], lines[1]...)
 	return v, nil
+}
+
+// streamOf returns 0 for the instruction stream, 1 for the data stream.
+func streamOf(k trace.Kind) int {
+	if k == trace.Fetch {
+		return 0
+	}
+	return 1
 }
 
 // Aggregate folds the round-indexed outcomes of a campaign into its

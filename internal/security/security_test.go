@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/placement"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -163,6 +164,61 @@ func TestOccupancyKATModuloLRU(t *testing.T) {
 	}
 	if res.Capacity < 0.9 {
 		t.Fatalf("capacity %v bits, want ~1", res.Capacity)
+	}
+}
+
+// TestVictimFromTraceIsUnfolded checks that the occupancy victim keeps
+// one op per access, in trace order, for every workload: both streams
+// share the attacked cache, so the compiled format's same-line read
+// folding (exact only for split L1s) must not reach it. The expected
+// numbering is built directly: instruction lines, then data lines, each
+// in first-touch order.
+func TestVictimFromTraceIsUnfolded(t *testing.T) {
+	if _, err := VictimFromTrace(nil); err == nil {
+		t.Fatal("empty trace accepted")
+	}
+	for _, w := range workload.All() {
+		if testing.Short() && w.Name == "synth160k" {
+			continue
+		}
+		tr := w.Build(workload.DefaultLayout())
+		v, err := VictimFromTrace(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(v.Ops) != len(tr) {
+			t.Fatalf("%s: %d victim ops for %d accesses", w.Name, len(v.Ops), len(tr))
+		}
+		var ilines, dlines []uint64
+		iid, did := map[uint64]int{}, map[uint64]int{}
+		stream := make([]int, len(tr)) // per access: ID within its stream
+		for i, a := range tr {
+			la := a.Addr / CacheLineBytes
+			ids, lines := did, &dlines
+			if a.Kind == trace.Fetch {
+				ids, lines = iid, &ilines
+			}
+			id, ok := ids[la]
+			if !ok {
+				id = len(*lines)
+				ids[la] = id
+				*lines = append(*lines, la)
+			}
+			stream[i] = id
+		}
+		if want := append(append([]uint64{}, ilines...), dlines...); !reflect.DeepEqual(v.Lines, want) {
+			t.Fatalf("%s: victim has %d lines, want %d instruction then %d data lines in first-touch order",
+				w.Name, len(v.Lines), len(ilines), len(dlines))
+		}
+		for i, a := range tr {
+			want := stream[i]
+			if a.Kind != trace.Fetch {
+				want += len(ilines)
+			}
+			if int(v.Ops[i]) != want {
+				t.Fatalf("%s: access %d (%v %#x) numbered %d, want %d", w.Name, i, a.Kind, a.Addr, v.Ops[i], want)
+			}
+		}
 	}
 }
 

@@ -10,21 +10,28 @@ import (
 
 // indexPlan holds the per-run set-index lookup tables of a compiled run:
 // one dense []uint32 per (cache level, line stream), materialized by
-// placement.IndexAll right after a reseed fixes the mappings. The slices
-// live on the Core and are reused across runs, so a campaign's steady
-// state allocates nothing per run.
+// placement.IndexAll right after a reseed fixes the mappings. Each entry
+// packs the line's set (low cache.SetBits bits) with a hint of the way
+// the line last occupied at that level (top 8 bits): the replay loops
+// check the hinted way first and, when the check fails, take the
+// kernel's slow path and store the way it hit or filled back into the
+// entry. Hints never need invalidating, since a stale one only costs one
+// slow-path access; IndexAll writes fresh entries with a way-0 hint. The
+// slices live on the Core and are reused across runs, so a campaign's
+// steady state allocates nothing per run.
 //
 // builtFor remembers which Compiled the current tables describe: plans of
 // deterministic (non-Randomized) placement policies are seed-invariant,
 // so as long as the same Compiled replays they are rebuilt once and then
-// reused across reseeds — a baseline Modulo hierarchy stops paying
-// O(uniqueLines) per run, and a mixed hierarchy (deterministic L1s,
-// randomized L2) pays it only for the randomized levels.
+// reused across reseeds (hints included) — a baseline Modulo hierarchy
+// stops paying O(uniqueLines) per run, and a mixed hierarchy
+// (deterministic L1s, randomized L2) pays it only for the randomized
+// levels.
 type indexPlan struct {
-	il1 []uint32 // IL1 set per instruction line ID
-	dl1 []uint32 // DL1 set per data line ID
-	l2i []uint32 // L2 set per instruction line ID
-	l2d []uint32 // L2 set per data line ID
+	il1 []uint32 // IL1 entry per instruction line ID
+	dl1 []uint32 // DL1 entry per data line ID
+	l2i []uint32 // L2 entry per instruction line ID
+	l2d []uint32 // L2 entry per data line ID
 
 	builtFor *trace.Compiled
 }
@@ -67,11 +74,14 @@ func (c *Core) preparePlans(ct *trace.Compiled) {
 // Flush for a seedless baseline), matching the paper's run-to-completion
 // analysis unit. RunCompiled then refreshes the index plans (skipping
 // seed-invariant deterministic placements, see preparePlans) and replays
-// the ops through the monomorphic cache.Kernel triple bound at platform
-// construction: placement hashing is hoisted out of the loop into array
-// lookups, replacement and write-policy branching is compiled away, and
-// statistics accumulate in kernel-local counters that flush once at run
-// end.
+// the ops through the cache.Kernel triple bound at platform construction.
+// Placement hashing is hoisted out of the loop into array lookups, and an
+// L1 or L2 hit costs one tag compare in the way the plan entry hints plus
+// the kernel's inlined hit update; only misses and way mispredictions
+// call the kernel's slow path. The reads an op folds (trace.Op.Rep) ride
+// along with it, so guaranteed hits cost nothing per access. Hits count
+// in loop locals, and the L1Hit and StoreBus charges every access pays
+// are added once per run.
 //
 // This is the MBPTA campaign hot path: a campaign replays the same
 // Compiled hundreds of times (it is immutable and shared across worker
@@ -90,57 +100,114 @@ func (c *Core) RunCompiled(ct *trace.Compiled) Result {
 	k1.Begin()
 	kd.Begin()
 	k2.Begin()
-	il1Plan, dl1Plan, l2iPlan, l2dPlan := c.plan.il1, c.plan.dl1, c.plan.l2i, c.plan.l2d
-	var cycles uint64
-	lat := c.lat
+	ilines, dlines := ct.ILines, ct.DLines
+	// Reslicing to the line tables' lengths lets one bounds check per
+	// access cover both the line and its plan entry.
+	il1Plan, l2iPlan := c.plan.il1[:len(ilines)], c.plan.l2i[:len(ilines)]
+	dl1Plan, l2dPlan := c.plan.dl1[:len(dlines)], c.plan.l2d[:len(dlines)]
+	lat := &c.lat
+	var cycles, h1, hd, stores uint64
 	for _, op := range ct.Ops {
+		id := op.ID
 		switch op.Kind {
 		case trace.Fetch:
-			cycles += lat.L1Hit
-			la := ct.ILines[op.ID]
-			if k1.Read(la, il1Plan[op.ID])&cache.BitHit == 0 {
-				cycles += lat.L2Hit
-				b := k2.Read(la, l2iPlan[op.ID])
-				if b&cache.BitHit == 0 {
-					cycles += lat.Memory
-				}
-				if b&cache.BitWriteback != 0 {
-					cycles += lat.Writeback
-				}
+			la, e := ilines[id], il1Plan[id]
+			if k1.Hinted(la, e) {
+				n := 1 + uint64(op.Rep)
+				k1.ReadHit(e, n)
+				h1 += n
+			} else if l1Slow(k1, &il1Plan[id], la, op.Rep) {
+				cycles += lat.L2Hit + lat.memory(c.l2Read(la, &l2iPlan[id]))
 			}
 		case trace.Load:
-			cycles += lat.L1Hit
-			la := ct.DLines[op.ID]
-			if kd.Read(la, dl1Plan[op.ID])&cache.BitHit == 0 {
-				cycles += lat.L2Hit
-				b := k2.Read(la, l2dPlan[op.ID])
-				if b&cache.BitHit == 0 {
-					cycles += lat.Memory
-				}
-				if b&cache.BitWriteback != 0 {
-					cycles += lat.Writeback
-				}
+			la, e := dlines[id], dl1Plan[id]
+			if kd.Hinted(la, e) {
+				n := 1 + uint64(op.Rep)
+				kd.ReadHit(e, n)
+				hd += n
+			} else if l1Slow(kd, &dl1Plan[id], la, op.Rep) {
+				cycles += lat.L2Hit + lat.memory(c.l2Read(la, &l2dPlan[id]))
 			}
-		default: // Store
-			cycles += lat.L1Hit + lat.StoreBus
-			la := ct.DLines[op.ID]
-			kd.Write(la, dl1Plan[op.ID]) // write-through: updates line if present
-			b := k2.Write(la, l2dPlan[op.ID])
-			if b&cache.BitFilled != 0 {
-				cycles += lat.Memory // write-allocate fill
-			}
-			if b&cache.BitWriteback != 0 {
-				cycles += lat.Writeback
-			}
+		default:
+			stores++
+			cycles += lat.memory(c.store(dlines[id], &dl1Plan[id], &l2dPlan[id]))
 		}
 	}
+	k1.Hits(h1)
+	kd.Hits(hd)
+	cycles += lat.L1Hit*uint64(ct.Accesses) + lat.StoreBus*stores
 	return Result{
 		Cycles:   cycles,
-		Accesses: len(ct.Ops),
+		Accesses: ct.Accesses,
 		IL1:      k1.End(),
 		DL1:      kd.End(),
 		L2:       k2.End(),
 	}
+}
+
+// l1Slow serves an L1 read whose way hint failed: the kernel's scan and
+// fill, the refreshed hint, then the rep reads folded into the op, which
+// hit. It reports whether the read missed the L1.
+//
+//rm:hotpath
+func l1Slow(k *cache.Kernel, e *uint32, la uint64, rep uint16) bool {
+	var b cache.AccessBits
+	b, *e = k.Read(la, *e)
+	if rep != 0 {
+		k.ReadHit(*e, uint64(rep))
+		k.Hits(uint64(rep))
+	}
+	return b&cache.BitHit == 0
+}
+
+// l2Read serves an L1 read miss at the L2: a hinted hit, otherwise the
+// kernel's slow path, refreshing the hint.
+//
+//rm:hotpath
+func (c *Core) l2Read(la uint64, e *uint32) cache.AccessBits {
+	if c.kl2.Hinted(la, *e) {
+		c.kl2.ReadHit(*e, 1)
+		c.kl2.Hits(1)
+		return cache.BitHit
+	}
+	var b cache.AccessBits
+	b, *e = c.kl2.Read(la, *e)
+	return b
+}
+
+// store serves a store. The L1 is write-through, so it only updates a
+// present line, and the L2 sees every store. Hits take the hinted way;
+// the slow paths refresh the hints. It returns the L2's access bits.
+//
+//rm:hotpath
+func (c *Core) store(la uint64, e1, e2 *uint32) cache.AccessBits {
+	if c.kdl1.Hinted(la, *e1) {
+		c.kdl1.WriteHit(*e1)
+		c.kdl1.Hits(1)
+	} else {
+		_, *e1 = c.kdl1.Write(la, *e1)
+	}
+	if c.kl2.Hinted(la, *e2) {
+		c.kl2.WriteHit(*e2)
+		c.kl2.Hits(1)
+		return cache.BitHit
+	}
+	var b cache.AccessBits
+	b, *e2 = c.kl2.Write(la, *e2)
+	return b
+}
+
+// memory returns the memory-side cycles of an L2 access: a line filled
+// from memory, a dirty victim written back.
+func (l *Latencies) memory(b cache.AccessBits) uint64 {
+	var cycles uint64
+	if b&cache.BitFilled != 0 {
+		cycles += l.Memory
+	}
+	if b&cache.BitWriteback != 0 {
+		cycles += l.Writeback
+	}
+	return cycles
 }
 
 // badLineSize is the replay loops' cold panic helper: formatting stays off

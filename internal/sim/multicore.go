@@ -108,7 +108,8 @@ func (s *System) RunAll(cts []*trace.Compiled) []Result {
 			break
 		}
 		ct := cts[sel]
-		local, memTxns := s.cores[sel].step(ct, ct.Ops[pos[sel]])
+		op := ct.Ops[pos[sel]]
+		local, memTxns := s.cores[sel].step(ct, op)
 		pos[sel]++
 		t := clocks[sel] + local
 		for k := 0; k < memTxns; k++ {
@@ -120,7 +121,9 @@ func (s *System) RunAll(cts []*trace.Compiled) []Result {
 			lastGrant = sel
 			t = grant + s.busService + (s.lat.Memory - s.busService)
 		}
-		clocks[sel] = t
+		// The folded reads that directly followed op are L1 hits: they
+		// retire right after it, one L1Hit each.
+		clocks[sel] = t + uint64(op.Trail)*s.lat.L1Hit
 	}
 
 	for i, c := range s.cores {
@@ -129,7 +132,7 @@ func (s *System) RunAll(cts []*trace.Compiled) []Result {
 		}
 		results[i] = Result{
 			Cycles:   clocks[i],
-			Accesses: len(cts[i].Ops),
+			Accesses: cts[i].Accesses,
 			IL1:      c.kil1.End(),
 			DL1:      c.kdl1.End(),
 			L2:       c.kl2.End(),
@@ -140,42 +143,53 @@ func (s *System) RunAll(cts []*trace.Compiled) []Result {
 
 // step replays one op of ct through the core's kernels and returns the
 // core-local cycles plus the number of memory-bus transactions it needs
-// (an L2 miss or fill, and an L2 dirty-victim writeback, one each). The
-// index plans must already describe ct.
+// (an L2 fill, and an L2 dirty-victim writeback, one each). The reads
+// folded into the op are L1 hits, so they add no transactions; their
+// cycles are charged where they stood in the trace, through the Trail of
+// the op they followed (see RunAll). The index plans must already
+// describe ct.
 func (c *Core) step(ct *trace.Compiled, op trace.Op) (local uint64, memTxns int) {
 	lat := c.lat
+	id := op.ID
 	var b cache.AccessBits
 	switch op.Kind {
 	case trace.Fetch:
 		local = lat.L1Hit
-		if c.kil1.Read(ct.ILines[op.ID], c.plan.il1[op.ID])&cache.BitHit != 0 {
+		la := ct.ILines[id]
+		if !l1Read(c.kil1, &c.plan.il1[id], la, op.Rep) {
 			return local, 0
 		}
 		local += lat.L2Hit
-		b = c.kl2.Read(ct.ILines[op.ID], c.plan.l2i[op.ID])
-		if b&cache.BitHit == 0 {
-			memTxns++
-		}
+		b = c.l2Read(la, &c.plan.l2i[id])
 	case trace.Load:
 		local = lat.L1Hit
-		if c.kdl1.Read(ct.DLines[op.ID], c.plan.dl1[op.ID])&cache.BitHit != 0 {
+		la := ct.DLines[id]
+		if !l1Read(c.kdl1, &c.plan.dl1[id], la, op.Rep) {
 			return local, 0
 		}
 		local += lat.L2Hit
-		b = c.kl2.Read(ct.DLines[op.ID], c.plan.l2d[op.ID])
-		if b&cache.BitHit == 0 {
-			memTxns++
-		}
+		b = c.l2Read(la, &c.plan.l2d[id])
 	default: // Store
 		local = lat.L1Hit + lat.StoreBus
-		c.kdl1.Write(ct.DLines[op.ID], c.plan.dl1[op.ID]) // write-through: updates line if present
-		b = c.kl2.Write(ct.DLines[op.ID], c.plan.l2d[op.ID])
-		if b&cache.BitFilled != 0 {
-			memTxns++ // write-allocate fill
-		}
+		b = c.store(ct.DLines[id], &c.plan.dl1[id], &c.plan.l2d[id])
+	}
+	if b&cache.BitFilled != 0 {
+		memTxns++
 	}
 	if b&cache.BitWriteback != 0 {
 		memTxns++
 	}
 	return local, memTxns
+}
+
+// l1Read serves an L1 read and the rep reads folded into it: a hinted
+// hit, otherwise l1Slow. It reports whether the read missed the L1.
+func l1Read(k *cache.Kernel, e *uint32, la uint64, rep uint16) bool {
+	if k.Hinted(la, *e) {
+		n := 1 + uint64(rep)
+		k.ReadHit(*e, n)
+		k.Hits(n)
+		return false
+	}
+	return l1Slow(k, e, la, rep)
 }

@@ -26,7 +26,7 @@ func (c *Core) Run(tr trace.Trace) Result {
 	lat := c.lat
 	l2Read := func(la uint64) uint64 {
 		cycles := lat.L2Hit
-		b := k2.Read(la, lp.Index(la))
+		b, _ := k2.Read(la, lp.Index(la))
 		if b&cache.BitHit == 0 {
 			cycles += lat.Memory
 		}
@@ -40,18 +40,18 @@ func (c *Core) Run(tr trace.Trace) Result {
 		switch a.Kind {
 		case trace.Fetch:
 			cycles += lat.L1Hit
-			if k1.Read(la, ip.Index(la))&cache.BitHit == 0 {
+			if b, _ := k1.Read(la, ip.Index(la)); b&cache.BitHit == 0 {
 				cycles += l2Read(la)
 			}
 		case trace.Load:
 			cycles += lat.L1Hit
-			if kd.Read(la, dp.Index(la))&cache.BitHit == 0 {
+			if b, _ := kd.Read(la, dp.Index(la)); b&cache.BitHit == 0 {
 				cycles += l2Read(la)
 			}
 		default: // Store
 			cycles += lat.L1Hit + lat.StoreBus
 			kd.Write(la, dp.Index(la)) // write-through: updates line if present
-			b := k2.Write(la, lp.Index(la))
+			b, _ := k2.Write(la, lp.Index(la))
 			if b&cache.BitFilled != 0 {
 				cycles += lat.Memory // write-allocate fill
 			}
@@ -85,4 +85,32 @@ func compileAll(t testing.TB, lineBytes int, traces ...trace.Trace) []*trace.Com
 		cts[i] = ct
 	}
 	return cts
+}
+
+// compileUnfolded is trace.Compile without the fold: the same line tables
+// and one op per access in trace order, every Rep and Trail zero. It is
+// the oracle of the folded format: replaying either must give the same
+// Result, single-core and under the shared bus.
+func compileUnfolded(t testing.TB, tr trace.Trace, lineBytes int) *trace.Compiled {
+	t.Helper()
+	ct, err := trace.Compile(tr, lineBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := [2]map[uint64]uint32{{}, {}}
+	for s, lines := range [2][]uint64{ct.ILines, ct.DLines} {
+		for id, la := range lines {
+			ids[s][la] = uint32(id)
+		}
+	}
+	shift := uint(bits.TrailingZeros(uint(lineBytes)))
+	ops := make([]trace.Op, len(tr))
+	for i, a := range tr {
+		s := 1
+		if a.Kind == trace.Fetch {
+			s = 0
+		}
+		ops[i] = trace.Op{ID: ids[s][a.Addr>>shift], Kind: a.Kind}
+	}
+	return &trace.Compiled{Ops: ops, ILines: ct.ILines, DLines: ct.DLines, LineBytes: lineBytes, Accesses: len(tr)}
 }

@@ -94,10 +94,8 @@ type Core struct {
 
 	// plan is the reusable per-run index-plan scratch (see RunCompiled).
 	plan indexPlan
-	// kil1/kdl1/kl2 are the monomorphic replay kernels, bound once per
-	// level at construction (each kernel aliases its cache's tag state
-	// and pre-selects the access functions for the level's replacement
-	// kind and write arrangement).
+	// kil1/kdl1/kl2 are the replay kernels, bound once per level at
+	// construction (each kernel aliases its cache's tag state).
 	kil1, kdl1, kl2 *cache.Kernel
 }
 

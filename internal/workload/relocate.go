@@ -54,9 +54,12 @@ type anchor struct {
 // min(lineBytes, LineBytes) bytes: a granule never straddles a line and
 // moves as one piece under any such layout, so objects that share a line
 // at the base layout but separate later stay exact. Two IDs may name the
-// same line address; replay keys on line addresses, so that is harmless.
+// same line address; replay keys on line addresses, so that is harmless
+// (each ID keeps its own way hint, and a stale one costs one slow-path
+// access).
 type Relocatable struct {
-	ops        []trace.Op
+	ops        []trace.Op // folded, see trace.Fold
+	accesses   int
 	iref, dref []anchor
 	base       Layout
 	lineBytes  int
@@ -120,16 +123,19 @@ func (w Workload) Relocatable(base Layout, lineBytes int) (*Relocatable, error) 
 		}
 		r.ops[i] = trace.Op{ID: id, Kind: a.Kind}
 	}
+	r.accesses = len(r.ops)
+	r.ops = trace.Fold(r.ops)
 	return r, nil
 }
 
 // Len returns the number of accesses of the compiled trace.
-func (r *Relocatable) Len() int { return len(r.ops) }
+func (r *Relocatable) Len() int { return r.accesses }
 
 // Relocate returns the compiled trace of the workload at layout l: the
-// shared ops plus fresh line tables, equal line for line to
-// trace.Compile(w.Build(l), lineBytes). It costs O(unique lines), not
-// O(accesses). Each call returns a new *trace.Compiled, since replay
+// shared ops plus fresh line tables, replaying exactly like
+// trace.Compile(w.Build(l), lineBytes): every stream touches the same
+// line sequence, though the ops may fold differently where two IDs share
+// a line. It costs O(unique lines), not O(accesses). Each call returns a new *trace.Compiled, since replay
 // caches per-Compiled index plans. Relocate panics if a field of l moved
 // from the base by other than a multiple of the granule, which no
 // RandomizedLayoutFrom draw does.
@@ -147,6 +153,7 @@ func (r *Relocatable) Relocate(l Layout) *trace.Compiled {
 		ILines:    r.lines(r.iref, &delta),
 		DLines:    r.lines(r.dref, &delta),
 		LineBytes: r.lineBytes,
+		Accesses:  r.accesses,
 	}
 }
 

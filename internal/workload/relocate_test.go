@@ -5,43 +5,93 @@ import (
 	"math/bits"
 	"testing"
 
+	"repro/internal/cache"
+	"repro/internal/placement"
 	"repro/internal/prng"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
-// lineOf returns the line address op touches in c.
-func lineOf(c *trace.Compiled, op trace.Op) uint64 {
-	if op.Kind == trace.Fetch {
-		return c.ILines[op.ID]
+// streamLines expands c into the line-address sequence of each stream
+// (0 = fetches, 1 = loads and stores), one entry per access, with the
+// kind of each.
+func streamLines(c *trace.Compiled) [2][]trace.Access {
+	var out [2][]trace.Access
+	for _, op := range c.Ops {
+		s, la := 1, uint64(0)
+		if op.Kind == trace.Fetch {
+			s, la = 0, c.ILines[op.ID]
+		} else {
+			la = c.DLines[op.ID]
+		}
+		for r := 0; r <= int(op.Rep); r++ {
+			out[s] = append(out[s], trace.Access{Addr: la, Kind: op.Kind})
+		}
 	}
-	return c.DLines[op.ID]
+	return out
+}
+
+// replayCore builds a small RM/Random hierarchy at lineBytes, so the
+// replay comparison sees misses, evictions and writebacks.
+func replayCore(t *testing.T, lineBytes int) *sim.Core {
+	t.Helper()
+	mk := func(name string, size int, w cache.WritePolicy) cache.Config {
+		return cache.Config{
+			Name: name, SizeBytes: size, Ways: 4, LineBytes: lineBytes,
+			Placement: placement.RM, Replacement: cache.Random, Write: w,
+		}
+	}
+	c, err := sim.New(sim.Config{
+		IL1: mk("IL1", 64*lineBytes, cache.WriteThrough),
+		DL1: mk("DL1", 64*lineBytes, cache.WriteThrough),
+		L2:  mk("L2", 512*lineBytes, cache.WriteBack),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 // checkRelocation compiles w relocatably at base and checks that, at base
-// itself and at the layout RandomizedLayoutFrom draws from seed, every op
-// touches the same line with the same kind as trace.Compile of a fresh
-// build at that layout.
+// itself and at the layout RandomizedLayoutFrom draws from seed, the
+// relocated trace replays like trace.Compile of a fresh build at that
+// layout: per stream the same sequence of kinds and line addresses, the
+// same access count, and the same replay Result on a core reseeded alike.
+// The ops themselves may differ: relocation numbers granules, not lines,
+// so where two IDs share a line they fold apart.
 func checkRelocation(t *testing.T, w Workload, base Layout, lineBytes int, seed uint64) {
 	t.Helper()
 	rel, err := w.Relocatable(base, lineBytes)
 	if err != nil {
 		t.Fatalf("%s: %v", w.Name, err)
 	}
+	a, b := replayCore(t, lineBytes), replayCore(t, lineBytes)
 	for _, l := range []Layout{base, RandomizedLayoutFrom(base, prng.New(seed))} {
 		got := rel.Relocate(l)
 		want, err := trace.Compile(w.Build(l), lineBytes)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got.Ops) != len(want.Ops) || got.LineBytes != want.LineBytes {
-			t.Fatalf("%s: relocated %d ops of %d B lines, rebuilt %d of %d B",
-				w.Name, len(got.Ops), got.LineBytes, len(want.Ops), want.LineBytes)
+		if got.Len() != want.Len() || got.LineBytes != want.LineBytes {
+			t.Fatalf("%s: relocated %d accesses of %d B lines, rebuilt %d of %d B",
+				w.Name, got.Len(), got.LineBytes, want.Len(), want.LineBytes)
 		}
-		for i, op := range got.Ops {
-			if op.Kind != want.Ops[i].Kind || lineOf(got, op) != lineOf(want, want.Ops[i]) {
-				t.Fatalf("%s (%d B lines, layout %+v): op %d relocated to %v line %#x, rebuilt %v line %#x",
-					w.Name, lineBytes, l, i, op.Kind, lineOf(got, op), want.Ops[i].Kind, lineOf(want, want.Ops[i]))
+		gs, ws := streamLines(got), streamLines(want)
+		for s := range gs {
+			if len(gs[s]) != len(ws[s]) {
+				t.Fatalf("%s: stream %d has %d accesses relocated, %d rebuilt", w.Name, s, len(gs[s]), len(ws[s]))
 			}
+			for i := range gs[s] {
+				if gs[s][i] != ws[s][i] {
+					t.Fatalf("%s (%d B lines, layout %+v): stream %d access %d relocated to %v line %#x, rebuilt %v line %#x",
+						w.Name, lineBytes, l, s, i, gs[s][i].Kind, gs[s][i].Addr, ws[s][i].Kind, ws[s][i].Addr)
+				}
+			}
+		}
+		a.Reseed(seed)
+		b.Reseed(seed)
+		if rg, rw := a.RunCompiled(got), b.RunCompiled(want); rg != rw {
+			t.Fatalf("%s (%d B lines, layout %+v): relocated replay %+v, rebuilt %+v", w.Name, lineBytes, l, rg, rw)
 		}
 	}
 }
@@ -91,8 +141,8 @@ func TestRelocatableRejectsLayoutDependentTraces(t *testing.T) {
 }
 
 // FuzzRelocate checks relocation against a full rebuild for a fuzzed base
-// layout, line size and run-layout seed: every op must touch the line
-// trace.Compile(w.Build(layout)) gives it.
+// layout, line size and run-layout seed: each stream must touch the lines
+// trace.Compile(w.Build(layout)) gives it, in order, and replay alike.
 func FuzzRelocate(f *testing.F) {
 	d := BaselineLayout()
 	f.Add(uint8(9), d.Code, d.Data, d.Table, d.Stack, d.Pool, uint64(0), uint8(5), uint64(1))
