@@ -42,15 +42,19 @@ vuln:
 		echo "vuln: govulncheck not installed; skipping"; \
 	fi
 
-# Seed-corpus fuzz pass over the kernel equivalence oracle, the hinted
-# and folded replay against the per-access reference, the lackey trace
-# parser and the baseline's trace relocation (CI runs the same targets
-# with a time budget).
+# Seed-corpus fuzz pass over the kernel equivalence oracle, the hinted,
+# folded and hit-eliding replay against the per-access reference, the
+# lackey trace parser, the baseline's trace relocation and the parsers of
+# untrusted bytes: service requests, checkpoints and durable-store blobs
+# (CI runs the same targets with a time budget).
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzAccessEquivalence -fuzztime=10s ./internal/cache
 	$(GO) test -run='^$$' -fuzz=FuzzCompiledReplay -fuzztime=10s ./internal/sim
 	$(GO) test -run='^$$' -fuzz=FuzzParseLackey -fuzztime=10s ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzRelocate -fuzztime=10s ./internal/workload
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeWireRequest -fuzztime=10s ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeCheckpoint -fuzztime=10s ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzUnenvelope -fuzztime=10s ./internal/service
 
 test:
 	$(GO) test ./...

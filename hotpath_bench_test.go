@@ -40,9 +40,11 @@ func hotPathSetup(b *testing.B, kind placement.Kind) (*sim.Core, *trace.Compiled
 // BenchmarkHotPathCompiled measures the compiled replay: per run, index
 // plans over the trace's unique lines (rebuilt only for randomized
 // placements after the first run), then the way-hinted replay of the
-// folded ops. It reports accesses/op and ops/op, whose ratio is the fold
-// ratio. The steady state must report 0 allocs/op: the first run's plan
-// allocation happens in the warm-up before the timer.
+// folded ops the run's mapping can make miss. It reports accesses/op and
+// ops/op, whose ratio is the fold ratio, and replayed-ops/op, the mean
+// number of ops a run replays after skipping its guaranteed L1 hits. The
+// steady state must report 0 allocs/op: the first run's plan allocation
+// happens in the warm-up before the timer.
 func BenchmarkHotPathCompiled(b *testing.B) {
 	for _, kind := range placement.Kinds() {
 		b.Run(kind.String(), func(b *testing.B) {
@@ -51,12 +53,15 @@ func BenchmarkHotPathCompiled(b *testing.B) {
 			p.RunCompiled(ct) // warm-up: allocate the index plans
 			b.ReportAllocs()
 			b.ResetTimer()
+			replayed := 0
 			for i := 0; i < b.N; i++ {
 				p.Reseed(prng.Derive(0xBE7C4, i))
 				p.RunCompiled(ct)
+				replayed += p.ReplayedOps()
 			}
 			b.ReportMetric(float64(ct.Len()), "accesses/op")
 			b.ReportMetric(float64(len(ct.Ops)), "ops/op")
+			b.ReportMetric(float64(replayed)/float64(b.N), "replayed-ops/op")
 		})
 	}
 }

@@ -180,6 +180,10 @@ type Cache struct {
 	plru    []uint64 // PLRU: per-set tree bits
 	rng     *prng.PRNG
 
+	// cold holds from construction and every Flush until the level's
+	// next access (see Kernel.access): the level is empty.
+	cold bool
+
 	stats Stats
 }
 
@@ -215,6 +219,7 @@ func NewWithPolicy(cfg Config, pol placement.Policy) (*Cache, error) {
 		dirty: make([]uint64, cfg.Sets()),
 		repl:  cfg.Replacement,
 		rng:   prng.New(initialStream(cfg.Name)),
+		cold:  true,
 	}
 	switch cfg.Replacement {
 	case LRU, FIFO:
@@ -287,6 +292,40 @@ func (c *Cache) Flush() {
 		}
 	}
 	c.stats.Flushes++
+	c.cold = true
+}
+
+// HitElisionLimit returns how many allocating lines (lines a read or,
+// on a level that allocates on write, a store fills in) one set of this
+// level may hold in a run for every read of each of them after its first
+// to be a hit a replay may skip, or 0 if no read may be skipped.
+//
+// Skipping needs a cold level (no access since construction, Flush or
+// Reseed), so every set starts empty, and a replacement kind whose hits
+// leave no state. Random draws its victim among all ways, invalid ones
+// included, so a second line filling into the set can evict the first:
+// the limit is 1. FIFO fills invalid ways first, so up to Ways lines
+// never evict each other: the limit is Ways. LRU and PLRU fill invalid
+// ways first too, but their hits update stamps and tree bits that a
+// later warm run would see, so they skip nothing.
+func (c *Cache) HitElisionLimit() int {
+	if !c.cold {
+		return 0
+	}
+	switch c.repl {
+	case Random:
+		return 1
+	case FIFO:
+		return c.ways
+	default:
+		return 0
+	}
+}
+
+// AllocatesOnWrite reports whether a store miss fills the line in: on a
+// write-back level, or a write-through one with AllocOnWrite.
+func (c *Cache) AllocatesOnWrite() bool {
+	return c.cfg.Write == WriteBack || c.cfg.AllocOnWrite
 }
 
 // LookupLine reports whether line la is present in set, which must equal

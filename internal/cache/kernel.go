@@ -102,7 +102,7 @@ func NewKernel(c *Cache) *Kernel {
 		isLRU:      c.repl == LRU,
 		isPLRU:     c.repl == PLRU,
 		writeBack:  c.cfg.Write == WriteBack,
-		noAlloc:    c.cfg.Write == WriteThrough && !c.cfg.AllocOnWrite,
+		noAlloc:    !c.AllocatesOnWrite(),
 	}
 	if k.isPLRU {
 		k.plruPath, k.plruAway = plruTables(k.ways, k.plruLevels)
@@ -218,6 +218,7 @@ func (k *Kernel) Write(la uint64, e uint32) (AccessBits, uint32) {
 //rm:hotpath
 func (k *Kernel) access(la uint64, set uint32, write bool) (AccessBits, uint32) {
 	k.accesses++
+	k.c.cold = false
 	base := int(set) * k.ways
 	for m := k.valid[set]; m != 0; m &= m - 1 {
 		w := bits.TrailingZeros64(m)

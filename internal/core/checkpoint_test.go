@@ -18,7 +18,7 @@ import (
 
 // ckptRequests returns one request per campaign kind, all with Analyze
 // where it applies, sized so campaigns afford several chunks per worker.
-func ckptRequests(t *testing.T) []Request {
+func ckptRequests(t testing.TB) []Request {
 	t.Helper()
 	w, err := workload.ByName("tblook01")
 	if err != nil {
@@ -39,7 +39,7 @@ func ckptRequests(t *testing.T) []Request {
 // interruptAt runs req until a checkpoint at or past cutEvery fires, then
 // cancels, and returns the captured checkpoint round-tripped through the
 // wire codec. Returns nil if the campaign completed before capturing.
-func interruptAt(t *testing.T, req Request, workers, cutEvery int) *Checkpoint {
+func interruptAt(t testing.TB, req Request, workers, cutEvery int) *Checkpoint {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -560,12 +560,6 @@ func WithWorkers(n int) EngineOption {
 	return func(e *Engine) { e.runner.Pool = NewPool(n) }
 }
 
-// WithPool shares an existing pool with another Engine or with custom
-// ShardRunsPool sweeps.
-func WithPool(p *Pool) EngineOption {
-	return func(e *Engine) { e.runner.Pool = p }
-}
-
 // WithEvents installs a progress sink. Deliveries are serialized, so the
 // sink needs no locking; see Event for the rest of the contract (fast,
 // non-blocking, no re-entry). A channel-backed sink over a generously

@@ -271,10 +271,10 @@ func (s *Server) worker() {
 			s.jobsRunning.Add(-1)
 			canceled := err != nil &&
 				(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
-			j.finish(res, err, canceled, time.Now())
 			if s.disk != nil {
-				s.persistOutcome(j, err, canceled)
+				s.persistOutcome(j, res, err, canceled)
 			}
+			j.finish(res, err, canceled, time.Now())
 		}
 	}
 }
@@ -344,9 +344,10 @@ func (s *Server) writeCheckpoint(j *Job, cp *core.Checkpoint) {
 // success persists the result and retires the checkpoint; a hard failure
 // retires the checkpoint (the failure is deterministic, resuming would
 // only fail again); a cancellation keeps the checkpoint so the campaign
-// resumes after restart. Runs in the job worker after finish, so the
-// submitter never waits on the disk.
-func (s *Server) persistOutcome(j *Job, err error, canceled bool) {
+// resumes after restart. Runs in the job worker before finish, so a job
+// reports its terminal state only once that state is durable: whoever
+// sees a job done finds its result persisted and its checkpoint retired.
+func (s *Server) persistOutcome(j *Job, res core.Result, err error, canceled bool) {
 	defer func() {
 		if recover() != nil {
 			s.disk.writeErrors.Add(1)
@@ -354,10 +355,10 @@ func (s *Server) persistOutcome(j *Job, err error, canceled bool) {
 	}()
 	switch {
 	case err == nil:
-		_, _, res, _, _, _ := j.Snapshot()
+		res.Name = j.Wire.Label()
 		payload, merr := json.Marshal(persistedResult{
 			Wire:     j.Wire,
-			Result:   resultOf(res),
+			Result:   resultOf(&res),
 			Snapshot: snapshotOf(j.Progress()),
 		})
 		if merr == nil && s.disk.PutResult(j.Fingerprint, payload) == nil {

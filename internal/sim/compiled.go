@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/cache"
 	"repro/internal/placement"
@@ -27,18 +28,31 @@ import (
 // stops paying O(uniqueLines) per run, and a mixed hierarchy
 // (deterministic L1s, randomized L2) pays it only for the randomized
 // levels.
+//
+// The plan also selects the ops a run replays: keep has one bit per op
+// (trace.ReplayIndex layout). keepOps rebuilds it every run from the
+// fresh L1 plans with a set-occupancy pass over the line IDs, O(unique
+// lines): it counts the allocating lines each L1 set receives under this
+// run's mapping and keeps, beside the trace's must-replay ops, every
+// later read of a line whose set holds more than the level's
+// cache.HitElisionLimit (1 under Random, Ways under FIFO, on a cold
+// level; 0, keeping the whole stream, on a warm, LRU or PLRU level). occ
+// is that pass's per-set counter scratch, all zero between runs.
 type indexPlan struct {
 	il1 []uint32 // IL1 entry per instruction line ID
 	dl1 []uint32 // DL1 entry per data line ID
 	l2i []uint32 // L2 entry per instruction line ID
 	l2d []uint32 // L2 entry per data line ID
 
+	keep []uint64 // per 64-op block: the ops this run replays
+	occ  []uint32 // per L1 set: allocating lines this run (keepOps)
+
 	builtFor *trace.Compiled
 }
 
-func planSlot(buf []uint32, n int) []uint32 {
+func planSlot[T uint32 | uint64](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]uint32, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }
@@ -54,6 +68,7 @@ func (c *Core) preparePlans(ct *trace.Compiled) {
 		c.plan.dl1 = planSlot(c.plan.dl1, len(ct.DLines))
 		c.plan.l2i = planSlot(c.plan.l2i, len(ct.ILines))
 		c.plan.l2d = planSlot(c.plan.l2d, len(ct.DLines))
+		c.plan.keep = planSlot(c.plan.keep, trace.Blocks(len(ct.Ops)))
 	}
 	if fresh || c.il1.Policy().Randomized() {
 		placement.IndexAll(c.il1.Policy(), ct.ILines, c.plan.il1)
@@ -66,6 +81,83 @@ func (c *Core) preparePlans(ct *trace.Compiled) {
 		placement.IndexAll(c.l2.Policy(), ct.DLines, c.plan.l2d)
 	}
 	c.plan.builtFor = ct
+}
+
+// keepOps fills the plan's keep mask for this run of ct and returns the
+// accesses of the reads it skips at IL1 and DL1, which all hit. It must
+// run after preparePlans and before the run's first access, while the
+// levels' cold state still describes the run's start. A run in which
+// neither L1 may skip reads, or of a Compiled without an Index, keeps
+// every op without building the index's tables.
+//
+//rm:hotpath
+func (c *Core) keepOps(ct *trace.Compiled) (skipI, skipD uint64) {
+	keep := c.plan.keep
+	limI, limD := c.il1.HitElisionLimit(), c.dl1.HitElisionLimit()
+	if ct.Index == nil || limI == 0 && limD == 0 {
+		for b := range keep {
+			keep[b] = ^uint64(0)
+		}
+		if n := len(ct.Ops) & 63; n != 0 {
+			keep[len(keep)-1] = 1<<n - 1
+		}
+		return 0, 0
+	}
+	t := ct.Index.Tables()
+	copy(keep, t.Must)
+	skipI = elide(keep, &t.I, c.plan.il1, c.plan.occ, limI, trace.UseRead)
+	alloc := trace.UseRead
+	if c.dl1.AllocatesOnWrite() {
+		alloc |= trace.UseStore
+	}
+	skipD = elide(keep, &t.D, c.plan.dl1, c.plan.occ, limD, alloc)
+	return skipI, skipD
+}
+
+// elide adds to keep the later reads of one stream that its L1 may miss
+// in this run and returns the accesses of the others. A line allocates
+// when its use flags meet alloc; a set holding more than limit
+// allocating lines keeps every later read of its lines, and limit 0
+// keeps the whole stream. occ must be zero on entry and is on return.
+//
+//rm:hotpath
+func elide(keep []uint64, r *trace.LineReads, plan []uint32, occ []uint32, limit int, alloc uint8) uint64 {
+	if limit == 0 {
+		for b, m := range r.All {
+			keep[b] |= m
+		}
+		return 0
+	}
+	plan = plan[:len(r.Use)]
+	for id, u := range r.Use {
+		if u&alloc != 0 {
+			occ[plan[id]&cache.SetMask]++
+		}
+	}
+	var skipped uint64
+	for id, e := range plan {
+		if occ[e&cache.SetMask] <= uint32(limit) {
+			skipped += r.Hits[id]
+			continue
+		}
+		for _, i := range r.At[r.Off[id]:r.Off[id+1]] {
+			keep[i>>6] |= 1 << (i & 63)
+		}
+	}
+	for _, e := range plan {
+		occ[e&cache.SetMask] = 0
+	}
+	return skipped
+}
+
+// ReplayedOps returns the number of ops the last RunCompiled replayed;
+// it skipped the rest as guaranteed L1 hits.
+func (c *Core) ReplayedOps() int {
+	n := 0
+	for _, m := range c.plan.keep {
+		n += bits.OnesCount64(m)
+	}
+	return n
 }
 
 // RunCompiled executes a compiled trace to completion and returns its
@@ -83,6 +175,21 @@ func (c *Core) preparePlans(ct *trace.Compiled) {
 // in loop locals, and the L1Hit and StoreBus charges every access pays
 // are added once per run.
 //
+// RunCompiled replays only the ops this run's mapping can make miss:
+// every store, each line ID's first read, and every read of a line whose
+// L1 set is contended in this run (the trace's ReplayIndex and keepOps).
+// A set is uncontended when it receives at most
+// cache.HitElisionLimit allocating lines: 1 under Random, Ways under
+// FIFO, on a level that is cold (no access since construction, Flush or
+// Reseed). There, a line's first read leaves it resident, no other fill
+// reaches the set, and a Random or FIFO hit changes no state, so each
+// later read is a hit that neither draws replacement randomness nor
+// reaches the L2; the skipped reads' hits go into the kernel counters in
+// bulk. A warm level, and an LRU or PLRU one (whose hits move stamps and
+// tree bits a later warm run would see), keeps every op of its stream:
+// the same loop with every bit kept. Results, cumulative statistics and
+// the replacement streams are bit-identical to replaying every op.
+//
 // This is the MBPTA campaign hot path: a campaign replays the same
 // Compiled hundreds of times (it is immutable and shared across worker
 // cores) while only the seeds change.
@@ -95,6 +202,7 @@ func (c *Core) RunCompiled(ct *trace.Compiled) Result {
 		badLineSize(ct.LineBytes, c.lineBytes)
 	}
 	c.preparePlans(ct)
+	skipI, skipD := c.keepOps(ct)
 
 	k1, kd, k2 := c.kil1, c.kdl1, c.kl2
 	k1.Begin()
@@ -106,35 +214,39 @@ func (c *Core) RunCompiled(ct *trace.Compiled) Result {
 	il1Plan, l2iPlan := c.plan.il1[:len(ilines)], c.plan.l2i[:len(ilines)]
 	dl1Plan, l2dPlan := c.plan.dl1[:len(dlines)], c.plan.l2d[:len(dlines)]
 	lat := &c.lat
+	ops := ct.Ops
 	var cycles, h1, hd, stores uint64
-	for _, op := range ct.Ops {
-		id := op.ID
-		switch op.Kind {
-		case trace.Fetch:
-			la, e := ilines[id], il1Plan[id]
-			if k1.Hinted(la, e) {
-				n := 1 + uint64(op.Rep)
-				k1.ReadHit(e, n)
-				h1 += n
-			} else if l1Slow(k1, &il1Plan[id], la, op.Rep) {
-				cycles += lat.L2Hit + lat.memory(c.l2Read(la, &l2iPlan[id]))
+	for b, m := range c.plan.keep {
+		for ; m != 0; m &= m - 1 {
+			op := ops[b<<6|bits.TrailingZeros64(m)]
+			id := op.ID
+			switch op.Kind {
+			case trace.Fetch:
+				la, e := ilines[id], il1Plan[id]
+				if k1.Hinted(la, e) {
+					n := 1 + uint64(op.Rep)
+					k1.ReadHit(e, n)
+					h1 += n
+				} else if l1Slow(k1, &il1Plan[id], la, op.Rep) {
+					cycles += lat.L2Hit + lat.memory(c.l2Read(la, &l2iPlan[id]))
+				}
+			case trace.Load:
+				la, e := dlines[id], dl1Plan[id]
+				if kd.Hinted(la, e) {
+					n := 1 + uint64(op.Rep)
+					kd.ReadHit(e, n)
+					hd += n
+				} else if l1Slow(kd, &dl1Plan[id], la, op.Rep) {
+					cycles += lat.L2Hit + lat.memory(c.l2Read(la, &l2dPlan[id]))
+				}
+			default:
+				stores++
+				cycles += lat.memory(c.store(dlines[id], &dl1Plan[id], &l2dPlan[id]))
 			}
-		case trace.Load:
-			la, e := dlines[id], dl1Plan[id]
-			if kd.Hinted(la, e) {
-				n := 1 + uint64(op.Rep)
-				kd.ReadHit(e, n)
-				hd += n
-			} else if l1Slow(kd, &dl1Plan[id], la, op.Rep) {
-				cycles += lat.L2Hit + lat.memory(c.l2Read(la, &l2dPlan[id]))
-			}
-		default:
-			stores++
-			cycles += lat.memory(c.store(dlines[id], &dl1Plan[id], &l2dPlan[id]))
 		}
 	}
-	k1.Hits(h1)
-	kd.Hits(hd)
+	k1.Hits(h1 + skipI)
+	kd.Hits(hd + skipD)
 	cycles += lat.L1Hit*uint64(ct.Accesses) + lat.StoreBus*stores
 	return Result{
 		Cycles:   cycles,

@@ -110,16 +110,20 @@ func fuzzTrace(data []byte) trace.Trace {
 	return b.Trace()
 }
 
-// FuzzCompiledReplay checks the hinted, folded replay against the
-// per-access reference Core.Run, which consults the placement policy on
-// every access and serves every access through the kernel's slow path.
-// Four replays share one core: two reseeded runs, a warm replay without
-// Reseed, and a warm replay of the trace's relocated form, which numbers
-// 32-byte granules, so the two granules of a 64-byte line get two IDs,
-// each with its own plan entry and way hint. Stale hints, deterministic
-// plans reused across reseeds and two IDs on one line all occur. The
-// shared-bus model must also give the folded and the unfolded Compiled
-// the same Results against a streaming co-runner.
+// FuzzCompiledReplay checks the hinted, folded, hit-eliding replay
+// against the per-access reference Core.Run, which consults the placement
+// policy on every access and serves every access through the kernel's
+// slow path. Six replays share one core: two reseeded runs, a warm replay
+// without Reseed, a warm replay of the trace's relocated form, which
+// numbers 32-byte granules, so the two granules of a 64-byte line get two
+// IDs, each with its own plan entry and way hint, the relocated form
+// again after a Flush, and a warm replay of the second half of the trace
+// on the state the full trace left. The reseeded and flushed replays are
+// cold, so under Random and FIFO they skip the reads their mapping makes
+// certain hits; the warm ones must not. Stale hints, deterministic plans
+// reused across reseeds and two IDs on one line all occur. The shared-bus
+// model must also give the folded and the unfolded Compiled the same
+// Results against a streaming co-runner.
 func FuzzCompiledReplay(f *testing.F) {
 	f.Add(uint8(0), uint64(1), []byte("\x41\x41\x41\x01\x41\x81\x41\x00\x00\x50\x10\x50"))
 	f.Add(uint8(0x2B), uint64(7), []byte("\x40\x00\x40\x00\x40\x80\x40\x10\x20\x30\x40\x50\x60\x70\x40"))
@@ -131,6 +135,20 @@ func FuzzCompiledReplay(f *testing.F) {
 	// folds them into one op, the relocated form keeps two IDs whose
 	// hints go stale against each other.
 	f.Add(uint8(0x33), uint64(3), []byte("\x44\x45\x44\x45\x45\x45\x04\x05\x04\x85\x44\x45"))
+	// Modulo/Random/write-through no-allocate: loads alternating between
+	// lines 0 and 8, two allocating lines in one DL1 set, so each may
+	// evict the other and no later read may be skipped.
+	f.Add(uint8(0x0A), uint64(2), []byte("\x40\x50\x40\x50\x40\x50\x40\x50\x40\x50\x40\x50"))
+	// Modulo/FIFO: lines 0, 8 and 16 round-robin through one 2-way DL1
+	// set, one line over the limit, so every load misses.
+	f.Add(uint8(0x14), uint64(6), []byte("\x40\x50\x60\x40\x50\x60\x40\x50\x60"))
+	// Modulo/Random: line 0 loaded between stores to line 8 of its set,
+	// under no-allocate (the stores bypass DL1, line 0's later loads are
+	// certain hits), allocate-on-write and write-back (each store fills
+	// line 8 in and may evict line 0).
+	for _, sel := range []uint8{0x0A, 0x28, 0x4B} {
+		f.Add(sel, uint64(4), []byte("\x40\x90\x40\x90\x40\x90\x40\x90\x40\x90\x40"))
+	}
 	hog := streamTrace(1<<20, 600)
 	f.Fuzz(func(t *testing.T, sel uint8, seed uint64, data []byte) {
 		if len(data) > 2048 {
@@ -154,13 +172,27 @@ func FuzzCompiledReplay(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for run, c := range []*trace.Compiled{ct, ct, ct, rel.Relocate(workload.BaselineLayout())} {
-			if run < 2 {
+		relocated := rel.Relocate(workload.BaselineLayout())
+		half := tr[len(tr)/2:]
+		ctHalf, err := trace.Compile(half, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for run, c := range []*trace.Compiled{ct, ct, ct, relocated, relocated, ctHalf} {
+			switch run {
+			case 0, 1:
 				s := prng.Derive(seed, run)
 				ref.Reseed(s)
 				core.Reseed(s)
+			case 4:
+				ref.Flush()
+				core.Flush()
 			}
-			if got, want := core.RunCompiled(c), ref.Run(tr); got != want {
+			src := tr
+			if c == ctHalf {
+				src = half
+			}
+			if got, want := core.RunCompiled(c), ref.Run(src); got != want {
 				t.Fatalf("sel %#x run %d: compiled %+v, reference %+v", sel, run, got, want)
 			}
 		}

@@ -128,6 +128,7 @@ func New(cfg Config) (*Core, error) {
 	return &Core{
 		il1: il1, dl1: dl1, l2: l2, lat: lat,
 		lineBytes: cfg.IL1.LineBytes,
+		plan:      indexPlan{occ: make([]uint32, max(cfg.IL1.Sets(), cfg.DL1.Sets()))},
 		kil1:      cache.NewKernel(il1),
 		kdl1:      cache.NewKernel(dl1),
 		kl2:       cache.NewKernel(l2),

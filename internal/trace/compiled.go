@@ -51,12 +51,24 @@ type Op struct {
 // loads per op instead of a per-access placement hash; the fold spares
 // the guaranteed hits even that.
 //
+// Index goes one step further and spares the hits a run's mapping
+// guarantees: it marks the ops every run must replay (stores and each
+// line ID's first read) and, per line ID, where its later reads sit, so
+// a run whose mapping leaves a line alone enough in its L1 set replays
+// only the rest (see ReplayIndex and sim.Core.RunCompiled).
+//
 // A Compiled is immutable after Compile and safe to share across
 // concurrently executing runs.
 type Compiled struct {
 	Ops    []Op
 	ILines []uint64 // unique instruction-stream line addresses, in first-touch order
 	DLines []uint64 // unique data-stream line addresses, in first-touch order
+
+	// Index is the run-invariant hit-elision index of Ops (NewReplayIndex),
+	// whose tables the first run able to skip reads builds. It depends on
+	// the ops alone, so compiled traces sharing Ops share it. A nil Index
+	// replays every op.
+	Index *ReplayIndex
 
 	// LineBytes is the line size the byte addresses were compiled against.
 	// Replaying on a level with a different line size would mis-partition
@@ -72,9 +84,10 @@ type Compiled struct {
 func (c *Compiled) Len() int { return c.Accesses }
 
 // Compile renumbers the trace's unique cache-line addresses into dense
-// per-stream line IDs for the given line size and folds same-line reads
-// (Fold). lineBytes must be a power of two >= 1. The result decompiles
-// exactly per stream: expanding each op Rep+1 times, the ops of one
+// per-stream line IDs for the given line size, folds same-line reads
+// (Fold) and indexes the result for hit elision (NewReplayIndex).
+// lineBytes must be a power of two >= 1. The result decompiles exactly
+// per stream: expanding each op Rep+1 times, the ops of one
 // stream give that stream's accesses in order, and ILines[op.ID] (or
 // DLines[op.ID]) equals the access address shifted by log2(lineBytes).
 func Compile(t Trace, lineBytes int) (*Compiled, error) {
@@ -115,6 +128,7 @@ func Compile(t Trace, lineBytes int) (*Compiled, error) {
 		c.Ops = append(c.Ops, Op{ID: id, Kind: a.Kind})
 	}
 	c.Ops = Fold(c.Ops)
+	c.Index = NewReplayIndex(c.Ops, len(c.ILines), len(c.DLines))
 	return c, nil
 }
 

@@ -56,9 +56,11 @@ type anchor struct {
 // at the base layout but separate later stay exact. Two IDs may name the
 // same line address; replay keys on line addresses, so that is harmless
 // (each ID keeps its own way hint, and a stale one costs one slow-path
-// access).
+// access), and hit elision counts the two IDs as two lines of their set,
+// which can only keep more reads.
 type Relocatable struct {
 	ops        []trace.Op // folded, see trace.Fold
+	index      *trace.ReplayIndex
 	accesses   int
 	iref, dref []anchor
 	base       Layout
@@ -125,6 +127,7 @@ func (w Workload) Relocatable(base Layout, lineBytes int) (*Relocatable, error) 
 	}
 	r.accesses = len(r.ops)
 	r.ops = trace.Fold(r.ops)
+	r.index = trace.NewReplayIndex(r.ops, len(r.iref), len(r.dref))
 	return r, nil
 }
 
@@ -132,7 +135,7 @@ func (w Workload) Relocatable(base Layout, lineBytes int) (*Relocatable, error) 
 func (r *Relocatable) Len() int { return r.accesses }
 
 // Relocate returns the compiled trace of the workload at layout l: the
-// shared ops plus fresh line tables, replaying exactly like
+// shared ops and replay index plus fresh line tables, replaying exactly like
 // trace.Compile(w.Build(l), lineBytes): every stream touches the same
 // line sequence, though the ops may fold differently where two IDs share
 // a line. It costs O(unique lines), not O(accesses). Each call returns a new *trace.Compiled, since replay
@@ -150,6 +153,7 @@ func (r *Relocatable) Relocate(l Layout) *trace.Compiled {
 	}
 	return &trace.Compiled{
 		Ops:       r.ops,
+		Index:     r.index,
 		ILines:    r.lines(r.iref, &delta),
 		DLines:    r.lines(r.dref, &delta),
 		LineBytes: r.lineBytes,
