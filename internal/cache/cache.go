@@ -298,23 +298,32 @@ func (c *Cache) Flush() {
 // HitElisionLimit returns how many allocating lines (lines a read or,
 // on a level that allocates on write, a store fills in) one set of this
 // level may hold in a run for every read of each of them after its first
-// to be a hit a replay may skip, or 0 if no read may be skipped.
+// to be a hit a replay may skip, or 0 if no read may be skipped. stores
+// reports whether the replayed stream stores to the level.
 //
 // Skipping needs a cold level (no access since construction, Flush or
-// Reseed), so every set starts empty, and a replacement kind whose hits
-// leave no state. Random draws its victim among all ways, invalid ones
-// included, so a second line filling into the set can evict the first:
-// the limit is 1. FIFO fills invalid ways first, so up to Ways lines
-// never evict each other: the limit is Ways. LRU and PLRU fill invalid
-// ways first too, but their hits update stamps and tree bits that a
-// later warm run would see, so they skip nothing.
-func (c *Cache) HitElisionLimit() int {
+// Reseed), so every set starts empty. Random draws its victim among all
+// ways, invalid ones included, so a second line filling into the set can
+// evict the first: the limit is 1. FIFO and LRU fill invalid ways first,
+// so up to Ways lines never evict each other: the limit is Ways. Random
+// and FIFO hits leave no state. LRU hits advance the tick and stamp the
+// line, so a replay that skips them must restore both (Kernel.RestoreLRU);
+// that needs every access to tick once, which a store missing a
+// no-allocate level does not, so a stored-to LRU level that does not
+// allocate on write skips nothing. PLRU skips nothing: its tree bits
+// record the order of the last touches.
+func (c *Cache) HitElisionLimit(stores bool) int {
 	if !c.cold {
 		return 0
 	}
 	switch c.repl {
 	case Random:
 		return 1
+	case LRU:
+		if stores && !c.AllocatesOnWrite() {
+			return 0
+		}
+		return c.ways
 	case FIFO:
 		return c.ways
 	default:

@@ -189,6 +189,37 @@ func (k *Kernel) Hits(n uint64) {
 	k.hits += n
 }
 
+// RestoreLRU finishes an LRU run that skipped read hits: it leaves the
+// tick and stamps that replaying every access would have left. The run
+// started cold and every access ticks once, so the tick becomes the
+// run's starting tick plus accesses, and each resident line's stamp the
+// starting tick plus the accesses up to its last one. lines, plan and
+// last hold, per line ID, the line address, its plan entry and that
+// count; an ID's line is resident where its entry's way hint holds it
+// (the last ID to touch a line keeps an exact hint), and IDs sharing a
+// line take the latest count. It does nothing on other kinds.
+//
+//rm:hotpath
+func (k *Kernel) RestoreLRU(lines []uint64, plan []uint32, last []uint64, accesses uint64) {
+	if !k.isLRU {
+		return
+	}
+	start := k.c.tick // Begin's snapshot; End writes the tick back
+	plan = plan[:len(lines)]
+	for id, e := range plan {
+		if k.Hinted(lines[id], e) {
+			k.lruTick[int(e&SetMask)*k.ways+int(e>>SetBits)] = 0
+		}
+	}
+	for id, e := range plan {
+		if k.Hinted(lines[id], e) {
+			p := &k.lruTick[int(e&SetMask)*k.ways+int(e>>SetBits)]
+			*p = max(*p, start+last[id])
+		}
+	}
+	k.tick = start + accesses
+}
+
 // Read performs a load or fetch of line la in the set of plan entry e
 // (its way hint is ignored) and returns the outcome plus the entry of the
 // way the line now occupies. It is bit-identical in behaviour, counters

@@ -35,17 +35,19 @@ import (
 // lines): it counts the allocating lines each L1 set receives under this
 // run's mapping and keeps, beside the trace's must-replay ops, every
 // later read of a line whose set holds more than the level's
-// cache.HitElisionLimit (1 under Random, Ways under FIFO, on a cold
-// level; 0, keeping the whole stream, on a warm, LRU or PLRU level). occ
-// is that pass's per-set counter scratch, all zero between runs.
+// cache.HitElisionLimit (1 under Random, Ways under FIFO and LRU, on a
+// cold level; 0, keeping the whole stream, on a warm or PLRU level). occ
+// is that pass's per-set counter scratch, all zero between runs; limI
+// and limD remember the run's limits for the LRU restore after the loop.
 type indexPlan struct {
 	il1 []uint32 // IL1 entry per instruction line ID
 	dl1 []uint32 // DL1 entry per data line ID
 	l2i []uint32 // L2 entry per instruction line ID
 	l2d []uint32 // L2 entry per data line ID
 
-	keep []uint64 // per 64-op block: the ops this run replays
-	occ  []uint32 // per L1 set: allocating lines this run (keepOps)
+	keep       []uint64 // per 64-op block: the ops this run replays
+	occ        []uint32 // per L1 set: allocating lines this run (keepOps)
+	limI, limD int      // this run's IL1 and DL1 hit elision limits
 
 	builtFor *trace.Compiled
 }
@@ -93,8 +95,12 @@ func (c *Core) preparePlans(ct *trace.Compiled) {
 //rm:hotpath
 func (c *Core) keepOps(ct *trace.Compiled) (skipI, skipD uint64) {
 	keep := c.plan.keep
-	limI, limD := c.il1.HitElisionLimit(), c.dl1.HitElisionLimit()
-	if ct.Index == nil || limI == 0 && limD == 0 {
+	limI, limD := c.il1.HitElisionLimit(false), c.dl1.HitElisionLimit(true)
+	if ct.Index == nil {
+		limI, limD = 0, 0
+	}
+	c.plan.limI, c.plan.limD = limI, limD
+	if limI == 0 && limD == 0 {
 		for b := range keep {
 			keep[b] = ^uint64(0)
 		}
@@ -178,17 +184,23 @@ func (c *Core) ReplayedOps() int {
 // RunCompiled replays only the ops this run's mapping can make miss:
 // every store, each line ID's first read, and every read of a line whose
 // L1 set is contended in this run (the trace's ReplayIndex and keepOps).
-// A set is uncontended when it receives at most
-// cache.HitElisionLimit allocating lines: 1 under Random, Ways under
-// FIFO, on a level that is cold (no access since construction, Flush or
-// Reseed). There, a line's first read leaves it resident, no other fill
-// reaches the set, and a Random or FIFO hit changes no state, so each
-// later read is a hit that neither draws replacement randomness nor
-// reaches the L2; the skipped reads' hits go into the kernel counters in
-// bulk. A warm level, and an LRU or PLRU one (whose hits move stamps and
-// tree bits a later warm run would see), keeps every op of its stream:
-// the same loop with every bit kept. Results, cumulative statistics and
-// the replacement streams are bit-identical to replaying every op.
+// A set is uncontended when it receives at most cache.HitElisionLimit
+// allocating lines, on a level that is cold (no access since
+// construction, Flush or Reseed): 1 under Random, Ways under FIFO and
+// LRU. There, a line's first read leaves it resident and no fill evicts
+// it, so each later read is a hit that draws no replacement randomness
+// and never reaches the L2; the skipped reads' hits go into the kernel
+// counters in bulk. Random and FIFO hits leave no other state. LRU hits
+// advance the tick and stamp the line: the run ends with
+// Kernel.RestoreLRU, which sets both to what replaying every hit leaves
+// in O(unique lines) (every access of a skipping LRU level ticks once,
+// so the values are counts the index holds), and victim choices inside
+// the run only compare stamps within a set, whose order the skipped hits
+// of other sets cannot change. A warm level, a PLRU level, and an LRU
+// data level that takes stores without allocating on write keep every
+// op of their stream: the same loop with every bit kept. Results,
+// cumulative statistics, cache state and the replacement streams are
+// bit-identical to replaying every op.
 //
 // This is the MBPTA campaign hot path: a campaign replays the same
 // Compiled hundreds of times (it is immutable and shared across worker
@@ -247,6 +259,15 @@ func (c *Core) RunCompiled(ct *trace.Compiled) Result {
 	}
 	k1.Hits(h1 + skipI)
 	kd.Hits(hd + skipD)
+	if c.plan.limI > 0 || c.plan.limD > 0 {
+		t := ct.Index.Tables()
+		if c.plan.limI > 0 {
+			k1.RestoreLRU(ilines, il1Plan, t.I.Last, t.I.Accesses)
+		}
+		if c.plan.limD > 0 {
+			kd.RestoreLRU(dlines, dl1Plan, t.D.Last, t.D.Accesses)
+		}
+	}
 	cycles += lat.L1Hit*uint64(ct.Accesses) + lat.StoreBus*stores
 	return Result{
 		Cycles:   cycles,

@@ -41,37 +41,51 @@ func dataTrace(lines []uint64, store string) trace.Trace {
 }
 
 // TestElisionEligibility pins when RunCompiled may skip a read: the
-// per-kind set limits (Random 1 allocating line, FIFO Ways, LRU and PLRU
-// none), stores counting as allocating only where the level allocates on
-// write, the cold-only rule (no skipping on a warm level, even where the
-// limit would allow it), and aliased relocated IDs counting as two lines.
-// Every replay must also equal the per-access reference.
+// per-kind set limits (Random 1 allocating line, FIFO and LRU Ways, PLRU
+// none, LRU none on a stored-to level without allocate-on-write), stores
+// counting as allocating only where the level allocates on write, the
+// cold-only rule (no skipping on a warm level, even where the limit
+// would allow it), LRU state restored exactly, and aliased relocated IDs
+// counting as two lines. Every replay must also equal the per-access
+// reference, Result and cache state.
 func TestElisionEligibility(t *testing.T) {
 	t.Run("limits", func(t *testing.T) {
+		wt, wb := cache.WriteThrough, cache.WriteBack
 		for _, tc := range []struct {
-			rk   cache.ReplacementKind
-			want int
-		}{{cache.Random, 1}, {cache.FIFO, 2}, {cache.LRU, 0}, {cache.PLRU, 0}} {
-			c, err := New(elisionConfig(tc.rk, cache.WriteThrough, false))
+			rk     cache.ReplacementKind
+			write  cache.WritePolicy
+			alloc  bool
+			stores bool
+			want   int
+		}{
+			{cache.Random, wt, false, true, 1},
+			{cache.FIFO, wt, false, true, 2},
+			{cache.LRU, wt, false, false, 2},
+			{cache.LRU, wt, false, true, 0}, // a no-allocate store miss does not tick
+			{cache.LRU, wt, true, true, 2},
+			{cache.LRU, wb, false, true, 2},
+			{cache.PLRU, wt, false, false, 0},
+		} {
+			c, err := New(elisionConfig(tc.rk, tc.write, tc.alloc))
 			if err != nil {
 				t.Fatal(err)
 			}
 			_, dl1, _ := c.Caches()
-			if got := dl1.HitElisionLimit(); got != tc.want {
-				t.Fatalf("%v: fresh level limit %d, want %d", tc.rk, got, tc.want)
+			if got := dl1.HitElisionLimit(tc.stores); got != tc.want {
+				t.Fatalf("%+v: fresh level limit %d, want %d", tc, got, tc.want)
 			}
 			c.RunCompiled(compile(t, dataTrace([]uint64{0}, "")))
-			if got := dl1.HitElisionLimit(); got != 0 {
-				t.Fatalf("%v: warm level limit %d, want 0", tc.rk, got)
+			if got := dl1.HitElisionLimit(tc.stores); got != 0 {
+				t.Fatalf("%+v: warm level limit %d, want 0", tc, got)
 			}
 			c.Flush()
-			if got := dl1.HitElisionLimit(); got != tc.want {
-				t.Fatalf("%v: flushed level limit %d, want %d", tc.rk, got, tc.want)
+			if got := dl1.HitElisionLimit(tc.stores); got != tc.want {
+				t.Fatalf("%+v: flushed level limit %d, want %d", tc, got, tc.want)
 			}
 			c.RunCompiled(compile(t, dataTrace([]uint64{0}, "")))
 			c.Reseed(1)
-			if got := dl1.HitElisionLimit(); got != tc.want {
-				t.Fatalf("%v: reseeded level limit %d, want %d", tc.rk, got, tc.want)
+			if got := dl1.HitElisionLimit(tc.stores); got != tc.want {
+				t.Fatalf("%+v: reseeded level limit %d, want %d", tc, got, tc.want)
 			}
 		}
 	})
@@ -96,7 +110,12 @@ func TestElisionEligibility(t *testing.T) {
 		{"fifo/alone", cache.FIFO, wt, false, alone, "", 2},
 		{"fifo/shared", cache.FIFO, wt, false, shared, "", 2},
 		{"fifo/three", cache.FIFO, wt, false, three, "", 7},
-		{"lru/alone", cache.LRU, wt, false, alone, "", 5},
+		{"lru/alone-noalloc", cache.LRU, wt, false, alone, "", 5},
+		{"lru/alone", cache.LRU, wt, true, alone, "", 2},
+		{"lru/shared", cache.LRU, wb, false, shared, "", 2},
+		{"lru/three", cache.LRU, wt, true, three, "", 7},
+		{"lru/store-alloc", cache.LRU, wt, true, shared, storeOnly, 3},
+		{"lru/store-noalloc", cache.LRU, wt, false, shared, storeOnly, 5},
 		{"plru/alone", cache.PLRU, wt, false, alone, "", 5},
 		{"random/store-noalloc", cache.Random, wt, false, shared, storeOnly, 3},
 		{"random/store-alloc", cache.Random, wt, true, shared, storeOnly, 5},
@@ -119,12 +138,70 @@ func TestElisionEligibility(t *testing.T) {
 				if got, w := core.RunCompiled(ct), ref.Run(tr); got != w {
 					t.Fatalf("run %d: compiled %+v, reference %+v", run, got, w)
 				}
+				sameCacheState(t, core, ref)
 				if got := core.ReplayedOps(); got != want {
 					t.Fatalf("run %d replayed %d of %d ops, want %d", run, got, len(ct.Ops), want)
 				}
 			}
 		})
 	}
+
+	// The instruction stream never stores, so an LRU IL1 skips its
+	// certain hits on any write arrangement; the restored stamps and
+	// tick must decide a later warm run's victims exactly as replayed
+	// hits would: line 0 is fetched last, so the warm fetch of line 16
+	// evicts line 8, and the refetch of line 0 hits.
+	t.Run("lru/fetch", func(t *testing.T) {
+		cfg := elisionConfig(cache.LRU, wt, false)
+		b := trace.NewBuilder(8)
+		for _, l := range []uint64{0, 1, 8, 1, 0, 1, 8, 0} {
+			b.Fetch(l * 64)
+		}
+		first := b.Trace()
+		ct := compile(t, first)
+		core, ref := mustNew(t, cfg), mustNew(t, cfg)
+		core.Reseed(2)
+		ref.Reseed(2)
+		if got, want := core.RunCompiled(ct), ref.Run(first); got != want {
+			t.Fatalf("compiled %+v, reference %+v", got, want)
+		}
+		sameCacheState(t, core, ref)
+		if got := core.ReplayedOps(); got != 3 {
+			t.Fatalf("replayed %d of %d ops, want 3", got, len(ct.Ops))
+		}
+		b = trace.NewBuilder(2)
+		b.Fetch(16 * 64)
+		b.Fetch(0)
+		second := b.Trace()
+		got, want := core.RunCompiled(compile(t, second)), ref.Run(second)
+		if got != want || want.IL1.Hits != 1 {
+			t.Fatalf("warm replay %+v, reference %+v (want 1 IL1 hit)", got, want)
+		}
+		sameCacheState(t, core, ref)
+	})
+
+	// Two relocated IDs on one line under LRU: the line's stamp is its
+	// last access over both IDs, here by the ID numbered first.
+	t.Run("lru/aliased", func(t *testing.T) {
+		cfg := elisionConfig(cache.LRU, wt, true)
+		b := trace.NewBuilder(3)
+		for _, a := range []uint64{0, 32, 0} {
+			b.Load(a)
+		}
+		tr := b.Trace()
+		rel, err := workload.FromTrace("aliased", "", tr).Relocatable(workload.BaselineLayout(), 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ct := rel.Relocate(workload.BaselineLayout())
+		core, ref := mustNew(t, cfg), mustNew(t, cfg)
+		core.Reseed(4)
+		ref.Reseed(4)
+		if got, want := core.RunCompiled(ct), ref.Run(tr); got != want {
+			t.Fatalf("compiled %+v, reference %+v", got, want)
+		}
+		sameCacheState(t, core, ref)
+	})
 
 	// A warm FIFO level must replay in full: line 0 survives the first
 	// trace as the older line of set 0, the second trace's fill of line

@@ -119,8 +119,10 @@ func fuzzTrace(data []byte) trace.Trace {
 // IDs, each with its own plan entry and way hint, the relocated form
 // again after a Flush, and a warm replay of the second half of the trace
 // on the state the full trace left. The reseeded and flushed replays are
-// cold, so under Random and FIFO they skip the reads their mapping makes
-// certain hits; the warm ones must not. Stale hints, deterministic plans
+// cold, so under Random, FIFO and LRU they skip the reads their mapping
+// makes certain hits; the warm ones must not. After every replay each
+// level's state must equal the reference's too (sameCacheState), so an
+// LRU restore that misses a stamp fails at once. Stale hints, deterministic plans
 // reused across reseeds and two IDs on one line all occur. The shared-bus
 // model must also give the folded and the unfolded Compiled the same
 // Results against a streaming co-runner.
@@ -195,6 +197,7 @@ func FuzzCompiledReplay(f *testing.F) {
 			if got, want := core.RunCompiled(c), ref.Run(src); got != want {
 				t.Fatalf("sel %#x run %d: compiled %+v, reference %+v", sel, run, got, want)
 			}
+			sameCacheState(t, core, ref)
 		}
 
 		a, err := NewSystem(cfg, 2)

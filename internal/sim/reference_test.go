@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math/bits"
+	"reflect"
 	"testing"
 
 	"repro/internal/cache"
@@ -113,4 +115,34 @@ func compileUnfolded(t testing.TB, tr trace.Trace, lineBytes int) *trace.Compile
 		ops[i] = trace.Op{ID: ids[s][a.Addr>>shift], Kind: a.Kind}
 	}
 	return &trace.Compiled{Ops: ops, ILines: ct.ILines, DLines: ct.DLines, LineBytes: lineBytes, Accesses: len(tr)}
+}
+
+// sameCacheState fails the test unless every level of got holds the
+// state of the same level of want: contents, dirty bits, replacement
+// stamps and tick, PLRU bits, replacement stream, cold flag and
+// counters. Equal Results alone would miss state a skipped or folded hit
+// should have left and no later run has exposed yet. The placement
+// policy is left out: Run's per-access Index memoizes differently from
+// IndexAll, and its seed shows in every later mapping anyway.
+func sameCacheState(t testing.TB, got, want *Core) {
+	t.Helper()
+	for _, l := range []struct {
+		name string
+		a, b *cache.Cache
+	}{{"IL1", got.il1, want.il1}, {"DL1", got.dl1, want.dl1}, {"L2", got.l2, want.l2}} {
+		a, b := reflect.ValueOf(l.a).Elem(), reflect.ValueOf(l.b).Elem()
+		for i := 0; i < a.NumField(); i++ {
+			f := a.Type().Field(i).Name
+			if f == "pol" {
+				continue
+			}
+			fa, fb := a.Field(i), b.Field(i)
+			if fa.Kind() == reflect.Pointer {
+				fa, fb = fa.Elem(), fb.Elem()
+			}
+			if x, y := fmt.Sprint(fa), fmt.Sprint(fb); x != y {
+				t.Fatalf("%s.%s is %s, the reference's %s", l.name, f, x, y)
+			}
+		}
+	}
 }

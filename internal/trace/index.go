@@ -48,6 +48,13 @@ type LineReads struct {
 	// All masks every later read of the stream, per block.
 	All []uint64
 
+	// Last counts, per line ID, the stream's accesses (folded reps
+	// included) up to and including the line's last access, and Accesses
+	// all of the stream's accesses: on a level that ticks once per
+	// access, the tick and LRU stamps a full replay leaves.
+	Last     []uint64
+	Accesses uint64
+
 	// Use flags, per line ID, whether the stream reads it (UseRead) and
 	// stores to it (UseStore). Every instruction line is read.
 	Use []uint8
@@ -90,12 +97,15 @@ func newTables(ops []Op, iLines, dLines int) ReplayTables {
 		r.Off = make([]int, n+1)
 		r.Hits = make([]uint64, n)
 		r.All = make([]uint64, nb)
+		r.Last = make([]uint64, n)
 		r.Use = make([]uint8, n)
 	}
 	// Classify every op, counting each line's later reads in Off[id+1].
 	for i, op := range ops {
 		b, bit := i>>6, uint64(1)<<(i&63)
 		r := streams[stream(op.Kind)]
+		r.Accesses += 1 + uint64(op.Rep)
+		r.Last[op.ID] = r.Accesses
 		switch {
 		case op.Kind == Store:
 			t.Must[b] |= bit

@@ -10,7 +10,8 @@ import (
 // of every op: Must holds exactly the stores and each line ID's first
 // read per stream, each line's list holds exactly its later reads in
 // ascending order, All is their union, Hits sums the later reads'
-// accesses and Use records reads and stores.
+// accesses, Use records reads and stores, and Last and Accesses count
+// the stream's accesses through each line's last access and in all.
 func TestReplayIndex(t *testing.T) {
 	g := prng.New(0x1DE)
 	for round := 0; round < 200; round++ {
@@ -35,8 +36,13 @@ func TestReplayIndex(t *testing.T) {
 			read[s], hits[s], use[s] = make([]bool, nLines), make([]uint64, nLines), make([]uint8, nLines)
 		}
 		later := make([]bool, n)
+		var acc [2]uint64
+		var last [2][]uint64
+		last[0], last[1] = make([]uint64, nLines), make([]uint64, nLines)
 		for i, op := range ops {
 			s := stream(op.Kind)
+			acc[s] += 1 + uint64(op.Rep)
+			last[s][op.ID] = acc[s]
 			must := op.Kind == Store || !read[s][op.ID]
 			if op.Kind == Store {
 				use[s][op.ID] |= UseStore
@@ -53,11 +59,14 @@ func TestReplayIndex(t *testing.T) {
 			}
 		}
 		for s, r := range streams {
+			if r.Accesses != acc[s] {
+				t.Fatalf("round %d stream %d: %d accesses, want %d", round, s, r.Accesses, acc[s])
+			}
 			all := make([]uint64, len(x.Must))
 			for id := 0; id < nLines; id++ {
-				if r.Hits[id] != hits[s][id] || r.Use[id] != use[s][id] {
-					t.Fatalf("round %d stream %d line %d: hits %d use %d, want %d and %d",
-						round, s, id, r.Hits[id], r.Use[id], hits[s][id], use[s][id])
+				if r.Hits[id] != hits[s][id] || r.Use[id] != use[s][id] || r.Last[id] != last[s][id] {
+					t.Fatalf("round %d stream %d line %d: hits %d use %d last %d, want %d, %d and %d",
+						round, s, id, r.Hits[id], r.Use[id], r.Last[id], hits[s][id], use[s][id], last[s][id])
 				}
 				at := r.At[r.Off[id]:r.Off[id+1]]
 				for j, i := range at {
