@@ -1,163 +1,86 @@
-// Command mbpta applies the MBPTA statistical pipeline to a file of
-// execution-time measurements (one number per line): Wald-Wolfowitz
-// independence, two-sample KS identical distribution, ET Gumbel
-// convergence, Gumbel block-maxima fit, and pWCET estimates at the
-// standard cutoffs, plus the full pWCET curve.
+// Command mbpta is the analysis half of the paper's toolchain: it applies
+// the MBPTA statistical pipeline to a file of execution-time measurements
+// (one number per line) -- Wald-Wolfowitz independence, two-sample KS
+// identical distribution, the ET test on the extreme tail, and the Gumbel
+// block-maxima fit -- and prints the pWCET estimate and curve.
 //
 // Usage:
 //
-//	mbpta -in times.txt [-block 20] [-cutoff 1e-15]
-//	mbpta -workload tblook01 [-placement RM] [-runs 300] [-workers N] [-seed N]
-//	mbpta -trace capture.lackey [-placement RM] [-runs 300]
+//	mbpta -in times.txt [-cutoff 1e-15]
 //
-// The input can come from rmsim -times, or from any external measurement
-// source; this tool is the software analogue of the analysis half of the
-// paper's toolchain. With -workload instead of -in, mbpta collects the
-// measurements itself on the Engine (cancellable with Ctrl-C) before
-// analyzing them. With -trace, the measured program is a valgrind lackey
-// capture (valgrind --tool=lackey --trace-mem=yes) replayed through the
-// simulated randomized caches.
+// The pipeline is core.Analyze, the one the campaign engine runs, so a
+// vector written by rmsim -times gets exactly the verdict rmsim and
+// rmserved report for it:
+//
+//	rmsim -workload canrdr01 -runs 1000 -times t.txt && mbpta -in t.txt
+//
+// -cutoff only picks the printed pWCET point and where the curve stops.
+// The input can also come from any external measurement source. Lines
+// that are empty or start with # are skipped; a value that is NaN,
+// infinite or negative fails the analysis (exit status 1).
 package main
 
 import (
 	"bufio"
-	"context"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
-	"os/signal"
-	"path/filepath"
 	"strconv"
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/evt"
 	"repro/internal/iid"
-	"repro/internal/placement"
-	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 func main() {
-	in := flag.String("in", "", "input file: one execution time per line")
-	wname := flag.String("workload", "", "collect measurements from this workload instead of -in")
-	tracePath := flag.String("trace", "", "collect measurements by replaying a valgrind lackey capture")
-	pname := flag.String("placement", "RM", "L1 placement for -workload campaigns (Modulo, XORFold, hRP, RM, RM-rot)")
-	runs := flag.Int("runs", 300, "campaign size for -workload")
-	workers := flag.Int("workers", 0, "engine pool size for -workload (0 = GOMAXPROCS)")
-	seed := flag.Uint64("seed", 0x9A9E6, "master seed for -workload")
-	block := flag.Int("block", 0, "block size for block maxima (0 = adapt to the sample size)")
-	cutoff := flag.Float64("cutoff", 1e-15, "per-run exceedance probability for the pWCET estimate")
-	flag.Parse()
-
-	sources := 0
-	for _, s := range []string{*in, *wname, *tracePath} {
-		if s != "" {
-			sources++
-		}
-	}
-	if sources != 1 {
-		fmt.Fprintln(os.Stderr, "mbpta: exactly one of -in, -workload or -trace is required")
-		flag.Usage()
-		os.Exit(2)
-	}
-	var times []float64
-	var err error
-	switch {
-	case *in != "":
-		times, err = readTimes(*in)
-		if err != nil {
-			fatal(err)
-		}
-	case *tracePath != "":
-		kind, kerr := placement.ParseKind(*pname)
-		if kerr != nil {
-			usageFatal(kerr)
-		}
-		w, lerr := loadLackeyWorkload(*tracePath)
-		if lerr != nil {
-			fatal(lerr)
-		}
-		times, err = measure(w, kind, *runs, *workers, *seed)
-		if err != nil {
-			fatal(err)
-		}
-	default:
-		w, kind, rerr := core.ResolveNames(*wname, *pname)
-		if rerr != nil {
-			usageFatal(rerr)
-		}
-		times, err = measure(w, kind, *runs, *workers, *seed)
-		if err != nil {
-			fatal(err)
-		}
-	}
-	fmt.Printf("measurements: %d\n", len(times))
-
-	ww, err := iid.WaldWolfowitz(times)
-	if err != nil {
-		fatal(fmt.Errorf("WW test: %w", err))
-	}
-	fmt.Printf("WW  statistic %.3f  (independence passes < %.2f): %v\n", ww.Stat, iid.WWCritical, ww.Pass)
-
-	ks, err := iid.KSSplit(times)
-	if err != nil {
-		fatal(fmt.Errorf("KS test: %w", err))
-	}
-	fmt.Printf("KS  p-value   %.3f  (identical distribution passes > %.2f): %v\n", ks.P, iid.Alpha, ks.Pass)
-
-	et, err := iid.ETTestSearch(times, nil)
-	if err != nil {
-		fatal(fmt.Errorf("ET test: %w", err))
-	}
-	fmt.Printf("ET  p-value   %.3f  (Gumbel tail passes > %.2f): %v (tail %d pts)\n",
-		et.P, iid.Alpha, et.Pass, et.TailN)
-
-	model, err := evt.Analyze(times, *block)
-	if err != nil {
-		fatal(fmt.Errorf("EVT fit: %w", err))
-	}
-	fmt.Printf("fit Gumbel(mu=%.1f, beta=%.2f) over maxima of %d-run blocks\n",
-		model.Fit.Mu, model.Fit.Beta, model.Block)
-	fmt.Printf("pWCET@%.0e = %.0f\n\n", *cutoff, model.AtExceedance(*cutoff))
-
-	fmt.Println("pWCET curve (CCDF):")
-	for _, pt := range model.Curve(*cutoff) {
-		fmt.Printf("  1e%-4.0f %14.0f\n", math.Log10(pt.P), pt.X)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// measure collects a fresh measurement vector on the Engine instead of
-// reading one from disk.
-func measure(w workload.Workload, kind placement.Kind, runs, workers int, seed uint64) ([]float64, error) {
-	spec := core.PlatformFor(kind)
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	eng := core.NewEngine(core.WithWorkers(workers))
-	res, err := eng.Run(ctx, core.Request{
-		Spec: spec, Workload: w, Runs: runs, MasterSeed: seed,
-	})
-	if err != nil {
-		return nil, err
+// run is the command with its exit status: 2 for a usage error, 1 for an
+// unreadable or inadmissible input.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mbpta", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	in := fs.String("in", "", "input file: one execution time per line")
+	cutoff := fs.Float64("cutoff", core.CutoffHigh, "exceedance probability of the printed pWCET point and the end of the curve")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	return res.Times, nil
+	if *in == "" {
+		fmt.Fprintln(stderr, "mbpta: -in is required")
+		fs.Usage()
+		return 2
+	}
+	an, err := analyzeFile(*in)
+	if err != nil {
+		fmt.Fprintln(stderr, "mbpta:", err)
+		return 1
+	}
+	fmt.Fprintf(stdout, "measurements: %d\n", an.Model.Runs)
+	fmt.Fprintf(stdout, "WW  statistic %.3f  (independence passes < %.2f): %v\n", an.WW.Stat, iid.WWCritical, an.WW.Pass)
+	fmt.Fprintf(stdout, "KS  p-value   %.3f  (identical distribution passes > %.2f): %v\n", an.KS.P, iid.Alpha, an.KS.Pass)
+	fmt.Fprintf(stdout, "ET  p-value   %.3f  (Gumbel tail passes > %.2f): %v (tail %d pts)\n",
+		an.ET.P, iid.Alpha, an.ET.Pass, an.ET.TailN)
+	fmt.Fprintf(stdout, "fit Gumbel(mu=%.1f, beta=%.2f) over maxima of %d-run blocks\n",
+		an.Model.Fit.Mu, an.Model.Fit.Beta, an.Model.Block)
+	fmt.Fprintf(stdout, "pWCET@%.0e = %.0f\n\n", *cutoff, an.Model.AtExceedance(*cutoff))
+	fmt.Fprintln(stdout, "pWCET curve (CCDF):")
+	for _, pt := range an.Model.Curve(*cutoff) {
+		fmt.Fprintf(stdout, "  1e%-4.0f %14.0f\n", math.Log10(pt.P), pt.X)
+	}
+	return 0
 }
 
-// loadLackeyWorkload parses a valgrind lackey capture and wraps it as a
-// fixed-trace workload named after the file.
-func loadLackeyWorkload(path string) (workload.Workload, error) {
-	f, err := os.Open(path)
+// analyzeFile reads a measurement file and runs the engine's MBPTA
+// pipeline on it.
+func analyzeFile(path string) (core.Analysis, error) {
+	times, err := readTimes(path)
 	if err != nil {
-		return workload.Workload{}, err
+		return core.Analysis{}, err
 	}
-	defer f.Close()
-	tr, err := trace.ParseLackey(f)
-	if err != nil {
-		return workload.Workload{}, fmt.Errorf("%s: %w", path, err)
-	}
-	name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-	return workload.FromTrace(name, "valgrind lackey capture", tr), nil
+	return core.Analyze(times)
 }
 
 func readTimes(path string) ([]float64, error) {
@@ -182,16 +105,4 @@ func readTimes(path string) ([]float64, error) {
 		out = append(out, v)
 	}
 	return out, sc.Err()
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "mbpta:", err)
-	os.Exit(1)
-}
-
-// usageFatal reports a bad flag value (unknown workload or placement
-// name) with the usage exit code.
-func usageFatal(err error) {
-	fmt.Fprintln(os.Stderr, "mbpta:", err)
-	os.Exit(2)
 }

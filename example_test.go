@@ -82,3 +82,24 @@ func Example_engineBatch() {
 	// rm: 50 runs
 	// hrp: 50 runs
 }
+
+// A custom sweep over an Engine's pool: each worker builds one private
+// execution context and processes chunks of run indices, and every run
+// writes only its own slot, so the output is the same for any pool size.
+func ExampleShardRuns() {
+	eng := randmod.NewEngine(randmod.WithWorkers(3))
+	squares := make([]int, 10)
+	err := randmod.ShardRuns(context.Background(), eng.Pool(), 0, len(squares),
+		func() (struct{}, error) { return struct{}{}, nil },
+		func(_ struct{}, lo, hi int) error {
+			for run := lo; run < hi; run++ {
+				squares[run] = run * run
+			}
+			return nil
+		})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(squares)
+	// Output: [0 1 4 9 16 25 36 49 64 81]
+}

@@ -7,8 +7,8 @@
 //
 // The example sweeps hardware seeds for one benchmark alone and against
 // three memory-hungry co-runners, showing the contention slowdown that
-// the partitioned L2 bounds. The sweep fans out over a worker pool with
-// randmod.ShardRunsContext -- the Engine-era primitive for custom
+// the partitioned L2 bounds. The sweep fans out over an Engine's worker
+// pool with randmod.ShardRuns -- the sharding primitive for custom
 // execution contexts (here a 4-core sim.System instead of a single
 // core) -- and Ctrl-C cancels it mid-sweep.
 package main
@@ -56,13 +56,16 @@ func main() {
 	// seeds; each worker owns a private 4-core system, and every run
 	// derives its seed from the run index, so the vector is bit-identical
 	// for any pool size.
+	pool := randmod.NewEngine().Pool()
 	sweep := func(cts []*trace.Compiled) []float64 {
 		times := make([]float64, seeds)
-		err := randmod.ShardRunsContext(ctx, 0, seeds,
+		err := randmod.ShardRuns(ctx, pool, 0, seeds,
 			func() (*sim.System, error) { return sim.NewSystem(spec.Config(), 4) },
-			func(sys *sim.System, run int) error {
-				sys.Reseed(prng.Derive(1, run))
-				times[run] = float64(sys.RunAll(cts)[0].Cycles)
+			func(sys *sim.System, lo, hi int) error {
+				for run := lo; run < hi; run++ {
+					sys.Reseed(prng.Derive(1, run))
+					times[run] = float64(sys.RunAll(cts)[0].Cycles)
+				}
 				return nil
 			})
 		if err != nil {

@@ -50,7 +50,7 @@ func (e *CorruptCheckpointError) Error() string {
 // ResumeMismatchError reports a structurally valid checkpoint that
 // belongs to a different campaign than the Request it was attached to
 // (the named field differs). Resuming would silently splice two
-// campaigns, so the Runner rejects it before the first run.
+// campaigns, so the Engine rejects it before the first run.
 type ResumeMismatchError struct{ Field string }
 
 func (e *ResumeMismatchError) Error() string {
@@ -91,7 +91,7 @@ type Checkpoint struct {
 
 // Validate checks that the checkpoint resumes exactly the given request
 // and is internally consistent, without running anything: the check the
-// Runner applies to Request.Resume, exposed so stores can vet a recovered
+// Engine applies to Request.Resume, exposed so stores can vet a recovered
 // checkpoint before attaching it (and quarantine it instead of failing
 // the campaign). Field mismatches return *ResumeMismatchError; structural
 // damage returns *CorruptCheckpointError.
@@ -253,7 +253,7 @@ func (cp *Checkpoint) encodedSizeHint() int {
 // kind — truncation, bit flips, a wrong magic, out-of-range fields —
 // returns *CorruptCheckpointError; a successfully decoded checkpoint is
 // internally consistent (but not yet matched against a Request; the
-// Runner does that on resume).
+// Engine does that on resume).
 func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	corrupt := func(format string, args ...any) (*Checkpoint, error) {
 		return nil, &CorruptCheckpointError{Reason: fmt.Sprintf(format, args...)}

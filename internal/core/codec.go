@@ -301,17 +301,6 @@ func (w WireRequest) Fingerprint() (string, error) {
 	return fmt.Sprintf("%x", sum[:16]), nil
 }
 
-// PlacementNames returns the user-facing names of every placement kind in
-// declaration order, for service catalogs and usage messages.
-func PlacementNames() []string {
-	kinds := placement.Kinds()
-	out := make([]string, len(kinds))
-	for i, k := range kinds {
-		out[i] = k.String()
-	}
-	return out
-}
-
 // ResolveNames maps the user-facing workload and placement names shared
 // by the CLIs (-workload/-placement flags) and usage messages to their
 // registry entries. An unknown name is a usage error: the commands

@@ -16,7 +16,7 @@ import (
 
 // sequentialCampaign replays the MBPTA protocol in the plainest possible
 // loop — sequentially, one platform, one Compiled, RunCompiled per run —
-// and returns the reference Times and Levels the Runner must reproduce
+// and returns the reference Times and Levels the Engine must reproduce
 // bit-for-bit through its sharding, seeding and streaming accumulation.
 func sequentialCampaign(t *testing.T, spec PlatformSpec, w workload.Workload, runs int, seed uint64) ([]float64, LevelStats) {
 	t.Helper()

@@ -14,7 +14,7 @@ import (
 	"repro/internal/workload"
 )
 
-// Request describes one measurement campaign for a Runner or Engine: one
+// Request describes one measurement campaign for an Engine: one
 // program, many runs, all randomness derived from MasterSeed and the run
 // index. A Request carries no execution knobs -- the worker pool belongs
 // to the Engine, so dozens of Requests can share it.
@@ -79,7 +79,7 @@ type Request struct {
 	// is called on the worker path under internal locks: it must be fast
 	// and non-blocking (hand the pointer to a channel or goroutine; the
 	// Checkpoint is immutable once delivered) and must not call back into
-	// the Runner.
+	// the Engine.
 	OnCheckpoint func(*Checkpoint)
 }
 
@@ -223,7 +223,7 @@ const (
 // own. The sink is called synchronously on the worker path while internal
 // locks are held: it must return quickly, must not block (send to a
 // buffered channel or drop, never an unbuffered rendezvous), and must not
-// call back into the Engine or Runner that delivered the event.
+// call back into the Engine that delivered the event.
 type Event struct {
 	Kind         EventKind
 	Campaign     string // Request.Name (or its default)
@@ -238,317 +238,23 @@ type Event struct {
 	Err          error     // CampaignFinished only; nil on success
 }
 
-// Runner executes campaign Requests over a shared Pool of simulation
-// workers. It is the core execution primitive of the library: Engine
-// layers options, defaults and batch orchestration on top of one.
+// Engine is the front door of the library and its one campaign runner: a
+// shared simulation worker pool serving any number of campaigns, with
+// optional progress events and batch orchestration. Construct it once per
+// process (or per experiment suite) and submit Requests to it;
+// parallelism is purely a wall-clock knob, never a results knob.
 //
 // The zero value is ready to use (it allocates a private GOMAXPROCS pool
-// on first run). A Runner is safe for concurrent use.
-type Runner struct {
-	// Pool is the shared worker allotment; nil selects a private
-	// GOMAXPROCS-sized pool on first use.
-	Pool *Pool
-	// Events receives progress notifications; nil disables them. See
-	// Event for the sink contract (fast, non-blocking, no re-entry).
-	Events func(Event)
-	// CheckpointReplay runs every campaign through an interrupt + wire
-	// round trip + resume cycle instead of straight through (see
-	// WithCheckpointReplay). Results must be unchanged; it exists so the
-	// bench trajectory can pin that claim.
-	CheckpointReplay bool
-
-	mu   sync.Mutex // guards lazy Pool init
-	evmu sync.Mutex // serializes Events deliveries
-}
-
-func (r *Runner) pool() *Pool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.Pool == nil {
-		r.Pool = NewPool(0)
-	}
-	return r.Pool
-}
-
-func (r *Runner) emit(ev Event) {
-	if r.Events == nil {
-		return
-	}
-	r.evmu.Lock()
-	defer r.evmu.Unlock()
-	r.Events(ev)
-}
-
-// Run executes one Request to completion (or cancellation). Results are a
-// pure function of the Request: they are bit-identical for any pool size
-// and regardless of what else runs on the pool concurrently.
-func (r *Runner) Run(ctx context.Context, req Request) (Result, error) {
-	return r.run(ctx, 0, req)
-}
-
-// run executes req as batch member index, detouring through the
-// checkpoint-replay harness when the Runner asks for it.
-func (r *Runner) run(ctx context.Context, index int, req Request) (Result, error) {
-	if r.CheckpointReplay && req.Resume == nil && req.OnCheckpoint == nil && req.Runs > 1 {
-		return r.runReplay(ctx, index, req)
-	}
-	return r.runOnce(ctx, index, req)
-}
-
-// runReplay is the self-checking execution mode behind
-// WithCheckpointReplay: run until the first checkpoint past the midpoint,
-// cancel, round-trip the checkpoint through the wire codec, and resume.
-// The completed Result must be — and the resumed-bench CI gate asserts it
-// is — bit-identical to a plain run.
-//
-// Event consumers see the two legs spliced into ONE campaign: the first
-// leg's cancellation Finished and the second leg's Started are dropped,
-// so the stream still carries exactly one CampaignStarted and one
-// CampaignFinished per submitted request. Runs the first leg completed
-// past the checkpoint frontier re-execute on the second leg and re-emit
-// RunCompleted with bit-identical cycles; across the splice the Done
-// counter may step back once (the strict monotonicity of a plain run is
-// relaxed to per-leg monotonicity).
-func (r *Runner) runReplay(ctx context.Context, index int, req Request) (Result, error) {
-	leg, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var captured atomic.Pointer[Checkpoint]
-	first := req
-	first.CheckpointEvery = (req.Runs + 1) / 2
-	first.OnCheckpoint = func(cp *Checkpoint) {
-		if captured.CompareAndSwap(nil, cp) {
-			cancel()
-		}
-	}
-	// Sub-runners share the pool but filter the splice-point events,
-	// forwarding the rest through r.emit so deliveries stay serialized
-	// with every other campaign on this Runner.
-	var fin *Event // leg 1's suppressed Finished; emitted from runOnce's own goroutine
-	leg1 := &Runner{Pool: r.pool()}
-	if r.Events != nil {
-		leg1.Events = func(ev Event) {
-			if ev.Kind == CampaignFinished {
-				fin = &ev
-				return
-			}
-			r.emit(ev)
-		}
-	}
-	res1, err1 := leg1.runOnce(leg, index, first)
-	cp := captured.Load()
-	if cp == nil {
-		// The campaign finished (or failed) before any checkpoint fired —
-		// nothing to resume; the first leg already is the plain run. Emit
-		// the Finished withheld by the filter to complete the stream.
-		if fin != nil {
-			r.emit(*fin)
-		}
-		return res1, err1
-	}
-	dec, err := DecodeCheckpoint(cp.Encode())
-	if err != nil {
-		return Result{Name: req.name()}, fmt.Errorf("core: checkpoint replay round trip: %w", err)
-	}
-	leg2 := &Runner{Pool: r.pool()}
-	if r.Events != nil {
-		leg2.Events = func(ev Event) {
-			if ev.Kind == CampaignStarted {
-				return
-			}
-			r.emit(ev)
-		}
-	}
-	second := req
-	second.Resume = dec
-	return leg2.runOnce(ctx, index, second)
-}
-
-// runOnce executes req once. On cancellation the returned error wraps
-// ctx.Err() (so errors.Is(err, context.Canceled) holds) and the Result
-// carries the partial measurement vector.
-func (r *Runner) runOnce(ctx context.Context, index int, req Request) (Result, error) {
-	res := Result{Name: req.name()}
-	kind := req.Kind()
-	var done atomic.Int64
-	// Every submitted request emits exactly one CampaignStarted and one
-	// CampaignFinished (Err set on failure), so stream consumers can
-	// count completions without special-casing validation errors.
-	r.emit(Event{Kind: CampaignStarted, Campaign: res.Name, CampaignKind: kind, Index: index, Total: req.Runs})
-	finish := func(err error) (Result, error) {
-		r.emit(Event{Kind: CampaignFinished, Campaign: res.Name, CampaignKind: kind, Index: index,
-			Done: int(done.Load()), Total: req.Runs, Err: err})
-		return res, err
-	}
-	// phase marks a phase boundary for observers (latency attribution,
-	// trace spans). Like every event it is emitted off the replay path —
-	// at most three deliveries per campaign — and carries no timestamp:
-	// clocks stay with the observers, keeping this package deterministic.
-	phase := func(name string) {
-		r.emit(Event{Kind: PhaseDone, Campaign: res.Name, CampaignKind: kind, Index: index,
-			Phase: name, Done: int(done.Load()), Total: req.Runs})
-	}
-	if req.Runs < 1 {
-		return finish(errors.New("core: campaign needs at least one run"))
-	}
-	if req.Security != nil {
-		return r.runSecurity(ctx, index, req, &res, &done, finish)
-	}
-	if req.Workload.Build == nil {
-		return finish(errors.New("core: campaign needs a workload"))
-	}
-
-	layout := workload.DefaultLayout()
-	if req.Baseline {
-		layout = workload.BaselineLayout()
-	}
-	if req.Layout != nil {
-		layout = *req.Layout
-	}
-	var do func(p *sim.Core, run int) (sim.Result, error)
-	if err := r.buildOnce(ctx, res.Name, func() error {
-		if req.Baseline {
-			// Layouts change per run, the program does not: compile once at
-			// the base layout and relocate the line tables per run.
-			rel, err := req.Workload.Relocatable(layout, req.Spec.LineBytes)
-			if err != nil {
-				return fmt.Errorf("core: campaign %s: %w", res.Name, err)
-			}
-			if rel.Len() == 0 {
-				return fmt.Errorf("core: workload %s built an empty trace", req.Workload.Name)
-			}
-			do = func(p *sim.Core, run int) (sim.Result, error) {
-				seed := prng.Derive(req.MasterSeed^hwmSeedTag, run)
-				ct := rel.Relocate(workload.RandomizedLayoutFrom(layout, prng.New(seed)))
-				// Reseed rather than Flush: deterministic policies ignore the
-				// seed (so the typical modulo+LRU baseline is unchanged), while
-				// any randomized policy in Spec becomes a pure function of the
-				// run index instead of carrying PRNG state across runs.
-				p.Reseed(seed)
-				return p.RunCompiled(ct), nil
-			}
-			return nil
-		}
-		tr := req.Workload.Build(layout)
-		if len(tr) == 0 {
-			return fmt.Errorf("core: workload %s built an empty trace", req.Workload.Name)
-		}
-		// Compile once per campaign: the trace is fixed while only seeds
-		// change, so all workers share one read-only Compiled and each run
-		// materializes its index plans from it (the campaign hot path).
-		ct, err := trace.Compile(tr, req.Spec.LineBytes)
-		if err != nil {
-			return fmt.Errorf("core: campaign %s: %w", res.Name, err)
-		}
-		f, l, st := tr.Counts()
-		res.Trace.Accesses = len(tr)
-		res.Trace.Fetches, res.Trace.Loads, res.Trace.Stores = f, l, st
-		do = func(p *sim.Core, run int) (sim.Result, error) {
-			p.Reseed(prng.Derive(req.MasterSeed, run))
-			return p.RunCompiled(ct), nil
-		}
-		return nil
-	}); err != nil {
-		return finish(err)
-	}
-	phase(PhaseCompile)
-
-	// All aggregates stream through the campaign accumulator; the buffered
-	// vector is only allocated when the caller wants it back.
-	acc := newCampaignAccum(req.Runs)
-	acc.meta = ckptMeta{kind: kind, seed: req.MasterSeed, keepTimes: req.KeepTimes}
-	if r.Events != nil {
-		acc.onProgress = func(s Snapshot) {
-			snap := s
-			r.emit(Event{Kind: SnapshotTaken, Campaign: res.Name, CampaignKind: kind, Index: index,
-				Snapshot: &snap, Done: s.Runs, Total: req.Runs})
-		}
-	}
-	if req.CheckpointEvery > 0 {
-		acc.ckptEvery = req.CheckpointEvery
-		acc.onCheckpoint = req.OnCheckpoint
-	}
-	var times []float64
-	if req.KeepTimes == TimesKeep {
-		times = make([]float64, req.Runs)
-	}
-	acc.times = times
-	start := 0
-	if req.Resume != nil {
-		if err := req.Resume.validate(req); err != nil {
-			return finish(err)
-		}
-		acc.restore(req.Resume)
-		start = req.Resume.Frontier
-		done.Store(int64(start))
-	}
-	onRun := func(run int, sr sim.Result) {
-		// The increment and the delivery share the mutex so the Done
-		// counter in the event stream is strictly monotone.
-		if r.Events == nil {
-			done.Add(1)
-			return
-		}
-		r.evmu.Lock()
-		n := int(done.Add(1))
-		r.Events(Event{
-			Kind: RunCompleted, Campaign: res.Name, CampaignKind: kind, Index: index,
-			Run: run, Cycles: float64(sr.Cycles), Done: n, Total: req.Runs,
-		})
-		r.evmu.Unlock()
-	}
-
-	totals, err := runShards(ctx, r.pool(), req.Spec, start, times, acc, do, onRun)
-	res.Times = times
-	res.Summary = acc.summary()
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			err = fmt.Errorf("core: campaign %s aborted after %d/%d runs: %w",
-				res.Name, done.Load(), req.Runs, err)
-		}
-		return finish(err)
-	}
-	res.Levels = totals
-	res.IL1Miss = totals.IL1.MissRatio()
-	res.DL1Miss = totals.DL1.MissRatio()
-	res.L2Miss = totals.L2.MissRatio()
-	phase(PhaseReplay)
-
-	if req.Analyze {
-		// The analysis comes from the streaming accumulators — bit-identical
-		// to the buffered Analyze(res.Times), which stays as the reference
-		// oracle in the differential tests.
-		an, err := acc.analysis()
-		if err != nil {
-			return finish(err)
-		}
-		res.Analysis = &an
-		phase(PhaseAnalyze)
-	}
-	return finish(nil)
-}
-
-// buildOnce runs a campaign's one-time trace build and compilation under
-// a pool slot: a large RunBatch spawns one goroutine per request, and
-// without the gate they would all build concurrently regardless of the
-// pool size. A panic in build fails the campaign with a *PanicError, and
-// the slot is released either way.
-func (r *Runner) buildOnce(ctx context.Context, name string, build func() error) error {
-	p := r.pool()
-	if err := p.acquire(ctx); err != nil {
-		return fmt.Errorf("core: campaign %s aborted before any runs: %w", name, err)
-	}
-	defer p.release()
-	return protect(build)
-}
-
-// Engine is the context-aware front door of the library: one shared
-// simulation worker pool serving any number of campaigns, with optional
-// progress events and batch orchestration. Construct it once per process
-// (or per experiment suite) and submit Requests to it; parallelism is
-// purely a wall-clock knob, never a results knob.
+// on first use). An Engine is safe for concurrent use.
 type Engine struct {
-	runner      Runner
-	defaultRuns int
+	pool   *Pool       // shared worker allotment; see Pool
+	events func(Event) // progress sink (WithEvents); nil disables events
+	// replay runs every campaign through an interrupt + wire round trip +
+	// resume cycle instead of straight through (WithCheckpointReplay).
+	replay bool
+
+	mu   sync.Mutex // guards lazy pool init
+	evmu sync.Mutex // serializes events deliveries
 }
 
 // EngineOption configures NewEngine.
@@ -557,7 +263,7 @@ type EngineOption func(*Engine)
 // WithWorkers sizes the shared simulation pool (non-positive selects
 // runtime.GOMAXPROCS(0)).
 func WithWorkers(n int) EngineOption {
-	return func(e *Engine) { e.runner.Pool = NewPool(n) }
+	return func(e *Engine) { e.pool = NewPool(n) }
 }
 
 // WithEvents installs a progress sink. Deliveries are serialized, so the
@@ -565,7 +271,7 @@ func WithWorkers(n int) EngineOption {
 // non-blocking, no re-entry). A channel-backed sink over a generously
 // buffered channel is one line: WithEvents(func(ev Event) { ch <- ev }).
 func WithEvents(sink func(Event)) EngineOption {
-	return func(e *Engine) { e.runner.Events = sink }
+	return func(e *Engine) { e.events = sink }
 }
 
 // WithCheckpointReplay makes the Engine execute every campaign as an
@@ -576,48 +282,50 @@ func WithEvents(sink func(Event)) EngineOption {
 // -resume-check` uses this to regenerate the bench trajectory through the
 // crash path so CI can compare it against the committed snapshots.
 func WithCheckpointReplay() EngineOption {
-	return func(e *Engine) { e.runner.CheckpointReplay = true }
-}
-
-// WithDefaultRuns sets the campaign scale applied to Requests that leave
-// Runs at zero, so experiment suites configure size once on the Engine.
-func WithDefaultRuns(n int) EngineOption {
-	return func(e *Engine) { e.defaultRuns = n }
+	return func(e *Engine) { e.replay = true }
 }
 
 // NewEngine builds an Engine; with no options it uses a GOMAXPROCS-sized
-// pool, no events, and no default scale.
+// pool and no events.
 func NewEngine(opts ...EngineOption) *Engine {
 	e := &Engine{}
 	for _, o := range opts {
 		o(e)
 	}
-	if e.runner.Pool == nil {
-		e.runner.Pool = NewPool(0)
-	}
 	return e
 }
 
 // Workers reports the shared pool size.
-func (e *Engine) Workers() int { return e.runner.pool().Workers() }
+func (e *Engine) Workers() int { return e.Pool().Workers() }
 
-// Pool exposes the shared pool for custom sweeps (ShardRunsPool) that
-// should contend with the Engine's campaigns instead of oversubscribing
-// the host.
-func (e *Engine) Pool() *Pool { return e.runner.pool() }
-
-func (e *Engine) prepared(req Request) Request {
-	if req.Runs == 0 && e.defaultRuns > 0 {
-		req.Runs = e.defaultRuns
+// Pool returns the shared worker pool, allocating the GOMAXPROCS-sized
+// default on first use. Custom sweeps (ShardRuns) over it contend with
+// the Engine's campaigns instead of oversubscribing the host.
+func (e *Engine) Pool() *Pool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.pool == nil {
+		e.pool = NewPool(0)
 	}
-	return req
+	return e.pool
 }
 
-// Run executes one campaign over the shared pool. Cancelling ctx aborts
-// it mid-campaign: the returned error wraps ctx.Err() and the Result
-// holds the partial measurement vector.
+func (e *Engine) emit(ev Event) {
+	if e.events == nil {
+		return
+	}
+	e.evmu.Lock()
+	defer e.evmu.Unlock()
+	e.events(ev)
+}
+
+// Run executes one campaign over the shared pool. Results are a pure
+// function of the Request: they are bit-identical for any pool size and
+// regardless of what else runs on the pool concurrently. Cancelling ctx
+// aborts the campaign mid-flight: the returned error wraps ctx.Err() and
+// the Result holds the partial measurement vector.
 func (e *Engine) Run(ctx context.Context, req Request) (Result, error) {
-	return e.runner.run(ctx, 0, e.prepared(req))
+	return e.run(ctx, 0, req)
 }
 
 // RunBatch schedules many campaigns over the shared pool at once and
@@ -638,8 +346,8 @@ func (e *Engine) RunBatch(ctx context.Context, reqs []Request) ([]Result, error)
 		wg.Add(1)
 		go func(i int, req Request) {
 			defer wg.Done()
-			results[i], errs[i] = e.runner.run(ctx, i, req)
-		}(i, e.prepared(req))
+			results[i], errs[i] = e.run(ctx, i, req)
+		}(i, req)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -648,4 +356,312 @@ func (e *Engine) RunBatch(ctx context.Context, reqs []Request) ([]Result, error)
 		}
 	}
 	return results, nil
+}
+
+// run executes req as batch member index, detouring through the
+// checkpoint-replay harness when the Engine asks for it.
+func (e *Engine) run(ctx context.Context, index int, req Request) (Result, error) {
+	if e.replay && req.Resume == nil && req.OnCheckpoint == nil && req.Runs > 1 {
+		return e.runReplay(ctx, index, req)
+	}
+	return e.runOnce(ctx, index, req)
+}
+
+// runReplay is the self-checking execution mode behind
+// WithCheckpointReplay: run until the first checkpoint past the midpoint,
+// cancel, round-trip the checkpoint through the wire codec, and resume.
+// The completed Result must be — and the resumed-bench CI gate asserts it
+// is — bit-identical to a plain run.
+//
+// Event consumers see the two legs spliced into ONE campaign: the first
+// leg's cancellation Finished and the second leg's Started are dropped,
+// so the stream still carries exactly one CampaignStarted and one
+// CampaignFinished per submitted request. Runs the first leg completed
+// past the checkpoint frontier re-execute on the second leg and re-emit
+// RunCompleted with bit-identical cycles; across the splice the Done
+// counter may step back once (the strict monotonicity of a plain run is
+// relaxed to per-leg monotonicity).
+func (e *Engine) runReplay(ctx context.Context, index int, req Request) (Result, error) {
+	leg, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var captured atomic.Pointer[Checkpoint]
+	first := req
+	first.CheckpointEvery = (req.Runs + 1) / 2
+	first.OnCheckpoint = func(cp *Checkpoint) {
+		if captured.CompareAndSwap(nil, cp) {
+			cancel()
+		}
+	}
+	// The legs are sub-Engines over the same pool. They filter the
+	// splice-point events and forward the rest through e.emit, so
+	// deliveries stay serialized with every other campaign on e.
+	var fin *Event // leg 1's suppressed Finished; emitted from runOnce's own goroutine
+	leg1 := &Engine{pool: e.Pool()}
+	if e.events != nil {
+		leg1.events = func(ev Event) {
+			if ev.Kind == CampaignFinished {
+				fin = &ev
+				return
+			}
+			e.emit(ev)
+		}
+	}
+	res1, err1 := leg1.runOnce(leg, index, first)
+	cp := captured.Load()
+	if cp == nil {
+		// The campaign finished (or failed) before any checkpoint fired —
+		// nothing to resume; the first leg already is the plain run. Emit
+		// the Finished withheld by the filter to complete the stream.
+		if fin != nil {
+			e.emit(*fin)
+		}
+		return res1, err1
+	}
+	dec, err := DecodeCheckpoint(cp.Encode())
+	if err != nil {
+		return Result{Name: req.name()}, fmt.Errorf("core: checkpoint replay round trip: %w", err)
+	}
+	leg2 := &Engine{pool: e.Pool()}
+	if e.events != nil {
+		leg2.events = func(ev Event) {
+			if ev.Kind != CampaignStarted {
+				e.emit(ev)
+			}
+		}
+	}
+	second := req
+	second.Resume = dec
+	return leg2.runOnce(ctx, index, second)
+}
+
+// campaign is one Request in flight on an Engine: the identity its events
+// carry and its completed-run counter. The timing and security runners
+// share it, so both report progress the same way.
+type campaign struct {
+	e     *Engine
+	name  string
+	kind  Kind
+	index int
+	total int
+	done  atomic.Int64
+}
+
+// emit delivers ev stamped with the campaign's identity.
+func (c *campaign) emit(ev Event) {
+	ev.Campaign, ev.CampaignKind, ev.Index, ev.Total = c.name, c.kind, c.index, c.total
+	c.e.emit(ev)
+}
+
+// ran counts one completed run and reports it as a RunCompleted event.
+// The increment and the delivery share the event mutex so the Done
+// counter in the event stream is strictly monotone. It is called once per
+// run from the workers and allocates nothing.
+func (c *campaign) ran(run int, x float64) {
+	e := c.e
+	if e.events == nil {
+		c.done.Add(1)
+		return
+	}
+	e.evmu.Lock()
+	n := int(c.done.Add(1))
+	e.events(Event{
+		Kind: RunCompleted, Campaign: c.name, CampaignKind: c.kind, Index: c.index,
+		Run: run, Cycles: x, Done: n, Total: c.total,
+	})
+	e.evmu.Unlock()
+}
+
+// phase marks a phase boundary for observers (latency attribution, trace
+// spans). Like every event it is emitted off the replay path — at most
+// three deliveries per campaign — and carries no timestamp: clocks stay
+// with the observers, keeping this package deterministic.
+func (c *campaign) phase(name string) {
+	c.emit(Event{Kind: PhaseDone, Phase: name, Done: int(c.done.Load())})
+}
+
+// finish emits the campaign's one CampaignFinished (Err set on failure)
+// and returns its outcome. Every submitted request ends here, so stream
+// consumers can count completions without special-casing validation
+// errors.
+func (c *campaign) finish(res Result, err error) (Result, error) {
+	c.emit(Event{Kind: CampaignFinished, Done: int(c.done.Load()), Err: err})
+	return res, err
+}
+
+// aborted annotates a sweep's cancellation with the runs (or, for
+// security campaigns, rounds) completed by then; the error still wraps
+// ctx.Err().
+func (c *campaign) aborted(err error, unit string) error {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return fmt.Errorf("core: campaign %s aborted after %d/%d %s: %w", c.name, c.done.Load(), c.total, unit, err)
+	}
+	return err
+}
+
+// runOnce executes req once. On cancellation the returned error wraps
+// ctx.Err() (so errors.Is(err, context.Canceled) holds) and the Result
+// carries the partial measurement vector.
+func (e *Engine) runOnce(ctx context.Context, index int, req Request) (Result, error) {
+	c := &campaign{e: e, name: req.name(), kind: req.Kind(), index: index, total: req.Runs}
+	res := Result{Name: c.name}
+	c.emit(Event{Kind: CampaignStarted})
+	if req.Runs < 1 {
+		return c.finish(res, errors.New("core: campaign needs at least one run"))
+	}
+	if req.Security != nil {
+		return e.runSecurity(ctx, req, c)
+	}
+	if req.Workload.Build == nil {
+		return c.finish(res, errors.New("core: campaign needs a workload"))
+	}
+
+	layout := workload.DefaultLayout()
+	if req.Baseline {
+		layout = workload.BaselineLayout()
+	}
+	if req.Layout != nil {
+		layout = *req.Layout
+	}
+	var do func(p *sim.Core, run int) sim.Result
+	if err := e.buildOnce(ctx, c.name, func() error {
+		if req.Baseline {
+			// Layouts change per run, the program does not: compile once at
+			// the base layout and relocate the line tables per run.
+			rel, err := req.Workload.Relocatable(layout, req.Spec.LineBytes)
+			if err != nil {
+				return fmt.Errorf("core: campaign %s: %w", c.name, err)
+			}
+			if rel.Len() == 0 {
+				return fmt.Errorf("core: workload %s built an empty trace", req.Workload.Name)
+			}
+			do = func(p *sim.Core, run int) sim.Result {
+				seed := prng.Derive(req.MasterSeed^hwmSeedTag, run)
+				ct := rel.Relocate(workload.RandomizedLayoutFrom(layout, prng.New(seed)))
+				// Reseed rather than Flush: deterministic policies ignore the
+				// seed (so the typical modulo+LRU baseline is unchanged), while
+				// any randomized policy in Spec becomes a pure function of the
+				// run index instead of carrying PRNG state across runs.
+				p.Reseed(seed)
+				return p.RunCompiled(ct)
+			}
+			return nil
+		}
+		tr := req.Workload.Build(layout)
+		if len(tr) == 0 {
+			return fmt.Errorf("core: workload %s built an empty trace", req.Workload.Name)
+		}
+		// Compile once per campaign: the trace is fixed while only seeds
+		// change, so all workers share one read-only Compiled and each run
+		// materializes its index plans from it (the campaign hot path).
+		ct, err := trace.Compile(tr, req.Spec.LineBytes)
+		if err != nil {
+			return fmt.Errorf("core: campaign %s: %w", c.name, err)
+		}
+		f, l, st := tr.Counts()
+		res.Trace.Accesses = len(tr)
+		res.Trace.Fetches, res.Trace.Loads, res.Trace.Stores = f, l, st
+		do = func(p *sim.Core, run int) sim.Result {
+			p.Reseed(prng.Derive(req.MasterSeed, run))
+			return p.RunCompiled(ct)
+		}
+		return nil
+	}); err != nil {
+		return c.finish(res, err)
+	}
+	c.phase(PhaseCompile)
+
+	// All aggregates stream through the campaign accumulator; the buffered
+	// vector is only allocated when the caller wants it back.
+	acc := newCampaignAccum(req.Runs)
+	acc.meta = ckptMeta{kind: c.kind, seed: req.MasterSeed, keepTimes: req.KeepTimes}
+	if e.events != nil {
+		acc.advanced = func() {
+			s := acc.snapshotLocked()
+			c.emit(Event{Kind: SnapshotTaken, Snapshot: &s, Done: s.Runs})
+		}
+	}
+	if req.CheckpointEvery > 0 && req.OnCheckpoint != nil {
+		acc.every = req.CheckpointEvery
+		acc.checkpoint = func() { req.OnCheckpoint(acc.checkpointLocked()) }
+	}
+	var times []float64
+	if req.KeepTimes == TimesKeep {
+		times = make([]float64, req.Runs)
+	}
+	acc.times = times
+	start := 0
+	if req.Resume != nil {
+		if err := req.Resume.validate(req); err != nil {
+			return c.finish(res, err)
+		}
+		acc.restore(req.Resume)
+		start = req.Resume.Frontier
+		c.done.Store(int64(start))
+	}
+
+	// Each worker builds its own platform from the spec and streams its
+	// chunk's cycle counts into a chunk-local accumulator (and into
+	// times[run] when the caller keeps the vector). The per-level counters
+	// ride the same chunks: integer sums are order-independent, and the
+	// frontier merges them in run order, so every checkpoint's counters
+	// match its frontier.
+	err := ShardRuns(ctx, e.Pool(), start, req.Runs, req.Spec.Build, func(p *sim.Core, lo, hi int) error {
+		ca := acc.newChunk(lo, hi)
+		for run := lo; run < hi; run++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			r := do(p, run)
+			x := float64(r.Cycles)
+			if times != nil {
+				times[run] = x
+			}
+			if run < len(acc.window) {
+				acc.window[run] = x
+			}
+			ca.add(run, x)
+			ca.levels.add(r)
+			c.ran(run, x)
+		}
+		acc.commit(ca)
+		return nil
+	})
+	res.Times = times
+	res.Summary = acc.summary()
+	if err != nil {
+		return c.finish(res, c.aborted(err, "runs"))
+	}
+	totals := acc.levelsTotal()
+	res.Levels = totals
+	res.IL1Miss = totals.IL1.MissRatio()
+	res.DL1Miss = totals.DL1.MissRatio()
+	res.L2Miss = totals.L2.MissRatio()
+	c.phase(PhaseReplay)
+
+	if req.Analyze {
+		// The analysis comes from the streaming accumulators — bit-identical
+		// to the buffered Analyze(res.Times), which stays as the reference
+		// oracle in the differential tests.
+		an, err := acc.analysis()
+		if err != nil {
+			return c.finish(res, err)
+		}
+		res.Analysis = &an
+		c.phase(PhaseAnalyze)
+	}
+	return c.finish(res, nil)
+}
+
+// buildOnce runs a campaign's one-time trace build and compilation under
+// a pool slot: a large RunBatch spawns one goroutine per request, and
+// without the gate they would all build concurrently regardless of the
+// pool size. A panic in build fails the campaign with a *PanicError, and
+// the slot is released either way.
+func (e *Engine) buildOnce(ctx context.Context, name string, build func() error) error {
+	p := e.Pool()
+	if err := p.acquire(ctx); err != nil {
+		return fmt.Errorf("core: campaign %s aborted before any runs: %w", name, err)
+	}
+	defer p.release()
+	return protect(build)
 }

@@ -254,35 +254,6 @@ func TestHWMCampaignLayoutOverride(t *testing.T) {
 	}
 }
 
-// TestEngineDefaultRuns: the WithDefaultRuns scale option fills in
-// Requests that leave Runs at zero.
-func TestEngineDefaultRuns(t *testing.T) {
-	w, err := workload.ByName("rspeed01")
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := NewEngine(WithWorkers(2), WithDefaultRuns(7))
-	res, err := eng.Run(context.Background(), Request{
-		Spec: PaperPlatform(placement.RM), Workload: w, MasterSeed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Times) != 7 {
-		t.Fatalf("default scale gave %d runs, want 7", len(res.Times))
-	}
-	// An explicit Runs wins over the default.
-	res, err = eng.Run(context.Background(), Request{
-		Spec: PaperPlatform(placement.RM), Workload: w, Runs: 3, MasterSeed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Times) != 3 {
-		t.Fatalf("explicit runs gave %d, want 3", len(res.Times))
-	}
-}
-
 // TestEngineRunMatchesLegacy: an analyzed Engine.Run on a 3-worker pool
 // reproduces the legacy buffered flow byte-for-byte — a sequential
 // campaign's times fed to the buffered Analyze (same times, same
@@ -319,8 +290,8 @@ func TestEngineRunMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestZeroValueEngine: the zero value works like the zero-value Runner --
-// accessors lazily allocate the default pool instead of panicking.
+// TestZeroValueEngine: the zero value is ready to use -- accessors lazily
+// allocate the default pool instead of panicking.
 func TestZeroValueEngine(t *testing.T) {
 	var eng Engine
 	if eng.Workers() < 1 {

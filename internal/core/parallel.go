@@ -52,7 +52,7 @@ func normWorkers(workers, runs int) int {
 }
 
 // Pool is a shared allotment of simulation worker slots. Any number of
-// campaigns (and custom ShardRunsPool sweeps) can execute over one Pool
+// campaigns (and custom ShardRuns sweeps) can execute over one Pool
 // concurrently; the Pool caps how many simulation goroutines run at once
 // without influencing any campaign's results.
 type Pool struct {
@@ -103,42 +103,6 @@ func (p *Pool) release() {
 	<-p.slots
 }
 
-// ShardRunsContext executes runs [0, runs) across a pool of workers. Each
-// worker calls build once to obtain its private execution context
-// (simulators are not safe for concurrent use) and then processes
-// contiguous blocks of run indices; do must derive all randomness from the
-// run index alone and write any per-run output into run-indexed slots,
-// which makes results bit-identical for any worker count. Non-positive
-// workers selects runtime.GOMAXPROCS(0). The error of the lowest-numbered
-// failing shard is returned. Exposed for drivers whose execution context
-// is not a single sim.Core (e.g. the multicore example's sim.System).
-//
-// Cancelling ctx aborts the sweep between runs (and while waiting for
-// pool slots) and returns ctx.Err(). Runs that completed before the
-// cancellation have written their run-indexed outputs; the rest are
-// untouched.
-func ShardRunsContext[T any](ctx context.Context, workers, runs int, build func() (T, error), do func(ctx T, run int) error) error {
-	return ShardRunsPool(ctx, NewPool(workers), runs, build, do)
-}
-
-// ShardRunsPool runs the sweep over a caller-supplied (possibly shared)
-// Pool, with the same determinism and cancellation contract as
-// ShardRunsContext: results depend only on run indices, never on the pool
-// size or on what else is executing over the pool.
-func ShardRunsPool[T any](ctx context.Context, pool *Pool, runs int, build func() (T, error), do func(ctx T, run int) error) error {
-	return ShardChunksPool(ctx, pool, runs, build, func(ctxT T, lo, hi int) error {
-		for run := lo; run < hi; run++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := do(ctxT, run); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
 // chunkSize picks the claim granularity of a chunked sweep: a handful of
 // chunks per worker, so goroutine, pool and claim overhead amortizes
 // across a whole chunk while stragglers can still rebalance.
@@ -176,53 +140,63 @@ func protect(fn func() error) (err error) {
 	return fn()
 }
 
-// ShardChunksPool is the chunked core of every sweep: runs [0, runs) are
-// claimed as contiguous chunks off a shared cursor by up to
-// normWorkers(pool.Workers(), runs) workers, each of which calls build
-// once for its private execution context and then processes whole chunks
-// via do(ctx, lo, hi). Chunk claiming is dynamic (stragglers rebalance)
-// but outputs must be run-indexed and all randomness derived from run
-// indices, so results stay bit-identical for any worker count and any
-// claiming order. The failure with the lowest chunk start is returned;
-// build and pool-acquire failures rank after every run failure. A panic
-// in build or do surfaces as a *PanicError failure of its chunk rather
-// than crashing the process; the pool survives.
-func ShardChunksPool[T any](ctx context.Context, pool *Pool, runs int, build func() (T, error), do func(ctx T, lo, hi int) error) error {
-	if runs <= 0 {
+// ShardRuns is the one sharding primitive: it executes runs [start, end)
+// over the pool's workers. Up to one worker per run each acquires a pool
+// slot, calls build once for its private execution context (simulators
+// are not safe for concurrent use) and then claims contiguous chunks of
+// run indices off a shared cursor, processing each with do(c, lo, hi).
+// Claiming is dynamic (stragglers rebalance), so do must derive all
+// randomness from the run index alone and write its outputs into
+// run-indexed slots; results are then bit-identical for any pool size,
+// any claiming order and whatever else runs over the pool. A nil pool
+// selects a private GOMAXPROCS-sized one; start > 0 resumes a sweep
+// whose earlier runs are already done, with the same chunk boundaries a
+// sweep of [start, end) alone would use.
+//
+// The failure with the lowest chunk start is returned; build and
+// pool-acquire failures rank after every run failure. A panic in build or
+// do surfaces as a *PanicError failure of its chunk rather than crashing
+// the process, and the pool keeps its slots. Cancelling ctx aborts the
+// sweep between chunks (and while waiting for pool slots) and returns
+// ctx.Err(); a do that polls ctx itself stops sooner. Runs that completed
+// keep their run-indexed outputs; the rest are untouched.
+func ShardRuns[T any](ctx context.Context, pool *Pool, start, end int, build func() (T, error), do func(c T, lo, hi int) error) error {
+	if start >= end {
 		return nil
 	}
 	if pool == nil {
 		pool = NewPool(0)
 	}
-	workers := normWorkers(pool.Workers(), runs)
-	chunk := chunkSize(runs, workers)
+	workers := normWorkers(pool.Workers(), end-start)
+	chunk := chunkSize(end-start, workers)
 	type failure struct {
 		at  int
 		err error
 	}
 	fails := make([]failure, workers)
 	var next atomic.Int64
+	next.Store(int64(start))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			if err := pool.acquire(ctx); err != nil {
-				fails[w] = failure{runs + w, err}
+				fails[w] = failure{end + w, err}
 				return
 			}
 			defer pool.release()
-			var ctxT T
+			var c T
 			if err := protect(func() (berr error) {
-				ctxT, berr = build()
+				c, berr = build()
 				return berr
 			}); err != nil {
-				fails[w] = failure{runs + w, err}
+				fails[w] = failure{end + w, err}
 				return
 			}
 			for {
 				lo := int(next.Add(int64(chunk))) - chunk
-				if lo >= runs {
+				if lo >= end {
 					return
 				}
 				// Cancellation stops the claim loop itself, so a do that
@@ -231,8 +205,8 @@ func ShardChunksPool[T any](ctx context.Context, pool *Pool, runs int, build fun
 					fails[w] = failure{lo, err}
 					return
 				}
-				hi := min(lo+chunk, runs)
-				if err := protect(func() error { return do(ctxT, lo, hi) }); err != nil {
+				hi := min(lo+chunk, end)
+				if err := protect(func() error { return do(c, lo, hi) }); err != nil {
 					fails[w] = failure{lo, err}
 					return
 				}
@@ -247,63 +221,4 @@ func ShardChunksPool[T any](ctx context.Context, pool *Pool, runs int, build fun
 		}
 	}
 	return best.err
-}
-
-// shardChunksRange shards runs [start, end) of a campaign whose earlier
-// runs are already covered (checkpoint resume): chunk claiming restarts
-// at start, absolute run indices flow through to do, and the usual
-// determinism contract applies — the resumed tail is bit-identical to the
-// same runs of an uninterrupted sweep.
-func shardChunksRange[T any](ctx context.Context, pool *Pool, start, end int, build func() (T, error), do func(ctx T, lo, hi int) error) error {
-	if start >= end {
-		return nil
-	}
-	return ShardChunksPool(ctx, pool, end-start, build, func(ctxT T, lo, hi int) error {
-		return do(ctxT, start+lo, start+hi)
-	})
-}
-
-// runShards shards a single-core campaign over a Pool: each worker builds
-// its own platform from spec, do performs one run on it, per-run cycle
-// counts stream into a chunk-local accumulator (and into times[run] when
-// the caller keeps the buffered vector — times may be nil), and the
-// per-level counters ride the same chunk accumulators (integer sums are
-// order-independent, so the aggregate is as schedule-proof as the
-// measurement vector — and merging them through acc's run-index-ordered
-// frontier makes every checkpoint's counters consistent with its
-// frontier). start > 0 resumes a checkpointed campaign: only runs
-// [start, acc.total) execute; the restored prefix is already merged.
-// onRun, if non-nil, observes every completed run (called from worker
-// goroutines).
-func runShards(ctx context.Context, pool *Pool, spec PlatformSpec, start int, times []float64, acc *campaignAccum, do func(p *sim.Core, run int) (sim.Result, error), onRun func(run int, r sim.Result)) (LevelStats, error) {
-	err := shardChunksRange(ctx, pool, start, acc.total, spec.Build, func(p *sim.Core, lo, hi int) error {
-		ca := acc.newChunk(lo, hi)
-		for run := lo; run < hi; run++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			r, err := do(p, run)
-			if err != nil {
-				return err
-			}
-			x := float64(r.Cycles)
-			if times != nil {
-				times[run] = x
-			}
-			if run < len(acc.window) {
-				acc.window[run] = x
-			}
-			ca.add(run, x)
-			ca.levels.add(r)
-			if onRun != nil {
-				onRun(run, r)
-			}
-		}
-		acc.commit(ca)
-		return nil
-	})
-	if err != nil {
-		return LevelStats{}, err
-	}
-	return acc.levelsTotal(), nil
 }

@@ -188,11 +188,13 @@ func TestWorkerPoolUnderRace(t *testing.T) {
 func TestShardRunsContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var done atomic.Int64
-	err := ShardRunsContext(ctx, 2, 10000,
+	err := ShardRuns(ctx, NewPool(2), 0, 10000,
 		func() (int, error) { return 0, nil },
-		func(_ int, run int) error {
-			if done.Add(1) == 5 {
-				cancel()
+		func(_ int, lo, hi int) error {
+			for run := lo; run < hi; run++ {
+				if done.Add(1) == 5 {
+					cancel()
+				}
 			}
 			return nil
 		})
@@ -212,9 +214,9 @@ func TestShardRunsPoolShared(t *testing.T) {
 	pool := NewPool(2)
 	var inFlight, peak atomic.Int64
 	sweep := func(out []int32) error {
-		return ShardRunsPool(context.Background(), pool, len(out),
+		return ShardRuns(context.Background(), pool, 0, len(out),
 			func() (int, error) { return 0, nil },
-			func(_ int, run int) error {
+			func(_ int, lo, hi int) error {
 				n := inFlight.Add(1)
 				for {
 					p := peak.Load()
@@ -222,7 +224,9 @@ func TestShardRunsPoolShared(t *testing.T) {
 						break
 					}
 				}
-				out[run] = int32(run + 1)
+				for run := lo; run < hi; run++ {
+					out[run] = int32(run + 1)
+				}
 				inFlight.Add(-1)
 				return nil
 			})

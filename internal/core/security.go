@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/prng"
 	"repro/internal/security"
@@ -24,19 +22,20 @@ const securitySeedTag = 0x5EC
 // of Derive(MasterSeed^securitySeedTag, round), with per-round attacker
 // access counts as the measurement vector. Event semantics match the
 // timing campaigns (one RunCompleted per round, Cycles = accesses).
-func (r *Runner) runSecurity(ctx context.Context, index int, req Request, res *Result, done *atomic.Int64, finish func(error) (Result, error)) (Result, error) {
+func (e *Engine) runSecurity(ctx context.Context, req Request, c *campaign) (Result, error) {
+	res := Result{Name: c.name}
 	if req.Baseline {
-		return finish(errors.New("core: security campaigns cannot use the baseline protocol"))
+		return c.finish(res, errors.New("core: security campaigns cannot use the baseline protocol"))
 	}
 	if req.Analyze {
-		return finish(errors.New("core: the MBPTA analysis does not apply to security campaigns"))
+		return c.finish(res, errors.New("core: the MBPTA analysis does not apply to security campaigns"))
 	}
 	spec, err := req.Security.Normalized()
 	if err != nil {
-		return finish(fmt.Errorf("core: %w", err))
+		return c.finish(res, fmt.Errorf("core: %w", err))
 	}
 	if req.Workload.Build != nil && spec.Protocol != security.Occupancy {
-		return finish(fmt.Errorf("core: a victim workload only applies to the %s protocol", security.Occupancy))
+		return c.finish(res, fmt.Errorf("core: a victim workload only applies to the %s protocol", security.Occupancy))
 	}
 
 	// The occupancy victim's trace builds once per campaign, under a pool
@@ -48,30 +47,15 @@ func (r *Runner) runSecurity(ctx context.Context, index int, req Request, res *R
 		if req.Layout != nil {
 			layout = *req.Layout
 		}
-		if err := r.buildOnce(ctx, res.Name, func() (err error) {
+		if err := e.buildOnce(ctx, c.name, func() (err error) {
 			if vic, err = security.VictimFromTrace(req.Workload.Build(layout)); err != nil {
 				return fmt.Errorf("core: compiling victim workload %s: %w", req.Workload.Name, err)
 			}
 			return nil
 		}); err != nil {
-			return finish(err)
+			return c.finish(res, err)
 		}
-		r.emit(Event{Kind: PhaseDone, Campaign: res.Name, CampaignKind: KindSecurity, Index: index,
-			Phase: PhaseCompile, Total: req.Runs})
-	}
-
-	onRound := func(round int, accesses float64) {
-		if r.Events == nil {
-			done.Add(1)
-			return
-		}
-		r.evmu.Lock()
-		n := int(done.Add(1))
-		r.Events(Event{
-			Kind: RunCompleted, Campaign: res.Name, CampaignKind: KindSecurity, Index: index,
-			Run: round, Cycles: accesses, Done: n, Total: req.Runs,
-		})
-		r.evmu.Unlock()
+		c.phase(PhaseCompile)
 	}
 
 	times := make([]float64, req.Runs)
@@ -79,44 +63,44 @@ func (r *Runner) runSecurity(ctx context.Context, index int, req Request, res *R
 	start := 0
 	if req.Resume != nil {
 		if err := req.Resume.validate(req); err != nil {
-			return finish(err)
+			return c.finish(res, err)
 		}
 		start = req.Resume.Frontier
 		copy(outs, req.Resume.Rounds)
 		for i := 0; i < start; i++ {
 			times[i] = outs[i].Accesses
 		}
-		done.Store(int64(start))
+		c.done.Store(int64(start))
 	}
-	// Checkpoints for security campaigns ride a round-index frontier over
-	// the per-round outputs: a checkpoint's Rounds prefix is everything the
+	// Checkpoints for security campaigns ride the same frontier over the
+	// per-round outputs: a checkpoint's Rounds prefix is everything the
 	// final Aggregate needs, so the accumulators stay exactly as they are.
-	front := &secFrontier{frontier: start, lastCkpt: start, pending: make(map[int]int)}
+	front := &frontier{pending: make(map[int]parked), merged: start, lastCkpt: start}
 	if req.CheckpointEvery > 0 && req.OnCheckpoint != nil {
 		front.every = req.CheckpointEvery
-		front.emit = func(frontier int) {
+		front.checkpoint = func() {
 			req.OnCheckpoint(&Checkpoint{
 				Kind:       KindSecurity,
 				MasterSeed: req.MasterSeed,
 				Runs:       req.Runs,
 				KeepTimes:  req.KeepTimes,
-				Frontier:   frontier,
-				Rounds:     append([]security.RoundOut(nil), outs[:frontier]...),
+				Frontier:   front.merged,
+				Rounds:     append([]security.RoundOut(nil), outs[:front.merged]...),
 			})
 		}
 	}
-	err = shardChunksRange(ctx, r.pool(), start, req.Runs,
+	err = ShardRuns(ctx, e.Pool(), start, req.Runs,
 		func() (*security.Engine, error) { return security.NewEngine(spec, vic) },
-		func(e *security.Engine, lo, hi int) error {
+		func(se *security.Engine, lo, hi int) error {
 			for round := lo; round < hi; round++ {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
-				e.Round(prng.Derive(req.MasterSeed^securitySeedTag, round), &outs[round])
+				se.Round(prng.Derive(req.MasterSeed^securitySeedTag, round), &outs[round])
 				times[round] = outs[round].Accesses
-				onRound(round, outs[round].Accesses)
+				c.ran(round, outs[round].Accesses)
 			}
-			front.commit(lo, hi)
+			front.commit(lo, hi, nil)
 			return nil
 		})
 	// Security campaigns buffer per-round outputs regardless (Aggregate
@@ -125,52 +109,14 @@ func (r *Runner) runSecurity(ctx context.Context, index int, req Request, res *R
 		res.Times = times
 	}
 	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			err = fmt.Errorf("core: campaign %s aborted after %d/%d rounds: %w",
-				res.Name, done.Load(), req.Runs, err)
-		}
-		return finish(err)
+		return c.finish(res, c.aborted(err, "rounds"))
 	}
 	for _, x := range times {
 		res.Summary.Moments.Add(x)
 		res.Summary.Sketch.Add(x)
 	}
-	r.emit(Event{Kind: PhaseDone, Campaign: res.Name, CampaignKind: KindSecurity, Index: index,
-		Phase: PhaseReplay, Done: int(done.Load()), Total: req.Runs})
+	c.phase(PhaseReplay)
 	agg := security.Aggregate(spec, outs)
 	res.Security = &agg
-	return finish(nil)
-}
-
-// secFrontier is the security campaigns' run-index frontier: completed
-// chunks commit in order (out-of-order arrivals park in pending), and
-// each advance of at least `every` rounds past the last capture emits one
-// checkpoint. The same mutex establishes the happens-before edge between
-// the workers' writes to outs[round] and the emit closure's read of the
-// covered prefix.
-type secFrontier struct {
-	mu       sync.Mutex
-	pending  map[int]int // chunk lo -> hi
-	frontier int
-	every    int
-	lastCkpt int
-	emit     func(frontier int)
-}
-
-func (s *secFrontier) commit(lo, hi int) {
-	s.mu.Lock()
-	s.pending[lo] = hi
-	for {
-		next, ok := s.pending[s.frontier]
-		if !ok {
-			break
-		}
-		delete(s.pending, s.frontier)
-		s.frontier = next
-	}
-	if s.emit != nil && s.frontier-s.lastCkpt >= s.every {
-		s.lastCkpt = s.frontier
-		s.emit(s.frontier)
-	}
-	s.mu.Unlock()
+	return c.finish(res, nil)
 }

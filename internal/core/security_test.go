@@ -60,7 +60,7 @@ func TestSecurityCampaignDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestSecurityCampaignWithVictimWorkload runs the occupancy channel
-// against a real compiled workload through the full Runner path.
+// against a real compiled workload through the full Engine path.
 func TestSecurityCampaignWithVictimWorkload(t *testing.T) {
 	w, err := workload.ByName("tblook01")
 	if err != nil {

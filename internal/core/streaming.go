@@ -55,13 +55,11 @@ type Snapshot struct {
 	AccumBytes int
 }
 
-// campaignAccum is the streaming statistics state of one campaign: the
-// central accumulators plus the frontier machinery that merges per-chunk
-// accumulators in canonical run-index order. Chunks are claimed
-// dynamically (ShardChunksPool), so they complete out of order; commit
-// parks each one until the contiguous prefix reaches it, which makes the
-// merge sequence — and every merged aggregate — independent of scheduling.
+// campaignAccum is the streaming statistics state of one timing
+// campaign: the central accumulators, merged chunk by chunk in canonical
+// run-index order by the embedded frontier (whose mutex guards them).
 type campaignAccum struct {
+	frontier
 	total int
 	block int // evt.BlockFor(total)
 	// window buffers the first min(total, iid.Window) measurements for the
@@ -69,32 +67,20 @@ type campaignAccum struct {
 	// disjoint run-indexed slots, so it needs no lock.
 	window []float64
 
-	mu       sync.Mutex
-	moments  stats.Moments
-	sketch   stats.QuantileSketch
-	maxima   *stats.BlockMax // central per-block maxima, blocks [0, total/block)
-	levels   LevelStats      // per-level counters, merged in frontier order
-	pending  map[int]*chunkAccum
-	frontier int // runs [0, frontier) are merged
-	badRun   int // lowest invalid-measurement run index (-1: none)
-	badVal   float64
-	// onProgress, if set, observes a Snapshot after every frontier
-	// advance, under the accumulator lock (snapshots are delivered in
-	// increasing Runs order).
-	onProgress func(Snapshot)
+	moments stats.Moments
+	sketch  stats.QuantileSketch
+	maxima  *stats.BlockMax // central per-block maxima, blocks [0, total/block)
+	levels  LevelStats      // per-level counters, merged in frontier order
+	badRun  int             // lowest invalid-measurement run index (-1: none)
+	badVal  float64
 
 	// Checkpoint capture (see checkpoint.go). meta carries the request
 	// identity stamped into every checkpoint; times aliases the caller's
 	// buffered vector (run-indexed writes for merged runs happen-before the
 	// commit that advanced the frontier past them, so reading the prefix
-	// under mu is race-free). onCheckpoint observes a freshly built
-	// Checkpoint each time the frontier advances ckptEvery runs past the
-	// last capture, under the accumulator lock.
-	meta         ckptMeta
-	times        []float64
-	ckptEvery    int
-	lastCkpt     int
-	onCheckpoint func(*Checkpoint)
+	// under mu is race-free).
+	meta  ckptMeta
+	times []float64
 }
 
 // ckptMeta is the request identity stamped into checkpoints.
@@ -106,18 +92,16 @@ type ckptMeta struct {
 
 func newCampaignAccum(total int) *campaignAccum {
 	block := evt.BlockFor(total)
-	w := total
-	if w > iid.Window {
-		w = iid.Window
+	a := &campaignAccum{
+		frontier: frontier{pending: make(map[int]parked)},
+		total:    total,
+		block:    block,
+		window:   make([]float64, min(total, iid.Window)),
+		maxima:   stats.NewBlockMax(block, 0, total/block),
+		badRun:   -1,
 	}
-	return &campaignAccum{
-		total:   total,
-		block:   block,
-		window:  make([]float64, w),
-		maxima:  stats.NewBlockMax(block, 0, total/block),
-		pending: make(map[int]*chunkAccum),
-		badRun:  -1,
-	}
+	a.merge = a.mergeChunk
+	return a
 }
 
 // chunkAccum accumulates one claimed chunk of runs [lo, hi) privately (no
@@ -175,32 +159,64 @@ func (a *campaignAccum) mergeChunk(c *chunkAccum) {
 	}
 }
 
-// commit hands a completed chunk to the central merger: chunks merge
-// strictly in run-index order, out-of-order arrivals park in pending
-// (bounded by the chunk count, a few per worker). Each frontier advance
-// produces one Snapshot for the progress observer.
-func (a *campaignAccum) commit(c *chunkAccum) {
-	a.mu.Lock()
-	a.pending[c.lo] = c
+// commit hands a completed chunk to the frontier, which merges it once
+// every earlier run has merged.
+func (a *campaignAccum) commit(c *chunkAccum) { a.frontier.commit(c.lo, c.hi, c) }
+
+// frontier is the in-order commit point of every sharded campaign, timing
+// and security alike. ShardRuns claims chunks dynamically, so they
+// complete out of order; commit parks each one (bounded by the chunk
+// count, a few per worker) until the contiguous run prefix reaches it,
+// which makes the merge sequence, every snapshot and every checkpoint
+// independent of scheduling. The mutex also orders the workers'
+// run-indexed writes before any read of the merged prefix.
+type frontier struct {
+	mu       sync.Mutex
+	pending  map[int]parked // chunk lo -> the chunk
+	merged   int            // runs [0, merged) are committed
+	every    int            // checkpoint stride
+	lastCkpt int
+	// Called under mu, each optional: merge folds one chunk's accumulator
+	// in run order, advanced observes every frontier advance, and
+	// checkpoint captures one each time the frontier has advanced at
+	// least every runs past the previous capture.
+	merge      func(*chunkAccum)
+	advanced   func()
+	checkpoint func()
+}
+
+// parked is a completed chunk waiting for the frontier: its end and, for
+// timing campaigns, its accumulator.
+type parked struct {
+	hi  int
+	acc *chunkAccum
+}
+
+// commit records chunk [lo, hi) as complete and advances the frontier
+// over every chunk that is now contiguous with it.
+func (f *frontier) commit(lo, hi int, acc *chunkAccum) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.pending[lo] = parked{hi, acc}
 	advanced := false
-	for {
-		n, ok := a.pending[a.frontier]
-		if !ok {
-			break
+	for p, ok := f.pending[f.merged]; ok; p, ok = f.pending[f.merged] {
+		delete(f.pending, f.merged)
+		if f.merge != nil {
+			f.merge(p.acc)
 		}
-		delete(a.pending, a.frontier)
-		a.mergeChunk(n)
-		a.frontier = n.hi
+		f.merged = p.hi
 		advanced = true
 	}
-	if advanced && a.onProgress != nil {
-		a.onProgress(a.snapshotLocked())
+	if !advanced {
+		return
 	}
-	if advanced && a.onCheckpoint != nil && a.frontier-a.lastCkpt >= a.ckptEvery {
-		a.lastCkpt = a.frontier
-		a.onCheckpoint(a.checkpointLocked())
+	if f.advanced != nil {
+		f.advanced()
 	}
-	a.mu.Unlock()
+	if f.checkpoint != nil && f.merged-f.lastCkpt >= f.every {
+		f.lastCkpt = f.merged
+		f.checkpoint()
+	}
 }
 
 // checkpointLocked captures the merged frontier as a self-contained
@@ -212,32 +228,32 @@ func (a *campaignAccum) checkpointLocked() *Checkpoint {
 		MasterSeed: a.meta.seed,
 		Runs:       a.total,
 		KeepTimes:  a.meta.keepTimes,
-		Frontier:   a.frontier,
+		Frontier:   a.merged,
 		Moments:    a.moments,
 		Sketch:     a.sketch,
 		BadRun:     a.badRun,
 		BadVal:     a.badVal,
 		Levels:     a.levels,
 	}
-	cp.Window = append([]float64(nil), a.window[:min(a.frontier, len(a.window))]...)
+	cp.Window = append([]float64(nil), a.window[:min(a.merged, len(a.window))]...)
 	cp.Maxima = stats.NewBlockMax(a.maxima.Block, 0, len(a.maxima.Max))
 	copy(cp.Maxima.Max, a.maxima.Max)
 	if a.times != nil {
-		cp.Times = append([]float64(nil), a.times[:a.frontier]...)
+		cp.Times = append([]float64(nil), a.times[:a.merged]...)
 	}
 	return cp
 }
 
 // restore rewinds the accumulator to a validated checkpoint's frontier.
 // Must run before the first chunk is claimed (no lock needed: the
-// accumulator is still private to the Runner).
+// accumulator is still private to its campaign).
 func (a *campaignAccum) restore(cp *Checkpoint) {
 	a.moments = cp.Moments
 	a.sketch = cp.Sketch
 	copy(a.maxima.Max, cp.Maxima.Max)
 	a.levels = cp.Levels
 	copy(a.window, cp.Window)
-	a.frontier = cp.Frontier
+	a.merged = cp.Frontier
 	a.lastCkpt = cp.Frontier
 	a.badRun, a.badVal = cp.BadRun, cp.BadVal
 	if a.times != nil {
@@ -257,7 +273,7 @@ func (a *campaignAccum) levelsTotal() LevelStats {
 // far off the per-run path.
 func (a *campaignAccum) snapshotLocked() Snapshot {
 	s := Snapshot{
-		Runs:       a.frontier,
+		Runs:       a.merged,
 		Total:      a.total,
 		AccumBytes: a.footprintLocked(),
 	}
@@ -269,12 +285,12 @@ func (a *campaignAccum) snapshotLocked() Snapshot {
 		s.P95 = a.sketch.Quantile(0.95)
 		s.P99 = a.sketch.Quantile(0.99)
 	}
-	nb := a.frontier / a.block
+	nb := a.merged / a.block
 	if nb > len(a.maxima.Max) {
 		nb = len(a.maxima.Max)
 	}
 	if nb >= 2 {
-		if model, err := evt.AnalyzeMaxima(a.maxima.Max[:nb], a.block, a.frontier); err == nil {
+		if model, err := evt.AnalyzeMaxima(a.maxima.Max[:nb], a.block, a.merged); err == nil {
 			s.Blocks = nb
 			s.PWCET12 = model.AtExceedance(CutoffLow)
 			s.PWCET15 = model.AtExceedance(CutoffHigh)

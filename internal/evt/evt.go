@@ -293,51 +293,3 @@ func (w PWCET) Curve(pMin float64) []CurvePoint {
 	}
 	return out
 }
-
-// ConvergenceReport describes the stability of the pWCET estimate as runs
-// accumulate, the MBPTA criterion for "enough measurements".
-type ConvergenceReport struct {
-	Converged bool
-	Runs      int     // runs at which the estimate stabilized (or total used)
-	Estimate  float64 // pWCET at the probe probability using all runs
-	Delta     float64 // final relative step between successive estimates
-}
-
-// Convergence applies the iterative MBPTA protocol: fit on growing
-// prefixes (steps of step runs) and declare convergence when the pWCET
-// estimate at probe probability changes by less than tol relatively across
-// the last two steps.
-func Convergence(times []float64, block int, probe, tol float64, step int) (ConvergenceReport, error) {
-	if step < block*10 {
-		step = block * 10
-	}
-	var prev float64
-	havePrev := false
-	rep := ConvergenceReport{}
-	for n := step; n <= len(times); n += step {
-		w, err := Analyze(times[:n], block)
-		if err != nil {
-			return rep, err
-		}
-		est := w.AtExceedance(probe)
-		rep.Estimate = est
-		rep.Runs = n
-		if havePrev && prev > 0 {
-			rep.Delta = math.Abs(est-prev) / prev
-			if rep.Delta < tol {
-				rep.Converged = true
-				return rep, nil
-			}
-		}
-		prev = est
-		havePrev = true
-	}
-	// Use the full sample estimate even when not converged within tol.
-	w, err := Analyze(times, block)
-	if err != nil {
-		return rep, err
-	}
-	rep.Estimate = w.AtExceedance(probe)
-	rep.Runs = len(times)
-	return rep, nil
-}

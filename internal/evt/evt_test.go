@@ -240,41 +240,3 @@ func TestCurveShape(t *testing.T) {
 		}
 	}
 }
-
-func TestConvergence(t *testing.T) {
-	truth := Gumbel{Mu: 100, Beta: 5}
-	rng := prng.New(31)
-	times := make([]float64, 3000)
-	for i := range times {
-		times[i] = truth.Sample(rng)
-	}
-	rep, err := Convergence(times, 20, 1e-12, 0.02, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Converged {
-		t.Fatalf("did not converge on clean Gumbel data: %+v", rep)
-	}
-	if rep.Estimate < truth.QuantileSurvival(1e-10) {
-		t.Fatalf("converged estimate %f implausibly low", rep.Estimate)
-	}
-}
-
-func TestConvergenceReportsWhenNotConverged(t *testing.T) {
-	truth := Gumbel{Mu: 100, Beta: 5}
-	rng := prng.New(33)
-	times := make([]float64, 400)
-	for i := range times {
-		times[i] = truth.Sample(rng)
-	}
-	rep, err := Convergence(times, 20, 1e-12, 1e-9, 200) // impossible tol
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Converged {
-		t.Fatal("claimed convergence at 1e-9 tolerance on 400 runs")
-	}
-	if rep.Estimate <= 0 {
-		t.Fatal("no fallback estimate")
-	}
-}

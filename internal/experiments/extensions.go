@@ -41,7 +41,7 @@ type MulticoreResult struct {
 // Multicore runs the subject benchmark solo and against three streaming
 // co-runners on the 4-core shared-bus platform, with RM L1 caches,
 // collecting runs-many seeds for both configurations. The seed sweeps
-// execute over the engine's shared pool via core.ShardRunsPool -- the
+// execute over the engine's shared pool via core.ShardRuns -- the
 // extension point for drivers whose execution context is not a single
 // sim.Core.
 func Multicore(ctx context.Context, eng *core.Engine, s Scale, subjectName string) (MulticoreResult, error) {
@@ -69,14 +69,15 @@ func Multicore(ctx context.Context, eng *core.Engine, s Scale, subjectName strin
 	}
 	collect := func(withHogs bool) ([]float64, error) {
 		times := make([]float64, runs)
-		err := core.ShardRunsPool(ctx, eng.Pool(), runs, mkSystem, func(sys *sim.System, r int) error {
-			sys.Reseed(prng.Derive(MasterSeed, r))
-			cts := []*trace.Compiled{subjectCT, nil, nil, nil}
-			if withHogs {
-				cts = []*trace.Compiled{subjectCT, hogCT, hogCT, hogCT}
+		cts := []*trace.Compiled{subjectCT, nil, nil, nil}
+		if withHogs {
+			cts = []*trace.Compiled{subjectCT, hogCT, hogCT, hogCT}
+		}
+		err := core.ShardRuns(ctx, eng.Pool(), 0, runs, mkSystem, func(sys *sim.System, lo, hi int) error {
+			for r := lo; r < hi; r++ {
+				sys.Reseed(prng.Derive(MasterSeed, r))
+				times[r] = float64(sys.RunAll(cts)[0].Cycles)
 			}
-			out := sys.RunAll(cts)
-			times[r] = float64(out[0].Cycles)
 			return nil
 		})
 		if err != nil {

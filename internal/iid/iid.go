@@ -107,12 +107,17 @@ type KSResult struct {
 
 // KolmogorovSmirnov2 applies the two-sample KS identical-distribution
 // test. Large p-values mean the two samples are compatible with a common
-// distribution.
+// distribution. A sample holding a NaN is rejected with an error.
 func KolmogorovSmirnov2(a, b []float64) (KSResult, error) {
 	if len(a) < 10 || len(b) < 10 {
 		return KSResult{}, ErrTooFewSamples
 	}
 	sa, sb := stats.Sorted(a), stats.Sorted(b)
+	// A NaN compares false both ways, so the merge below would never
+	// advance past it; Sorted puts NaNs first.
+	if math.IsNaN(sa[0]) || math.IsNaN(sb[0]) {
+		return KSResult{}, errors.New("iid: sample holds a NaN")
+	}
 	na, nb := len(sa), len(sb)
 	var d float64
 	i, j := 0, 0
@@ -270,11 +275,4 @@ func ksExpDistance(exc []float64) float64 {
 		}
 	}
 	return d
-}
-
-// SampleSplitHalves returns the two halves of a sample (convenience used
-// by reports).
-func SampleSplitHalves(xs []float64) (a, b []float64) {
-	h := len(xs) / 2
-	return xs[:h], xs[h:]
 }

@@ -3,6 +3,7 @@ package iid
 import (
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/prng"
 )
@@ -157,6 +158,34 @@ func TestKSErrors(t *testing.T) {
 	}
 }
 
+// TestKSRejectsNaN: a NaN in either sample is an error. It used to stall
+// the CDF merge forever, hence the timeout.
+func TestKSRejectsNaN(t *testing.T) {
+	clean := make([]float64, 20)
+	for i := range clean {
+		clean[i] = float64(i)
+	}
+	dirty := append([]float64(nil), clean...)
+	dirty[7] = math.NaN()
+	done := make(chan error, 2)
+	go func() {
+		_, errA := KolmogorovSmirnov2(dirty, clean)
+		_, errB := KolmogorovSmirnov2(clean, dirty)
+		done <- errA
+		done <- errB
+	}()
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Fatal("NaN sample accepted")
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("KolmogorovSmirnov2 did not return on a NaN sample")
+		}
+	}
+}
+
 func TestETPassesOnExponentialTail(t *testing.T) {
 	// Exponential data has an exactly exponential tail: ET must pass the
 	// bulk of the time.
@@ -243,13 +272,6 @@ func TestETDeterministic(t *testing.T) {
 	b, _ := ETTest(xs, 0.25)
 	if a != b {
 		t.Fatal("ET test is not deterministic")
-	}
-}
-
-func TestSampleSplitHalves(t *testing.T) {
-	a, b := SampleSplitHalves([]float64{1, 2, 3, 4, 5})
-	if len(a) != 2 || len(b) != 3 {
-		t.Fatalf("split %d/%d", len(a), len(b))
 	}
 }
 

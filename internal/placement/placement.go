@@ -146,11 +146,6 @@ func indexBits(sets int) (uint, error) {
 	return uint(bits.TrailingZeros(uint(sets))), nil
 }
 
-// SegmentOf returns the cache segment of a line address for a cache with
-// the given number of index bits: all lines sharing a segment fit in one
-// cache way and are the subject of RM's no-conflict guarantee.
-func SegmentOf(line uint64, idxBits uint) uint64 { return line >> idxBits }
-
 // bulkIndexer is the optional fast path behind IndexAll: built-in
 // policies implement it to map a whole slice of lines without the
 // per-call interface dispatch (and, for RM, without re-deriving the Benes

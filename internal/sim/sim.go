@@ -75,14 +75,6 @@ type Result struct {
 	L2       cache.Stats
 }
 
-// IPA returns cycles per access, a convenient normalized metric.
-func (r Result) IPA() float64 {
-	if r.Accesses == 0 {
-		return 0
-	}
-	return float64(r.Cycles) / float64(r.Accesses)
-}
-
 // Core is a single LEON3-like core with its cache hierarchy.
 // Not safe for concurrent use.
 type Core struct {

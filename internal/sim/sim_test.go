@@ -154,16 +154,6 @@ func TestReseedChangesTiming(t *testing.T) {
 	}
 }
 
-func TestIPA(t *testing.T) {
-	r := Result{Cycles: 100, Accesses: 50}
-	if r.IPA() != 2 {
-		t.Fatalf("IPA = %f", r.IPA())
-	}
-	if (Result{}).IPA() != 0 {
-		t.Fatal("empty IPA not 0")
-	}
-}
-
 func TestSystemRoundRobinBusContention(t *testing.T) {
 	sys, err := NewSystem(paperConfig(placement.RM), 4)
 	if err != nil {

@@ -96,15 +96,6 @@ func (b *Builder) Store(addr uint64) { b.t = append(b.t, Access{addr, Store}) }
 // Append appends a pre-built access.
 func (b *Builder) Append(a Access) { b.t = append(b.t, a) }
 
-// FetchRange emits fetches for every line of a code region, modelling the
-// sequential execution of a straight-line block: one fetch per lineBytes
-// starting at addr for size bytes.
-func (b *Builder) FetchRange(addr uint64, size, lineBytes int) {
-	for off := 0; off < size; off += lineBytes {
-		b.Fetch(addr + uint64(off))
-	}
-}
-
 // Len returns the number of accesses emitted so far.
 func (b *Builder) Len() int { return len(b.t) }
 

@@ -28,21 +28,6 @@ func TestBuilderAndCounts(t *testing.T) {
 	}
 }
 
-func TestFetchRange(t *testing.T) {
-	b := NewBuilder(0)
-	b.FetchRange(0x1000, 100, 32) // 100 bytes -> lines at 0x1000,0x1020,0x1040,0x1060
-	tr := b.Trace()
-	if len(tr) != 4 {
-		t.Fatalf("emitted %d fetches, want 4", len(tr))
-	}
-	want := []uint64{0x1000, 0x1020, 0x1040, 0x1060}
-	for i, a := range tr {
-		if a.Addr != want[i] || a.Kind != Fetch {
-			t.Fatalf("access %d = %+v", i, a)
-		}
-	}
-}
-
 func TestFootprint(t *testing.T) {
 	b := NewBuilder(0)
 	for i := 0; i < 100; i++ {

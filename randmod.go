@@ -116,9 +116,6 @@ func DefaultLayout() Layout { return workload.DefaultLayout() }
 // like kernels and the paper's three synthetic footprints.
 func Workloads() []Workload { return workload.All() }
 
-// EEMBCWorkloads returns the eleven EEMBC-Automotive-like kernels.
-func EEMBCWorkloads() []Workload { return workload.EEMBC() }
-
 // WorkloadByName looks a workload up by name (e.g. "tblook01", "synth20k").
 func WorkloadByName(name string) (Workload, error) { return workload.ByName(name) }
 
@@ -217,19 +214,12 @@ const (
 	PrimeProbe  = security.PrimeProbe
 )
 
-// ParseSecurityProtocol resolves a protocol name or alias ("eviction",
-// "occupancy", "prime+probe", ...) case-insensitively.
-func ParseSecurityProtocol(s string) (SecurityProtocol, error) { return security.ParseProtocol(s) }
-
-// SecurityProtocolNames lists the canonical protocol wire names.
-func SecurityProtocolNames() []string { return security.ProtocolNames() }
-
 // WireSecurity is the JSON wire form of a SecuritySpec inside a
 // WireRequest -- the "security" block of a service submission.
 type WireSecurity = core.WireSecurity
 
 // NewEngine builds an Engine; by default it uses a GOMAXPROCS-sized
-// worker pool, no events, and no default campaign scale.
+// worker pool and no events.
 func NewEngine(opts ...EngineOption) *Engine { return core.NewEngine(opts...) }
 
 // WithWorkers sizes the Engine's shared worker pool (0 = GOMAXPROCS).
@@ -239,10 +229,6 @@ func WithWorkers(n int) EngineOption { return core.WithWorkers(n) }
 // sink runs synchronously on the worker path: keep it fast, never block,
 // and never call back into the Engine from it.
 func WithEvents(sink func(Event)) EngineOption { return core.WithEvents(sink) }
-
-// WithDefaultRuns sets the run count applied to Requests that leave Runs
-// at zero — the Engine-level campaign scale.
-func WithDefaultRuns(n int) EngineOption { return core.WithDefaultRuns(n) }
 
 // WithCheckpointReplay makes the Engine execute every campaign as an
 // interrupted-and-resumed pair (checkpoint past the midpoint, wire
@@ -285,12 +271,16 @@ type CampaignResult = core.CampaignResult
 // summed deterministically across worker shards.
 type LevelStats = core.LevelStats
 
-// ShardRunsContext fans a loop of independent, run-indexed simulations
-// out over a worker pool (0 = GOMAXPROCS); see core.ShardRunsContext for
-// the determinism contract. Cancelling ctx aborts the sweep between runs
-// and returns ctx.Err(); completed runs keep their run-indexed outputs.
-func ShardRunsContext[T any](ctx context.Context, workers, runs int, build func() (T, error), do func(c T, run int) error) error {
-	return core.ShardRunsContext(ctx, workers, runs, build, do)
+// ShardRuns fans independent, run-indexed simulations of runs [start,
+// end) out over a worker pool -- typically an Engine's Pool(), so the
+// sweep shares the machine with its campaigns (nil selects a private
+// GOMAXPROCS-sized pool). Each worker builds one private execution
+// context and processes chunks of runs with do(c, lo, hi); see
+// core.ShardRuns for the determinism contract. Cancelling ctx aborts the
+// sweep between chunks and returns ctx.Err(); completed runs keep their
+// run-indexed outputs.
+func ShardRuns[T any](ctx context.Context, pool *core.Pool, start, end int, build func() (T, error), do func(c T, lo, hi int) error) error {
+	return core.ShardRuns(ctx, pool, start, end, build, do)
 }
 
 // Analysis is the MBPTA pipeline output: i.i.d. tests, Gumbel fit, pWCET.

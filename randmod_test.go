@@ -47,9 +47,6 @@ func TestPublicSurface(t *testing.T) {
 	if len(Workloads()) != 14 { // 11 EEMBC + 3 synthetic
 		t.Fatalf("Workloads() returned %d entries", len(Workloads()))
 	}
-	if len(EEMBCWorkloads()) != 11 {
-		t.Fatalf("EEMBCWorkloads() returned %d entries", len(EEMBCWorkloads()))
-	}
 	if _, err := WorkloadByName("not-a-workload"); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
@@ -108,7 +105,7 @@ func TestPublicEngineSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	var runsSeen int
-	eng := NewEngine(WithWorkers(4), WithDefaultRuns(50), WithEvents(func(ev Event) {
+	eng := NewEngine(WithWorkers(4), WithEvents(func(ev Event) {
 		if ev.Kind == RunCompleted {
 			runsSeen++
 		}
@@ -116,18 +113,18 @@ func TestPublicEngineSurface(t *testing.T) {
 	if eng.Workers() != 4 {
 		t.Fatalf("Workers() = %d, want 4", eng.Workers())
 	}
-	// One batch mixing an analyzed MBPTA campaign (Runs from the engine
-	// default) and an HWM baseline request.
+	// One batch mixing an analyzed MBPTA campaign and an HWM baseline
+	// request.
 	hwm := Request{Spec: DeterministicPlatform(), Workload: w, Runs: 10, MasterSeed: 2, Baseline: true}
 	results, err := eng.RunBatch(context.Background(), []Request{
-		{Spec: PaperPlatform(RM), Workload: w, MasterSeed: 2, Analyze: true},
+		{Spec: PaperPlatform(RM), Workload: w, Runs: 50, MasterSeed: 2, Analyze: true},
 		hwm,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(results[0].Times) != 50 {
-		t.Fatalf("engine default runs not applied: %d times", len(results[0].Times))
+		t.Fatalf("MBPTA member ran %d times", len(results[0].Times))
 	}
 	if results[0].Analysis == nil || results[0].Analysis.PWCET15 <= results[0].HWM() {
 		t.Fatal("batch member missing a sane analysis")
@@ -141,7 +138,7 @@ func TestPublicEngineSurface(t *testing.T) {
 	// Cancellation is part of the public contract.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := eng.Run(ctx, Request{Spec: PaperPlatform(RM), Workload: w, MasterSeed: 2}); !errors.Is(err, context.Canceled) {
+	if _, err := eng.Run(ctx, Request{Spec: PaperPlatform(RM), Workload: w, Runs: 50, MasterSeed: 2}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run returned %v, want wrapped context.Canceled", err)
 	}
 }
