@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short race vet fmt lint rmlint check-noalloc vuln fuzz-short verify smoke smoke-security smoke-serve smoke-metrics smoke-chaos serve bench bench-hotpath bench-json bench-json-resumed bench-compare full-bench
+.PHONY: build test test-short race vet fmt lint rmlint check-noalloc vuln fuzz-short loc verify smoke smoke-security smoke-serve smoke-metrics smoke-chaos serve bench bench-hotpath bench-json bench-json-resumed bench-compare full-bench
 
 build:
 	$(GO) build ./...
@@ -55,6 +55,11 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeWireRequest -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeCheckpoint -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzUnenvelope -fuzztime=10s ./internal/service
+
+# Non-test Go lines outside perfbench and testdata: the size figure
+# CHANGES.md and ROADMAP.md report deltas against.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path '*/testdata/*' ! -path './.git/*' ! -path './.bench_build/*' | xargs cat | wc -l
 
 test:
 	$(GO) test ./...

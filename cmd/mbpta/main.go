@@ -14,7 +14,8 @@
 //
 //	rmsim -workload canrdr01 -runs 1000 -times t.txt && mbpta -in t.txt
 //
-// -cutoff only picks the printed pWCET point and where the curve stops.
+// -cutoff only picks the printed pWCET point and where the curve stops;
+// it must lie in (0, 1).
 // The input can also come from any external measurement source. Lines
 // that are empty or start with # are skipped; a value that is NaN,
 // infinite or negative fails the analysis (exit status 1).
@@ -51,6 +52,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *in == "" {
 		fmt.Fprintln(stderr, "mbpta: -in is required")
 		fs.Usage()
+		return 2
+	}
+	if !(*cutoff > 0 && *cutoff < 1) {
+		fmt.Fprintf(stderr, "mbpta: -cutoff %v: want an exceedance probability in (0, 1)\n", *cutoff)
 		return 2
 	}
 	an, err := analyzeFile(*in)

@@ -122,6 +122,13 @@ func TestUsage(t *testing.T) {
 		{"-cutoff", "1e-12"},
 		{"-workload", "tblook01"},
 		{"-in", "t.txt", "-block", "20"},
+		// An exceedance probability outside (0, 1) is refused before the
+		// input is read (the file does not exist).
+		{"-in", "no-such-file", "-cutoff", "0"},
+		{"-in", "no-such-file", "-cutoff", "-1"},
+		{"-in", "no-such-file", "-cutoff", "1"},
+		{"-in", "no-such-file", "-cutoff", "2"},
+		{"-in", "no-such-file", "-cutoff", "NaN"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 2 {

@@ -80,9 +80,10 @@ func main() {
 	eng := core.NewEngine(core.WithWorkers(*workers))
 	res, err := eng.Run(ctx, core.Request{
 		Spec: spec, Workload: w, Runs: *runs, MasterSeed: *seed,
+		Analyze: *runs >= 40,
 	})
-	if err != nil {
-		fatal(err)
+	if err != nil && res.Summary.Moments.N < int64(*runs) {
+		fatal(err) // the campaign itself failed
 	}
 
 	fmt.Printf("workload  %s (%s)\n", w.Name, w.Description)
@@ -92,11 +93,10 @@ func main() {
 		stats.Min(res.Times), res.Mean(), res.HWM(), stats.StdDev(res.Times))
 	fmt.Printf("misses    IL1=%.4f  DL1=%.4f  L2=%.4f\n", res.IL1Miss, res.DL1Miss, res.L2Miss)
 
-	if len(res.Times) >= 40 {
-		an, err := core.Analyze(res.Times)
-		if err != nil {
-			fatal(err)
-		}
+	if err != nil {
+		fatal(err) // every run completed; their analysis failed
+	}
+	if an := res.Analysis; an != nil {
 		fmt.Printf("iid       WW=%.2f (<1.96)  KSp=%.2f (>0.05)  ETp=%.2f (>0.05)  pass=%v\n",
 			an.WW.Stat, an.KS.P, an.ET.P, an.IIDPass && an.ET.Pass)
 		fmt.Printf("gumbel    mu=%.0f  beta=%.1f  (block %d)\n",

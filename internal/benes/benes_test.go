@@ -2,6 +2,7 @@ package benes
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -307,13 +308,31 @@ func TestQuickRouteRealizesPermutation(t *testing.T) {
 	}
 }
 
+// TestSwitchAtBounds: every switch build wires joins two distinct wires
+// of the network.
 func TestSwitchAtBounds(t *testing.T) {
 	n := MustNew(8)
-	for i := 0; i < n.Switches(); i++ {
-		sw := n.SwitchAt(i)
+	for i, sw := range n.switches {
 		if sw.A < 0 || sw.A >= 8 || sw.B < 0 || sw.B >= 8 || sw.A == sw.B {
 			t.Fatalf("switch %d wires out of range: %+v", i, sw)
 		}
+	}
+}
+
+// TestRouteRotatesWires routes the rotation that sends input wire i to
+// output wire (i+1) mod 4 and applies it: out[o] = in[perm[o]].
+func TestRouteRotatesWires(t *testing.T) {
+	n := MustNew(4)
+	perm := []int{3, 0, 1, 2}
+	ctrl, err := n.Route(perm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := []int{10, 11, 12, 13}
+	out := make([]int, 4)
+	n.Permute(ctrl, in, out)
+	if want := []int{13, 10, 11, 12}; !reflect.DeepEqual(out, want) {
+		t.Fatalf("rotated wires = %v, want %v", out, want)
 	}
 }
 

@@ -14,23 +14,6 @@ func ExampleNetwork_Switches() {
 	// Output: 20
 }
 
-// Routing computes control bits that realize a requested permutation;
-// PermuteBits then applies it to a bundle of index bits.
-func ExampleNetwork_Route() {
-	n := benes.MustNew(4)
-	// Send input wire i to output wire (i+1) mod 4: out[o] = in[perm[o]].
-	perm := []int{3, 0, 1, 2}
-	ctrl, err := n.Route(perm)
-	if err != nil {
-		panic(err)
-	}
-	in := []int{10, 11, 12, 13}
-	out := make([]int, 4)
-	n.Permute(ctrl, in, out)
-	fmt.Println(out)
-	// Output: [13 10 11 12]
-}
-
 // Any control word — including ones derived from a random seed, as in
 // Random Modulo — yields a bijection on the index bits: two distinct
 // indices can never collide.

@@ -258,9 +258,6 @@ func (c *Cache) Config() Config { return c.cfg }
 // Policy returns the placement policy (for reports and hardware costing).
 func (c *Cache) Policy() placement.Policy { return c.pol }
 
-// Stats returns the accumulated counters.
-func (c *Cache) Stats() Stats { return c.stats }
-
 // Reseed installs a fresh per-run seed into the placement policy and the
 // replacement randomness, then flushes contents: after a placement change
 // the old contents are unreachable, so the hardware flushes for consistency

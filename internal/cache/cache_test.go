@@ -112,7 +112,7 @@ func TestColdMissThenHit(t *testing.T) {
 	if r := c.Read(0x1020); r.Hit {
 		t.Fatal("next-line access hit")
 	}
-	st := c.Stats()
+	st := c.stats
 	if st.Accesses != 4 || st.Hits != 2 || st.Misses != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -202,7 +202,7 @@ func TestRandomReplacementEvictsWithinSet(t *testing.T) {
 	if got := len(c.SetContents(0)); got > 4 {
 		t.Fatalf("set 0 holds %d lines, want <= 4", got)
 	}
-	if ev := c.Stats().Evictions; ev < 100 || ev > 103 {
+	if ev := c.stats.Evictions; ev < 100 || ev > 103 {
 		t.Fatalf("evictions = %d, want 100..103", ev)
 	}
 }
@@ -287,8 +287,8 @@ func TestWriteBackDirtyEviction(t *testing.T) {
 	if r.WritebackAddr != 0 {
 		t.Fatalf("writeback addr = %#x, want 0", r.WritebackAddr)
 	}
-	if c.Stats().Writebacks != 1 {
-		t.Fatalf("writebacks = %d", c.Stats().Writebacks)
+	if c.stats.Writebacks != 1 {
+		t.Fatalf("writebacks = %d", c.stats.Writebacks)
 	}
 }
 
@@ -300,11 +300,11 @@ func TestCleanEvictionNoWriteback(t *testing.T) {
 	for i := uint64(0); i <= 4; i++ {
 		c.Read(i * way)
 	}
-	if c.Stats().Writebacks != 0 {
+	if c.stats.Writebacks != 0 {
 		t.Fatal("clean eviction produced a writeback")
 	}
-	if c.Stats().Evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", c.Stats().Evictions)
+	if c.stats.Evictions != 1 {
+		t.Fatalf("evictions = %d, want 1", c.stats.Evictions)
 	}
 }
 
@@ -345,11 +345,11 @@ func TestReseedFlushesAndRemaps(t *testing.T) {
 func TestLookupDoesNotDisturbState(t *testing.T) {
 	c, _ := New(dl1Config(placement.Modulo, LRU))
 	c.Read(0)
-	st := c.Stats()
+	st := c.stats
 	if !c.Lookup(0) || c.Lookup(4096) {
 		t.Fatal("Lookup wrong")
 	}
-	if c.Stats() != st {
+	if c.stats != st {
 		t.Fatal("Lookup changed counters")
 	}
 }
@@ -458,7 +458,7 @@ func TestHRPCanSelfConflictWithinSegment(t *testing.T) {
 		for i := uint64(0); i < 128; i++ {
 			c.Read(i * 32)
 		}
-		if c.Stats().Misses > 0 {
+		if c.stats.Misses > 0 {
 			conflictSeeds++
 		}
 	}

@@ -42,8 +42,8 @@ func TestReadWriteLineMatchesByteAPI(t *testing.T) {
 					t.Fatalf("%v/%v access %d: indexed %+v, byte API %+v", pk, rk, i, rIdx, rRef)
 				}
 			}
-			if ref.Stats() != idx.Stats() {
-				t.Fatalf("%v/%v: stats diverged: %+v vs %+v", pk, rk, idx.Stats(), ref.Stats())
+			if ref.stats != idx.stats {
+				t.Fatalf("%v/%v: stats diverged: %+v vs %+v", pk, rk, idx.stats, ref.stats)
 			}
 		}
 	}

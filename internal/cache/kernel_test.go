@@ -60,7 +60,7 @@ func driveEquivalence(t *testing.T, cfg Config, seed uint64, ops []uint16) {
 	kc.Reseed(seed)
 	k := NewKernel(kc)
 	k.Begin()
-	before := ref.Stats()
+	before := ref.stats
 	hints := make(map[uint64]uint32)
 	for i, op := range ops {
 		la := uint64(op >> 1)
@@ -109,7 +109,7 @@ func driveEquivalence(t *testing.T, cfg Config, seed uint64, ops []uint16) {
 		}
 	}
 	delta := k.End()
-	after := ref.Stats()
+	after := ref.stats
 	wantDelta := Stats{
 		Accesses:   after.Accesses - before.Accesses,
 		Hits:       after.Hits - before.Hits,
@@ -120,8 +120,8 @@ func driveEquivalence(t *testing.T, cfg Config, seed uint64, ops []uint16) {
 	if delta != wantDelta {
 		t.Fatalf("%v/%v/%v: run delta %+v, ref %+v", cfg.Placement, cfg.Replacement, cfg.Write, delta, wantDelta)
 	}
-	if kc.Stats() != ref.Stats() {
-		t.Fatalf("%v/%v/%v: cumulative stats %+v, ref %+v", cfg.Placement, cfg.Replacement, cfg.Write, kc.Stats(), ref.Stats())
+	if kc.stats != ref.stats {
+		t.Fatalf("%v/%v/%v: cumulative stats %+v, ref %+v", cfg.Placement, cfg.Replacement, cfg.Write, kc.stats, ref.stats)
 	}
 	if kc.Occupancy() != ref.Occupancy() || kc.DirtyLines() != ref.DirtyLines() {
 		t.Fatalf("%v/%v/%v: occupancy %d/%d dirty %d/%d diverged", cfg.Placement, cfg.Replacement, cfg.Write,
@@ -214,8 +214,8 @@ func TestKernelReusableAcrossRuns(t *testing.T) {
 			}
 		}
 		k.End()
-		if kc.Stats() != ref.Stats() {
-			t.Fatalf("run %d: stats diverged: %+v vs %+v", run, kc.Stats(), ref.Stats())
+		if kc.stats != ref.stats {
+			t.Fatalf("run %d: stats diverged: %+v vs %+v", run, kc.stats, ref.stats)
 		}
 	}
 }

@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/prng"
 )
 
@@ -83,25 +82,15 @@ type Client struct {
 	// sleep waits out a backoff delay; tests replace it to record the
 	// schedule without real time passing. Must honour ctx.
 	sleep func(ctx context.Context, d time.Duration) error
-
-	retries    *obs.Counter // rm_client_retries_total
-	exhausted  *obs.Counter // rm_client_retry_exhaustions_total
-	rejections *obs.Counter // rm_client_busy_total
 }
 
 // Option configures a Client.
 type Option func(*clientConfig)
 
 type clientConfig struct {
-	hc   *http.Client
 	bo   Backoff
 	seed uint64
-	reg  *obs.Registry
 }
-
-// WithHTTPClient substitutes the underlying HTTP client (timeouts,
-// transports, test servers).
-func WithHTTPClient(hc *http.Client) Option { return func(c *clientConfig) { c.hc = hc } }
 
 // WithBackoff replaces the retry schedule.
 func WithBackoff(bo Backoff) Option { return func(c *clientConfig) { c.bo = bo } }
@@ -110,14 +99,10 @@ func WithBackoff(bo Backoff) Option { return func(c *clientConfig) { c.bo = bo }
 // same seed retry on an identical schedule.
 func WithJitterSeed(seed uint64) Option { return func(c *clientConfig) { c.seed = seed } }
 
-// WithRegistry registers the client's retry counters on reg (they land
-// on a private registry otherwise).
-func WithRegistry(reg *obs.Registry) Option { return func(c *clientConfig) { c.reg = reg } }
-
 // New builds a client for the service at base (e.g.
 // "http://127.0.0.1:8080").
 func New(base string, opts ...Option) *Client {
-	cfg := clientConfig{hc: &http.Client{}, bo: DefaultBackoff()}
+	cfg := clientConfig{bo: DefaultBackoff()}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -130,20 +115,11 @@ func New(base string, opts ...Option) *Client {
 	if cfg.bo.Max < cfg.bo.Base {
 		cfg.bo.Max = cfg.bo.Base
 	}
-	if cfg.reg == nil {
-		cfg.reg = obs.NewRegistry()
-	}
 	c := &Client{
 		base: strings.TrimRight(base, "/"),
-		hc:   cfg.hc,
+		hc:   &http.Client{},
 		bo:   cfg.bo,
 		g:    prng.New(cfg.seed),
-		retries: cfg.reg.Counter("rm_client_retries_total",
-			"Requests retried after a temporary failure."),
-		exhausted: cfg.reg.Counter("rm_client_retry_exhaustions_total",
-			"Requests abandoned with the retry budget spent."),
-		rejections: cfg.reg.Counter("rm_client_busy_total",
-			"429 queue-full rejections observed."),
 	}
 	c.sleep = func(ctx context.Context, d time.Duration) error {
 		t := time.NewTimer(d)
@@ -185,7 +161,6 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 	var last error
 	for attempt := 0; attempt < c.bo.Tries; attempt++ {
 		if attempt > 0 {
-			c.retries.Inc()
 			var ra time.Duration
 			var ae *APIError
 			if errors.As(last, &ae) {
@@ -202,9 +177,6 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 		last = err
 		var ae *APIError
 		if errors.As(err, &ae) {
-			if ae.Status == http.StatusTooManyRequests {
-				c.rejections.Inc()
-			}
 			if !ae.Temporary() {
 				return err
 			}
@@ -213,7 +185,6 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 			return err
 		}
 	}
-	c.exhausted.Inc()
 	return fmt.Errorf("client: %d attempts exhausted: %w", c.bo.Tries, last)
 }
 
@@ -362,7 +333,6 @@ func (c *Client) Stream(ctx context.Context, id string, fn func(Event) error) er
 	var last error
 	for attempt := 0; attempt < c.bo.Tries; attempt++ {
 		if attempt > 0 {
-			c.retries.Inc()
 			if err := c.sleep(ctx, c.delay(attempt-1, 0)); err != nil {
 				return fmt.Errorf("client: giving up during backoff: %w (last error: %v)", err, last)
 			}
@@ -380,7 +350,6 @@ func (c *Client) Stream(ctx context.Context, id string, fn func(Event) error) er
 			return err
 		}
 	}
-	c.exhausted.Inc()
 	return fmt.Errorf("client: %d stream attempts exhausted: %w", c.bo.Tries, last)
 }
 

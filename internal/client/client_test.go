@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/service"
 )
 
@@ -143,24 +142,21 @@ func TestPermanentErrorNoRetry(t *testing.T) {
 	}
 }
 
-// TestRetryCounters: the obs counters move with the retry loop.
+// TestRetryCounters: two 429s then success cost three calls, two
+// backoff sleeps and no exhaustion.
 func TestRetryCounters(t *testing.T) {
-	ts, _ := flakyServer(t, 2)
-	reg := obs.NewRegistry()
-	c := New(ts.URL, WithJitterSeed(1), WithRegistry(reg),
+	ts, calls := flakyServer(t, 2)
+	c := New(ts.URL, WithJitterSeed(1),
 		WithBackoff(Backoff{Tries: 4, Base: time.Millisecond, Max: 2 * time.Millisecond}))
-	recorded(c)
+	ds := recorded(c)
 	if _, err := c.Submit(context.Background(), core.WireRequest{Workload: "x", Placement: "RM", Runs: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.retries.Value(); got != 2 {
+	if got := calls.Load(); got != 3 {
+		t.Fatalf("calls = %d, want 3 (two rejections, one success)", got)
+	}
+	if got := len(*ds); got != 2 {
 		t.Fatalf("retries = %d, want 2", got)
-	}
-	if got := c.rejections.Value(); got != 2 {
-		t.Fatalf("rejections = %d, want 2", got)
-	}
-	if got := c.exhausted.Value(); got != 0 {
-		t.Fatalf("exhaustions = %d, want 0", got)
 	}
 }
 

@@ -9,8 +9,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/cache"
 	"repro/internal/evt"
 	"repro/internal/iid"
@@ -206,19 +204,21 @@ const (
 // particular breaks down when most observations tie the median); the EVT
 // fit uses the raw times.
 //
-// Analyze is the buffered reference pipeline: the engine computes the same
-// analysis from streaming accumulators without retaining the vector, and
-// differential tests pin the two paths bit-identical. Times containing
-// NaN, infinite or negative values are rejected with a typed
-// *evt.InvalidTimeError (unwrappable via errors.As) before any statistics
-// run.
+// Analyze runs the vector through the campaign engine's streaming
+// accumulator as one chunk, so it returns exactly the Analysis an engine
+// campaign with the same times reports. Times containing NaN, infinite
+// or negative values are rejected with a typed *evt.InvalidTimeError
+// (unwrappable via errors.As) naming the lowest offending index, before
+// any statistics run.
 func Analyze(times []float64) (Analysis, error) {
-	if err := evt.ValidateTimes(times); err != nil {
-		return Analysis{}, fmt.Errorf("core: invalid measurement: %w", err)
+	acc := newCampaignAccum(len(times))
+	c := acc.newChunk(0, len(times))
+	for run, x := range times {
+		c.add(run, x)
 	}
-	block := evt.BlockFor(len(times))
-	maxima, merr := evt.BlockMaxima(times, block)
-	return analyzeParts(iidWindow(times), maxima, merr, block, len(times))
+	copy(acc.window, times)
+	acc.commit(c)
+	return acc.analysis()
 }
 
 // ditherTies adds a deterministic sub-cycle perturbation to break the ties

@@ -2,9 +2,12 @@ package core
 
 import (
 	"context"
+	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/iid"
 	"repro/internal/placement"
 	"repro/internal/prng"
 	"repro/internal/stats"
@@ -177,9 +180,40 @@ func TestAnalyzePipelineOnCampaign(t *testing.T) {
 	}
 }
 
+// TestAnalyzeRejectsShortSamples runs Analyze and the buffered pipeline
+// over vector lengths at the edges of the pipeline: empty, too short for
+// the tests or for two block maxima, ragged final blocks, and either side
+// of the iid.Window prefix. Both must agree bit for bit, or fail with the
+// same error type and text.
 func TestAnalyzeRejectsShortSamples(t *testing.T) {
+	g := prng.New(0x5A3)
+	long := make([]float64, iid.Window+1)
+	for i := range long {
+		long[i] = float64(1000 + g.Intn(64) + g.Intn(64))
+	}
+	for _, n := range []int{0, 1, 3, 39, 40, 41, 57, iid.Window, iid.Window + 1} {
+		times := long[:n]
+		got, err := Analyze(times)
+		want, werr := bufferedAnalysis(times)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("n=%d: Analyze error %v, buffered pipeline %v", n, err, werr)
+		}
+		if err != nil {
+			if err.Error() != werr.Error() || reflect.TypeOf(errors.Unwrap(err)) != reflect.TypeOf(errors.Unwrap(werr)) {
+				t.Fatalf("n=%d: Analyze error %q (%T), buffered pipeline %q (%T)",
+					n, err, errors.Unwrap(err), werr, errors.Unwrap(werr))
+			}
+			continue
+		}
+		if got != want {
+			t.Fatalf("n=%d: Analyze %+v differs from buffered %+v", n, got, want)
+		}
+	}
 	if _, err := Analyze([]float64{1, 2, 3}); err == nil {
 		t.Fatal("short sample accepted")
+	}
+	if _, err := Analyze(nil); err == nil || err.Error() != "core: WW test: iid: too few samples" {
+		t.Fatalf("empty sample: %v", err)
 	}
 }
 

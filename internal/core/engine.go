@@ -639,9 +639,9 @@ func (e *Engine) runOnce(ctx context.Context, index int, req Request) (Result, e
 	c.phase(PhaseReplay)
 
 	if req.Analyze {
-		// The analysis comes from the streaming accumulators — bit-identical
-		// to the buffered Analyze(res.Times), which stays as the reference
-		// oracle in the differential tests.
+		// The analysis comes from the streaming accumulators; the vector
+		// need not be kept (streaming_test.go pins it against the buffered
+		// pipeline over the whole vector).
 		an, err := acc.analysis()
 		if err != nil {
 			return c.finish(res, err)

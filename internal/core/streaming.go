@@ -316,66 +316,41 @@ func (a *campaignAccum) summary() Summary {
 }
 
 // analysis computes the campaign's MBPTA analysis from the streaming
-// accumulators. For a completed campaign it is bit-identical to the
-// buffered Analyze(times) — the admissibility tests read the same
-// iid.Window prefix and the EVT fit the same exact block maxima — which
-// the differential tests pin across campaign kinds and worker counts.
+// accumulators: the admissibility tests on the iid.Window prefix, the EVT
+// fit on the exact block maxima. It is the only code that computes an
+// Analysis; the differential tests pin it bit-identical to the buffered
+// pipeline over the whole vector, across campaign kinds and worker
+// counts. Errors come in pipeline order: WW, KS, EVT, ET.
 func (a *campaignAccum) analysis() (Analysis, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.badRun >= 0 {
 		return Analysis{}, fmt.Errorf("core: invalid measurement: %w", &evt.InvalidTimeError{Index: a.badRun, Value: a.badVal})
 	}
-	var merr error
-	if len(a.maxima.Max) < 2 {
-		merr = evt.ErrBadSample
-	}
-	return analyzeParts(a.window, a.maxima.Max, merr, a.block, a.total)
-}
-
-// iidWindow returns the measurement prefix the admissibility tests run on
-// (the whole vector for campaigns within iid.Window).
-func iidWindow(times []float64) []float64 {
-	if len(times) > iid.Window {
-		return times[:iid.Window]
-	}
-	return times
-}
-
-// analyzeParts is the shared back half of the MBPTA pipeline: the
-// buffered Analyze and the streaming accumulator path both land here with
-// the same inputs (admissibility window, exact block maxima), which is
-// what makes their outputs bit-identical. merr defers a block-maxima
-// reduction failure to the EVT stage so both paths report errors in the
-// same pipeline order (WW, KS, EVT, ET).
-func analyzeParts(win, maxima []float64, merr error, block, runs int) (Analysis, error) {
-	var a Analysis
-	dithered := ditherTies(win)
+	var an Analysis
+	dithered := ditherTies(a.window)
 	ww, err := iid.WaldWolfowitz(dithered)
 	if err != nil {
-		return a, fmt.Errorf("core: WW test: %w", err)
+		return an, fmt.Errorf("core: WW test: %w", err)
 	}
 	ks, err := iid.KSSplit(dithered)
 	if err != nil {
-		return a, fmt.Errorf("core: KS test: %w", err)
+		return an, fmt.Errorf("core: KS test: %w", err)
 	}
-	if merr != nil {
-		return a, fmt.Errorf("core: EVT fit: %w", merr)
-	}
-	model, err := evt.AnalyzeMaxima(maxima, block, runs)
+	model, err := evt.AnalyzeMaxima(a.maxima.Max, a.block, a.total)
 	if err != nil {
-		return a, fmt.Errorf("core: EVT fit: %w", err)
+		return an, fmt.Errorf("core: EVT fit: %w", err)
 	}
 	// ET examines the extreme tail under the peaks-over-threshold protocol:
 	// search the threshold grid for an acceptable exponential tail, which
 	// EVT guarantees exists when block maxima converge to a Gumbel law.
 	et, err := iid.ETTestSearch(dithered, nil)
 	if err != nil {
-		return a, fmt.Errorf("core: ET test: %w", err)
+		return an, fmt.Errorf("core: ET test: %w", err)
 	}
-	a.WW, a.KS, a.ET, a.Model = ww, ks, et, model
-	a.PWCET15 = model.AtExceedance(CutoffHigh)
-	a.PWCET12 = model.AtExceedance(CutoffLow)
-	a.IIDPass = ww.Pass && ks.Pass
-	return a, nil
+	an.WW, an.KS, an.ET, an.Model = ww, ks, et, model
+	an.PWCET15 = model.AtExceedance(CutoffHigh)
+	an.PWCET12 = model.AtExceedance(CutoffLow)
+	an.IIDPass = ww.Pass && ks.Pass
+	return an, nil
 }

@@ -3,12 +3,14 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/evt"
+	"repro/internal/iid"
 	"repro/internal/placement"
 	"repro/internal/security"
 	"repro/internal/stats"
@@ -36,11 +38,50 @@ func sameSummary(a, b Summary) bool {
 		a.Sketch == b.Sketch
 }
 
+// bufferedAnalysis is the MBPTA pipeline over a whole buffered vector:
+// validate it, reduce it to block maxima, run the admissibility tests on
+// its iid.Window prefix and fit the maxima. It is the differential oracle
+// of campaignAccum.analysis, the one production path, and reports errors
+// in the same pipeline order (WW, KS, EVT, ET).
+func bufferedAnalysis(times []float64) (Analysis, error) {
+	var an Analysis
+	if err := evt.ValidateTimes(times); err != nil {
+		return an, fmt.Errorf("core: invalid measurement: %w", err)
+	}
+	block := evt.BlockFor(len(times))
+	maxima, merr := evt.BlockMaxima(times, block)
+	dithered := ditherTies(times[:min(len(times), iid.Window)])
+	ww, err := iid.WaldWolfowitz(dithered)
+	if err != nil {
+		return an, fmt.Errorf("core: WW test: %w", err)
+	}
+	ks, err := iid.KSSplit(dithered)
+	if err != nil {
+		return an, fmt.Errorf("core: KS test: %w", err)
+	}
+	if merr != nil {
+		return an, fmt.Errorf("core: EVT fit: %w", merr)
+	}
+	model, err := evt.AnalyzeMaxima(maxima, block, len(times))
+	if err != nil {
+		return an, fmt.Errorf("core: EVT fit: %w", err)
+	}
+	et, err := iid.ETTestSearch(dithered, nil)
+	if err != nil {
+		return an, fmt.Errorf("core: ET test: %w", err)
+	}
+	an.WW, an.KS, an.ET, an.Model = ww, ks, et, model
+	an.PWCET15 = model.AtExceedance(CutoffHigh)
+	an.PWCET12 = model.AtExceedance(CutoffLow)
+	an.IIDPass = ww.Pass && ks.Pass
+	return an, nil
+}
+
 // TestStreamingMatchesBufferedAnalysis pins the tentpole contract: for
 // every timing-campaign kind and worker counts {1, 4, GOMAXPROCS}, the
-// engine's streaming analysis is bit-identical to the buffered reference
-// pipeline Analyze(res.Times), and the streaming Summary reproduces the
-// batch statistics of the buffered vector exactly.
+// engine's streaming analysis is bit-identical to the buffered pipeline
+// over res.Times, and the streaming Summary reproduces the batch
+// statistics of the buffered vector exactly.
 func TestStreamingMatchesBufferedAnalysis(t *testing.T) {
 	cases := []struct {
 		name string
@@ -69,9 +110,9 @@ func TestStreamingMatchesBufferedAnalysis(t *testing.T) {
 					t.Fatalf("workers=%d: no analysis", workers)
 				}
 				// Streaming vs buffered: same vector, same verdicts, bitwise.
-				buffered, err := Analyze(res.Times)
+				buffered, err := bufferedAnalysis(res.Times)
 				if err != nil {
-					t.Fatalf("workers=%d: buffered Analyze: %v", workers, err)
+					t.Fatalf("workers=%d: buffered analysis: %v", workers, err)
 				}
 				if *res.Analysis != buffered {
 					t.Fatalf("workers=%d: streaming analysis %+v differs from buffered %+v",
@@ -239,9 +280,9 @@ func TestSnapshotDeterminism(t *testing.T) {
 	}
 }
 
-// TestAnalyzeRejectsInvalidTimes: both the buffered pipeline and the
-// streaming accumulators reject NaN/Inf/negative measurements with the
-// typed error, reporting the lowest offending index.
+// TestAnalyzeRejectsInvalidTimes: Analyze, the buffered pipeline and
+// chunked streaming accumulators reject NaN/Inf/negative measurements
+// with the typed error, reporting the lowest offending index.
 func TestAnalyzeRejectsInvalidTimes(t *testing.T) {
 	base := make([]float64, 60)
 	for i := range base {
@@ -267,6 +308,9 @@ func TestAnalyzeRejectsInvalidTimes(t *testing.T) {
 			}
 			if ite.Index != 17 {
 				t.Fatalf("reported index %d, want 17 (lowest)", ite.Index)
+			}
+			if _, berr := bufferedAnalysis(times); berr == nil || berr.Error() != err.Error() {
+				t.Fatalf("Analyze error %q, buffered pipeline %v", err, berr)
 			}
 
 			// Streaming path: same verdict through the accumulators, even

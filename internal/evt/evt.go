@@ -1,8 +1,8 @@
 // Package evt implements the Extreme Value Theory machinery of MBPTA
 // (paper, Section 2): block maxima extraction, Gumbel distribution fitting
-// (probability-weighted moments and maximum likelihood), and probabilistic
-// WCET (pWCET) estimation -- the execution-time value whose per-run
-// exceedance probability is below a chosen cutoff such as 1e-15.
+// by probability-weighted moments, and probabilistic WCET (pWCET)
+// estimation -- the execution-time value whose per-run exceedance
+// probability is below a chosen cutoff such as 1e-15.
 package evt
 
 import (
@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/prng"
 	"repro/internal/stats"
 )
 
@@ -25,51 +24,15 @@ type Gumbel struct {
 	Beta float64
 }
 
-// CDF returns P(X <= x).
-func (g Gumbel) CDF(x float64) float64 {
-	return math.Exp(-math.Exp(-(x - g.Mu) / g.Beta))
-}
-
-// Survival returns P(X > x), computed stably for the deep tail.
-func (g Gumbel) Survival(x float64) float64 {
-	return -math.Expm1(-math.Exp(-(x - g.Mu) / g.Beta))
-}
-
-// PDF returns the density at x.
-func (g Gumbel) PDF(x float64) float64 {
-	z := (x - g.Mu) / g.Beta
-	return math.Exp(-z-math.Exp(-z)) / g.Beta
-}
-
-// Quantile returns the x with CDF(x) = p, 0 < p < 1.
-func (g Gumbel) Quantile(p float64) float64 {
-	if p <= 0 || p >= 1 {
-		return math.NaN()
-	}
-	return g.Mu - g.Beta*math.Log(-math.Log(p))
-}
-
-// QuantileSurvival returns the x with Survival(x) = q. It is accurate for
+// QuantileSurvival returns the x with P(X > x) = q. It is accurate for
 // arbitrarily small q (the pWCET regime: q down to 1e-15 and below), where
-// Quantile(1-q) would lose all precision.
+// the quantile at 1-q would lose all precision.
 func (g Gumbel) QuantileSurvival(q float64) float64 {
 	if q <= 0 || q >= 1 {
 		return math.NaN()
 	}
 	// Survival(x) = q  <=>  x = Mu - Beta*ln(-ln(1-q)); -ln(1-q) via Log1p.
 	return g.Mu - g.Beta*math.Log(-math.Log1p(-q))
-}
-
-// Mean returns the distribution mean.
-func (g Gumbel) Mean() float64 { return g.Mu + EulerGamma*g.Beta }
-
-// Sample draws one variate using the inverse transform.
-func (g Gumbel) Sample(rng *prng.PRNG) float64 {
-	u := rng.Float64()
-	for u == 0 {
-		u = rng.Float64()
-	}
-	return g.Quantile(u)
 }
 
 // ErrBadSample reports an unusable input sample.
@@ -122,49 +85,6 @@ func FitPWM(xs []float64) (Gumbel, error) {
 		return Gumbel{}, ErrBadSample
 	}
 	return Gumbel{Mu: b0 - EulerGamma*beta, Beta: beta}, nil
-}
-
-// FitMLE fits a Gumbel distribution by maximum likelihood, iterating the
-// fixed-point condition for beta (with a PWM start) and closing the form
-// for mu. It falls back to the PWM fit if the iteration fails to converge.
-func FitMLE(xs []float64) (Gumbel, error) {
-	start, err := FitPWM(xs)
-	if err != nil {
-		return Gumbel{}, err
-	}
-	n := float64(len(xs))
-	mean := stats.Mean(xs)
-	beta := start.Beta
-	for iter := 0; iter < 200; iter++ {
-		// beta_{k+1} = mean - sum(x e^{-x/beta}) / sum(e^{-x/beta})
-		var se, sxe float64
-		for _, x := range xs {
-			e := math.Exp(-x / beta)
-			se += e
-			sxe += x * e
-		}
-		if se == 0 || math.IsNaN(se) {
-			return start, nil
-		}
-		next := mean - sxe/se
-		if next <= 0 || math.IsNaN(next) {
-			return start, nil
-		}
-		if math.Abs(next-beta) < 1e-9*beta {
-			beta = next
-			break
-		}
-		beta = next
-	}
-	var se float64
-	for _, x := range xs {
-		se += math.Exp(-x / beta)
-	}
-	mu := -beta * math.Log(se/n)
-	if math.IsNaN(mu) || math.IsInf(mu, 0) {
-		return start, nil
-	}
-	return Gumbel{Mu: mu, Beta: beta}, nil
 }
 
 // BlockMaxima splits xs into consecutive blocks of size block and returns
@@ -282,11 +202,8 @@ type CurvePoint struct {
 
 // Curve returns the pWCET curve from exceedance 1e-1 down to pMin in
 // decade steps, the log-scale CCDF representation of Figure 1 and
-// Figure 5(c).
+// Figure 5(c). pMin must lie in (0, 1).
 func (w PWCET) Curve(pMin float64) []CurvePoint {
-	if pMin <= 0 {
-		pMin = 1e-16
-	}
 	var out []CurvePoint
 	for p := 0.1; p >= pMin*0.999; p /= 10 {
 		out = append(out, CurvePoint{X: w.AtExceedance(p), P: p})

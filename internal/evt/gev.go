@@ -28,33 +28,7 @@ type GEV struct {
 	K     float64
 }
 
-// CDF returns P(X <= x).
-func (g GEV) CDF(x float64) float64 {
-	if g.K == 0 {
-		return Gumbel{Mu: g.Xi, Beta: g.Alpha}.CDF(x)
-	}
-	y := 1 - g.K*(x-g.Xi)/g.Alpha
-	if y <= 0 {
-		if g.K > 0 {
-			return 1 // beyond the finite upper endpoint
-		}
-		return 0 // below the finite lower endpoint
-	}
-	return math.Exp(-math.Pow(y, 1/g.K))
-}
-
-// Quantile returns the x with CDF(x) = p, 0 < p < 1.
-func (g GEV) Quantile(p float64) float64 {
-	if p <= 0 || p >= 1 {
-		return math.NaN()
-	}
-	if g.K == 0 {
-		return Gumbel{Mu: g.Xi, Beta: g.Alpha}.Quantile(p)
-	}
-	return g.Xi + g.Alpha*(1-math.Pow(-math.Log(p), g.K))/g.K
-}
-
-// QuantileSurvival returns the x with 1 - CDF(x) = q, accurate for tiny q.
+// QuantileSurvival returns the x with P(X > x) = q, accurate for tiny q.
 func (g GEV) QuantileSurvival(q float64) float64 {
 	if q <= 0 || q >= 1 {
 		return math.NaN()
@@ -65,15 +39,6 @@ func (g GEV) QuantileSurvival(q float64) float64 {
 	// -log(p) with p = 1-q, computed stably.
 	l := -math.Log1p(-q)
 	return g.Xi + g.Alpha*(1-math.Pow(l, g.K))/g.K
-}
-
-// UpperEndpoint returns the distribution's finite upper bound for K > 0,
-// or +Inf otherwise.
-func (g GEV) UpperEndpoint() float64 {
-	if g.K > 0 {
-		return g.Xi + g.Alpha/g.K
-	}
-	return math.Inf(1)
 }
 
 // FitGEV fits a GEV distribution by probability-weighted moments

@@ -139,10 +139,8 @@ type Config struct {
 type Plan struct {
 	cfg Config
 
-	mu    sync.Mutex
-	g     *prng.PRNG
-	draws uint64
-	hits  uint64
+	mu sync.Mutex
+	g  *prng.PRNG
 }
 
 // NewPlan builds a fault plan drawing from the given seed.
@@ -157,7 +155,6 @@ func NewPlan(seed uint64, cfg Config) *Plan {
 func (p *Plan) next() Fault {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.draws++
 	x := p.g.Float64()
 	f := FaultNone
 	switch c := p.cfg; {
@@ -170,17 +167,7 @@ func (p *Plan) next() Fault {
 	case x < c.PError+c.PTorn+c.PDelay+c.PPanic:
 		f = FaultPanic
 	}
-	if f != FaultNone {
-		p.hits++
-	}
 	return f
-}
-
-// Stats reports how many operations were considered and how many faulted.
-func (p *Plan) Stats() (draws, faults uint64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.draws, p.hits
 }
 
 // Wrap interposes plan between fs and its caller. A nil plan returns fs

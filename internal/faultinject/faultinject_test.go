@@ -12,14 +12,15 @@ import (
 func TestPlanDeterministic(t *testing.T) {
 	cfg := Config{PError: 0.2, PTorn: 0.1, PDelay: 0.05, PPanic: 0.02, Delay: time.Microsecond}
 	a, b := NewPlan(42, cfg), NewPlan(42, cfg)
+	faults := 0
 	for i := 0; i < 2000; i++ {
-		if fa, fb := a.next(), b.next(); fa != fb {
+		fa, fb := a.next(), b.next()
+		if fa != fb {
 			t.Fatalf("draw %d: %v vs %v", i, fa, fb)
 		}
-	}
-	draws, faults := a.Stats()
-	if draws != 2000 {
-		t.Fatalf("draws = %d", draws)
+		if fa != FaultNone {
+			faults++
+		}
 	}
 	// ~37% fault rate over 2000 draws: expect a healthy count of each.
 	if faults < 500 || faults > 1100 {

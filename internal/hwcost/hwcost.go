@@ -158,11 +158,6 @@ func RMModule(indexBits int) Netlist {
 	return n
 }
 
-// ModuloModule is the baseline: plain modulo indexing is wiring only.
-func ModuloModule(indexBits int) Netlist {
-	return Netlist{Module: fmt.Sprintf("modulo-%d", indexBits)}
-}
-
 // ASICRow is one side of Table 1's ASIC half.
 type ASICRow struct {
 	Module  string
@@ -280,15 +275,4 @@ func FPGA(p FPGAParams, l1Sets, l2Sets, addrBits int) FPGAReport {
 		RM:       FPGARow{Design: "RM all caches", OccupancyPct: occupancy(rmL1, rmL2), FMHz: fmax(rmL1)},
 		HRP:      FPGARow{Design: "hRP all caches", OccupancyPct: occupancy(hrpL1, hrpL2), FMHz: fmax(hrpL1)},
 	}
-}
-
-// TagOverheadBits returns the extra tag-array storage a placement needs
-// per cache: hash placements must store the index bits alongside the tag
-// (paper Section 3.1), RM and modulo need none on write-through caches
-// (Section 3.2).
-func TagOverheadBits(needsIndexInTag bool, sets, ways int) int {
-	if !needsIndexInTag {
-		return 0
-	}
-	return sets * ways * log2ceil(sets)
 }

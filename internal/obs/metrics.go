@@ -16,13 +16,6 @@ func (c *Counter) Inc() {
 	c.v.Add(1)
 }
 
-// Add adds n.
-//
-//rm:hotpath
-func (c *Counter) Add(n uint64) {
-	c.v.Add(n)
-}
-
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 

@@ -17,8 +17,9 @@ import (
 
 func TestCounterGauge(t *testing.T) {
 	var c Counter
-	c.Inc()
-	c.Add(41)
+	for range 42 {
+		c.Inc()
+	}
 	if got := c.Value(); got != 42 {
 		t.Fatalf("counter = %d, want 42", got)
 	}
@@ -59,7 +60,7 @@ func TestHistogramBuckets(t *testing.T) {
 func TestHistogramQuantiles(t *testing.T) {
 	t.Run("empty", func(t *testing.T) {
 		var h Histogram
-		if got := h.Quantile(0.5); got != 0 {
+		if got := h.Snapshot().Quantile(0.5); got != 0 {
 			t.Fatalf("empty p50 = %v, want 0", got)
 		}
 	})
@@ -68,7 +69,7 @@ func TestHistogramQuantiles(t *testing.T) {
 		// midpoint 12.
 		var h Histogram
 		h.Observe(10)
-		if got := h.Quantile(0.5); got != 12 {
+		if got := h.Snapshot().Quantile(0.5); got != 12 {
 			t.Fatalf("p50 = %v, want 12", got)
 		}
 	})
@@ -82,7 +83,7 @@ func TestHistogramQuantiles(t *testing.T) {
 		for _, tc := range []struct{ q, want float64 }{
 			{0.50, 6}, {0.99, 7.96}, {0.999, 7.996},
 		} {
-			if got := h.Quantile(tc.q); math.Abs(got-tc.want) > 1e-9 {
+			if got := h.Snapshot().Quantile(tc.q); math.Abs(got-tc.want) > 1e-9 {
 				t.Errorf("q=%v: got %v, want %v", tc.q, got, tc.want)
 			}
 		}
@@ -96,10 +97,10 @@ func TestHistogramQuantiles(t *testing.T) {
 			h.Observe(2)
 			h.Observe(1024)
 		}
-		if got := h.Quantile(0.5); got != 4 {
+		if got := h.Snapshot().Quantile(0.5); got != 4 {
 			t.Errorf("p50 = %v, want 4", got)
 		}
-		if got := h.Quantile(0.99); math.Abs(got-2027.52) > 1e-9 {
+		if got := h.Snapshot().Quantile(0.99); math.Abs(got-2027.52) > 1e-9 {
 			t.Errorf("p99 = %v, want 2027.52", got)
 		}
 	})
@@ -143,7 +144,10 @@ func TestRegistryIdempotentAndTypeConflict(t *testing.T) {
 
 func TestRegistryPrometheusText(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("rm_test_total", "A counter.", L("kind", "mbpta")).Add(3)
+	c := r.Counter("rm_test_total", "A counter.", L("kind", "mbpta"))
+	for range 3 {
+		c.Inc()
+	}
 	r.Gauge("rm_test_gauge", "A gauge.").Set(-2)
 	r.GaugeFunc("rm_test_polled", "A polled gauge.", func() float64 { return 1.5 })
 	h := r.LatencyHistogram("rm_test_seconds", "A latency histogram.")
@@ -174,7 +178,10 @@ func TestRegistryPrometheusText(t *testing.T) {
 
 func TestRegistryJSON(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("rm_j_total", "c").Add(5)
+	c := r.Counter("rm_j_total", "c")
+	for range 5 {
+		c.Inc()
+	}
 	h := r.LatencyHistogram("rm_j_seconds", "h")
 	// 100 observations of 4ns: p50 = 6ns = 6e-9s after scaling.
 	for i := 0; i < 100; i++ {

@@ -140,24 +140,14 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	return s.gauge
 }
 
-// Histogram registers (or returns) a plain histogram: raw int64
-// observations, exposed unscaled.
-func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
-	return r.histogram(name, help, 1, labels)
-}
-
 // LatencyHistogram registers (or returns) a latency histogram: Observe
 // takes nanoseconds, exposition divides by 1e9 so bucket bounds, sums and
 // quantiles come out in seconds (name it *_seconds, per the Prometheus
 // convention).
 func (r *Registry) LatencyHistogram(name, help string, labels ...Label) *Histogram {
-	return r.histogram(name, help, 1e-9, labels)
-}
-
-func (r *Registry) histogram(name, help string, scale float64, labels []Label) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s, created := r.familyFor(name, help, typeHistogram, scale).seriesFor(labels)
+	s, created := r.familyFor(name, help, typeHistogram, 1e-9).seriesFor(labels)
 	if created {
 		s.hist = &Histogram{}
 	}

@@ -489,15 +489,6 @@ func (p *rmPolicy) indexAll(lines []uint64, out []uint32) {
 	}
 }
 
-// ControlBits returns the number of Benes control bits of an RM policy,
-// for hardware-cost accounting; it returns 0 for other policies.
-func ControlBits(p Policy) int {
-	if rm, ok := p.(*rmPolicy); ok {
-		return int(rm.ctrlBits)
-	}
-	return 0
-}
-
 // ---------------------------------------------------------------------------
 // RM-rot (ablation)
 

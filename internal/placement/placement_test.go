@@ -495,18 +495,16 @@ func TestRMRotUniformAcrossSeeds(t *testing.T) {
 	}
 }
 
+// TestControlBitsAccessor pins the width of the control word RM folds
+// each segment into: one bit per Benes switch.
 func TestControlBitsAccessor(t *testing.T) {
 	r, _ := NewRM(128) // 7 index bits -> 15 switches
-	if got := ControlBits(r); got != 15 {
+	if got := r.(*rmPolicy).ctrlBits; got != 15 {
 		t.Fatalf("RM(128 sets) control bits = %d, want 15", got)
 	}
 	r256, _ := NewRM(256) // 8 index bits -> 20 switches (paper's quote)
-	if got := ControlBits(r256); got != 20 {
+	if got := r256.(*rmPolicy).ctrlBits; got != 20 {
 		t.Fatalf("RM(256 sets) control bits = %d, want 20", got)
-	}
-	m, _ := NewModulo(128)
-	if got := ControlBits(m); got != 0 {
-		t.Fatalf("ControlBits(modulo) = %d, want 0", got)
 	}
 }
 

@@ -156,9 +156,6 @@ func (p *PRNG) Bits(n int) uint64 {
 	return v
 }
 
-// Uint32 returns the next 32 pseudo-random bits.
-func (p *PRNG) Uint32() uint32 { return uint32(p.Bits(32)) }
-
 // Uint64 returns the next 64 pseudo-random bits.
 func (p *PRNG) Uint64() uint64 { return p.Bits(64) }
 
@@ -194,24 +191,5 @@ func Derive(master uint64, run int) uint64 {
 	return mix(&z)
 }
 
-// Clone returns an independent copy of the generator in its current state.
-func (p *PRNG) Clone() *PRNG {
-	q := *p
-	return &q
-}
-
 // State returns the packed LFSR state, for golden tests and debugging.
 func (p *PRNG) State() (s32, s31, s29 uint32) { return p.s32, p.s31, p.s29 }
-
-// Source64 adapts PRNG to the math/rand Source64 contract so callers can
-// plug it into stdlib machinery when convenient.
-type Source64 struct{ P *PRNG }
-
-// Int63 returns a non-negative 63-bit value.
-func (s Source64) Int63() int64 { return int64(s.P.Uint64() >> 1) }
-
-// Uint64 returns the next 64 pseudo-random bits.
-func (s Source64) Uint64() uint64 { return s.P.Uint64() }
-
-// Seed reseeds the underlying generator.
-func (s Source64) Seed(seed int64) { s.P.Reseed(uint64(seed)) }

@@ -22,7 +22,7 @@ func TestDistinctSeedsDistinctStreams(t *testing.T) {
 	same := 0
 	const n = 256
 	for i := 0; i < n; i++ {
-		if a.Uint32() == b.Uint32() {
+		if a.Bits(32) == b.Bits(32) {
 			same++
 		}
 	}
@@ -38,10 +38,10 @@ func TestZeroSeedIsValid(t *testing.T) {
 		t.Fatalf("zero seed left an LFSR in lock-up state: %x %x %x", s32, s31, s29)
 	}
 	// The stream must not be constant.
-	first := p.Uint32()
+	first := uint32(p.Bits(32))
 	varies := false
 	for i := 0; i < 16; i++ {
-		if p.Uint32() != first {
+		if uint32(p.Bits(32)) != first {
 			varies = true
 			break
 		}
@@ -97,7 +97,7 @@ func TestSerialCorrelation(t *testing.T) {
 	const n = 8192
 	xs := make([]float64, n)
 	for i := range xs {
-		xs[i] = float64(p.Uint32())
+		xs[i] = float64(uint32(p.Bits(32)))
 	}
 	var sx, sxx, sxy float64
 	for i := 0; i < n-1; i++ {
@@ -182,11 +182,18 @@ func TestFloat64Mean(t *testing.T) {
 	}
 }
 
+// clone copies a generator's state: a PRNG holds no references, so the
+// copy continues the same stream independently.
+func clone(p *PRNG) *PRNG {
+	q := *p
+	return &q
+}
+
 func TestCloneIndependence(t *testing.T) {
 	a := New(555)
 	a.Uint64()
-	b := a.Clone()
-	// Clone must continue the same stream...
+	b := clone(a)
+	// The copy must continue the same stream...
 	av, bv := a.Uint64(), b.Uint64()
 	if av != bv {
 		t.Fatalf("clone diverged immediately: %x vs %x", av, bv)
@@ -231,14 +238,14 @@ func TestQuickReseedDeterminism(t *testing.T) {
 		p := New(seed)
 		want := make([]uint32, 8)
 		for i := range want {
-			want[i] = p.Uint32()
+			want[i] = uint32(p.Bits(32))
 		}
 		for i := 0; i < int(steps); i++ {
-			p.Uint32()
+			p.Bits(32)
 		}
 		p.Reseed(seed)
 		for i := range want {
-			if p.Uint32() != want[i] {
+			if uint32(p.Bits(32)) != want[i] {
 				return false
 			}
 		}
@@ -287,7 +294,7 @@ func TestBatchedStepMatchesReference(t *testing.T) {
 	widths := []int{0, 1, 2, 5, 7, 8, 9, 15, 16, 24, 31, 32, 33, 53, 63, 64}
 	for seed := uint64(0); seed < 25; seed++ {
 		a := New(seed * 0x9E3779B9)
-		b := a.Clone()
+		b := clone(a)
 		for i, n := range append(widths, widths...) {
 			got, want := a.Bits(n), referenceBits(b, n)
 			if got != want {
@@ -307,7 +314,7 @@ func TestBatchedStepMatchesReference(t *testing.T) {
 func TestBatchTablesMatchSingleSteps(t *testing.T) {
 	for seed := uint64(0); seed < 50; seed++ {
 		a := New(seed)
-		b := a.Clone()
+		b := clone(a)
 		var want uint32
 		for j := 0; j < 8; j++ {
 			want |= b.step() << uint(j)
@@ -324,25 +331,11 @@ func TestBatchTablesMatchSingleSteps(t *testing.T) {
 	}
 }
 
-func TestSource64Contract(t *testing.T) {
-	s := Source64{P: New(11)}
-	for i := 0; i < 1000; i++ {
-		if s.Int63() < 0 {
-			t.Fatal("Int63 returned a negative value")
-		}
-	}
-	s.Seed(11)
-	t1 := Source64{P: New(11)}
-	if s.Uint64() != t1.Uint64() {
-		t.Fatal("Seed did not reset the stream")
-	}
-}
-
-func BenchmarkUint32(b *testing.B) {
+func BenchmarkBits32(b *testing.B) {
 	p := New(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = p.Uint32()
+		_ = p.Bits(32)
 	}
 }
 

@@ -143,7 +143,7 @@ func TestDiskResultServesAcrossRestart(t *testing.T) {
 	if want.State != "done" {
 		t.Fatalf("first run state=%s error=%q", want.State, want.Error)
 	}
-	if w := a.Disk().Stats().Writes; w == 0 {
+	if w := a.disk.Stats().Writes; w == 0 {
 		t.Fatal("no durable writes for a completed campaign")
 	}
 	tsA.Close()
@@ -172,7 +172,7 @@ func TestDiskResultServesAcrossRestart(t *testing.T) {
 	if got.Snapshot == nil || got.Snapshot.Runs != want.Snapshot.Runs {
 		t.Fatalf("snapshot lost across restart: %+v", got.Snapshot)
 	}
-	if h := b.Disk().Stats().Hits; h == 0 {
+	if h := b.disk.Stats().Hits; h == 0 {
 		t.Fatal("restart submission did not hit the disk store")
 	}
 	if b.ckptResumes.Load() != 0 {
@@ -242,10 +242,10 @@ func TestCrashResumeBitIdentical(t *testing.T) {
 	}
 	// The completed campaign retired its checkpoint and persisted its
 	// result.
-	if cps := b.Disk().Checkpoints(); len(cps) != 0 {
+	if cps := b.disk.Checkpoints(); len(cps) != 0 {
 		t.Fatalf("checkpoints not retired after completion: %v", cps)
 	}
-	if _, ok := b.Disk().GetResult(resub.Fingerprint); !ok {
+	if _, ok := b.disk.GetResult(resub.Fingerprint); !ok {
 		t.Fatal("resumed campaign's result not persisted")
 	}
 }
@@ -298,11 +298,11 @@ func TestCorruptDiskEntriesRecompute(t *testing.T) {
 			t.Fatalf("recomputed Times[%d] differs", i)
 		}
 	}
-	if q := b.Disk().Stats().Quarantines; q == 0 {
+	if q := b.disk.Stats().Quarantines; q == 0 {
 		t.Fatal("corrupt result was not quarantined")
 	}
 	// The recomputation re-persisted a good blob.
-	if _, ok := b.Disk().GetResult(sub.Fingerprint); !ok {
+	if _, ok := b.disk.GetResult(sub.Fingerprint); !ok {
 		t.Fatal("recomputed result not re-persisted")
 	}
 
@@ -317,7 +317,7 @@ func TestCorruptDiskEntriesRecompute(t *testing.T) {
 	c, tsC := testServer(t, Config{DataDir: dir})
 	defer func() { tsC.Close() }()
 	pollDeadline := time.Now().Add(10 * time.Second)
-	for len(c.Disk().Checkpoints()) != 0 {
+	for len(c.disk.Checkpoints()) != 0 {
 		if time.Now().After(pollDeadline) {
 			t.Fatal("garbage checkpoint not quarantined on startup")
 		}

@@ -215,13 +215,6 @@ func (s *Server) Engine() *core.Engine { return s.eng }
 // Store exposes the result cache (health reporting, tests).
 func (s *Server) Store() *Store { return s.store }
 
-// Disk exposes the durable tier (nil when DataDir is unset).
-func (s *Server) Disk() *DiskStore { return s.disk }
-
-// Registry exposes the server's metric registry, so embedders (rmserved)
-// can add their own instruments next to the service ones.
-func (s *Server) Registry() *obs.Registry { return s.reg }
-
 // Close stops admissions, cancels in-flight campaigns via context, marks
 // the queued backlog canceled, and waits for the job workers. Safe to
 // call once the HTTP listener is shut down (or concurrently with it:

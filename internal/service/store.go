@@ -115,18 +115,6 @@ func (s *Store) Peek(key string) (any, bool) {
 	return nil, false
 }
 
-// Delete removes key if present (without firing onEvict: deletion is an
-// explicit invalidation by the owner, not capacity pressure).
-func (s *Store) Delete(key string) {
-	sh := s.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if el, ok := sh.m[key]; ok {
-		sh.lru.Remove(el)
-		delete(sh.m, key)
-	}
-}
-
 // evictLocked drops least-recently-used evictable entries until the shard
 // is within capacity. Un-evictable (in-flight) entries are skipped; if the
 // overflow is entirely in-flight the shard temporarily exceeds capacity

@@ -86,18 +86,6 @@ func TestStoreCanEvictGuard(t *testing.T) {
 	}
 }
 
-func TestStoreDelete(t *testing.T) {
-	s := NewStore(16, nil, nil)
-	s.GetOrCreate("k", func() any { return 1 })
-	s.Delete("k")
-	if _, ok := s.Peek("k"); ok {
-		t.Fatal("deleted key still present")
-	}
-	if _, created := s.GetOrCreate("k", func() any { return 2 }); !created {
-		t.Fatal("re-creation after Delete did not run mk")
-	}
-}
-
 func TestStorePeekDoesNotCount(t *testing.T) {
 	s := NewStore(16, nil, nil)
 	s.GetOrCreate("k", func() any { return 1 })

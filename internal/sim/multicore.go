@@ -44,9 +44,6 @@ func NewSystem(cfg Config, n int) (*System, error) {
 	return s, nil
 }
 
-// Cores returns the core models.
-func (s *System) Cores() []*Core { return s.cores }
-
 // Reseed reseeds every core with seeds derived from runSeed.
 func (s *System) Reseed(runSeed uint64) {
 	for i, c := range s.cores {

@@ -42,7 +42,7 @@ func TestRunAllStatsArePerCall(t *testing.T) {
 	}
 
 	// Interleaving a direct RunCompiled must not leak into RunAll either.
-	sys.Cores()[0].RunCompiled(cts[0])
+	sys.cores[0].RunCompiled(cts[0])
 	third := sys.RunAll(cts)
 	if third[0].DL1.Accesses != 4000 {
 		t.Fatalf("RunAll after RunCompiled reports %d DL1 accesses, want 4000", third[0].DL1.Accesses)

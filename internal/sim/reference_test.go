@@ -10,6 +10,14 @@ import (
 	"repro/internal/trace"
 )
 
+// Flush empties all levels without changing seeds, so a test can start
+// a run cold on the current mapping.
+func (c *Core) Flush() {
+	c.il1.Flush()
+	c.dl1.Flush()
+	c.l2.Flush()
+}
+
 // Run replays a byte-address trace one access at a time, consulting each
 // level's placement policy per access instead of through an index plan.
 // It is the tests' reference for RunCompiled: the kernels are shared, so

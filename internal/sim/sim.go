@@ -138,11 +138,3 @@ func (c *Core) Reseed(runSeed uint64) {
 	c.dl1.Reseed(prng.Derive(runSeed, 2))
 	c.l2.Reseed(prng.Derive(runSeed, 3))
 }
-
-// Flush empties all levels without changing seeds (used by the
-// deterministic baseline, which has no seeds but starts runs cold).
-func (c *Core) Flush() {
-	c.il1.Flush()
-	c.dl1.Flush()
-	c.l2.Flush()
-}

@@ -1,8 +1,7 @@
 // Package stats provides the numeric substrate shared by the MBPTA
 // pipeline: descriptive statistics, empirical distribution functions,
-// histograms (the PDFs of Figure 5), quantiles, and the special functions
-// needed by the statistical tests (regularized incomplete gamma for
-// chi-square, the Kolmogorov distribution for KS).
+// histograms (the PDFs of Figure 5), quantiles, and the Kolmogorov
+// distribution the two-sample KS test needs.
 //
 // Everything is implemented from scratch on the stdlib math package; no
 // external numeric dependencies.
@@ -129,24 +128,6 @@ func NewECDF(xs []float64) (*ECDF, error) {
 	return &ECDF{sorted: Sorted(xs)}, nil
 }
 
-// N returns the sample size.
-func (e *ECDF) N() int { return len(e.sorted) }
-
-// At returns P(X <= x), the fraction of the sample at or below x.
-func (e *ECDF) At(x float64) float64 {
-	// sort.SearchFloat64s returns the first index with sorted[i] >= x;
-	// advance over ties to count values <= x.
-	i := sort.SearchFloat64s(e.sorted, x)
-	for i < len(e.sorted) && e.sorted[i] == x {
-		i++
-	}
-	return float64(i) / float64(len(e.sorted))
-}
-
-// Exceedance returns P(X > x) = 1 - At(x): the empirical CCDF, the form in
-// which the paper plots pWCET curves (Figure 1, Figure 5(c)).
-func (e *ECDF) Exceedance(x float64) float64 { return 1 - e.At(x) }
-
 // Values returns the sorted sample (shared slice; do not modify).
 func (e *ECDF) Values() []float64 { return e.sorted }
 
@@ -191,95 +172,10 @@ func NewHistogram(xs []float64, bins int) (*Histogram, error) {
 	return h, nil
 }
 
-// Density returns the estimated probability density of bin i.
-func (h *Histogram) Density(i int) float64 {
-	return float64(h.Counts[i]) / (float64(h.Total) * h.BinWidth)
-}
-
 // BinCenter returns the midpoint of bin i.
 func (h *Histogram) BinCenter(i int) float64 {
 	return h.Lo + (float64(i)+0.5)*h.BinWidth
 }
-
-// --- special functions -----------------------------------------------
-
-// GammaP returns the regularized lower incomplete gamma function P(a, x),
-// via the series expansion for x < a+1 and the continued fraction
-// otherwise (Numerical Recipes construction, stdlib-only).
-func GammaP(a, x float64) float64 {
-	switch {
-	case x < 0 || a <= 0:
-		return math.NaN()
-	case x == 0:
-		return 0
-	case x < a+1:
-		return gammaSeries(a, x)
-	default:
-		return 1 - gammaCF(a, x)
-	}
-}
-
-// GammaQ returns the regularized upper incomplete gamma function Q(a, x).
-func GammaQ(a, x float64) float64 { return 1 - GammaP(a, x) }
-
-func gammaSeries(a, x float64) float64 {
-	lg, _ := math.Lgamma(a)
-	ap := a
-	sum := 1.0 / a
-	del := sum
-	for n := 0; n < 500; n++ {
-		ap++
-		del *= x / ap
-		sum += del
-		if math.Abs(del) < math.Abs(sum)*1e-15 {
-			break
-		}
-	}
-	return sum * math.Exp(-x+a*math.Log(x)-lg)
-}
-
-func gammaCF(a, x float64) float64 {
-	lg, _ := math.Lgamma(a)
-	const tiny = 1e-300
-	b := x + 1 - a
-	c := 1 / tiny
-	d := 1 / b
-	h := d
-	for i := 1; i < 500; i++ {
-		an := -float64(i) * (float64(i) - a)
-		b += 2
-		d = an*d + b
-		if math.Abs(d) < tiny {
-			d = tiny
-		}
-		c = b + an/c
-		if math.Abs(c) < tiny {
-			c = tiny
-		}
-		d = 1 / d
-		del := d * c
-		h *= del
-		if math.Abs(del-1) < 1e-15 {
-			break
-		}
-	}
-	return math.Exp(-x+a*math.Log(x)-lg) * h
-}
-
-// ChiSquareCDF returns P(X <= x) for a chi-square distribution with k
-// degrees of freedom.
-func ChiSquareCDF(x float64, k int) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return GammaP(float64(k)/2, x/2)
-}
-
-// ChiSquareSurvival returns P(X > x), the p-value of a chi-square statistic.
-func ChiSquareSurvival(x float64, k int) float64 { return 1 - ChiSquareCDF(x, k) }
-
-// NormalCDF returns the standard normal CDF.
-func NormalCDF(z float64) float64 { return 0.5 * math.Erfc(-z/math.Sqrt2) }
 
 // KolmogorovSurvival returns Q_KS(lambda) = 2 sum_{j>=1} (-1)^{j-1}
 // exp(-2 j^2 lambda^2), the asymptotic survival function of the Kolmogorov
@@ -306,23 +202,4 @@ func KolmogorovSurvival(lambda float64) float64 {
 		return 1
 	}
 	return q
-}
-
-// ChiSquareUniformity computes the chi-square statistic of observed counts
-// against a uniform expectation and its p-value (counts-1 degrees of
-// freedom). Used by the placement-uniformity analyses.
-func ChiSquareUniformity(counts []int) (stat, pvalue float64) {
-	n := 0
-	for _, c := range counts {
-		n += c
-	}
-	if n == 0 || len(counts) < 2 {
-		return 0, 1
-	}
-	expected := float64(n) / float64(len(counts))
-	for _, c := range counts {
-		d := float64(c) - expected
-		stat += d * d / expected
-	}
-	return stat, ChiSquareSurvival(stat, len(counts)-1)
 }

@@ -91,17 +91,6 @@ func (m *Moments) Mean() float64 {
 	return m.Sum / float64(m.N)
 }
 
-// Variance returns the unbiased sample variance (0 for N < 2).
-func (m *Moments) Variance() float64 {
-	if m.N < 2 {
-		return 0
-	}
-	return m.m2 / float64(m.N-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (m *Moments) StdDev() float64 { return math.Sqrt(m.Variance()) }
-
 // Welford returns the internal running mean and squared-deviation sum, so
 // checkpoint codecs outside the package can serialize the complete
 // accumulator state (N/Sum/Min/Max alone cannot rebuild the variance).

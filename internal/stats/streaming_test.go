@@ -78,7 +78,8 @@ func TestMomentsMergeMatchesBatch(t *testing.T) {
 		if m, want := merged.Mean(), Mean(xs); math.Abs(m-want) > 1e-9*math.Abs(want) {
 			t.Fatalf("trial %d: merged mean %v, batch %v", trial, m, want)
 		}
-		if v, want := merged.Variance(), Variance(xs); math.Abs(v-want) > 1e-6*want+1e-9 {
+		_, m2 := merged.Welford()
+		if v, want := m2/float64(merged.N-1), Variance(xs); math.Abs(v-want) > 1e-6*want+1e-9 {
 			t.Fatalf("trial %d: merged variance %v, batch %v", trial, v, want)
 		}
 	}

@@ -159,20 +159,3 @@ func Fold(ops []Op) []Op {
 	}
 	return ops[:n]
 }
-
-// Counts returns the number of fetches, loads and stores, matching
-// Trace.Counts on the source trace.
-func (c *Compiled) Counts() (fetches, loads, stores int) {
-	for _, op := range c.Ops {
-		n := 1 + int(op.Rep)
-		switch op.Kind {
-		case Fetch:
-			fetches += n
-		case Load:
-			loads += n
-		default:
-			stores += n
-		}
-	}
-	return
-}

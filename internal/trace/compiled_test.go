@@ -8,6 +8,23 @@ import (
 	"repro/internal/prng"
 )
 
+// Counts returns the number of fetches, loads and stores, folded reads
+// included: the oracle that folding keeps Trace.Counts of the source.
+func (c *Compiled) Counts() (fetches, loads, stores int) {
+	for _, op := range c.Ops {
+		n := 1 + int(op.Rep)
+		switch op.Kind {
+		case Fetch:
+			fetches += n
+		case Load:
+			loads += n
+		default:
+			stores += n
+		}
+	}
+	return
+}
+
 func TestCompileRejectsBadLineSize(t *testing.T) {
 	tr := Trace{{Addr: 0, Kind: Load}}
 	for _, lb := range []int{0, -1, 3, 24, 48} {

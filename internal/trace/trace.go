@@ -96,9 +96,6 @@ func (b *Builder) Store(addr uint64) { b.t = append(b.t, Access{addr, Store}) }
 // Append appends a pre-built access.
 func (b *Builder) Append(a Access) { b.t = append(b.t, a) }
 
-// Len returns the number of accesses emitted so far.
-func (b *Builder) Len() int { return len(b.t) }
-
 // Trace returns the accumulated trace. The builder must not be used
 // afterwards.
 func (b *Builder) Trace() Trace { return b.t }

@@ -44,11 +44,11 @@ func TestFootprint(t *testing.T) {
 
 func TestBuilderLen(t *testing.T) {
 	b := &Builder{}
-	if b.Len() != 0 {
+	if len(b.t) != 0 {
 		t.Fatal("zero builder non-empty")
 	}
 	b.Load(0)
-	if b.Len() != 1 {
+	if len(b.t) != 1 {
 		t.Fatal("Len after one emit != 1")
 	}
 }
