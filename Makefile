@@ -43,13 +43,15 @@ vuln:
 	fi
 
 # Seed-corpus fuzz pass over the kernel equivalence oracle, the hinted,
-# folded and hit-eliding replay against the per-access reference, the
-# lackey trace parser, the baseline's trace relocation and the parsers of
-# untrusted bytes: service requests, checkpoints and durable-store blobs
-# (CI runs the same targets with a time budget).
+# folded and hit-eliding replay against the per-access reference, RM's
+# bulk index plans against its scalar mapping, the lackey trace parser,
+# the baseline's trace relocation and the parsers of untrusted bytes:
+# service requests, checkpoints and durable-store blobs (CI runs the
+# same targets with a time budget).
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzAccessEquivalence -fuzztime=10s ./internal/cache
 	$(GO) test -run='^$$' -fuzz=FuzzCompiledReplay -fuzztime=10s ./internal/sim
+	$(GO) test -run='^$$' -fuzz=FuzzRMIndexAll -fuzztime=10s ./internal/placement
 	$(GO) test -run='^$$' -fuzz=FuzzParseLackey -fuzztime=10s ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzRelocate -fuzztime=10s ./internal/workload
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeWireRequest -fuzztime=10s ./internal/core

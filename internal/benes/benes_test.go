@@ -336,13 +336,59 @@ func TestRouteRotatesWires(t *testing.T) {
 	}
 }
 
-func BenchmarkPermuteBits8(b *testing.B) {
-	n := MustNew(8)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = n.PermuteBits(uint64(i)*0x9E3779B9, uint64(i)&0xFF)
+// TestWiresMatchPermuteBits checks the production tables against the
+// switch-by-switch oracle for every width 1..19 (width 19 has 66 switches,
+// so switches past bit 63 of the control word must pass) and random
+// control words: exhaustively over the bundle values up to width 10, on
+// random bundles above. One Wires is reused across widths and controls,
+// as RM reuses one across segments.
+func TestWiresMatchPermuteBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	var w Wires
+	for width := 1; width <= 19; width++ {
+		n := MustNew(width)
+		mask := uint64(1)<<uint(width) - 1
+		for trial := 0; trial < 50; trial++ {
+			ctrl := rng.Uint64()
+			n.Wire(ctrl, &w)
+			for i := 0; i < 1024; i++ {
+				x := uint64(i) & mask
+				if width > 10 {
+					x = rng.Uint64() & mask
+				}
+				if got, want := w.Permute(uint32(x)), n.PermuteBits(ctrl, x); uint64(got) != want {
+					t.Fatalf("width %d ctrl %#x: Permute(%#x) = %#x, PermuteBits %#x", width, ctrl, x, got, want)
+				}
+			}
+		}
 	}
 }
+
+func TestWireRejectsWideNetwork(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Wire accepted a network wider than MaxWiresWidth")
+		}
+	}()
+	var w Wires
+	MustNew(MaxWiresWidth+1).Wire(0, &w)
+}
+
+// BenchmarkWire7 measures one rewiring of the paper's 7-wide L1 network,
+// what RM pays at each change of cache segment.
+func BenchmarkWire7(b *testing.B) {
+	n := MustNew(7)
+	var w Wires
+	var sink uint32
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		n.Wire(uint64(i)*0x9E3779B9, &w)
+		sink ^= w.Permute(uint32(i) & 0x7F)
+	}
+	benchSink = sink
+}
+
+var benchSink uint32
 
 func BenchmarkRoute8(b *testing.B) {
 	n := MustNew(8)

@@ -17,11 +17,13 @@ func ExampleNetwork_Switches() {
 // Any control word — including ones derived from a random seed, as in
 // Random Modulo — yields a bijection on the index bits: two distinct
 // indices can never collide.
-func ExampleNetwork_PermuteBits() {
+func ExampleNetwork_Wire() {
 	n := benes.MustNew(7) // the 128-set L1 of the paper
 	const arbitraryCtrl = 0x5A5A
-	a := n.PermuteBits(arbitraryCtrl, 0x01)
-	b := n.PermuteBits(arbitraryCtrl, 0x02)
+	var w benes.Wires
+	n.Wire(arbitraryCtrl, &w)
+	a := w.Permute(0x01)
+	b := w.Permute(0x02)
 	fmt.Println(a != b)
 	// Output: true
 }

@@ -7,7 +7,8 @@ import (
 
 // The oracles below check build's wiring against the two properties the
 // package doc names: Route realizes any permutation (rearrangeability),
-// CheckBijection confirms a control word never merges wires.
+// CheckBijection confirms a control word never merges wires. PermuteBits
+// is the switch-by-switch reference the production Wires tables match.
 
 // Permute applies the network to the wire values in, using bit i of ctrl to
 // drive switch i (1 = cross, 0 = pass). The result is written to out, which
@@ -23,6 +24,22 @@ func (n *Network) Permute(ctrl uint64, in, out []int) {
 			out[sw.A], out[sw.B] = out[sw.B], out[sw.A]
 		}
 	}
+}
+
+// PermuteBits treats x as a bundle of width single-bit wires (bit i of x on
+// wire i) and returns the permuted bundle, walking the switches one at a
+// time. It is the oracle for Wire and Wires.Permute.
+func (n *Network) PermuteBits(ctrl uint64, x uint64) uint64 {
+	for i, sw := range n.switches {
+		if ctrl>>uint(i)&1 != 0 {
+			a := x >> uint(sw.A) & 1
+			b := x >> uint(sw.B) & 1
+			if a != b {
+				x ^= 1<<uint(sw.A) | 1<<uint(sw.B)
+			}
+		}
+	}
+	return x
 }
 
 // ErrNotPermutation reports that the slice given to Route is not a

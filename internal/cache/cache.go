@@ -159,9 +159,9 @@ func (s Stats) MissRatio() float64 {
 //
 // The tag state is struct-of-arrays: one flat line-address slice plus one
 // packed valid/dirty bitmask per set (Validate caps Ways at 64). The
-// simulator stores the full line address; the hardware-cost model accounts
-// separately for whether the real tag array would need the index bits
-// (placement.NeedsIndexInTag). Keeping the per-way metadata in set-local
+// simulator stores the full line address, so no placement needs its index
+// bits kept in the tag, as hRP's would in hardware (paper, Section 3.1).
+// Keeping the per-way metadata in set-local
 // bitmasks lets the replay kernels probe a whole set with one load and a
 // bit scan instead of striding across array-of-structs entries.
 type Cache struct {

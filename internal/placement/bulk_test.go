@@ -6,14 +6,32 @@ import (
 	"repro/internal/prng"
 )
 
+// rmSetCounts lists every set count RM accepts: powers of two from 2 up
+// to the largest whose Benes network has at most 64 switches. Their index
+// widths, 1 to 18, include every remainder modulo the 4-bit chunk of the
+// benes wire tables.
+func rmSetCounts() []int {
+	var sets []int
+	for s := 2; ; s *= 2 {
+		if _, err := NewRM(s); err != nil {
+			return sets
+		}
+		sets = append(sets, s)
+	}
+}
+
 // TestIndexAllMatchesIndex pins the index-plan primitive's contract: for
-// every built-in policy, set count and seed, IndexAll fills exactly the
-// values Index returns line by line — including interleavings with
-// scalar Index calls, which must not perturb the bulk results (the RM
-// memo is shared state).
+// every built-in policy, every set count RM accepts and several seeds,
+// IndexAll fills exactly the values Index returns line by line —
+// including interleavings with scalar Index calls, which must not perturb
+// the bulk results (RM's wired segment is shared state).
 func TestIndexAllMatchesIndex(t *testing.T) {
+	sets := rmSetCounts()
+	if len(sets) != 18 {
+		t.Fatalf("RM accepts %d set counts, want 18 (2 to 2^18)", len(sets))
+	}
 	for _, k := range Kinds() {
-		for _, sets := range []int{2, 8, 128, 256} {
+		for _, sets := range sets {
 			p, err := New(k, sets)
 			if err != nil {
 				t.Fatal(err)
@@ -52,28 +70,6 @@ func TestIndexAllMatchesIndex(t *testing.T) {
 	}
 }
 
-// fallbackPolicy hides the bulk fast path to exercise IndexAll's generic
-// branch.
-type fallbackPolicy struct{ Policy }
-
-func TestIndexAllFallback(t *testing.T) {
-	p, err := New(RM, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Reseed(9)
-	lines := []uint64{0, 1, 63, 64, 1 << 20, 1<<20 + 1}
-	fast := make([]uint32, len(lines))
-	slow := make([]uint32, len(lines))
-	IndexAll(p, lines, fast)
-	IndexAll(fallbackPolicy{p}, lines, slow)
-	for i := range fast {
-		if fast[i] != slow[i] {
-			t.Fatalf("fast path disagrees with generic fallback at %d: %d vs %d", i, fast[i], slow[i])
-		}
-	}
-}
-
 func TestIndexAllLengthMismatchPanics(t *testing.T) {
 	p, err := New(Modulo, 8)
 	if err != nil {
@@ -85,4 +81,35 @@ func TestIndexAllLengthMismatchPanics(t *testing.T) {
 		}
 	}()
 	IndexAll(p, make([]uint64, 3), make([]uint32, 2))
+}
+
+// FuzzRMIndexAll checks RM's bulk mapping against its scalar one on
+// arbitrary line tables, set counts and seeds: the bytes are read as
+// 5-byte line addresses, so segments repeat, change and come back.
+func FuzzRMIndexAll(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 1, 0, 0, 0, 0, 2, 0, 0, 0, 1, 0}, uint8(7), uint64(1))
+	f.Add([]byte{0xFF, 0x10, 0, 0, 0, 0x7F, 0x10, 0, 0, 0, 0x80, 0x10, 0, 0, 0, 0xFF, 0x10, 0, 0, 0}, uint8(3), uint64(9))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, uint8(18), uint64(0xDEADBEEF))
+	counts := rmSetCounts()
+	f.Fuzz(func(t *testing.T, data []byte, setsLog uint8, seed uint64) {
+		sets := counts[int(setsLog)%len(counts)]
+		lines := make([]uint64, len(data)/5)
+		for i := range lines {
+			for _, b := range data[5*i : 5*i+5] {
+				lines[i] = lines[i]<<8 | uint64(b)
+			}
+		}
+		p, err := NewRM(sets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Reseed(seed)
+		out := make([]uint32, len(lines))
+		IndexAll(p, lines, out)
+		for i := len(lines) - 1; i >= 0; i-- { // reverse order: other segment runs
+			if want := p.Index(lines[i]); out[i] != want {
+				t.Fatalf("sets=%d seed=%#x: IndexAll[%d]=%d, Index(%#x)=%d", sets, seed, i, out[i], lines[i], want)
+			}
+		}
+	})
 }

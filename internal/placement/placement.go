@@ -31,8 +31,6 @@ import (
 // address); Reseed installs a new seed. Policies are not safe for
 // concurrent use; each cache instance owns its policy.
 type Policy interface {
-	// Name returns the short policy name used in reports ("RM", "hRP", ...).
-	Name() string
 	// Sets returns the number of cache sets the policy maps onto.
 	Sets() int
 	// Index returns the set index for a cache-line address, in [0, Sets).
@@ -43,11 +41,11 @@ type Policy interface {
 	// Randomized reports whether the mapping changes across seeds, i.e.
 	// whether the policy is a candidate for MBPTA compliance.
 	Randomized() bool
-	// NeedsIndexInTag reports whether the reference hardware design must
-	// store the index bits in the tag array to reconstruct a victim's
-	// address (true for hash placements, false for modulo and for RM on
-	// the write-through caches the paper targets).
-	NeedsIndexInTag() bool
+	// indexAll is IndexAll's body, Index over a slice of lines. IndexAll
+	// calls it through this interface: asserting an optional interface
+	// instead consults the runtime's per-site type cache, which now and
+	// then allocates while it fills.
+	indexAll(lines []uint64, out []uint32)
 }
 
 // Kind enumerates the built-in policies.
@@ -146,34 +144,21 @@ func indexBits(sets int) (uint, error) {
 	return uint(bits.TrailingZeros(uint(sets))), nil
 }
 
-// bulkIndexer is the optional fast path behind IndexAll: built-in
-// policies implement it to map a whole slice of lines without the
-// per-call interface dispatch (and, for RM, without re-deriving the Benes
-// control word for every line of a segment).
-type bulkIndexer interface {
-	indexAll(lines []uint64, out []uint32)
-}
-
 // IndexAll maps every line address in lines to its set index under the
 // policy's current seed, writing the results into out (which must have
 // the same length). Results are bit-identical to calling p.Index on each
-// line in order; the built-in policies merely do it faster. This is the
-// campaign "index plan" primitive: each Reseed, one IndexAll per cache
-// level over the trace's unique lines replaces per-access hashing for the
-// whole run (see sim.Core.RunCompiled).
+// line in order; each policy's indexAll merely sheds the per-line
+// interface dispatch. This is the campaign "index plan" primitive: each
+// Reseed, one IndexAll per cache level over the trace's unique lines
+// replaces per-access hashing for the whole run (see
+// sim.Core.RunCompiled).
 //
 //rm:hotpath
 func IndexAll(p Policy, lines []uint64, out []uint32) {
 	if len(lines) != len(out) {
 		indexAllMismatch(len(lines), len(out))
 	}
-	if b, ok := p.(bulkIndexer); ok {
-		b.indexAll(lines, out)
-		return
-	}
-	for i, line := range lines {
-		out[i] = p.Index(line)
-	}
+	p.indexAll(lines, out)
 }
 
 // indexAllMismatch is IndexAll's cold panic helper: formatting stays off
@@ -203,17 +188,14 @@ func NewModulo(sets int) (Policy, error) {
 	return &moduloPolicy{sets: sets, mask: uint64(sets - 1)}, nil
 }
 
-func (p *moduloPolicy) Name() string             { return "Modulo" }
 func (p *moduloPolicy) Sets() int                { return p.sets }
 func (p *moduloPolicy) Index(line uint64) uint32 { return uint32(line & p.mask) }
 func (p *moduloPolicy) Reseed(uint64)            {}
 func (p *moduloPolicy) Randomized() bool         { return false }
-func (p *moduloPolicy) NeedsIndexInTag() bool    { return false }
 
 // indexAll and its siblings below call Index on the concrete receiver:
 // one hash body per policy stays the single source of truth, and the
-// bulk entry point only sheds the per-line interface dispatch (RM's
-// variant additionally hoists the control-word derivation).
+// bulk entry point only sheds the per-line interface dispatch.
 //
 //rm:hotpath
 func (p *moduloPolicy) indexAll(lines []uint64, out []uint32) {
@@ -246,8 +228,7 @@ func NewXORFold(sets int) (Policy, error) {
 	return &xorFoldPolicy{sets: sets, idxBits: nb, mask: uint64(sets - 1)}, nil
 }
 
-func (p *xorFoldPolicy) Name() string { return "XORFold" }
-func (p *xorFoldPolicy) Sets() int    { return p.sets }
+func (p *xorFoldPolicy) Sets() int { return p.sets }
 
 func (p *xorFoldPolicy) Index(line uint64) uint32 {
 	v := uint64(0)
@@ -257,9 +238,8 @@ func (p *xorFoldPolicy) Index(line uint64) uint32 {
 	return uint32(v)
 }
 
-func (p *xorFoldPolicy) Reseed(uint64)         {}
-func (p *xorFoldPolicy) Randomized() bool      { return false }
-func (p *xorFoldPolicy) NeedsIndexInTag() bool { return true }
+func (p *xorFoldPolicy) Reseed(uint64)    {}
+func (p *xorFoldPolicy) Randomized() bool { return false }
 
 //rm:hotpath
 func (p *xorFoldPolicy) indexAll(lines []uint64, out []uint32) {
@@ -316,8 +296,7 @@ func NewHRP(sets int) (Policy, error) {
 	return p, nil
 }
 
-func (p *hrpPolicy) Name() string { return "hRP" }
-func (p *hrpPolicy) Sets() int    { return p.sets }
+func (p *hrpPolicy) Sets() int { return p.sets }
 
 func (p *hrpPolicy) Reseed(seed uint64) {
 	g := prng.New(seed ^ 0x68525021) // domain-separate from other seed users
@@ -345,8 +324,7 @@ func (p *hrpPolicy) Index(line uint64) uint32 {
 	return v
 }
 
-func (p *hrpPolicy) Randomized() bool      { return true }
-func (p *hrpPolicy) NeedsIndexInTag() bool { return true }
+func (p *hrpPolicy) Randomized() bool { return true }
 
 //rm:hotpath
 func (p *hrpPolicy) indexAll(lines []uint64, out []uint32) {
@@ -376,13 +354,12 @@ type rmPolicy struct {
 	seedLow  uint64 // expanded seed material XORed into the control word
 	seedTop  uint64 // the "uppermost seed bit(s)" concatenated with the upper address bits
 
-	// Segment-to-control memo: programs touch few segments and sweep them
-	// repeatedly, so a small direct-mapped cache of derived control words
-	// removes the fold from the hot path. Pure optimization; Index results
-	// are identical with the memo disabled.
-	memoSeg  [16]uint64
-	memoCtrl [16]uint64
-	memoOK   [16]bool
+	// The network wired for segment seg, the last one mapped (noSegment
+	// after Reseed). Trace line tables list lines in first-touch order, so
+	// lines of one segment arrive in runs and the network is rewired once
+	// per run, not per line.
+	seg   uint64
+	wires benes.Wires
 }
 
 // NewRM returns Random Modulo placement over sets sets. The Benes network
@@ -412,8 +389,7 @@ func NewRM(sets int) (Policy, error) {
 	return p, nil
 }
 
-func (p *rmPolicy) Name() string { return "RM" }
-func (p *rmPolicy) Sets() int    { return p.sets }
+func (p *rmPolicy) Sets() int { return p.sets }
 
 func (p *rmPolicy) Reseed(seed uint64) {
 	// Expand the architectural seed register into the two words the
@@ -424,8 +400,12 @@ func (p *rmPolicy) Reseed(seed uint64) {
 	g := prng.New(seed ^ 0x524D5021) // domain-separate from other seed users
 	p.seedLow = g.Uint64()
 	p.seedTop = g.Uint64()
-	p.memoOK = [16]bool{}
+	p.seg = noSegment
 }
+
+// noSegment is a segment no line has: a line has at least one index bit
+// below its segment, so segments stay below 2^63.
+const noSegment = ^uint64(0)
 
 // control derives the Benes control word for a segment (the upper address
 // bits above the index). A single-bit change in the segment flips at least
@@ -449,43 +429,29 @@ func (p *rmPolicy) control(segment uint64) uint64 {
 	return (folded ^ p.seedLow) & p.ctrlMask
 }
 
+// Index rewires the network when the line's segment differs from the last
+// one mapped, then sends the line's modulo bits through it.
 func (p *rmPolicy) Index(line uint64) uint32 {
-	mod := line & p.idxMask
-	seg := line >> p.idxBits
-	slot := seg & 15
-	var ctrl uint64
-	if p.memoOK[slot] && p.memoSeg[slot] == seg {
-		ctrl = p.memoCtrl[slot]
-	} else {
-		ctrl = p.control(seg)
-		p.memoSeg[slot], p.memoCtrl[slot], p.memoOK[slot] = seg, ctrl, true
+	if seg := line >> p.idxBits; seg != p.seg {
+		p.rewire(seg)
 	}
-	return uint32(p.net.PermuteBits(ctrl, mod))
+	return p.wires.Permute(uint32(line & p.idxMask))
 }
 
-func (p *rmPolicy) Randomized() bool      { return true }
-func (p *rmPolicy) NeedsIndexInTag() bool { return false }
-
-// indexAll derives the Benes control word once per segment run instead of
-// per line: unique-line tables arrive in first-touch order, so lines of
-// the same segment cluster and the control fold amortizes away. The
-// per-line permutation is the same PermuteBits walk as Index, so results
-// are bit-identical (control is a pure function of the segment; the
-// direct-mapped Index memo is left untouched).
+// rewire wires the network for segment seg.
 //
 //rm:hotpath
+func (p *rmPolicy) rewire(seg uint64) {
+	p.net.Wire(p.control(seg), &p.wires)
+	p.seg = seg
+}
+
+func (p *rmPolicy) Randomized() bool { return true }
+
+//rm:hotpath
 func (p *rmPolicy) indexAll(lines []uint64, out []uint32) {
-	var (
-		lastSeg  uint64
-		lastCtrl uint64
-		haveSeg  bool
-	)
 	for i, line := range lines {
-		seg := line >> p.idxBits
-		if !haveSeg || seg != lastSeg {
-			lastSeg, lastCtrl, haveSeg = seg, p.control(seg), true
-		}
-		out[i] = uint32(p.net.PermuteBits(lastCtrl, line&p.idxMask))
+		out[i] = p.Index(line)
 	}
 }
 
@@ -519,8 +485,7 @@ func NewRMRot(sets int) (Policy, error) {
 	return p, nil
 }
 
-func (p *rmRotPolicy) Name() string { return "RM-rot" }
-func (p *rmRotPolicy) Sets() int    { return p.sets }
+func (p *rmRotPolicy) Sets() int { return p.sets }
 
 func (p *rmRotPolicy) Reseed(seed uint64) {
 	g := prng.New(seed ^ 0x524F5421)
@@ -538,8 +503,7 @@ func (p *rmRotPolicy) Index(line uint64) uint32 {
 	return uint32((mod + off) & p.idxMask)
 }
 
-func (p *rmRotPolicy) Randomized() bool      { return true }
-func (p *rmRotPolicy) NeedsIndexInTag() bool { return false }
+func (p *rmRotPolicy) Randomized() bool { return true }
 
 //rm:hotpath
 func (p *rmRotPolicy) indexAll(lines []uint64, out []uint32) {

@@ -259,21 +259,6 @@ func TestHRPAffineOverGF2(t *testing.T) {
 	}
 }
 
-func TestHRPNeedsIndexInTag(t *testing.T) {
-	p, _ := NewHRP(128)
-	if !p.NeedsIndexInTag() {
-		t.Fatal("hRP must store index bits in the tag array (paper 3.1)")
-	}
-	m, _ := NewModulo(128)
-	if m.NeedsIndexInTag() {
-		t.Fatal("modulo must not need index bits in the tag array")
-	}
-	r, _ := NewRM(128)
-	if r.NeedsIndexInTag() {
-		t.Fatal("RM must not need index bits in the tag array (paper 3.2)")
-	}
-}
-
 // --- RM behaviour ----------------------------------------------------------
 
 func TestRMSegmentInjectivityProperty(t *testing.T) {
@@ -527,25 +512,6 @@ func TestQuickHRPAndRMIndexStability(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func BenchmarkIndexModulo(b *testing.B)  { benchIndex(b, Modulo) }
-func BenchmarkIndexXORFold(b *testing.B) { benchIndex(b, XORFold) }
-func BenchmarkIndexHRP(b *testing.B)     { benchIndex(b, HRP) }
-func BenchmarkIndexRM(b *testing.B)      { benchIndex(b, RM) }
-
-func benchIndex(b *testing.B, k Kind) {
-	p, err := New(k, 128)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p.Reseed(1)
-	b.ReportAllocs()
-	var sink uint32
-	for i := 0; i < b.N; i++ {
-		sink ^= p.Index(uint64(i) * 0x9E3779B9)
-	}
-	_ = sink
 }
 
 func TestParseKind(t *testing.T) {

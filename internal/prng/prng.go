@@ -78,86 +78,161 @@ func mix(z *uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Batch stepping tables: stepping a Galois LFSR k times is linear over
-// GF(2), and as long as k does not exceed the lowest feedback tap no bit
-// injected by the feedback XOR can reach the output (or trigger a second
-// feedback) within the batch. The lowest taps here are bits 9 (poly32),
-// 27 (poly31) and 26 (poly29), so an 8-step batch is safe for all three
-// registers: the 8 output bits are exactly the low byte of the pre-batch
-// state, and the post-batch state is (s >> 8) XOR the accumulated
-// feedback, a pure function of the consumed byte. The tables hold that
-// accumulated feedback per consumed byte, making Bits(64) 8 table steps
-// instead of 64 serial clockings while producing the identical stream
-// (pinned by TestBatchedStepMatchesReference).
-var batch32, batch31, batch29 [256]uint32
+// Table stepping. A Galois LFSR clock is linear over GF(2): the next
+// state and the output bit (the state's bit 0) are XORs of state bits.
+// So are the state and the outputs after any fixed number of clocks, and
+// each can be assembled from per-byte images of the current state.
+//
+// jump32, jump31 and jump29 hold, per register and per state byte, that
+// byte's 64-clock image: its share of the post-jump state and of the 64
+// output bits, laid out in Bits order (clock j's output in bit 63-j).
+// Uint64 XORs twelve independent lookups instead of clocking 64 times.
+//
+// feed32, feed31 and feed29 serve the short steps of Bits: r clocks for
+// 1 <= r <= 8. As long as r does not exceed the lowest feedback tap, no
+// bit injected by the feedback XOR can reach the output (or trigger a
+// second feedback) within the step. The lowest taps are bits 9 (poly32),
+// 27 (poly31) and 26 (poly29), so any r <= 8 is safe for all three
+// registers. The r output bits are then exactly the low r bits of the
+// pre-step state, and the post-step state is (s >> r) XOR the accumulated
+// feedback, a pure function of those r bits. feedN[r-1][v] holds that
+// feedback for low bits v. The single-clock reference in the tests pins
+// every table to the serial stream.
+type jumpEntry struct {
+	out uint64 // the byte's share of the 64 output bits, Bits order
+	s   uint32 // the byte's share of the post-jump state
+}
+
+// jumpTable is one register's jump images, indexed by byte position and
+// byte value.
+type jumpTable [4][256]jumpEntry
+
+var (
+	jump32, jump31, jump29 jumpTable
+	feed32, feed31, feed29 [8][256]uint32
+)
 
 func init() {
-	for b := 0; b < 256; b++ {
-		for j := 0; j < 8; j++ {
-			if b>>uint(j)&1 == 1 {
-				// The bit consumed at batch step j is XORed in as poly and
-				// then shifted right for the remaining 7-j steps.
-				batch32[b] ^= poly32 >> uint(7-j)
-				batch31[b] ^= poly31 >> uint(7-j)
-				batch29[b] ^= poly29 >> uint(7-j)
+	fillTables(poly32, &jump32, &feed32)
+	fillTables(poly31, &jump31, &feed31)
+	fillTables(poly29, &jump29, &feed29)
+}
+
+// fillTables builds one register's jump and feed tables. By linearity an
+// entry is the XOR of the entries of its set bits, so only single-bit
+// states are clocked.
+func fillTables(poly uint32, jump *jumpTable, feed *[8][256]uint32) {
+	for k := range jump {
+		for b := 1; b < 256; b++ {
+			low := b & -b
+			if b != low {
+				e, l := jump[k][b&^low], jump[k][low]
+				jump[k][b] = jumpEntry{out: e.out ^ l.out, s: e.s ^ l.s}
+				continue
 			}
+			// A single-bit state: clock it 64 times. No register mask is
+			// needed: poly31 and poly29 have no bits above their widths.
+			s := uint32(low) << uint(8*k)
+			var out uint64
+			for j := 0; j < 64; j++ {
+				bit := s & 1
+				out |= uint64(bit) << uint(63-j)
+				s >>= 1
+				if bit != 0 {
+					s ^= poly
+				}
+			}
+			jump[k][b] = jumpEntry{out: out, s: s}
+		}
+	}
+	for r := 1; r <= 8; r++ {
+		for v := 0; v < 1<<r; v++ {
+			var f uint32
+			for j := 0; j < r; j++ {
+				if v>>uint(j)&1 == 1 {
+					// The bit consumed at clock j is XORed in as poly and
+					// then shifted right for the remaining r-1-j clocks.
+					f ^= poly >> uint(r-1-j)
+				}
+			}
+			feed[r-1][v] = f
 		}
 	}
 }
 
 // step8 advances all three LFSRs by eight clocks and returns the eight
 // combined output bits, bit j being the output of clock j.
+//
+//rm:hotpath
 func (p *PRNG) step8() uint32 {
 	out := (p.s32 ^ p.s31 ^ p.s29) & 0xFF
-	p.s32 = p.s32>>8 ^ batch32[p.s32&0xFF]
-	p.s31 = p.s31>>8 ^ batch31[p.s31&0xFF]
-	p.s29 = p.s29>>8 ^ batch29[p.s29&0xFF]
+	p.s32 = p.s32>>8 ^ feed32[7][p.s32&0xFF]
+	p.s31 = p.s31>>8 ^ feed31[7][p.s31&0xFF]
+	p.s29 = p.s29>>8 ^ feed29[7][p.s29&0xFF]
 	return out
 }
 
-// step advances all three LFSRs by one clock and returns the combined
-// output bit, exactly as the hardware combiner XORs the register outputs.
-func (p *PRNG) step() uint32 {
-	out := (p.s32 ^ p.s31 ^ p.s29) & 1
-
-	if p.s32&1 != 0 {
-		p.s32 = (p.s32 >> 1) ^ poly32
-	} else {
-		p.s32 >>= 1
-	}
-	if p.s31&1 != 0 {
-		p.s31 = ((p.s31 >> 1) ^ poly31) & mask31
-	} else {
-		p.s31 >>= 1
-	}
-	if p.s29&1 != 0 {
-		p.s29 = ((p.s29 >> 1) ^ poly29) & mask29
-	} else {
-		p.s29 >>= 1
-	}
+// clock is step8 for r clocks, 1 <= r < 8: the n % 8 tail of Bits.
+//
+//rm:hotpath
+func (p *PRNG) clock(r uint) uint32 {
+	m := uint32(1)<<r - 1
+	out := (p.s32 ^ p.s31 ^ p.s29) & m
+	f := (r - 1) & 7
+	p.s32 = p.s32>>r ^ feed32[f][p.s32&m&0xFF]
+	p.s31 = p.s31>>r ^ feed31[f][p.s31&m&0xFF]
+	p.s29 = p.s29>>r ^ feed29[f][p.s29&m&0xFF]
 	return out
 }
 
 // Bits returns the next n pseudo-random bits (0 <= n <= 64), most recently
 // generated bit in the least-significant position.
+//
+//rm:hotpath
 func (p *PRNG) Bits(n int) uint64 {
 	if n < 0 || n > 64 {
-		panic("prng: Bits count out of range")
+		badBits()
+	}
+	if n == 64 {
+		return p.Uint64()
 	}
 	var v uint64
 	// Most recently generated bit lands in the least-significant position,
-	// so a batch of eight (output bit j = clock j) enters bit-reversed.
+	// so a step's outputs (bit j = clock j) enter bit-reversed.
 	for ; n >= 8; n -= 8 {
 		v = v<<8 | uint64(bits.Reverse8(uint8(p.step8())))
 	}
-	for i := 0; i < n; i++ {
-		v = v<<1 | uint64(p.step())
+	if n > 0 {
+		r := uint(n)
+		v = v<<r | uint64(bits.Reverse8(uint8(p.clock(r))))>>(8-r)
 	}
 	return v
 }
 
-// Uint64 returns the next 64 pseudo-random bits.
-func (p *PRNG) Uint64() uint64 { return p.Bits(64) }
+// badBits is Bits' cold panic helper, kept off the annotated hot path.
+//
+//go:noinline
+func badBits() { panic("prng: Bits count out of range") }
+
+// Uint64 returns the next 64 pseudo-random bits: one 64-clock jump of all
+// three registers.
+//
+//rm:hotpath
+func (p *PRNG) Uint64() uint64 {
+	s32, o32 := jump32.jump(p.s32)
+	s31, o31 := jump31.jump(p.s31)
+	s29, o29 := jump29.jump(p.s29)
+	p.s32, p.s31, p.s29 = s32, s31, s29
+	return o32 ^ o31 ^ o29
+}
+
+// jump returns one register's state and output bits 64 clocks on from s.
+//
+//rm:hotpath
+func (t *jumpTable) jump(s uint32) (uint32, uint64) {
+	e0, e1, e2, e3 := &t[0][uint8(s)], &t[1][uint8(s>>8)], &t[2][uint8(s>>16)], &t[3][uint8(s>>24)]
+	return e0.s ^ e1.s ^ e2.s ^ e3.s, e0.out ^ e1.out ^ e2.out ^ e3.out
+}
 
 // Intn returns a uniformly distributed integer in [0, n). It panics if
 // n <= 0. Rejection sampling removes modulo bias.

@@ -1,6 +1,7 @@
 package prng
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -274,10 +275,32 @@ func TestQuickNoLockup(t *testing.T) {
 	}
 }
 
-// referenceBits reproduces the pre-batching Bits implementation: n single
-// LFSR clockings via step(). The production Bits batches eight clocks at a
-// time through the precomputed feedback tables; this is the oracle that
-// pins the batched stream (and the post-call LFSR state) bit-for-bit.
+// step is the single-clock reference: it advances all three LFSRs by one
+// clock and returns the combined output bit, exactly as the hardware
+// combiner XORs the register outputs. Every table in the package is pinned
+// to the stream it produces.
+func (p *PRNG) step() uint32 {
+	out := (p.s32 ^ p.s31 ^ p.s29) & 1
+
+	if p.s32&1 != 0 {
+		p.s32 = (p.s32 >> 1) ^ poly32
+	} else {
+		p.s32 >>= 1
+	}
+	if p.s31&1 != 0 {
+		p.s31 = ((p.s31 >> 1) ^ poly31) & mask31
+	} else {
+		p.s31 >>= 1
+	}
+	if p.s29&1 != 0 {
+		p.s29 = ((p.s29 >> 1) ^ poly29) & mask29
+	} else {
+		p.s29 >>= 1
+	}
+	return out
+}
+
+// referenceBits is Bits by n single clockings.
 func referenceBits(p *PRNG, n int) uint64 {
 	var v uint64
 	for i := 0; i < n; i++ {
@@ -286,47 +309,94 @@ func referenceBits(p *PRNG, n int) uint64 {
 	return v
 }
 
-// TestBatchedStepMatchesReference drives the batched Bits and the naive
-// single-step reference in lockstep over many seeds and widths: identical
-// outputs and identical LFSR states after every draw, including widths
-// that exercise the partial-batch tail (n not a multiple of 8).
+// referenceIntn is Intn over referenceBits(64) draws.
+func referenceIntn(p *PRNG, n int) int {
+	if n&(n-1) == 0 {
+		return int(referenceBits(p, 64) & uint64(n-1))
+	}
+	max := ^uint64(0) - ^uint64(0)%uint64(n)
+	for {
+		if v := referenceBits(p, 64); v < max {
+			return int(v % uint64(n))
+		}
+	}
+}
+
+// TestBatchedStepMatchesReference drives the table-stepped draws and the
+// single-clock reference in lockstep over 1000 seeds: first Bits(n) for
+// every n in 0..64, then Uint64, Intn and Bits draws interleaved in a
+// seed-dependent order. Outputs and LFSR states must agree after every
+// draw.
 func TestBatchedStepMatchesReference(t *testing.T) {
-	widths := []int{0, 1, 2, 5, 7, 8, 9, 15, 16, 24, 31, 32, 33, 53, 63, 64}
-	for seed := uint64(0); seed < 25; seed++ {
+	intns := []int{1, 2, 3, 4, 7, 8, 10, 64, 1000, 1<<62 + 1}
+	for seed := uint64(0); seed < 1000; seed++ {
 		a := New(seed * 0x9E3779B9)
 		b := clone(a)
-		for i, n := range append(widths, widths...) {
-			got, want := a.Bits(n), referenceBits(b, n)
+		order := New(seed) // its draws only pick the interleaving
+		for i := 0; i < 3*65; i++ {
+			var got, want uint64
+			var what string
+			kind, n := 2, i
+			if i >= 65 {
+				kind, n = order.Intn(3), order.Intn(65)
+			}
+			switch kind {
+			case 0:
+				got, want, what = a.Uint64(), referenceBits(b, 64), "Uint64()"
+			case 1:
+				m := intns[n%len(intns)]
+				got, want = uint64(a.Intn(m)), uint64(referenceIntn(b, m))
+				what = fmt.Sprintf("Intn(%d)", m)
+			default:
+				got, want, what = a.Bits(n), referenceBits(b, n), fmt.Sprintf("Bits(%d)", n)
+			}
 			if got != want {
-				t.Fatalf("seed %d draw %d: Bits(%d) = %#x, reference %#x", seed, i, n, got, want)
+				t.Fatalf("seed %d draw %d: %s = %#x, reference %#x", seed, i, what, got, want)
 			}
 			a32, a31, a29 := a.State()
 			b32, b31, b29 := b.State()
 			if a32 != b32 || a31 != b31 || a29 != b29 {
-				t.Fatalf("seed %d draw %d: state diverged after Bits(%d)", seed, i, n)
+				t.Fatalf("seed %d draw %d: state diverged after %s", seed, i, what)
 			}
 		}
 	}
 }
 
 // TestBatchTablesMatchSingleSteps checks the table construction directly:
-// step8 must equal eight step() calls from any reachable state.
+// from any reachable state, step8 must equal eight step() calls, clock(r)
+// r of them for every r in 1..7, and the jump behind Uint64 64 of them.
 func TestBatchTablesMatchSingleSteps(t *testing.T) {
-	for seed := uint64(0); seed < 50; seed++ {
-		a := New(seed)
-		b := clone(a)
-		var want uint32
-		for j := 0; j < 8; j++ {
-			want |= b.step() << uint(j)
-		}
-		if got := a.step8(); got != want {
-			t.Fatalf("seed %d: step8 = %#x, eight steps %#x", seed, got, want)
-		}
+	same := func(a, b *PRNG) bool {
 		a32, a31, a29 := a.State()
 		b32, b31, b29 := b.State()
-		if a32 != b32 || a31 != b31 || a29 != b29 {
-			t.Fatalf("seed %d: step8 state (%#x,%#x,%#x) != stepped (%#x,%#x,%#x)",
-				seed, a32, a31, a29, b32, b31, b29)
+		return a32 == b32 && a31 == b31 && a29 == b29
+	}
+	for seed := uint64(0); seed < 50; seed++ {
+		for r := uint(1); r <= 8; r++ {
+			a := New(seed)
+			b := clone(a)
+			var want uint32
+			for j := uint(0); j < r; j++ {
+				want |= b.step() << j
+			}
+			var got uint32
+			if r == 8 {
+				got = a.step8()
+			} else {
+				got = a.clock(r)
+			}
+			if got != want || !same(a, b) {
+				t.Fatalf("seed %d: clock(%d) = %#x, %d steps %#x (states equal: %v)", seed, r, got, r, want, same(a, b))
+			}
+		}
+		a := New(seed)
+		b := clone(a)
+		var want uint64
+		for j := 0; j < 64; j++ {
+			want = want<<1 | uint64(b.step())
+		}
+		if got := a.Uint64(); got != want || !same(a, b) {
+			t.Fatalf("seed %d: jump = %#x, 64 steps %#x (states equal: %v)", seed, got, want, same(a, b))
 		}
 	}
 }
@@ -344,4 +414,36 @@ func BenchmarkDerive(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = Derive(42, i)
 	}
+}
+
+func BenchmarkUint64(b *testing.B) {
+	p := New(1)
+	var sink uint64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sink ^= p.Uint64()
+	}
+	benchSink = sink
+}
+
+// BenchmarkIntn4 is Random replacement's victim draw on a 4-way cache.
+func BenchmarkIntn4(b *testing.B) {
+	p := New(1)
+	var sink int
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sink ^= p.Intn(4)
+	}
+	benchSink = uint64(sink)
+}
+
+var benchSink uint64
+
+func BenchmarkBits53(b *testing.B) {
+	p := New(1)
+	var sink uint64
+	for i := 0; i < b.N; i++ {
+		sink ^= p.Bits(53)
+	}
+	benchSink = sink
 }
