@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short race vet fmt lint rmlint check-noalloc vuln fuzz-short loc verify smoke smoke-security smoke-serve smoke-metrics smoke-chaos serve bench bench-hotpath bench-json bench-json-resumed bench-compare full-bench
+.PHONY: build test test-short race vet fmt lint rmlint check-noalloc vuln fuzz-short loc verify smoke smoke-examples smoke-security smoke-serve smoke-metrics smoke-chaos serve bench bench-hotpath bench-json bench-json-resumed bench-compare full-bench
 
 build:
 	$(GO) build ./...
@@ -77,8 +77,13 @@ race:
 verify: lint build check-noalloc vuln race
 
 # Exercise the binaries end-to-end at smoke scale (what CI runs).
-smoke:
+smoke: smoke-examples
 	$(GO) run ./cmd/paperbench -exp table2 -short -timeout 10m
+
+# Run every example program: with cmd/ and the root Example functions
+# they are the callers that define the public API.
+smoke-examples:
+	for d in examples/*/; do $(GO) run ./$$d || exit 1; done
 
 # Security-evaluation smoke: all three attacker protocols swept over every
 # placement x replacement design point at smoke scale.

@@ -3,6 +3,7 @@ package randmod_test
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	randmod "repro"
 )
@@ -102,4 +103,62 @@ func ExampleShardRuns() {
 	}
 	fmt.Println(squares)
 	// Output: [0 1 4 9 16 25 36 49 64 81]
+}
+
+// Decoding a campaign service submission: the wire form names the
+// placement and the workload, its fingerprint ignores the display name
+// and the spelling of the placement, and Request resolves it into what
+// the Engine runs.
+func ExampleDecodeWireRequest() {
+	w, err := randmod.DecodeWireRequest(strings.NewReader(
+		`{"workload":"rspeed01","placement":"rm","runs":50,"seed":11}`))
+	if err != nil {
+		panic(err)
+	}
+	fp, err := w.Fingerprint()
+	if err != nil {
+		panic(err)
+	}
+	w.Name, w.Placement = "relabeled", "RM"
+	relabeled, err := w.Fingerprint()
+	if err != nil {
+		panic(err)
+	}
+	req, err := w.Request()
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("same fingerprint:", fp == relabeled)
+	fmt.Println(req.Workload.Name, req.Runs, req.MasterSeed)
+	// Output:
+	// same fingerprint: true
+	// rspeed01 50 11
+}
+
+// Analyzing a measurement vector after the fact, as cmd/mbpta does with
+// one rmsim wrote: the verdict is the one the Engine gave the campaign.
+func ExampleAnalyze() {
+	w, err := randmod.WorkloadByName("puwmod01")
+	if err != nil {
+		panic(err)
+	}
+	res, err := randmod.NewEngine().Run(context.Background(), randmod.Request{
+		Spec:       randmod.PaperPlatform(randmod.RM),
+		Workload:   w,
+		Runs:       100,
+		MasterSeed: 7,
+		Analyze:    true,
+	})
+	if err != nil {
+		panic(err)
+	}
+	an, err := randmod.Analyze(res.Times)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("same pWCET as the campaign's:", an.PWCET15 == res.Analysis.PWCET15)
+	fmt.Println("pWCET@1e-15 above pWCET@1e-12:", an.PWCET15 > an.PWCET12)
+	// Output:
+	// same pWCET as the campaign's: true
+	// pWCET@1e-15 above pWCET@1e-12: true
 }

@@ -77,8 +77,8 @@ type WritePolicy int
 // critical applications typically rely on write-through first-level
 // caches") with a write-back L2.
 const (
-	WriteThrough WritePolicy = iota // stores propagate immediately; no dirty lines
-	WriteBack                       // stores dirty the line; dirty victims write back
+	WriteThrough WritePolicy = iota // stores propagate immediately; a store miss does not allocate
+	WriteBack                       // stores allocate and dirty the line; dirty victims write back
 )
 
 // String returns the report name of the write policy.
@@ -91,14 +91,13 @@ func (w WritePolicy) String() string {
 
 // Config describes one cache level.
 type Config struct {
-	Name         string          // for reports, e.g. "DL1"
-	SizeBytes    int             // total capacity
-	Ways         int             // associativity
-	LineBytes    int             // line size (32 in the paper's LEON3)
-	Placement    placement.Kind  // set-placement function
-	Replacement  ReplacementKind // replacement policy
-	Write        WritePolicy     // write handling
-	AllocOnWrite bool            // allocate line on store miss (ignored for WriteThrough L1 style if false)
+	Name        string          // for reports, e.g. "DL1"
+	SizeBytes   int             // total capacity
+	Ways        int             // associativity
+	LineBytes   int             // line size (32 in the paper's LEON3)
+	Placement   placement.Kind  // set-placement function
+	Replacement ReplacementKind // replacement policy
+	Write       WritePolicy     // write handling
 }
 
 // Sets returns the number of sets implied by the geometry.
@@ -187,8 +186,8 @@ type Cache struct {
 	stats Stats
 }
 
-// New builds a cache level. The placement policy is instantiated from
-// cfg.Placement; use NewWithPolicy to inject a custom policy.
+// New builds a cache level, instantiating its placement policy from
+// cfg.Placement.
 func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -196,18 +195,6 @@ func New(cfg Config) (*Cache, error) {
 	pol, err := placement.New(cfg.Placement, cfg.Sets())
 	if err != nil {
 		return nil, err
-	}
-	return NewWithPolicy(cfg, pol)
-}
-
-// NewWithPolicy builds a cache level around an existing placement policy.
-// The policy's set count must match the geometry.
-func NewWithPolicy(cfg Config, pol placement.Policy) (*Cache, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if pol.Sets() != cfg.Sets() {
-		return nil, fmt.Errorf("cache %s: policy maps %d sets, geometry has %d", cfg.Name, pol.Sets(), cfg.Sets())
 	}
 	c := &Cache{
 		cfg:   cfg,
@@ -328,10 +315,10 @@ func (c *Cache) HitElisionLimit(stores bool) int {
 	}
 }
 
-// AllocatesOnWrite reports whether a store miss fills the line in: on a
-// write-back level, or a write-through one with AllocOnWrite.
+// AllocatesOnWrite reports whether a store miss fills the line in: only
+// on a write-back level.
 func (c *Cache) AllocatesOnWrite() bool {
-	return c.cfg.Write == WriteBack || c.cfg.AllocOnWrite
+	return c.cfg.Write == WriteBack
 }
 
 // LookupLine reports whether line la is present in set, which must equal

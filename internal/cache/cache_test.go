@@ -238,27 +238,12 @@ func TestWriteThroughNoAllocate(t *testing.T) {
 		t.Fatalf("WT store miss allocated: %+v", r)
 	}
 	if c.Occupancy() != 0 {
-		t.Fatal("WT no-allocate store installed a line")
+		t.Fatal("WT store installed a line")
 	}
 	// After a read brings the line in, a store hits and leaves it clean.
 	c.Read(0x2000)
 	if r := c.Write(0x2000); !r.Hit {
 		t.Fatal("store to present line missed")
-	}
-	if c.DirtyLines() != 0 {
-		t.Fatal("write-through line marked dirty")
-	}
-}
-
-func TestWriteThroughWithAllocate(t *testing.T) {
-	cfg := dl1Config(placement.Modulo, LRU)
-	cfg.AllocOnWrite = true
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := c.Write(0x2000); !r.Filled {
-		t.Fatal("WT allocate-on-write store did not fill")
 	}
 	if c.DirtyLines() != 0 {
 		t.Fatal("write-through line marked dirty")

@@ -77,8 +77,7 @@ type Kernel struct {
 	// budget.
 	repl          ReplacementKind
 	isLRU, isPLRU bool
-	writeBack     bool // stores dirty lines (and always allocate)
-	noAlloc       bool // write-through without allocate-on-write: store misses bypass
+	writeBack     bool // stores allocate and dirty lines; write-through store misses bypass
 
 	accesses, hits, evictions, writebacks uint64
 }
@@ -101,8 +100,7 @@ func NewKernel(c *Cache) *Kernel {
 		repl:       c.repl,
 		isLRU:      c.repl == LRU,
 		isPLRU:     c.repl == PLRU,
-		writeBack:  c.cfg.Write == WriteBack,
-		noAlloc:    !c.AllocatesOnWrite(),
+		writeBack:  c.AllocatesOnWrite(),
 	}
 	if k.isPLRU {
 		k.plruPath, k.plruAway = plruTables(k.ways, k.plruLevels)
@@ -232,8 +230,8 @@ func (k *Kernel) Read(la uint64, e uint32) (AccessBits, uint32) {
 }
 
 // Write performs a store to line la in the set of plan entry e; see Read.
-// A write-through no-allocate miss bypasses the level: it returns no
-// flags and e's set with a way-0 hint.
+// A write-through miss bypasses the level: it returns no flags and e's
+// set with a way-0 hint.
 //
 //rm:hotpath
 func (k *Kernel) Write(la uint64, e uint32) (AccessBits, uint32) {
@@ -242,9 +240,8 @@ func (k *Kernel) Write(la uint64, e uint32) (AccessBits, uint32) {
 
 // access is the one slow path: scan the set, serve a hit like the hit
 // path does, otherwise pick a victim and fill. Reads never dirty a line;
-// write-through no-allocate store misses leave the level untouched (no
-// fill, no RNG draw); write-through allocate fills clean; write-back hits
-// and fills dirty the line.
+// write-through store misses leave the level untouched (no fill, no RNG
+// draw); write-back hits and fills dirty the line.
 //
 //rm:hotpath
 func (k *Kernel) access(la uint64, set uint32, write bool) (AccessBits, uint32) {
@@ -264,11 +261,11 @@ func (k *Kernel) access(la uint64, set uint32, write bool) (AccessBits, uint32) 
 			return BitHit, e
 		}
 	}
-	if write && k.noAlloc {
+	if write && !k.writeBack {
 		return 0, set
 	}
 	w := k.victim(set)
-	r := k.install(la, set, w, write && k.writeBack)
+	r := k.install(la, set, w, write)
 	e := set | uint32(w)<<SetBits
 	if k.repl == FIFO { // FIFO stamps on every fill, never on hits
 		k.tick++

@@ -9,16 +9,15 @@ import (
 
 // kernelConfig builds a deliberately small level (2KB, 4-way, 32B lines ->
 // 16 sets) so short access sequences already evict and write back.
-func kernelConfig(pk placement.Kind, rk ReplacementKind, write WritePolicy, alloc bool) Config {
+func kernelConfig(pk placement.Kind, rk ReplacementKind, write WritePolicy) Config {
 	return Config{
-		Name:         "KT",
-		SizeBytes:    2 * 1024,
-		Ways:         4,
-		LineBytes:    32,
-		Placement:    pk,
-		Replacement:  rk,
-		Write:        write,
-		AllocOnWrite: alloc,
+		Name:        "KT",
+		SizeBytes:   2 * 1024,
+		Ways:        4,
+		LineBytes:   32,
+		Placement:   pk,
+		Replacement: rk,
+		Write:       write,
 	}
 }
 
@@ -148,28 +147,19 @@ func driveEquivalence(t *testing.T, cfg Config, seed uint64, ops []uint16) {
 	}
 }
 
-// writeArrangements enumerates the three write setups a kernel can be
-// bound to.
-var writeArrangements = []struct {
-	name  string
-	write WritePolicy
-	alloc bool
-}{
-	{"wt-noalloc", WriteThrough, false},
-	{"wt-alloc", WriteThrough, true},
-	{"wb", WriteBack, false},
-}
+// writePolicies enumerates the write policies a kernel can be bound to.
+var writePolicies = []WritePolicy{WriteThrough, WriteBack}
 
 // TestKernelEquivalenceAllConfigs sweeps every placement kind ×
-// replacement kind × write arrangement with a PRNG-generated mixed
+// replacement kind × write policy with a PRNG-generated mixed
 // read/write sequence, the deterministic counterpart of
 // FuzzAccessEquivalence.
 func TestKernelEquivalenceAllConfigs(t *testing.T) {
 	for _, pk := range placement.Kinds() {
 		for _, rk := range []ReplacementKind{LRU, Random, FIFO, PLRU} {
-			for _, wa := range writeArrangements {
-				cfg := kernelConfig(pk, rk, wa.write, wa.alloc)
-				g := prng.New(uint64(pk)<<16 | uint64(rk)<<8 | uint64(len(wa.name)))
+			for _, w := range writePolicies {
+				cfg := kernelConfig(pk, rk, w)
+				g := prng.New(uint64(pk)<<16 | uint64(rk)<<8 | uint64(w))
 				ops := make([]uint16, 6000)
 				for i := range ops {
 					ops[i] = uint16(g.Bits(10))<<1 | uint16(g.Intn(4)&1)
@@ -184,7 +174,7 @@ func TestKernelEquivalenceAllConfigs(t *testing.T) {
 // kernel, many Reseed+replay rounds, still bit-exact against a fresh
 // reference-model cache replaying the same rounds.
 func TestKernelReusableAcrossRuns(t *testing.T) {
-	cfg := kernelConfig(placement.RM, Random, WriteBack, false)
+	cfg := kernelConfig(placement.RM, Random, WriteBack)
 	ref, _ := New(cfg)
 	kc, _ := New(cfg)
 	k := NewKernel(kc)
@@ -224,7 +214,7 @@ func TestKernelReusableAcrossRuns(t *testing.T) {
 // kernel path and the per-access reference model on identically configured caches
 // and requires identical per-access Results, Stats, occupancy and
 // replacement state. The configuration (placement, replacement, write
-// arrangement) is part of the fuzz input, so the corpus explores every
+// policy) is part of the fuzz input, so the corpus explores every
 // kernel.
 func FuzzAccessEquivalence(f *testing.F) {
 	f.Add(uint8(0), uint64(1), []byte("\x01\x02\x03\x04\x10\x20\x30\x40"))
@@ -234,8 +224,7 @@ func FuzzAccessEquivalence(f *testing.F) {
 		kinds := placement.Kinds()
 		pk := kinds[int(sel)%len(kinds)]
 		rk := []ReplacementKind{LRU, Random, FIFO, PLRU}[int(sel>>3)%4]
-		wa := writeArrangements[int(sel>>5)%len(writeArrangements)]
-		cfg := kernelConfig(pk, rk, wa.write, wa.alloc)
+		cfg := kernelConfig(pk, rk, writePolicies[int(sel>>5)%len(writePolicies)])
 		if len(data) > 4096 {
 			data = data[:4096]
 		}

@@ -38,8 +38,8 @@ func (c *Cache) Lookup(addr uint64) bool {
 func (c *Cache) Read(addr uint64) Result { return c.access(addr, false) }
 
 // Write performs a store to addr. Under WriteThrough the line is updated if
-// present and, unless AllocOnWrite is set, a miss does not allocate. Under
-// WriteBack the line is allocated on miss (if AllocOnWrite) and dirtied.
+// present and a miss does not allocate. Under WriteBack the line is
+// allocated on miss and dirtied.
 func (c *Cache) Write(addr uint64) Result { return c.access(addr, true) }
 
 // ReadLine is Read for a line address with a precomputed set index, the
@@ -75,8 +75,8 @@ func (c *Cache) accessLine(la uint64, set int, isWrite bool) Result {
 	}
 
 	c.stats.Misses++
-	if isWrite && !c.allocatesOnWrite() {
-		// Write-through no-allocate: the store bypasses this level.
+	if isWrite && !c.AllocatesOnWrite() {
+		// Write-through: the store bypasses this level.
 		return Result{}
 	}
 	res := Result{Filled: true}
@@ -100,13 +100,6 @@ func (c *Cache) accessLine(la uint64, set int, isWrite bool) Result {
 	}
 	c.touch(set, w)
 	return res
-}
-
-func (c *Cache) allocatesOnWrite() bool {
-	if c.cfg.Write == WriteBack {
-		return true
-	}
-	return c.cfg.AllocOnWrite
 }
 
 // touch records a use of way w in set for the replacement policy.

@@ -91,17 +91,11 @@ type Checkpoint struct {
 
 // Validate checks that the checkpoint resumes exactly the given request
 // and is internally consistent, without running anything: the check the
-// Engine applies to Request.Resume, exposed so stores can vet a recovered
-// checkpoint before attaching it (and quarantine it instead of failing
-// the campaign). Field mismatches return *ResumeMismatchError; structural
-// damage returns *CorruptCheckpointError.
-func (cp *Checkpoint) Validate(req Request) error { return cp.validate(req) }
-
-// validate checks that the checkpoint resumes exactly the given request
-// and is internally consistent. Field mismatches return
-// *ResumeMismatchError; structural damage returns
-// *CorruptCheckpointError.
-func (cp *Checkpoint) validate(req Request) error {
+// Engine applies to Request.Resume, and the one stores run to vet a
+// recovered checkpoint before attaching it (and quarantine it instead of
+// failing the campaign). Field mismatches return *ResumeMismatchError;
+// structural damage returns *CorruptCheckpointError.
+func (cp *Checkpoint) Validate(req Request) error {
 	if cp.Kind != req.Kind() {
 		return &ResumeMismatchError{Field: "kind"}
 	}

@@ -125,14 +125,6 @@ func (l WireLayout) Layout() workload.Layout {
 	}
 }
 
-// WireLayoutFrom converts a workload.Layout to its wire form.
-func WireLayoutFrom(l workload.Layout) WireLayout {
-	return WireLayout{
-		Code: l.Code, Data: l.Data, Table: l.Table,
-		Stack: l.Stack, Pool: l.Pool, Scatter: l.Scatter,
-	}
-}
-
 // DecodeWireRequest reads one JSON-encoded WireRequest. Unknown fields are
 // an error so typos ("sed" for "seed") fail loudly instead of silently
 // fingerprinting a different campaign.

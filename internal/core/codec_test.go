@@ -85,7 +85,7 @@ func TestFingerprintCanonicalization(t *testing.T) {
 	}
 
 	// Every content field perturbation must change the hash.
-	l := WireLayoutFrom(workload.DefaultLayout())
+	l := wireLayoutFrom(workload.DefaultLayout())
 	diff := []WireRequest{
 		{Placement: "hRP", Workload: "tblook01", Runs: 100, Seed: 1},
 		{Placement: "RM", Workload: "matrix01", Runs: 100, Seed: 1},
@@ -212,10 +212,18 @@ func TestWireSecurityFingerprint(t *testing.T) {
 	}
 }
 
+// wireLayoutFrom converts a workload.Layout to its wire form.
+func wireLayoutFrom(l workload.Layout) WireLayout {
+	return WireLayout{
+		Code: l.Code, Data: l.Data, Table: l.Table,
+		Stack: l.Stack, Pool: l.Pool, Scatter: l.Scatter,
+	}
+}
+
 func TestWireLayoutRoundTrip(t *testing.T) {
 	l := workload.DefaultLayout()
 	l.Scatter[3] = 4242
-	if got := WireLayoutFrom(l).Layout(); got != l {
+	if got := wireLayoutFrom(l).Layout(); got != l {
 		t.Fatalf("layout round trip: got %+v want %+v", got, l)
 	}
 }

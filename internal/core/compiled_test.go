@@ -183,25 +183,11 @@ func TestBaselineRejectsLayoutDependentWorkload(t *testing.T) {
 	}
 }
 
-// engineWriteArrangements are the write setups the engine-level
-// differential test applies to the store-visible levels (DL1 and L2):
-// the platform default (write-through no-allocate DL1, write-back L2)
-// plus the two inversions that bind every other write kernel.
-var engineWriteArrangements = []struct {
-	name string
-	dl1  WriteSetup
-	l2   WriteSetup
-}{
-	{"default", WriteDefault, WriteDefault},
-	{"wta/wb", WriteThroughAlloc, WriteBackAlloc},
-	{"wb/wt", WriteBackAlloc, WriteThroughNoAlloc},
-}
-
 // TestEngineRunMatchesLegacyHotLoop is the engine-level differential
-// test: for every placement kind, every replacement policy and every
-// write arrangement, Engine.Run at workers 1 and 4 must reproduce a
-// sequential RunCompiled loop bit-for-bit — same Times, same summed
-// per-level Stats — for both MBPTA and baseline protocols. What it pins
+// test: for every placement kind and every replacement policy, Engine.Run
+// at workers 1 and 4 must reproduce a sequential RunCompiled loop
+// bit-for-bit — same Times, same summed per-level Stats — for both MBPTA
+// and baseline protocols. What it pins
 // is the engine's sharding, per-run seeding and accumulation; the replay
 // itself is pinned against the per-access reference models by the sim
 // and cache tests.
@@ -213,49 +199,46 @@ func TestEngineRunMatchesLegacyHotLoop(t *testing.T) {
 	const runs = 12
 	for _, pk := range placement.Kinds() {
 		for _, rk := range []cache.ReplacementKind{cache.LRU, cache.Random, cache.FIFO, cache.PLRU} {
-			for _, wa := range engineWriteArrangements {
-				spec := PaperPlatform(pk)
-				spec.IL1.Replacement, spec.DL1.Replacement, spec.L2.Replacement = rk, rk, rk
-				spec.DL1.Write, spec.L2.Write = wa.dl1, wa.l2
-				seed := uint64(0xBEEF) ^ uint64(pk)<<8 ^ uint64(rk) ^ uint64(wa.dl1)<<16
-				wantTimes, wantLevels := sequentialCampaign(t, spec, w, runs, seed)
-				wantBase, wantBaseLevels := sequentialBaseline(t, spec, w, runs, seed, nil)
+			spec := PaperPlatform(pk)
+			spec.IL1.Replacement, spec.DL1.Replacement, spec.L2.Replacement = rk, rk, rk
+			seed := uint64(0xBEEF) ^ uint64(pk)<<8 ^ uint64(rk)
+			wantTimes, wantLevels := sequentialCampaign(t, spec, w, runs, seed)
+			wantBase, wantBaseLevels := sequentialBaseline(t, spec, w, runs, seed, nil)
 
-				for _, workers := range []int{1, 4} {
-					eng := NewEngine(WithWorkers(workers))
-					res, err := eng.Run(context.Background(), Request{
-						Spec: spec, Workload: w, Runs: runs, MasterSeed: seed,
-					})
-					if err != nil {
-						t.Fatalf("%v/%v/%s workers=%d: %v", pk, rk, wa.name, workers, err)
+			for _, workers := range []int{1, 4} {
+				eng := NewEngine(WithWorkers(workers))
+				res, err := eng.Run(context.Background(), Request{
+					Spec: spec, Workload: w, Runs: runs, MasterSeed: seed,
+				})
+				if err != nil {
+					t.Fatalf("%v/%v workers=%d: %v", pk, rk, workers, err)
+				}
+				for i := range wantTimes {
+					if res.Times[i] != wantTimes[i] {
+						t.Fatalf("%v/%v workers=%d: Times[%d] = %v, sequential loop %v",
+							pk, rk, workers, i, res.Times[i], wantTimes[i])
 					}
-					for i := range wantTimes {
-						if res.Times[i] != wantTimes[i] {
-							t.Fatalf("%v/%v/%s workers=%d: Times[%d] = %v, sequential loop %v",
-								pk, rk, wa.name, workers, i, res.Times[i], wantTimes[i])
-						}
-					}
-					if res.Levels != wantLevels {
-						t.Fatalf("%v/%v/%s workers=%d: Levels = %+v, sequential %+v",
-							pk, rk, wa.name, workers, res.Levels, wantLevels)
-					}
+				}
+				if res.Levels != wantLevels {
+					t.Fatalf("%v/%v workers=%d: Levels = %+v, sequential %+v",
+						pk, rk, workers, res.Levels, wantLevels)
+				}
 
-					base, err := eng.Run(context.Background(), Request{
-						Spec: spec, Workload: w, Runs: runs, MasterSeed: seed, Baseline: true,
-					})
-					if err != nil {
-						t.Fatalf("%v/%v/%s workers=%d baseline: %v", pk, rk, wa.name, workers, err)
+				base, err := eng.Run(context.Background(), Request{
+					Spec: spec, Workload: w, Runs: runs, MasterSeed: seed, Baseline: true,
+				})
+				if err != nil {
+					t.Fatalf("%v/%v workers=%d baseline: %v", pk, rk, workers, err)
+				}
+				for i := range wantBase {
+					if base.Times[i] != wantBase[i] {
+						t.Fatalf("%v/%v workers=%d: baseline Times[%d] = %v, sequential %v",
+							pk, rk, workers, i, base.Times[i], wantBase[i])
 					}
-					for i := range wantBase {
-						if base.Times[i] != wantBase[i] {
-							t.Fatalf("%v/%v/%s workers=%d: baseline Times[%d] = %v, sequential %v",
-								pk, rk, wa.name, workers, i, base.Times[i], wantBase[i])
-						}
-					}
-					if base.Levels != wantBaseLevels {
-						t.Fatalf("%v/%v/%s workers=%d: baseline Levels = %+v, sequential %+v",
-							pk, rk, wa.name, workers, base.Levels, wantBaseLevels)
-					}
+				}
+				if base.Levels != wantBaseLevels {
+					t.Fatalf("%v/%v workers=%d: baseline Levels = %+v, sequential %+v",
+						pk, rk, workers, base.Levels, wantBaseLevels)
 				}
 			}
 		}
@@ -313,32 +296,23 @@ func TestEngineRejectsUnsupportedLineSize(t *testing.T) {
 	}
 }
 
-// TestBuildAppliesWriteSetup pins the WriteSetup-to-cache.Config mapping.
+// TestBuildAppliesWriteSetup pins the platform's write arrangement, the
+// paper's safety-critical design point: write-through L1s that do not
+// allocate on a store miss and a write-back L2, on both platforms.
 func TestBuildAppliesWriteSetup(t *testing.T) {
-	spec := PaperPlatform(placement.RM)
-	spec.DL1.Write = WriteBackAlloc
-	spec.L2.Write = WriteThroughAlloc
-	p, err := spec.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, dl1, l2 := p.Caches()
-	if cfg := dl1.Config(); cfg.Write != cache.WriteBack {
-		t.Fatalf("DL1 write = %v, want write-back", cfg.Write)
-	}
-	if cfg := l2.Config(); cfg.Write != cache.WriteThrough || !cfg.AllocOnWrite {
-		t.Fatalf("L2 = %v alloc=%v, want write-through allocate", cfg.Write, cfg.AllocOnWrite)
-	}
-	// The default arrangement is unchanged by the zero value.
-	def, err := PaperPlatform(placement.RM).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, ddl1, dl2 := def.Caches()
-	if ddl1.Config().Write != cache.WriteThrough || ddl1.Config().AllocOnWrite {
-		t.Fatal("default DL1 arrangement changed")
-	}
-	if dl2.Config().Write != cache.WriteBack {
-		t.Fatal("default L2 arrangement changed")
+	for _, spec := range []PlatformSpec{PaperPlatform(placement.RM), DeterministicPlatform()} {
+		p, err := spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		il1, dl1, l2 := p.Caches()
+		for _, c := range []*cache.Cache{il1, dl1} {
+			if c.AllocatesOnWrite() || c.Config().Write != cache.WriteThrough {
+				t.Fatalf("%s: %v, want write-through no-allocate", c.Config().Name, c.Config().Write)
+			}
+		}
+		if !l2.AllocatesOnWrite() || l2.Config().Write != cache.WriteBack {
+			t.Fatalf("L2: %v, want write-back", l2.Config().Write)
+		}
 	}
 }

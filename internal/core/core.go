@@ -18,28 +18,10 @@ import (
 	"repro/internal/stats"
 )
 
-// WriteSetup optionally overrides a cache level's write arrangement. The
-// zero value keeps the platform convention (write-through no-allocate
-// L1s, write-back L2 — the paper's safety-critical design point); the
-// other values force a specific arrangement, which the ablation and
-// differential-test surfaces use to exercise every replay kernel.
-type WriteSetup int
-
-// Write arrangements.
-const (
-	WriteDefault        WriteSetup = iota // platform convention per level
-	WriteThroughNoAlloc                   // stores bypass the level on miss
-	WriteThroughAlloc                     // store misses allocate, lines stay clean
-	WriteBackAlloc                        // store hits/fills dirty the line; dirty victims write back
-)
-
 // CacheSetup selects the policies of one cache level.
 type CacheSetup struct {
 	Placement   placement.Kind
 	Replacement cache.ReplacementKind
-	// Write optionally overrides the level's write arrangement (see
-	// WriteSetup; zero keeps the platform default).
-	Write WriteSetup
 }
 
 // PlatformSpec describes the simulated platform. The zero value is not
@@ -51,7 +33,6 @@ type PlatformSpec struct {
 	L2Ways       int
 	LineBytes    int
 	IL1, DL1, L2 CacheSetup
-	Lat          sim.Latencies
 }
 
 // PaperPlatform returns the paper's evaluation platform (Section 4): 16KB
@@ -69,7 +50,6 @@ func PaperPlatform(l1 placement.Kind) PlatformSpec {
 		IL1:         CacheSetup{Placement: l1, Replacement: cache.Random},
 		DL1:         CacheSetup{Placement: l1, Replacement: cache.Random},
 		L2:          CacheSetup{Placement: placement.HRP, Replacement: cache.Random},
-		Lat:         sim.DefaultLatencies(),
 	}
 }
 
@@ -83,10 +63,10 @@ func DeterministicPlatform() PlatformSpec {
 	return s
 }
 
-// PlatformFor maps a user-selected L1 placement to the platform the CLIs
-// evaluate: PaperPlatform(kind), except that Modulo selects the fully
-// deterministic modulo+LRU baseline (shared by rmsim and mbpta so the
-// deterministic-baseline convention lives in one place).
+// PlatformFor maps a user-selected L1 placement to the platform rmsim,
+// the wire codec and perfbench evaluate: PaperPlatform(kind), except that
+// Modulo selects the fully deterministic modulo+LRU baseline, so the
+// deterministic-baseline convention lives in one place.
 func PlatformFor(kind placement.Kind) PlatformSpec {
 	if kind == placement.Modulo {
 		return DeterministicPlatform()
@@ -95,12 +75,12 @@ func PlatformFor(kind placement.Kind) PlatformSpec {
 }
 
 // Config resolves the spec into the simulator's per-level cache
-// configuration: write-through L1s and a write-back L2 unless a level's
-// CacheSetup.Write overrides it. Build instantiates this configuration;
-// multicore drivers hand it to sim.NewSystem.
+// configuration: write-through no-allocate L1s and a write-back L2, the
+// paper's safety-critical design point. Build instantiates this
+// configuration; multicore drivers hand it to sim.NewSystem.
 func (s PlatformSpec) Config() sim.Config {
 	mk := func(name string, size, ways int, cs CacheSetup, write cache.WritePolicy) cache.Config {
-		cfg := cache.Config{
+		return cache.Config{
 			Name:        name,
 			SizeBytes:   size,
 			Ways:        ways,
@@ -109,21 +89,11 @@ func (s PlatformSpec) Config() sim.Config {
 			Replacement: cs.Replacement,
 			Write:       write,
 		}
-		switch cs.Write {
-		case WriteThroughNoAlloc:
-			cfg.Write, cfg.AllocOnWrite = cache.WriteThrough, false
-		case WriteThroughAlloc:
-			cfg.Write, cfg.AllocOnWrite = cache.WriteThrough, true
-		case WriteBackAlloc:
-			cfg.Write, cfg.AllocOnWrite = cache.WriteBack, false
-		}
-		return cfg
 	}
 	return sim.Config{
 		IL1: mk("IL1", s.L1SizeBytes, s.L1Ways, s.IL1, cache.WriteThrough),
 		DL1: mk("DL1", s.L1SizeBytes, s.L1Ways, s.DL1, cache.WriteThrough),
 		L2:  mk("L2", s.L2SizeBytes, s.L2Ways, s.L2, cache.WriteBack),
-		Lat: s.Lat,
 	}
 }
 

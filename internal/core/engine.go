@@ -591,7 +591,7 @@ func (e *Engine) runOnce(ctx context.Context, index int, req Request) (Result, e
 	acc.times = times
 	start := 0
 	if req.Resume != nil {
-		if err := req.Resume.validate(req); err != nil {
+		if err := req.Resume.Validate(req); err != nil {
 			return c.finish(res, err)
 		}
 		acc.restore(req.Resume)

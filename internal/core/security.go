@@ -62,7 +62,7 @@ func (e *Engine) runSecurity(ctx context.Context, req Request, c *campaign) (Res
 	outs := make([]security.RoundOut, req.Runs)
 	start := 0
 	if req.Resume != nil {
-		if err := req.Resume.validate(req); err != nil {
+		if err := req.Resume.Validate(req); err != nil {
 			return c.finish(res, err)
 		}
 		start = req.Resume.Frontier

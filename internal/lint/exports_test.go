@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -11,11 +12,52 @@ import (
 	"testing"
 )
 
-// TestEveryDeclarationHasACaller is the dead-code gate. It loads the
-// module and the perfbench module with the suite's own Loader and fails
-// on every
+// TestEveryDeclarationHasACaller is the dead-code gate: deadDeclarations
+// over the module and the perfbench module must find nothing.
+func TestEveryDeclarationHasACaller(t *testing.T) {
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead, err := deadDeclarations(root, "./...", "./perfbench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range dead {
+		t.Errorf("no caller outside its own package's tests: %s", s)
+	}
+}
+
+// TestDeadCodeGateFixture runs the gate on a module planted with one
+// case of each rule.
+func TestDeadCodeGateFixture(t *testing.T) {
+	root, err := filepath.Abs(filepath.Join("testdata", "deadcode"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead, err := deadDeclarations(root, "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, s := range dead {
+		got = append(got, s[:strings.Index(s, " (")])
+	}
+	want := []string{
+		"fix.OnlyTested",                  // root export only its own test uses
+		"fix/internal/shape.Shape.Corner", // interface method never called through it
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("flagged:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// deadDeclarations loads the packages matching patterns in the module at
+// root with the suite's own Loader and returns, sorted and with their
+// positions, every
 //
-//   - exported identifier of an internal/ package, and
+//   - exported identifier of the root package or an internal/ package,
+//   - method of a named interface (exported ones only in those packages),
 //   - unexported package-level func, type, var or const anywhere,
 //
 // that nothing uses outside its declaring package's tests. Uses resolve
@@ -23,30 +65,30 @@ import (
 // (cmd/, examples/ and perfbench/ included); a test file counts only
 // when it belongs to another package. A declaration's uses inside itself
 // do not count, nor do a type's uses inside its own methods, so a type
-// reached only through its own methods is reported.
+// reached only through its own methods is reported. The root package's
+// own tests do not count for its exports, except its Example functions:
+// with cmd/ and examples/ they define the public surface, and the root's
+// non-test code only names the types of that surface's signatures. An
+// interface method counts as used only when code calls it through the
+// interface, not through a concrete type.
 //
-// Exempt: the root package's exports (their callers live outside the
-// module), struct fields and interface methods (both part of a type's
-// shape), and methods that implement error or an interface declared in
-// the import graph of their package (Error, String, ServeHTTP,
-// MarshalJSON, Import, ...: their callers are dynamic).
-func TestEveryDeclarationHasACaller(t *testing.T) {
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
+// Exempt: struct fields (part of a type's shape), and methods that
+// implement error or an interface declared in the import graph of their
+// package (Error, String, ServeHTTP, MarshalJSON, Import, ...: their
+// callers are dynamic).
+func deadDeclarations(root string, patterns ...string) ([]string, error) {
 	l, err := NewLoader(root)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	pkgs, err := l.Load("./...", "./perfbench")
+	pkgs, err := l.Load(patterns...)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 
-	decls := declarations(pkgs)
+	decls := declarations(pkgs, l.module)
 	used := make(map[types.Object]bool)
-	record := func(info *types.Info, usePkg string, inTests bool) {
+	record := func(info *types.Info, usePkg string, inTests bool, example func(token.Pos) bool) {
 		for id, obj := range info.Uses {
 			obj = origin(obj)
 			d, ok := decls[obj]
@@ -54,19 +96,23 @@ func TestEveryDeclarationHasACaller(t *testing.T) {
 				continue
 			}
 			if inTests {
-				if strings.TrimSuffix(usePkg, "_test") != obj.Pkg().Path() {
-					used[obj] = true
-				}
-			} else if !d.encloses(id.Pos()) {
+				home := obj.Pkg().Path()
+				used[obj] = strings.TrimSuffix(usePkg, "_test") != home ||
+					d.surface && usePkg == home+"_test" && example(id.Pos())
+			} else if !d.spans.encloses(id.Pos()) {
 				used[obj] = true
 			}
 		}
 	}
 	for _, p := range pkgs {
-		record(p.Info, p.Path, false)
+		record(p.Info, p.Path, false, nil)
 	}
 	for _, p := range pkgs {
-		checkTests(t, l, p, func(info *types.Info, path string) { record(info, path, true) })
+		if err := checkTests(l, p, func(info *types.Info, path string, example func(token.Pos) bool) {
+			record(info, path, true, example)
+		}); err != nil {
+			return nil, err
+		}
 	}
 
 	ifaces := make(map[*types.Package]map[string][]*types.Interface)
@@ -87,22 +133,24 @@ func TestEveryDeclarationHasACaller(t *testing.T) {
 		dead = append(dead, d.name+" ("+pos+")")
 	}
 	sort.Strings(dead)
-	for _, s := range dead {
-		t.Errorf("no caller outside its own package's tests: %s", s)
-	}
+	return dead, nil
 }
 
 // decl is one checked declaration: its reported name, the source spans
-// whose uses of it do not count and, for a method, its receiver's named
-// type.
+// whose uses of it do not count, for a method its receiver's named type,
+// and whether it is a root export, which Example functions can use.
 type decl struct {
-	name   string
-	spans  [][2]token.Pos
-	method *types.Named
+	name    string
+	spans   spans
+	method  *types.Named
+	surface bool
 }
 
-func (d *decl) encloses(pos token.Pos) bool {
-	for _, s := range d.spans {
+// spans is a set of source ranges.
+type spans [][2]token.Pos
+
+func (ss spans) encloses(pos token.Pos) bool {
+	for _, s := range ss {
 		if s[0] <= pos && pos < s[1] {
 			return true
 		}
@@ -110,17 +158,21 @@ func (d *decl) encloses(pos token.Pos) bool {
 	return false
 }
 
-// declarations collects every declaration the gate checks, keyed by its
-// types object.
-func declarations(pkgs []*Package) map[types.Object]*decl {
+// declarations collects every declaration the gate checks in the module
+// of the given path, keyed by its types object.
+func declarations(pkgs []*Package, module string) map[types.Object]*decl {
 	decls := make(map[types.Object]*decl)
 	for _, p := range pkgs {
-		exports := strings.Contains(p.Path+"/", "/internal/")
+		exports := p.Path == module || strings.Contains(p.Path+"/", "/internal/")
 		checked := func(name string) bool {
 			return name != "_" && (token.IsExported(name) && exports || !token.IsExported(name))
 		}
 		add := func(obj types.Object, name string, node ast.Node) *decl {
-			d := &decl{name: p.Path + "." + name, spans: [][2]token.Pos{{node.Pos(), node.End()}}}
+			d := &decl{
+				name:    p.Path + "." + name,
+				spans:   spans{{node.Pos(), node.End()}},
+				surface: p.Path == module && token.IsExported(name),
+			}
 			decls[obj] = d
 			return d
 		}
@@ -143,8 +195,18 @@ func declarations(pkgs []*Package) map[types.Object]*decl {
 					for _, spec := range fd.Specs {
 						switch spec := spec.(type) {
 						case *ast.TypeSpec:
-							if obj := p.Info.Defs[spec.Name]; checked(spec.Name.Name) {
+							obj := p.Info.Defs[spec.Name]
+							if checked(spec.Name.Name) {
 								byType[obj] = add(obj, spec.Name.Name, spec)
+							}
+							if it, ok := spec.Type.(*ast.InterfaceType); ok {
+								for _, m := range it.Methods.List {
+									for _, n := range m.Names {
+										if checked(n.Name) {
+											add(p.Info.Defs[n], spec.Name.Name+"."+n.Name, m)
+										}
+									}
+								}
 							}
 						case *ast.ValueSpec:
 							for _, n := range spec.Names {
@@ -195,22 +257,29 @@ func (f importerFunc) Import(path string) (*types.Package, error) { return f(pat
 // checkTests type-checks p's test files as go test builds them, the
 // in-package ones together with p's own files, and hands record the uses
 // in the test files with the test package's import path (external tests
-// end in _test).
-func checkTests(t *testing.T, l *Loader, p *Package, record func(*types.Info, string)) {
+// end in _test) and a report of whether a position lies in an Example
+// function.
+func checkTests(l *Loader, p *Package, record func(info *types.Info, path string, example func(token.Pos) bool)) error {
 	names, err := filepath.Glob(filepath.Join(p.Dir, "*_test.go"))
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
 	var internal, external []*ast.File
+	var examples spans
 	for _, name := range names {
 		f, err := parser.ParseFile(l.fset, name, nil, 0)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
 		if f.Name.Name == p.Types.Name() {
 			internal = append(internal, f)
-		} else {
-			external = append(external, f)
+			continue
+		}
+		external = append(external, f)
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && strings.HasPrefix(fd.Name.Name, "Example") {
+				examples = append(examples, [2]token.Pos{fd.Pos(), fd.End()})
+			}
 		}
 	}
 	// check type-checks files as package path, resolving p's own import
@@ -232,13 +301,13 @@ func checkTests(t *testing.T, l *Loader, p *Package, record func(*types.Info, st
 				delete(info.Uses, id)
 			}
 		}
-		record(info, path)
+		record(info, path, examples.encloses)
 		return tpkg, nil
 	}
 	augmented := p.Types
 	if len(internal) > 0 {
 		if augmented, err = check(p.Path, nil, append(append([]*ast.File(nil), p.Syntax...), internal...), internal); err != nil {
-			t.Fatalf("typecheck tests of %s: %v", p.Path, err)
+			return fmt.Errorf("typecheck tests of %s: %v", p.Path, err)
 		}
 	}
 	if len(external) > 0 {
@@ -248,10 +317,11 @@ func checkTests(t *testing.T, l *Loader, p *Package, record func(*types.Info, st
 		// try the loaded package first.
 		if _, err := check(p.Path+"_test", p.Types, external, external); err != nil {
 			if _, err := check(p.Path+"_test", augmented, external, external); err != nil {
-				t.Fatalf("typecheck tests of %s_test: %v", p.Path, err)
+				return fmt.Errorf("typecheck tests of %s_test: %v", p.Path, err)
 			}
 		}
 	}
+	return nil
 }
 
 func fileAt(files []*ast.File, pos token.Pos) *ast.File {

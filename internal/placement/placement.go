@@ -31,9 +31,8 @@ import (
 // address); Reseed installs a new seed. Policies are not safe for
 // concurrent use; each cache instance owns its policy.
 type Policy interface {
-	// Sets returns the number of cache sets the policy maps onto.
-	Sets() int
-	// Index returns the set index for a cache-line address, in [0, Sets).
+	// Index returns the set index for a cache-line address, in [0, sets)
+	// for the set count the policy was built for.
 	Index(line uint64) uint32
 	// Reseed installs a fresh per-run random seed. Deterministic policies
 	// ignore it.
@@ -176,7 +175,6 @@ func indexAllMismatch(lines, out int) {
 
 // moduloPolicy is conventional power-of-two modulo placement.
 type moduloPolicy struct {
-	sets int
 	mask uint64
 }
 
@@ -185,10 +183,9 @@ func NewModulo(sets int) (Policy, error) {
 	if _, err := indexBits(sets); err != nil {
 		return nil, err
 	}
-	return &moduloPolicy{sets: sets, mask: uint64(sets - 1)}, nil
+	return &moduloPolicy{mask: uint64(sets - 1)}, nil
 }
 
-func (p *moduloPolicy) Sets() int                { return p.sets }
 func (p *moduloPolicy) Index(line uint64) uint32 { return uint32(line & p.mask) }
 func (p *moduloPolicy) Reseed(uint64)            {}
 func (p *moduloPolicy) Randomized() bool         { return false }
@@ -214,7 +211,6 @@ func (p *moduloPolicy) indexAll(lines []uint64, out []uint32) {
 // layout is bad on every run, which is why such designs are not
 // MBPTA-compliant (paper, Section 5).
 type xorFoldPolicy struct {
-	sets    int
 	idxBits uint
 	mask    uint64
 }
@@ -225,10 +221,8 @@ func NewXORFold(sets int) (Policy, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &xorFoldPolicy{sets: sets, idxBits: nb, mask: uint64(sets - 1)}, nil
+	return &xorFoldPolicy{idxBits: nb, mask: uint64(sets - 1)}, nil
 }
-
-func (p *xorFoldPolicy) Sets() int { return p.sets }
 
 func (p *xorFoldPolicy) Index(line uint64) uint32 {
 	v := uint64(0)
@@ -270,7 +264,6 @@ const HashedAddressBits = 27
 // distinct addresses collides with probability ~1/S per seed -- including
 // pairs inside the same cache segment, which is the weakness RM removes.
 type hrpPolicy struct {
-	sets     int
 	idxBits  uint
 	addrMask uint64
 	rows     []uint64 // one GF(2) row mask per index bit
@@ -287,7 +280,6 @@ func NewHRP(sets int) (Policy, error) {
 		return nil, err
 	}
 	p := &hrpPolicy{
-		sets:     sets,
 		idxBits:  nb,
 		addrMask: 1<<HashedAddressBits - 1,
 		rows:     make([]uint64, nb),
@@ -295,8 +287,6 @@ func NewHRP(sets int) (Policy, error) {
 	p.Reseed(0)
 	return p, nil
 }
-
-func (p *hrpPolicy) Sets() int { return p.sets }
 
 func (p *hrpPolicy) Reseed(seed uint64) {
 	g := prng.New(seed ^ 0x68525021) // domain-separate from other seed users
@@ -345,7 +335,6 @@ func (p *hrpPolicy) indexAll(lines []uint64, out []uint32) {
 // seed. Across segments the permutations differ, and across seeds every
 // segment's permutation is re-drawn.
 type rmPolicy struct {
-	sets     int
 	idxBits  uint
 	idxMask  uint64
 	net      *benes.Network
@@ -378,7 +367,6 @@ func NewRM(sets int) (Policy, error) {
 		return nil, fmt.Errorf("placement: RM control word for %d sets exceeds 64 bits", sets)
 	}
 	p := &rmPolicy{
-		sets:     sets,
 		idxBits:  nb,
 		idxMask:  uint64(sets - 1),
 		net:      net,
@@ -388,8 +376,6 @@ func NewRM(sets int) (Policy, error) {
 	p.Reseed(0)
 	return p, nil
 }
-
-func (p *rmPolicy) Sets() int { return p.sets }
 
 func (p *rmPolicy) Reseed(seed uint64) {
 	// Expand the architectural seed register into the two words the
@@ -467,7 +453,6 @@ func (p *rmPolicy) indexAll(lines []uint64, out []uint32) {
 // of the Benes network's factorially many, which weakens layout diversity
 // across runs and therefore MBPTA representativeness.
 type rmRotPolicy struct {
-	sets    int
 	idxBits uint
 	idxMask uint64
 	seedA   uint64
@@ -480,12 +465,10 @@ func NewRMRot(sets int) (Policy, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &rmRotPolicy{sets: sets, idxBits: nb, idxMask: uint64(sets - 1)}
+	p := &rmRotPolicy{idxBits: nb, idxMask: uint64(sets - 1)}
 	p.Reseed(0)
 	return p, nil
 }
-
-func (p *rmRotPolicy) Sets() int { return p.sets }
 
 func (p *rmRotPolicy) Reseed(seed uint64) {
 	g := prng.New(seed ^ 0x524F5421)

@@ -225,7 +225,6 @@ func (c *Core) RunCompiled(ct *trace.Compiled) Result {
 	// access cover both the line and its plan entry.
 	il1Plan, l2iPlan := c.plan.il1[:len(ilines)], c.plan.l2i[:len(ilines)]
 	dl1Plan, l2dPlan := c.plan.dl1[:len(dlines)], c.plan.l2d[:len(dlines)]
-	lat := &c.lat
 	ops := ct.Ops
 	var cycles, h1, hd, stores uint64
 	for b, m := range c.plan.keep {
@@ -240,7 +239,7 @@ func (c *Core) RunCompiled(ct *trace.Compiled) Result {
 					k1.ReadHit(e, n)
 					h1 += n
 				} else if l1Slow(k1, &il1Plan[id], la, op.Rep) {
-					cycles += lat.L2Hit + lat.memory(c.l2Read(la, &l2iPlan[id]))
+					cycles += l2Hit + memCycles(c.l2Read(la, &l2iPlan[id]))
 				}
 			case trace.Load:
 				la, e := dlines[id], dl1Plan[id]
@@ -249,11 +248,11 @@ func (c *Core) RunCompiled(ct *trace.Compiled) Result {
 					kd.ReadHit(e, n)
 					hd += n
 				} else if l1Slow(kd, &dl1Plan[id], la, op.Rep) {
-					cycles += lat.L2Hit + lat.memory(c.l2Read(la, &l2dPlan[id]))
+					cycles += l2Hit + memCycles(c.l2Read(la, &l2dPlan[id]))
 				}
 			default:
 				stores++
-				cycles += lat.memory(c.store(dlines[id], &dl1Plan[id], &l2dPlan[id]))
+				cycles += memCycles(c.store(dlines[id], &dl1Plan[id], &l2dPlan[id]))
 			}
 		}
 	}
@@ -268,7 +267,7 @@ func (c *Core) RunCompiled(ct *trace.Compiled) Result {
 			kd.RestoreLRU(dlines, dl1Plan, t.D.Last, t.D.Accesses)
 		}
 	}
-	cycles += lat.L1Hit*uint64(ct.Accesses) + lat.StoreBus*stores
+	cycles += l1Hit*uint64(ct.Accesses) + storeBus*stores
 	return Result{
 		Cycles:   cycles,
 		Accesses: ct.Accesses,
@@ -330,15 +329,15 @@ func (c *Core) store(la uint64, e1, e2 *uint32) cache.AccessBits {
 	return b
 }
 
-// memory returns the memory-side cycles of an L2 access: a line filled
-// from memory, a dirty victim written back.
-func (l *Latencies) memory(b cache.AccessBits) uint64 {
+// memCycles returns the memory-side cycles of an L2 access: a line
+// filled from memory, a dirty victim written back.
+func memCycles(b cache.AccessBits) uint64 {
 	var cycles uint64
 	if b&cache.BitFilled != 0 {
-		cycles += l.Memory
+		cycles += memLatency
 	}
 	if b&cache.BitWriteback != 0 {
-		cycles += l.Writeback
+		cycles += writeback
 	}
 	return cycles
 }

@@ -41,22 +41,20 @@ func TestRunCompiledBitExact(t *testing.T) {
 	type writeSetup struct {
 		name    string
 		l1Write cache.WritePolicy
-		l1Alloc bool
 		l2Write cache.WritePolicy
 	}
 	writes := []writeSetup{
-		{"wt-noalloc/wb", cache.WriteThrough, false, cache.WriteBack},
-		{"wt-alloc/wb", cache.WriteThrough, true, cache.WriteBack},
-		{"wb/wt", cache.WriteBack, false, cache.WriteThrough},
-		{"wb/wb", cache.WriteBack, false, cache.WriteBack},
-		{"wt-noalloc/wt", cache.WriteThrough, false, cache.WriteThrough},
+		{"wt/wb", cache.WriteThrough, cache.WriteBack},
+		{"wb/wt", cache.WriteBack, cache.WriteThrough},
+		{"wb/wb", cache.WriteBack, cache.WriteBack},
+		{"wt/wt", cache.WriteThrough, cache.WriteThrough},
 	}
 	for _, pk := range placement.Kinds() {
 		for _, rk := range []cache.ReplacementKind{cache.LRU, cache.Random, cache.FIFO, cache.PLRU} {
 			for _, ws := range writes {
 				cfg := paperConfig(pk)
 				cfg.IL1.Replacement, cfg.DL1.Replacement, cfg.L2.Replacement = rk, rk, rk
-				cfg.DL1.Write, cfg.DL1.AllocOnWrite = ws.l1Write, ws.l1Alloc
+				cfg.DL1.Write = ws.l1Write
 				cfg.L2.Write = ws.l2Write
 
 				ref, err := New(cfg)

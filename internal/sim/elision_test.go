@@ -12,17 +12,17 @@ import (
 
 // elisionConfig is a Modulo hierarchy with 8-set 2-way L1s and 64-byte
 // lines, so line L sits in L1 set L%8 under every seed.
-func elisionConfig(rk cache.ReplacementKind, write cache.WritePolicy, alloc bool) Config {
-	mk := func(name string, size, ways int, w cache.WritePolicy, a bool) cache.Config {
+func elisionConfig(rk cache.ReplacementKind, write cache.WritePolicy) Config {
+	mk := func(name string, size, ways int, w cache.WritePolicy) cache.Config {
 		return cache.Config{
 			Name: name, SizeBytes: size, Ways: ways, LineBytes: 64,
-			Placement: placement.Modulo, Replacement: rk, Write: w, AllocOnWrite: a,
+			Placement: placement.Modulo, Replacement: rk, Write: w,
 		}
 	}
 	return Config{
-		IL1: mk("IL1", 1024, 2, cache.WriteThrough, false),
-		DL1: mk("DL1", 1024, 2, write, alloc),
-		L2:  mk("L2", 2048, 4, cache.WriteBack, false),
+		IL1: mk("IL1", 1024, 2, cache.WriteThrough),
+		DL1: mk("DL1", 1024, 2, write),
+		L2:  mk("L2", 2048, 4, cache.WriteBack),
 	}
 }
 
@@ -42,8 +42,8 @@ func dataTrace(lines []uint64, store string) trace.Trace {
 
 // TestElisionEligibility pins when RunCompiled may skip a read: the
 // per-kind set limits (Random 1 allocating line, FIFO and LRU Ways, PLRU
-// none, LRU none on a stored-to level without allocate-on-write), stores
-// counting as allocating only where the level allocates on write, the
+// none, LRU none on a stored-to write-through level), stores counting as
+// allocating only where the level allocates on write (write-back), the
 // cold-only rule (no skipping on a warm level, even where the limit
 // would allow it), LRU state restored exactly, and aliased relocated IDs
 // counting as two lines. Every replay must also equal the per-access
@@ -54,19 +54,17 @@ func TestElisionEligibility(t *testing.T) {
 		for _, tc := range []struct {
 			rk     cache.ReplacementKind
 			write  cache.WritePolicy
-			alloc  bool
 			stores bool
 			want   int
 		}{
-			{cache.Random, wt, false, true, 1},
-			{cache.FIFO, wt, false, true, 2},
-			{cache.LRU, wt, false, false, 2},
-			{cache.LRU, wt, false, true, 0}, // a no-allocate store miss does not tick
-			{cache.LRU, wt, true, true, 2},
-			{cache.LRU, wb, false, true, 2},
-			{cache.PLRU, wt, false, false, 0},
+			{cache.Random, wt, true, 1},
+			{cache.FIFO, wt, true, 2},
+			{cache.LRU, wt, false, 2},
+			{cache.LRU, wt, true, 0}, // a write-through store miss does not tick
+			{cache.LRU, wb, true, 2},
+			{cache.PLRU, wt, false, 0},
 		} {
-			c, err := New(elisionConfig(tc.rk, tc.write, tc.alloc))
+			c, err := New(elisionConfig(tc.rk, tc.write))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,30 +98,28 @@ func TestElisionEligibility(t *testing.T) {
 		name  string
 		rk    cache.ReplacementKind
 		write cache.WritePolicy
-		alloc bool
 		lines []uint64
 		store string
 		want  int // ops replayed by the cold run
 	}{
-		{"random/alone", cache.Random, wt, false, alone, "", 2},
-		{"random/shared", cache.Random, wt, false, shared, "", 5},
-		{"fifo/alone", cache.FIFO, wt, false, alone, "", 2},
-		{"fifo/shared", cache.FIFO, wt, false, shared, "", 2},
-		{"fifo/three", cache.FIFO, wt, false, three, "", 7},
-		{"lru/alone-noalloc", cache.LRU, wt, false, alone, "", 5},
-		{"lru/alone", cache.LRU, wt, true, alone, "", 2},
-		{"lru/shared", cache.LRU, wb, false, shared, "", 2},
-		{"lru/three", cache.LRU, wt, true, three, "", 7},
-		{"lru/store-alloc", cache.LRU, wt, true, shared, storeOnly, 3},
-		{"lru/store-noalloc", cache.LRU, wt, false, shared, storeOnly, 5},
-		{"plru/alone", cache.PLRU, wt, false, alone, "", 5},
-		{"random/store-noalloc", cache.Random, wt, false, shared, storeOnly, 3},
-		{"random/store-alloc", cache.Random, wt, true, shared, storeOnly, 5},
-		{"random/store-writeback", cache.Random, wb, false, shared, storeOnly, 5},
-		{"fifo/store-alloc", cache.FIFO, wt, true, shared, storeOnly, 3},
+		{"random/alone", cache.Random, wt, alone, "", 2},
+		{"random/shared", cache.Random, wt, shared, "", 5},
+		{"fifo/alone", cache.FIFO, wt, alone, "", 2},
+		{"fifo/shared", cache.FIFO, wt, shared, "", 2},
+		{"fifo/three", cache.FIFO, wt, three, "", 7},
+		{"lru/alone-noalloc", cache.LRU, wt, alone, "", 5},
+		{"lru/alone", cache.LRU, wb, alone, "", 2},
+		{"lru/shared", cache.LRU, wb, shared, "", 2},
+		{"lru/three", cache.LRU, wb, three, "", 7},
+		{"lru/store-alloc", cache.LRU, wb, shared, storeOnly, 3},
+		{"lru/store-noalloc", cache.LRU, wt, shared, storeOnly, 5},
+		{"plru/alone", cache.PLRU, wt, alone, "", 5},
+		{"random/store-noalloc", cache.Random, wt, shared, storeOnly, 3},
+		{"random/store-writeback", cache.Random, wb, shared, storeOnly, 5},
+		{"fifo/store-alloc", cache.FIFO, wb, shared, storeOnly, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := elisionConfig(tc.rk, tc.write, tc.alloc)
+			cfg := elisionConfig(tc.rk, tc.write)
 			tr := dataTrace(tc.lines, tc.store)
 			ct := compile(t, tr)
 			core, ref := mustNew(t, cfg), mustNew(t, cfg)
@@ -152,7 +148,7 @@ func TestElisionEligibility(t *testing.T) {
 	// hits would: line 0 is fetched last, so the warm fetch of line 16
 	// evicts line 8, and the refetch of line 0 hits.
 	t.Run("lru/fetch", func(t *testing.T) {
-		cfg := elisionConfig(cache.LRU, wt, false)
+		cfg := elisionConfig(cache.LRU, wt)
 		b := trace.NewBuilder(8)
 		for _, l := range []uint64{0, 1, 8, 1, 0, 1, 8, 0} {
 			b.Fetch(l * 64)
@@ -183,7 +179,7 @@ func TestElisionEligibility(t *testing.T) {
 	// Two relocated IDs on one line under LRU: the line's stamp is its
 	// last access over both IDs, here by the ID numbered first.
 	t.Run("lru/aliased", func(t *testing.T) {
-		cfg := elisionConfig(cache.LRU, wt, true)
+		cfg := elisionConfig(cache.LRU, wb)
 		b := trace.NewBuilder(3)
 		for _, a := range []uint64{0, 32, 0} {
 			b.Load(a)
@@ -208,7 +204,7 @@ func TestElisionEligibility(t *testing.T) {
 	// 16 evicts it, and its later read misses, although the second trace
 	// puts only two lines in the set.
 	t.Run("fifo/warm", func(t *testing.T) {
-		cfg := elisionConfig(cache.FIFO, wt, false)
+		cfg := elisionConfig(cache.FIFO, wt)
 		core, ref := mustNew(t, cfg), mustNew(t, cfg)
 		first := dataTrace([]uint64{0, 8}, "")
 		second := dataTrace([]uint64{0, 16, 0}, "")
@@ -222,7 +218,7 @@ func TestElisionEligibility(t *testing.T) {
 
 	// A Compiled without an Index replays every op.
 	t.Run("no-index", func(t *testing.T) {
-		cfg := elisionConfig(cache.Random, wt, false)
+		cfg := elisionConfig(cache.Random, wt)
 		tr := dataTrace(alone, "")
 		ct := *compile(t, tr)
 		ct.Index = nil
@@ -242,7 +238,7 @@ func TestElisionEligibility(t *testing.T) {
 	// allocating lines and keeps their later reads, where the plain
 	// compile (one ID) skips them.
 	t.Run("aliased", func(t *testing.T) {
-		cfg := elisionConfig(cache.Random, wt, false)
+		cfg := elisionConfig(cache.Random, wt)
 		b := trace.NewBuilder(7)
 		for _, a := range []uint64{0, 64, 32, 64, 0, 64, 32} {
 			b.Load(a)

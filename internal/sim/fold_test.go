@@ -64,29 +64,23 @@ func TestRunAllFoldMatchesUnfolded(t *testing.T) {
 
 // fuzzConfig is a deliberately small hierarchy (8-set 2-way L1s, an 8-set
 // 4-way L2, 64 B lines) so a 32-line space conflicts at every level. The
-// selector picks the placement, the replacement and the write
-// arrangement (applied to DL1 and L2 alike).
+// selector picks the placement, the replacement and the write policy
+// (applied to DL1 and L2 alike).
 func fuzzConfig(sel uint8) Config {
 	kinds := placement.Kinds()
 	pk := kinds[int(sel)%len(kinds)]
 	rk := []cache.ReplacementKind{cache.LRU, cache.Random, cache.FIFO, cache.PLRU}[int(sel>>3)%4]
-	write, alloc := cache.WriteThrough, false
-	switch int(sel>>5) % 3 {
-	case 1:
-		alloc = true
-	case 2:
-		write = cache.WriteBack
-	}
-	mk := func(name string, size, ways int, w cache.WritePolicy, a bool) cache.Config {
+	write := []cache.WritePolicy{cache.WriteThrough, cache.WriteBack}[int(sel>>5)%2]
+	mk := func(name string, size, ways int, w cache.WritePolicy) cache.Config {
 		return cache.Config{
 			Name: name, SizeBytes: size, Ways: ways, LineBytes: 64,
-			Placement: pk, Replacement: rk, Write: w, AllocOnWrite: a,
+			Placement: pk, Replacement: rk, Write: w,
 		}
 	}
 	return Config{
-		IL1: mk("IL1", 1024, 2, cache.WriteThrough, false),
-		DL1: mk("DL1", 1024, 2, write, alloc),
-		L2:  mk("L2", 2048, 4, write, alloc),
+		IL1: mk("IL1", 1024, 2, cache.WriteThrough),
+		DL1: mk("DL1", 1024, 2, write),
+		L2:  mk("L2", 2048, 4, write),
 	}
 }
 
@@ -130,7 +124,7 @@ func FuzzCompiledReplay(f *testing.F) {
 	f.Add(uint8(0), uint64(1), []byte("\x41\x41\x41\x01\x41\x81\x41\x00\x00\x50\x10\x50"))
 	f.Add(uint8(0x2B), uint64(7), []byte("\x40\x00\x40\x00\x40\x80\x40\x10\x20\x30\x40\x50\x60\x70\x40"))
 	f.Add(uint8(0x5E), uint64(42), []byte("\x00\x00\x00\x10\x10\x20\x20\x41\x41\x42\x42\x82\x82\x43\x43\x43\x10\x20"))
-	// Modulo/LRU/write-allocate: two stores evict line 0 from its 2-way
+	// Modulo/LRU/write-back: two stores evict line 0 from its 2-way
 	// DL1 set between two loads of it, so the second load must miss.
 	f.Add(uint8(0x23), uint64(5), []byte("\x40\x90\xa0\x40"))
 	// Loads alternating between the two granules of one line: Compile
@@ -144,11 +138,12 @@ func FuzzCompiledReplay(f *testing.F) {
 	// Modulo/FIFO: lines 0, 8 and 16 round-robin through one 2-way DL1
 	// set, one line over the limit, so every load misses.
 	f.Add(uint8(0x14), uint64(6), []byte("\x40\x50\x60\x40\x50\x60\x40\x50\x60"))
-	// Modulo/Random: line 0 loaded between stores to line 8 of its set,
-	// under no-allocate (the stores bypass DL1, line 0's later loads are
-	// certain hits), allocate-on-write and write-back (each store fills
-	// line 8 in and may evict line 0).
-	for _, sel := range []uint8{0x0A, 0x28, 0x4B} {
+	// Line 0 loaded between stores to line 8 of its set: Modulo/Random
+	// under write-through (the stores bypass DL1, line 0's later loads
+	// are certain hits) and write-back (each store fills line 8 in and
+	// may evict line 0), and Modulo/LRU under write-through, where a
+	// stored-to level skips nothing.
+	for _, sel := range []uint8{0x0A, 0x28, 0x41} {
 		f.Add(sel, uint64(4), []byte("\x40\x90\x40\x90\x40\x90\x40\x90\x40\x90\x40"))
 	}
 	hog := streamTrace(1<<20, 600)

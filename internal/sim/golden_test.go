@@ -39,8 +39,7 @@ func formatResult(r Result) string {
 }
 
 // runAllGolden replays the multicore pin matrix: RM and Modulo L1
-// placement × Random, LRU and PLRU replacement × DL1 write-allocate off
-// and on, each solo (three idle peers) and against three streaming
+// placement × Random, LRU and PLRU replacement, each solo (three idle peers) and against three streaming
 // co-runners, over three seeds. Every per-core Result becomes one line.
 func runAllGolden(t *testing.T) []string {
 	subject := mixedTrace(0x601D, 6000)
@@ -50,25 +49,22 @@ func runAllGolden(t *testing.T) []string {
 	var lines []string
 	for _, pk := range []placement.Kind{placement.RM, placement.Modulo} {
 		for _, rk := range []cache.ReplacementKind{cache.Random, cache.LRU, cache.PLRU} {
-			for _, alloc := range []bool{false, true} {
-				cfg := paperConfig(pk)
-				cfg.IL1.Replacement, cfg.DL1.Replacement, cfg.L2.Replacement = rk, rk, rk
-				cfg.DL1.AllocOnWrite = alloc
-				sys, err := NewSystem(cfg, 4)
-				if err != nil {
-					t.Fatal(err)
+			cfg := paperConfig(pk)
+			cfg.IL1.Replacement, cfg.DL1.Replacement, cfg.L2.Replacement = rk, rk, rk
+			sys, err := NewSystem(cfg, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, mode := range []string{"solo", "contended"} {
+				cts := solo
+				if mode == "contended" {
+					cts = contended
 				}
-				for _, mode := range []string{"solo", "contended"} {
-					cts := solo
-					if mode == "contended" {
-						cts = contended
-					}
-					for seed := 0; seed < 3; seed++ {
-						sys.Reseed(prng.Derive(0x60, seed))
-						for i, r := range sys.RunAll(cts) {
-							lines = append(lines, fmt.Sprintf("%v/%v/alloc=%v/%s seed=%d core=%d %s",
-								pk, rk, alloc, mode, seed, i, formatResult(r)))
-						}
+				for seed := 0; seed < 3; seed++ {
+					sys.Reseed(prng.Derive(0x60, seed))
+					for i, r := range sys.RunAll(cts) {
+						lines = append(lines, fmt.Sprintf("%v/%v/%s seed=%d core=%d %s",
+							pk, rk, mode, seed, i, formatResult(r)))
 					}
 				}
 			}

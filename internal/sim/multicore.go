@@ -15,25 +15,18 @@ import (
 // multicore example and the contention ablation bench.
 type System struct {
 	cores []*Core
-	lat   Latencies
-	// busService is the bus occupancy of one memory transaction.
-	busService uint64
 }
+
+// busService is the bus occupancy of one memory transaction: its transfer
+// slot. The rest of memLatency is DRAM latency.
+const busService = memLatency / 2
 
 // NewSystem builds n identical cores from cfg.
 func NewSystem(cfg Config, n int) (*System, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("sim: system needs at least one core, got %d", n)
 	}
-	lat, err := cfg.Lat.Normalize()
-	if err != nil {
-		return nil, err
-	}
-	s := &System{lat: lat}
-	s.busService = s.lat.Memory / 2 // transfer slot; the rest is DRAM latency
-	if s.busService == 0 {
-		s.busService = 1
-	}
+	s := &System{}
 	for i := 0; i < n; i++ {
 		c, err := New(cfg)
 		if err != nil {
@@ -114,13 +107,13 @@ func (s *System) RunAll(cts []*trace.Compiled) []Result {
 			if busFreeAt > grant {
 				grant = busFreeAt
 			}
-			busFreeAt = grant + s.busService
+			busFreeAt = grant + busService
 			lastGrant = sel
-			t = grant + s.busService + (s.lat.Memory - s.busService)
+			t = grant + memLatency // the slot, then the rest of the DRAM latency
 		}
 		// The folded reads that directly followed op are L1 hits: they
-		// retire right after it, one L1Hit each.
-		clocks[sel] = t + uint64(op.Trail)*s.lat.L1Hit
+		// retire right after it, one l1Hit each.
+		clocks[sel] = t + uint64(op.Trail)*l1Hit
 	}
 
 	for i, c := range s.cores {
@@ -146,28 +139,27 @@ func (s *System) RunAll(cts []*trace.Compiled) []Result {
 // the op they followed (see RunAll). The index plans must already
 // describe ct.
 func (c *Core) step(ct *trace.Compiled, op trace.Op) (local uint64, memTxns int) {
-	lat := c.lat
 	id := op.ID
 	var b cache.AccessBits
 	switch op.Kind {
 	case trace.Fetch:
-		local = lat.L1Hit
+		local = l1Hit
 		la := ct.ILines[id]
 		if !l1Read(c.kil1, &c.plan.il1[id], la, op.Rep) {
 			return local, 0
 		}
-		local += lat.L2Hit
+		local += l2Hit
 		b = c.l2Read(la, &c.plan.l2i[id])
 	case trace.Load:
-		local = lat.L1Hit
+		local = l1Hit
 		la := ct.DLines[id]
 		if !l1Read(c.kdl1, &c.plan.dl1[id], la, op.Rep) {
 			return local, 0
 		}
-		local += lat.L2Hit
+		local += l2Hit
 		b = c.l2Read(la, &c.plan.l2d[id])
 	default: // Store
-		local = lat.L1Hit + lat.StoreBus
+		local = l1Hit + storeBus
 		b = c.store(ct.DLines[id], &c.plan.dl1[id], &c.plan.l2d[id])
 	}
 	if b&cache.BitFilled != 0 {

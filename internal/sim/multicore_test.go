@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/placement"
@@ -46,46 +45,5 @@ func TestRunAllStatsArePerCall(t *testing.T) {
 	third := sys.RunAll(cts)
 	if third[0].DL1.Accesses != 4000 {
 		t.Fatalf("RunAll after RunCompiled reports %d DL1 accesses, want 4000", third[0].DL1.Accesses)
-	}
-}
-
-// TestLatenciesValidation pins the normalization contract: the zero value
-// selects the defaults, a partially-specified set with Memory left at
-// zero is rejected at construction (it used to wrap uint64 in the bus
-// model), and any set with Memory >= 1 is accepted as given.
-func TestLatenciesValidation(t *testing.T) {
-	if lat, err := (Latencies{}).Normalize(); err != nil || lat != DefaultLatencies() {
-		t.Fatalf("zero Latencies normalized to %+v, %v; want defaults", lat, err)
-	}
-	partial := Latencies{L1Hit: 1, L2Hit: 8, StoreBus: 2} // Memory missing
-	if err := partial.Validate(); err == nil {
-		t.Fatal("Memory=0 with other fields set validated")
-	}
-	cfg := paperConfig(placement.Modulo)
-	cfg.Lat = partial
-	if _, err := New(cfg); err == nil {
-		t.Fatal("New accepted an underflowing latency set")
-	}
-	if _, err := NewSystem(cfg, 2); err == nil {
-		t.Fatal("NewSystem accepted an underflowing latency set")
-	} else if !strings.Contains(err.Error(), "Memory") {
-		t.Fatalf("unhelpful latency error: %v", err)
-	}
-
-	// Minimal legal memory latency: no wraparound, sane cycle counts.
-	cfg.Lat = Latencies{L1Hit: 1, Memory: 1}
-	sys, err := NewSystem(cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := trace.NewBuilder(0)
-	for i := 0; i < 100; i++ {
-		b.Load(uint64(i * 32))
-	}
-	res := sys.RunAll(compileAll(t, 32, b.Trace()))
-	// 100 L1-cycle charges + 100 L2 misses at 1 memory cycle each bounds
-	// the run far below any wrapped-uint64 absurdity.
-	if res[0].Cycles == 0 || res[0].Cycles > 10000 {
-		t.Fatalf("cycle count %d implausible for Memory=1", res[0].Cycles)
 	}
 }

@@ -33,15 +33,14 @@ func (c *Core) Run(tr trace.Trace) Result {
 	kd.Begin()
 	k2.Begin()
 	var cycles uint64
-	lat := c.lat
 	l2Read := func(la uint64) uint64 {
-		cycles := lat.L2Hit
+		cycles := uint64(l2Hit)
 		b, _ := k2.Read(la, lp.Index(la))
 		if b&cache.BitHit == 0 {
-			cycles += lat.Memory
+			cycles += memLatency
 		}
 		if b&cache.BitWriteback != 0 {
-			cycles += lat.Writeback
+			cycles += writeback
 		}
 		return cycles
 	}
@@ -49,24 +48,24 @@ func (c *Core) Run(tr trace.Trace) Result {
 		la := a.Addr >> shift
 		switch a.Kind {
 		case trace.Fetch:
-			cycles += lat.L1Hit
+			cycles += l1Hit
 			if b, _ := k1.Read(la, ip.Index(la)); b&cache.BitHit == 0 {
 				cycles += l2Read(la)
 			}
 		case trace.Load:
-			cycles += lat.L1Hit
+			cycles += l1Hit
 			if b, _ := kd.Read(la, dp.Index(la)); b&cache.BitHit == 0 {
 				cycles += l2Read(la)
 			}
 		default: // Store
-			cycles += lat.L1Hit + lat.StoreBus
+			cycles += l1Hit + storeBus
 			kd.Write(la, dp.Index(la)) // write-through: updates line if present
 			b, _ := k2.Write(la, lp.Index(la))
 			if b&cache.BitFilled != 0 {
-				cycles += lat.Memory // write-allocate fill
+				cycles += memLatency // write-allocate fill
 			}
 			if b&cache.BitWriteback != 0 {
-				cycles += lat.Writeback
+				cycles += writeback
 			}
 		}
 	}

@@ -16,54 +16,19 @@ import (
 	"repro/internal/prng"
 )
 
-// Latencies configures the cycle charges of the memory hierarchy.
-// Defaults approximate a LEON3-class microcontroller: single-cycle L1,
-// on-chip L2 partition, external SDRAM.
-type Latencies struct {
-	L1Hit     uint64 // cycles per instruction/data access served by L1
-	L2Hit     uint64 // extra cycles for an L1 miss served by the L2 partition
-	Memory    uint64 // extra cycles for an L2 miss served by memory
-	StoreBus  uint64 // cycles per store spent in the write-through path
-	Writeback uint64 // cycles per dirty L2 victim pushed to memory
-}
-
-// DefaultLatencies returns the LEON3-class latency set used throughout the
-// evaluation.
-func DefaultLatencies() Latencies {
-	return Latencies{L1Hit: 1, L2Hit: 8, Memory: 28, StoreBus: 2, Writeback: 6}
-}
-
-// Validate reports whether a non-zero latency set can drive the platform
-// models. Memory must be at least one cycle: the shared-bus model carves
-// its transfer slot out of it (busService = max(1, Memory/2)), so a zero
-// memory latency would make Memory - busService wrap uint64 and charge
-// absurd cycle counts. The other charges may legitimately be zero.
-func (l Latencies) Validate() error {
-	if l.Memory == 0 {
-		return fmt.Errorf("sim: Memory latency must be at least 1 cycle (a fully zero Latencies selects DefaultLatencies)")
-	}
-	return nil
-}
-
-// Normalize resolves the latency set the platform constructors install:
-// the zero value selects DefaultLatencies (the legacy convention), any
-// partially-specified value must pass Validate. New and NewSystem apply
-// this, so a struct with some fields set and Memory left at zero is a
-// construction error instead of a uint64 underflow at run time.
-func (l Latencies) Normalize() (Latencies, error) {
-	if l == (Latencies{}) {
-		return DefaultLatencies(), nil
-	}
-	if err := l.Validate(); err != nil {
-		return Latencies{}, err
-	}
-	return l, nil
-}
+// The cycle charges of the memory hierarchy, those of a LEON3-class
+// microcontroller: single-cycle L1, on-chip L2 partition, external SDRAM.
+const (
+	l1Hit      = 1  // cycles per instruction/data access served by L1
+	l2Hit      = 8  // extra cycles for an L1 miss served by the L2 partition
+	memLatency = 28 // extra cycles for an L2 miss served by memory
+	storeBus   = 2  // cycles per store spent in the write-through path
+	writeback  = 6  // cycles per dirty L2 victim pushed to memory
+)
 
 // Config assembles a single-core platform.
 type Config struct {
 	IL1, DL1, L2 cache.Config
-	Lat          Latencies
 }
 
 // Result reports one run of a trace.
@@ -79,7 +44,6 @@ type Result struct {
 // Not safe for concurrent use.
 type Core struct {
 	il1, dl1, l2 *cache.Cache
-	lat          Latencies
 	// lineBytes is the line size every level shares (New enforces it),
 	// and so the only line size a compiled trace may carry here.
 	lineBytes int
@@ -113,12 +77,8 @@ func New(cfg Config) (*Core, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: L2: %w", err)
 	}
-	lat, err := cfg.Lat.Normalize()
-	if err != nil {
-		return nil, err
-	}
 	return &Core{
-		il1: il1, dl1: dl1, l2: l2, lat: lat,
+		il1: il1, dl1: dl1, l2: l2,
 		lineBytes: cfg.IL1.LineBytes,
 		plan:      indexPlan{occ: make([]uint32, max(cfg.IL1.Sets(), cfg.DL1.Sets()))},
 		kil1:      cache.NewKernel(il1),

@@ -28,10 +28,12 @@ func paperConfig(l1 placement.Kind) Config {
 	}
 }
 
+// TestDefaultLatencies pins the ordering the timing model assumes and a
+// bus slot of at least one cycle.
 func TestDefaultLatencies(t *testing.T) {
-	lat := DefaultLatencies()
-	if lat.L1Hit == 0 || lat.L2Hit <= lat.L1Hit || lat.Memory <= lat.L2Hit {
-		t.Fatalf("latency ordering broken: %+v", lat)
+	if l1Hit == 0 || l2Hit <= l1Hit || memLatency <= l2Hit || busService == 0 {
+		t.Fatalf("latency ordering broken: l1 %d, l2 %d, memory %d, bus slot %d",
+			l1Hit, l2Hit, memLatency, busService)
 	}
 }
 
@@ -60,9 +62,8 @@ func TestRunCyclesAllHitsAfterWarmup(t *testing.T) {
 	c.Flush()
 	r := c.Run(tr)
 	// Warmup: 16 line fills; everything else hits at 1 cycle.
-	lat := DefaultLatencies()
-	warm := uint64(16) * (lat.L2Hit + lat.Memory)
-	want := uint64(len(tr))*lat.L1Hit + warm
+	warm := uint64(16) * (l2Hit + memLatency)
+	want := uint64(len(tr))*l1Hit + warm
 	if r.Cycles != want {
 		t.Fatalf("cycles = %d, want %d", r.Cycles, want)
 	}
@@ -80,8 +81,7 @@ func TestRunStoreAccounting(t *testing.T) {
 	b.Store(0x2000) // L2 write-allocate miss
 	b.Store(0x2000) // L2 hit
 	r := c.Run(b.Trace())
-	lat := DefaultLatencies()
-	want := 2*(lat.L1Hit+lat.StoreBus) + lat.Memory
+	want := uint64(2*(l1Hit+storeBus) + memLatency)
 	if r.Cycles != want {
 		t.Fatalf("cycles = %d, want %d", r.Cycles, want)
 	}

@@ -19,7 +19,6 @@ func TestL2WritebackCycleAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lat := DefaultLatencies()
 
 	// Dirty one L2 set's worth of lines via stores (write-allocate in L2),
 	// then displace them with reads mapping to the same L2 set.
@@ -38,8 +37,8 @@ func TestL2WritebackCycleAccounting(t *testing.T) {
 	// Expected: 4 stores (miss: L1 charge + StoreBus + Memory fill),
 	// 4 loads (L1 miss: L1 + L2Hit + Memory + Writeback each, since every
 	// displaced victim is dirty).
-	want := 4*(lat.L1Hit+lat.StoreBus+lat.Memory) +
-		4*(lat.L1Hit+lat.L2Hit+lat.Memory+lat.Writeback)
+	want := uint64(4*(l1Hit+storeBus+memLatency) +
+		4*(l1Hit+l2Hit+memLatency+writeback))
 	if r.Cycles != want {
 		t.Fatalf("cycles = %d, want %d (writebacks %d)", r.Cycles, want, r.L2.Writebacks)
 	}

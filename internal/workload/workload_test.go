@@ -8,6 +8,9 @@ import (
 )
 
 func TestAllWorkloadsBuildNonEmpty(t *testing.T) {
+	if n := len(All()); n != 14 {
+		t.Fatalf("All() has %d workloads, want 11 EEMBC + 3 synthetic", n)
+	}
 	l := DefaultLayout()
 	for _, w := range All() {
 		tr := w.Build(l)

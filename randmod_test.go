@@ -3,7 +3,6 @@ package randmod
 import (
 	"context"
 	"errors"
-	"strings"
 	"testing"
 )
 
@@ -40,59 +39,6 @@ func TestPublicQuickstartFlow(t *testing.T) {
 	}
 	if an.PWCET15 <= res.HWM() {
 		t.Errorf("pWCET %.0f not above hwm %.0f", an.PWCET15, res.HWM())
-	}
-}
-
-func TestPublicSurface(t *testing.T) {
-	if len(Workloads()) != 14 { // 11 EEMBC + 3 synthetic
-		t.Fatalf("Workloads() returned %d entries", len(Workloads()))
-	}
-	if _, err := WorkloadByName("not-a-workload"); err == nil {
-		t.Fatal("unknown workload accepted")
-	}
-	w := SyntheticWorkload(8*1024, 2, 4)
-	if len(w.Build(Layout{})) == 0 {
-		t.Fatal("synthetic workload built an empty trace")
-	}
-	if CutoffHigh >= CutoffLow {
-		t.Fatal("cutoff constants inverted")
-	}
-}
-
-func TestPublicPlatformSpecs(t *testing.T) {
-	p := PaperPlatform(RM)
-	if _, err := p.Build(); err != nil {
-		t.Fatal(err)
-	}
-	d := DeterministicPlatform()
-	if d.IL1.Placement != Modulo || d.IL1.Replacement != LRU {
-		t.Fatal("deterministic platform wrong")
-	}
-	// The write-arrangement override is part of the public surface.
-	p.DL1 = CacheSetup{Placement: RM, Replacement: Random, Write: WriteBackAlloc}
-	if _, err := p.Build(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPublicHardwareModels(t *testing.T) {
-	asic := HardwareASIC(128)
-	if asic.AreaRatio < 5 {
-		t.Fatalf("ASIC area ratio %.1f, expected ~10x regime", asic.AreaRatio)
-	}
-	fpga := HardwareFPGA()
-	if fpga.RM.FMHz != fpga.Baseline.FMHz {
-		t.Fatal("RM must not degrade FPGA frequency")
-	}
-	if fpga.HRP.FMHz >= fpga.Baseline.FMHz {
-		t.Fatal("hRP must degrade FPGA frequency")
-	}
-}
-
-func TestPublicGumbelSurface(t *testing.T) {
-	g := Gumbel{Mu: 10, Beta: 2}
-	if q := g.QuantileSurvival(1e-15); q <= g.Mu {
-		t.Fatalf("deep quantile %.1f not in the tail", q)
 	}
 }
 
@@ -140,36 +86,5 @@ func TestPublicEngineSurface(t *testing.T) {
 	cancel()
 	if _, err := eng.Run(ctx, Request{Spec: PaperPlatform(RM), Workload: w, Runs: 50, MasterSeed: 2}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run returned %v, want wrapped context.Canceled", err)
-	}
-}
-
-func TestPublicWireCodec(t *testing.T) {
-	w, err := DecodeWireRequest(strings.NewReader(
-		`{"workload":"rspeed01","placement":"rm","runs":50,"seed":11}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp1, err := w.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Name = "relabeled"
-	w.Placement = "RM"
-	fp2, err := w.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fp1 != fp2 {
-		t.Fatalf("fingerprint not canonical: %s vs %s", fp1, fp2)
-	}
-	req, err := w.Request()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if req.Workload.Name != "rspeed01" || req.Runs != 50 || req.MasterSeed != 11 {
-		t.Fatalf("resolved request mismatch: %+v", req)
-	}
-	if got := WireLayoutFrom(DefaultLayout()).Layout(); got != DefaultLayout() {
-		t.Fatal("WireLayout round trip lost fields")
 	}
 }
