@@ -34,7 +34,7 @@
 // at the first checkpoint past the midpoint, round-trip the checkpoint
 // blob through the wire codec, resume to completion — so the bench
 // trajectory regenerated under it must stay bit-identical to the
-// committed snapshots (make bench-json-resumed + bench-compare in CI).
+// committed snapshots (TestTrajectoryMatchesCommittedSnapshots).
 // -cpuprofile and -memprofile write pprof profiles of the regeneration
 // (the whole run for CPU; a heap snapshot at exit for memory), so
 // hot-path regressions can be profiled without editing the harness:

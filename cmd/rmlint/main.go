@@ -17,27 +17,11 @@
 //	-hotpath  print the //rm:hotpath-annotated function spans as
 //	          file:start:end:name (the input of scripts/check-noalloc.sh)
 //	          instead of linting
-//
-// rmlint is also a go vet -vettool: it answers the -V=full version
-// handshake and accepts a vet unit-config file (*.cfg) naming the
-// package's files and export data, so
-//
-//	go vet -vettool=$(which rmlint) ./...
-//
-// runs the suite under the go command's caching and package walking. In
-// that mode type information comes from the toolchain's export data
-// instead of the source importer.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
 	"io"
 	"os"
 	"path/filepath"
@@ -51,29 +35,13 @@ func main() {
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	if len(args) == 1 && args[0] == "-flags" {
-		// go vet's flag handshake: enumerate the tool's flags as JSON so
-		// the go command knows which vet flags it may forward.
-		fmt.Fprintln(stdout, `[{"Name":"hotpath","Bool":true,"Usage":"print //rm:hotpath function spans instead of linting"}]`)
-		return 0
-	}
 	fs := flag.NewFlagSet("rmlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	hotpath := fs.Bool("hotpath", false, "print //rm:hotpath function spans (file:start:end:name) instead of linting")
-	version := fs.String("V", "", "version handshake for go vet -vettool (pass full)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *version != "" {
-		// The go command hashes this line into its action IDs; it must
-		// be of the form "<name> version <stuff>".
-		fmt.Fprintln(stdout, "rmlint version v6 buildID=repro-lint-suite-v6")
-		return 0
-	}
 	patterns := fs.Args()
-	if len(patterns) == 1 && strings.HasSuffix(patterns[0], ".cfg") {
-		return runVetUnit(patterns[0], stderr)
-	}
 
 	root, err := moduleRoot()
 	if err != nil {
@@ -146,104 +114,4 @@ func relPath(p string) string {
 		return rel
 	}
 	return p
-}
-
-// vetConfig is the unit-config JSON the go command hands a -vettool per
-// package (the x/tools unitchecker protocol).
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	NonGoFiles                []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// runVetUnit analyzes one package described by a vet unit-config file:
-// parse its Go files, type-check against the toolchain's export data,
-// run the suite. Diagnostics go to stderr; exit 1 reports findings to
-// the go command.
-func runVetUnit(cfgPath string, stderr io.Writer) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(stderr, "rmlint:", err)
-		return 2
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(stderr, "rmlint: parsing %s: %v\n", cfgPath, err)
-		return 2
-	}
-	// The go command requires the facts ("vetx") output to exist even
-	// though this suite exports none.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-			fmt.Fprintln(stderr, "rmlint:", err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				return 0
-			}
-			fmt.Fprintln(stderr, "rmlint:", err)
-			return 1
-		}
-		files = append(files, f)
-	}
-	lookup := func(path string) (io.ReadCloser, error) {
-		if canon, ok := cfg.ImportMap[path]; ok {
-			path = canon
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("rmlint: no export data for %q", path)
-		}
-		return os.Open(file)
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
-	tcfg := types.Config{Importer: importer.ForCompiler(fset, "gc", lookup)}
-	tpkg, err := tcfg.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintln(stderr, "rmlint:", err)
-		return 1
-	}
-	pkg := &lint.Package{Path: cfg.ImportPath, Dir: cfg.Dir, Fset: fset, Syntax: files, Types: tpkg, Info: info}
-	diags, err := lint.RunAnalyzers([]*lint.Package{pkg}, lint.Default())
-	if err != nil {
-		fmt.Fprintln(stderr, "rmlint:", err)
-		return 1
-	}
-	for _, d := range diags {
-		fmt.Fprintf(stderr, "%s:%d:%d: %s: %s\n", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
-	}
-	if len(diags) > 0 {
-		return 1
-	}
-	return 0
 }

@@ -15,28 +15,6 @@ func runOut(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	return code, out.String(), errb.String()
 }
 
-func TestVersionHandshake(t *testing.T) {
-	code, out, _ := runOut(t, "-V=full")
-	if code != 0 {
-		t.Fatalf("rmlint -V=full: exit %d, want 0", code)
-	}
-	// The go command requires "<name> version <stuff>" to hash into its
-	// action IDs.
-	if !strings.HasPrefix(out, "rmlint version ") {
-		t.Fatalf("rmlint -V=full output %q, want prefix %q", out, "rmlint version ")
-	}
-}
-
-func TestFlagsHandshake(t *testing.T) {
-	code, out, _ := runOut(t, "-flags")
-	if code != 0 {
-		t.Fatalf("rmlint -flags: exit %d, want 0", code)
-	}
-	if !strings.HasPrefix(strings.TrimSpace(out), "[") {
-		t.Fatalf("rmlint -flags output %q, want a JSON list", out)
-	}
-}
-
 func TestUsageErrorsExit2(t *testing.T) {
 	for _, args := range [][]string{
 		{"-no-such-flag"},

@@ -8,7 +8,6 @@
 //	rmserved [-addr :8080] [-workers N] [-jobs N] [-queue N] [-cache N]
 //	         [-default-runs N] [-max-runs N] [-log text|json] [-pprof]
 //	         [-data-dir DIR] [-checkpoint-every N] [-drain-timeout D]
-//	         [-fault-seed N -fault-rate P]
 //
 // Endpoints:
 //
@@ -38,8 +37,7 @@
 // restarts, running campaigns checkpoint their streaming frontier every
 // -checkpoint-every runs, and a killed daemon resumes its interrupted
 // campaigns on the next start — bit-identically, per the checkpoint
-// contract. -fault-seed/-fault-rate inject deterministic storage faults
-// under the durable tier (chaos testing only).
+// contract.
 //
 // SIGINT/SIGTERM drain gracefully: the listener stops, in-flight
 // campaigns are cancelled via context, and the process exits once the
@@ -62,7 +60,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/faultinject"
 	"repro/internal/service"
 )
 
@@ -79,15 +76,13 @@ func main() {
 	dataDir := flag.String("data-dir", "", "durable store directory (empty = memory only)")
 	ckptEvery := flag.Int("checkpoint-every", 50, "checkpoint cadence in runs (with -data-dir)")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "bound on graceful drain; stuck connections are force-closed after it")
-	faultSeed := flag.Uint64("fault-seed", 0, "storage fault-injection seed (chaos testing; with -fault-rate)")
-	faultRate := flag.Float64("fault-rate", 0, "storage fault probability per filesystem operation, in [0,1) (chaos testing)")
 	flag.Parse()
 
 	if err := validateFlags(*jobs, *queue, *cache, *defaultRuns, *maxRuns, *logFormat); err != nil {
 		fmt.Fprintln(os.Stderr, "rmserved:", err)
 		os.Exit(2)
 	}
-	if err := validateResilienceFlags(*ckptEvery, *drainTimeout, *faultRate, *dataDir); err != nil {
+	if err := validateResilienceFlags(*ckptEvery, *drainTimeout); err != nil {
 		fmt.Fprintln(os.Stderr, "rmserved:", err)
 		os.Exit(2)
 	}
@@ -107,7 +102,6 @@ func main() {
 		MaxRuns:         *maxRuns,
 		DataDir:         *dataDir,
 		CheckpointEvery: *ckptEvery,
-		FS:              faultFS(*faultSeed, *faultRate),
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rmserved:", err)
@@ -160,20 +154,6 @@ func drainAndClose(srv *http.Server, svc *service.Server, timeout time.Duration)
 	svc.Close()
 }
 
-// faultFS builds the chaos-testing filesystem: nil (the real one) unless
-// a fault rate is set, in which case the rate is split across I/O errors,
-// torn writes and delays, all drawn deterministically from the seed.
-func faultFS(seed uint64, rate float64) faultinject.FS {
-	if rate <= 0 {
-		return nil
-	}
-	return faultinject.Wrap(faultinject.OS{}, faultinject.NewPlan(seed, faultinject.Config{
-		PError: 0.4 * rate,
-		PTorn:  0.4 * rate,
-		PDelay: 0.2 * rate,
-	}))
-}
-
 // handler assembles the daemon's route table: the service API, plus the
 // pprof endpoints when enabled. pprof is opt-in because it exposes heap
 // and goroutine internals — never on by default on a network service.
@@ -215,16 +195,12 @@ func validateFlags(jobs, queue, cache, defaultRuns, maxRuns int, logFormat strin
 }
 
 // validateResilienceFlags checks the durability and drain knobs.
-func validateResilienceFlags(ckptEvery int, drainTimeout time.Duration, faultRate float64, dataDir string) error {
+func validateResilienceFlags(ckptEvery int, drainTimeout time.Duration) error {
 	switch {
 	case ckptEvery < 1:
 		return fmt.Errorf("-checkpoint-every must be at least 1, got %d", ckptEvery)
 	case drainTimeout <= 0:
 		return fmt.Errorf("-drain-timeout must be positive, got %s", drainTimeout)
-	case faultRate < 0 || faultRate >= 1:
-		return fmt.Errorf("-fault-rate must be in [0, 1), got %g", faultRate)
-	case faultRate > 0 && dataDir == "":
-		return fmt.Errorf("-fault-rate needs -data-dir (faults apply to the durable store)")
 	}
 	return nil
 }

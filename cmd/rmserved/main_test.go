@@ -53,28 +53,23 @@ func TestValidateFlags(t *testing.T) {
 // TestValidateResilienceFlags pins the usage contract of the durability
 // and drain knobs.
 func TestValidateResilienceFlags(t *testing.T) {
-	if err := validateResilienceFlags(50, 15*time.Second, 0, ""); err != nil {
+	if err := validateResilienceFlags(50, 15*time.Second); err != nil {
 		t.Fatalf("default resilience flags rejected: %v", err)
 	}
-	if err := validateResilienceFlags(1, time.Millisecond, 0.5, "/tmp/x"); err != nil {
+	if err := validateResilienceFlags(1, time.Millisecond); err != nil {
 		t.Fatalf("minimal valid resilience flags rejected: %v", err)
 	}
 	bad := []struct {
 		name      string
 		ckptEvery int
 		drain     time.Duration
-		faultRate float64
-		dataDir   string
 		wantFlag  string
 	}{
-		{"zero cadence", 0, time.Second, 0, "", "-checkpoint-every"},
-		{"zero drain", 50, 0, 0, "", "-drain-timeout"},
-		{"negative rate", 50, time.Second, -0.1, "d", "-fault-rate"},
-		{"rate of one", 50, time.Second, 1, "d", "-fault-rate"},
-		{"faults without data dir", 50, time.Second, 0.1, "", "-data-dir"},
+		{"zero cadence", 0, time.Second, "-checkpoint-every"},
+		{"zero drain", 50, 0, "-drain-timeout"},
 	}
 	for _, tc := range bad {
-		err := validateResilienceFlags(tc.ckptEvery, tc.drain, tc.faultRate, tc.dataDir)
+		err := validateResilienceFlags(tc.ckptEvery, tc.drain)
 		if err == nil {
 			t.Errorf("%s accepted", tc.name)
 			continue
@@ -136,16 +131,6 @@ func TestDrainTimeout(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("drain took %s despite the 300ms timeout", elapsed)
-	}
-}
-
-// TestFaultFS: the chaos filesystem is only built when a rate is set.
-func TestFaultFS(t *testing.T) {
-	if fs := faultFS(1, 0); fs != nil {
-		t.Fatal("zero rate built a faulty FS")
-	}
-	if fs := faultFS(1, 0.5); fs == nil {
-		t.Fatal("no FS for a positive rate")
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
@@ -13,7 +14,9 @@ import (
 // decoder: DecodeWireRequest followed by Normalize must never panic, and
 // an accepted request must normalize idempotently and fingerprint the
 // same before normalizing, after it and after a JSON round trip of its
-// canonical form.
+// canonical form. One that also converts through Request must run two
+// runs without error: the wire carries no cache geometry, so no layout
+// or placement it names can reach an unsupported platform.
 func FuzzDecodeWireRequest(f *testing.F) {
 	for _, s := range []string{
 		`{"name":"demo","placement":"rm","workload":"tblook01","runs":80,"seed":7,"analyze":true}`,
@@ -21,9 +24,14 @@ func FuzzDecodeWireRequest(f *testing.F) {
 		`{"placement":"rm","runs":40,"seed":9,"security":{"protocol":"prime+probe","replacement":"lru","probe_lines":256,"trials":8}}`,
 		`{"placement":"rm","workload":"tblook01","runs":10,"seed":3,"keep_times":false}`,
 		`{"placement":"modulo","workload":"tblook01","runs":4,"seed":1,"baseline":true,"layout":{"code":4096,"data":8192,"table":0,"stack":0,"pool":0}}`,
+		// Odd, 2^40-aligned and near-2^64 layouts.
+		`{"placement":"rm","workload":"tblook01","runs":2,"seed":5,"layout":{"code":4097,"data":12345,"table":77,"stack":3,"pool":1}}`,
+		`{"placement":"hrp","workload":"puwmod01","runs":2,"seed":6,"baseline":true,"layout":{"code":1099511627776,"data":2199023255552,"table":3298534883328,"stack":4398046511104,"pool":5497558138880}}`,
+		`{"placement":"modulo","workload":"tblook01","runs":2,"seed":7,"layout":{"code":18446744073709486080,"data":18446744073709518848,"table":18446744073709543424,"stack":18446744073709550592,"pool":18446744073709551000}}`,
 	} {
 		f.Add([]byte(s))
 	}
+	eng := NewEngine(WithWorkers(1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		w, err := DecodeWireRequest(bytes.NewReader(data))
 		if err != nil {
@@ -55,6 +63,16 @@ func FuzzDecodeWireRequest(f *testing.F) {
 		}
 		if fr, err := r.Fingerprint(); err != nil || fr != fw {
 			t.Fatalf("fingerprint of %q moved through JSON: %s, then %s (%v)", data, fw, fr, err)
+		}
+		req, err := n.Request()
+		if err != nil {
+			return
+		}
+		// Two runs are below the MBPTA analysis floors, so the check runs
+		// the simulation alone.
+		req.Runs, req.Analyze = 2, false
+		if _, err := eng.Run(context.Background(), req); err != nil {
+			t.Fatalf("accepted request %q does not run: %v", data, err)
 		}
 	})
 }

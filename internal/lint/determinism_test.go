@@ -25,19 +25,18 @@ func TestDeterminismScopedToConfiguredPackages(t *testing.T) {
 // the observability kit's own clock reads stay audited exceptions.
 func TestDefaultDeterminismPackages(t *testing.T) {
 	want := map[string]bool{
-		"repro/internal/cache":       true,
-		"repro/internal/sim":         true,
-		"repro/internal/core":        true,
-		"repro/internal/placement":   true,
-		"repro/internal/trace":       true,
-		"repro/internal/prng":        true,
-		"repro/internal/evt":         true,
-		"repro/internal/iid":         true,
-		"repro/internal/stats":       true,
-		"repro/internal/security":    true,
-		"repro/internal/obs":         true,
-		"repro/internal/faultinject": true,
-		"repro/internal/client":      true,
+		"repro/internal/cache":     true,
+		"repro/internal/sim":       true,
+		"repro/internal/core":      true,
+		"repro/internal/placement": true,
+		"repro/internal/trace":     true,
+		"repro/internal/prng":      true,
+		"repro/internal/evt":       true,
+		"repro/internal/iid":       true,
+		"repro/internal/stats":     true,
+		"repro/internal/security":  true,
+		"repro/internal/obs":       true,
+		"repro/internal/client":    true,
 	}
 	got := lint.DefaultDeterminismPackages()
 	if len(got) != len(want) {

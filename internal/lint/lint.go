@@ -317,12 +317,9 @@ func DefaultDeterminismPackages() []string {
 		// is covered so every clock read it performs is an annotated,
 		// audited exception rather than an invisible ambient dependency.
 		"repro/internal/obs",
-		// faultinject and client do not feed results either, but their
-		// whole point is seed-reproducible behaviour (fault schedules,
-		// retry jitter) — ambient entropy or clock reads would make chaos
-		// runs and backoff tests unreplayable, so they obey the same
-		// discipline.
-		"repro/internal/faultinject",
+		// client does not feed results either, but its retry jitter is
+		// seed-reproducible: ambient entropy or clock reads would make
+		// its backoff tests unreplayable, so it obeys the same discipline.
 		"repro/internal/client",
 	}
 }

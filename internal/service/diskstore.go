@@ -4,11 +4,11 @@ import (
 	"crypto/sha256"
 	"crypto/subtle"
 	"errors"
+	"io/fs"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
-
-	"repro/internal/faultinject"
 )
 
 // DiskStore is the durable tier behind the in-memory result Store: a
@@ -27,11 +27,11 @@ import (
 // truncation) quarantines the entry and reports a miss, so corruption
 // degrades to recomputation, never to a wrong answer.
 //
-// All filesystem access goes through a faultinject.FS, which is how the
-// chaos suite drives I/O errors, torn writes, and delays through the
-// exact production code paths.
+// All filesystem access goes through a fileSystem, which is how the
+// resilience tests drive I/O errors, torn writes, delays and panics
+// through the exact production code paths.
 type DiskStore struct {
-	fs   faultinject.FS
+	fs   fileSystem
 	root string
 
 	hits        atomic.Uint64
@@ -39,6 +39,46 @@ type DiskStore struct {
 	writes      atomic.Uint64
 	writeErrors atomic.Uint64
 	quarantines atomic.Uint64
+}
+
+// fileSystem is the filesystem surface the durable store runs on: osFS
+// in production, a fault-injecting wrapper in the resilience tests.
+type fileSystem interface {
+	MkdirAll(path string, perm fs.FileMode) error
+	ReadFile(name string) ([]byte, error)
+	// WriteFile must durably persist data before returning (osFS
+	// fsyncs), so a completed write survives a crash.
+	WriteFile(name string, data []byte, perm fs.FileMode) error
+	Rename(oldpath, newpath string) error
+	Remove(name string) error
+	ReadDir(name string) ([]fs.DirEntry, error)
+}
+
+// osFS is the real filesystem with durable writes.
+type osFS struct{}
+
+func (osFS) MkdirAll(path string, perm fs.FileMode) error { return os.MkdirAll(path, perm) }
+func (osFS) ReadFile(name string) ([]byte, error)         { return os.ReadFile(name) }
+func (osFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
+func (osFS) Remove(name string) error                     { return os.Remove(name) }
+func (osFS) ReadDir(name string) ([]fs.DirEntry, error)   { return os.ReadDir(name) }
+
+// WriteFile writes and fsyncs, so rename-over-temp sequences are
+// crash-atomic on journaling filesystems.
+func (osFS) WriteFile(name string, data []byte, perm fs.FileMode) error {
+	f, err := os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, perm)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // Namespaces and extensions of the on-disk layout.
@@ -95,11 +135,8 @@ type DiskStats struct {
 	Quarantines uint64 `json:"quarantines"`
 }
 
-// OpenDiskStore opens (creating if needed) a durable store rooted at dir.
-func OpenDiskStore(fsys faultinject.FS, dir string) (*DiskStore, error) {
-	if fsys == nil {
-		fsys = faultinject.OS{}
-	}
+// openDiskStore opens (creating if needed) a durable store rooted at dir.
+func openDiskStore(fsys fileSystem, dir string) (*DiskStore, error) {
 	d := &DiskStore{fs: fsys, root: dir}
 	for _, sub := range []string{diskResultsDir, diskCheckpointsDir, diskQuarantineDir} {
 		if err := fsys.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {

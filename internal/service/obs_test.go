@@ -18,11 +18,11 @@ import (
 // nonzero campaign latency, run, store and HTTP series.
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := testServer(t, Config{})
-	sub, code := postCampaign(t, ts, `{"workload":"puwmod01","placement":"RM","runs":50,"seed":7}`)
+	sub, code := postCampaign(t, ts.URL, `{"workload":"puwmod01","placement":"RM","runs":50,"seed":7}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit -> %d", code)
 	}
-	waitDone(t, ts, sub.ID)
+	waitDone(t, ts.URL, sub.ID)
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -106,8 +106,8 @@ func TestHealthzShape(t *testing.T) {
 // the display label, the fingerprint prefix, and a timed replay phase.
 func TestTracesEndpoint(t *testing.T) {
 	_, ts := testServer(t, Config{})
-	sub, _ := postCampaign(t, ts, `{"name":"my-campaign","workload":"puwmod01","placement":"RM","runs":30,"seed":11}`)
-	waitDone(t, ts, sub.ID)
+	sub, _ := postCampaign(t, ts.URL, `{"name":"my-campaign","workload":"puwmod01","placement":"RM","runs":30,"seed":11}`)
+	waitDone(t, ts.URL, sub.ID)
 
 	var out tracesJSON
 	getJSON(t, ts, "/v1/traces", &out)
@@ -137,10 +137,10 @@ func TestEventStreamSlowConsumer(t *testing.T) {
 	_, ts := testServer(t, Config{Jobs: 1})
 	// Blocker occupies the single job slot so the subscriber attaches
 	// before the target's first run (see TestEventStream).
-	if _, code := postCampaign(t, ts, `{"workload":"synth160k","placement":"RM","runs":30,"seed":9}`); code != http.StatusAccepted {
+	if _, code := postCampaign(t, ts.URL, `{"workload":"synth160k","placement":"RM","runs":30,"seed":9}`); code != http.StatusAccepted {
 		t.Fatalf("blocker submit code = %d", code)
 	}
-	sub, code := postCampaign(t, ts, `{"workload":"puwmod01","placement":"RM","runs":500,"seed":13}`)
+	sub, code := postCampaign(t, ts.URL, `{"workload":"puwmod01","placement":"RM","runs":500,"seed":13}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit code = %d", code)
 	}
@@ -197,7 +197,7 @@ func TestEventStreamCancelClosesPromptly(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	sub, code := postCampaign(t, ts, `{"workload":"tblook01","placement":"RM","runs":100000,"seed":21}`)
+	sub, code := postCampaign(t, ts.URL, `{"workload":"tblook01","placement":"RM","runs":100000,"seed":21}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit -> %d", code)
 	}
@@ -323,10 +323,10 @@ func TestAccessLogStreamFlush(t *testing.T) {
 	ts := httptest.NewServer(AccessLog(s.Handler(), &buf, LogText))
 	defer func() { ts.Close(); s.Close() }()
 
-	if _, code := postCampaign(t, ts, `{"workload":"synth160k","placement":"RM","runs":30,"seed":9}`); code != http.StatusAccepted {
+	if _, code := postCampaign(t, ts.URL, `{"workload":"synth160k","placement":"RM","runs":30,"seed":9}`); code != http.StatusAccepted {
 		t.Fatalf("blocker submit code = %d", code)
 	}
-	sub, code := postCampaign(t, ts, `{"workload":"puwmod01","placement":"RM","runs":60,"seed":3}`)
+	sub, code := postCampaign(t, ts.URL, `{"workload":"puwmod01","placement":"RM","runs":60,"seed":3}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit code = %d", code)
 	}

@@ -3,22 +3,23 @@ package service
 import (
 	"context"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/faultinject"
 )
 
 // TestDiskStoreRoundtrip: blobs come back byte-identical through the
 // envelope, checkpoints list and delete, and the counters add up.
 func TestDiskStoreRoundtrip(t *testing.T) {
-	d, err := OpenDiskStore(nil, t.TempDir())
+	d, err := openDiskStore(osFS{}, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestDiskStoreRoundtrip(t *testing.T) {
 // quarantine directory, and the slot accepts a rewrite.
 func TestDiskStoreQuarantinesCorruptBlobs(t *testing.T) {
 	root := t.TempDir()
-	d, err := OpenDiskStore(nil, root)
+	d, err := openDiskStore(osFS{}, root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,13 +107,13 @@ func TestDiskStoreQuarantinesCorruptBlobs(t *testing.T) {
 // file never becomes visible — the rename only happens after a complete,
 // durable write, so readers see the old state (here: nothing).
 func TestDiskStoreTornTempWriteInvisible(t *testing.T) {
-	fs := faultinject.Wrap(faultinject.OS{}, faultinject.NewPlan(7, faultinject.Config{PTorn: 1}))
+	fsys := withFaults(newFaultPlan(7, faultConfig{PTorn: 1}))
 	root := t.TempDir()
-	clean, err := OpenDiskStore(nil, root)
+	clean, err := openDiskStore(osFS{}, root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulty := &DiskStore{fs: fs, root: root}
+	faulty := &DiskStore{fs: fsys, root: root}
 	if err := faulty.PutCheckpoint("fp", []byte("state")); err == nil {
 		t.Fatal("torn write reported success")
 	}
@@ -135,11 +136,11 @@ func TestDiskResultServesAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 
 	a, tsA := testServer(t, Config{DataDir: dir})
-	sub, code := postCampaign(t, tsA, diskBody)
+	sub, code := postCampaign(t, tsA.URL, diskBody)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit -> %d", code)
 	}
-	want := waitDone(t, tsA, sub.ID)
+	want := waitDone(t, tsA.URL, sub.ID)
 	if want.State != "done" {
 		t.Fatalf("first run state=%s error=%q", want.State, want.Error)
 	}
@@ -150,11 +151,11 @@ func TestDiskResultServesAcrossRestart(t *testing.T) {
 	a.Close()
 
 	b, tsB := testServer(t, Config{DataDir: dir})
-	resub, code := postCampaign(t, tsB, diskBody)
+	resub, code := postCampaign(t, tsB.URL, diskBody)
 	if code != http.StatusOK || !resub.Cached {
 		t.Fatalf("restart resubmit: code=%d cached=%v, want 200 cached", code, resub.Cached)
 	}
-	got := waitDone(t, tsB, resub.ID)
+	got := waitDone(t, tsB.URL, resub.ID)
 	if got.State != "done" || got.Result == nil {
 		t.Fatalf("disk-served job state=%s", got.State)
 	}
@@ -190,15 +191,15 @@ func TestCrashResumeBitIdentical(t *testing.T) {
 
 	// Reference: an uninterrupted run on a memory-only server.
 	_, tsRef := testServer(t, Config{})
-	refSub, _ := postCampaign(t, tsRef, body)
-	ref := waitDone(t, tsRef, refSub.ID)
+	refSub, _ := postCampaign(t, tsRef.URL, body)
+	ref := waitDone(t, tsRef.URL, refSub.ID)
 	if ref.State != "done" {
 		t.Fatalf("reference run state=%s error=%q", ref.State, ref.Error)
 	}
 
 	dir := t.TempDir()
 	a, tsA := testServer(t, Config{DataDir: dir, CheckpointEvery: 10, Workers: 2})
-	if _, code := postCampaign(t, tsA, body); code != http.StatusAccepted {
+	if _, code := postCampaign(t, tsA.URL, body); code != http.StatusAccepted {
 		t.Fatalf("submit -> %d", code)
 	}
 	// Wait for the campaign to make durable progress, then kill the
@@ -223,8 +224,8 @@ func TestCrashResumeBitIdentical(t *testing.T) {
 	if b.ckptResumes.Load() == 0 {
 		t.Fatal("restart did not resume from the checkpoint")
 	}
-	resub, _ := postCampaign(t, tsB, body) // coalesces onto the resumed job
-	got := waitDone(t, tsB, resub.ID)
+	resub, _ := postCampaign(t, tsB.URL, body) // coalesces onto the resumed job
+	got := waitDone(t, tsB.URL, resub.ID)
 	if got.State != "done" || got.Result == nil {
 		t.Fatalf("resumed campaign state=%s error=%q", got.State, got.Error)
 	}
@@ -253,7 +254,7 @@ func TestCrashResumeBitIdentical(t *testing.T) {
 // mustDisk opens a read-only view of a data dir for assertions.
 func mustDisk(t *testing.T, dir string) *DiskStore {
 	t.Helper()
-	d, err := OpenDiskStore(nil, dir)
+	d, err := openDiskStore(osFS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,8 +268,8 @@ func mustDisk(t *testing.T, dir string) *DiskStore {
 func TestCorruptDiskEntriesRecompute(t *testing.T) {
 	dir := t.TempDir()
 	a, tsA := testServer(t, Config{DataDir: dir})
-	sub, _ := postCampaign(t, tsA, diskBody)
-	want := waitDone(t, tsA, sub.ID)
+	sub, _ := postCampaign(t, tsA.URL, diskBody)
+	want := waitDone(t, tsA.URL, sub.ID)
 	tsA.Close()
 	a.Close()
 
@@ -285,11 +286,11 @@ func TestCorruptDiskEntriesRecompute(t *testing.T) {
 	}
 
 	b, tsB := testServer(t, Config{DataDir: dir})
-	resub, code := postCampaign(t, tsB, diskBody)
+	resub, code := postCampaign(t, tsB.URL, diskBody)
 	if code != http.StatusAccepted || resub.Cached {
 		t.Fatalf("corrupt-result resubmit: code=%d cached=%v, want 202 fresh", code, resub.Cached)
 	}
-	got := waitDone(t, tsB, resub.ID)
+	got := waitDone(t, tsB.URL, resub.ID)
 	if got.State != "done" {
 		t.Fatalf("recompute state=%s error=%q", got.State, got.Error)
 	}
@@ -333,17 +334,16 @@ func TestCorruptDiskEntriesRecompute(t *testing.T) {
 // complete with correct results — durability degrades, answers do not.
 func TestServiceSurvivesInjectedFaults(t *testing.T) {
 	_, tsRef := testServer(t, Config{})
-	refSub, _ := postCampaign(t, tsRef, diskBody)
-	ref := waitDone(t, tsRef, refSub.ID)
+	refSub, _ := postCampaign(t, tsRef.URL, diskBody)
+	ref := waitDone(t, tsRef.URL, refSub.ID)
 
-	cfg := faultinject.Config{PError: 0.15, PTorn: 0.15, PDelay: 0.05, Delay: time.Millisecond}
+	cfg := faultConfig{PError: 0.15, PTorn: 0.15, PDelay: 0.05, Delay: time.Millisecond}
 	// The plan is deterministic per seed; pick the first seed whose early
 	// draws let the store open (MkdirAll runs before any fault matters).
 	var s *Server
 	var ts *httptest.Server
 	for seed := uint64(1); seed < 32; seed++ {
-		fs := faultinject.Wrap(faultinject.OS{}, faultinject.NewPlan(seed, cfg))
-		srv, err := New(Config{Workers: 2, DataDir: t.TempDir(), CheckpointEvery: 10, FS: fs})
+		srv, err := New(Config{Workers: 2, DataDir: t.TempDir(), CheckpointEvery: 10, fs: withFaults(newFaultPlan(seed, cfg))})
 		if err == nil {
 			s = srv
 			ts = httptest.NewServer(srv.Handler())
@@ -356,17 +356,62 @@ func TestServiceSurvivesInjectedFaults(t *testing.T) {
 	}
 
 	for i := 0; i < 3; i++ {
-		sub, code := postCampaign(t, ts, diskBody)
+		sub, code := postCampaign(t, ts.URL, diskBody)
 		if code != http.StatusAccepted && code != http.StatusOK {
 			t.Fatalf("submission %d -> %d", i, code)
 		}
-		got := waitDone(t, ts, sub.ID)
+		got := waitDone(t, ts.URL, sub.ID)
 		if got.State != "done" || got.Result == nil {
 			t.Fatalf("faulted campaign %d state=%s error=%q", i, got.State, got.Error)
 		}
 		if got.Result.HWM != ref.Result.HWM || got.Result.Mean != ref.Result.Mean {
 			t.Fatalf("faulted campaign %d wrong aggregates", i)
 		}
+	}
+}
+
+// panickyWrites is a store filesystem that opens cleanly but panics on
+// every write, counting the panics.
+type panickyWrites struct {
+	osFS
+	panics atomic.Uint64
+}
+
+func (p *panickyWrites) WriteFile(name string, _ []byte, _ fs.FileMode) error {
+	p.panics.Add(1)
+	panic("injected panic: write " + name)
+}
+
+// TestPersistencePanicsContained: panics in the persistence paths (the
+// checkpoint writer and persistOutcome) are recovered and counted as
+// failed writes. Campaigns still finish with the clean run's result.
+func TestPersistencePanicsContained(t *testing.T) {
+	bodies := []string{diskBody, `{"workload":"puwmod01","placement":"hRP","runs":120,"seed":5}`}
+	_, tsRef := testServer(t, Config{})
+	fsys := &panickyWrites{}
+	_, ts := testServer(t, Config{DataDir: t.TempDir(), CheckpointEvery: 10, fs: fsys})
+	for _, body := range bodies {
+		refSub, _ := postCampaign(t, tsRef.URL, body)
+		want := waitDone(t, tsRef.URL, refSub.ID)
+		sub, code := postCampaign(t, ts.URL, body)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit -> %d", code)
+		}
+		got := waitDone(t, ts.URL, sub.ID)
+		if got.State != "done" || got.Result == nil {
+			t.Fatalf("campaign state=%s error=%q", got.State, got.Error)
+		}
+		if !reflect.DeepEqual(got.Result, want.Result) {
+			t.Fatalf("result under write panics differs from the clean run:\n%+v\n%+v", got.Result, want.Result)
+		}
+	}
+	// Every write panicked: at least one checkpoint and one result each.
+	panics := fsys.panics.Load()
+	if panics < uint64(2*len(bodies)) {
+		t.Fatalf("%d write panics, want at least %d", panics, 2*len(bodies))
+	}
+	if got := metricOf(t, ts.URL, "rm_store_disk_write_errors_total"); got != float64(panics) {
+		t.Fatalf("rm_store_disk_write_errors_total = %v, want the %d panics", got, panics)
 	}
 }
 
@@ -399,7 +444,7 @@ func TestQueueFullRetryAfter(t *testing.T) {
 // must not leave handler goroutines (or subscriptions) behind.
 func TestEventStreamDisconnectNoLeak(t *testing.T) {
 	_, ts := testServer(t, Config{Jobs: 1, Workers: 1})
-	sub, code := postCampaign(t, ts, `{"workload":"tblook01","placement":"RM","runs":100000,"seed":61}`)
+	sub, code := postCampaign(t, ts.URL, `{"workload":"tblook01","placement":"RM","runs":100000,"seed":61}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit -> %d", code)
 	}

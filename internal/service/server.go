@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/security"
@@ -30,7 +29,8 @@ type Config struct {
 	// only bounds how many campaigns contend for that pool at once.
 	Jobs int
 	// QueueDepth bounds the admitted-but-not-running backlog (default
-	// 64). A full queue rejects submissions with 503.
+	// 64). A full queue rejects submissions with 429 and a Retry-After
+	// hint; 503 is the answer of a draining server.
 	QueueDepth int
 	// CacheSize bounds the content-addressed result cache (default 1024
 	// entries, LRU-evicted).
@@ -48,10 +48,9 @@ type Config struct {
 	// CheckpointEvery is the checkpoint cadence in runs for persisted
 	// campaigns (default 50). Only meaningful with DataDir.
 	CheckpointEvery int
-	// FS overrides the filesystem the durable tier runs on (default the
-	// real filesystem with durable writes, faultinject.OS). The chaos
-	// suite injects storage faults here.
-	FS faultinject.FS
+	// fs is the filesystem the durable tier runs on (default osFS). The
+	// resilience tests inject storage faults here.
+	fs fileSystem
 }
 
 func (c Config) withDefaults() Config {
@@ -72,6 +71,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 50
+	}
+	if c.fs == nil {
+		c.fs = osFS{}
 	}
 	return c
 }
@@ -141,7 +143,7 @@ func New(cfg Config) (*Server, error) {
 		started: time.Now(),
 	}
 	if cfg.DataDir != "" {
-		disk, err := OpenDiskStore(cfg.FS, cfg.DataDir)
+		disk, err := openDiskStore(cfg.fs, cfg.DataDir)
 		if err != nil {
 			return nil, fmt.Errorf("service: opening data dir: %w", err)
 		}
@@ -314,8 +316,8 @@ func (s *Server) runJob(j *Job) (core.Result, error) {
 	return res, err
 }
 
-// writeCheckpoint persists one captured frontier. Panics (the fault
-// injector's worker-panic mode, or anything unexpected in the codec) are
+// writeCheckpoint persists one captured frontier. Panics (in the
+// filesystem, or anything unexpected in the codec) are
 // contained here and counted as a failed write — a checkpoint is an
 // optimization, so losing one must never take the campaign down.
 func (s *Server) writeCheckpoint(j *Job, cp *core.Checkpoint) {

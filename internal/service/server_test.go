@@ -30,9 +30,10 @@ func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-func postCampaign(t *testing.T, ts *httptest.Server, body string) (submitResponse, int) {
+// postCampaign submits body to the service at base.
+func postCampaign(t *testing.T, base, body string) (submitResponse, int) {
 	t.Helper()
-	resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(body))
+	resp, err := http.Post(base+"/v1/campaigns", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,14 +47,15 @@ func postCampaign(t *testing.T, ts *httptest.Server, body string) (submitRespons
 	return out, resp.StatusCode
 }
 
-func waitDone(t *testing.T, ts *httptest.Server, id string) statusResponse {
+// waitDone polls a job on the service at base to its terminal state.
+func waitDone(t *testing.T, base, id string) statusResponse {
 	t.Helper()
 	// Generous to survive the race detector's ~10x simulation slowdown
 	// on the long synth160k campaigns; the poll returns as soon as the
 	// campaign reaches a terminal state, so fast runs are unaffected.
 	deadline := time.Now().Add(10 * time.Minute)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get(ts.URL + "/v1/campaigns/" + id)
+		resp, err := http.Get(base + "/v1/campaigns/" + id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,18 +83,18 @@ func TestDuplicateSubmissionCoalesces(t *testing.T) {
 	s, ts := testServer(t, Config{})
 	const body = `{"workload":"puwmod01","placement":"RM","runs":50,"seed":9}`
 
-	first, code := postCampaign(t, ts, body)
+	first, code := postCampaign(t, ts.URL, body)
 	if code != http.StatusAccepted || first.Cached {
 		t.Fatalf("first submission: code=%d cached=%v, want 202 fresh", code, first.Cached)
 	}
-	st1 := waitDone(t, ts, first.ID)
+	st1 := waitDone(t, ts.URL, first.ID)
 	if st1.State != "done" || st1.Result == nil {
 		t.Fatalf("first campaign state=%s error=%q", st1.State, st1.Error)
 	}
 
 	// Resubmit with a different placement spelling and an added display
 	// name: same content, so it must be served from cache.
-	second, code := postCampaign(t, ts, `{"name":"again","workload":"puwmod01","placement":"rm","runs":50,"seed":9}`)
+	second, code := postCampaign(t, ts.URL, `{"name":"again","workload":"puwmod01","placement":"rm","runs":50,"seed":9}`)
 	if code != http.StatusOK || !second.Cached {
 		t.Fatalf("second submission: code=%d cached=%v, want 200 cached", code, second.Cached)
 	}
@@ -100,7 +102,7 @@ func TestDuplicateSubmissionCoalesces(t *testing.T) {
 		t.Fatalf("resubmission got (%s, %s), want the original (%s, %s)",
 			second.ID, second.Fingerprint, first.ID, first.Fingerprint)
 	}
-	st2 := waitDone(t, ts, second.ID)
+	st2 := waitDone(t, ts.URL, second.ID)
 	if len(st2.Result.Times) != len(st1.Result.Times) {
 		t.Fatalf("result lengths differ: %d vs %d", len(st2.Result.Times), len(st1.Result.Times))
 	}
@@ -129,10 +131,10 @@ func TestDuplicateSubmissionCoalesces(t *testing.T) {
 // the target is still queued, deterministically ahead of its first run.
 func TestEventStream(t *testing.T) {
 	_, ts := testServer(t, Config{Jobs: 1})
-	if _, code := postCampaign(t, ts, `{"workload":"synth160k","placement":"RM","runs":30,"seed":9}`); code != http.StatusAccepted {
+	if _, code := postCampaign(t, ts.URL, `{"workload":"synth160k","placement":"RM","runs":30,"seed":9}`); code != http.StatusAccepted {
 		t.Fatalf("blocker submit code = %d", code)
 	}
-	sub, code := postCampaign(t, ts, `{"workload":"puwmod01","placement":"RM","runs":60,"seed":3}`)
+	sub, code := postCampaign(t, ts.URL, `{"workload":"puwmod01","placement":"RM","runs":60,"seed":3}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit code = %d", code)
 	}
@@ -182,8 +184,8 @@ func TestEventStream(t *testing.T) {
 // terminates immediately with the end line.
 func TestEventStreamAfterCompletion(t *testing.T) {
 	_, ts := testServer(t, Config{})
-	sub, _ := postCampaign(t, ts, `{"workload":"puwmod01","placement":"RM","runs":40,"seed":4}`)
-	waitDone(t, ts, sub.ID)
+	sub, _ := postCampaign(t, ts.URL, `{"workload":"puwmod01","placement":"RM","runs":40,"seed":4}`)
+	waitDone(t, ts.URL, sub.ID)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -220,7 +222,7 @@ func TestSubmitValidation(t *testing.T) {
 		{`not json`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
-		if _, code := postCampaign(t, ts, c.body); code != c.want {
+		if _, code := postCampaign(t, ts.URL, c.body); code != c.want {
 			t.Errorf("POST %s -> %d, want %d", c.body, code, c.want)
 		}
 	}
@@ -282,8 +284,8 @@ func getJSON(t *testing.T, ts *httptest.Server, path string, v any) {
 // size is the same content.
 func TestDefaultRunsEnterFingerprint(t *testing.T) {
 	_, ts := testServer(t, Config{DefaultRuns: 40})
-	implicit, _ := postCampaign(t, ts, `{"workload":"puwmod01","placement":"RM","seed":5}`)
-	explicit, _ := postCampaign(t, ts, `{"workload":"puwmod01","placement":"RM","runs":40,"seed":5}`)
+	implicit, _ := postCampaign(t, ts.URL, `{"workload":"puwmod01","placement":"RM","seed":5}`)
+	explicit, _ := postCampaign(t, ts.URL, `{"workload":"puwmod01","placement":"RM","runs":40,"seed":5}`)
 	if implicit.Fingerprint != explicit.Fingerprint {
 		t.Fatalf("default-runs fingerprint %s != explicit %s", implicit.Fingerprint, explicit.Fingerprint)
 	}
@@ -300,7 +302,7 @@ func TestQueueFullRejects(t *testing.T) {
 	sawReject := false
 	for i := 0; i < 6; i++ {
 		body := fmt.Sprintf(`{"workload":"tblook01","placement":"RM","runs":200,"seed":%d}`, 100+i)
-		_, code := postCampaign(t, ts, body)
+		_, code := postCampaign(t, ts.URL, body)
 		if code == http.StatusTooManyRequests {
 			sawReject = true
 			rejectedBody = body
@@ -337,7 +339,7 @@ func TestGracefulDrain(t *testing.T) {
 
 	var ids []string
 	for i := 0; i < 3; i++ {
-		sub, code := postCampaign(t, ts, fmt.Sprintf(`{"workload":"tblook01","placement":"RM","runs":5000,"seed":%d}`, 200+i))
+		sub, code := postCampaign(t, ts.URL, fmt.Sprintf(`{"workload":"tblook01","placement":"RM","runs":5000,"seed":%d}`, 200+i))
 		if code != http.StatusAccepted {
 			t.Fatalf("submission %d -> %d", i, code)
 		}
@@ -372,11 +374,11 @@ func TestSecurityCampaignService(t *testing.T) {
 	s, ts := testServer(t, Config{})
 	const body = `{"placement":"RM","runs":12,"seed":4,` +
 		`"security":{"protocol":"primeprobe","replacement":"LRU","probe_lines":128,"trials":8}}`
-	first, code := postCampaign(t, ts, body)
+	first, code := postCampaign(t, ts.URL, body)
 	if code != http.StatusAccepted || first.Cached {
 		t.Fatalf("first security submission: code=%d cached=%v", code, first.Cached)
 	}
-	st := waitDone(t, ts, first.ID)
+	st := waitDone(t, ts.URL, first.ID)
 	if st.State != "done" || st.Result == nil {
 		t.Fatalf("security campaign state=%s error=%q", st.State, st.Error)
 	}
@@ -392,7 +394,7 @@ func TestSecurityCampaignService(t *testing.T) {
 
 	// Equivalent respelling (alias protocol, default replacement spelling
 	// differs in case) must be served from cache.
-	second, code := postCampaign(t, ts, `{"placement":"rm","runs":12,"seed":4,`+
+	second, code := postCampaign(t, ts.URL, `{"placement":"rm","runs":12,"seed":4,`+
 		`"security":{"protocol":"prime+probe","replacement":"lru","probe_lines":128,"trials":8}}`)
 	if code != http.StatusOK || !second.Cached || second.ID != first.ID {
 		t.Fatalf("respelled security submission: code=%d cached=%v id=%s (want %s)",
@@ -428,7 +430,7 @@ func TestSecuritySubmitValidation(t *testing.T) {
 		`{"placement":"RM","runs":10,"security":{"protocol":"eviction","budget":9}}`,
 	}
 	for _, body := range bad {
-		if _, code := postCampaign(t, ts, body); code != http.StatusBadRequest {
+		if _, code := postCampaign(t, ts.URL, body); code != http.StatusBadRequest {
 			t.Errorf("POST %s -> %d, want 400", body, code)
 		}
 	}
@@ -439,11 +441,11 @@ func TestSecuritySubmitValidation(t *testing.T) {
 // final result, so pollers that watched it converge end on the answer.
 func TestCampaignSnapshot(t *testing.T) {
 	_, ts := testServer(t, Config{})
-	sub, code := postCampaign(t, ts, `{"workload":"tblook01","placement":"RM","runs":60,"seed":5,"analyze":true}`)
+	sub, code := postCampaign(t, ts.URL, `{"workload":"tblook01","placement":"RM","runs":60,"seed":5,"analyze":true}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit code = %d", code)
 	}
-	st := waitDone(t, ts, sub.ID)
+	st := waitDone(t, ts.URL, sub.ID)
 	if st.State != "done" || st.Result == nil {
 		t.Fatalf("state=%s error=%q", st.State, st.Error)
 	}
@@ -470,18 +472,18 @@ func TestCampaignSnapshot(t *testing.T) {
 // entry with the buffered form of the same campaign.
 func TestKeepTimesFalseService(t *testing.T) {
 	_, ts := testServer(t, Config{})
-	drop, code := postCampaign(t, ts, `{"workload":"tblook01","placement":"RM","runs":60,"seed":5,"analyze":true,"keep_times":false}`)
+	drop, code := postCampaign(t, ts.URL, `{"workload":"tblook01","placement":"RM","runs":60,"seed":5,"analyze":true,"keep_times":false}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit code = %d", code)
 	}
-	keep, code := postCampaign(t, ts, `{"workload":"tblook01","placement":"RM","runs":60,"seed":5,"analyze":true}`)
+	keep, code := postCampaign(t, ts.URL, `{"workload":"tblook01","placement":"RM","runs":60,"seed":5,"analyze":true}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("keep submit code = %d (coalesced onto the drop job?)", code)
 	}
 	if keep.Fingerprint == drop.Fingerprint {
 		t.Fatal("keep and drop submissions share a fingerprint")
 	}
-	st := waitDone(t, ts, drop.ID)
+	st := waitDone(t, ts.URL, drop.ID)
 	if st.State != "done" || st.Result == nil {
 		t.Fatalf("state=%s error=%q", st.State, st.Error)
 	}
@@ -494,7 +496,7 @@ func TestKeepTimesFalseService(t *testing.T) {
 	if st.Result.Analysis == nil || st.Result.HWM <= 0 || st.Result.Mean <= 0 {
 		t.Fatalf("dropped-times result lost its aggregates: %+v", st.Result)
 	}
-	kst := waitDone(t, ts, keep.ID)
+	kst := waitDone(t, ts.URL, keep.ID)
 	if len(kst.Result.Times) != 60 {
 		t.Fatalf("buffered twin has %d times, want 60", len(kst.Result.Times))
 	}
