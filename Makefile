@@ -44,7 +44,8 @@ vuln:
 # Seed-corpus fuzz pass over the kernel equivalence oracle, the hinted,
 # folded and hit-eliding replay against the per-access reference, RM's
 # bulk index plans against its scalar mapping, the lackey trace parser,
-# the baseline's trace relocation and the parsers of untrusted bytes:
+# the one-pass trace compiler against its two-pass oracle, the
+# baseline's trace relocation and the parsers of untrusted bytes:
 # service requests, checkpoints and durable-store blobs (CI runs the
 # same targets with a time budget).
 fuzz-short:
@@ -52,6 +53,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzCompiledReplay -fuzztime=10s ./internal/sim
 	$(GO) test -run='^$$' -fuzz=FuzzRMIndexAll -fuzztime=10s ./internal/placement
 	$(GO) test -run='^$$' -fuzz=FuzzParseLackey -fuzztime=10s ./internal/trace
+	$(GO) test -run='^$$' -fuzz=FuzzCompile -fuzztime=10s ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzRelocate -fuzztime=10s ./internal/workload
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeWireRequest -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeCheckpoint -fuzztime=10s ./internal/core

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -23,6 +25,124 @@ func (c *Compiled) Counts() (fetches, loads, stores int) {
 		}
 	}
 	return
+}
+
+// Fold folds, in place, every read that directly follows a read of the
+// same kind and line ID in its stream — a fetch after a fetch in the
+// instruction stream, a load after a load in the data stream, where a
+// store in between breaks the chain — into the earlier op's Rep, and
+// counts it in the Trail of the op it directly followed in ops. Folding
+// stops where a Rep or Trail would overflow. ops must be unfolded (every
+// Rep and Trail zero); Fold returns the folded prefix of ops.
+//
+// It is the fold Numbering applies as it numbers, as a second pass over
+// one op per access: the oracle of the streaming fold.
+func Fold(ops []Op) []Op {
+	last := [2]int{-1, -1} // per stream: index of the last kept op
+	n := 0
+	for _, op := range ops {
+		s := 0
+		if op.Kind != Fetch {
+			s = 1
+		}
+		if j := last[s]; j >= 0 && op.Kind != Store && ops[j].Kind == op.Kind && ops[j].ID == op.ID &&
+			ops[j].Rep < math.MaxUint16 && ops[n-1].Trail < math.MaxUint8 {
+			ops[j].Rep++
+			ops[n-1].Trail++
+			continue
+		}
+		ops[n] = op
+		last[s] = n
+		n++
+	}
+	return ops[:n]
+}
+
+// compileOracle is Compile as two passes: number each stream's line
+// addresses through a map into one op per access, then Fold.
+func compileOracle(t Trace, lineBytes int) (ops []Op, iLines, dLines []uint64) {
+	shift := uint(bits.TrailingZeros(uint(lineBytes)))
+	imap := make(map[uint64]uint32)
+	dmap := make(map[uint64]uint32)
+	for _, a := range t {
+		la := a.Addr >> shift
+		m, table := imap, &iLines
+		if a.Kind != Fetch {
+			m, table = dmap, &dLines
+		}
+		id, ok := m[la]
+		if !ok {
+			id = uint32(len(*table))
+			m[la] = id
+			*table = append(*table, la)
+		}
+		ops = append(ops, Op{ID: id, Kind: a.Kind})
+	}
+	return Fold(ops), iLines, dLines
+}
+
+// checkCompileMatchesOracle fails t unless Compile(tr, lineBytes) gives
+// exactly compileOracle's ops and line tables, with Ops exactly sized.
+func checkCompileMatchesOracle(t testing.TB, tr Trace, lineBytes int) {
+	t.Helper()
+	c, err := Compile(tr, lineBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops, il, dl := compileOracle(tr, lineBytes)
+	if c.Len() != len(tr) || c.LineBytes != lineBytes || cap(c.Ops) != len(c.Ops) {
+		t.Fatalf("%d B lines: Len %d of %d, LineBytes %d, %d ops in a cap of %d",
+			lineBytes, c.Len(), len(tr), c.LineBytes, len(c.Ops), cap(c.Ops))
+	}
+	if !slices.Equal(c.Ops, ops) {
+		t.Fatalf("%d B lines: %d ops, oracle %d; first difference at %d",
+			lineBytes, len(c.Ops), len(ops), firstDiff(c.Ops, ops))
+	}
+	if !slices.Equal(c.ILines, il) || !slices.Equal(c.DLines, dl) {
+		t.Fatalf("%d B lines: line tables %d/%d, oracle %d/%d; first differences at %d/%d",
+			lineBytes, len(c.ILines), len(c.DLines), len(il), len(dl), firstDiff(c.ILines, il), firstDiff(c.DLines, dl))
+	}
+}
+
+// firstDiff returns the first index where a and b differ.
+func firstDiff[E comparable](a, b []E) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
+}
+
+// FuzzCompile checks the streaming pass against compileOracle on traces
+// of fuzzed kinds and addresses: each access takes its kind from one
+// byte and moves the address by a signed step from the next, so runs of
+// same-line reads, revisits and wraparound past 2^64 all occur, for line
+// sizes 1 to 128 bytes.
+func FuzzCompile(f *testing.F) {
+	f.Add(uint8(5), uint64(0x1000), []byte{0, 4, 0, 4, 1, 0, 1, 8, 2, 0, 1, 0, 0, 0x80})
+	f.Add(uint8(0), ^uint64(0)-3, []byte{0, 1, 0, 1, 0, 1, 1, 2, 1, 2, 2, 0xff, 1, 1})
+	f.Add(uint8(7), uint64(0), []byte{1, 0x40, 1, 0x41, 1, 0x80, 0, 0xc0, 2, 0x40, 2, 1, 1, 0, 0, 3})
+	f.Fuzz(func(t *testing.T, lineLog uint8, addr uint64, steps []byte) {
+		tr := make(Trace, 0, len(steps)/2)
+		for i := 0; i+1 < len(steps); i += 2 {
+			addr += uint64(int64(int8(steps[i+1])))
+			tr = append(tr, Access{Addr: addr, Kind: Kind(steps[i] % 3)})
+		}
+		checkCompileMatchesOracle(t, tr, 1<<(lineLog%8))
+	})
+}
+
+// TestCompileMatchesOracle runs the differential check on random traces
+// over a few lines, where same-line reads and stores repeat often, for
+// every line size FuzzCompile draws.
+func TestCompileMatchesOracle(t *testing.T) {
+	for seed := uint64(0); seed < 200; seed++ {
+		tr := randomTrace(seed, 300)
+		for lineLog := 0; lineLog < 8; lineLog++ {
+			checkCompileMatchesOracle(t, tr, 1<<lineLog)
+		}
+	}
 }
 
 func TestCompileRejectsBadLineSize(t *testing.T) {
@@ -254,7 +374,7 @@ func TestFoldChains(t *testing.T) {
 
 // TestFoldSaturates checks that a run longer than Trail can count starts
 // a new op instead of overflowing: 2^17 back-to-back loads of one line
-// fold 256 to an op.
+// fold 256 to an op. Compile must saturate where Fold does.
 func TestFoldSaturates(t *testing.T) {
 	ops := make([]Op, 1<<17)
 	for i := range ops {
@@ -289,6 +409,19 @@ func TestFoldSaturates(t *testing.T) {
 	if total != 140000 {
 		t.Fatalf("folded ops cover %d accesses, want 140000", total)
 	}
+
+	// Compile saturates alike on the same two sequences.
+	b := NewBuilder(0)
+	for i := 0; i < 1<<17; i++ {
+		b.Load(7 * 32)
+	}
+	checkCompileMatchesOracle(t, b.Trace(), 32)
+	b = NewBuilder(0)
+	for i := 0; i < 70000; i++ {
+		b.Load(9 * 32)
+		b.Fetch(uint64(i%2) * 32)
+	}
+	checkCompileMatchesOracle(t, b.Trace(), 32)
 }
 
 func TestCompiledCountsMatchTrace(t *testing.T) {

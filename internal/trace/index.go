@@ -69,11 +69,11 @@ const (
 // Blocks returns the number of 64-op blocks of n ops.
 func Blocks(n int) int { return (n + 63) >> 6 }
 
-// NewReplayIndex returns the index of ops, whose instruction and data
+// newReplayIndex returns the index of ops, whose instruction and data
 // line IDs are below iLines and dLines. Building its tables costs
 // O(len(ops)) time and about four bytes per op. It returns nil, which
 // replays every op, for more than 1<<32 ops.
-func NewReplayIndex(ops []Op, iLines, dLines int) *ReplayIndex {
+func newReplayIndex(ops []Op, iLines, dLines int) *ReplayIndex {
 	if uint64(len(ops)) > math.MaxUint32 {
 		return nil
 	}

@@ -6,7 +6,7 @@ import (
 	"repro/internal/prng"
 )
 
-// TestReplayIndex checks the tables of NewReplayIndex against a direct classification
+// TestReplayIndex checks the tables of newReplayIndex against a direct classification
 // of every op: Must holds exactly the stores and each line ID's first
 // read per stream, each line's list holds exactly its later reads in
 // ascending order, All is their union, Hits sums the later reads'
@@ -24,7 +24,7 @@ func TestReplayIndex(t *testing.T) {
 				ops[i].Rep = 0
 			}
 		}
-		x := NewReplayIndex(ops, nLines, nLines).Tables()
+		x := newReplayIndex(ops, nLines, nLines).Tables()
 		if len(x.Must) != Blocks(n) {
 			t.Fatalf("round %d: %d Must blocks for %d ops", round, len(x.Must), n)
 		}

@@ -13,8 +13,23 @@ const numFields = 5 + ScatterSlots
 
 // tagShift places the per-field tags of the anchor build far above any
 // offset a kernel adds to a layout field, so the difference between the
-// tagged and the base trace spells out each access's field set.
-const tagShift = 40
+// tagged and the base trace spells out each access's field set. Field f's
+// tag is 1<<(tagShift+2f): the tags fill the even bits 38 to 62, so a
+// field added two or three times sets an odd bit and fails the check.
+const tagShift = 38
+
+// fieldMask decodes how one access moved between the base and the tagged
+// build into its field set (bit f for field f of Layout.fields); ok is
+// false unless d is a sum of distinct tags.
+func fieldMask(d uint64) (mask uint16, ok bool) {
+	if d&(1<<tagShift-1|0xaaaa_aaaa_aaaa_aaaa) != 0 {
+		return 0, false
+	}
+	for e := d >> tagShift; e != 0; e &= e - 1 {
+		mask |= 1 << (bits.TrailingZeros64(e) / 2)
+	}
+	return mask, true
+}
 
 // fields returns pointers to the relocatable fields in tag order.
 func (l *Layout) fields() (f [numFields]*uint64) {
@@ -36,12 +51,12 @@ func (e *RelocationError) Error() string {
 	return fmt.Sprintf("workload %s: trace does not relocate: %s", e.Workload, e.Reason)
 }
 
-// anchor is one line-table entry of a Relocatable: the byte address of a
-// granule at the base layout and the set of layout fields (bit f for
-// field f of Layout.fields) the granule moves with.
-type anchor struct {
-	addr uint64
-	mask uint16
+// anchors is one stream's line table of a Relocatable: entry i is the
+// byte address of a granule at the base layout and the set of layout
+// fields (bit f for field f of Layout.fields) the granule moves with.
+type anchors struct {
+	addrs []uint64
+	masks []uint16
 }
 
 // Relocatable is a workload compiled once at a base layout in a form that
@@ -59,10 +74,10 @@ type anchor struct {
 // access), and hit elision counts the two IDs as two lines of their set,
 // which can only keep more reads.
 type Relocatable struct {
-	ops        []trace.Op // folded, see trace.Fold
+	ops        []trace.Op // folded, see trace.Op
 	index      *trace.ReplayIndex
 	accesses   int
-	iref, dref []anchor
+	iref, dref anchors
 	base       Layout
 	lineBytes  int
 	lineShift  uint
@@ -70,10 +85,10 @@ type Relocatable struct {
 }
 
 // Relocatable builds the workload at base and at a tagged copy of base,
-// derives which layout fields each access moves with, and compiles the
-// trace into per-stream anchor tables for lines of lineBytes (a power of
-// two). A trace that breaks the Build contract fails with a
-// *RelocationError.
+// derives which layout fields each access moves with, and numbers each
+// access's base granule and field set into per-stream anchor tables for
+// lines of lineBytes (a power of two), in one trace.Numbering pass. A
+// trace that breaks the Build contract fails with a *RelocationError.
 func (w Workload) Relocatable(base Layout, lineBytes int) (*Relocatable, error) {
 	if lineBytes < 1 || lineBytes&(lineBytes-1) != 0 {
 		return nil, fmt.Errorf("workload: relocation needs a power-of-two line size, got %d", lineBytes)
@@ -81,7 +96,7 @@ func (w Workload) Relocatable(base Layout, lineBytes int) (*Relocatable, error) 
 	tr := w.Build(base)
 	tagged := base
 	for f, p := range tagged.fields() {
-		*p += 1 << (tagShift + f)
+		*p += 1 << (tagShift + 2*f)
 	}
 	tt := w.Build(tagged)
 	bad := func(format string, args ...any) error {
@@ -91,43 +106,33 @@ func (w Workload) Relocatable(base Layout, lineBytes int) (*Relocatable, error) 
 		return nil, bad("%d accesses at the base layout, %d at a shifted one", len(tr), len(tt))
 	}
 	r := &Relocatable{
-		ops:       make([]trace.Op, len(tr)),
+		accesses:  len(tr),
 		base:      base,
 		lineBytes: lineBytes,
 		lineShift: uint(bits.TrailingZeros(uint(lineBytes))),
 		granule:   uint64(min(lineBytes, LineBytes)),
 	}
-	type key struct {
-		granule uint64
-		mask    uint16
-	}
-	imap := make(map[key]uint32, 64)
-	dmap := make(map[key]uint32, 64)
+	n := trace.NewNumbering(len(tr))
+	// Most accesses move like the one before them: decode only new moves.
+	var moved uint64
+	var mask uint16
 	for i, a := range tr {
 		b := tt[i]
 		if b.Kind != a.Kind {
 			return nil, bad("access %d has kind %v at the base layout, %v at a shifted one", i, a.Kind, b.Kind)
 		}
-		d := b.Addr - a.Addr
-		if d&(1<<tagShift-1) != 0 || d>>tagShift >= 1<<numFields {
-			return nil, bad("access %d moved by %#x, not by a sum of distinct layout fields", i, d)
+		if d := b.Addr - a.Addr; d != moved {
+			m, ok := fieldMask(d)
+			if !ok {
+				return nil, bad("access %d moved by %#x, not by a sum of distinct layout fields", i, d)
+			}
+			moved, mask = d, m
 		}
-		k := key{a.Addr &^ (r.granule - 1), uint16(d >> tagShift)}
-		m, refs := imap, &r.iref
-		if a.Kind != trace.Fetch {
-			m, refs = dmap, &r.dref
-		}
-		id, ok := m[k]
-		if !ok {
-			id = uint32(len(*refs))
-			m[k] = id
-			*refs = append(*refs, anchor{k.granule, k.mask})
-		}
-		r.ops[i] = trace.Op{ID: id, Kind: a.Kind}
+		n.Add(a.Kind, a.Addr&^(r.granule-1), mask)
 	}
-	r.accesses = len(r.ops)
-	r.ops = trace.Fold(r.ops)
-	r.index = trace.NewReplayIndex(r.ops, len(r.iref), len(r.dref))
+	r.ops, r.index = n.Finish()
+	r.iref.addrs, r.iref.masks = n.Lines(trace.Fetch)
+	r.dref.addrs, r.dref.masks = n.Lines(trace.Load)
 	return r, nil
 }
 
@@ -163,11 +168,10 @@ func (r *Relocatable) Relocate(l Layout) *trace.Compiled {
 
 // lines relocates anchors in byte space (wrapping uint64, like the
 // addresses Build emits) and only then cuts them into lines.
-func (r *Relocatable) lines(refs []anchor, delta *[numFields]uint64) []uint64 {
-	out := make([]uint64, len(refs))
-	for i, a := range refs {
-		addr := a.addr
-		for m := a.mask; m != 0; m &= m - 1 {
+func (r *Relocatable) lines(refs anchors, delta *[numFields]uint64) []uint64 {
+	out := make([]uint64, len(refs.addrs))
+	for i, addr := range refs.addrs {
+		for m := refs.masks[i]; m != 0; m &= m - 1 {
 			addr += delta[bits.TrailingZeros16(m)]
 		}
 		out[i] = addr >> r.lineShift

@@ -118,17 +118,26 @@ func TestRelocateMatchesCompile(t *testing.T) {
 
 // TestRelocatableRejectsLayoutDependentTraces pins the Build contract's
 // enforcement: a trace whose length, kinds or address arithmetic depends
-// on the layout fails with a *RelocationError.
+// on the layout, a field used twice or three times in one address
+// included, fails with a *RelocationError.
 func TestRelocatableRejectsLayoutDependentTraces(t *testing.T) {
 	cases := []Workload{
 		{Name: "length", Build: func(l Layout) trace.Trace {
 			return make(trace.Trace, 100+bits.OnesCount64(l.Code))
 		}},
 		{Name: "kind", Build: func(l Layout) trace.Trace {
-			return trace.Trace{{Addr: l.Data, Kind: trace.Kind(l.Data >> 41 & 1)}}
+			return trace.Trace{{Addr: l.Data, Kind: trace.Kind(bits.OnesCount64(l.Data) & 1)}}
 		}},
 		{Name: "address", Build: func(l Layout) trace.Trace {
 			return trace.Trace{{Addr: l.Data}, {Addr: l.Code / 2}}
+		}},
+		// A field counted twice or three times would otherwise read as
+		// another field set and relocate to the wrong line.
+		{Name: "doubled", Build: func(l Layout) trace.Trace {
+			return trace.Trace{{Addr: l.Code}, {Addr: l.Data + l.Data, Kind: trace.Load}}
+		}},
+		{Name: "tripled", Build: func(l Layout) trace.Trace {
+			return trace.Trace{{Addr: 3*l.Table + l.Pool, Kind: trace.Store}}
 		}},
 	}
 	for _, w := range cases {

@@ -131,7 +131,9 @@ type Workload struct {
 	//     field (Code, Data, Table, Stack, Pool, Scatter[k]) at most once;
 	//   - the trace's length, access kinds and order do not depend on l.
 	// Relocatable reports a violation that shows at its tagged layout
-	// (every field shifted by a distinct high bit) as a *RelocationError.
+	// (every field shifted by a distinct high bit, two bits apart) as a
+	// *RelocationError; that catches a field used two or three times in
+	// one address, though not four times or more.
 	// EEMBC(), Synthetic and FromTrace (whose addresses use no field)
 	// satisfy both.
 	Build func(l Layout) trace.Trace
@@ -232,20 +234,24 @@ func Synthetic(footprintBytes, sweeps, strideBytes int) Workload {
 		Description: fmt.Sprintf("synthetic vector kernel: %d KB footprint, %d sweeps, stride %d",
 			footprintBytes/1024, sweeps, strideBytes),
 		Build: func(l Layout) trace.Trace {
+			// The loop body walks codeLines*8 elements per pass so fetches
+			// interleave with data accesses as in an unrolled loop.
 			const codeLines = 4
+			const perPass = codeLines * 8
 			elems := footprintBytes / strideBytes
 			vec := l.Obj(l.Data, 0)
-			k := newKernel(name, l, sweeps*(elems+elems/8))
+			// The init sweep and every traversal each access all elements
+			// and fetch the loop body once per pass.
+			passes := (elems + perPass - 1) / perPass
+			k := newKernel(name, l, (sweeps+1)*(elems+passes*codeLines))
 			// Initialisation sweep: write the vector once.
-			for e := 0; e < elems; e += codeLines * 8 {
-				for j := e; j < e+codeLines*8 && j < elems; j++ {
+			for e := 0; e < elems; e += perPass {
+				for j := e; j < e+perPass && j < elems; j++ {
 					k.store(vec + uint64(j*strideBytes))
 				}
 				k.loopIter(0, codeLines)
 			}
-			// Main traversals: the loop body walks codeLines*8 elements per
-			// pass so fetches interleave with loads as in an unrolled loop.
-			perPass := codeLines * 8
+			// Main traversals.
 			for s := 0; s < sweeps; s++ {
 				for e := 0; e < elems; e += perPass {
 					for j := e; j < e+perPass && j < elems; j++ {
@@ -263,6 +269,7 @@ func Synthetic(footprintBytes, sweeps, strideBytes int) Workload {
 // instantiates the eleven benchmarks of the paper's Table 2.
 type eembcSpec struct {
 	name, desc string
+	accesses   int // the trace's length, which no layout changes
 	build      func(k *kernel)
 }
 
@@ -271,17 +278,17 @@ type eembcSpec struct {
 // MA PN PU RS TB TT).
 func EEMBC() []Workload {
 	specs := []eembcSpec{
-		{"a2time01", "angle-to-time conversion: small hot loop over sensor ring buffer", buildA2time},
-		{"basefp01", "basic floating-point: arithmetic sweeps over working arrays", buildBasefp},
-		{"bitmnp01", "bit manipulation: shifts and masks over bit arrays with a lookup table", buildBitmnp},
-		{"cacheb01", "cache buster: large strided buffer deliberately exceeding the L1", buildCacheb},
-		{"canrdr01", "CAN remote data request: message queue walk with ID table lookups", buildCanrdr},
-		{"matrix01", "matrix arithmetic: row and column sweeps over three matrices", buildMatrix},
-		{"pntrch01", "pointer chase: linked-list traversal over a node pool", buildPntrch},
-		{"puwmod01", "pulse-width modulation: tiny control loop over a small state block", buildPuwmod},
-		{"rspeed01", "road speed calculation: table-driven conversion of wheel pulses", buildRspeed},
-		{"tblook01", "table lookup and interpolation over a large calibration table", buildTblook},
-		{"ttsprk01", "tooth-to-spark: multi-phase ignition computation over several arrays", buildTtsprk},
+		{"a2time01", "angle-to-time conversion: small hot loop over sensor ring buffer", 69304, buildA2time},
+		{"basefp01", "basic floating-point: arithmetic sweeps over working arrays", 60498, buildBasefp},
+		{"bitmnp01", "bit manipulation: shifts and masks over bit arrays with a lookup table", 61040, buildBitmnp},
+		{"cacheb01", "cache buster: large strided buffer deliberately exceeding the L1", 38912, buildCacheb},
+		{"canrdr01", "CAN remote data request: message queue walk with ID table lookups", 62490, buildCanrdr},
+		{"matrix01", "matrix arithmetic: row and column sweeps over three matrices", 105240, buildMatrix},
+		{"pntrch01", "pointer chase: linked-list traversal over a node pool", 119042, buildPntrch},
+		{"puwmod01", "pulse-width modulation: tiny control loop over a small state block", 51144, buildPuwmod},
+		{"rspeed01", "road speed calculation: table-driven conversion of wheel pulses", 46044, buildRspeed},
+		{"tblook01", "table lookup and interpolation over a large calibration table", 67806, buildTblook},
+		{"ttsprk01", "tooth-to-spark: multi-phase ignition computation over several arrays", 74728, buildTtsprk},
 	}
 	out := make([]Workload, len(specs))
 	for i, s := range specs {
@@ -290,7 +297,7 @@ func EEMBC() []Workload {
 			Name:        s.name,
 			Description: s.desc,
 			Build: func(l Layout) trace.Trace {
-				k := newKernel(s.name, l, 1<<16)
+				k := newKernel(s.name, l, s.accesses)
 				s.build(k)
 				return k.b.Trace()
 			},

@@ -24,6 +24,20 @@ func TestAllWorkloadsBuildNonEmpty(t *testing.T) {
 	}
 }
 
+// TestBuiltinTracesAreExactlySized pins every built-in kernel's size hint
+// to its access count: a build allocates its trace once and never
+// regrows it, at any layout.
+func TestBuiltinTracesAreExactlySized(t *testing.T) {
+	for _, w := range All() {
+		for _, l := range []Layout{DefaultLayout(), BaselineLayout()} {
+			if tr := w.Build(l); cap(tr) != len(tr) {
+				t.Errorf("%s: %d accesses built in a trace sized for %d; size the kernel for %d",
+					w.Name, len(tr), cap(tr), len(tr))
+			}
+		}
+	}
+}
+
 func TestEEMBCCountAndOrder(t *testing.T) {
 	ws := EEMBC()
 	if len(ws) != 11 {
