@@ -280,7 +280,8 @@ func WithEvents(sink func(Event)) EngineOption {
 // Encode/DecodeCheckpoint, and resume to completion. Results are
 // bit-identical to plain runs by the resume contract — `paperbench
 // -resume-check` uses this to regenerate the bench trajectory through the
-// crash path so CI can compare it against the committed snapshots.
+// crash path, and TestTrajectoryMatchesCommittedSnapshots (cmd/paperbench)
+// compares it against the committed snapshots.
 func WithCheckpointReplay() EngineOption {
 	return func(e *Engine) { e.replay = true }
 }
@@ -370,8 +371,9 @@ func (e *Engine) run(ctx context.Context, index int, req Request) (Result, error
 // runReplay is the self-checking execution mode behind
 // WithCheckpointReplay: run until the first checkpoint past the midpoint,
 // cancel, round-trip the checkpoint through the wire codec, and resume.
-// The completed Result must be — and the resumed-bench CI gate asserts it
-// is — bit-identical to a plain run.
+// The completed Result must be — and the resume-check subtest of
+// TestTrajectoryMatchesCommittedSnapshots asserts it is — bit-identical
+// to a plain run.
 //
 // Event consumers see the two legs spliced into ONE campaign: the first
 // leg's cancellation Finished and the second leg's Started are dropped,

@@ -14,6 +14,8 @@ package iid
 import (
 	"errors"
 	"math"
+	"sort"
+	"sync"
 
 	"repro/internal/prng"
 	"repro/internal/stats"
@@ -172,10 +174,17 @@ type ETResult struct {
 // exponential distribution tail: excesses over the (1-tailFrac) empirical
 // quantile are compared against an exponential with the estimated mean.
 // Because the mean is estimated from the same data, critical values come
-// from a deterministic Monte-Carlo simulation of the null (the Lilliefors
-// construction). A pass supports convergence of block maxima to a Gumbel
-// law, as required before applying EVT (paper, Section 4.2: "We also
-// applied and passed the ET test for Gumbel convergence testing").
+// from a Monte-Carlo simulation of the null (the Lilliefors construction):
+// the statistics of etReps exponential samples of the tail size, drawn
+// from one fixed-seed stream. They depend on the tail size alone, so they
+// are simulated once per tail size per process and kept as a sorted table
+// (etNull); every test counts the table entries at or above its statistic
+// with one binary search (etPValue). The first test at a size pays for
+// the simulation, about as long as one ET test used to take; later tests
+// at that size cost the tail extraction and one KS distance. A pass
+// supports convergence of block maxima to a Gumbel law, as required
+// before applying EVT (paper, Section 4.2: "We also applied and passed
+// the ET test for Gumbel convergence testing").
 func ETTest(xs []float64, tailFrac float64) (ETResult, error) {
 	if tailFrac <= 0 || tailFrac >= 1 {
 		return ETResult{}, errors.New("iid: tail fraction must be in (0,1)")
@@ -194,24 +203,52 @@ func ETTest(xs []float64, tailFrac float64) (ETResult, error) {
 		return ETResult{}, ErrTooFewSamples
 	}
 	d := ksExpDistance(exc)
-
-	// Null distribution of the statistic for this tail size, by simulation
-	// with a fixed seed so results are reproducible.
-	const reps = 400
-	//rm:deterministic fixed-seed null-distribution simulation: the ET-test p-value must be identical on every invocation (pinned by BENCH_PR*.json)
-	g := prng.New(0xE7E7)
-	ge := 0
-	sim := make([]float64, len(exc))
-	for r := 0; r < reps; r++ {
-		for i := range sim {
-			sim[i] = -math.Log(1 - g.Float64())
-		}
-		if ksExpDistance(sim) >= d {
-			ge++
-		}
-	}
-	p := float64(ge+1) / float64(reps+1)
+	p := etPValue(d, len(exc))
 	return ETResult{Stat: d, P: p, Threshold: u, TailN: len(exc), Pass: p > Alpha}, nil
+}
+
+// etReps is the number of simulated exponential samples in the ET test's
+// null distribution.
+const etReps = 400
+
+// etPValue is the ET test's Monte-Carlo p-value for statistic d at tail
+// size n: the simulated statistics at or above d, plus one for d itself,
+// over etReps+1. No entry compares >= a NaN d, so a NaN counts none.
+func etPValue(d float64, n int) float64 {
+	null := etNull(n)
+	ge := len(null) - sort.SearchFloat64s(null, d)
+	return float64(ge+1) / float64(etReps+1)
+}
+
+// etNulls maps a tail size to the sync.OnceValue that builds its null
+// distribution. Only the sizes an ET test has used have an entry; they
+// are at most the tested sample's length, so Window bounds them in
+// campaigns.
+var etNulls sync.Map
+
+// etNull returns the ET test's null distribution for tail size n: the
+// KS distances of etReps exponential samples of size n from their own
+// fitted exponentials, sorted ascending. The first call for n simulates
+// them; later calls, from any goroutine, share the table.
+func etNull(n int) []float64 {
+	build, ok := etNulls.Load(n)
+	if !ok {
+		build, _ = etNulls.LoadOrStore(n, sync.OnceValue(func() []float64 {
+			//rm:deterministic fixed-seed null-distribution simulation: the ET-test p-value must be identical in every process (pinned by BENCH_PR*.json)
+			g := prng.New(0xE7E7)
+			null := make([]float64, etReps)
+			sim := make([]float64, n)
+			for r := range null {
+				for i := range sim {
+					sim[i] = -math.Log(1 - g.Float64())
+				}
+				null[r] = ksExpDistance(sim)
+			}
+			sort.Float64s(null)
+			return null
+		}))
+	}
+	return build.(func() []float64)()
 }
 
 // ETTestSearch applies the ET test over a grid of candidate tail sizes and

@@ -2,6 +2,8 @@ package iid
 
 import (
 	"math"
+	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -314,5 +316,165 @@ func TestETTestSearchErrorsOnTinySamples(t *testing.T) {
 	// A grid with no feasible entries must error, not panic.
 	if _, err := ETTestSearch(make([]float64, 12), []int{100}); err == nil {
 		t.Fatal("infeasible grid accepted")
+	}
+}
+
+// etOracleReps is the size of the ET test's simulated null, stated
+// apart from etReps so the oracle pins it.
+const etOracleReps = 400
+
+// simulateETNull is the oracle for etNull: the ET test's null simulated
+// directly, as ETTest once did on every call, with the statistics in
+// draw order.
+func simulateETNull(n int) []float64 {
+	g := prng.New(0xE7E7)
+	null := make([]float64, etOracleReps)
+	sim := make([]float64, n)
+	for r := range null {
+		for i := range sim {
+			sim[i] = -math.Log(1 - g.Float64())
+		}
+		null[r] = ksExpDistance(sim)
+	}
+	return null
+}
+
+// directETP is the oracle for etPValue: the per-call loop's p-value,
+// counting every simulated statistic at or above d.
+func directETP(d float64, n int) float64 {
+	ge := 0
+	for _, s := range simulateETNull(n) {
+		if s >= d {
+			ge++
+		}
+	}
+	return float64(ge+1) / float64(etOracleReps+1)
+}
+
+// TestETNullMatchesSimulation: the tabulated null is the direct
+// simulation's statistics sorted, bit for bit, and its p-value counts
+// exactly the statistics the direct loop counts, ties included.
+func TestETNullMatchesSimulation(t *testing.T) {
+	sizes := []int{1000, Window}
+	for n := 10; n <= 256; n++ {
+		sizes = append(sizes, n)
+	}
+	for _, n := range sizes {
+		want := simulateETNull(n)
+		sort.Float64s(want)
+		got := etNull(n)
+		if len(got) != len(want) {
+			t.Fatalf("n=%d: table holds %d statistics, want %d", n, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("n=%d: table[%d] = %v, simulation %v", n, i, got[i], want[i])
+			}
+		}
+	}
+
+	// The p-value below, exactly at and above a table entry. The entry
+	// must differ from both neighbours, so that at it a >= count and a >
+	// count differ by one.
+	for _, n := range []int{15, 25, 40, 60, 137} {
+		null := etNull(n)
+		k := etOracleReps / 2
+		for null[k-1] == null[k] || null[k] == null[k+1] {
+			k++
+		}
+		e := null[k]
+		for _, d := range []float64{math.Nextafter(e, 0), e, math.Nextafter(e, 2), math.NaN(), 0, 1} {
+			if got, want := etPValue(d, n), directETP(d, n); got != want {
+				t.Fatalf("n=%d d=%v: p-value %v, direct simulation %v", n, d, got, want)
+			}
+		}
+		if got, want := etPValue(e, n), float64(etOracleReps-k+1)/float64(etOracleReps+1); got != want {
+			t.Fatalf("n=%d: p-value at entry %d is %v, want %v (the entry itself counts)", n, k, got, want)
+		}
+	}
+
+	// ETTest's P on real vectors is the direct loop's.
+	for seed := uint64(1); seed <= 6; seed++ {
+		xs := iidSample(seed, 300)
+		for _, frac := range []float64{0.05, 0.1, 0.2} {
+			r, err := ETTest(xs, frac)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := directETP(r.Stat, r.TailN); r.P != want {
+				t.Fatalf("seed %d frac %v: ETTest P %v, direct simulation %v", seed, frac, r.P, want)
+			}
+		}
+	}
+}
+
+// TestETTestSearchConcurrent: goroutines racing to build the same and
+// different tables get the results sequential calls get. Run it under
+// go test -race.
+func TestETTestSearchConcurrent(t *testing.T) {
+	// Four tail sizes nothing in this process has tabulated yet, so the
+	// goroutines build them (also under -count).
+	var sizes []int
+	for k := 270; len(sizes) < 4; k += 7 {
+		if _, built := etNulls.Load(k); !built {
+			sizes = append(sizes, k)
+		}
+	}
+	const goroutines = 8 // two per size, so two goroutines race on each slot
+	vecs := make([][]float64, goroutines)
+	for g := range vecs {
+		vecs[g] = iidSample(uint64(100+g), 1000)
+	}
+	got := make([]ETResult, goroutines)
+	errs := make([]error, goroutines)
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g], errs[g] = ETTestSearch(vecs[g], []int{sizes[g%len(sizes)]})
+		}()
+	}
+	wg.Wait()
+	for g := range goroutines {
+		if errs[g] != nil {
+			t.Fatal(errs[g])
+		}
+		want, err := ETTestSearch(vecs[g], []int{sizes[g%len(sizes)]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[g] != want {
+			t.Fatalf("goroutine %d: concurrent %+v, sequential %+v", g, got[g], want)
+		}
+		if got[g].TailN != sizes[g%len(sizes)] {
+			t.Fatalf("goroutine %d: tail size %d, want %d", g, got[g].TailN, sizes[g%len(sizes)])
+		}
+		if p := directETP(got[g].Stat, got[g].TailN); got[g].P != p {
+			t.Fatalf("goroutine %d: P %v, direct simulation %v", g, got[g].P, p)
+		}
+	}
+}
+
+// BenchmarkETTestSearch times the ET threshold search on a warm table,
+// on the worst case: a 200-value vector whose tail fails at all four
+// default tail sizes, so every size is tested.
+func BenchmarkETTestSearch(b *testing.B) {
+	xs := make([]float64, 200)
+	for i := range xs {
+		// A bounded tail whose density rises to its maximum: as far from
+		// exponential as a tail gets.
+		xs[i] = 1 - math.Pow(1-float64(i)/float64(len(xs)), 3)
+	}
+	r, err := ETTestSearch(xs, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if r.Pass { // the search stops at the first passing size
+		b.Fatalf("benchmark vector passes at tail size %d; it must fail at every default size", r.TailN)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		_, _ = ETTestSearch(xs, nil)
 	}
 }
