@@ -46,18 +46,19 @@ vuln:
 # bulk index plans against its scalar mapping, the lackey trace parser,
 # the one-pass trace compiler against its two-pass oracle, the
 # baseline's trace relocation and the parsers of untrusted bytes:
-# service requests, checkpoints and durable-store blobs (CI runs the
-# same targets with a time budget).
+# service requests, checkpoints and durable-store blobs. FUZZTIME is the
+# budget per target (CI runs `make fuzz-short FUZZTIME=30s`).
+FUZZTIME ?= 10s
 fuzz-short:
-	$(GO) test -run='^$$' -fuzz=FuzzAccessEquivalence -fuzztime=10s ./internal/cache
-	$(GO) test -run='^$$' -fuzz=FuzzCompiledReplay -fuzztime=10s ./internal/sim
-	$(GO) test -run='^$$' -fuzz=FuzzRMIndexAll -fuzztime=10s ./internal/placement
-	$(GO) test -run='^$$' -fuzz=FuzzParseLackey -fuzztime=10s ./internal/trace
-	$(GO) test -run='^$$' -fuzz=FuzzCompile -fuzztime=10s ./internal/trace
-	$(GO) test -run='^$$' -fuzz=FuzzRelocate -fuzztime=10s ./internal/workload
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeWireRequest -fuzztime=10s ./internal/core
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeCheckpoint -fuzztime=10s ./internal/core
-	$(GO) test -run='^$$' -fuzz=FuzzUnenvelope -fuzztime=10s ./internal/service
+	$(GO) test -run='^$$' -fuzz=FuzzAccessEquivalence -fuzztime=$(FUZZTIME) ./internal/cache
+	$(GO) test -run='^$$' -fuzz=FuzzCompiledReplay -fuzztime=$(FUZZTIME) ./internal/sim
+	$(GO) test -run='^$$' -fuzz=FuzzRMIndexAll -fuzztime=$(FUZZTIME) ./internal/placement
+	$(GO) test -run='^$$' -fuzz=FuzzParseLackey -fuzztime=$(FUZZTIME) ./internal/trace
+	$(GO) test -run='^$$' -fuzz=FuzzCompile -fuzztime=$(FUZZTIME) ./internal/trace
+	$(GO) test -run='^$$' -fuzz=FuzzRelocate -fuzztime=$(FUZZTIME) ./internal/workload
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeWireRequest -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeCheckpoint -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzUnenvelope -fuzztime=$(FUZZTIME) ./internal/service
 
 # Non-test Go lines outside perfbench and testdata: the size figure
 # CHANGES.md and ROADMAP.md report deltas against.

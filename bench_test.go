@@ -20,18 +20,16 @@ import (
 // campaign results are bit-identical for any pool size, so the rendered
 // tables do not depend on the host's core count.
 func benchScale() experiments.Scale {
-	s := experiments.Scale{Runs: 120, HWMLayouts: 20, SynthRuns: 120, Synth160Run: 40}
 	if os.Getenv("REPRO_FULL") == "1" {
-		s = experiments.FullScale()
+		return experiments.FullScale()
 	}
-	s.Workers = experiments.WorkersFromEnv()
-	return s
+	return experiments.Scale{Runs: 120, HWMLayouts: 20, SynthRuns: 120, Synth160Run: 40}
 }
 
 // benchEngine builds the shared engine every benchmark drives its
 // campaigns through.
-func benchEngine(s experiments.Scale) (context.Context, *Engine) {
-	return context.Background(), experiments.NewEngine(s)
+func benchEngine() (context.Context, *Engine) {
+	return context.Background(), NewEngine(WithWorkers(experiments.WorkersFromEnv()))
 }
 
 // BenchmarkTable1_HardwareCost regenerates Table 1: ASIC area/delay of the
@@ -49,7 +47,7 @@ func BenchmarkTable1_HardwareCost(b *testing.B) {
 // ET) statistics for the EEMBC-like suite under RM caches.
 func BenchmarkTable2_IIDTests(b *testing.B) {
 	s := benchScale()
-	ctx, eng := benchEngine(s)
+	ctx, eng := benchEngine()
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.Table2(ctx, eng, s)
 		if err != nil {
@@ -65,7 +63,7 @@ func BenchmarkTable2_IIDTests(b *testing.B) {
 // Figure 1 (CCDF in log scale with the 1e-15 cutoff).
 func BenchmarkFigure1_PWCETCurve(b *testing.B) {
 	s := benchScale()
-	ctx, eng := benchEngine(s)
+	ctx, eng := benchEngine()
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.Figure1(ctx, eng, s)
 		if err != nil {
@@ -81,7 +79,7 @@ func BenchmarkFigure1_PWCETCurve(b *testing.B) {
 // to hRP across the EEMBC-like suite (paper: 25-62% tighter, avg 43%).
 func BenchmarkFigure4a_RMvsHRP(b *testing.B) {
 	s := benchScale()
-	ctx, eng := benchEngine(s)
+	ctx, eng := benchEngine()
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.Figure4a(ctx, eng, s)
 		if err != nil {
@@ -100,7 +98,7 @@ func BenchmarkFigure4a_RMvsHRP(b *testing.B) {
 // deterministic high-water mark (paper: within 7%).
 func BenchmarkFigure4b_RMvsDET(b *testing.B) {
 	s := benchScale()
-	ctx, eng := benchEngine(s)
+	ctx, eng := benchEngine()
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.Figure4b(ctx, eng, s)
 		if err != nil {
@@ -117,7 +115,7 @@ func BenchmarkFigure4b_RMvsDET(b *testing.B) {
 // hRP (RM compact, hRP heavy-tailed).
 func BenchmarkFigure5ab_SyntheticPDF(b *testing.B) {
 	s := benchScale()
-	ctx, eng := benchEngine(s)
+	ctx, eng := benchEngine()
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.Figure5(ctx, eng, s, 20)
 		if err != nil {
@@ -137,7 +135,7 @@ func BenchmarkFigure5ab_SyntheticPDF(b *testing.B) {
 // partition), checking the pWCET ordering at each point.
 func BenchmarkFigure5c_SyntheticPWCET(b *testing.B) {
 	s := benchScale()
-	ctx, eng := benchEngine(s)
+	ctx, eng := benchEngine()
 	for i := 0; i < b.N; i++ {
 		for _, kb := range []int{8, 20, 160} {
 			r, err := experiments.Figure5(ctx, eng, s, kb)
@@ -166,7 +164,7 @@ func BenchmarkFigure5c_SyntheticPWCET(b *testing.B) {
 // average, max 8%).
 func BenchmarkSection44_AveragePerformance(b *testing.B) {
 	s := benchScale()
-	ctx, eng := benchEngine(s)
+	ctx, eng := benchEngine()
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.AveragePerformance(ctx, eng, s)
 		if err != nil {
@@ -205,7 +203,7 @@ func BenchmarkSection31_CollisionAnalysis(b *testing.B) {
 // deterministic alternatives).
 func BenchmarkAblationReplacement(b *testing.B) {
 	s := benchScale()
-	ctx, eng := benchEngine(s)
+	ctx, eng := benchEngine()
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.AblationReplacement(ctx, eng, s, "tblook01")
 		if err != nil {
@@ -221,7 +219,7 @@ func BenchmarkAblationReplacement(b *testing.B) {
 // including the paper's caveated RM-at-L2 configuration.
 func BenchmarkAblationL2Policy(b *testing.B) {
 	s := benchScale()
-	ctx, eng := benchEngine(s)
+	ctx, eng := benchEngine()
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.AblationL2Policy(ctx, eng, s, "tblook01")
 		if err != nil {
@@ -237,7 +235,7 @@ func BenchmarkAblationL2Policy(b *testing.B) {
 // rotation-only variant and hRP (layout diversity vs hardware cost).
 func BenchmarkAblationRMVariant(b *testing.B) {
 	s := benchScale()
-	ctx, eng := benchEngine(s)
+	ctx, eng := benchEngine()
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.AblationRMVariant(ctx, eng, s, "tblook01")
 		if err != nil {
@@ -254,7 +252,7 @@ func BenchmarkAblationRMVariant(b *testing.B) {
 // partitions isolating storage (Section 2's multicore arrangement).
 func BenchmarkMulticoreContention(b *testing.B) {
 	s := benchScale()
-	ctx, eng := benchEngine(s)
+	ctx, eng := benchEngine()
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.Multicore(ctx, eng, s, "canrdr01")
 		if err != nil {
@@ -273,7 +271,7 @@ func BenchmarkMulticoreContention(b *testing.B) {
 // the pWCET estimate as a function of campaign size (Section 2).
 func BenchmarkConvergenceProtocol(b *testing.B) {
 	s := benchScale()
-	ctx, eng := benchEngine(s)
+	ctx, eng := benchEngine()
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.ConvergenceStudy(ctx, eng, s, "tblook01")
 		if err != nil {
@@ -290,7 +288,7 @@ func BenchmarkConvergenceProtocol(b *testing.B) {
 // conservatism behind the Figure 4(b) margins.
 func BenchmarkAblationEstimator(b *testing.B) {
 	s := benchScale()
-	ctx, eng := benchEngine(s)
+	ctx, eng := benchEngine()
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.AblationEstimator(ctx, eng, s)
 		if err != nil {

@@ -122,7 +122,6 @@ func main() {
 	if *short {
 		scale = experiments.SmokeScale()
 	}
-	scale.Workers = *workers
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -132,7 +131,7 @@ func main() {
 		defer cancel()
 	}
 
-	var opts []core.EngineOption
+	opts := []core.EngineOption{core.WithWorkers(*workers)}
 	if *resumeCheck {
 		opts = append(opts, core.WithCheckpointReplay())
 	}
@@ -163,7 +162,7 @@ func main() {
 			}
 		}))
 	}
-	eng := experiments.NewEngine(scale, opts...)
+	eng := core.NewEngine(opts...)
 	if registry != nil {
 		obs.RegisterPool(registry, eng.Pool())
 	}

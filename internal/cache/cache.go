@@ -279,8 +279,7 @@ func (c *Cache) Flush() {
 	c.cold = true
 }
 
-// HitElisionLimit returns how many allocating lines (lines a read or,
-// on a level that allocates on write, a store fills in) one set of this
+// HitElisionLimit returns how many lines a read fills in one set of this
 // level may hold in a run for every read of each of them after its first
 // to be a hit a replay may skip, or 0 if no read may be skipped. stores
 // reports whether the replayed stream stores to the level.
@@ -293,22 +292,19 @@ func (c *Cache) Flush() {
 // and FIFO hits leave no state. LRU hits advance the tick and stamp the
 // line, so a replay that skips them must restore both (Kernel.RestoreLRU);
 // that needs every access to tick once, which a store missing a
-// no-allocate level does not, so a stored-to LRU level that does not
-// allocate on write skips nothing. PLRU skips nothing: its tree bits
-// record the order of the last touches.
+// no-allocate level does not, so a stored-to LRU level skips nothing. A
+// stored-to level that allocates on write skips nothing either: the
+// paper's platform has write-through no-allocate L1s, whose stores fill
+// no line. PLRU skips nothing: its tree bits record the order of the last
+// touches.
 func (c *Cache) HitElisionLimit(stores bool) int {
-	if !c.cold {
+	if !c.cold || stores && (c.repl == LRU || c.AllocatesOnWrite()) {
 		return 0
 	}
 	switch c.repl {
 	case Random:
 		return 1
-	case LRU:
-		if stores && !c.AllocatesOnWrite() {
-			return 0
-		}
-		return c.ways
-	case FIFO:
+	case LRU, FIFO:
 		return c.ways
 	default:
 		return 0

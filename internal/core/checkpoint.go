@@ -63,11 +63,12 @@ func (e *ResumeMismatchError) Error() string {
 // (work past the frontier at capture time is simply redone — it is a pure
 // function of the run index, so redoing it is invisible in the result).
 //
-// Timing campaigns carry the merged Moments/Sketch/BlockMax accumulators,
-// the IID admissibility window prefix, the summed per-level cache
-// counters and (for KeepTimes campaigns) the measurement-vector prefix.
-// Security campaigns carry the per-round outputs instead; everything else
-// derives from them at completion.
+// Every kind runs through the same campaign loop, so every checkpoint
+// carries its merged Moments/Sketch/BlockMax accumulators, the IID
+// admissibility window prefix, the summed per-level cache counters (zero
+// for security campaigns, whose attacked cache is standalone) and, for
+// KeepTimes campaigns, the measurement-vector prefix. Security campaigns
+// add their per-round outputs, which their final Aggregate consumes.
 type Checkpoint struct {
 	Kind       Kind
 	MasterSeed uint64
@@ -75,7 +76,7 @@ type Checkpoint struct {
 	KeepTimes  TimesMode
 	Frontier   int
 
-	// Timing-campaign accumulators (zero/nil for security campaigns).
+	// The streaming accumulators, for every kind.
 	Window  []float64 // admissibility prefix: min(Frontier, iid.Window) values
 	Moments stats.Moments
 	Sketch  stats.QuantileSketch
@@ -85,7 +86,7 @@ type Checkpoint struct {
 	Levels  LevelStats
 	Times   []float64 // [0:Frontier] when KeepTimes keeps the vector
 
-	// Security-campaign state: per-round outputs [0:Frontier].
+	// Security campaigns only: per-round outputs [0:Frontier].
 	Rounds []security.RoundOut
 }
 
@@ -122,17 +123,12 @@ func (cp *Checkpoint) check() error {
 	if cp.Frontier < 0 || cp.Frontier > cp.Runs {
 		return bad("frontier %d outside [0, %d]", cp.Frontier, cp.Runs)
 	}
+	wantRounds := 0
 	if cp.Kind == KindSecurity {
-		if len(cp.Rounds) != cp.Frontier {
-			return bad("%d rounds for frontier %d", len(cp.Rounds), cp.Frontier)
-		}
-		if cp.Maxima != nil || len(cp.Window) != 0 || len(cp.Times) != 0 {
-			return bad("security checkpoint carries timing accumulators")
-		}
-		return nil
+		wantRounds = cp.Frontier
 	}
-	if len(cp.Rounds) != 0 {
-		return bad("timing checkpoint carries security rounds")
+	if len(cp.Rounds) != wantRounds {
+		return bad("%d rounds for frontier %d of a %s checkpoint (want %d)", len(cp.Rounds), cp.Frontier, cp.Kind, wantRounds)
 	}
 	wantWin := min(cp.Frontier, min(cp.Runs, iid.Window))
 	if len(cp.Window) != wantWin {
@@ -170,7 +166,7 @@ func (cp *Checkpoint) Encode() []byte {
 	b = append(b, byte(cp.KeepTimes))
 	b = binary.AppendUvarint(b, uint64(cp.Frontier))
 
-	// Timing accumulators.
+	// Streaming accumulators.
 	b = appendFloats(b, cp.Window)
 	mean, m2 := cp.Moments.Welford()
 	b = binary.AppendUvarint(b, uint64(cp.Moments.N))

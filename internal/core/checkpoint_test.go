@@ -220,6 +220,41 @@ func TestCheckpointCodecCorruption(t *testing.T) {
 	}
 }
 
+// TestRoundsOnlySecurityCheckpointRejected: a security checkpoint that
+// carries its per-round outputs but not the streaming accumulators (the
+// layout written before security campaigns ran through the shared
+// campaign loop) fails decode with *CorruptCheckpointError, so a store
+// quarantines it and recomputes instead of resuming from it. The same
+// frontier captured by the campaign loop decodes and resumes.
+func TestRoundsOnlySecurityCheckpointRejected(t *testing.T) {
+	req := ckptRequests(t)[2]
+	cp := interruptAt(t, req, 2, req.Runs/3)
+	if cp == nil {
+		t.Fatal("campaign finished before checkpoint")
+	}
+	if len(cp.Rounds) != cp.Frontier || cp.Maxima == nil || len(cp.Times) != cp.Frontier {
+		t.Fatalf("security checkpoint lacks its accumulators: %d rounds, %d times, maxima %v for frontier %d",
+			len(cp.Rounds), len(cp.Times), cp.Maxima != nil, cp.Frontier)
+	}
+	old := &Checkpoint{
+		Kind: KindSecurity, MasterSeed: cp.MasterSeed, Runs: cp.Runs,
+		KeepTimes: cp.KeepTimes, Frontier: cp.Frontier, Rounds: cp.Rounds,
+	}
+	var corrupt *CorruptCheckpointError
+	if _, err := DecodeCheckpoint(old.Encode()); !errors.As(err, &corrupt) {
+		t.Fatalf("rounds-only checkpoint: decode err = %v, want *CorruptCheckpointError", err)
+	}
+	if err := old.Validate(req); !errors.As(err, &corrupt) {
+		t.Fatalf("rounds-only checkpoint: Validate err = %v, want *CorruptCheckpointError", err)
+	}
+	// Rounds on a timing checkpoint are damage too.
+	timing := interruptAt(t, ckptRequests(t)[0], 2, 30)
+	timing.Rounds = cp.Rounds[:timing.Frontier%len(cp.Rounds)+1]
+	if _, err := DecodeCheckpoint(timing.Encode()); !errors.As(err, &corrupt) {
+		t.Fatalf("timing checkpoint with rounds: decode err = %v, want *CorruptCheckpointError", err)
+	}
+}
+
 // TestResumeMismatchRejected: a checkpoint attached to the wrong request
 // fails before the first run with *ResumeMismatchError naming the field.
 func TestResumeMismatchRejected(t *testing.T) {

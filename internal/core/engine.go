@@ -53,10 +53,11 @@ type Request struct {
 	Security *security.Spec
 	// KeepTimes controls whether Result.Times retains the per-run
 	// measurement vector. The zero value keeps it (full back-compat);
-	// TimesDrop leaves Times nil so a campaign's steady-state memory is
-	// independent of its run count — Summary, the analysis and the miss
-	// ratios are unaffected (they come from streaming accumulators either
-	// way).
+	// TimesDrop leaves Times nil so a timing campaign's steady-state
+	// memory is independent of its run count — Summary, the analysis and
+	// the miss ratios are unaffected (they come from streaming
+	// accumulators either way). Security campaigns buffer their per-round
+	// outputs under either mode, since their aggregate consumes them.
 	KeepTimes TimesMode
 
 	// Resume restarts the campaign from a checkpoint previously captured
@@ -437,8 +438,7 @@ func (e *Engine) runReplay(ctx context.Context, index int, req Request) (Result,
 }
 
 // campaign is one Request in flight on an Engine: the identity its events
-// carry and its completed-run counter. The timing and security runners
-// share it, so both report progress the same way.
+// carry and its completed-run counter.
 type campaign struct {
 	e     *Engine
 	name  string
@@ -490,33 +490,45 @@ func (c *campaign) finish(res Result, err error) (Result, error) {
 	return res, err
 }
 
-// aborted annotates a sweep's cancellation with the runs (or, for
-// security campaigns, rounds) completed by then; the error still wraps
-// ctx.Err().
-func (c *campaign) aborted(err error, unit string) error {
+// aborted annotates a sweep's cancellation with the runs completed by
+// then; the error still wraps ctx.Err().
+func (c *campaign) aborted(err error) error {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return fmt.Errorf("core: campaign %s aborted after %d/%d %s: %w", c.name, c.done.Load(), c.total, unit, err)
+		return fmt.Errorf("core: campaign %s aborted after %d/%d runs: %w", c.name, c.done.Load(), c.total, err)
 	}
 	return err
 }
 
-// runOnce executes req once. On cancellation the returned error wraps
-// ctx.Err() (so errors.Is(err, context.Canceled) holds) and the Result
-// carries the partial measurement vector.
-func (e *Engine) runOnce(ctx context.Context, index int, req Request) (Result, error) {
-	c := &campaign{e: e, name: req.name(), kind: req.Kind(), index: index, total: req.Runs}
-	res := Result{Name: c.name}
-	c.emit(Event{Kind: CampaignStarted})
-	if req.Runs < 1 {
-		return c.finish(res, errors.New("core: campaign needs at least one run"))
-	}
-	if req.Security != nil {
-		return e.runSecurity(ctx, req, c)
-	}
-	if req.Workload.Build == nil {
-		return c.finish(res, errors.New("core: campaign needs a workload"))
-	}
+// plan is what sets one campaign kind apart on the shared campaign loop
+// of runOnce: its one-time build and the per-run step its workers
+// execute. Everything else (the streaming accumulators, the in-order
+// frontier, checkpoint capture and resume, cancellation and events) is
+// common to every kind.
+type plan struct {
+	// build runs once per campaign under a pool slot; nil builds nothing
+	// (and emits no compile phase).
+	build func() error
+	// worker returns one worker's private execution state as its step;
+	// it runs after build.
+	worker func() (step, error)
+	// spec and rounds are set for security campaigns: the normalized
+	// attack and the per-round outputs the steps fill, which the
+	// completed campaign aggregates.
+	spec   security.Spec
+	rounds []security.RoundOut
+}
 
+// step executes one run on a worker's private state and returns its
+// measurement, adding the run's cache counters, if it has any, to lv.
+type step func(run int, lv *LevelStats) float64
+
+// timingPlan returns the MBPTA or baseline part of the campaign loop.
+// The build compiles the workload once (relocatably for the baseline)
+// and records the MBPTA trace accounting in res.
+func timingPlan(req Request, name string, res *Result) (plan, error) {
+	if req.Workload.Build == nil {
+		return plan{}, errors.New("core: campaign needs a workload")
+	}
 	layout := workload.DefaultLayout()
 	if req.Baseline {
 		layout = workload.BaselineLayout()
@@ -525,13 +537,13 @@ func (e *Engine) runOnce(ctx context.Context, index int, req Request) (Result, e
 		layout = *req.Layout
 	}
 	var do func(p *sim.Core, run int) sim.Result
-	if err := e.buildOnce(ctx, c.name, func() error {
+	build := func() error {
 		if req.Baseline {
 			// Layouts change per run, the program does not: compile once at
 			// the base layout and relocate the line tables per run.
 			rel, err := req.Workload.Relocatable(layout, req.Spec.LineBytes)
 			if err != nil {
-				return fmt.Errorf("core: campaign %s: %w", c.name, err)
+				return fmt.Errorf("core: campaign %s: %w", name, err)
 			}
 			if rel.Len() == 0 {
 				return fmt.Errorf("core: workload %s built an empty trace", req.Workload.Name)
@@ -557,7 +569,7 @@ func (e *Engine) runOnce(ctx context.Context, index int, req Request) (Result, e
 		// materializes its index plans from it (the campaign hot path).
 		ct, err := trace.Compile(tr, req.Spec.LineBytes)
 		if err != nil {
-			return fmt.Errorf("core: campaign %s: %w", c.name, err)
+			return fmt.Errorf("core: campaign %s: %w", name, err)
 		}
 		f, l, st := tr.Counts()
 		res.Trace.Accesses = len(tr)
@@ -567,16 +579,56 @@ func (e *Engine) runOnce(ctx context.Context, index int, req Request) (Result, e
 			return p.RunCompiled(ct)
 		}
 		return nil
-	}); err != nil {
+	}
+	// Each worker builds its own platform from the spec (simulators are
+	// not safe for concurrent use).
+	worker := func() (step, error) {
+		p, err := req.Spec.Build()
+		if err != nil {
+			return nil, err
+		}
+		return func(run int, lv *LevelStats) float64 {
+			r := do(p, run)
+			lv.add(r)
+			return float64(r.Cycles)
+		}, nil
+	}
+	return plan{build: build, worker: worker}, nil
+}
+
+// runOnce executes req once: every campaign kind runs through this one
+// loop. On cancellation the returned error wraps ctx.Err() (so
+// errors.Is(err, context.Canceled) holds) and the Result carries the
+// partial measurement vector.
+func (e *Engine) runOnce(ctx context.Context, index int, req Request) (Result, error) {
+	c := &campaign{e: e, name: req.name(), kind: req.Kind(), index: index, total: req.Runs}
+	res := Result{Name: c.name}
+	c.emit(Event{Kind: CampaignStarted})
+	if req.Runs < 1 {
+		return c.finish(res, errors.New("core: campaign needs at least one run"))
+	}
+	var p plan
+	var err error
+	if req.Security != nil {
+		p, err = securityPlan(req)
+	} else {
+		p, err = timingPlan(req, c.name, &res)
+	}
+	if err != nil {
 		return c.finish(res, err)
 	}
-	c.phase(PhaseCompile)
+	if p.build != nil {
+		if err := e.buildOnce(ctx, c.name, p.build); err != nil {
+			return c.finish(res, err)
+		}
+		c.phase(PhaseCompile)
+	}
 
 	// All aggregates stream through the campaign accumulator; the buffered
 	// vector is only allocated when the caller wants it back.
 	acc := newCampaignAccum(req.Runs)
 	acc.meta = ckptMeta{kind: c.kind, seed: req.MasterSeed, keepTimes: req.KeepTimes}
-	if e.events != nil {
+	if e.events != nil && c.kind != KindSecurity { // snapshots carry timing statistics
 		acc.advanced = func() {
 			s := acc.snapshotLocked()
 			c.emit(Event{Kind: SnapshotTaken, Snapshot: &s, Done: s.Runs})
@@ -590,7 +642,7 @@ func (e *Engine) runOnce(ctx context.Context, index int, req Request) (Result, e
 	if req.KeepTimes == TimesKeep {
 		times = make([]float64, req.Runs)
 	}
-	acc.times = times
+	acc.times, acc.rounds = times, p.rounds
 	start := 0
 	if req.Resume != nil {
 		if err := req.Resume.Validate(req); err != nil {
@@ -601,20 +653,18 @@ func (e *Engine) runOnce(ctx context.Context, index int, req Request) (Result, e
 		c.done.Store(int64(start))
 	}
 
-	// Each worker builds its own platform from the spec and streams its
-	// chunk's cycle counts into a chunk-local accumulator (and into
-	// times[run] when the caller keeps the vector). The per-level counters
-	// ride the same chunks: integer sums are order-independent, and the
-	// frontier merges them in run order, so every checkpoint's counters
-	// match its frontier.
-	err := ShardRuns(ctx, e.Pool(), start, req.Runs, req.Spec.Build, func(p *sim.Core, lo, hi int) error {
+	// Each worker streams its chunk's measurements into a chunk-local
+	// accumulator (and into times[run] when the caller keeps the vector).
+	// The per-level counters ride the same chunks: integer sums are
+	// order-independent, and the frontier merges them in run order, so
+	// every checkpoint's counters match its frontier.
+	err = ShardRuns(ctx, e.Pool(), start, req.Runs, p.worker, func(do step, lo, hi int) error {
 		ca := acc.newChunk(lo, hi)
 		for run := lo; run < hi; run++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			r := do(p, run)
-			x := float64(r.Cycles)
+			x := do(run, &ca.levels)
 			if times != nil {
 				times[run] = x
 			}
@@ -622,7 +672,6 @@ func (e *Engine) runOnce(ctx context.Context, index int, req Request) (Result, e
 				acc.window[run] = x
 			}
 			ca.add(run, x)
-			ca.levels.add(r)
 			c.ran(run, x)
 		}
 		acc.commit(ca)
@@ -631,7 +680,7 @@ func (e *Engine) runOnce(ctx context.Context, index int, req Request) (Result, e
 	res.Times = times
 	res.Summary = acc.summary()
 	if err != nil {
-		return c.finish(res, c.aborted(err, "runs"))
+		return c.finish(res, c.aborted(err))
 	}
 	totals := acc.levelsTotal()
 	res.Levels = totals
@@ -650,6 +699,10 @@ func (e *Engine) runOnce(ctx context.Context, index int, req Request) (Result, e
 		}
 		res.Analysis = &an
 		c.phase(PhaseAnalyze)
+	}
+	if p.rounds != nil {
+		agg := security.Aggregate(p.spec, p.rounds)
+		res.Security = &agg
 	}
 	return c.finish(res, nil)
 }

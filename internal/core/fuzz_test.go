@@ -90,6 +90,10 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	}
 	f.Add([]byte(checkpointMagic))
 	f.Add([]byte("RMCKPT1"))
+	// A security checkpoint: the streaming accumulators plus the rounds.
+	if cp := interruptAt(f, ckptRequests(f)[2], 2, 16); cp != nil {
+		f.Add(cp.Encode())
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sum := sha256.Sum256(data)
 		for _, b := range [][]byte{data, append(data[:len(data):len(data)], sum[:]...)} {

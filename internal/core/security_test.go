@@ -166,3 +166,29 @@ func TestSecurityCampaignEvents(t *testing.T) {
 		t.Fatalf("%d RunCompleted events, want %d", completed, runs)
 	}
 }
+
+// TestSecurityCampaignNoSnapshots: snapshots carry timing statistics, so
+// a security campaign emits none, although its rounds stream through the
+// same accumulators and frontier as a timing campaign's runs.
+func TestSecurityCampaignNoSnapshots(t *testing.T) {
+	var snaps, phases int
+	eng := NewEngine(WithWorkers(2), WithEvents(func(ev Event) {
+		switch ev.Kind {
+		case SnapshotTaken:
+			snaps++
+		case PhaseDone:
+			phases++
+		}
+	}))
+	for _, proto := range security.Protocols() {
+		if _, err := eng.Run(context.Background(), secRequest(proto, 24)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if snaps != 0 {
+		t.Fatalf("security campaigns emitted %d snapshots, want 0", snaps)
+	}
+	if phases != len(security.Protocols()) {
+		t.Fatalf("%d phase events, want one replay phase per campaign", phases)
+	}
+}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/evt"
 	"repro/internal/iid"
+	"repro/internal/security"
 	"repro/internal/stats"
 )
 
@@ -55,11 +56,27 @@ type Snapshot struct {
 	AccumBytes int
 }
 
-// campaignAccum is the streaming statistics state of one timing
-// campaign: the central accumulators, merged chunk by chunk in canonical
-// run-index order by the embedded frontier (whose mutex guards them).
+// campaignAccum is the streaming state of one campaign, of any kind: the
+// central accumulators, merged chunk by chunk in canonical run-index
+// order at the campaign's commit frontier. ShardRuns claims chunks
+// dynamically, so they complete out of order; commit parks each one
+// (bounded by the chunk count, a few per worker) until the contiguous run
+// prefix reaches it, which makes the merge sequence, every snapshot and
+// every checkpoint independent of scheduling. mu guards the frontier and
+// the central accumulators, and orders the workers' run-indexed writes
+// before any read of the merged prefix.
 type campaignAccum struct {
-	frontier
+	mu       sync.Mutex
+	pending  map[int]*chunkAccum // completed chunks past the frontier, by lo
+	merged   int                 // runs [0, merged) are merged
+	every    int                 // checkpoint stride
+	lastCkpt int
+	// Called under mu, each optional: advanced observes every frontier
+	// advance, and checkpoint captures one each time the frontier has
+	// advanced at least every runs past the previous capture.
+	advanced   func()
+	checkpoint func()
+
 	total int
 	block int // evt.BlockFor(total)
 	// window buffers the first min(total, iid.Window) measurements for the
@@ -76,11 +93,13 @@ type campaignAccum struct {
 
 	// Checkpoint capture (see checkpoint.go). meta carries the request
 	// identity stamped into every checkpoint; times aliases the caller's
-	// buffered vector (run-indexed writes for merged runs happen-before the
-	// commit that advanced the frontier past them, so reading the prefix
-	// under mu is race-free).
-	meta  ckptMeta
-	times []float64
+	// buffered vector and rounds a security campaign's per-round outputs
+	// (run-indexed writes for merged runs happen-before the commit that
+	// advanced the frontier past them, so reading the prefix under mu is
+	// race-free).
+	meta   ckptMeta
+	times  []float64
+	rounds []security.RoundOut
 }
 
 // ckptMeta is the request identity stamped into checkpoints.
@@ -92,16 +111,14 @@ type ckptMeta struct {
 
 func newCampaignAccum(total int) *campaignAccum {
 	block := evt.BlockFor(total)
-	a := &campaignAccum{
-		frontier: frontier{pending: make(map[int]parked)},
-		total:    total,
-		block:    block,
-		window:   make([]float64, min(total, iid.Window)),
-		maxima:   stats.NewBlockMax(block, 0, total/block),
-		badRun:   -1,
+	return &campaignAccum{
+		pending: make(map[int]*chunkAccum),
+		total:   total,
+		block:   block,
+		window:  make([]float64, min(total, iid.Window)),
+		maxima:  stats.NewBlockMax(block, 0, total/block),
+		badRun:  -1,
 	}
-	a.merge = a.mergeChunk
-	return a
 }
 
 // chunkAccum accumulates one claimed chunk of runs [lo, hi) privately (no
@@ -159,63 +176,28 @@ func (a *campaignAccum) mergeChunk(c *chunkAccum) {
 	}
 }
 
-// commit hands a completed chunk to the frontier, which merges it once
-// every earlier run has merged.
-func (a *campaignAccum) commit(c *chunkAccum) { a.frontier.commit(c.lo, c.hi, c) }
-
-// frontier is the in-order commit point of every sharded campaign, timing
-// and security alike. ShardRuns claims chunks dynamically, so they
-// complete out of order; commit parks each one (bounded by the chunk
-// count, a few per worker) until the contiguous run prefix reaches it,
-// which makes the merge sequence, every snapshot and every checkpoint
-// independent of scheduling. The mutex also orders the workers'
-// run-indexed writes before any read of the merged prefix.
-type frontier struct {
-	mu       sync.Mutex
-	pending  map[int]parked // chunk lo -> the chunk
-	merged   int            // runs [0, merged) are committed
-	every    int            // checkpoint stride
-	lastCkpt int
-	// Called under mu, each optional: merge folds one chunk's accumulator
-	// in run order, advanced observes every frontier advance, and
-	// checkpoint captures one each time the frontier has advanced at
-	// least every runs past the previous capture.
-	merge      func(*chunkAccum)
-	advanced   func()
-	checkpoint func()
-}
-
-// parked is a completed chunk waiting for the frontier: its end and, for
-// timing campaigns, its accumulator.
-type parked struct {
-	hi  int
-	acc *chunkAccum
-}
-
-// commit records chunk [lo, hi) as complete and advances the frontier
-// over every chunk that is now contiguous with it.
-func (f *frontier) commit(lo, hi int, acc *chunkAccum) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.pending[lo] = parked{hi, acc}
+// commit records a completed chunk and advances the frontier over every
+// chunk that is now contiguous with the merged prefix, merging each.
+func (a *campaignAccum) commit(c *chunkAccum) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.pending[c.lo] = c
 	advanced := false
-	for p, ok := f.pending[f.merged]; ok; p, ok = f.pending[f.merged] {
-		delete(f.pending, f.merged)
-		if f.merge != nil {
-			f.merge(p.acc)
-		}
-		f.merged = p.hi
+	for p, ok := a.pending[a.merged]; ok; p, ok = a.pending[a.merged] {
+		delete(a.pending, a.merged)
+		a.mergeChunk(p)
+		a.merged = p.hi
 		advanced = true
 	}
 	if !advanced {
 		return
 	}
-	if f.advanced != nil {
-		f.advanced()
+	if a.advanced != nil {
+		a.advanced()
 	}
-	if f.checkpoint != nil && f.merged-f.lastCkpt >= f.every {
-		f.lastCkpt = f.merged
-		f.checkpoint()
+	if a.checkpoint != nil && a.merged-a.lastCkpt >= a.every {
+		a.lastCkpt = a.merged
+		a.checkpoint()
 	}
 }
 
@@ -241,6 +223,9 @@ func (a *campaignAccum) checkpointLocked() *Checkpoint {
 	if a.times != nil {
 		cp.Times = append([]float64(nil), a.times[:a.merged]...)
 	}
+	if a.rounds != nil {
+		cp.Rounds = append([]security.RoundOut(nil), a.rounds[:a.merged]...)
+	}
 	return cp
 }
 
@@ -256,9 +241,8 @@ func (a *campaignAccum) restore(cp *Checkpoint) {
 	a.merged = cp.Frontier
 	a.lastCkpt = cp.Frontier
 	a.badRun, a.badVal = cp.BadRun, cp.BadVal
-	if a.times != nil {
-		copy(a.times, cp.Times)
-	}
+	copy(a.times, cp.Times)
+	copy(a.rounds, cp.Rounds)
 }
 
 // levelsTotal returns the merged per-level counters.

@@ -27,11 +27,6 @@ type Scale struct {
 	SynthRuns   int // runs for the synthetic-kernel campaigns
 	Synth160Run int // runs for the 160KB synthetic kernel (costliest)
 	SecRounds   int // attack rounds per security campaign
-	// Workers sizes the shared engine pool built by NewEngine. Zero (the
-	// default) selects runtime.GOMAXPROCS(0); results are bit-identical
-	// for any value. The drivers themselves no longer read it -- they run
-	// whatever *core.Engine they are handed.
-	Workers int
 }
 
 // DefaultScale returns the reduced scale used by `go test -bench`.
@@ -52,26 +47,17 @@ func SmokeScale() Scale {
 	return Scale{Runs: 80, HWMLayouts: 10, SynthRuns: 80, Synth160Run: 40, SecRounds: 24}
 }
 
-// NewEngine builds the shared campaign engine the drivers run on, sized
-// from the scale's Workers knob; extra options (events, pool sharing)
-// pass through to core.NewEngine.
-func NewEngine(s Scale, opts ...core.EngineOption) *core.Engine {
-	return core.NewEngine(append([]core.EngineOption{core.WithWorkers(s.Workers)}, opts...)...)
-}
-
 // FromEnv returns FullScale when REPRO_FULL=1 is set, DefaultScale
-// otherwise, with the worker-pool size from REPRO_WORKERS.
+// otherwise.
 func FromEnv() Scale {
-	s := DefaultScale()
 	if os.Getenv("REPRO_FULL") == "1" {
-		s = FullScale()
+		return FullScale()
 	}
-	s.Workers = WorkersFromEnv()
-	return s
+	return DefaultScale()
 }
 
-// WorkersFromEnv reads the REPRO_WORKERS override; zero (unset or
-// unparsable) defers to the GOMAXPROCS default.
+// WorkersFromEnv reads the REPRO_WORKERS override of the engine pool
+// size; zero (unset or unparsable) defers to the GOMAXPROCS default.
 func WorkersFromEnv() int {
 	n, err := strconv.Atoi(os.Getenv("REPRO_WORKERS"))
 	if err != nil || n < 0 {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // tinyScale keeps integration tests fast; statistical assertions are left
@@ -51,9 +53,6 @@ func TestWorkersFromEnv(t *testing.T) {
 	if got := WorkersFromEnv(); got != 3 {
 		t.Errorf("WorkersFromEnv() = %d, want 3", got)
 	}
-	if got := FromEnv().Workers; got != 3 {
-		t.Errorf("FromEnv().Workers = %d, want 3", got)
-	}
 	t.Setenv("REPRO_WORKERS", "garbage")
 	if got := WorkersFromEnv(); got != 0 {
 		t.Errorf("WorkersFromEnv() on garbage = %d, want 0 (GOMAXPROCS default)", got)
@@ -72,8 +71,7 @@ func TestDriversDeterministicAcrossWorkers(t *testing.T) {
 	}
 	s := tinyScale()
 	render := func(workers int) string {
-		s.Workers = workers
-		r, err := Figure5(context.Background(), NewEngine(s), s, 8)
+		r, err := Figure5(context.Background(), core.NewEngine(core.WithWorkers(workers)), s, 8)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -105,7 +103,7 @@ func TestTable2SmallScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test skipped in -short mode")
 	}
-	r, err := Table2(context.Background(), NewEngine(tinyScale()), tinyScale())
+	r, err := Table2(context.Background(), core.NewEngine(), tinyScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +124,7 @@ func TestFigure5SmallScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test skipped in -short mode")
 	}
-	r, err := Figure5(context.Background(), NewEngine(tinyScale()), tinyScale(), 20)
+	r, err := Figure5(context.Background(), core.NewEngine(), tinyScale(), 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +171,7 @@ func TestFigure1Renders(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test skipped in -short mode")
 	}
-	r, err := Figure1(context.Background(), NewEngine(tinyScale()), tinyScale())
+	r, err := Figure1(context.Background(), core.NewEngine(), tinyScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +190,7 @@ func TestAblationRMVariantSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test skipped in -short mode")
 	}
-	r, err := AblationRMVariant(context.Background(), NewEngine(tinyScale()), tinyScale(), "puwmod01")
+	r, err := AblationRMVariant(context.Background(), core.NewEngine(), tinyScale(), "puwmod01")
 	if err != nil {
 		t.Fatal(err)
 	}

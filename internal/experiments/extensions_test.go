@@ -5,13 +5,15 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func TestMulticoreContention(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test skipped in -short mode")
 	}
-	r, err := Multicore(context.Background(), NewEngine(tinyScale()), tinyScale(), "puwmod01")
+	r, err := Multicore(context.Background(), core.NewEngine(), tinyScale(), "puwmod01")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +39,7 @@ func TestMulticorePinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test skipped in -short mode")
 	}
-	r, err := Multicore(context.Background(), NewEngine(tinyScale()), tinyScale(), "puwmod01")
+	r, err := Multicore(context.Background(), core.NewEngine(), tinyScale(), "puwmod01")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +69,7 @@ func TestConvergenceStudy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test skipped in -short mode")
 	}
-	r, err := ConvergenceStudy(context.Background(), NewEngine(tinyScale()), tinyScale(), "rspeed01")
+	r, err := ConvergenceStudy(context.Background(), core.NewEngine(), tinyScale(), "rspeed01")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +93,7 @@ func TestEstimatorAblationSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test skipped in -short mode")
 	}
-	r, err := AblationEstimator(context.Background(), NewEngine(Scale{Runs: 80}), Scale{Runs: 80})
+	r, err := AblationEstimator(context.Background(), core.NewEngine(), Scale{Runs: 80})
 	if err != nil {
 		t.Fatal(err)
 	}

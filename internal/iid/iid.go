@@ -193,14 +193,20 @@ func ETTest(xs []float64, tailFrac float64) (ETResult, error) {
 		return ETResult{}, ErrTooFewSamples
 	}
 	u := stats.Quantile(xs, 1-tailFrac)
-	var exc []float64
+	n := 0
+	for _, x := range xs {
+		if x > u {
+			n++
+		}
+	}
+	if n < 10 {
+		return ETResult{}, ErrTooFewSamples
+	}
+	exc := make([]float64, 0, n)
 	for _, x := range xs {
 		if x > u {
 			exc = append(exc, x-u)
 		}
-	}
-	if len(exc) < 10 {
-		return ETResult{}, ErrTooFewSamples
 	}
 	d := ksExpDistance(exc)
 	p := etPValue(d, len(exc))
@@ -291,16 +297,17 @@ func ETTestSearch(xs []float64, tailSizes []int) (ETResult, error) {
 }
 
 // ksExpDistance returns the KS distance between a sample and the
-// exponential distribution with the sample's own mean.
+// exponential distribution with the sample's own mean. It sorts exc in
+// place, after summing it in the caller's order.
 func ksExpDistance(exc []float64) float64 {
 	mean := stats.Mean(exc)
 	if mean <= 0 {
 		return 1
 	}
-	s := stats.Sorted(exc)
-	n := float64(len(s))
+	sort.Float64s(exc)
+	n := float64(len(exc))
 	var d float64
-	for i, x := range s {
+	for i, x := range exc {
 		f := 1 - math.Exp(-x/mean)
 		lo := float64(i) / n
 		hi := float64(i+1) / n

@@ -64,21 +64,19 @@ type Job struct {
 
 	Submitted time.Time
 
+	// The outcome is held in wire form, whether the job executed or was
+	// served from the durable store: the status endpoint and the durable
+	// tier serve these values as they are.
 	mu       sync.Mutex
 	state    JobState
 	started  time.Time
 	finished time.Time
-	result   *core.Result
+	result   *resultJSON
 	err      error
 	runsDone int
-	snapshot *core.Snapshot // latest streaming snapshot (nil before the first)
-	// wireResult/wireSnapshot carry the outcome of a job served from the
-	// durable store: the result was persisted in wire form, so it is
-	// replayed in wire form instead of rebuilding a core.Result.
-	wireResult   *resultJSON
-	wireSnapshot *snapshotJSON
-	subs         map[chan core.Event]struct{}
-	done         chan struct{} // closed exactly once on done/failed/canceled
+	snapshot *snapshotJSON // latest streaming snapshot (nil before the first)
+	subs     map[chan core.Event]struct{}
+	done     chan struct{} // closed exactly once on done/failed/canceled
 }
 
 func newJob(id, fp string, wire core.WireRequest, req core.Request, now time.Time) *Job {
@@ -99,10 +97,10 @@ func (j *Job) State() JobState {
 }
 
 // Snapshot returns the fields a status response needs, consistently.
-func (j *Job) Snapshot() (state JobState, runsDone int, result *core.Result, err error, started, finished time.Time) {
+func (j *Job) Snapshot() (state JobState, runsDone int, result *resultJSON, snapshot *snapshotJSON, err error, started, finished time.Time) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.state, j.runsDone, j.result, j.err, j.started, j.finished
+	return j.state, j.runsDone, j.result, j.snapshot, j.err, j.started, j.finished
 }
 
 // Done returns a channel closed when the job reaches a terminal state.
@@ -113,7 +111,7 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 // campaign runs and the last one — covering every run — survives
 // completion, so pollers of GET /v1/campaigns/{id} watch the pWCET
 // estimate settle without subscribing to the event stream.
-func (j *Job) Progress() *core.Snapshot {
+func (j *Job) Progress() *snapshotJSON {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.snapshot
@@ -127,18 +125,17 @@ func (j *Job) start(now time.Time) {
 	j.mu.Unlock()
 }
 
-// finish records the outcome, relabels the result with the display name
-// (execution ran under the fingerprint for event routing), and releases
-// every stream. canceled distinguishes a server drain from a campaign
-// failure.
-func (j *Job) finish(res core.Result, err error, canceled bool, now time.Time) {
-	res.Name = j.Wire.Label()
+// finish records the outcome (res, in wire form, is nil unless the
+// campaign completed) and releases every stream. canceled distinguishes
+// a server drain from a campaign failure.
+func (j *Job) finish(res *resultJSON, err error, canceled bool, now time.Time) {
 	j.mu.Lock()
 	j.finished = now
 	switch {
 	case err == nil:
 		j.state = JobDone
-		j.result = &res
+		j.result = res
+		j.runsDone = res.Runs
 	case canceled:
 		j.state = JobCanceled
 		j.err = err
@@ -155,23 +152,9 @@ func (j *Job) finish(res core.Result, err error, canceled bool, now time.Time) {
 // goes straight from created to done — it was never enqueued.
 func (j *Job) finishFromDisk(pr *persistedResult, now time.Time) {
 	j.mu.Lock()
-	j.state = JobDone
-	j.finished = now
-	j.wireResult = pr.Result
-	j.wireSnapshot = pr.Snapshot
-	if pr.Result != nil {
-		j.runsDone = pr.Result.Runs
-	}
-	close(j.done)
+	j.snapshot = pr.Snapshot
 	j.mu.Unlock()
-}
-
-// diskState returns the persisted wire-form outcome for jobs finished
-// from the durable store (nil, nil otherwise).
-func (j *Job) diskState() (*resultJSON, *snapshotJSON) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.wireResult, j.wireSnapshot
+	j.finish(pr.Result, nil, false, now)
 }
 
 // publish fans an Engine event out to the subscribers. Sends never block:
@@ -185,7 +168,7 @@ func (j *Job) publish(ev core.Event) {
 		j.runsDone = ev.Done
 	}
 	if ev.Kind == core.SnapshotTaken && ev.Snapshot != nil {
-		j.snapshot = ev.Snapshot
+		j.snapshot = snapshotOf(ev.Snapshot)
 	}
 	for ch := range j.subs {
 		select {

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io/fs"
 	"net/http"
@@ -14,6 +15,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // TestDiskStoreRoundtrip: blobs come back byte-identical through the
@@ -479,5 +482,79 @@ func TestEventStreamDisconnectNoLeak(t *testing.T) {
 			t.Fatalf("goroutines: base=%d now=%d; stream handlers leaked", base, runtime.NumGoroutine())
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestRoundsOnlySecurityCheckpointRecomputes: a stored security
+// checkpoint in the rounds-only layout (per-round outputs without the
+// streaming accumulators every kind now carries) fails the core codec, so
+// the restarting server quarantines it and recomputes the campaign from
+// run 0 instead of resuming, and the answer equals a clean run's.
+func TestRoundsOnlySecurityCheckpointRecomputes(t *testing.T) {
+	const body = `{"placement":"RM","runs":24,"seed":6,` +
+		`"security":{"protocol":"primeprobe","replacement":"random","probe_lines":128,"trials":8}}`
+	_, tsRef := testServer(t, Config{})
+	refSub, _ := postCampaign(t, tsRef.URL, body)
+	ref := waitDone(t, tsRef.URL, refSub.ID)
+	if ref.State != "done" {
+		t.Fatalf("reference run state=%s error=%q", ref.State, ref.Error)
+	}
+
+	wire, err := core.DecodeWireRequest(strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	norm, err := wire.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err := norm.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := norm.Request()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cp *core.Checkpoint
+	req.CheckpointEvery = req.Runs / 2
+	req.OnCheckpoint = func(c *core.Checkpoint) {
+		if cp == nil {
+			cp = c
+		}
+	}
+	if _, err := core.NewEngine(core.WithWorkers(1)).Run(context.Background(), req); err != nil || cp == nil {
+		t.Fatalf("capturing a checkpoint: %v (captured %v)", err, cp != nil)
+	}
+	old := &core.Checkpoint{
+		Kind: cp.Kind, MasterSeed: cp.MasterSeed, Runs: cp.Runs,
+		KeepTimes: cp.KeepTimes, Frontier: cp.Frontier, Rounds: cp.Rounds,
+	}
+	payload, err := json.Marshal(persistedCheckpoint{Wire: norm, Checkpoint: old.Encode()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := mustDisk(t, dir).PutCheckpoint(fp, payload); err != nil {
+		t.Fatal(err)
+	}
+
+	s, ts := testServer(t, Config{DataDir: dir})
+	sub, _ := postCampaign(t, ts.URL, body)
+	if sub.Fingerprint != fp {
+		t.Fatalf("fingerprint %s, checkpoint stored under %s", sub.Fingerprint, fp)
+	}
+	got := waitDone(t, ts.URL, sub.ID)
+	if got.State != "done" || got.Result == nil {
+		t.Fatalf("recomputed campaign state=%s error=%q", got.State, got.Error)
+	}
+	if s.ckptResumes.Load() != 0 {
+		t.Fatal("resumed from a rounds-only checkpoint")
+	}
+	if s.ckptCorruptions.Load() == 0 || s.disk.Stats().Quarantines == 0 {
+		t.Fatal("rounds-only checkpoint was not quarantined")
+	}
+	if !reflect.DeepEqual(got.Result, ref.Result) {
+		t.Fatalf("recomputed result differs from the clean run:\n%+v\n%+v", got.Result, ref.Result)
 	}
 }

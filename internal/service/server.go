@@ -233,7 +233,7 @@ func (s *Server) Close() {
 	for {
 		select {
 		case j := <-s.queue:
-			j.finish(core.Result{}, errors.New("service: server shut down before the campaign started"), true, time.Now())
+			j.finish(nil, errors.New("service: server shut down before the campaign started"), true, time.Now())
 		default:
 			return
 		}
@@ -266,10 +266,19 @@ func (s *Server) worker() {
 			s.jobsRunning.Add(-1)
 			canceled := err != nil &&
 				(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
-			if s.disk != nil {
-				s.persistOutcome(j, res, err, canceled)
+			// The wire form is built once: the job keeps it and the
+			// durable tier persists it. Execution ran under the
+			// fingerprint for event routing; the result carries the
+			// display name.
+			var wr *resultJSON
+			if err == nil {
+				res.Name = j.Wire.Label()
+				wr = resultOf(&res)
 			}
-			j.finish(res, err, canceled, time.Now())
+			if s.disk != nil {
+				s.persistOutcome(j, wr, err, canceled)
+			}
+			j.finish(wr, err, canceled, time.Now())
 		}
 	}
 }
@@ -342,7 +351,7 @@ func (s *Server) writeCheckpoint(j *Job, cp *core.Checkpoint) {
 // resumes after restart. Runs in the job worker before finish, so a job
 // reports its terminal state only once that state is durable: whoever
 // sees a job done finds its result persisted and its checkpoint retired.
-func (s *Server) persistOutcome(j *Job, res core.Result, err error, canceled bool) {
+func (s *Server) persistOutcome(j *Job, res *resultJSON, err error, canceled bool) {
 	defer func() {
 		if recover() != nil {
 			s.disk.writeErrors.Add(1)
@@ -350,11 +359,10 @@ func (s *Server) persistOutcome(j *Job, res core.Result, err error, canceled boo
 	}()
 	switch {
 	case err == nil:
-		res.Name = j.Wire.Label()
 		payload, merr := json.Marshal(persistedResult{
 			Wire:     j.Wire,
-			Result:   resultOf(&res),
-			Snapshot: snapshotOf(j.Progress()),
+			Result:   res,
+			Snapshot: j.Progress(),
 		})
 		if merr == nil && s.disk.PutResult(j.Fingerprint, payload) == nil {
 			s.disk.DeleteCheckpoint(j.Fingerprint)
@@ -626,7 +634,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 				}
 				break
 			}
-			state, _, _, jerr, _, _ := job.Snapshot()
+			state, _, _, _, jerr, _, _ := job.Snapshot()
 			end := wireEvent{Kind: "end", Campaign: job.Wire.Label(), State: state.String()}
 			if jerr != nil {
 				end.Err = jerr.Error()

@@ -123,9 +123,6 @@ func analysisOf(a *core.Analysis) *analysisJSON {
 }
 
 func resultOf(res *core.Result) *resultJSON {
-	if res == nil {
-		return nil
-	}
 	runs := len(res.Times)
 	if runs == 0 {
 		runs = int(res.Summary.Moments.N)
@@ -150,7 +147,7 @@ func resultOf(res *core.Result) *resultJSON {
 }
 
 func statusOf(j *Job) statusResponse {
-	state, runsDone, result, err, started, finished := j.Snapshot()
+	state, runsDone, result, snapshot, err, started, finished := j.Snapshot()
 	out := statusResponse{
 		ID:          j.ID,
 		Fingerprint: j.Fingerprint,
@@ -158,19 +155,8 @@ func statusOf(j *Job) statusResponse {
 		State:       state.String(),
 		RunsDone:    runsDone,
 		Submitted:   j.Submitted,
-		Snapshot:    snapshotOf(j.Progress()),
-		Result:      resultOf(result),
-	}
-	if out.Result == nil || out.Snapshot == nil {
-		// Jobs served from the durable store carry their result and final
-		// snapshot in wire form (the core.Result was never rebuilt).
-		wr, ws := j.diskState()
-		if out.Result == nil {
-			out.Result = wr
-		}
-		if out.Snapshot == nil {
-			out.Snapshot = ws
-		}
+		Snapshot:    snapshot,
+		Result:      result,
 	}
 	if !started.IsZero() {
 		out.Started = &started

@@ -36,18 +36,19 @@ import (
 // run's mapping and keeps, beside the trace's must-replay ops, every
 // later read of a line whose set holds more than the level's
 // cache.HitElisionLimit (1 under Random, Ways under FIFO and LRU, on a
-// cold level; 0, keeping the whole stream, on a warm or PLRU level). occ
-// is that pass's per-set counter scratch, all zero between runs; limI
-// and limD remember the run's limits for the LRU restore after the loop.
+// cold level; 0, keeping the whole stream, on a warm or PLRU level and on
+// a stored-to LRU or write-back one). occ is that pass's per-set counter
+// scratch, all zero between runs; limI remembers the run's IL1 limit for
+// the LRU restore after the loop.
 type indexPlan struct {
 	il1 []uint32 // IL1 entry per instruction line ID
 	dl1 []uint32 // DL1 entry per data line ID
 	l2i []uint32 // L2 entry per instruction line ID
 	l2d []uint32 // L2 entry per data line ID
 
-	keep       []uint64 // per 64-op block: the ops this run replays
-	occ        []uint32 // per L1 set: allocating lines this run (keepOps)
-	limI, limD int      // this run's IL1 and DL1 hit elision limits
+	keep []uint64 // per 64-op block: the ops this run replays
+	occ  []uint32 // per L1 set: allocating lines this run (keepOps)
+	limI int      // this run's IL1 hit elision limit
 
 	builtFor *trace.Compiled
 }
@@ -99,7 +100,7 @@ func (c *Core) keepOps(ct *trace.Compiled) (skipI, skipD uint64) {
 	if ct.Index == nil {
 		limI, limD = 0, 0
 	}
-	c.plan.limI, c.plan.limD = limI, limD
+	c.plan.limI = limI
 	if limI == 0 && limD == 0 {
 		for b := range keep {
 			keep[b] = ^uint64(0)
@@ -111,32 +112,29 @@ func (c *Core) keepOps(ct *trace.Compiled) (skipI, skipD uint64) {
 	}
 	t := ct.Index.Tables()
 	copy(keep, t.Must)
-	skipI = elide(keep, &t.I, c.plan.il1, c.plan.occ, limI, trace.UseRead)
-	alloc := trace.UseRead
-	if c.dl1.AllocatesOnWrite() {
-		alloc |= trace.UseStore
-	}
-	skipD = elide(keep, &t.D, c.plan.dl1, c.plan.occ, limD, alloc)
+	skipI = elide(keep, &t.I, c.plan.il1, c.plan.occ, limI)
+	skipD = elide(keep, &t.D, c.plan.dl1, c.plan.occ, limD)
 	return skipI, skipD
 }
 
 // elide adds to keep the later reads of one stream that its L1 may miss
 // in this run and returns the accesses of the others. A line allocates
-// when its use flags meet alloc; a set holding more than limit
-// allocating lines keeps every later read of its lines, and limit 0
-// keeps the whole stream. occ must be zero on entry and is on return.
+// when the stream reads it (the levels that elide take no fill from a
+// store); a set holding more than limit allocating lines keeps every
+// later read of its lines, and limit 0 keeps the whole stream. occ must
+// be zero on entry and is on return.
 //
 //rm:hotpath
-func elide(keep []uint64, r *trace.LineReads, plan []uint32, occ []uint32, limit int, alloc uint8) uint64 {
+func elide(keep []uint64, r *trace.LineReads, plan []uint32, occ []uint32, limit int) uint64 {
 	if limit == 0 {
 		for b, m := range r.All {
 			keep[b] |= m
 		}
 		return 0
 	}
-	plan = plan[:len(r.Use)]
-	for id, u := range r.Use {
-		if u&alloc != 0 {
+	plan = plan[:len(r.Read)]
+	for id, read := range r.Read {
+		if read {
 			occ[plan[id]&cache.SetMask]++
 		}
 	}
@@ -196,9 +194,9 @@ func (c *Core) ReplayedOps() int {
 // in O(unique lines) (every access of a skipping LRU level ticks once,
 // so the values are counts the index holds), and victim choices inside
 // the run only compare stamps within a set, whose order the skipped hits
-// of other sets cannot change. A warm level, a PLRU level, and an LRU
-// data level that takes stores without allocating on write keep every
-// op of their stream: the same loop with every bit kept. Results,
+// of other sets cannot change. A warm level, a PLRU level, and a
+// stored-to level that is LRU or allocates on write keep every op of
+// their stream: the same loop with every bit kept. Results,
 // cumulative statistics, cache state and the replacement streams are
 // bit-identical to replaying every op.
 //
@@ -258,14 +256,10 @@ func (c *Core) RunCompiled(ct *trace.Compiled) Result {
 	}
 	k1.Hits(h1 + skipI)
 	kd.Hits(hd + skipD)
-	if c.plan.limI > 0 || c.plan.limD > 0 {
+	if c.plan.limI > 0 {
+		// A stored-to LRU level skips nothing, so only the IL1 restores.
 		t := ct.Index.Tables()
-		if c.plan.limI > 0 {
-			k1.RestoreLRU(ilines, il1Plan, t.I.Last, t.I.Accesses)
-		}
-		if c.plan.limD > 0 {
-			kd.RestoreLRU(dlines, dl1Plan, t.D.Last, t.D.Accesses)
-		}
+		k1.RestoreLRU(ilines, il1Plan, t.I.Last, t.I.Accesses)
 	}
 	cycles += l1Hit*uint64(ct.Accesses) + storeBus*stores
 	return Result{

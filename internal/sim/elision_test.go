@@ -42,12 +42,12 @@ func dataTrace(lines []uint64, store string) trace.Trace {
 
 // TestElisionEligibility pins when RunCompiled may skip a read: the
 // per-kind set limits (Random 1 allocating line, FIFO and LRU Ways, PLRU
-// none, LRU none on a stored-to write-through level), stores counting as
-// allocating only where the level allocates on write (write-back), the
-// cold-only rule (no skipping on a warm level, even where the limit
-// would allow it), LRU state restored exactly, and aliased relocated IDs
-// counting as two lines. Every replay must also equal the per-access
-// reference, Result and cache state.
+// none), no skipping on a stored-to level that is LRU or allocates on
+// write (write-back), stores never counting as allocating, the cold-only
+// rule (no skipping on a warm level, even where the limit would allow
+// it), LRU state restored exactly, and aliased relocated IDs counting as
+// two lines. Every replay must also equal the per-access reference,
+// Result and cache state.
 func TestElisionEligibility(t *testing.T) {
 	t.Run("limits", func(t *testing.T) {
 		wt, wb := cache.WriteThrough, cache.WriteBack
@@ -61,7 +61,10 @@ func TestElisionEligibility(t *testing.T) {
 			{cache.FIFO, wt, true, 2},
 			{cache.LRU, wt, false, 2},
 			{cache.LRU, wt, true, 0}, // a write-through store miss does not tick
-			{cache.LRU, wb, true, 2},
+			{cache.LRU, wb, true, 0},
+			{cache.LRU, wb, false, 2},
+			{cache.Random, wb, true, 0}, // a store fills a write-back level
+			{cache.FIFO, wb, true, 0},
 			{cache.PLRU, wt, false, 0},
 		} {
 			c, err := New(elisionConfig(tc.rk, tc.write))
@@ -107,16 +110,18 @@ func TestElisionEligibility(t *testing.T) {
 		{"fifo/alone", cache.FIFO, wt, alone, "", 2},
 		{"fifo/shared", cache.FIFO, wt, shared, "", 2},
 		{"fifo/three", cache.FIFO, wt, three, "", 7},
+		// A data L1 is stored-to, so an LRU or write-back one replays its
+		// whole stream.
 		{"lru/alone-noalloc", cache.LRU, wt, alone, "", 5},
-		{"lru/alone", cache.LRU, wb, alone, "", 2},
-		{"lru/shared", cache.LRU, wb, shared, "", 2},
+		{"lru/alone", cache.LRU, wb, alone, "", 5},
+		{"lru/shared", cache.LRU, wb, shared, "", 5},
 		{"lru/three", cache.LRU, wb, three, "", 7},
-		{"lru/store-alloc", cache.LRU, wb, shared, storeOnly, 3},
+		{"lru/store-alloc", cache.LRU, wb, shared, storeOnly, 5},
 		{"lru/store-noalloc", cache.LRU, wt, shared, storeOnly, 5},
 		{"plru/alone", cache.PLRU, wt, alone, "", 5},
 		{"random/store-noalloc", cache.Random, wt, shared, storeOnly, 3},
 		{"random/store-writeback", cache.Random, wb, shared, storeOnly, 5},
-		{"fifo/store-alloc", cache.FIFO, wb, shared, storeOnly, 3},
+		{"fifo/store-alloc", cache.FIFO, wb, shared, storeOnly, 5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := elisionConfig(tc.rk, tc.write)
@@ -179,10 +184,10 @@ func TestElisionEligibility(t *testing.T) {
 	// Two relocated IDs on one line under LRU: the line's stamp is its
 	// last access over both IDs, here by the ID numbered first.
 	t.Run("lru/aliased", func(t *testing.T) {
-		cfg := elisionConfig(cache.LRU, wb)
+		cfg := elisionConfig(cache.LRU, wt)
 		b := trace.NewBuilder(3)
 		for _, a := range []uint64{0, 32, 0} {
-			b.Load(a)
+			b.Fetch(a)
 		}
 		tr := b.Trace()
 		rel, err := workload.FromTrace("aliased", "", tr).Relocatable(workload.BaselineLayout(), 64)
@@ -197,6 +202,9 @@ func TestElisionEligibility(t *testing.T) {
 			t.Fatalf("compiled %+v, reference %+v", got, want)
 		}
 		sameCacheState(t, core, ref)
+		if got := core.ReplayedOps(); got != 2 {
+			t.Fatalf("replayed %d of %d ops, want 2", got, len(ct.Ops))
+		}
 	})
 
 	// A warm FIFO level must replay in full: line 0 survives the first

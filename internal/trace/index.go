@@ -8,8 +8,8 @@ import (
 
 // ReplayIndex is the run-invariant half of L1 hit elision over a folded
 // op sequence, built on the first Tables call: only a run that can skip
-// reads needs it, so campaigns whose levels never do (LRU, PLRU) never
-// pay for it. It is safe for concurrent use and shared by every run of
+// reads needs it, so a campaign whose L1s never skip (PLRU L1s, or
+// runs on warm levels) never pays for it. It is safe for concurrent use and shared by every run of
 // its ops.
 type ReplayIndex struct {
 	once  sync.Once
@@ -55,16 +55,11 @@ type LineReads struct {
 	Last     []uint64
 	Accesses uint64
 
-	// Use flags, per line ID, whether the stream reads it (UseRead) and
-	// stores to it (UseStore). Every instruction line is read.
-	Use []uint8
+	// Read reports, per line ID, whether some op of the stream reads it:
+	// the lines that fill an L1 which takes no fill from a store. Every
+	// instruction line is read.
+	Read []bool
 }
-
-// Line-use flags of LineReads.Use.
-const (
-	UseRead  uint8 = 1 << iota // some op reads the line
-	UseStore                   // some op stores to the line
-)
 
 // Blocks returns the number of 64-op blocks of n ops.
 func Blocks(n int) int { return (n + 63) >> 6 }
@@ -98,7 +93,7 @@ func newTables(ops []Op, iLines, dLines int) ReplayTables {
 		r.Hits = make([]uint64, n)
 		r.All = make([]uint64, nb)
 		r.Last = make([]uint64, n)
-		r.Use = make([]uint8, n)
+		r.Read = make([]bool, n)
 	}
 	// Classify every op, counting each line's later reads in Off[id+1].
 	for i, op := range ops {
@@ -109,10 +104,9 @@ func newTables(ops []Op, iLines, dLines int) ReplayTables {
 		switch {
 		case op.Kind == Store:
 			t.Must[b] |= bit
-			r.Use[op.ID] |= UseStore
-		case r.Use[op.ID]&UseRead == 0:
+		case !r.Read[op.ID]:
 			t.Must[b] |= bit
-			r.Use[op.ID] |= UseRead
+			r.Read[op.ID] = true
 		default:
 			r.All[b] |= bit
 			r.Hits[op.ID] += 1 + uint64(op.Rep)
@@ -121,11 +115,11 @@ func newTables(ops []Op, iLines, dLines int) ReplayTables {
 	}
 	// Turn the counts into offsets and place each later read, in op order.
 	for _, r := range streams {
-		for id := range r.Use {
+		for id := range r.Read {
 			r.Off[id+1] += r.Off[id]
 		}
-		r.At = make([]uint32, r.Off[len(r.Use)])
-		next := make([]int, len(r.Use))
+		r.At = make([]uint32, r.Off[len(r.Read)])
+		next := make([]int, len(r.Read))
 		copy(next, r.Off)
 		for b, m := range r.All {
 			for ; m != 0; m &= m - 1 {

@@ -10,7 +10,7 @@ import (
 // of every op: Must holds exactly the stores and each line ID's first
 // read per stream, each line's list holds exactly its later reads in
 // ascending order, All is their union, Hits sums the later reads'
-// accesses, Use records reads and stores, and Last and Accesses count
+// accesses, Read records the lines read, and Last and Accesses count
 // the stream's accesses through each line's last access and in all.
 func TestReplayIndex(t *testing.T) {
 	g := prng.New(0x1DE)
@@ -31,9 +31,8 @@ func TestReplayIndex(t *testing.T) {
 		streams := [2]*LineReads{&x.I, &x.D}
 		var read [2][]bool
 		var hits [2][]uint64
-		var use [2][]uint8
 		for s := range read {
-			read[s], hits[s], use[s] = make([]bool, nLines), make([]uint64, nLines), make([]uint8, nLines)
+			read[s], hits[s] = make([]bool, nLines), make([]uint64, nLines)
 		}
 		later := make([]bool, n)
 		var acc [2]uint64
@@ -44,15 +43,12 @@ func TestReplayIndex(t *testing.T) {
 			acc[s] += 1 + uint64(op.Rep)
 			last[s][op.ID] = acc[s]
 			must := op.Kind == Store || !read[s][op.ID]
-			if op.Kind == Store {
-				use[s][op.ID] |= UseStore
-			} else {
+			if op.Kind != Store {
 				if read[s][op.ID] {
 					later[i] = true
 					hits[s][op.ID] += 1 + uint64(op.Rep)
 				}
 				read[s][op.ID] = true
-				use[s][op.ID] |= UseRead
 			}
 			if got := x.Must[i>>6]>>(i&63)&1 != 0; got != must {
 				t.Fatalf("round %d op %d (%+v): Must bit %v, want %v", round, i, op, got, must)
@@ -64,9 +60,9 @@ func TestReplayIndex(t *testing.T) {
 			}
 			all := make([]uint64, len(x.Must))
 			for id := 0; id < nLines; id++ {
-				if r.Hits[id] != hits[s][id] || r.Use[id] != use[s][id] || r.Last[id] != last[s][id] {
-					t.Fatalf("round %d stream %d line %d: hits %d use %d last %d, want %d, %d and %d",
-						round, s, id, r.Hits[id], r.Use[id], r.Last[id], hits[s][id], use[s][id], last[s][id])
+				if r.Hits[id] != hits[s][id] || r.Read[id] != read[s][id] || r.Last[id] != last[s][id] {
+					t.Fatalf("round %d stream %d line %d: hits %d read %v last %d, want %d, %v and %d",
+						round, s, id, r.Hits[id], r.Read[id], r.Last[id], hits[s][id], read[s][id], last[s][id])
 				}
 				at := r.At[r.Off[id]:r.Off[id+1]]
 				for j, i := range at {
