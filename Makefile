@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short race vet fmt lint rmlint check-noalloc vuln fuzz-short loc verify smoke smoke-examples smoke-security smoke-serve smoke-metrics serve bench bench-hotpath bench-json full-bench
+.PHONY: build test test-short race vet fmt lint rmlint check-noalloc vuln fuzz-short loc verify smoke smoke-examples smoke-security smoke-serve smoke-metrics serve bench bench-hotpath bench-smoke bench-json full-bench
 
 build:
 	$(GO) build ./...
@@ -111,6 +111,13 @@ serve:
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -v .
+
+# Every benchmark of every package that has one, one iteration each: a
+# smoke check that they build and run (CI's bench job). The package list
+# is found afresh on each run, so a new benchmark joins it.
+BENCH_PKGS = $(shell grep -rl --include='*_test.go' --exclude-dir=.git --exclude-dir=perfbench --exclude-dir=testdata '^func Benchmark' . | xargs -n1 dirname | sort -u)
+bench-smoke:
+	$(GO) test -run='^$$' -bench=. -benchtime=1x $(BENCH_PKGS)
 
 # Hot-path microbenchmarks: the compiled replay per placement policy plus
 # one-worker MBPTA and baseline campaigns.

@@ -4,14 +4,14 @@
 // to MBPTA (random) and to the deterministic baseline (LRU, plus FIFO and
 // PLRU for ablations), and write-through/write-back handling.
 //
-// The model is behavioural, not cycle-structural: a replay Kernel reports
-// hits, misses, evictions and writebacks as AccessBits; the simulator in
-// internal/sim converts those into cycles. Placement is consulted once per
-// unique line per run: callers build an index plan with
-// placement.IndexAll after each reseed and pass each access's precomputed
-// set to the kernel, which is bit-exact to consulting the policy on every
-// access as the hardware does (the per-access reference model in this
-// package's tests pins that).
+// The model is behavioural, not cycle-structural: a level's accesses
+// report hits, misses, evictions and writebacks as AccessBits; the
+// simulator in internal/sim converts those into cycles. Placement is
+// consulted once per unique line per run: callers build an index plan
+// with placement.IndexAll after each reseed and pass each access's
+// precomputed set to the level, which is bit-exact to consulting the
+// policy on every access as the hardware does (the per-access reference
+// model in this package's tests pins that).
 package cache
 
 import (
@@ -136,14 +136,14 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Stats accumulates per-level counters across a run.
+// Stats reports one level's counters over a run (Cache.End).
 type Stats struct {
 	Accesses   uint64
 	Hits       uint64
 	Misses     uint64
 	Evictions  uint64
 	Writebacks uint64 // dirty victims pushed down
-	Flushes    uint64
+	Flushes    uint64 // 0 in a run's Stats: a run starts after its level's flush
 }
 
 // MissRatio returns misses/accesses (0 if no accesses).
@@ -154,36 +154,70 @@ func (s Stats) MissRatio() float64 {
 	return float64(s.Misses) / float64(s.Accesses)
 }
 
-// Cache is one cache level. Not safe for concurrent use.
+// Cache is one cache level: its placement policy, tag and replacement
+// state, and the replay methods that serve its accesses. Not safe for
+// concurrent use.
 //
 // The tag state is struct-of-arrays: one flat line-address slice plus one
 // packed valid/dirty bitmask per set (Validate caps Ways at 64). The
 // simulator stores the full line address, so no placement needs its index
 // bits kept in the tag, as hRP's would in hardware (paper, Section 3.1).
-// Keeping the per-way metadata in set-local
-// bitmasks lets the replay kernels probe a whole set with one load and a
-// bit scan instead of striding across array-of-structs entries.
+// Keeping the per-way metadata in set-local bitmasks lets an access probe
+// a whole set with one load and a bit scan instead of striding across
+// array-of-structs entries. The slices never reallocate after
+// construction; Flush and Reseed clear them in place.
+//
+// Accesses split into a hit path and one generic slow path. The hit path
+// is a set of inlinable methods the replay loops call after a Hinted
+// check on an index-plan entry has found the line in its hinted way:
+// ReadHit and WriteHit apply the replacement and dirty-bit updates of a
+// hit without scanning the set, and Hits adds the hits the loop counted.
+// A hinted hit is the hit the scan would find, since a line occupies at
+// most one way of its set (it is installed only on a miss). Everything
+// else — misses, way mispredictions and the security engine's accesses —
+// goes through Read and Write, one scan-and-fill routine that switches on
+// the replacement kind and write arrangement and returns the plan entry
+// of the way it hit or filled, so the caller can refresh its hint.
+// Replacement-RNG draws go to the level's own generator, in the order a
+// per-access model draws them, so the replay stays bit-identical to the
+// reference model in this package's tests. Statistics count per run,
+// between Begin and End.
 type Cache struct {
-	cfg   Config
-	pol   placement.Policy
-	sets  int
-	ways  int
-	addrs []uint64 // sets*ways line addresses, set-major
-	valid []uint64 // per-set valid bitmask, bit w = way w
-	dirty []uint64 // per-set dirty bitmask, bit w = way w
-
-	// Replacement state, one of the following depending on kind.
-	repl    ReplacementKind
-	lruTick []uint64 // LRU/FIFO: per-line timestamp
-	tick    uint64
-	plru    []uint64 // PLRU: per-set tree bits
+	// Hot-path state first: the tag and replacement state, one of
+	// lruTick (LRU/FIFO per-line stamps) and plru (per-set tree bits)
+	// depending on the kind.
+	addrs   []uint64 // sets*ways line addresses, set-major
+	valid   []uint64 // per-set valid bitmask, bit w = way w
+	dirty   []uint64 // per-set dirty bitmask, bit w = way w
+	lruTick []uint64
+	plru    []uint64
 	rng     *prng.PRNG
 
+	ways       int
+	wayMask    uint64
+	plruLevels int
+	tick       uint64
+	runTick    uint64 // tick at the run's Begin (RestoreLRU)
+
+	// PLRU touch tables (plruTables), nil under other kinds.
+	plruPath, plruAway []uint64
+
+	// The level's replacement kind and write arrangement; isLRU and
+	// isPLRU duplicate repl so the hit path stays within the inlining
+	// budget.
+	repl          ReplacementKind
+	isLRU, isPLRU bool
+	writeBack     bool // stores allocate and dirty lines; write-through store misses bypass
+
+	// The run's counters, reset by Begin and reported by End.
+	accesses, hits, evictions, writebacks uint64
+
 	// cold holds from construction and every Flush until the level's
-	// next access (see Kernel.access): the level is empty.
+	// next access (see access): the level is empty.
 	cold bool
 
-	stats Stats
+	cfg Config
+	pol placement.Policy
 }
 
 // New builds a cache level, instantiating its placement policy from
@@ -197,16 +231,20 @@ func New(cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	c := &Cache{
-		cfg:   cfg,
-		pol:   pol,
-		sets:  cfg.Sets(),
-		ways:  cfg.Ways,
-		addrs: make([]uint64, cfg.Sets()*cfg.Ways),
-		valid: make([]uint64, cfg.Sets()),
-		dirty: make([]uint64, cfg.Sets()),
-		repl:  cfg.Replacement,
-		rng:   prng.New(initialStream(cfg.Name)),
-		cold:  true,
+		addrs:      make([]uint64, cfg.Sets()*cfg.Ways),
+		valid:      make([]uint64, cfg.Sets()),
+		dirty:      make([]uint64, cfg.Sets()),
+		rng:        prng.New(initialStream(cfg.Name)),
+		ways:       cfg.Ways,
+		wayMask:    1<<uint(cfg.Ways) - 1,
+		plruLevels: bits.TrailingZeros(uint(cfg.Ways)),
+		repl:       cfg.Replacement,
+		isLRU:      cfg.Replacement == LRU,
+		isPLRU:     cfg.Replacement == PLRU,
+		writeBack:  cfg.Write == WriteBack,
+		cold:       true,
+		cfg:        cfg,
+		pol:        pol,
 	}
 	switch cfg.Replacement {
 	case LRU, FIFO:
@@ -216,6 +254,7 @@ func New(cfg Config) (*Cache, error) {
 			return nil, fmt.Errorf("cache %s: PLRU needs power-of-two ways, got %d", cfg.Name, cfg.Ways)
 		}
 		c.plru = make([]uint64, cfg.Sets())
+		c.plruPath, c.plruAway = plruTables(c.ways, c.plruLevels)
 	case Random:
 		// rng drawn per eviction
 	default:
@@ -275,7 +314,6 @@ func (c *Cache) Flush() {
 			c.plru[i] = 0
 		}
 	}
-	c.stats.Flushes++
 	c.cold = true
 }
 
@@ -290,7 +328,7 @@ func (c *Cache) Flush() {
 // evict the first: the limit is 1. FIFO and LRU fill invalid ways first,
 // so up to Ways lines never evict each other: the limit is Ways. Random
 // and FIFO hits leave no state. LRU hits advance the tick and stamp the
-// line, so a replay that skips them must restore both (Kernel.RestoreLRU);
+// line, so a replay that skips them must restore both (RestoreLRU);
 // that needs every access to tick once, which a store missing a
 // no-allocate level does not, so a stored-to LRU level skips nothing. A
 // stored-to level that allocates on write skips nothing either: the
@@ -314,12 +352,12 @@ func (c *Cache) HitElisionLimit(stores bool) int {
 // AllocatesOnWrite reports whether a store miss fills the line in: only
 // on a write-back level.
 func (c *Cache) AllocatesOnWrite() bool {
-	return c.cfg.Write == WriteBack
+	return c.writeBack
 }
 
 // LookupLine reports whether line la is present in set, which must equal
 // Policy().Index(la) under the current seed, without updating
-// replacement state or counters. The security attack kernels use it to
+// replacement state or counters. The security attack rounds use it to
 // test eviction without perturbing the replacement state under
 // measurement.
 //

@@ -96,7 +96,7 @@ func TestStringers(t *testing.T) {
 }
 
 func TestColdMissThenHit(t *testing.T) {
-	c, err := New(dl1Config(placement.Modulo, LRU))
+	c, err := newRef(dl1Config(placement.Modulo, LRU))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestColdMissThenHit(t *testing.T) {
 
 func TestLRUEvictionOrder(t *testing.T) {
 	// 4-way set: fill with A,B,C,D, touch A, insert E -> B (the LRU) must go.
-	c, err := New(dl1Config(placement.Modulo, LRU))
+	c, err := newRef(dl1Config(placement.Modulo, LRU))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 
 func TestFIFOIgnoresTouches(t *testing.T) {
 	// FIFO: fill A,B,C,D, touch A many times, insert E -> A still evicted.
-	c, err := New(dl1Config(placement.Modulo, FIFO))
+	c, err := newRef(dl1Config(placement.Modulo, FIFO))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestFIFOIgnoresTouches(t *testing.T) {
 }
 
 func TestPLRUProtectsMRU(t *testing.T) {
-	c, err := New(dl1Config(placement.Modulo, PLRU))
+	c, err := newRef(dl1Config(placement.Modulo, PLRU))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestPLRUProtectsMRU(t *testing.T) {
 }
 
 func TestRandomReplacementEvictsWithinSet(t *testing.T) {
-	c, err := New(dl1Config(placement.Modulo, Random))
+	c, err := newRef(dl1Config(placement.Modulo, Random))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestRandomReplacementEvictsWithinSet(t *testing.T) {
 
 func TestRandomReplacementIsSeedDeterministic(t *testing.T) {
 	run := func() []bool {
-		c, err := New(dl1Config(placement.Modulo, Random))
+		c, err := newRef(dl1Config(placement.Modulo, Random))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +230,7 @@ func TestRandomReplacementIsSeedDeterministic(t *testing.T) {
 }
 
 func TestWriteThroughNoAllocate(t *testing.T) {
-	c, err := New(dl1Config(placement.Modulo, LRU))
+	c, err := newRef(dl1Config(placement.Modulo, LRU))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestWriteThroughNoAllocate(t *testing.T) {
 func TestWriteBackDirtyEviction(t *testing.T) {
 	cfg := dl1Config(placement.Modulo, LRU)
 	cfg.Write = WriteBack
-	c, err := New(cfg)
+	c, err := newRef(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestWriteBackDirtyEviction(t *testing.T) {
 func TestCleanEvictionNoWriteback(t *testing.T) {
 	cfg := dl1Config(placement.Modulo, LRU)
 	cfg.Write = WriteBack
-	c, _ := New(cfg)
+	c, _ := newRef(cfg)
 	way := uint64(4096)
 	for i := uint64(0); i <= 4; i++ {
 		c.Read(i * way)
@@ -294,7 +294,7 @@ func TestCleanEvictionNoWriteback(t *testing.T) {
 }
 
 func TestFlushInvalidatesEverything(t *testing.T) {
-	c, _ := New(dl1Config(placement.Modulo, LRU))
+	c, _ := newRef(dl1Config(placement.Modulo, LRU))
 	for i := uint64(0); i < 100; i++ {
 		c.Read(i * 32)
 	}
@@ -312,7 +312,7 @@ func TestFlushInvalidatesEverything(t *testing.T) {
 
 func TestReseedFlushesAndRemaps(t *testing.T) {
 	cfg := dl1Config(placement.RM, Random)
-	c, err := New(cfg)
+	c, err := newRef(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestReseedFlushesAndRemaps(t *testing.T) {
 }
 
 func TestLookupDoesNotDisturbState(t *testing.T) {
-	c, _ := New(dl1Config(placement.Modulo, LRU))
+	c, _ := newRef(dl1Config(placement.Modulo, LRU))
 	c.Read(0)
 	st := c.stats
 	if !c.Lookup(0) || c.Lookup(4096) {
@@ -344,7 +344,7 @@ func TestSetUniquenessInvariant(t *testing.T) {
 	// copies of the same line, and occupancy per set never exceeds ways.
 	for _, pk := range []placement.Kind{placement.Modulo, placement.HRP, placement.RM} {
 		for _, rk := range []ReplacementKind{LRU, Random, FIFO, PLRU} {
-			c, err := New(dl1Config(pk, rk))
+			c, err := newRef(dl1Config(pk, rk))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -378,7 +378,7 @@ func TestSetUniquenessInvariant(t *testing.T) {
 func TestHitConsistencyWithRMPlacement(t *testing.T) {
 	// Property: a line just read always hits immediately afterwards, for
 	// any placement/seed (placement is stable within a run).
-	c, err := New(dl1Config(placement.RM, Random))
+	c, err := newRef(dl1Config(placement.RM, Random))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +403,7 @@ func TestSingleSegmentFitsUnderRM(t *testing.T) {
 	// (one line per modulo set) never self-conflicts, so after the first
 	// sweep every subsequent sweep hits 100%, for every seed.
 	cfg := dl1Config(placement.RM, Random)
-	c, err := New(cfg)
+	c, err := newRef(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +429,7 @@ func TestHRPCanSelfConflictWithinSegment(t *testing.T) {
 	// though the footprint fits in the cache. This is the cache risk
 	// pattern the paper attributes to hRP.
 	cfg := dl1Config(placement.HRP, LRU) // LRU makes overload misses certain
-	c, err := New(cfg)
+	c, err := newRef(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +456,7 @@ func TestHRPCanSelfConflictWithinSegment(t *testing.T) {
 }
 
 func TestOccupancyNeverExceedsCapacity(t *testing.T) {
-	c, _ := New(dl1Config(placement.HRP, Random))
+	c, _ := newRef(dl1Config(placement.HRP, Random))
 	c.Reseed(5)
 	g := prng.New(11)
 	for i := 0; i < 50000; i++ {
@@ -483,7 +483,7 @@ func BenchmarkAccessRMRandom(b *testing.B)  { benchAccess(b, placement.RM, Rando
 func BenchmarkAccessHRPRandom(b *testing.B) { benchAccess(b, placement.HRP, Random) }
 
 func benchAccess(b *testing.B, pk placement.Kind, rk ReplacementKind) {
-	c, err := New(dl1Config(pk, rk))
+	c, err := newRef(dl1Config(pk, rk))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -14,11 +14,11 @@ import (
 func TestReadWriteLineMatchesByteAPI(t *testing.T) {
 	for _, pk := range []placement.Kind{placement.Modulo, placement.XORFold, placement.HRP, placement.RM, placement.RMRot} {
 		for _, rk := range []ReplacementKind{LRU, Random, FIFO, PLRU} {
-			ref, err := New(dl1Config(pk, rk))
+			ref, err := newRef(dl1Config(pk, rk))
 			if err != nil {
 				t.Fatal(err)
 			}
-			idx, err := New(dl1Config(pk, rk))
+			idx, err := newRef(dl1Config(pk, rk))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -55,16 +55,16 @@ func TestReadWriteLineMatchesByteAPI(t *testing.T) {
 // fix every cache started at prng.New(0), so IL1/DL1/L2 evicted in
 // lockstep until the first Reseed.
 func TestFreshRandomCachesDrawIndependentVictims(t *testing.T) {
-	mk := func(name string) *Cache {
+	mk := func(name string) *refCache {
 		cfg := dl1Config(placement.Modulo, Random)
 		cfg.Name = name
-		c, err := New(cfg)
+		c, err := newRef(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return c
 	}
-	victims := func(c *Cache) []uint64 {
+	victims := func(c *refCache) []uint64 {
 		// Overfill set 0 (modulo placement, 4 ways) and record which line
 		// survives after each eviction round via SetContents.
 		var seq []uint64
@@ -100,7 +100,7 @@ func TestInitialStreamDoesNotChangePostReseedSequence(t *testing.T) {
 	run := func(name string) []int {
 		cfg := dl1Config(placement.Modulo, Random)
 		cfg.Name = name
-		c, err := New(cfg)
+		c, err := newRef(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,11 +3,29 @@ package cache
 // The per-address reference model of a cache level: byte- and
 // line-address accesses that consult the placement policy per access and
 // branch on the replacement kind and write policy per access. It is the
-// oracle the replay kernels (Kernel) are pinned against — see
-// FuzzAccessEquivalence and TestKernelEquivalenceAllConfigs — and lives
-// in a test file because production replays only through the kernels.
+// oracle a level's replay methods (Cache.Read, Cache.ReadHit, ...) are
+// pinned against — see FuzzAccessEquivalence and
+// TestKernelEquivalenceAllConfigs — and lives in a test file because
+// production replays only through those methods.
 
 import "math/bits"
+
+// refCache runs the reference model on a level's tag and replacement
+// state. It keeps its own cumulative Stats: the level itself counts only
+// per run, between Begin and End.
+type refCache struct {
+	*Cache
+	stats Stats
+}
+
+// newRef builds a reference-model level.
+func newRef(cfg Config) (*refCache, error) {
+	c, err := New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &refCache{Cache: c}, nil
+}
 
 // Result reports the outcome of one access.
 type Result struct {
@@ -19,50 +37,50 @@ type Result struct {
 }
 
 // ResetStats zeroes the counters without touching cache contents.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
+func (c *refCache) ResetStats() { c.stats = Stats{} }
 
 // LineAddr converts a byte address to a line address.
-func (c *Cache) LineAddr(addr uint64) uint64 {
+func (c *refCache) LineAddr(addr uint64) uint64 {
 	return addr >> uint(bits.TrailingZeros(uint(c.cfg.LineBytes)))
 }
 
 // Lookup reports whether the line holding addr is present, without updating
 // replacement state or counters.
-func (c *Cache) Lookup(addr uint64) bool {
+func (c *refCache) Lookup(addr uint64) bool {
 	la := c.LineAddr(addr)
 	set := int(c.pol.Index(la))
 	return c.probe(la, set) >= 0
 }
 
 // Read performs a load or instruction fetch for addr.
-func (c *Cache) Read(addr uint64) Result { return c.access(addr, false) }
+func (c *refCache) Read(addr uint64) Result { return c.access(addr, false) }
 
 // Write performs a store to addr. Under WriteThrough the line is updated if
 // present and a miss does not allocate. Under WriteBack the line is
 // allocated on miss and dirtied.
-func (c *Cache) Write(addr uint64) Result { return c.access(addr, true) }
+func (c *refCache) Write(addr uint64) Result { return c.access(addr, true) }
 
 // ReadLine is Read for a line address with a precomputed set index, the
 // shape of an index-plan lookup (placement.IndexAll). set must equal
 // Policy().Index(la) under the current seed; behaviour, counters and
 // replacement-RNG draws are then bit-identical to Read of any byte
 // address in line la.
-func (c *Cache) ReadLine(la uint64, set uint32) Result {
+func (c *refCache) ReadLine(la uint64, set uint32) Result {
 	return c.accessLine(la, int(set), false)
 }
 
 // WriteLine is Write for a line address with a precomputed set index; see
 // ReadLine for the contract.
-func (c *Cache) WriteLine(la uint64, set uint32) Result {
+func (c *refCache) WriteLine(la uint64, set uint32) Result {
 	return c.accessLine(la, int(set), true)
 }
 
-func (c *Cache) access(addr uint64, isWrite bool) Result {
+func (c *refCache) access(addr uint64, isWrite bool) Result {
 	la := c.LineAddr(addr)
 	return c.accessLine(la, int(c.pol.Index(la)), isWrite)
 }
 
-func (c *Cache) accessLine(la uint64, set int, isWrite bool) Result {
+func (c *refCache) accessLine(la uint64, set int, isWrite bool) Result {
 	c.stats.Accesses++
 
 	if w := c.probe(la, set); w >= 0 {
@@ -103,7 +121,7 @@ func (c *Cache) accessLine(la uint64, set int, isWrite bool) Result {
 }
 
 // touch records a use of way w in set for the replacement policy.
-func (c *Cache) touch(set, w int) {
+func (c *refCache) touch(set, w int) {
 	switch c.repl {
 	case LRU:
 		c.tick++
@@ -132,7 +150,7 @@ func (c *Cache) touch(set, w int) {
 // MBPTA literature analyses), which makes even warm-up behaviour
 // probabilistic -- the source of run-to-run variability for programs whose
 // footprint fits in the cache.
-func (c *Cache) victim(set int) int {
+func (c *refCache) victim(set int) int {
 	base := set * c.ways
 	if c.repl == Random {
 		return c.rng.Intn(c.ways)
@@ -164,7 +182,7 @@ func (c *Cache) victim(set int) int {
 }
 
 // plruTouch updates the PLRU tree so the path to way w is protected.
-func (c *Cache) plruTouch(set, w int) {
+func (c *refCache) plruTouch(set, w int) {
 	levels := bits.TrailingZeros(uint(c.ways)) // tree depth
 	node := 0
 	treeBits := c.plru[set]
@@ -182,7 +200,7 @@ func (c *Cache) plruTouch(set, w int) {
 
 // plruVictim follows the PLRU tree pointers to the least-recently-protected
 // way.
-func (c *Cache) plruVictim(set int) int {
+func (c *refCache) plruVictim(set int) int {
 	levels := bits.TrailingZeros(uint(c.ways))
 	node := 0
 	w := 0

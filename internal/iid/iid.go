@@ -170,9 +170,10 @@ type ETResult struct {
 	Pass      bool    // P > 0.05
 }
 
-// ETTest applies the Garrido-Diebolt style goodness-of-fit test for an
-// exponential distribution tail: excesses over the (1-tailFrac) empirical
-// quantile are compared against an exponential with the estimated mean.
+// etTest applies the Garrido-Diebolt style goodness-of-fit test for an
+// exponential distribution tail to xs, given its sorted copy: excesses
+// over the (1-tailFrac) empirical quantile are compared against an
+// exponential with the estimated mean.
 // Because the mean is estimated from the same data, critical values come
 // from a Monte-Carlo simulation of the null (the Lilliefors construction):
 // the statistics of etReps exponential samples of the tail size, drawn
@@ -180,19 +181,17 @@ type ETResult struct {
 // are simulated once per tail size per process and kept as a sorted table
 // (etNull); every test counts the table entries at or above its statistic
 // with one binary search (etPValue). The first test at a size pays for
-// the simulation, about as long as one ET test used to take; later tests
-// at that size cost the tail extraction and one KS distance. A pass
+// the simulation; later tests at that size cost the tail extraction and
+// one KS distance. A pass
 // supports convergence of block maxima to a Gumbel law, as required
 // before applying EVT (paper, Section 4.2: "We also applied and passed
 // the ET test for Gumbel convergence testing").
-func ETTest(xs []float64, tailFrac float64) (ETResult, error) {
-	if tailFrac <= 0 || tailFrac >= 1 {
-		return ETResult{}, errors.New("iid: tail fraction must be in (0,1)")
-	}
-	if len(xs) < 40 {
-		return ETResult{}, ErrTooFewSamples
-	}
-	u := stats.Quantile(xs, 1-tailFrac)
+//
+// It gathers the excesses in xs's order, since their mean is summed in
+// that order, into exc's storage when that is large enough. tailFrac
+// must be in (0, 1) and xs hold at least 40 values.
+func etTest(xs, sorted []float64, tailFrac float64, exc []float64) (ETResult, error) {
+	u := stats.QuantileSorted(sorted, 1-tailFrac)
 	n := 0
 	for _, x := range xs {
 		if x > u {
@@ -202,7 +201,10 @@ func ETTest(xs []float64, tailFrac float64) (ETResult, error) {
 	if n < 10 {
 		return ETResult{}, ErrTooFewSamples
 	}
-	exc := make([]float64, 0, n)
+	if cap(exc) < n {
+		exc = make([]float64, 0, n)
+	}
+	exc = exc[:0]
 	for _, x := range xs {
 		if x > u {
 			exc = append(exc, x-u)
@@ -262,11 +264,16 @@ func etNull(n int) []float64 {
 // peaks-over-threshold protocol: extreme value theory guarantees excesses
 // become exponential beyond *some* threshold, so the analyst searches for
 // a threshold at which the exponential fit is acceptable; failure at every
-// threshold is evidence against Gumbel convergence.
+// threshold is evidence against Gumbel convergence. Every threshold it
+// tries shares one sorted copy of xs and one excess buffer.
 func ETTestSearch(xs []float64, tailSizes []int) (ETResult, error) {
 	if len(tailSizes) == 0 {
 		tailSizes = []int{60, 40, 25, 15}
 	}
+	if len(xs) < 40 {
+		return ETResult{}, ErrTooFewSamples
+	}
+	sorted, exc := stats.Sorted(xs), make([]float64, 0, len(xs))
 	var best ETResult
 	var lastErr error
 	found := false
@@ -274,7 +281,7 @@ func ETTestSearch(xs []float64, tailSizes []int) (ETResult, error) {
 		if k < 10 || k >= len(xs) {
 			continue
 		}
-		r, err := ETTest(xs, float64(k)/float64(len(xs)))
+		r, err := etTest(xs, sorted, float64(k)/float64(len(xs)), exc)
 		if err != nil {
 			lastErr = err
 			continue

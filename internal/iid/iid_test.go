@@ -1,6 +1,7 @@
 package iid
 
 import (
+	"errors"
 	"math"
 	"sort"
 	"sync"
@@ -8,9 +9,23 @@ import (
 	"time"
 
 	"repro/internal/prng"
+	"repro/internal/stats"
 )
 
 // iidSample draws n independent uniforms.
+// ETTest is the ET test at one tail fraction, with its arguments
+// checked: the single-threshold form of ETTestSearch that these tests
+// probe.
+func ETTest(xs []float64, tailFrac float64) (ETResult, error) {
+	if tailFrac <= 0 || tailFrac >= 1 {
+		return ETResult{}, errors.New("iid: tail fraction must be in (0,1)")
+	}
+	if len(xs) < 40 {
+		return ETResult{}, ErrTooFewSamples
+	}
+	return etTest(xs, stats.Sorted(xs), tailFrac, nil)
+}
+
 func iidSample(seed uint64, n int) []float64 {
 	g := prng.New(seed)
 	xs := make([]float64, n)

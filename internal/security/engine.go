@@ -26,6 +26,10 @@ const (
 	probeWindowLines = 1 << 20
 )
 
+// lineOf returns the attacked cache's line address of byte address addr.
+// It is a shift: CacheLineBytes is a power of two.
+func lineOf(addr uint64) uint64 { return addr / CacheLineBytes }
+
 // Per-round seed-derivation domains: the cache (placement + replacement
 // randomness) and the attacker/victim draws (probe candidates, secret
 // bits) get disjoint streams from the round seed.
@@ -41,8 +45,6 @@ const (
 type Engine struct {
 	spec Spec
 	c    *cache.Cache
-	k    *cache.Kernel
-	pol  placement.Policy
 
 	// lines is the campaign's unique-line table: probe candidates in
 	// [0, ProbeLines), then the victim footprint, with the target line
@@ -87,8 +89,6 @@ func NewEngine(spec Spec, vic *Victim) (*Engine, error) {
 	e := &Engine{
 		spec:    spec,
 		c:       c,
-		k:       cache.NewKernel(c),
-		pol:     c.Policy(),
 		efforts: spec.efforts(),
 	}
 	if len(e.efforts) > maxEfforts {
@@ -109,21 +109,21 @@ func NewEngine(spec Spec, vic *Victim) (*Engine, error) {
 		}
 		victimLines = make([]uint64, n)
 		for i := range victimLines {
-			victimLines[i] = synthVictimBase>>5 + uint64(i)
+			victimLines[i] = lineOf(synthVictimBase) + uint64(i)
 		}
 	}
 
 	e.lines = make([]uint64, p+len(victimLines)+1)
 	e.plan = make([]uint32, len(e.lines))
 	e.target = int32(p + len(victimLines))
-	e.lines[e.target] = targetAddr >> 5
+	e.lines[e.target] = lineOf(targetAddr)
 	copy(e.lines[p:], victimLines)
 
 	if spec.ProbeStride == 0 {
 		e.randomProbes = true
 	} else {
 		for i := 0; i < p; i++ {
-			e.lines[i] = (probeBase + uint64(i)*uint64(spec.ProbeStride)) >> 5
+			e.lines[i] = lineOf(probeBase + uint64(i)*uint64(spec.ProbeStride))
 		}
 	}
 	e.probeIDs = make([]int32, p)
@@ -161,11 +161,11 @@ func (e *Engine) Round(seed uint64, out *RoundOut) {
 	g := prng.New(prng.Derive(seed, seedDomainDraws))
 	if e.randomProbes {
 		for i := range e.probeIDs {
-			e.lines[i] = probeBase>>5 + uint64(g.Intn(probeWindowLines))
+			e.lines[i] = lineOf(probeBase) + uint64(g.Intn(probeWindowLines))
 		}
 	}
-	placement.IndexAll(e.pol, e.lines, e.plan)
-	e.k.Begin()
+	placement.IndexAll(e.c.Policy(), e.lines, e.plan)
+	e.c.Begin()
 	switch e.spec.Protocol {
 	case EvictionSet:
 		e.evictionRound(out)
@@ -174,7 +174,7 @@ func (e *Engine) Round(seed uint64, out *RoundOut) {
 	case PrimeProbe:
 		e.primeProbeRound(g, out)
 	}
-	e.k.End()
+	e.c.End()
 	out.Accesses = float64(e.acc)
 }
 
@@ -224,7 +224,7 @@ func (e *Engine) primeProbeRound(g *prng.PRNG, out *RoundOut) {
 		for t := 0; t < e.spec.Trials; t++ {
 			e.touchAll(es) // prime
 			if secret == 1 {
-				e.k.Read(e.lines[e.target], e.plan[e.target]) // the victim's secret-dependent access
+				e.c.Read(e.lines[e.target], e.plan[e.target]) // the victim's secret-dependent access
 			}
 			v := uint8(0)
 			if e.probeMisses(es) > 0 {
@@ -309,9 +309,9 @@ func (e *Engine) construct(n int) (bool, uint64) {
 //rm:hotpath
 func (e *Engine) evicts(ids []int32) bool {
 	t := e.target
-	e.k.Read(e.lines[t], e.plan[t])
+	e.c.Read(e.lines[t], e.plan[t])
 	for _, id := range ids {
-		e.k.Read(e.lines[id], e.plan[id])
+		e.c.Read(e.lines[id], e.plan[id])
 	}
 	e.acc += uint64(len(ids)) + 1
 	return !e.c.LookupLine(e.lines[t], e.plan[t])
@@ -322,7 +322,7 @@ func (e *Engine) evicts(ids []int32) bool {
 //rm:hotpath
 func (e *Engine) touchAll(ids []int32) {
 	for _, id := range ids {
-		e.k.Read(e.lines[id], e.plan[id])
+		e.c.Read(e.lines[id], e.plan[id])
 	}
 	e.acc += uint64(len(ids))
 }
@@ -334,7 +334,7 @@ func (e *Engine) touchAll(ids []int32) {
 func (e *Engine) probeMisses(ids []int32) int {
 	miss := 0
 	for _, id := range ids {
-		if b, _ := e.k.Read(e.lines[id], e.plan[id]); b&cache.BitHit == 0 {
+		if b, _ := e.c.Read(e.lines[id], e.plan[id]); b&cache.BitHit == 0 {
 			miss++
 		}
 	}
@@ -348,6 +348,6 @@ func (e *Engine) probeMisses(ids []int32) int {
 //rm:hotpath
 func (e *Engine) sweepVictim() {
 	for _, id := range e.victimOps {
-		e.k.Read(e.lines[id], e.plan[id])
+		e.c.Read(e.lines[id], e.plan[id])
 	}
 }

@@ -20,8 +20,9 @@
 // Every round is a pure function of (master seed, round index): the cache
 // is reseeded and the attacker/victim randomness re-derived per round, so
 // campaign results are bit-identical for any worker count, exactly like
-// the MBPTA campaigns. The probe kernels replay precomputed index plans
-// through cache.Kernel under the //rm:hotpath zero-alloc contract.
+// the MBPTA campaigns. The probe loops replay precomputed index plans
+// through the attacked cache.Cache under the //rm:hotpath zero-alloc
+// contract.
 package security
 
 import (

@@ -15,7 +15,7 @@ import (
 // packs the line's set (low cache.SetBits bits) with a hint of the way
 // the line last occupied at that level (top 8 bits): the replay loops
 // check the hinted way first and, when the check fails, take the
-// kernel's slow path and store the way it hit or filled back into the
+// level's slow path and store the way it hit or filled back into the
 // entry. Hints never need invalidating, since a stale one only costs one
 // slow-path access; IndexAll writes fresh entries with a way-0 hint. The
 // slices live on the Core and are reused across runs, so a campaign's
@@ -170,11 +170,10 @@ func (c *Core) ReplayedOps() int {
 // Flush for a seedless baseline), matching the paper's run-to-completion
 // analysis unit. RunCompiled then refreshes the index plans (skipping
 // seed-invariant deterministic placements, see preparePlans) and replays
-// the ops through the cache.Kernel triple bound at platform construction.
-// Placement hashing is hoisted out of the loop into array lookups, and an
-// L1 or L2 hit costs one tag compare in the way the plan entry hints plus
-// the kernel's inlined hit update; only misses and way mispredictions
-// call the kernel's slow path. The reads an op folds (trace.Op.Rep) ride
+// the ops through the three cache levels. Placement hashing is hoisted
+// out of the loop into array lookups, and an L1 or L2 hit costs one tag
+// compare in the way the plan entry hints plus the level's inlined hit
+// update; only misses and way mispredictions call the level's slow path. The reads an op folds (trace.Op.Rep) ride
 // along with it, so guaranteed hits cost nothing per access. Hits count
 // in loop locals, and the L1Hit and StoreBus charges every access pays
 // are added once per run.
@@ -187,18 +186,17 @@ func (c *Core) ReplayedOps() int {
 // construction, Flush or Reseed): 1 under Random, Ways under FIFO and
 // LRU. There, a line's first read leaves it resident and no fill evicts
 // it, so each later read is a hit that draws no replacement randomness
-// and never reaches the L2; the skipped reads' hits go into the kernel
-// counters in bulk. Random and FIFO hits leave no other state. LRU hits
+// and never reaches the L2; the skipped reads' hits go into the level's
+// run counters in bulk. Random and FIFO hits leave no other state. LRU hits
 // advance the tick and stamp the line: the run ends with
-// Kernel.RestoreLRU, which sets both to what replaying every hit leaves
+// cache.Cache.RestoreLRU, which sets both to what replaying every hit leaves
 // in O(unique lines) (every access of a skipping LRU level ticks once,
 // so the values are counts the index holds), and victim choices inside
 // the run only compare stamps within a set, whose order the skipped hits
 // of other sets cannot change. A warm level, a PLRU level, and a
 // stored-to level that is LRU or allocates on write keep every op of
-// their stream: the same loop with every bit kept. Results,
-// cumulative statistics, cache state and the replacement streams are
-// bit-identical to replaying every op.
+// their stream: the same loop with every bit kept. Results, cache state
+// and the replacement streams are bit-identical to replaying every op.
 //
 // This is the MBPTA campaign hot path: a campaign replays the same
 // Compiled hundreds of times (it is immutable and shared across worker
@@ -214,10 +212,10 @@ func (c *Core) RunCompiled(ct *trace.Compiled) Result {
 	c.preparePlans(ct)
 	skipI, skipD := c.keepOps(ct)
 
-	k1, kd, k2 := c.kil1, c.kdl1, c.kl2
-	k1.Begin()
-	kd.Begin()
-	k2.Begin()
+	il1, dl1, l2 := c.il1, c.dl1, c.l2
+	il1.Begin()
+	dl1.Begin()
+	l2.Begin()
 	ilines, dlines := ct.ILines, ct.DLines
 	// Reslicing to the line tables' lengths lets one bounds check per
 	// access cover both the line and its plan entry.
@@ -232,20 +230,20 @@ func (c *Core) RunCompiled(ct *trace.Compiled) Result {
 			switch op.Kind {
 			case trace.Fetch:
 				la, e := ilines[id], il1Plan[id]
-				if k1.Hinted(la, e) {
+				if il1.Hinted(la, e) {
 					n := 1 + uint64(op.Rep)
-					k1.ReadHit(e, n)
+					il1.ReadHit(e, n)
 					h1 += n
-				} else if l1Slow(k1, &il1Plan[id], la, op.Rep) {
+				} else if l1Slow(il1, &il1Plan[id], la, op.Rep) {
 					cycles += l2Hit + memCycles(c.l2Read(la, &l2iPlan[id]))
 				}
 			case trace.Load:
 				la, e := dlines[id], dl1Plan[id]
-				if kd.Hinted(la, e) {
+				if dl1.Hinted(la, e) {
 					n := 1 + uint64(op.Rep)
-					kd.ReadHit(e, n)
+					dl1.ReadHit(e, n)
 					hd += n
-				} else if l1Slow(kd, &dl1Plan[id], la, op.Rep) {
+				} else if l1Slow(dl1, &dl1Plan[id], la, op.Rep) {
 					cycles += l2Hit + memCycles(c.l2Read(la, &l2dPlan[id]))
 				}
 			default:
@@ -254,50 +252,50 @@ func (c *Core) RunCompiled(ct *trace.Compiled) Result {
 			}
 		}
 	}
-	k1.Hits(h1 + skipI)
-	kd.Hits(hd + skipD)
+	il1.Hits(h1 + skipI)
+	dl1.Hits(hd + skipD)
 	if c.plan.limI > 0 {
 		// A stored-to LRU level skips nothing, so only the IL1 restores.
 		t := ct.Index.Tables()
-		k1.RestoreLRU(ilines, il1Plan, t.I.Last, t.I.Accesses)
+		il1.RestoreLRU(ilines, il1Plan, t.ILast, t.IAccesses)
 	}
 	cycles += l1Hit*uint64(ct.Accesses) + storeBus*stores
 	return Result{
 		Cycles:   cycles,
 		Accesses: ct.Accesses,
-		IL1:      k1.End(),
-		DL1:      kd.End(),
-		L2:       k2.End(),
+		IL1:      il1.End(),
+		DL1:      dl1.End(),
+		L2:       l2.End(),
 	}
 }
 
-// l1Slow serves an L1 read whose way hint failed: the kernel's scan and
+// l1Slow serves an L1 read whose way hint failed: the level's scan and
 // fill, the refreshed hint, then the rep reads folded into the op, which
 // hit. It reports whether the read missed the L1.
 //
 //rm:hotpath
-func l1Slow(k *cache.Kernel, e *uint32, la uint64, rep uint16) bool {
+func l1Slow(l1 *cache.Cache, e *uint32, la uint64, rep uint16) bool {
 	var b cache.AccessBits
-	b, *e = k.Read(la, *e)
+	b, *e = l1.Read(la, *e)
 	if rep != 0 {
-		k.ReadHit(*e, uint64(rep))
-		k.Hits(uint64(rep))
+		l1.ReadHit(*e, uint64(rep))
+		l1.Hits(uint64(rep))
 	}
 	return b&cache.BitHit == 0
 }
 
 // l2Read serves an L1 read miss at the L2: a hinted hit, otherwise the
-// kernel's slow path, refreshing the hint.
+// level's slow path, refreshing the hint.
 //
 //rm:hotpath
 func (c *Core) l2Read(la uint64, e *uint32) cache.AccessBits {
-	if c.kl2.Hinted(la, *e) {
-		c.kl2.ReadHit(*e, 1)
-		c.kl2.Hits(1)
+	if c.l2.Hinted(la, *e) {
+		c.l2.ReadHit(*e, 1)
+		c.l2.Hits(1)
 		return cache.BitHit
 	}
 	var b cache.AccessBits
-	b, *e = c.kl2.Read(la, *e)
+	b, *e = c.l2.Read(la, *e)
 	return b
 }
 
@@ -307,19 +305,19 @@ func (c *Core) l2Read(la uint64, e *uint32) cache.AccessBits {
 //
 //rm:hotpath
 func (c *Core) store(la uint64, e1, e2 *uint32) cache.AccessBits {
-	if c.kdl1.Hinted(la, *e1) {
-		c.kdl1.WriteHit(*e1)
-		c.kdl1.Hits(1)
+	if c.dl1.Hinted(la, *e1) {
+		c.dl1.WriteHit(*e1)
+		c.dl1.Hits(1)
 	} else {
-		_, *e1 = c.kdl1.Write(la, *e1)
+		_, *e1 = c.dl1.Write(la, *e1)
 	}
-	if c.kl2.Hinted(la, *e2) {
-		c.kl2.WriteHit(*e2)
-		c.kl2.Hits(1)
+	if c.l2.Hinted(la, *e2) {
+		c.l2.WriteHit(*e2)
+		c.l2.Hits(1)
 		return cache.BitHit
 	}
 	var b cache.AccessBits
-	b, *e2 = c.kl2.Write(la, *e2)
+	b, *e2 = c.l2.Write(la, *e2)
 	return b
 }
 

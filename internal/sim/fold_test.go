@@ -106,7 +106,7 @@ func fuzzTrace(data []byte) trace.Trace {
 
 // FuzzCompiledReplay checks the hinted, folded, hit-eliding replay
 // against the per-access reference Core.Run, which consults the placement
-// policy on every access and serves every access through the kernel's
+// policy on every access and serves every access through the level's
 // slow path. Six replays share one core: two reseeded runs, a warm replay
 // without Reseed, a warm replay of the trace's relocated form, which
 // numbers 32-byte granules, so the two granules of a 64-byte line get two

@@ -47,7 +47,7 @@ func (s *System) Reseed(runSeed uint64) {
 // RunAll replays one compiled trace per core concurrently under the
 // shared-bus model and returns per-core results. A nil entry is an idle
 // core. As with RunCompiled, each Result reports this call only: every
-// active core begins its three kernels on entry and takes the per-call
+// active core begins its three levels on entry and takes the per-call
 // Stats from End, so repeated RunAll calls (or interleaved RunCompiled
 // calls) never double-count. RunAll panics if len(cts) differs from the
 // core count or a compiled line size is not the platform's.
@@ -69,9 +69,9 @@ func (s *System) RunAll(cts []*trace.Compiled) []Result {
 				badLineSize(ct.LineBytes, c.lineBytes)
 			}
 			c.preparePlans(ct)
-			c.kil1.Begin()
-			c.kdl1.Begin()
-			c.kl2.Begin()
+			c.il1.Begin()
+			c.dl1.Begin()
+			c.l2.Begin()
 		}
 	}
 	results := make([]Result, n)
@@ -123,15 +123,15 @@ func (s *System) RunAll(cts []*trace.Compiled) []Result {
 		results[i] = Result{
 			Cycles:   clocks[i],
 			Accesses: cts[i].Accesses,
-			IL1:      c.kil1.End(),
-			DL1:      c.kdl1.End(),
-			L2:       c.kl2.End(),
+			IL1:      c.il1.End(),
+			DL1:      c.dl1.End(),
+			L2:       c.l2.End(),
 		}
 	}
 	return results
 }
 
-// step replays one op of ct through the core's kernels and returns the
+// step replays one op of ct through the core's levels and returns the
 // core-local cycles plus the number of memory-bus transactions it needs
 // (an L2 fill, and an L2 dirty-victim writeback, one each). The reads
 // folded into the op are L1 hits, so they add no transactions; their
@@ -145,7 +145,7 @@ func (c *Core) step(ct *trace.Compiled, op trace.Op) (local uint64, memTxns int)
 	case trace.Fetch:
 		local = l1Hit
 		la := ct.ILines[id]
-		if !l1Read(c.kil1, &c.plan.il1[id], la, op.Rep) {
+		if !l1Read(c.il1, &c.plan.il1[id], la, op.Rep) {
 			return local, 0
 		}
 		local += l2Hit
@@ -153,7 +153,7 @@ func (c *Core) step(ct *trace.Compiled, op trace.Op) (local uint64, memTxns int)
 	case trace.Load:
 		local = l1Hit
 		la := ct.DLines[id]
-		if !l1Read(c.kdl1, &c.plan.dl1[id], la, op.Rep) {
+		if !l1Read(c.dl1, &c.plan.dl1[id], la, op.Rep) {
 			return local, 0
 		}
 		local += l2Hit
@@ -173,12 +173,12 @@ func (c *Core) step(ct *trace.Compiled, op trace.Op) (local uint64, memTxns int)
 
 // l1Read serves an L1 read and the rep reads folded into it: a hinted
 // hit, otherwise l1Slow. It reports whether the read missed the L1.
-func l1Read(k *cache.Kernel, e *uint32, la uint64, rep uint16) bool {
-	if k.Hinted(la, *e) {
+func l1Read(l1 *cache.Cache, e *uint32, la uint64, rep uint16) bool {
+	if l1.Hinted(la, *e) {
 		n := 1 + uint64(rep)
-		k.ReadHit(*e, n)
-		k.Hits(n)
+		l1.ReadHit(*e, n)
+		l1.Hits(n)
 		return false
 	}
-	return l1Slow(k, e, la, rep)
+	return l1Slow(l1, e, la, rep)
 }

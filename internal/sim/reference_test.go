@@ -20,22 +20,22 @@ func (c *Core) Flush() {
 
 // Run replays a byte-address trace one access at a time, consulting each
 // level's placement policy per access instead of through an index plan.
-// It is the tests' reference for RunCompiled: the kernels are shared, so
-// comparing the two pins the index plans, their reuse across reseeds and
-// the compiled line numbering. The kernels themselves are pinned against
-// the per-address cache model by the cache package's fuzz and
-// differential tests.
+// It is the tests' reference for RunCompiled: the levels' replay methods
+// are shared, so comparing the two pins the index plans, their reuse
+// across reseeds and the compiled line numbering. The replay methods
+// themselves are pinned against the per-address cache model by the cache
+// package's fuzz and differential tests.
 func (c *Core) Run(tr trace.Trace) Result {
 	shift := uint(bits.TrailingZeros(uint(c.lineBytes)))
 	ip, dp, lp := c.il1.Policy(), c.dl1.Policy(), c.l2.Policy()
-	k1, kd, k2 := c.kil1, c.kdl1, c.kl2
-	k1.Begin()
-	kd.Begin()
-	k2.Begin()
+	il1, dl1, l2 := c.il1, c.dl1, c.l2
+	il1.Begin()
+	dl1.Begin()
+	l2.Begin()
 	var cycles uint64
 	l2Read := func(la uint64) uint64 {
 		cycles := uint64(l2Hit)
-		b, _ := k2.Read(la, lp.Index(la))
+		b, _ := l2.Read(la, lp.Index(la))
 		if b&cache.BitHit == 0 {
 			cycles += memLatency
 		}
@@ -49,18 +49,18 @@ func (c *Core) Run(tr trace.Trace) Result {
 		switch a.Kind {
 		case trace.Fetch:
 			cycles += l1Hit
-			if b, _ := k1.Read(la, ip.Index(la)); b&cache.BitHit == 0 {
+			if b, _ := il1.Read(la, ip.Index(la)); b&cache.BitHit == 0 {
 				cycles += l2Read(la)
 			}
 		case trace.Load:
 			cycles += l1Hit
-			if b, _ := kd.Read(la, dp.Index(la)); b&cache.BitHit == 0 {
+			if b, _ := dl1.Read(la, dp.Index(la)); b&cache.BitHit == 0 {
 				cycles += l2Read(la)
 			}
 		default: // Store
 			cycles += l1Hit + storeBus
-			kd.Write(la, dp.Index(la)) // write-through: updates line if present
-			b, _ := k2.Write(la, lp.Index(la))
+			dl1.Write(la, dp.Index(la)) // write-through: updates line if present
+			b, _ := l2.Write(la, lp.Index(la))
 			if b&cache.BitFilled != 0 {
 				cycles += memLatency // write-allocate fill
 			}
@@ -72,9 +72,9 @@ func (c *Core) Run(tr trace.Trace) Result {
 	return Result{
 		Cycles:   cycles,
 		Accesses: len(tr),
-		IL1:      k1.End(),
-		DL1:      kd.End(),
-		L2:       k2.End(),
+		IL1:      il1.End(),
+		DL1:      dl1.End(),
+		L2:       l2.End(),
 	}
 }
 

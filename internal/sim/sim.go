@@ -5,8 +5,8 @@
 // is modelled bit-exactly, the pipeline is reduced to cycle accounting,
 // which preserves the placement-induced execution-time distributions that
 // MBPTA analyses. Every run replays a compiled trace (trace.Compiled)
-// through the per-level cache kernels, single-core (RunCompiled) or under
-// the shared-bus model (System.RunAll).
+// through the cache levels' replay methods, single-core (RunCompiled) or
+// under the shared-bus model (System.RunAll).
 package sim
 
 import (
@@ -50,9 +50,6 @@ type Core struct {
 
 	// plan is the reusable per-run index-plan scratch (see RunCompiled).
 	plan indexPlan
-	// kil1/kdl1/kl2 are the replay kernels, bound once per level at
-	// construction (each kernel aliases its cache's tag state).
-	kil1, kdl1, kl2 *cache.Kernel
 }
 
 // New builds the platform. The L2 configuration describes this core's
@@ -81,9 +78,6 @@ func New(cfg Config) (*Core, error) {
 		il1: il1, dl1: dl1, l2: l2,
 		lineBytes: cfg.IL1.LineBytes,
 		plan:      indexPlan{occ: make([]uint32, max(cfg.IL1.Sets(), cfg.DL1.Sets()))},
-		kil1:      cache.NewKernel(il1),
-		kdl1:      cache.NewKernel(dl1),
-		kl2:       cache.NewKernel(l2),
 	}, nil
 }
 

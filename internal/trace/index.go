@@ -30,12 +30,24 @@ type ReplayIndex struct {
 type ReplayTables struct {
 	Must []uint64
 	I, D LineReads // instruction and data stream
+
+	// ILast counts, per instruction line ID, the instruction stream's
+	// accesses (folded reps included) up to and including the line's
+	// last fetch, and IAccesses all of the stream's accesses: on an IL1
+	// that ticks once per access, the tick and LRU stamps a full replay
+	// leaves (cache.Cache.RestoreLRU). The data stream has none: the
+	// replay counts the DL1 as stored-to, and a stored-to LRU level
+	// skips no read, so it never restores.
+	ILast     []uint64
+	IAccesses uint64
 }
 
 // LineReads indexes the later reads of one stream's line IDs: the ops
 // At[Off[id]:Off[id+1]], ascending, are the later reads of line id.
 // Programs rarely read a line twice within 64 folded ops, so op indices
-// are smaller than per-line block masks would be.
+// are smaller than per-line block masks would be. With Hits, All and
+// Read it holds what a run needs to choose and count the reads it
+// skips.
 type LineReads struct {
 	Off []int
 	At  []uint32
@@ -47,13 +59,6 @@ type LineReads struct {
 
 	// All masks every later read of the stream, per block.
 	All []uint64
-
-	// Last counts, per line ID, the stream's accesses (folded reps
-	// included) up to and including the line's last access, and Accesses
-	// all of the stream's accesses: on a level that ticks once per
-	// access, the tick and LRU stamps a full replay leaves.
-	Last     []uint64
-	Accesses uint64
 
 	// Read reports, per line ID, whether some op of the stream reads it:
 	// the lines that fill an L1 which takes no fill from a store. Every
@@ -85,22 +90,23 @@ func (x *ReplayIndex) Tables() *ReplayTables {
 
 func newTables(ops []Op, iLines, dLines int) ReplayTables {
 	nb := Blocks(len(ops))
-	t := ReplayTables{Must: make([]uint64, nb)}
+	t := ReplayTables{Must: make([]uint64, nb), ILast: make([]uint64, iLines)}
 	streams := [2]*LineReads{&t.I, &t.D}
 	for s, n := range [2]int{iLines, dLines} {
 		r := streams[s]
 		r.Off = make([]int, n+1)
 		r.Hits = make([]uint64, n)
 		r.All = make([]uint64, nb)
-		r.Last = make([]uint64, n)
 		r.Read = make([]bool, n)
 	}
 	// Classify every op, counting each line's later reads in Off[id+1].
 	for i, op := range ops {
 		b, bit := i>>6, uint64(1)<<(i&63)
 		r := streams[stream(op.Kind)]
-		r.Accesses += 1 + uint64(op.Rep)
-		r.Last[op.ID] = r.Accesses
+		if op.Kind == Fetch {
+			t.IAccesses += 1 + uint64(op.Rep)
+			t.ILast[op.ID] = t.IAccesses
+		}
 		switch {
 		case op.Kind == Store:
 			t.Must[b] |= bit

@@ -10,8 +10,9 @@ import (
 // of every op: Must holds exactly the stores and each line ID's first
 // read per stream, each line's list holds exactly its later reads in
 // ascending order, All is their union, Hits sums the later reads'
-// accesses, Read records the lines read, and Last and Accesses count
-// the stream's accesses through each line's last access and in all.
+// accesses, Read records the lines read, and ILast and IAccesses count
+// the instruction stream's accesses through each line's last fetch and
+// in all.
 func TestReplayIndex(t *testing.T) {
 	g := prng.New(0x1DE)
 	for round := 0; round < 200; round++ {
@@ -35,13 +36,14 @@ func TestReplayIndex(t *testing.T) {
 			read[s], hits[s] = make([]bool, nLines), make([]uint64, nLines)
 		}
 		later := make([]bool, n)
-		var acc [2]uint64
-		var last [2][]uint64
-		last[0], last[1] = make([]uint64, nLines), make([]uint64, nLines)
+		var acc uint64
+		last := make([]uint64, nLines)
 		for i, op := range ops {
 			s := stream(op.Kind)
-			acc[s] += 1 + uint64(op.Rep)
-			last[s][op.ID] = acc[s]
+			if op.Kind == Fetch {
+				acc += 1 + uint64(op.Rep)
+				last[op.ID] = acc
+			}
 			must := op.Kind == Store || !read[s][op.ID]
 			if op.Kind != Store {
 				if read[s][op.ID] {
@@ -54,15 +56,20 @@ func TestReplayIndex(t *testing.T) {
 				t.Fatalf("round %d op %d (%+v): Must bit %v, want %v", round, i, op, got, must)
 			}
 		}
-		for s, r := range streams {
-			if r.Accesses != acc[s] {
-				t.Fatalf("round %d stream %d: %d accesses, want %d", round, s, r.Accesses, acc[s])
+		if x.IAccesses != acc || len(x.ILast) != nLines {
+			t.Fatalf("round %d: %d instruction accesses over %d lines, want %d over %d", round, x.IAccesses, len(x.ILast), acc, nLines)
+		}
+		for id, n := range x.ILast {
+			if n != last[id] {
+				t.Fatalf("round %d line %d: last fetch at access %d, want %d", round, id, n, last[id])
 			}
+		}
+		for s, r := range streams {
 			all := make([]uint64, len(x.Must))
 			for id := 0; id < nLines; id++ {
-				if r.Hits[id] != hits[s][id] || r.Read[id] != read[s][id] || r.Last[id] != last[s][id] {
-					t.Fatalf("round %d stream %d line %d: hits %d read %v last %d, want %d, %v and %d",
-						round, s, id, r.Hits[id], r.Read[id], r.Last[id], hits[s][id], read[s][id], last[s][id])
+				if r.Hits[id] != hits[s][id] || r.Read[id] != read[s][id] {
+					t.Fatalf("round %d stream %d line %d: hits %d read %v, want %d and %v",
+						round, s, id, r.Hits[id], r.Read[id], hits[s][id], read[s][id])
 				}
 				at := r.At[r.Off[id]:r.Off[id+1]]
 				for j, i := range at {
