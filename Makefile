@@ -125,12 +125,14 @@ bench-hotpath:
 	$(GO) test -run='^$$' -bench=HotPath -benchtime=10x .
 
 # Short fixed-scale trajectory snapshot (per-campaign HWM/mean/pWCET and
-# wall time); regenerate BENCH_PR13.json when touching the hot path
-# (BENCH_JSON=path overrides the output file). CI runs this and uploads
-# the JSON as an artifact. The determinism gate that holds the results
-# bit-identical to every committed snapshot, plainly and through the
-# crash path, is TestTrajectoryMatchesCommittedSnapshots in `make test`.
-BENCH_JSON ?= BENCH_PR13.json
+# wall time), written to the uncommitted bench.json (BENCH_JSON=path
+# overrides the output file). CI runs this and uploads the JSON as an
+# artifact. The committed BENCH_PR*.json snapshots are the reference of
+# the determinism gate, TestTrajectoryMatchesCommittedSnapshots in `make
+# test`, which holds every result bit-identical to each of them, plainly
+# and through the crash path; a new snapshot is committed under a new
+# BENCH_PR*.json name, never written over an old one.
+BENCH_JSON ?= bench.json
 bench-json:
 	$(GO) run ./cmd/paperbench -short -json $(BENCH_JSON)
 

@@ -152,8 +152,9 @@ func (c *Cache) Write(la uint64, e uint32) (AccessBits, uint32) {
 
 // access is the one slow path: scan the set, serve a hit like the hit
 // path does, otherwise pick a victim and fill. Reads never dirty a line;
-// write-through store misses leave the level untouched (no fill, no RNG
-// draw); write-back hits and fills dirty the line.
+// write-through store misses fill nothing and draw nothing, and only
+// advance an LRU level's tick, so that every LRU access ticks once;
+// write-back hits and fills dirty the line.
 //
 //rm:hotpath
 func (c *Cache) access(la uint64, set uint32, write bool) (AccessBits, uint32) {
@@ -174,6 +175,9 @@ func (c *Cache) access(la uint64, set uint32, write bool) (AccessBits, uint32) {
 		}
 	}
 	if write && !c.writeBack {
+		if c.isLRU {
+			c.tick++ // every LRU access ticks (RestoreLRU)
+		}
 		return 0, set
 	}
 	w := c.victim(set)

@@ -161,7 +161,6 @@ func addStats(a, b Stats) Stats {
 		Misses:     a.Misses + b.Misses,
 		Evictions:  a.Evictions + b.Evictions,
 		Writebacks: a.Writebacks + b.Writebacks,
-		Flushes:    a.Flushes + b.Flushes,
 	}
 }
 

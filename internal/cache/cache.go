@@ -143,7 +143,6 @@ type Stats struct {
 	Misses     uint64
 	Evictions  uint64
 	Writebacks uint64 // dirty victims pushed down
-	Flushes    uint64 // 0 in a run's Stats: a run starts after its level's flush
 }
 
 // MissRatio returns misses/accesses (0 if no accesses).
@@ -328,15 +327,15 @@ func (c *Cache) Flush() {
 // evict the first: the limit is 1. FIFO and LRU fill invalid ways first,
 // so up to Ways lines never evict each other: the limit is Ways. Random
 // and FIFO hits leave no state. LRU hits advance the tick and stamp the
-// line, so a replay that skips them must restore both (RestoreLRU);
-// that needs every access to tick once, which a store missing a
-// no-allocate level does not, so a stored-to LRU level skips nothing. A
-// stored-to level that allocates on write skips nothing either: the
-// paper's platform has write-through no-allocate L1s, whose stores fill
-// no line. PLRU skips nothing: its tree bits record the order of the last
-// touches.
+// line, so a replay that skips them must restore both (RestoreLRU),
+// which it can because every LRU access ticks once, a store missing a
+// no-allocate level included. A stored-to level that allocates on write
+// skips nothing: its stores fill lines the occupancy count does not see.
+// The paper's platform has write-through no-allocate L1s, whose stores
+// fill no line. PLRU skips nothing: its tree bits record the order of the
+// last touches.
 func (c *Cache) HitElisionLimit(stores bool) int {
-	if !c.cold || stores && (c.repl == LRU || c.AllocatesOnWrite()) {
+	if !c.cold || stores && c.AllocatesOnWrite() {
 		return 0
 	}
 	switch c.repl {

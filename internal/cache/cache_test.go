@@ -478,18 +478,61 @@ func TestStatsMissRatio(t *testing.T) {
 	}
 }
 
+// BenchmarkAccessModuloLRU and BenchmarkAccessRMRandom time one access
+// through the methods the replay loops call (Hinted, then ReadHit or
+// WriteHit and Hits, or the Read and Write slow paths that refresh the
+// hint) on a write-through DL1: modulo+LRU, the baseline's, and
+// RM+Random, the paper platform's.
 func BenchmarkAccessModuloLRU(b *testing.B) { benchAccess(b, placement.Modulo, LRU) }
 func BenchmarkAccessRMRandom(b *testing.B)  { benchAccess(b, placement.RM, Random) }
-func BenchmarkAccessHRPRandom(b *testing.B) { benchAccess(b, placement.HRP, Random) }
 
+// benchAccess replays a fixed stream of 4096 accesses over an index plan
+// built once after the reseed: three in four go to 256 hot lines, the
+// rest to 4096 cold ones (the level holds 512), and one in eight is a
+// store.
 func benchAccess(b *testing.B, pk placement.Kind, rk ReplacementKind) {
-	c, err := newRef(dl1Config(pk, rk))
+	c, err := New(dl1Config(pk, rk))
 	if err != nil {
 		b.Fatal(err)
 	}
 	c.Reseed(1)
+	const hot, cold = 256, 4096
+	lines := make([]uint64, hot+cold)
+	for i := range lines {
+		lines[i] = uint64(i)*7 + 3
+	}
+	plan := make([]uint32, len(lines))
+	placement.IndexAll(c.Policy(), lines, plan)
+	g := prng.New(0xACCE55)
+	type op struct {
+		id    uint32
+		write bool
+	}
+	ops := make([]op, 4096)
+	for i := range ops {
+		id := uint32(g.Intn(hot))
+		if g.Intn(4) == 0 {
+			id = hot + uint32(g.Intn(cold))
+		}
+		ops[i] = op{id, g.Intn(8) == 0}
+	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Read(uint64(i) * 32 & (1<<18 - 1))
+		o := ops[i&(len(ops)-1)]
+		la, e := lines[o.id], plan[o.id]
+		switch {
+		case c.Hinted(la, e):
+			if o.write {
+				c.WriteHit(e)
+			} else {
+				c.ReadHit(e, 1)
+			}
+			c.Hits(1)
+		case o.write:
+			_, plan[o.id] = c.Write(la, e)
+		default:
+			_, plan[o.id] = c.Read(la, e)
+		}
 	}
 }

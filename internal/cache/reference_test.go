@@ -94,7 +94,11 @@ func (c *refCache) accessLine(la uint64, set int, isWrite bool) Result {
 
 	c.stats.Misses++
 	if isWrite && !c.AllocatesOnWrite() {
-		// Write-through: the store bypasses this level.
+		// Write-through: the store bypasses this level, but an LRU
+		// level still ticks, as it does on every access.
+		if c.repl == LRU {
+			c.tick++
+		}
 		return Result{}
 	}
 	res := Result{Filled: true}

@@ -32,7 +32,7 @@ import (
 // checkpointMagic versions the blob; bump the digit when the payload
 // layout changes so stale checkpoints fail decode instead of silently
 // misparsing.
-const checkpointMagic = "RMCKPT1\n"
+const checkpointMagic = "RMCKPT2\n"
 
 // checksumLen is the length of the trailing SHA-256.
 const checksumLen = sha256.Size
@@ -341,7 +341,7 @@ func appendFloats(b []byte, fs []float64) []byte {
 
 // appendCacheStats writes one level's counters.
 func appendCacheStats(b []byte, s cache.Stats) []byte {
-	for _, v := range [...]uint64{s.Accesses, s.Hits, s.Misses, s.Evictions, s.Writebacks, s.Flushes} {
+	for _, v := range [...]uint64{s.Accesses, s.Hits, s.Misses, s.Evictions, s.Writebacks} {
 		b = binary.AppendUvarint(b, v)
 	}
 	return b
@@ -420,7 +420,7 @@ func (d *ckptReader) count(max int) int {
 
 func (d *ckptReader) cacheStats() cache.Stats {
 	var s cache.Stats
-	for _, c := range [...]*uint64{&s.Accesses, &s.Hits, &s.Misses, &s.Evictions, &s.Writebacks, &s.Flushes} {
+	for _, c := range [...]*uint64{&s.Accesses, &s.Hits, &s.Misses, &s.Evictions, &s.Writebacks} {
 		*c = d.uvarint()
 	}
 	return s

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"reflect"
 	"runtime"
@@ -217,6 +218,25 @@ func TestCheckpointCodecCorruption(t *testing.T) {
 		if _, err := DecodeCheckpoint(mut); !errors.As(err, &corrupt) {
 			t.Fatalf("bit flip at %d: err = %v, want CorruptCheckpointError", i, err)
 		}
+	}
+}
+
+// TestPreviousLayoutCheckpointRejected: a blob under the previous magic,
+// RMCKPT1, fails decode with *CorruptCheckpointError even when its
+// checksum is intact. That layout wrote a sixth, always-zero counter per
+// cache level, so the decoder must refuse it at the magic, and a store
+// quarantines it and recomputes instead of misreading its counters.
+func TestPreviousLayoutCheckpointRejected(t *testing.T) {
+	cp := interruptAt(t, ckptRequests(t)[0], 2, 30)
+	if cp == nil {
+		t.Skip("campaign completed before checkpoint")
+	}
+	blob := cp.Encode()
+	body := append([]byte("RMCKPT1\n"), blob[len(checkpointMagic):len(blob)-sha256.Size]...)
+	sum := sha256.Sum256(body)
+	var corrupt *CorruptCheckpointError
+	if _, err := DecodeCheckpoint(append(body, sum[:]...)); !errors.As(err, &corrupt) {
+		t.Fatalf("RMCKPT1 blob: decode err = %v, want *CorruptCheckpointError", err)
 	}
 }
 

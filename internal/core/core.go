@@ -154,7 +154,14 @@ type Analysis struct {
 	Model   evt.PWCET    // fitted Gumbel block-maxima model
 	PWCET15 float64      // pWCET at exceedance 1e-15 (highest criticality)
 	PWCET12 float64      // pWCET at exceedance 1e-12
-	IIDPass bool         // WW and KS both pass
+
+	// IIDPass reports that WW and KS both pass at iid.Alpha (0.05). Two
+	// tests at that level reject about one i.i.d. campaign in ten by
+	// design, so a single false is no evidence against the platform.
+	// Over 200 RM campaigns of 300 runs per kernel, WW rejected 3-6.5%,
+	// KS 3.5-5% and ET 0-2.5%, and IIDPass was false in 13 (tblook01),
+	// 20 (canrdr01) and 21 (a2time01) of 200.
+	IIDPass bool
 }
 
 // CutoffHigh and CutoffLow are the per-run exceedance probabilities the

@@ -89,7 +89,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		f.Add(blob[:len(blob)-sha256.Size]) // the body alone: re-summed below
 	}
 	f.Add([]byte(checkpointMagic))
-	f.Add([]byte("RMCKPT1"))
+	f.Add([]byte("RMCKPT2"))
 	// A security checkpoint: the streaming accumulators plus the rounds.
 	if cp := interruptAt(f, ckptRequests(f)[2], 2, 16); cp != nil {
 		f.Add(cp.Encode())

@@ -32,7 +32,6 @@ func addStats(a, b cache.Stats) cache.Stats {
 		Misses:     a.Misses + b.Misses,
 		Evictions:  a.Evictions + b.Evictions,
 		Writebacks: a.Writebacks + b.Writebacks,
-		Flushes:    a.Flushes + b.Flushes,
 	}
 }
 

@@ -37,9 +37,9 @@ import (
 // later read of a line whose set holds more than the level's
 // cache.HitElisionLimit (1 under Random, Ways under FIFO and LRU, on a
 // cold level; 0, keeping the whole stream, on a warm or PLRU level and on
-// a stored-to LRU or write-back one). occ is that pass's per-set counter
-// scratch, all zero between runs; limI remembers the run's IL1 limit for
-// the LRU restore after the loop.
+// a stored-to write-back one). occ is that pass's per-set counter
+// scratch, all zero between runs; limI and limD remember the run's L1
+// limits for the LRU restores after the loop.
 type indexPlan struct {
 	il1 []uint32 // IL1 entry per instruction line ID
 	dl1 []uint32 // DL1 entry per data line ID
@@ -49,6 +49,7 @@ type indexPlan struct {
 	keep []uint64 // per 64-op block: the ops this run replays
 	occ  []uint32 // per L1 set: allocating lines this run (keepOps)
 	limI int      // this run's IL1 hit elision limit
+	limD int      // this run's DL1 hit elision limit
 
 	builtFor *trace.Compiled
 }
@@ -100,7 +101,7 @@ func (c *Core) keepOps(ct *trace.Compiled) (skipI, skipD uint64) {
 	if ct.Index == nil {
 		limI, limD = 0, 0
 	}
-	c.plan.limI = limI
+	c.plan.limI, c.plan.limD = limI, limD
 	if limI == 0 && limD == 0 {
 		for b := range keep {
 			keep[b] = ^uint64(0)
@@ -189,14 +190,15 @@ func (c *Core) ReplayedOps() int {
 // and never reaches the L2; the skipped reads' hits go into the level's
 // run counters in bulk. Random and FIFO hits leave no other state. LRU hits
 // advance the tick and stamp the line: the run ends with
-// cache.Cache.RestoreLRU, which sets both to what replaying every hit leaves
-// in O(unique lines) (every access of a skipping LRU level ticks once,
-// so the values are counts the index holds), and victim choices inside
-// the run only compare stamps within a set, whose order the skipped hits
-// of other sets cannot change. A warm level, a PLRU level, and a
-// stored-to level that is LRU or allocates on write keep every op of
-// their stream: the same loop with every bit kept. Results, cache state
-// and the replacement streams are bit-identical to replaying every op.
+// cache.Cache.RestoreLRU on each L1 that skipped reads, which sets both to
+// what replaying every hit leaves in O(unique lines) (every access of an
+// LRU level ticks once, a write-through store miss included, so the
+// values are counts the index holds), and victim choices inside the run
+// only compare stamps within a set, whose order the skipped hits of other
+// sets cannot change. A warm level, a PLRU level, and a stored-to level
+// that allocates on write keep every op of their stream: the same loop
+// with every bit kept. Results, cache state and the replacement streams
+// are bit-identical to replaying every op.
 //
 // This is the MBPTA campaign hot path: a campaign replays the same
 // Compiled hundreds of times (it is immutable and shared across worker
@@ -255,9 +257,12 @@ func (c *Core) RunCompiled(ct *trace.Compiled) Result {
 	il1.Hits(h1 + skipI)
 	dl1.Hits(hd + skipD)
 	if c.plan.limI > 0 {
-		// A stored-to LRU level skips nothing, so only the IL1 restores.
-		t := ct.Index.Tables()
-		il1.RestoreLRU(ilines, il1Plan, t.ILast, t.IAccesses)
+		r := &ct.Index.Tables().I
+		il1.RestoreLRU(ilines, il1Plan, r.Last, r.Accesses)
+	}
+	if c.plan.limD > 0 {
+		r := &ct.Index.Tables().D
+		dl1.RestoreLRU(dlines, dl1Plan, r.Last, r.Accesses)
 	}
 	cycles += l1Hit*uint64(ct.Accesses) + storeBus*stores
 	return Result{

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/bits"
 	"testing"
 
 	"repro/internal/cache"
@@ -42,12 +43,12 @@ func dataTrace(lines []uint64, store string) trace.Trace {
 
 // TestElisionEligibility pins when RunCompiled may skip a read: the
 // per-kind set limits (Random 1 allocating line, FIFO and LRU Ways, PLRU
-// none), no skipping on a stored-to level that is LRU or allocates on
-// write (write-back), stores never counting as allocating, the cold-only
-// rule (no skipping on a warm level, even where the limit would allow
-// it), LRU state restored exactly, and aliased relocated IDs counting as
-// two lines. Every replay must also equal the per-access reference,
-// Result and cache state.
+// none), no skipping on a stored-to level that allocates on write
+// (write-back), stores never counting as allocating, the cold-only rule
+// (no skipping on a warm level, even where the limit would allow it),
+// LRU state restored exactly on either L1, and aliased relocated IDs
+// counting as two lines. Every replay must also equal the per-access
+// reference, Result and cache state.
 func TestElisionEligibility(t *testing.T) {
 	t.Run("limits", func(t *testing.T) {
 		wt, wb := cache.WriteThrough, cache.WriteBack
@@ -60,7 +61,7 @@ func TestElisionEligibility(t *testing.T) {
 			{cache.Random, wt, true, 1},
 			{cache.FIFO, wt, true, 2},
 			{cache.LRU, wt, false, 2},
-			{cache.LRU, wt, true, 0}, // a write-through store miss does not tick
+			{cache.LRU, wt, true, 2}, // a write-through store miss ticks too
 			{cache.LRU, wb, true, 0},
 			{cache.LRU, wb, false, 2},
 			{cache.Random, wb, true, 0}, // a store fills a write-back level
@@ -110,14 +111,14 @@ func TestElisionEligibility(t *testing.T) {
 		{"fifo/alone", cache.FIFO, wt, alone, "", 2},
 		{"fifo/shared", cache.FIFO, wt, shared, "", 2},
 		{"fifo/three", cache.FIFO, wt, three, "", 7},
-		// A data L1 is stored-to, so an LRU or write-back one replays its
-		// whole stream.
-		{"lru/alone-noalloc", cache.LRU, wt, alone, "", 5},
+		// A data L1 is stored-to, so a write-back one replays its whole
+		// stream; a write-through LRU one skips like FIFO.
+		{"lru/alone-noalloc", cache.LRU, wt, alone, "", 2},
 		{"lru/alone", cache.LRU, wb, alone, "", 5},
 		{"lru/shared", cache.LRU, wb, shared, "", 5},
 		{"lru/three", cache.LRU, wb, three, "", 7},
 		{"lru/store-alloc", cache.LRU, wb, shared, storeOnly, 5},
-		{"lru/store-noalloc", cache.LRU, wt, shared, storeOnly, 5},
+		{"lru/store-noalloc", cache.LRU, wt, shared, storeOnly, 3},
 		{"plru/alone", cache.PLRU, wt, alone, "", 5},
 		{"random/store-noalloc", cache.Random, wt, shared, storeOnly, 3},
 		{"random/store-writeback", cache.Random, wb, shared, storeOnly, 5},
@@ -177,6 +178,34 @@ func TestElisionEligibility(t *testing.T) {
 		got, want := core.RunCompiled(compile(t, second)), ref.Run(second)
 		if got != want || want.IL1.Hits != 1 {
 			t.Fatalf("warm replay %+v, reference %+v (want 1 IL1 hit)", got, want)
+		}
+		sameCacheState(t, core, ref)
+	})
+
+	// The data stream stores, and a write-through LRU DL1 still skips
+	// its certain hits: a store to line 24 misses between the loads and
+	// ticks. Line 0 is loaded last of set 0, so the warm load of line 16
+	// evicts line 8, and the load of line 8 then evicts line 0 only if
+	// the restored tick lies past line 0's restored stamp; line 16 then
+	// hits.
+	t.Run("lru/load", func(t *testing.T) {
+		cfg := elisionConfig(cache.LRU, wt)
+		first := dataTrace([]uint64{0, 1, 8, 24, 1, 0, 1}, "...s...")
+		ct := compile(t, first)
+		core, ref := mustNew(t, cfg), mustNew(t, cfg)
+		core.Reseed(6)
+		ref.Reseed(6)
+		if got, want := core.RunCompiled(ct), ref.Run(first); got != want {
+			t.Fatalf("compiled %+v, reference %+v", got, want)
+		}
+		sameCacheState(t, core, ref)
+		if got := core.ReplayedOps(); got != 4 {
+			t.Fatalf("replayed %d of %d ops, want 4", got, len(ct.Ops))
+		}
+		second := dataTrace([]uint64{16, 8, 16}, "")
+		got, want := core.RunCompiled(compile(t, second)), ref.Run(second)
+		if got != want || want.DL1.Hits != 1 {
+			t.Fatalf("warm replay %+v, reference %+v (want 1 DL1 hit)", got, want)
 		}
 		sameCacheState(t, core, ref)
 	})
@@ -290,4 +319,52 @@ func mustNew(t *testing.T, cfg Config) *Core {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// TestBaselineElisionMatchesPerAccess is the differential test of hit
+// elision on the modulo+LRU baseline (core.PlatformFor(placement.Modulo):
+// paperConfig's modulo+LRU L1s over a modulo+LRU L2), whose write-through
+// DL1 skips its certain hits and restores its LRU stamps like the IL1:
+// perfbench's twelve kernels, relocated to several randomized layouts as
+// a baseline campaign relocates them, must replay through the skipping
+// RunCompiled exactly as the per-access Core.Run serves the trace rebuilt
+// at that layout, in Result and in every level's state. The runs must
+// also skip data reads, or the DL1 restore went untested.
+func TestBaselineElisionMatchesPerAccess(t *testing.T) {
+	cfg := paperConfig(placement.Modulo)
+	cfg.L2.Placement, cfg.L2.Replacement = placement.Modulo, cache.LRU
+	s20, err := workload.ByName("synth20k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	core, ref := mustNew(t, cfg), mustNew(t, cfg)
+	base := workload.BaselineLayout()
+	var replayed, dataOps int
+	for _, w := range append(workload.EEMBC(), s20) {
+		rel, err := w.Relocatable(base, cfg.DL1.LineBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4; i++ {
+			seed := prng.Derive(0xB45E, i)
+			layout := workload.RandomizedLayoutFrom(base, prng.New(seed))
+			ct := rel.Relocate(layout)
+			core.Reseed(seed)
+			ref.Reseed(seed)
+			if got, want := core.RunCompiled(ct), ref.Run(w.Build(layout)); got != want {
+				t.Fatalf("%s layout %d: compiled %+v, per-access %+v", w.Name, i, got, want)
+			}
+			sameCacheState(t, core, ref)
+			replayed += core.ReplayedOps()
+			// An IL1-only skip replays at least every op outside the
+			// instruction stream's later reads.
+			dataOps += len(ct.Ops)
+			for _, m := range ct.Index.Tables().I.All {
+				dataOps -= bits.OnesCount64(m)
+			}
+		}
+	}
+	if replayed >= dataOps {
+		t.Fatalf("replayed %d ops, no fewer than the %d outside the instruction stream's later reads", replayed, dataOps)
+	}
 }

@@ -141,11 +141,16 @@ func FuzzCompiledReplay(f *testing.F) {
 	// Line 0 loaded between stores to line 8 of its set: Modulo/Random
 	// under write-through (the stores bypass DL1, line 0's later loads
 	// are certain hits) and write-back (each store fills line 8 in and
-	// may evict line 0), and Modulo/LRU under write-through, where a
-	// stored-to level skips nothing.
+	// may evict line 0), and Modulo/LRU under write-through, where the
+	// store misses tick and line 0's later loads are skipped.
 	for _, sel := range []uint8{0x0A, 0x28, 0x41} {
 		f.Add(sel, uint64(4), []byte("\x40\x90\x40\x90\x40\x90\x40\x90\x40\x90\x40"))
 	}
+	// Modulo/LRU/write-through: lines 0 and 8 fill DL1 set 0 and line 1
+	// set 1, stores to lines 16 and 24 of set 0 miss between their later
+	// loads, which are skipped, and the warm replays' victims in set 0
+	// follow the restored stamps and tick.
+	f.Add(uint8(0x41), uint64(8), []byte("\x40\x50\xa0\x40\xa0\x50\x42\x40\xb0\x42\x50\x40\x60\x50"))
 	hog := streamTrace(1<<20, 600)
 	f.Fuzz(func(t *testing.T, sel uint8, seed uint64, data []byte) {
 		if len(data) > 2048 {

@@ -32,7 +32,7 @@ func streamTrace(base uint64, n int) trace.Trace {
 // formatResult renders one per-core Result as a golden-file line.
 func formatResult(r Result) string {
 	st := func(s cache.Stats) string {
-		return fmt.Sprintf("%d/%d/%d/%d/%d/%d", s.Accesses, s.Hits, s.Misses, s.Evictions, s.Writebacks, s.Flushes)
+		return fmt.Sprintf("%d/%d/%d/%d/%d", s.Accesses, s.Hits, s.Misses, s.Evictions, s.Writebacks)
 	}
 	return fmt.Sprintf("cycles=%d accesses=%d il1=%s dl1=%s l2=%s",
 		r.Cycles, r.Accesses, st(r.IL1), st(r.DL1), st(r.L2))

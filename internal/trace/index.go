@@ -30,16 +30,6 @@ type ReplayIndex struct {
 type ReplayTables struct {
 	Must []uint64
 	I, D LineReads // instruction and data stream
-
-	// ILast counts, per instruction line ID, the instruction stream's
-	// accesses (folded reps included) up to and including the line's
-	// last fetch, and IAccesses all of the stream's accesses: on an IL1
-	// that ticks once per access, the tick and LRU stamps a full replay
-	// leaves (cache.Cache.RestoreLRU). The data stream has none: the
-	// replay counts the DL1 as stored-to, and a stored-to LRU level
-	// skips no read, so it never restores.
-	ILast     []uint64
-	IAccesses uint64
 }
 
 // LineReads indexes the later reads of one stream's line IDs: the ops
@@ -64,6 +54,14 @@ type LineReads struct {
 	// the lines that fill an L1 which takes no fill from a store. Every
 	// instruction line is read.
 	Read []bool
+
+	// Last counts, per line ID, the stream's accesses (folded reps and
+	// stores included) up to and including the line's last access, and
+	// Accesses all of the stream's accesses: on an L1 that ticks once
+	// per access, the tick and LRU stamps a full replay leaves
+	// (cache.Cache.RestoreLRU).
+	Last     []uint64
+	Accesses uint64
 }
 
 // Blocks returns the number of 64-op blocks of n ops.
@@ -90,7 +88,7 @@ func (x *ReplayIndex) Tables() *ReplayTables {
 
 func newTables(ops []Op, iLines, dLines int) ReplayTables {
 	nb := Blocks(len(ops))
-	t := ReplayTables{Must: make([]uint64, nb), ILast: make([]uint64, iLines)}
+	t := ReplayTables{Must: make([]uint64, nb)}
 	streams := [2]*LineReads{&t.I, &t.D}
 	for s, n := range [2]int{iLines, dLines} {
 		r := streams[s]
@@ -98,15 +96,14 @@ func newTables(ops []Op, iLines, dLines int) ReplayTables {
 		r.Hits = make([]uint64, n)
 		r.All = make([]uint64, nb)
 		r.Read = make([]bool, n)
+		r.Last = make([]uint64, n)
 	}
 	// Classify every op, counting each line's later reads in Off[id+1].
 	for i, op := range ops {
 		b, bit := i>>6, uint64(1)<<(i&63)
 		r := streams[stream(op.Kind)]
-		if op.Kind == Fetch {
-			t.IAccesses += 1 + uint64(op.Rep)
-			t.ILast[op.ID] = t.IAccesses
-		}
+		r.Accesses += 1 + uint64(op.Rep)
+		r.Last[op.ID] = r.Accesses
 		switch {
 		case op.Kind == Store:
 			t.Must[b] |= bit
