@@ -88,6 +88,36 @@ func BenchmarkHotPathBaselineCompiled(b *testing.B) {
 	}
 }
 
+// BenchmarkHotPathBaselineRound runs one round of perfbench's
+// baseline-hwm workload through a one-worker Engine: a 32-run
+// high-water-mark campaign on the modulo+LRU platform for each of its 12
+// kernels (the eleven EEMBC-like ones plus synth20k), each compiled once
+// in relocatable form. It reports runs/s, the workload's throughput
+// metric.
+func BenchmarkHotPathBaselineRound(b *testing.B) {
+	s20, err := workload.ByName("synth20k")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ws := append(workload.EEMBC(), s20)
+	eng := core.NewEngine(core.WithWorkers(1))
+	spec := core.PlatformFor(placement.Modulo)
+	const runs = 32
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k, w := range ws {
+			req := core.Request{
+				Spec: spec, Workload: w, Runs: runs, MasterSeed: uint64(k),
+				Baseline: true, KeepTimes: core.TimesDrop,
+			}
+			if _, err := eng.Run(context.Background(), req); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.N*len(ws)*runs)/b.Elapsed().Seconds(), "runs/s")
+}
+
 // BenchmarkHotPathCampaignCompiled runs a 40-run MBPTA campaign through
 // the Engine with workers pinned to 1, so it measures the hot loop plus
 // the campaign's streaming overhead without parallelism.

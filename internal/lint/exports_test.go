@@ -87,11 +87,22 @@ func deadDeclarations(root string, patterns ...string) ([]string, error) {
 	}
 
 	decls := declarations(pkgs, l.module)
+	// A package type-checked again for a test declares its objects anew,
+	// at the positions of the loaded ones.
+	byPos := make(map[token.Pos]types.Object, len(decls))
+	for obj := range decls {
+		byPos[obj.Pos()] = obj
+	}
 	used := make(map[types.Object]bool)
 	record := func(info *types.Info, usePkg string, inTests bool, example func(token.Pos) bool) {
 		for id, obj := range info.Uses {
 			obj = origin(obj)
 			d, ok := decls[obj]
+			if !ok {
+				if obj, ok = byPos[obj.Pos()]; ok {
+					d = decls[obj]
+				}
+			}
 			if !ok || used[obj] {
 				continue
 			}
@@ -283,15 +294,29 @@ func checkTests(l *Loader, p *Package, record func(info *types.Info, path string
 		}
 	}
 	// check type-checks files as package path, resolving p's own import
-	// path to self, and records the uses in the recorded files.
+	// path to self, and records the uses in the recorded files. When self
+	// is not the loaded package, it also type-checks anew against self
+	// every in-module package whose import graph reaches p, as go test
+	// rebuilds an external test's imports against the package with its
+	// test files.
 	check := func(path string, self *types.Package, files, recorded []*ast.File) (*types.Package, error) {
 		info := &types.Info{Uses: make(map[*ast.Ident]types.Object)}
-		cfg := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
-			if path == p.Path {
-				return self, nil
+		resolved := map[string]*types.Package{p.Path: self}
+		var imp importerFunc
+		imp = func(path string) (*types.Package, error) {
+			if pkg, ok := resolved[path]; ok {
+				return pkg, nil
 			}
-			return l.Import(path)
-		})}
+			pkg, err := l.Import(path)
+			if lp, ok := l.cache[path]; err == nil && ok && self != p.Types && reaches(pkg, p.Path) {
+				cfg := types.Config{Importer: imp}
+				if pkg, err = cfg.Check(path, l.fset, lp.Syntax, nil); err == nil {
+					resolved[path] = pkg
+				}
+			}
+			return pkg, err
+		}
+		cfg := types.Config{Importer: imp}
 		tpkg, err := cfg.Check(path, l.fset, files, info)
 		if err != nil {
 			return nil, err
@@ -312,9 +337,8 @@ func checkTests(l *Loader, p *Package, record func(info *types.Info, path string
 	}
 	if len(external) > 0 {
 		// An external test sees the package with its in-package test files
-		// when it uses their declarations; go test then also rebuilds the
-		// test's other imports against it, which a plain check cannot, so
-		// try the loaded package first.
+		// when it uses their declarations, and its imports that import the
+		// package rebuilt against that; try the loaded packages first.
 		if _, err := check(p.Path+"_test", p.Types, external, external); err != nil {
 			if _, err := check(p.Path+"_test", augmented, external, external); err != nil {
 				return fmt.Errorf("typecheck tests of %s_test: %v", p.Path, err)
@@ -322,6 +346,20 @@ func checkTests(l *Loader, p *Package, record func(info *types.Info, path string
 		}
 	}
 	return nil
+}
+
+// reaches reports whether pkg is the package at path or imports it,
+// directly or not.
+func reaches(pkg *types.Package, path string) bool {
+	if pkg.Path() == path {
+		return true
+	}
+	for _, imp := range pkg.Imports() {
+		if reaches(imp, path) {
+			return true
+		}
+	}
+	return false
 }
 
 func fileAt(files []*ast.File, pos token.Pos) *ast.File {

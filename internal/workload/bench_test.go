@@ -49,18 +49,40 @@ func BenchmarkCompile(b *testing.B) {
 	}
 }
 
-// BenchmarkRelocatable times Relocatable of every benchmark kernel at the
+// BenchmarkRelocatable times Relocatable of the benchmark kernels at the
 // baseline layout for 32-byte lines, the baseline campaign's one-time
-// compile (both builds included).
+// compile: over all of them ("all", beside BenchmarkBuild plus
+// BenchmarkCompile) and per kernel. The built-in kernels take the
+// relocation walk.
 func BenchmarkRelocatable(b *testing.B) {
+	benchRelocatable(b, benchKernels(b))
+}
+
+// BenchmarkRelocatableTwoBuilds is BenchmarkRelocatable on the two-build
+// path: each kernel's Build wrapped in a fresh Workload, as a custom
+// workload relocates.
+func BenchmarkRelocatableTwoBuilds(b *testing.B) {
 	ws := benchKernels(b)
+	for i, w := range ws {
+		ws[i] = twoBuildsOf(w)
+	}
+	benchRelocatable(b, ws)
+}
+
+func benchRelocatable(b *testing.B, ws []Workload) {
 	base := BaselineLayout()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for _, w := range ws {
-			if _, err := w.Relocatable(base, LineBytes); err != nil {
-				b.Fatal(err)
+	run := func(b *testing.B, ws []Workload) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, w := range ws {
+				if _, err := w.Relocatable(base, LineBytes); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
+	}
+	b.Run("all", func(b *testing.B) { run(b, ws) })
+	for _, w := range ws {
+		b.Run(w.Name, func(b *testing.B) { run(b, []Workload{w}) })
 	}
 }

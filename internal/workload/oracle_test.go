@@ -163,3 +163,59 @@ func TestRelocatableMatchesOracle(t *testing.T) {
 		}
 	}
 }
+
+// twoBuildsOf wraps w's Build in a fresh Workload, which Relocatable
+// checks by building twice.
+func twoBuildsOf(w Workload) Workload {
+	return Workload{Name: w.Name, Description: w.Description, Build: w.Build}
+}
+
+// checkWalk checks that Relocatable of the built-in w, which walks its
+// kernel body once, gives exactly the two-build path's access count, ops
+// and anchor tables: the replay index's inputs are the ops and the
+// tables' lengths, so it is equal too.
+func checkWalk(t *testing.T, w Workload, base Layout, lineBytes int) {
+	t.Helper()
+	if w.prog == nil {
+		t.Fatalf("%s has no kernel body to walk", w.Name)
+	}
+	got, err := w.Relocatable(base, lineBytes)
+	if err != nil {
+		t.Fatalf("%s: walk: %v", w.Name, err)
+	}
+	want, err := twoBuildsOf(w).Relocatable(base, lineBytes)
+	if err != nil {
+		t.Fatalf("%s: two builds: %v", w.Name, err)
+	}
+	if got.Len() != want.Len() || !slices.Equal(got.ops, want.ops) {
+		t.Fatalf("%s (%d B lines, base %+v): walk gave %d ops for %d accesses, two builds %d for %d",
+			w.Name, lineBytes, base, len(got.ops), got.Len(), len(want.ops), want.Len())
+	}
+	for s, pair := range [2][2]anchors{{got.iref, want.iref}, {got.dref, want.dref}} {
+		if !slices.Equal(pair[0].addrs, pair[1].addrs) || !slices.Equal(pair[0].masks, pair[1].masks) {
+			t.Fatalf("%s (%d B lines, base %+v): stream %d anchors differ between the walk and two builds",
+				w.Name, lineBytes, base, s)
+		}
+	}
+}
+
+// TestWalkMatchesTwoBuilds is the differential test of the built-in
+// kernels' relocation walk: on the oracle layouts and FuzzRelocate's seed
+// layouts (wraparound included), for line sizes 1 to 128 bytes, it
+// numbers exactly what the two-build path numbers.
+func TestWalkMatchesTwoBuilds(t *testing.T) {
+	layouts := oracleLayouts()
+	for _, in := range relocateSeeds() {
+		layouts = append(layouts, in.layout())
+	}
+	for _, w := range oracleWorkloads() {
+		t.Run(w.Name, func(t *testing.T) {
+			t.Parallel()
+			for _, base := range layouts {
+				for _, lb := range oracleLineSizes {
+					checkWalk(t, w, base, lb)
+				}
+			}
+		})
+	}
+}

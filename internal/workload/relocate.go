@@ -11,16 +11,16 @@ import (
 // Code, Data, Table, Stack, Pool and the Scatter slots, in that order.
 const numFields = 5 + ScatterSlots
 
-// tagShift places the per-field tags of the anchor build far above any
-// offset a kernel adds to a layout field, so the difference between the
-// tagged and the base trace spells out each access's field set. Field f's
-// tag is 1<<(tagShift+2f): the tags fill the even bits 38 to 62, so a
-// field added two or three times sets an odd bit and fails the check.
+// tagShift places the per-field tags far above any offset a kernel adds
+// to a layout field, so an address's tag bits spell out its field set:
+// those of a built-in kernel's address at the symbolic layout, or the
+// difference between another workload's tagged and base traces. Field
+// f's tag is 1<<(tagShift+2f): the tags fill the even bits 38 to 62, so
+// a field added two or three times sets an odd bit and fails the check.
 const tagShift = 38
 
-// fieldMask decodes how one access moved between the base and the tagged
-// build into its field set (bit f for field f of Layout.fields); ok is
-// false unless d is a sum of distinct tags.
+// fieldMask decodes a sum of tags into its field set (bit f for field f
+// of Layout.fields); ok is false unless d is a sum of distinct tags.
 func fieldMask(d uint64) (mask uint16, ok bool) {
 	if d&(1<<tagShift-1|0xaaaa_aaaa_aaaa_aaaa) != 0 {
 		return 0, false
@@ -29,6 +29,14 @@ func fieldMask(d uint64) (mask uint16, ok bool) {
 		mask |= 1 << (bits.TrailingZeros64(e) / 2)
 	}
 	return mask, true
+}
+
+// tagged returns l with field f moved by its tag, 1<<(tagShift+2f).
+func (l Layout) tagged() Layout {
+	for f, p := range l.fields() {
+		*p += 1 << (tagShift + 2*f)
+	}
+	return l
 }
 
 // fields returns pointers to the relocatable fields in tag order.
@@ -84,56 +92,137 @@ type Relocatable struct {
 	granule    uint64
 }
 
-// Relocatable builds the workload at base and at a tagged copy of base,
-// derives which layout fields each access moves with, and numbers each
-// access's base granule and field set into per-stream anchor tables for
-// lines of lineBytes (a power of two), in one trace.Numbering pass. A
-// trace that breaks the Build contract fails with a *RelocationError.
+// Relocatable derives which layout fields each access of the workload
+// moves with and numbers each access's base granule and field set into
+// per-stream anchor tables for lines of lineBytes (a power of two), in
+// one trace.Numbering pass. A built-in workload's kernel body runs once,
+// at the symbolic layout, and each address decodes into its field set
+// and offset. Any other workload builds at base and at base.tagged(),
+// and a trace that breaks the Build contract fails with a
+// *RelocationError. Both ways give a built-in workload the same ops,
+// replay index and anchors.
 func (w Workload) Relocatable(base Layout, lineBytes int) (*Relocatable, error) {
 	if lineBytes < 1 || lineBytes&(lineBytes-1) != 0 {
 		return nil, fmt.Errorf("workload: relocation needs a power-of-two line size, got %d", lineBytes)
 	}
-	tr := w.Build(base)
-	tagged := base
-	for f, p := range tagged.fields() {
-		*p += 1 << (tagShift + 2*f)
-	}
-	tt := w.Build(tagged)
-	bad := func(format string, args ...any) error {
-		return &RelocationError{w.Name, fmt.Sprintf(format, args...)}
-	}
-	if len(tt) != len(tr) {
-		return nil, bad("%d accesses at the base layout, %d at a shifted one", len(tr), len(tt))
-	}
 	r := &Relocatable{
-		accesses:  len(tr),
 		base:      base,
 		lineBytes: lineBytes,
 		lineShift: uint(bits.TrailingZeros(uint(lineBytes))),
 		granule:   uint64(min(lineBytes, LineBytes)),
 	}
-	n := trace.NewNumbering(len(tr))
+	var n *trace.Numbering
+	var reason string
+	if w.prog != nil {
+		n, r.accesses, reason = w.prog.walk(base, r.granule)
+	} else {
+		n, r.accesses, reason = w.twoBuilds(base, r.granule)
+	}
+	if reason != "" {
+		return nil, &RelocationError{w.Name, reason}
+	}
+	r.ops, r.index = n.Finish()
+	r.iref.addrs, r.iref.masks = n.Lines(trace.Fetch)
+	r.dref.addrs, r.dref.masks = n.Lines(trace.Load)
+	return r, nil
+}
+
+// twoBuilds numbers the workload's base trace with the field sets read
+// off the difference to its build at a tagged copy of base. It returns
+// the access count, or why the two builds break the Build contract.
+func (w Workload) twoBuilds(base Layout, granule uint64) (n *trace.Numbering, accesses int, reason string) {
+	tr, tt := w.Build(base), w.Build(base.tagged())
+	if len(tt) != len(tr) {
+		return nil, 0, fmt.Sprintf("%d accesses at the base layout, %d at a shifted one", len(tr), len(tt))
+	}
+	n = trace.NewNumbering(len(tr))
 	// Most accesses move like the one before them: decode only new moves.
 	var moved uint64
 	var mask uint16
 	for i, a := range tr {
 		b := tt[i]
 		if b.Kind != a.Kind {
-			return nil, bad("access %d has kind %v at the base layout, %v at a shifted one", i, a.Kind, b.Kind)
+			return nil, 0, fmt.Sprintf("access %d has kind %v at the base layout, %v at a shifted one", i, a.Kind, b.Kind)
 		}
 		if d := b.Addr - a.Addr; d != moved {
 			m, ok := fieldMask(d)
 			if !ok {
-				return nil, bad("access %d moved by %#x, not by a sum of distinct layout fields", i, d)
+				return nil, 0, fmt.Sprintf("access %d moved by %#x, not by a sum of distinct layout fields", i, d)
 			}
 			moved, mask = d, m
 		}
-		n.Add(a.Kind, a.Addr&^(r.granule-1), mask)
+		n.Add(a.Kind, a.Addr&^(granule-1), mask)
 	}
-	r.ops, r.index = n.Finish()
-	r.iref.addrs, r.iref.masks = n.Lines(trace.Fetch)
-	r.dref.addrs, r.dref.masks = n.Lines(trace.Load)
-	return r, nil
+	return n, len(tr), ""
+}
+
+// symbolicBias lifts a symbolic-layout address so that an offset below
+// its fields (the stack grows down from Stack) does not borrow from the
+// tag bits: offsets in (-2^37, 2^37) decode exactly.
+const symbolicBias = 1 << (tagShift - 1)
+
+// walk is Relocatable's sink for a built-in kernel run at the symbolic
+// layout, Layout{}.tagged(), in which every field is its tag. It splits
+// each address into its field set and its layout-free offset, adds the
+// base layout's fields back (wrapping, as Build does) and numbers the
+// access's base granule.
+type walk struct {
+	n       *trace.Numbering
+	base    [numFields]uint64 // the base layout's fields, in tag order
+	granule uint64
+	// sets caches decoded tag bits by a hash of them: a kernel's accesses
+	// cycle through a handful of field sets (the code, each object, the
+	// stack), so nearly every access finds its set here. The zero entry
+	// is the empty set, correctly decoded.
+	sets [64]fieldSet
+	bad  uint64 // the first address whose tag bits are no field set
+}
+
+// fieldSet is one decoded set of tag bits: its field mask and the sum of
+// the base layout's fields in it.
+type fieldSet struct {
+	tags uint64
+	mask uint16
+	sum  uint64
+}
+
+func (w *walk) add(a trace.Access) {
+	d := a.Addr + symbolicBias
+	t := d &^ (1<<tagShift - 1)
+	fs := &w.sets[(t>>tagShift)*0x9e3779b97f4a7c15>>58]
+	if fs.tags != t {
+		m, ok := fieldMask(t)
+		if !ok {
+			if w.bad == 0 {
+				w.bad = a.Addr
+			}
+			return
+		}
+		*fs = fieldSet{tags: t, mask: m}
+		for ; m != 0; m &= m - 1 {
+			fs.sum += w.base[bits.TrailingZeros16(m)]
+		}
+	}
+	addr := d&(1<<tagShift-1) - symbolicBias + fs.sum
+	w.n.Add(a.Kind, addr&^(w.granule-1), fs.mask)
+}
+
+// walk runs the kernel body once at the symbolic layout and numbers its
+// accesses for base. It returns the access count (p.accesses, which
+// TestWalkMatchesTwoBuilds holds to the trace's length), or why an
+// address is no offset plus distinct fields.
+func (p *program) walk(base Layout, granule uint64) (n *trace.Numbering, accesses int, reason string) {
+	w := &walk{n: trace.NewNumbering(p.accesses), granule: granule}
+	for f, q := range base.fields() {
+		w.base[f] = *q
+	}
+	k := newKernel(p.name, Layout{}.tagged())
+	k.w = w
+	p.body(k)
+	if w.bad != 0 {
+		return nil, 0, fmt.Sprintf("an access at the symbolic layout sits at %#x, not at an offset plus distinct layout fields", w.bad)
+	}
+	return w.n, p.accesses, ""
 }
 
 // Len returns the number of accesses of the compiled trace.

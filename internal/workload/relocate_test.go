@@ -149,21 +149,68 @@ func TestRelocatableRejectsLayoutDependentTraces(t *testing.T) {
 	}
 }
 
+// TestWalkRejectsRepeatedFields pins the walk's own check: a built-in
+// kernel body that adds one field to an address twice, or three times,
+// fails with a *RelocationError.
+func TestWalkRejectsRepeatedFields(t *testing.T) {
+	for name, addr := range map[string]func(l Layout) uint64{
+		"doubled": func(l Layout) uint64 { return l.Data + l.Data },
+		"tripled": func(l Layout) uint64 { return 3*l.Table + l.Pool },
+	} {
+		p := &program{name: name, accesses: 2, body: func(k *kernel) {
+			k.load(addr(k.l))
+			k.loopIter(0, 1)
+		}}
+		_, err := p.workload("").Relocatable(DefaultLayout(), LineBytes)
+		var re *RelocationError
+		if !errors.As(err, &re) || re.Workload != name {
+			t.Errorf("%s: err = %v, want a *RelocationError naming the workload", name, err)
+		}
+	}
+}
+
+// relocateInput is one FuzzRelocate input: a kernel, a base layout whose
+// Scatter slot k sits at scatter*k, a line size of 1<<(lineLog%8) bytes
+// and a run-layout seed.
+type relocateInput struct {
+	kernel                                  uint8
+	code, data, table, stack, pool, scatter uint64
+	lineLog                                 uint8
+	seed                                    uint64
+}
+
+func (in relocateInput) layout() Layout {
+	l := Layout{Code: in.code, Data: in.data, Table: in.table, Stack: in.stack, Pool: in.pool}
+	for k := range l.Scatter {
+		l.Scatter[k] = in.scatter * uint64(k)
+	}
+	return l
+}
+
+// relocateSeeds are FuzzRelocate's seed inputs.
+func relocateSeeds() []relocateInput {
+	d := BaselineLayout()
+	return []relocateInput{
+		{9, d.Code, d.Data, d.Table, d.Stack, d.Pool, 0, 5, 1},
+		{0, d.Code, d.Data + 4, d.Data + 0x404, d.Stack, d.Pool, 20, 6, 2},
+		// Wraparound: a base Code near 2^64 and a Stack that grows below 0.
+		{6, ^uint64(0) - 100, d.Data, d.Table, 2, d.Pool, 1664, 6, 3},
+	}
+}
+
 // FuzzRelocate checks relocation against a full rebuild for a fuzzed base
 // layout, line size and run-layout seed: each stream must touch the lines
-// trace.Compile(w.Build(layout)) gives it, in order, and replay alike.
+// trace.Compile(w.Build(layout)) gives it, in order, and replay alike. It
+// also checks the kernel's relocation walk against the two-build path.
 func FuzzRelocate(f *testing.F) {
-	d := BaselineLayout()
-	f.Add(uint8(9), d.Code, d.Data, d.Table, d.Stack, d.Pool, uint64(0), uint8(5), uint64(1))
-	f.Add(uint8(0), d.Code, d.Data+4, d.Data+0x404, d.Stack, d.Pool, uint64(20), uint8(6), uint64(2))
-	// Wraparound: a base Code near 2^64 and a Stack that grows below 0.
-	f.Add(uint8(6), ^uint64(0)-100, d.Data, d.Table, uint64(2), d.Pool, uint64(1664), uint8(6), uint64(3))
+	for _, in := range relocateSeeds() {
+		f.Add(in.kernel, in.code, in.data, in.table, in.stack, in.pool, in.scatter, in.lineLog, in.seed)
+	}
 	ws := append(EEMBC(), Synthetic(8*1024, 2, 4))
 	f.Fuzz(func(t *testing.T, kernel uint8, code, data, table, stack, pool, scatter uint64, lineLog uint8, seed uint64) {
-		base := Layout{Code: code, Data: data, Table: table, Stack: stack, Pool: pool}
-		for k := range base.Scatter {
-			base.Scatter[k] = scatter * uint64(k)
-		}
-		checkRelocation(t, ws[int(kernel)%len(ws)], base, 1<<(lineLog%8), seed)
+		in := relocateInput{kernel, code, data, table, stack, pool, scatter, lineLog, seed}
+		w := ws[int(kernel)%len(ws)]
+		checkRelocation(t, w, in.layout(), 1<<(lineLog%8), seed)
+		checkWalk(t, w, in.layout(), 1<<(lineLog%8))
 	})
 }

@@ -130,13 +130,23 @@ type Workload struct {
 	//   - every address is a layout-independent offset plus each layout
 	//     field (Code, Data, Table, Stack, Pool, Scatter[k]) at most once;
 	//   - the trace's length, access kinds and order do not depend on l.
-	// Relocatable reports a violation that shows at its tagged layout
-	// (every field shifted by a distinct high bit, two bits apart) as a
+	// Who checks them depends on who owns the code. The built-in
+	// workloads (EEMBC(), Synthetic) hold them by construction: their
+	// control flow never reads the layout, and Relocatable walks their
+	// kernel body once instead of calling Build (TestWalkMatchesTwoBuilds
+	// pins that walk to the check below). For any other Build,
+	// Relocatable builds the trace twice, at the base layout and at a
+	// tagged copy (every field shifted by a distinct high bit, two bits
+	// apart), and reports a violation that shows between them as a
 	// *RelocationError; that catches a field used two or three times in
-	// one address, though not four times or more.
-	// EEMBC(), Synthetic and FromTrace (whose addresses use no field)
-	// satisfy both.
+	// one address, though not four times or more. FromTrace (whose
+	// addresses use no field) satisfies both. A copy of a built-in whose
+	// Build is replaced still relocates as the built-in: wrap the new
+	// Build in a fresh Workload literal to have it checked.
 	Build func(l Layout) trace.Trace
+	// prog is a built-in workload's kernel, which Build runs through a
+	// trace.Builder; nil for every other workload.
+	prog *program
 }
 
 // FromTrace wraps an externally captured address trace (e.g. a valgrind
@@ -154,26 +164,55 @@ func FromTrace(name, description string, tr trace.Trace) Workload {
 	}
 }
 
-// kernel carries the trace builder plus the program-internal pseudo-random
-// state. The PRNG is seeded from the kernel name only: its draws are part
-// of the program (input data, branch history), identical on every run.
+// program is a built-in kernel: a body that emits the trace through a
+// kernel, run by Build into a trace.Builder and by Relocatable into a
+// relocation walk, so both share one copy of the kernel code.
+type program struct {
+	name     string // seeds the kernel's PRNG
+	accesses int    // the trace's length, which no layout changes
+	body     func(k *kernel)
+}
+
+// workload returns the Workload that runs p.
+func (p *program) workload(description string) Workload {
+	return Workload{Name: p.name, Description: description, Build: p.build, prog: p}
+}
+
+// build runs the body at layout l into a trace sized for p.accesses.
+func (p *program) build(l Layout) trace.Trace {
+	k := newKernel(p.name, l)
+	k.b = trace.NewBuilder(p.accesses)
+	p.body(k)
+	return k.b.Trace()
+}
+
+// kernel carries the layout, the output sink and the program-internal
+// pseudo-random state. The PRNG is seeded from the kernel name only: its
+// draws are part of the program (input data, branch history), identical on
+// every run. Exactly one sink is set: b for Build, w for Relocatable.
 type kernel struct {
-	b   *trace.Builder
 	l   Layout
 	rng *prng.PRNG
 	ops []trace.Access // per-iteration data-op scratch
+	b   *trace.Builder
+	w   *walk
 }
 
-func newKernel(name string, l Layout, sizeHint int) *kernel {
+func newKernel(name string, l Layout) *kernel {
 	var h uint64 = 1469598103934665603
 	for i := 0; i < len(name); i++ {
 		h = (h ^ uint64(name[i])) * 1099511628211
 	}
-	return &kernel{
-		b:   trace.NewBuilder(sizeHint),
-		l:   l,
-		rng: prng.New(h),
+	return &kernel{l: l, rng: prng.New(h)}
+}
+
+// emit sends one access to the kernel's sink.
+func (k *kernel) emit(a trace.Access) {
+	if k.w != nil {
+		k.w.add(a)
+		return
 	}
+	k.b.Append(a)
 }
 
 // Data-op emitters (queued, then interleaved with fetches by loopIter).
@@ -201,10 +240,10 @@ func (k *kernel) loopIter(codeOff uint64, codeLines int) {
 	base := k.l.Code + codeOff
 	n := len(k.ops)
 	for j := 0; j < codeLines; j++ {
-		k.b.Fetch(base + uint64(j*LineBytes))
+		k.emit(trace.Access{Addr: base + uint64(j*LineBytes), Kind: trace.Fetch})
 		lo, hi := j*n/codeLines, (j+1)*n/codeLines
 		for _, op := range k.ops[lo:hi] {
-			k.b.Append(op)
+			k.emit(op)
 		}
 	}
 	k.ops = k.ops[:0]
@@ -228,22 +267,19 @@ func (k *kernel) initPhase(base uint64, bytes int, codeOff uint64, codeLines int
 // in L1), 20KB (fits only in L2) and 160KB (exceeds the 128KB L2
 // partition), 50 traversals, 4-byte elements.
 func Synthetic(footprintBytes, sweeps, strideBytes int) Workload {
-	name := fmt.Sprintf("synth%dk", footprintBytes/1024)
-	return Workload{
-		Name: name,
-		Description: fmt.Sprintf("synthetic vector kernel: %d KB footprint, %d sweeps, stride %d",
-			footprintBytes/1024, sweeps, strideBytes),
-		Build: func(l Layout) trace.Trace {
-			// The loop body walks codeLines*8 elements per pass so fetches
-			// interleave with data accesses as in an unrolled loop.
-			const codeLines = 4
-			const perPass = codeLines * 8
-			elems := footprintBytes / strideBytes
-			vec := l.Obj(l.Data, 0)
-			// The init sweep and every traversal each access all elements
-			// and fetch the loop body once per pass.
-			passes := (elems + perPass - 1) / perPass
-			k := newKernel(name, l, (sweeps+1)*(elems+passes*codeLines))
+	// The loop body walks codeLines*8 elements per pass so fetches
+	// interleave with data accesses as in an unrolled loop.
+	const codeLines = 4
+	const perPass = codeLines * 8
+	elems := footprintBytes / strideBytes
+	// The init sweep and every traversal each access all elements and
+	// fetch the loop body once per pass.
+	passes := (elems + perPass - 1) / perPass
+	p := &program{
+		name:     fmt.Sprintf("synth%dk", footprintBytes/1024),
+		accesses: (sweeps + 1) * (elems + passes*codeLines),
+		body: func(k *kernel) {
+			vec := k.l.Obj(k.l.Data, 0)
 			// Initialisation sweep: write the vector once.
 			for e := 0; e < elems; e += perPass {
 				for j := e; j < e+perPass && j < elems; j++ {
@@ -260,9 +296,10 @@ func Synthetic(footprintBytes, sweeps, strideBytes int) Workload {
 					k.loopIter(0, codeLines)
 				}
 			}
-			return k.b.Trace()
 		},
 	}
+	return p.workload(fmt.Sprintf("synthetic vector kernel: %d KB footprint, %d sweeps, stride %d",
+		footprintBytes/1024, sweeps, strideBytes))
 }
 
 // eembcSpec describes one EEMBC-like kernel generically; the table below
@@ -292,16 +329,7 @@ func EEMBC() []Workload {
 	}
 	out := make([]Workload, len(specs))
 	for i, s := range specs {
-		s := s
-		out[i] = Workload{
-			Name:        s.name,
-			Description: s.desc,
-			Build: func(l Layout) trace.Trace {
-				k := newKernel(s.name, l, s.accesses)
-				s.build(k)
-				return k.b.Trace()
-			},
-		}
+		out[i] = (&program{name: s.name, accesses: s.accesses, body: s.build}).workload(s.desc)
 	}
 	return out
 }
