@@ -66,6 +66,43 @@ func BenchmarkHotPathCompiled(b *testing.B) {
 	}
 }
 
+// BenchmarkHotPathKernels is BenchmarkHotPathCompiled per kernel of
+// perfbench's twelve (the eleven EEMBC-like ones plus synth20k), on the
+// RM paper platform the mbpta-rm workload replays them on: ns/op is one
+// reseeded run, and replayed-ops/op shows how many of the kernel's ops
+// (ops/op) a run replays after skipping its certain L1 hits.
+func BenchmarkHotPathKernels(b *testing.B) {
+	s20, err := workload.ByName("synth20k")
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := core.PlatformFor(placement.RM)
+	for _, w := range append(workload.EEMBC(), s20) {
+		b.Run(w.Name, func(b *testing.B) {
+			p, err := spec.Build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			ct, err := trace.Compile(w.Build(workload.DefaultLayout()), spec.LineBytes)
+			if err != nil {
+				b.Fatal(err)
+			}
+			p.Reseed(prng.Derive(0xBE7C4, 0))
+			p.RunCompiled(ct) // warm-up: allocate the index plans
+			b.ReportAllocs()
+			b.ResetTimer()
+			replayed := 0
+			for i := 0; i < b.N; i++ {
+				p.Reseed(prng.Derive(0xBE7C4, i))
+				p.RunCompiled(ct)
+				replayed += p.ReplayedOps()
+			}
+			b.ReportMetric(float64(len(ct.Ops)), "ops/op")
+			b.ReportMetric(float64(replayed)/float64(b.N), "replayed-ops/op")
+		})
+	}
+}
+
 // BenchmarkHotPathBaselineCompiled runs the deterministic HWM baseline
 // protocol through the Engine: the trace builds and compiles once per
 // campaign in relocatable form, and each run relocates its line tables

@@ -98,6 +98,16 @@ func (c *Cache) Hits(n uint64) {
 	c.hits += n
 }
 
+// HitsUpTo counts as hits every access of the run beyond those already
+// counted, until the run has accesses of them: a replay that skipped
+// reads it knows to hit, and counts the stream's accesses, adds their
+// hits this way.
+//
+//rm:hotpath
+func (c *Cache) HitsUpTo(accesses uint64) {
+	c.Hits(accesses - c.accesses)
+}
+
 // RestoreLRU finishes an LRU run that skipped read hits: it leaves the
 // tick and stamps that replaying every access would have left. The run
 // started cold and every access ticks once, so the tick becomes the

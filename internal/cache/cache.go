@@ -319,21 +319,26 @@ func (c *Cache) Flush() {
 // HitElisionLimit returns how many lines a read fills in one set of this
 // level may hold in a run for every read of each of them after its first
 // to be a hit a replay may skip, or 0 if no read may be skipped. stores
-// reports whether the replayed stream stores to the level.
+// reports whether the replayed stream stores to the level. A nonzero
+// limit also means that a set of more lines, up to Ways, settles: once
+// it holds all its lines, which a replay sees as that many fills that
+// evicted nothing, every later read of them hits.
 //
 // Skipping needs a cold level (no access since construction, Flush or
-// Reseed), so every set starts empty. Random draws its victim among all
-// ways, invalid ones included, so a second line filling into the set can
-// evict the first: the limit is 1. FIFO and LRU fill invalid ways first,
-// so up to Ways lines never evict each other: the limit is Ways. Random
-// and FIFO hits leave no state. LRU hits advance the tick and stamp the
-// line, so a replay that skips them must restore both (RestoreLRU),
-// which it can because every LRU access ticks once, a store missing a
-// no-allocate level included. A stored-to level that allocates on write
-// skips nothing: its stores fill lines the occupancy count does not see.
-// The paper's platform has write-through no-allocate L1s, whose stores
-// fill no line. PLRU skips nothing: its tree bits record the order of the
-// last touches.
+// Reseed), so every set starts empty, and a level whose lines only reads
+// fill, so a set's contents change only on its lines' read misses.
+// Random draws its victim among all ways, invalid ones included, so a
+// second line filling into the set can evict the first: the limit is 1,
+// and a set of 2 to Ways lines is certain only once it has settled.
+// FIFO and LRU fill invalid ways first, so up to Ways lines never evict
+// each other: the limit is Ways. Random and FIFO hits leave no state. LRU
+// hits advance the tick and stamp the line, so a replay that skips them
+// must restore both (RestoreLRU), which it can because every LRU access
+// ticks once, a store missing a no-allocate level included. A stored-to
+// level that allocates on write skips nothing: its stores fill lines the
+// occupancy count does not see. The paper's platform has write-through
+// no-allocate L1s, whose stores fill no line. PLRU skips nothing: its
+// tree bits record the order of the last touches.
 func (c *Cache) HitElisionLimit(stores bool) int {
 	if !c.cold || stores && c.AllocatesOnWrite() {
 		return 0

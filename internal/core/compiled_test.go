@@ -316,3 +316,42 @@ func TestBuildAppliesWriteSetup(t *testing.T) {
 		}
 	}
 }
+
+// TestSettledElisionMatchesFullReplay replays perfbench's twelve kernels
+// on the RM paper platform, whose Random L1s skip the later reads of
+// settled sets, at 20 seeds each, and holds every Result to a replay of
+// the same ops that keeps every op (a Compiled without an Index).
+func TestSettledElisionMatchesFullReplay(t *testing.T) {
+	s20, err := workload.ByName("synth20k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := PlatformFor(placement.RM)
+	elided, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range append(workload.EEMBC(), s20) {
+		ct, err := trace.Compile(w.Build(workload.DefaultLayout()), spec.LineBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := *ct
+		all.Index = nil
+		for i := 0; i < 20; i++ {
+			seed := prng.Derive(0x5E771E, i)
+			elided.Reseed(seed)
+			full.Reseed(seed)
+			if got, want := elided.RunCompiled(ct), full.RunCompiled(&all); got != want {
+				t.Fatalf("%s seed %d: elided %+v, full replay %+v", w.Name, i, got, want)
+			}
+			if full.ReplayedOps() != len(ct.Ops) {
+				t.Fatalf("%s: the full replay replayed %d of %d ops", w.Name, full.ReplayedOps(), len(ct.Ops))
+			}
+		}
+	}
+}

@@ -32,26 +32,71 @@ import (
 // The plan also selects the ops a run replays: keep has one bit per op
 // (trace.ReplayIndex layout). keepOps rebuilds it every run from the
 // fresh L1 plans with a set-occupancy pass over the line IDs, O(unique
-// lines): it counts the allocating lines each L1 set receives under this
-// run's mapping and keeps, beside the trace's must-replay ops, every
-// later read of a line whose set holds more than the level's
-// cache.HitElisionLimit (1 under Random, Ways under FIFO and LRU, on a
-// cold level; 0, keeping the whole stream, on a warm or PLRU level and on
-// a stored-to write-back one). occ is that pass's per-set counter
-// scratch, all zero between runs; limI and limD remember the run's L1
-// limits for the LRU restores after the loop.
+// lines): it counts the allocating lines k each L1 set receives under
+// this run's mapping and, beside the trace's must-replay ops, keeps the
+// later reads of a set's lines by the level's cache.HitElisionLimit
+// (1 under Random, Ways under FIFO and LRU, on a cold level; 0, keeping
+// the whole stream, on a warm or PLRU level and on a stored-to
+// write-back one). A set with k at most the limit skips every later
+// read; a set with k above Ways keeps every one; a set in between (only
+// Random's 2..Ways) settles during the run, and the loop marks its reads
+// as it goes from the level's settle scratch, sI or sD. occ is the
+// pass's per-set counter scratch, all zero between runs; limI and limD
+// remember the run's L1 limits for the LRU restores after the loop.
 type indexPlan struct {
 	il1 []uint32 // IL1 entry per instruction line ID
 	dl1 []uint32 // DL1 entry per data line ID
 	l2i []uint32 // L2 entry per instruction line ID
 	l2d []uint32 // L2 entry per data line ID
 
-	keep []uint64 // per 64-op block: the ops this run replays
-	occ  []uint32 // per L1 set: allocating lines this run (keepOps)
-	limI int      // this run's IL1 hit elision limit
-	limD int      // this run's DL1 hit elision limit
+	keep   []uint64 // per 64-op block: the ops this run replays
+	occ    []uint32 // per L1 set: allocating lines this run (keepOps)
+	limI   int      // this run's IL1 hit elision limit
+	limD   int      // this run's DL1 hit elision limit
+	sI, sD settle   // IL1 and DL1 settled-set scratch
 
 	builtFor *trace.Compiled
+}
+
+// settle is one L1's scratch for settled-set elision in a run. A set of a
+// cold level whose mapping gives it k allocating lines, more than the
+// level's elision limit but no more than Ways, holds all k once k of its
+// read-miss fills have evicted nothing (each such fill adds a line, and
+// no other fill reaches the set); from then on it cannot miss, so the
+// later reads of its lines are certain hits. Until a set settles, the
+// replay marks its lines' later reads in keep one segment (segOps ops)
+// ahead of the loop; the settle clears the marked ones past the current
+// op.
+//
+// need, beg and end are per L1 set, need all zero between runs. A
+// settling set's lines with later reads are the entries beg to end of
+// lo, cur and hi, which are sized per line ID of the stream: each
+// entry's later reads are at[lo:hi] (trace.LineReads.At), and the first
+// not yet marked is at[cur]. All of it lives on the Core and is reused
+// across runs.
+type settle struct {
+	at          []uint32
+	need        []uint32 // fills that evict nothing still due before the set settles; 0 if it is not settling
+	beg, end    []uint32
+	lo, cur, hi []uint32
+	active      []uint32 // the settling sets, active[:n]
+	n           int
+}
+
+// segOps is the span of ops the replay marks settling sets' reads for at
+// a time: 256 keep blocks.
+const segOps = 1 << 14
+
+func newSettle(sets int) settle {
+	return settle{
+		need: make([]uint32, sets), beg: make([]uint32, sets), end: make([]uint32, sets),
+		active: make([]uint32, sets),
+	}
+}
+
+// size readies the per-line scratch for a stream of n line IDs.
+func (st *settle) size(n int) {
+	st.lo, st.cur, st.hi = planSlot(st.lo, n), planSlot(st.cur, n), planSlot(st.hi, n)
 }
 
 func planSlot[T uint32 | uint64](buf []T, n int) []T {
@@ -73,6 +118,8 @@ func (c *Core) preparePlans(ct *trace.Compiled) {
 		c.plan.l2i = planSlot(c.plan.l2i, len(ct.ILines))
 		c.plan.l2d = planSlot(c.plan.l2d, len(ct.DLines))
 		c.plan.keep = planSlot(c.plan.keep, trace.Blocks(len(ct.Ops)))
+		c.plan.sI.size(len(ct.ILines))
+		c.plan.sD.size(len(ct.DLines))
 	}
 	if fresh || c.il1.Policy().Randomized() {
 		placement.IndexAll(c.il1.Policy(), ct.ILines, c.plan.il1)
@@ -87,15 +134,15 @@ func (c *Core) preparePlans(ct *trace.Compiled) {
 	c.plan.builtFor = ct
 }
 
-// keepOps fills the plan's keep mask for this run of ct and returns the
-// accesses of the reads it skips at IL1 and DL1, which all hit. It must
-// run after preparePlans and before the run's first access, while the
-// levels' cold state still describes the run's start. A run in which
-// neither L1 may skip reads, or of a Compiled without an Index, keeps
-// every op without building the index's tables.
+// keepOps fills the plan's keep mask for this run of ct, up to the
+// settling sets' reads, which the loop marks as it goes, and readies
+// their scratch. It must run after preparePlans and before the run's
+// first access, while the levels' cold state still describes the run's
+// start. A run in which neither L1 may skip reads, or of a Compiled
+// without an Index, keeps every op without building the index's tables.
 //
 //rm:hotpath
-func (c *Core) keepOps(ct *trace.Compiled) (skipI, skipD uint64) {
+func (c *Core) keepOps(ct *trace.Compiled) {
 	keep := c.plan.keep
 	limI, limD := c.il1.HitElisionLimit(false), c.dl1.HitElisionLimit(true)
 	if ct.Index == nil {
@@ -109,29 +156,29 @@ func (c *Core) keepOps(ct *trace.Compiled) (skipI, skipD uint64) {
 		if n := len(ct.Ops) & 63; n != 0 {
 			keep[len(keep)-1] = 1<<n - 1
 		}
-		return 0, 0
+		return
 	}
 	t := ct.Index.Tables()
 	copy(keep, t.Must)
-	skipI = elide(keep, &t.I, c.plan.il1, c.plan.occ, limI)
-	skipD = elide(keep, &t.D, c.plan.dl1, c.plan.occ, limD)
-	return skipI, skipD
+	elide(keep, &t.I, c.plan.il1, c.plan.occ, limI, c.il1.Config().Ways, &c.plan.sI)
+	elide(keep, &t.D, c.plan.dl1, c.plan.occ, limD, c.dl1.Config().Ways, &c.plan.sD)
 }
 
 // elide adds to keep the later reads of one stream that its L1 may miss
-// in this run and returns the accesses of the others. A line allocates
-// when the stream reads it (the levels that elide take no fill from a
-// store); a set holding more than limit allocating lines keeps every
-// later read of its lines, and limit 0 keeps the whole stream. occ must
-// be zero on entry and is on return.
+// in this run, but for those of settling sets, which it records in st.
+// A line allocates when the stream reads it (the levels that elide take
+// no fill from a store); a set holding at most limit allocating lines
+// skips every later read of its lines, one holding more than ways keeps
+// them all, and one in between settles (see settle). Limit 0 keeps the
+// whole stream. occ must be zero on entry and is on return.
 //
 //rm:hotpath
-func elide(keep []uint64, r *trace.LineReads, plan []uint32, occ []uint32, limit int) uint64 {
+func elide(keep []uint64, r *trace.LineReads, plan []uint32, occ []uint32, limit, ways int, st *settle) {
 	if limit == 0 {
 		for b, m := range r.All {
 			keep[b] |= m
 		}
-		return 0
+		return
 	}
 	plan = plan[:len(r.Read)]
 	for id, read := range r.Read {
@@ -139,20 +186,111 @@ func elide(keep []uint64, r *trace.LineReads, plan []uint32, occ []uint32, limit
 			occ[plan[id]&cache.SetMask]++
 		}
 	}
-	var skipped uint64
 	for id, e := range plan {
-		if occ[e&cache.SetMask] <= uint32(limit) {
-			skipped += r.Hits[id]
-			continue
+		s := e & cache.SetMask
+		switch k := occ[s]; {
+		case k <= uint32(limit):
+		case k > uint32(ways):
+			for _, i := range r.At[r.Off[id]:r.Off[id+1]] {
+				keep[i>>6] |= 1 << (i & 63)
+			}
+		case st.need[s] == 0: // the set's first line: it starts settling
+			st.need[s] = k
+			st.active[st.n] = s
+			st.n++
 		}
-		for _, i := range r.At[r.Off[id]:r.Off[id+1]] {
-			keep[i>>6] |= 1 << (i & 63)
-		}
+	}
+	if st.n > 0 {
+		st.group(r, plan)
 	}
 	for _, e := range plan {
 		occ[e&cache.SetMask] = 0
 	}
-	return skipped
+}
+
+// group lays out the settling sets' lines that have later reads, each
+// set's together, with their cursors at their first later read.
+//
+//rm:hotpath
+func (st *settle) group(r *trace.LineReads, plan []uint32) {
+	var pos uint32
+	for _, s := range st.active[:st.n] {
+		st.beg[s], st.end[s] = pos, pos
+		pos += st.need[s]
+	}
+	for id, e := range plan {
+		s := e & cache.SetMask
+		if lo, hi := r.Off[id], r.Off[id+1]; st.need[s] != 0 && lo < hi {
+			j := st.end[s]
+			st.lo[j], st.cur[j], st.hi[j] = uint32(lo), uint32(lo), uint32(hi)
+			st.end[s] = j + 1
+		}
+	}
+	st.at = r.At
+}
+
+// mark adds to keep the later reads below op lim of the lines of every
+// set still settling, and drops the settled sets from the active list.
+//
+//rm:hotpath
+func (st *settle) mark(keep []uint64, lim uint32) {
+	at, cur, hi := st.at, st.cur, st.hi
+	n := 0
+	for _, s := range st.active[:st.n] {
+		if st.need[s] == 0 {
+			continue
+		}
+		st.active[n] = s
+		n++
+		for j := st.beg[s]; j < st.end[s]; j++ {
+			c := cur[j]
+			for _, a := range at[c:hi[j]] {
+				if a >= lim {
+					break
+				}
+				keep[a>>6] |= 1 << (a & 63)
+				c++
+			}
+			cur[j] = c
+		}
+	}
+	st.n = n
+}
+
+// fill counts a read-miss fill at op i into set that evicted nothing.
+// On the fill that settles the set it clears the later reads of the
+// set's lines that mark marked past op i and reports true. The replay
+// loop calls it only on such a miss while some set is settling, so it
+// stays out of the loop's body.
+//
+//rm:hotpath
+//go:noinline
+func (st *settle) fill(keep []uint64, set uint32, i int) bool {
+	if st.need[set] == 0 {
+		return false
+	}
+	if st.need[set]--; st.need[set] != 0 {
+		return false
+	}
+	at := st.at
+	for j := st.beg[set]; j < st.end[set]; j++ {
+		marked := at[st.lo[j]:st.cur[j]]
+		for k := len(marked) - 1; k >= 0 && int(marked[k]) > i; k-- {
+			keep[marked[k]>>6] &^= 1 << (marked[k] & 63)
+		}
+	}
+	return true
+}
+
+// done ends a run's settling: the sets that never settled stop, so need
+// is all zero again.
+//
+//rm:hotpath
+func (st *settle) done() {
+	for _, s := range st.active[:st.n] {
+		st.need[s] = 0
+	}
+	st.n = 0
 }
 
 // ReplayedOps returns the number of ops the last RunCompiled replayed;
@@ -174,31 +312,41 @@ func (c *Core) ReplayedOps() int {
 // the ops through the three cache levels. Placement hashing is hoisted
 // out of the loop into array lookups, and an L1 or L2 hit costs one tag
 // compare in the way the plan entry hints plus the level's inlined hit
-// update; only misses and way mispredictions call the level's slow path. The reads an op folds (trace.Op.Rep) ride
-// along with it, so guaranteed hits cost nothing per access. Hits count
-// in loop locals, and the L1Hit and StoreBus charges every access pays
-// are added once per run.
+// update; only misses and way mispredictions call the level's slow path.
+// The reads an op folds (trace.Op.Rep) ride along with it, so guaranteed
+// hits cost nothing per access. Hits the slow paths do not count go into
+// the level's counters once per run, and the L1Hit and StoreBus charges
+// every access pays are added once per run.
 //
 // RunCompiled replays only the ops this run's mapping can make miss:
-// every store, each line ID's first read, and every read of a line whose
-// L1 set is contended in this run (the trace's ReplayIndex and keepOps).
-// A set is uncontended when it receives at most cache.HitElisionLimit
-// allocating lines, on a level that is cold (no access since
-// construction, Flush or Reseed): 1 under Random, Ways under FIFO and
-// LRU. There, a line's first read leaves it resident and no fill evicts
-// it, so each later read is a hit that draws no replacement randomness
-// and never reaches the L2; the skipped reads' hits go into the level's
-// run counters in bulk. Random and FIFO hits leave no other state. LRU hits
-// advance the tick and stamp the line: the run ends with
-// cache.Cache.RestoreLRU on each L1 that skipped reads, which sets both to
-// what replaying every hit leaves in O(unique lines) (every access of an
-// LRU level ticks once, a write-through store miss included, so the
+// every store, each line ID's first read, and the later reads of a line
+// until its L1 set can no longer miss (the trace's ReplayIndex and
+// keepOps). This needs a level that is cold (no access since
+// construction, Flush or Reseed) and that no store fills. With k
+// allocating lines in a set under this run's mapping:
+//
+//   - k at most cache.HitElisionLimit (1 under Random, Ways under FIFO
+//     and LRU): a line's first read leaves it resident and no fill
+//     evicts it, so every later read is skipped from the start.
+//   - k up to Ways under Random: only a read miss fills the set, and a
+//     fill that evicts nothing adds a line, so once k such fills have
+//     happened the set holds all k lines and keeps them. The loop counts
+//     those fills; at the k-th the set has settled, and it drops the
+//     rest of its lines' reads from the ops it replays (see settle).
+//   - more than Ways: every later read is replayed.
+//
+// A skipped read is a hit that draws no replacement randomness and
+// never reaches the L2. Random and FIFO hits leave no other state. LRU
+// hits advance the tick and stamp the line: the run ends with
+// cache.Cache.RestoreLRU on each L1 that skipped reads, which sets both
+// to what replaying every hit leaves in O(unique lines) (every access of
+// an LRU level ticks once, a write-through store miss included, so the
 // values are counts the index holds), and victim choices inside the run
-// only compare stamps within a set, whose order the skipped hits of other
-// sets cannot change. A warm level, a PLRU level, and a stored-to level
-// that allocates on write keep every op of their stream: the same loop
-// with every bit kept. Results, cache state and the replacement streams
-// are bit-identical to replaying every op.
+// only compare stamps within a set, whose order the skipped hits of
+// other sets cannot change. A warm level, a PLRU level, and a stored-to
+// level that allocates on write keep every op of their stream: the same
+// loop with every bit kept. Results, cache state and the replacement
+// streams are bit-identical to replaying every op.
 //
 // This is the MBPTA campaign hot path: a campaign replays the same
 // Compiled hundreds of times (it is immutable and shared across worker
@@ -212,7 +360,7 @@ func (c *Core) RunCompiled(ct *trace.Compiled) Result {
 		badLineSize(ct.LineBytes, c.lineBytes)
 	}
 	c.preparePlans(ct)
-	skipI, skipD := c.keepOps(ct)
+	c.keepOps(ct)
 
 	il1, dl1, l2 := c.il1, c.dl1, c.l2
 	il1.Begin()
@@ -223,46 +371,80 @@ func (c *Core) RunCompiled(ct *trace.Compiled) Result {
 	// access cover both the line and its plan entry.
 	il1Plan, l2iPlan := c.plan.il1[:len(ilines)], c.plan.l2i[:len(ilines)]
 	dl1Plan, l2dPlan := c.plan.dl1[:len(dlines)], c.plan.l2d[:len(dlines)]
-	ops := ct.Ops
+	ops, keep := ct.Ops, c.plan.keep
+	sI, sD := &c.plan.sI, &c.plan.sD
 	var cycles, h1, hd, stores uint64
-	for b, m := range c.plan.keep {
-		for ; m != 0; m &= m - 1 {
-			op := ops[b<<6|bits.TrailingZeros64(m)]
-			id := op.ID
-			switch op.Kind {
-			case trace.Fetch:
-				la, e := ilines[id], il1Plan[id]
-				if il1.Hinted(la, e) {
-					n := 1 + uint64(op.Rep)
-					il1.ReadHit(e, n)
-					h1 += n
-				} else if l1Slow(il1, &il1Plan[id], la, op.Rep) {
+	for seg := 0; seg < len(keep); seg += segOps >> 6 {
+		end := min(seg+segOps>>6, len(keep))
+		lim := uint32(min(end<<6, len(ops))) // an index holds at most MaxUint32 ops
+		if sI.n > 0 {
+			sI.mark(keep, lim)
+		}
+		if sD.n > 0 {
+			sD.mark(keep, lim)
+		}
+		for b := seg; b < end; b++ {
+			for m := keep[b]; m != 0; m &= m - 1 {
+				i := b<<6 | bits.TrailingZeros64(m)
+				op := ops[i]
+				id := op.ID
+				switch op.Kind {
+				case trace.Fetch:
+					la, e := ilines[id], il1Plan[id]
+					if il1.Hinted(la, e) {
+						n := 1 + uint64(op.Rep)
+						il1.ReadHit(e, n)
+						h1 += n
+						continue
+					}
+					r := l1Slow(il1, &il1Plan[id], la, op.Rep)
+					if r&cache.BitHit != 0 {
+						continue
+					}
 					cycles += l2Hit + memCycles(c.l2Read(la, &l2iPlan[id]))
-				}
-			case trace.Load:
-				la, e := dlines[id], dl1Plan[id]
-				if dl1.Hinted(la, e) {
-					n := 1 + uint64(op.Rep)
-					dl1.ReadHit(e, n)
-					hd += n
-				} else if l1Slow(dl1, &dl1Plan[id], la, op.Rep) {
+					if r&cache.BitEvicted == 0 && sI.n > 0 && sI.fill(keep, e&cache.SetMask, i) {
+						m &= keep[b]
+					}
+				case trace.Load:
+					la, e := dlines[id], dl1Plan[id]
+					if dl1.Hinted(la, e) {
+						n := 1 + uint64(op.Rep)
+						dl1.ReadHit(e, n)
+						hd += n
+						continue
+					}
+					r := l1Slow(dl1, &dl1Plan[id], la, op.Rep)
+					if r&cache.BitHit != 0 {
+						continue
+					}
 					cycles += l2Hit + memCycles(c.l2Read(la, &l2dPlan[id]))
+					if r&cache.BitEvicted == 0 && sD.n > 0 && sD.fill(keep, e&cache.SetMask, i) {
+						m &= keep[b]
+					}
+				default:
+					stores++
+					cycles += memCycles(c.store(dlines[id], &dl1Plan[id], &l2dPlan[id]))
 				}
-			default:
-				stores++
-				cycles += memCycles(c.store(dlines[id], &dl1Plan[id], &l2dPlan[id]))
 			}
 		}
 	}
-	il1.Hits(h1 + skipI)
-	dl1.Hits(hd + skipD)
-	if c.plan.limI > 0 {
-		r := &ct.Index.Tables().I
-		il1.RestoreLRU(ilines, il1Plan, r.Last, r.Accesses)
-	}
-	if c.plan.limD > 0 {
-		r := &ct.Index.Tables().D
-		dl1.RestoreLRU(dlines, dl1Plan, r.Last, r.Accesses)
+	sI.done()
+	sD.done()
+	if c.plan.limI == 0 && c.plan.limD == 0 {
+		il1.Hits(h1)
+		dl1.Hits(hd)
+	} else {
+		// Every access the levels have not counted is a hit: the
+		// hinted ones and the skipped reads.
+		t := ct.Index.Tables()
+		il1.HitsUpTo(t.I.Accesses)
+		dl1.HitsUpTo(t.D.Accesses)
+		if c.plan.limI > 0 {
+			il1.RestoreLRU(ilines, il1Plan, t.I.Last, t.I.Accesses)
+		}
+		if c.plan.limD > 0 {
+			dl1.RestoreLRU(dlines, dl1Plan, t.D.Last, t.D.Accesses)
+		}
 	}
 	cycles += l1Hit*uint64(ct.Accesses) + storeBus*stores
 	return Result{
@@ -276,17 +458,17 @@ func (c *Core) RunCompiled(ct *trace.Compiled) Result {
 
 // l1Slow serves an L1 read whose way hint failed: the level's scan and
 // fill, the refreshed hint, then the rep reads folded into the op, which
-// hit. It reports whether the read missed the L1.
+// hit. It returns the read's access bits.
 //
 //rm:hotpath
-func l1Slow(l1 *cache.Cache, e *uint32, la uint64, rep uint16) bool {
+func l1Slow(l1 *cache.Cache, e *uint32, la uint64, rep uint16) cache.AccessBits {
 	var b cache.AccessBits
 	b, *e = l1.Read(la, *e)
 	if rep != 0 {
 		l1.ReadHit(*e, uint64(rep))
 		l1.Hits(uint64(rep))
 	}
-	return b&cache.BitHit == 0
+	return b
 }
 
 // l2Read serves an L1 read miss at the L2: a hinted hit, otherwise the

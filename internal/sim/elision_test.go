@@ -41,14 +41,86 @@ func dataTrace(lines []uint64, store string) trace.Trace {
 	return b.Trace()
 }
 
+// settleRule marks a case whose replayed-op count depends on the seed:
+// the count ruleReplayed derives.
+const settleRule = -1
+
+// ruleReplayed returns the number of ops of ct a run on cfg at seed
+// replays by the elision rules, found without the replay's marks: it
+// serves every op through fresh levels' slow paths (an op's folded reps
+// are hits and change nothing), counting a stream's stores and first
+// reads, the later reads of lines in sets with more allocating lines
+// than Ways, and the later reads of lines in sets with more than the
+// level's limit until the set has taken as many read-miss fills that
+// evicted nothing as it has allocating lines. A limit of 0, a warm level
+// or a nil Index replays everything.
+func ruleReplayed(t *testing.T, cfg Config, seed uint64, ct *trace.Compiled) int {
+	t.Helper()
+	c := mustNew(t, cfg)
+	c.Reseed(seed)
+	if ct.Index == nil {
+		return len(ct.Ops)
+	}
+	type stream struct {
+		l1         *cache.Cache
+		lines      []uint64
+		lim, ways  int
+		k, settled map[uint32]int // per set: allocating lines, fills that evicted nothing
+		read       map[uint32]bool
+	}
+	streams := [2]*stream{
+		{l1: c.il1, lines: ct.ILines, lim: c.il1.HitElisionLimit(false), ways: cfg.IL1.Ways},
+		{l1: c.dl1, lines: ct.DLines, lim: c.dl1.HitElisionLimit(true), ways: cfg.DL1.Ways},
+	}
+	for s, st := range streams {
+		st.k, st.settled, st.read = map[uint32]int{}, map[uint32]int{}, map[uint32]bool{}
+		seen := map[uint32]bool{}
+		for _, op := range ct.Ops {
+			if (op.Kind == trace.Fetch) == (s == 0) && op.Kind != trace.Store && !seen[op.ID] {
+				seen[op.ID] = true
+				st.k[st.l1.Policy().Index(st.lines[op.ID])]++
+			}
+		}
+	}
+	n := 0
+	for _, op := range ct.Ops {
+		st := streams[1]
+		if op.Kind == trace.Fetch {
+			st = streams[0]
+		}
+		la := st.lines[op.ID]
+		set := st.l1.Policy().Index(la)
+		k := st.k[set]
+		switch {
+		case op.Kind == trace.Store || !st.read[op.ID] || st.lim == 0:
+			n++
+		case k <= st.lim:
+		case k > st.ways || st.settled[set] < k:
+			n++
+		}
+		if op.Kind == trace.Store {
+			st.l1.Write(la, set)
+			continue
+		}
+		st.read[op.ID] = true
+		if b, _ := st.l1.Read(la, set); b&(cache.BitFilled|cache.BitEvicted) == cache.BitFilled {
+			st.settled[set]++
+		}
+	}
+	return n
+}
+
 // TestElisionEligibility pins when RunCompiled may skip a read: the
 // per-kind set limits (Random 1 allocating line, FIFO and LRU Ways, PLRU
 // none), no skipping on a stored-to level that allocates on write
 // (write-back), stores never counting as allocating, the cold-only rule
 // (no skipping on a warm level, even where the limit would allow it),
 // LRU state restored exactly on either L1, and aliased relocated IDs
-// counting as two lines. Every replay must also equal the per-access
-// reference, Result and cache state.
+// counting as two lines. A Random set of two lines settles once both are
+// resident, which depends on the seed: random/shared expects what
+// ruleReplayed counts, and every other case's count must agree with it.
+// Every replay must also equal the per-access reference, Result and
+// cache state.
 func TestElisionEligibility(t *testing.T) {
 	t.Run("limits", func(t *testing.T) {
 		wt, wb := cache.WriteThrough, cache.WriteBack
@@ -107,7 +179,7 @@ func TestElisionEligibility(t *testing.T) {
 		want  int // ops replayed by the cold run
 	}{
 		{"random/alone", cache.Random, wt, alone, "", 2},
-		{"random/shared", cache.Random, wt, shared, "", 5},
+		{"random/shared", cache.Random, wt, shared, "", settleRule},
 		{"fifo/alone", cache.FIFO, wt, alone, "", 2},
 		{"fifo/shared", cache.FIFO, wt, shared, "", 2},
 		{"fifo/three", cache.FIFO, wt, three, "", 7},
@@ -136,6 +208,11 @@ func TestElisionEligibility(t *testing.T) {
 				} else {
 					core.Reseed(prng.Derive(9, run))
 					ref.Reseed(prng.Derive(9, run))
+					if rule := ruleReplayed(t, cfg, prng.Derive(9, run), ct); want == settleRule {
+						want = rule
+					} else if rule != want {
+						t.Fatalf("run %d: the rule replays %d ops, the case says %d", run, rule, want)
+					}
 				}
 				if got, w := core.RunCompiled(ct), ref.Run(tr); got != w {
 					t.Fatalf("run %d: compiled %+v, reference %+v", run, got, w)
@@ -367,4 +444,126 @@ func TestBaselineElisionMatchesPerAccess(t *testing.T) {
 	if replayed >= dataOps {
 		t.Fatalf("replayed %d ops, no fewer than the %d outside the instruction stream's later reads", replayed, dataOps)
 	}
+}
+
+// TestSettledSetElision pins settled-set elision on a cold Random L1: a
+// set with 2..Ways allocating lines stops replaying its lines' later
+// reads once all of them are resident. Each case runs one trace through
+// the IL1 (fetches) and the DL1 (loads) over several seeds on one core,
+// so a set left settling by one run must not leak into the next, and
+// every run must equal the per-access reference in Result and cache
+// state and replay exactly the ops ruleReplayed counts. The cases also
+// require the outcomes they are about to occur for some seed.
+func TestSettledSetElision(t *testing.T) {
+	// alternate returns n reads alternating between the given lines.
+	alternate := func(n int, lines ...uint64) []uint64 {
+		out := make([]uint64, n)
+		for i := range out {
+			out[i] = lines[i%len(lines)]
+		}
+		return out
+	}
+	// Lines 0 and 8 share set 0 of elisionConfig's 2-way L1s; line 1
+	// sits alone in set 1, so its later reads are skipped from the start
+	// and keep the others from folding.
+	long := append(alternate(segOps+200, 0, 1), alternate(600, 8, 1, 0, 1)...)
+	early := append([]uint64{0, 1, 8, 1}, alternate(segOps+200, 0, 1, 8, 1)...)
+	stop := append(alternate(4, 0, 8), alternate(100, 1, 2)...)
+	four := paperConfig(placement.Modulo)
+	four.IL1.Replacement, four.DL1.Replacement = cache.Random, cache.Random
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		lines []uint64
+		// outcome reports whether a run that replayed n ops shows what
+		// the case is about; some seed must show it.
+		outcome func(n int) bool
+	}{
+		// Two lines: a seed whose second fill takes the free way settles
+		// the set at once, a seed whose fills keep evicting each other
+		// replays every op.
+		{"settles", elisionConfig(cache.Random, cache.WriteThrough), alternate(4, 0, 8), func(n int) bool { return n == 2 }},
+		{"unsettled", elisionConfig(cache.Random, cache.WriteThrough), alternate(4, 0, 8), func(n int) bool { return n == 4 }},
+		// Settling inside the first 64-op block drops the marked reads
+		// after it from the block the loop is walking.
+		{"mid-block", elisionConfig(cache.Random, cache.WriteThrough), alternate(200, 0, 8), func(n int) bool { return n > 2 && n < 60 }},
+		// Line 8 first appears in the second segment: the set settles
+		// there, after the first segment's marks were replayed and with
+		// the second's marked. Line 0 is read segOps/2+100 times before.
+		{"late-segment", elisionConfig(cache.Random, cache.WriteThrough), long, func(n int) bool { return n < segOps/2+120 }},
+		// The set settles in the first segment: the later segments
+		// never mark its reads.
+		{"early-segment", elisionConfig(cache.Random, cache.WriteThrough), early, func(n int) bool { return n < 100 }},
+		// The set's lines stop being read before it settles.
+		{"stops", elisionConfig(cache.Random, cache.WriteThrough), stop, func(n int) bool { return n == 6 }},
+		// Three lines in one set of a 4-way L1.
+		{"three-of-four", four, alternate(300, 0, 128, 256, 1), func(n int) bool { return n > 4 && n < 150 }},
+	} {
+		for _, kind := range []trace.Kind{trace.Fetch, trace.Load} {
+			t.Run(tc.name+"/"+kind.String(), func(t *testing.T) {
+				lb := uint64(tc.cfg.IL1.LineBytes)
+				b := trace.NewBuilder(len(tc.lines))
+				for _, l := range tc.lines {
+					b.Append(trace.Access{Addr: l * lb, Kind: kind})
+				}
+				tr := b.Trace()
+				ct, err := trace.Compile(tr, int(lb))
+				if err != nil {
+					t.Fatal(err)
+				}
+				seen := false
+				core, ref := mustNew(t, tc.cfg), mustNew(t, tc.cfg)
+				for seed := 0; seed < 64; seed++ {
+					n := checkElidedRun(t, tc.cfg, core, ref, prng.Derive(0x5E77, seed), ct, tr)
+					seen = seen || tc.outcome(n)
+				}
+				if !seen {
+					t.Fatalf("no seed shows the case's outcome")
+				}
+			})
+		}
+	}
+
+	// Relocation numbers the two 32-byte granules of line 0 as two IDs
+	// in one set: two allocating lines of a 2-way set that only ever
+	// hold one line, so the set never settles, on either L1.
+	for _, kind := range []trace.Kind{trace.Fetch, trace.Load} {
+		t.Run("aliased/"+kind.String(), func(t *testing.T) {
+			cfg := elisionConfig(cache.Random, cache.WriteThrough)
+			b := trace.NewBuilder(7)
+			for _, a := range []uint64{0, 64, 32, 64, 0, 64, 32} {
+				b.Append(trace.Access{Addr: a, Kind: kind})
+			}
+			tr := b.Trace()
+			rel, err := workload.FromTrace("aliased", "", tr).Relocatable(workload.BaselineLayout(), 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ct := rel.Relocate(workload.BaselineLayout())
+			core, ref := mustNew(t, cfg), mustNew(t, cfg)
+			for seed := 0; seed < 8; seed++ {
+				if n := checkElidedRun(t, cfg, core, ref, prng.Derive(0xA11A5, seed), ct, tr); n != 5 {
+					t.Fatalf("seed %d replayed %d of %d ops, want 5", seed, n, len(ct.Ops))
+				}
+			}
+		})
+	}
+}
+
+// checkElidedRun reseeds core and ref with seed, replays ct on core and
+// tr on ref, fails t unless Results and cache states agree and core
+// replayed the ops ruleReplayed counts, and returns that count.
+func checkElidedRun(t *testing.T, cfg Config, core, ref *Core, seed uint64, ct *trace.Compiled, tr trace.Trace) int {
+	t.Helper()
+	core.Reseed(seed)
+	ref.Reseed(seed)
+	if got, want := core.RunCompiled(ct), ref.Run(tr); got != want {
+		t.Fatalf("seed %#x: compiled %+v, reference %+v", seed, got, want)
+	}
+	sameCacheState(t, core, ref)
+	n := core.ReplayedOps()
+	if want := ruleReplayed(t, cfg, seed, ct); n != want {
+		t.Fatalf("seed %#x: replayed %d of %d ops, the rule %d", seed, n, len(ct.Ops), want)
+	}
+	return n
 }

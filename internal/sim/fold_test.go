@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
@@ -133,8 +134,21 @@ func FuzzCompiledReplay(f *testing.F) {
 	f.Add(uint8(0x33), uint64(3), []byte("\x44\x45\x44\x45\x45\x45\x04\x05\x04\x85\x44\x45"))
 	// Modulo/Random/write-through no-allocate: loads alternating between
 	// lines 0 and 8, two allocating lines in one DL1 set, so each may
-	// evict the other and no later read may be skipped.
+	// evict the other until both are resident and the set settles.
 	f.Add(uint8(0x0A), uint64(2), []byte("\x40\x50\x40\x50\x40\x50\x40\x50\x40\x50\x40\x50"))
+	// The same over 80 loads, so the set settles inside a 64-op block
+	// with later reads of it left in the block.
+	f.Add(uint8(0x0A), uint64(9), []byte(strings.Repeat("\x40\x50", 40)))
+	// Modulo/Random/write-through: fetches alternating between lines 0
+	// and 8 settle IL1 set 0 while loads alternating between lines 1 and
+	// 9 settle DL1 set 1, with stores to line 17 of that set (store-only,
+	// so it fills nothing) between them.
+	f.Add(uint8(0x0A), uint64(10), []byte("\x00\x42\x10\x52\x00\x42\x10\x52\xa2\x00\x42\x10\x52\x00\x42\x10\x52\xa2\x00\x42\x10\x52"))
+	// RM/Random/write-through: loads of lines 0 to 11 round-robin, so
+	// RM's mapping puts one or two lines in each DL1 set; fetches of
+	// lines 0 to 11 do the same at IL1.
+	f.Add(uint8(0x08), uint64(11), []byte("\x40\x42\x44\x46\x48\x4a\x4c\x4e\x50\x52\x54\x56\x40\x42\x44\x46\x48\x4a\x4c\x4e\x50\x52\x54\x56\x40\x42\x44\x46\x48\x4a\x4c\x4e\x50\x52\x54\x56"))
+	f.Add(uint8(0x08), uint64(12), []byte("\x00\x02\x04\x06\x08\x0a\x0c\x0e\x10\x12\x14\x16\x00\x02\x04\x06\x08\x0a\x0c\x0e\x10\x12\x14\x16\x00\x02\x04\x06\x08\x0a\x0c\x0e\x10\x12\x14\x16"))
 	// Modulo/FIFO: lines 0, 8 and 16 round-robin through one 2-way DL1
 	// set, one line over the limit, so every load misses.
 	f.Add(uint8(0x14), uint64(6), []byte("\x40\x50\x60\x40\x50\x60\x40\x50\x60"))

@@ -180,5 +180,5 @@ func l1Read(l1 *cache.Cache, e *uint32, la uint64, rep uint16) bool {
 		l1.Hits(n)
 		return false
 	}
-	return l1Slow(l1, e, la, rep)
+	return l1Slow(l1, e, la, rep)&cache.BitHit == 0
 }

@@ -77,7 +77,11 @@ func New(cfg Config) (*Core, error) {
 	return &Core{
 		il1: il1, dl1: dl1, l2: l2,
 		lineBytes: cfg.IL1.LineBytes,
-		plan:      indexPlan{occ: make([]uint32, max(cfg.IL1.Sets(), cfg.DL1.Sets()))},
+		plan: indexPlan{
+			occ: make([]uint32, max(cfg.IL1.Sets(), cfg.DL1.Sets())),
+			sI:  newSettle(cfg.IL1.Sets()),
+			sD:  newSettle(cfg.DL1.Sets()),
+		},
 	}, nil
 }
 

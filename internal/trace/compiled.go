@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Op is one op of a compiled trace: the access kind plus the dense line
@@ -53,8 +54,8 @@ type Op struct {
 // Index goes one step further and spares the hits a run's mapping
 // guarantees: it marks the ops every run must replay (stores and each
 // line ID's first read) and, per line ID, where its later reads sit, so
-// a run whose mapping leaves a line alone enough in its L1 set replays
-// only the rest (see ReplayIndex and sim.Core.RunCompiled).
+// a run replays a line's later reads only while its mapping leaves the
+// line's L1 set able to miss (see ReplayIndex and sim.Core.RunCompiled).
 //
 // A Compiled is immutable after Compile and safe to share across
 // concurrently executing runs.
@@ -203,11 +204,17 @@ func (t *lineTable) add(key uint64, mask uint16) uint32 {
 	return uint32(len(t.keys) - 1)
 }
 
-// Finish returns the folded ops, copied into an exactly sized slice, and
-// their replay index.
+// Finish returns the folded ops and their replay index. The op buffer
+// was sized for every access, so it is handed over as it is, tail
+// included, unless folding left more than an eighth of it unused (the
+// most the allocator's own size classes round up by): then the ops are
+// copied out, so the trace does not keep the tail alive.
 func (n *Numbering) Finish() ([]Op, *ReplayIndex) {
-	ops := make([]Op, len(n.ops))
-	copy(ops, n.ops)
+	ops := n.ops[:len(n.ops):len(n.ops)]
+	if cap(n.ops)-len(ops) > cap(n.ops)/8 {
+		// Appending to nil copies without first zeroing the copy.
+		ops = slices.Clip(append([]Op(nil), ops...))
+	}
 	return ops, newReplayIndex(ops, len(n.tables[0].keys), len(n.tables[1].keys))
 }
 

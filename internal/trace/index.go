@@ -23,10 +23,11 @@ type ReplayIndex struct {
 // Every run must replay Must: each store and each line ID's first read
 // (per stream). Every other read is a later read of a line already read
 // in this run. Once a cold level has a fixed mapping, a later read of a
-// line whose L1 set no other line can fill into hits with certainty (see
-// sim.Core.RunCompiled for the rule); a run replays Must plus the later
-// reads of the lines its mapping leaves contended, which it takes from
-// the per-line lists of I and D.
+// line hits with certainty when no other line can fill into its L1 set,
+// or when the set already holds every line that can (see
+// sim.Core.RunCompiled for the rules). A run replays Must plus the later
+// reads of the lines its mapping leaves contended, up to the op at which
+// their set settles, which it takes from the per-line lists of I and D.
 type ReplayTables struct {
 	Must []uint64
 	I, D LineReads // instruction and data stream
@@ -35,17 +36,12 @@ type ReplayTables struct {
 // LineReads indexes the later reads of one stream's line IDs: the ops
 // At[Off[id]:Off[id+1]], ascending, are the later reads of line id.
 // Programs rarely read a line twice within 64 folded ops, so op indices
-// are smaller than per-line block masks would be. With Hits, All and
-// Read it holds what a run needs to choose and count the reads it
-// skips.
+// are smaller than per-line block masks would be. With All, Read and
+// Accesses it holds what a run needs to choose the reads it skips and
+// count their hits.
 type LineReads struct {
 	Off []int
 	At  []uint32
-
-	// Hits counts, per line ID, the accesses its later reads make (their
-	// folded reps included): what a run skipping them adds to the level's
-	// hit counters.
-	Hits []uint64
 
 	// All masks every later read of the stream, per block.
 	All []uint64
@@ -59,7 +55,8 @@ type LineReads struct {
 	// stores included) up to and including the line's last access, and
 	// Accesses all of the stream's accesses: on an L1 that ticks once
 	// per access, the tick and LRU stamps a full replay leaves
-	// (cache.Cache.RestoreLRU).
+	// (cache.Cache.RestoreLRU). A run that skips reads also counts its
+	// L1 hits up to Accesses (cache.Cache.HitsUpTo).
 	Last     []uint64
 	Accesses uint64
 }
@@ -93,7 +90,6 @@ func newTables(ops []Op, iLines, dLines int) ReplayTables {
 	for s, n := range [2]int{iLines, dLines} {
 		r := streams[s]
 		r.Off = make([]int, n+1)
-		r.Hits = make([]uint64, n)
 		r.All = make([]uint64, nb)
 		r.Read = make([]bool, n)
 		r.Last = make([]uint64, n)
@@ -112,7 +108,6 @@ func newTables(ops []Op, iLines, dLines int) ReplayTables {
 			r.Read[op.ID] = true
 		default:
 			r.All[b] |= bit
-			r.Hits[op.ID] += 1 + uint64(op.Rep)
 			r.Off[op.ID+1]++
 		}
 	}

@@ -9,8 +9,8 @@ import (
 // TestReplayIndex checks the tables of newReplayIndex against a direct classification
 // of every op: Must holds exactly the stores and each line ID's first
 // read per stream, each line's list holds exactly its later reads in
-// ascending order, All is their union, Hits sums the later reads'
-// accesses, Read records the lines read, and Last and Accesses count
+// ascending order, All is their union, Read records the lines read, and
+// Last and Accesses count
 // each stream's accesses through each line's last access and in all.
 func TestReplayIndex(t *testing.T) {
 	g := prng.New(0x1DE)
@@ -30,9 +30,8 @@ func TestReplayIndex(t *testing.T) {
 		}
 		streams := [2]*LineReads{&x.I, &x.D}
 		var read [2][]bool
-		var hits [2][]uint64
 		for s := range read {
-			read[s], hits[s] = make([]bool, nLines), make([]uint64, nLines)
+			read[s] = make([]bool, nLines)
 		}
 		later := make([]bool, n)
 		var acc [2]uint64
@@ -48,7 +47,6 @@ func TestReplayIndex(t *testing.T) {
 			if op.Kind != Store {
 				if read[s][op.ID] {
 					later[i] = true
-					hits[s][op.ID] += 1 + uint64(op.Rep)
 				}
 				read[s][op.ID] = true
 			}
@@ -67,9 +65,8 @@ func TestReplayIndex(t *testing.T) {
 			}
 			all := make([]uint64, len(x.Must))
 			for id := 0; id < nLines; id++ {
-				if r.Hits[id] != hits[s][id] || r.Read[id] != read[s][id] {
-					t.Fatalf("round %d stream %d line %d: hits %d read %v, want %d and %v",
-						round, s, id, r.Hits[id], r.Read[id], hits[s][id], read[s][id])
+				if r.Read[id] != read[s][id] {
+					t.Fatalf("round %d stream %d line %d: read %v, want %v", round, s, id, r.Read[id], read[s][id])
 				}
 				at := r.At[r.Off[id]:r.Off[id+1]]
 				for j, i := range at {

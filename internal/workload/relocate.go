@@ -136,24 +136,55 @@ func (w Workload) twoBuilds(base Layout, granule uint64) (n *trace.Numbering, ac
 		return nil, 0, fmt.Sprintf("%d accesses at the base layout, %d at a shifted one", len(tr), len(tt))
 	}
 	n = trace.NewNumbering(len(tr))
-	// Most accesses move like the one before them: decode only new moves.
-	var moved uint64
-	var mask uint16
+	var sets fieldSets
 	for i, a := range tr {
 		b := tt[i]
 		if b.Kind != a.Kind {
 			return nil, 0, fmt.Sprintf("access %d has kind %v at the base layout, %v at a shifted one", i, a.Kind, b.Kind)
 		}
-		if d := b.Addr - a.Addr; d != moved {
-			m, ok := fieldMask(d)
-			if !ok {
-				return nil, 0, fmt.Sprintf("access %d moved by %#x, not by a sum of distinct layout fields", i, d)
-			}
-			moved, mask = d, m
+		d := b.Addr - a.Addr
+		fs := sets.slot(d)
+		if fs.tags != d && !fs.fill(d, nil) {
+			return nil, 0, fmt.Sprintf("access %d moved by %#x, not by a sum of distinct layout fields", i, d)
 		}
-		n.Add(a.Kind, a.Addr&^(granule-1), mask)
+		n.Add(a.Kind, a.Addr&^(granule-1), fs.mask)
 	}
 	return n, len(tr), ""
+}
+
+// fieldSets caches decoded tag bits by a hash of them: a kernel's
+// accesses cycle through a handful of field sets (the code, each object,
+// the stack), so nearly every access finds its set here. The zero entry
+// is the empty set, correctly decoded.
+type fieldSets [64]fieldSet
+
+// fieldSet is one decoded set of tag bits: its field mask and the sum of
+// a layout's fields in it.
+type fieldSet struct {
+	tags uint64
+	mask uint16
+	sum  uint64
+}
+
+// slot returns the entry tag bits t hash to: t's decoded set if its tags
+// are t, otherwise the entry fill decodes t into.
+func (c *fieldSets) slot(t uint64) *fieldSet {
+	return &c[(t>>tagShift)*0x9e3779b97f4a7c15>>58]
+}
+
+// fill decodes tag bits t into fs, summing base's fields (tag order);
+// a nil base sums nothing. It reports false if t is no sum of distinct
+// tags.
+func (fs *fieldSet) fill(t uint64, base *[numFields]uint64) bool {
+	m, ok := fieldMask(t)
+	if !ok {
+		return false
+	}
+	*fs = fieldSet{tags: t, mask: m}
+	for ; base != nil && m != 0; m &= m - 1 {
+		fs.sum += base[bits.TrailingZeros16(m)]
+	}
+	return true
 }
 
 // symbolicBias lifts a symbolic-layout address so that an offset below
@@ -170,38 +201,19 @@ type walk struct {
 	n       *trace.Numbering
 	base    [numFields]uint64 // the base layout's fields, in tag order
 	granule uint64
-	// sets caches decoded tag bits by a hash of them: a kernel's accesses
-	// cycle through a handful of field sets (the code, each object, the
-	// stack), so nearly every access finds its set here. The zero entry
-	// is the empty set, correctly decoded.
-	sets [64]fieldSet
-	bad  uint64 // the first address whose tag bits are no field set
-}
-
-// fieldSet is one decoded set of tag bits: its field mask and the sum of
-// the base layout's fields in it.
-type fieldSet struct {
-	tags uint64
-	mask uint16
-	sum  uint64
+	sets    fieldSets
+	bad     uint64 // the first address whose tag bits are no field set
 }
 
 func (w *walk) add(a trace.Access) {
 	d := a.Addr + symbolicBias
 	t := d &^ (1<<tagShift - 1)
-	fs := &w.sets[(t>>tagShift)*0x9e3779b97f4a7c15>>58]
-	if fs.tags != t {
-		m, ok := fieldMask(t)
-		if !ok {
-			if w.bad == 0 {
-				w.bad = a.Addr
-			}
-			return
+	fs := w.sets.slot(t)
+	if fs.tags != t && !fs.fill(t, &w.base) {
+		if w.bad == 0 {
+			w.bad = a.Addr
 		}
-		*fs = fieldSet{tags: t, mask: m}
-		for ; m != 0; m &= m - 1 {
-			fs.sum += w.base[bits.TrailingZeros16(m)]
-		}
+		return
 	}
 	addr := d&(1<<tagShift-1) - symbolicBias + fs.sum
 	w.n.Add(a.Kind, addr&^(w.granule-1), fs.mask)
