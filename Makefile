@@ -42,12 +42,12 @@ vuln:
 	fi
 
 # Seed-corpus fuzz pass over the kernel equivalence oracle, the hinted,
-# folded and hit-eliding replay against the per-access reference, RM's
-# bulk index plans against its scalar mapping, the lackey trace parser,
-# the one-pass trace compiler against its two-pass oracle, the
-# baseline's trace relocation and the parsers of untrusted bytes:
-# service requests, checkpoints and durable-store blobs. FUZZTIME is the
-# budget per target (CI runs `make fuzz-short FUZZTIME=30s`).
+# folded, hit-eliding and store-eliding replay against the per-access
+# reference, RM's bulk index plans against its scalar mapping, the
+# lackey trace parser, the one-pass trace compiler against its two-pass
+# oracle, the baseline's trace relocation and the parsers of untrusted
+# bytes: service requests, checkpoints and durable-store blobs. FUZZTIME
+# is the budget per target (CI runs `make fuzz-short FUZZTIME=30s`).
 FUZZTIME ?= 10s
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzAccessEquivalence -fuzztime=$(FUZZTIME) ./internal/cache

@@ -69,8 +69,10 @@ func BenchmarkHotPathCompiled(b *testing.B) {
 // BenchmarkHotPathKernels is BenchmarkHotPathCompiled per kernel of
 // perfbench's twelve (the eleven EEMBC-like ones plus synth20k), on the
 // RM paper platform the mbpta-rm workload replays them on: ns/op is one
-// reseeded run, and replayed-ops/op shows how many of the kernel's ops
-// (ops/op) a run replays after skipping its certain L1 hits.
+// reseeded run, replayed-ops/op shows how many of the kernel's ops
+// (ops/op) a run replays after skipping its certain L1 hits and the
+// stores certain to hit the L2, and replayed-stores/op how many of
+// those are stores.
 func BenchmarkHotPathKernels(b *testing.B) {
 	s20, err := workload.ByName("synth20k")
 	if err != nil {
@@ -91,14 +93,16 @@ func BenchmarkHotPathKernels(b *testing.B) {
 			p.RunCompiled(ct) // warm-up: allocate the index plans
 			b.ReportAllocs()
 			b.ResetTimer()
-			replayed := 0
+			replayed, stores := 0, 0
 			for i := 0; i < b.N; i++ {
 				p.Reseed(prng.Derive(0xBE7C4, i))
 				p.RunCompiled(ct)
 				replayed += p.ReplayedOps()
+				stores += p.ReplayedStores()
 			}
 			b.ReportMetric(float64(len(ct.Ops)), "ops/op")
 			b.ReportMetric(float64(replayed)/float64(b.N), "replayed-ops/op")
+			b.ReportMetric(float64(stores)/float64(b.N), "replayed-stores/op")
 		})
 	}
 }

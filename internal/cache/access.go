@@ -98,6 +98,15 @@ func (c *Cache) Hits(n uint64) {
 	c.hits += n
 }
 
+// Misses adds n misses that changed no state to the run's counters: the
+// store misses of a write-through Random or FIFO level that a replay
+// skipped.
+//
+//rm:hotpath
+func (c *Cache) Misses(n uint64) {
+	c.accesses += n
+}
+
 // HitsUpTo counts as hits every access of the run beyond those already
 // counted, until the run has accesses of them: a replay that skipped
 // reads it knows to hit, and counts the stream's accesses, adds their

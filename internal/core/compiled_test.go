@@ -319,8 +319,10 @@ func TestBuildAppliesWriteSetup(t *testing.T) {
 
 // TestSettledElisionMatchesFullReplay replays perfbench's twelve kernels
 // on the RM paper platform, whose Random L1s skip the later reads of
-// settled sets, at 20 seeds each, and holds every Result to a replay of
-// the same ops that keeps every op (a Compiled without an Index).
+// settled sets and whose write-back Random L2 lets a run skip the stores
+// it must hit, at 20 seeds each, and holds every Result to a replay of
+// the same ops that keeps every op (a Compiled without an Index). Some
+// run of each kernel must skip stores.
 func TestSettledElisionMatchesFullReplay(t *testing.T) {
 	s20, err := workload.ByName("synth20k")
 	if err != nil {
@@ -342,6 +344,7 @@ func TestSettledElisionMatchesFullReplay(t *testing.T) {
 		}
 		all := *ct
 		all.Index = nil
+		skipped := 0
 		for i := 0; i < 20; i++ {
 			seed := prng.Derive(0x5E771E, i)
 			elided.Reseed(seed)
@@ -352,6 +355,10 @@ func TestSettledElisionMatchesFullReplay(t *testing.T) {
 			if full.ReplayedOps() != len(ct.Ops) {
 				t.Fatalf("%s: the full replay replayed %d of %d ops", w.Name, full.ReplayedOps(), len(ct.Ops))
 			}
+			skipped += full.ReplayedStores() - elided.ReplayedStores()
+		}
+		if skipped == 0 {
+			t.Fatalf("%s: no run skipped a store", w.Name)
 		}
 	}
 }

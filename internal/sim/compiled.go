@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/cache"
@@ -40,20 +41,26 @@ import (
 // write-back one). A set with k at most the limit skips every later
 // read; a set with k above Ways keeps every one; a set in between (only
 // Random's 2..Ways) settles during the run, and the loop marks its reads
-// as it goes from the level's settle scratch, sI or sD. occ is the
-// pass's per-set counter scratch, all zero between runs; limI and limD
-// remember the run's L1 limits for the LRU restores after the loop.
+// as it goes from the level's settle scratch, sI or sD. A run whose
+// levels allow it then drops the stores its L2 must hit from keep (see
+// storeSkip). occ is the passes' per-set counter scratch, all zero
+// between runs; limI and limD remember the run's L1 limits for the LRU
+// restores after the loop, and ops and stores count the ops and the
+// stores the loop replayed.
 type indexPlan struct {
 	il1 []uint32 // IL1 entry per instruction line ID
 	dl1 []uint32 // DL1 entry per data line ID
 	l2i []uint32 // L2 entry per instruction line ID
 	l2d []uint32 // L2 entry per data line ID
 
-	keep   []uint64 // per 64-op block: the ops this run replays
-	occ    []uint32 // per L1 set: allocating lines this run (keepOps)
-	limI   int      // this run's IL1 hit elision limit
-	limD   int      // this run's DL1 hit elision limit
-	sI, sD settle   // IL1 and DL1 settled-set scratch
+	keep   []uint64  // per 64-op block: the ops this run replays
+	occ    []uint32  // per L1 or L2 set: lines this run (keepOps)
+	limI   int       // this run's IL1 hit elision limit
+	limD   int       // this run's DL1 hit elision limit
+	sI, sD settle    // IL1 and DL1 settled-set scratch
+	sk     storeSkip // skipped-store scratch
+
+	ops, stores int // replayed by the last RunCompiled
 
 	builtFor *trace.Compiled
 }
@@ -99,7 +106,7 @@ func (st *settle) size(n int) {
 	st.lo, st.cur, st.hi = planSlot(st.lo, n), planSlot(st.cur, n), planSlot(st.hi, n)
 }
 
-func planSlot[T uint32 | uint64](buf []T, n int) []T {
+func planSlot[T uint32 | uint64 | bool](buf []T, n int) []T {
 	if cap(buf) < n {
 		return make([]T, n)
 	}
@@ -120,6 +127,7 @@ func (c *Core) preparePlans(ct *trace.Compiled) {
 		c.plan.keep = planSlot(c.plan.keep, trace.Blocks(len(ct.Ops)))
 		c.plan.sI.size(len(ct.ILines))
 		c.plan.sD.size(len(ct.DLines))
+		c.plan.sk.alone = planSlot(c.plan.sk.alone, len(ct.DLines))
 	}
 	if fresh || c.il1.Policy().Randomized() {
 		placement.IndexAll(c.il1.Policy(), ct.ILines, c.plan.il1)
@@ -136,14 +144,16 @@ func (c *Core) preparePlans(ct *trace.Compiled) {
 
 // keepOps fills the plan's keep mask for this run of ct, up to the
 // settling sets' reads, which the loop marks as it goes, and readies
-// their scratch. It must run after preparePlans and before the run's
-// first access, while the levels' cold state still describes the run's
-// start. A run in which neither L1 may skip reads, or of a Compiled
-// without an Index, keeps every op without building the index's tables.
+// their scratch and that of the stores it skips. It must run after
+// preparePlans and before the run's first access, while the levels'
+// cold state still describes the run's start. A run in which neither L1
+// may skip reads, or of a Compiled without an Index, keeps every op
+// without building the index's tables.
 //
 //rm:hotpath
 func (c *Core) keepOps(ct *trace.Compiled) {
 	keep := c.plan.keep
+	c.plan.sk.n = 0
 	limI, limD := c.il1.HitElisionLimit(false), c.dl1.HitElisionLimit(true)
 	if ct.Index == nil {
 		limI, limD = 0, 0
@@ -162,6 +172,11 @@ func (c *Core) keepOps(ct *trace.Compiled) {
 	copy(keep, t.Must)
 	elide(keep, &t.I, c.plan.il1, c.plan.occ, limI, c.il1.Config().Ways, &c.plan.sI)
 	elide(keep, &t.D, c.plan.dl1, c.plan.occ, limD, c.dl1.Config().Ways, &c.plan.sD)
+	// A skipped store's DL1 access must change no state: limD > 0 means
+	// a cold write-through DL1, on which only an LRU store miss ticks.
+	if limD > 0 && c.dl1.Config().Replacement != cache.LRU && c.l2.SoleLineStoresHit() {
+		c.plan.sk.plan(keep, t.Stores(), c.plan.l2i, c.plan.l2d, c.plan.occ)
+	}
 }
 
 // elide adds to keep the later reads of one stream that its L1 may miss
@@ -293,15 +308,170 @@ func (st *settle) done() {
 	st.n = 0
 }
 
-// ReplayedOps returns the number of ops the last RunCompiled replayed;
-// it skipped the rest as guaranteed L1 hits.
-func (c *Core) ReplayedOps() int {
-	n := 0
-	for _, m := range c.plan.keep {
-		n += bits.OnesCount64(m)
-	}
-	return n
+// storeSkip is the scratch of store elision in a run. On a cold
+// write-back Random L2 (cache.Cache.SoleLineStoresHit), a data line that
+// is alone in its L2 set under the run's mapping, counting every line ID
+// of both streams so that a line numbered twice is never alone, is
+// filled by its first data access and never evicted. Each of its later
+// stores (trace.ReplayTables.Stores) is an L2 hit that only sets the
+// line's dirty bit, so keepOps drops them from keep and the run adds
+// their L2 hits and dirty bits at its end (skipped).
+//
+// A skipped store's DL1 access is left to count. The DL1 is cold,
+// write-through and Random or FIFO, so the store changes no DL1 state,
+// and it hits exactly while its line is resident, from the read fill
+// that installs the line to the fill that evicts it. While live, the
+// loop reports each DL1 read fill (fill); who and from record per DL1
+// way (set*ways+way) the tracked line the last fill installed, as 1 +
+// its ID (0 for any other line), and the op of that fill. A fill that
+// evicts a tracked line counts the line's skipped stores inside its
+// residency as hits. After the op of the run's last skipped store
+// (last) no fill can change an outcome: stop counts each open
+// residency's stores from its fill on and ends the tracking.
+//
+// alone marks per data line ID the lines whose stores the run skips, n
+// counts those stores and hits their DL1 hits so far. who is all zero
+// between runs.
+type storeSkip struct {
+	stores    *trace.LineOps // the later stores of the run's Compiled
+	alone     []bool
+	who, from []uint32
+	ways      int
+	last      uint32
+	n, hits   uint64
+	live      bool
 }
+
+func newStoreSkip(dl1 cache.Config) storeSkip {
+	n := dl1.Sets() * dl1.Ways
+	return storeSkip{who: make([]uint32, n), from: make([]uint32, n), ways: dl1.Ways}
+}
+
+// plan drops from keep the later stores of the data lines alone in
+// their L2 set under this run's plans, l2i and l2d, and readies the
+// run's tracking of them. occ must be zero on entry and is on return.
+//
+//rm:hotpath
+func (sk *storeSkip) plan(keep []uint64, s *trace.LineOps, l2i, l2d, occ []uint32) {
+	for _, e := range l2i {
+		occ[e&cache.SetMask]++
+	}
+	for _, e := range l2d {
+		occ[e&cache.SetMask]++
+	}
+	sk.stores, sk.last, sk.hits = s, 0, 0
+	for id, e := range l2d {
+		at := s.At[s.Off[id]:s.Off[id+1]]
+		on := len(at) > 0 && occ[e&cache.SetMask] == 1
+		sk.alone[id] = on
+		if !on {
+			continue
+		}
+		for _, i := range at {
+			keep[i>>6] &^= 1 << (i & 63)
+		}
+		sk.n += uint64(len(at))
+		sk.last = max(sk.last, at[len(at)-1])
+	}
+	for _, e := range l2i {
+		occ[e&cache.SetMask] = 0
+	}
+	for _, e := range l2d {
+		occ[e&cache.SetMask] = 0
+	}
+	sk.live = sk.n > 0
+}
+
+// fill notes a DL1 read fill at op i of data line id into the way of
+// plan entry e. The loop calls it only while the tracking is live, so
+// it stays out of the loop's body.
+//
+//rm:hotpath
+//go:noinline
+func (sk *storeSkip) fill(e, id uint32, i int) {
+	if i > int(sk.last) {
+		sk.stop()
+		return
+	}
+	w := int(e&cache.SetMask)*sk.ways + int(e>>cache.SetBits)
+	if who := sk.who[w]; who != 0 {
+		sk.hits += sk.count(who-1, sk.from[w], uint32(i))
+	}
+	sk.who[w], sk.from[w] = 0, uint32(i)
+	if sk.alone[id] {
+		sk.who[w] = id + 1
+	}
+}
+
+// stop ends the tracking: each tracked line still resident hits with
+// every skipped store from its fill on.
+//
+//rm:hotpath
+func (sk *storeSkip) stop() {
+	for w, who := range sk.who {
+		if who != 0 {
+			sk.hits += sk.count(who-1, sk.from[w], math.MaxUint32)
+			sk.who[w] = 0
+		}
+	}
+	sk.live = false
+}
+
+// count returns the number of line id's skipped stores between ops a
+// and b.
+//
+//rm:hotpath
+func (sk *storeSkip) count(id, a, b uint32) uint64 {
+	at := sk.stores.At[sk.stores.Off[id]:sk.stores.Off[id+1]]
+	return uint64(below(at, b) - below(at, a))
+}
+
+// below returns the number of entries of the ascending at below x.
+//
+//rm:hotpath
+func below(at []uint32, x uint32) int {
+	lo, hi := 0, len(at)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if at[m] < x {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// skipped accounts for the run's skipped stores at its end and returns
+// their number: the DL1 misses among them (the caller's HitsUpTo counts
+// the hits), an L2 hit each, and the dirty bit of each line stored to.
+// l2d is the run's L2 plan of the data lines, whose way hints hold the
+// lines, which never left.
+//
+//rm:hotpath
+func (c *Core) skipped(l2d []uint32) uint64 {
+	sk := &c.plan.sk
+	if sk.live {
+		sk.stop()
+	}
+	c.dl1.Misses(sk.n - sk.hits)
+	c.l2.Hits(sk.n)
+	for id, on := range sk.alone {
+		if on {
+			c.l2.WriteHit(l2d[id])
+		}
+	}
+	return sk.n
+}
+
+// ReplayedOps returns the number of ops the last RunCompiled replayed;
+// it skipped the rest as certain L1 hits and as stores certain to hit
+// the L2.
+func (c *Core) ReplayedOps() int { return c.plan.ops }
+
+// ReplayedStores returns the number of stores among the ops the last
+// RunCompiled replayed.
+func (c *Core) ReplayedStores() int { return c.plan.stores }
 
 // RunCompiled executes a compiled trace to completion and returns its
 // cycle count and per-level statistics for this run only. Cache contents
@@ -318,12 +488,13 @@ func (c *Core) ReplayedOps() int {
 // the level's counters once per run, and the L1Hit and StoreBus charges
 // every access pays are added once per run.
 //
-// RunCompiled replays only the ops this run's mapping can make miss:
-// every store, each line ID's first read, and the later reads of a line
-// until its L1 set can no longer miss (the trace's ReplayIndex and
-// keepOps). This needs a level that is cold (no access since
-// construction, Flush or Reseed) and that no store fills. With k
-// allocating lines in a set under this run's mapping:
+// RunCompiled replays only the ops whose outcome this run's mapping
+// leaves uncertain: each line ID's first read, the later reads of a line
+// until its L1 set can no longer miss, and the stores but those certain
+// to hit the L2 (the trace's ReplayIndex and keepOps). Skipping reads
+// needs an L1 that is cold (no access since construction, Flush or
+// Reseed) and that no store fills. With k allocating lines in a set
+// under this run's mapping:
 //
 //   - k at most cache.HitElisionLimit (1 under Random, Ways under FIFO
 //     and LRU): a line's first read leaves it resident and no fill
@@ -345,8 +516,20 @@ func (c *Core) ReplayedOps() int {
 // only compare stamps within a set, whose order the skipped hits of
 // other sets cannot change. A warm level, a PLRU level, and a stored-to
 // level that allocates on write keep every op of their stream: the same
-// loop with every bit kept. Results, cache state and the replacement
-// streams are bit-identical to replaying every op.
+// loop with every bit kept.
+//
+// A store is skipped when its L2 outcome is a certain, stateless hit
+// (see storeSkip): the L2 is cold, Random and write-back, the store's
+// data line is alone in its L2 set under this run's mapping, counting
+// the line IDs of both streams, and the store follows the line's first
+// data access, which filled it. The DL1 must be cold, write-through and
+// Random or FIFO, so the skipped store's DL1 access changes no state;
+// the loop counts whether it hit from the residency of its line, which
+// only read fills change. The run's end adds the skipped stores' DL1
+// misses, their L2 hits and store-bus cycles, and sets their lines' L2
+// dirty bits. LRU, PLRU and write-through L2s, LRU DL1s and warm levels
+// keep every store. Results, cache state and the replacement streams are
+// bit-identical to replaying every op.
 //
 // This is the MBPTA campaign hot path: a campaign replays the same
 // Compiled hundreds of times (it is immutable and shared across worker
@@ -372,8 +555,9 @@ func (c *Core) RunCompiled(ct *trace.Compiled) Result {
 	il1Plan, l2iPlan := c.plan.il1[:len(ilines)], c.plan.l2i[:len(ilines)]
 	dl1Plan, l2dPlan := c.plan.dl1[:len(dlines)], c.plan.l2d[:len(dlines)]
 	ops, keep := ct.Ops, c.plan.keep
-	sI, sD := &c.plan.sI, &c.plan.sD
+	sI, sD, sk := &c.plan.sI, &c.plan.sD, &c.plan.sk
 	var cycles, h1, hd, stores uint64
+	replayed := 0
 	for seg := 0; seg < len(keep); seg += segOps >> 6 {
 		end := min(seg+segOps>>6, len(keep))
 		lim := uint32(min(end<<6, len(ops))) // an index holds at most MaxUint32 ops
@@ -385,6 +569,7 @@ func (c *Core) RunCompiled(ct *trace.Compiled) Result {
 		}
 		for b := seg; b < end; b++ {
 			for m := keep[b]; m != 0; m &= m - 1 {
+				replayed++
 				i := b<<6 | bits.TrailingZeros64(m)
 				op := ops[i]
 				id := op.ID
@@ -417,6 +602,9 @@ func (c *Core) RunCompiled(ct *trace.Compiled) Result {
 					if r&cache.BitHit != 0 {
 						continue
 					}
+					if sk.live {
+						sk.fill(dl1Plan[id], id, i)
+					}
 					cycles += l2Hit + memCycles(c.l2Read(la, &l2dPlan[id]))
 					if r&cache.BitEvicted == 0 && sD.n > 0 && sD.fill(keep, e&cache.SetMask, i) {
 						m &= keep[b]
@@ -430,6 +618,10 @@ func (c *Core) RunCompiled(ct *trace.Compiled) Result {
 	}
 	sI.done()
 	sD.done()
+	c.plan.ops, c.plan.stores = replayed, int(stores)
+	if sk.n > 0 {
+		stores += c.skipped(l2dPlan)
+	}
 	if c.plan.limI == 0 && c.plan.limD == 0 {
 		il1.Hits(h1)
 		dl1.Hits(hd)

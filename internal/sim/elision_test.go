@@ -53,7 +53,10 @@ const settleRule = -1
 // than Ways, and the later reads of lines in sets with more than the
 // level's limit until the set has taken as many read-miss fills that
 // evicted nothing as it has allocating lines. A limit of 0, a warm level
-// or a nil Index replays everything.
+// or a nil Index replays everything. Under a cold write-through Random or
+// FIFO DL1 and a cold write-back Random L2, it does not count a store to
+// a data line ID the stream has touched before whose L2 set, counting
+// the line IDs of both streams, holds no other.
 func ruleReplayed(t *testing.T, cfg Config, seed uint64, ct *trace.Compiled) int {
 	t.Helper()
 	c := mustNew(t, cfg)
@@ -61,6 +64,16 @@ func ruleReplayed(t *testing.T, cfg Config, seed uint64, ct *trace.Compiled) int
 	if ct.Index == nil {
 		return len(ct.Ops)
 	}
+	l2IDs := map[uint32]int{}
+	for _, lines := range [][]uint64{ct.ILines, ct.DLines} {
+		for _, la := range lines {
+			l2IDs[c.l2.Policy().Index(la)]++
+		}
+	}
+	skipStores := cfg.DL1.Write == cache.WriteThrough &&
+		(cfg.DL1.Replacement == cache.Random || cfg.DL1.Replacement == cache.FIFO) &&
+		cfg.L2.Write == cache.WriteBack && cfg.L2.Replacement == cache.Random
+	touched := map[uint32]bool{}
 	type stream struct {
 		l1         *cache.Cache
 		lines      []uint64
@@ -92,11 +105,18 @@ func ruleReplayed(t *testing.T, cfg Config, seed uint64, ct *trace.Compiled) int
 		set := st.l1.Policy().Index(la)
 		k := st.k[set]
 		switch {
-		case op.Kind == trace.Store || !st.read[op.ID] || st.lim == 0:
+		case op.Kind == trace.Store:
+			if !skipStores || !touched[op.ID] || l2IDs[c.l2.Policy().Index(la)] != 1 {
+				n++
+			}
+		case !st.read[op.ID] || st.lim == 0:
 			n++
 		case k <= st.lim:
 		case k > st.ways || st.settled[set] < k:
 			n++
+		}
+		if op.Kind != trace.Fetch {
+			touched[op.ID] = true
 		}
 		if op.Kind == trace.Store {
 			st.l1.Write(la, set)
@@ -552,7 +572,8 @@ func TestSettledSetElision(t *testing.T) {
 
 // checkElidedRun reseeds core and ref with seed, replays ct on core and
 // tr on ref, fails t unless Results and cache states agree and core
-// replayed the ops ruleReplayed counts, and returns that count.
+// replayed the ops ruleReplayed counts, which its final keep mask must
+// hold too, and returns that count.
 func checkElidedRun(t *testing.T, cfg Config, core, ref *Core, seed uint64, ct *trace.Compiled, tr trace.Trace) int {
 	t.Helper()
 	core.Reseed(seed)
@@ -565,5 +586,129 @@ func checkElidedRun(t *testing.T, cfg Config, core, ref *Core, seed uint64, ct *
 	if want := ruleReplayed(t, cfg, seed, ct); n != want {
 		t.Fatalf("seed %#x: replayed %d of %d ops, the rule %d", seed, n, len(ct.Ops), want)
 	}
+	kept := 0
+	for _, m := range core.plan.keep {
+		kept += bits.OnesCount64(m)
+	}
+	if kept != n {
+		t.Fatalf("seed %#x: replayed %d ops, the final keep mask holds %d", seed, n, kept)
+	}
 	return n
+}
+
+// storeConfig is elisionConfig's write-through L1s, DL1 replacement dl1,
+// over a 16-set 4-way Modulo L2 with replacement l2 and write policy
+// write. Line L sits in DL1 set L%8 and L2 set L%16, so lines 0 and 8
+// contend in DL1 while each is alone in its L2 set.
+func storeConfig(dl1, l2 cache.ReplacementKind, write cache.WritePolicy) Config {
+	cfg := elisionConfig(dl1, cache.WriteThrough)
+	cfg.L2 = cache.Config{
+		Name: "L2", SizeBytes: 4096, Ways: 4, LineBytes: 64,
+		Placement: placement.Modulo, Replacement: l2, Write: write,
+	}
+	return cfg
+}
+
+// TestStoreElision pins store elision: on a cold write-back Random L2,
+// the stores to a data line alone in its L2 set after the line's first
+// data access are skipped, and their DL1 hits and misses, L2 hits and
+// the line's L2 dirty bit are accounted at the run's end. Each case runs
+// a trace over 64 seeds on one core, every run checked by
+// checkElidedRun and skipping want stores, then once warm, which must
+// replay every op. Some seed must show the DL1 outcome a case is about.
+func TestStoreElision(t *testing.T) {
+	random, fifo, lru := cache.Random, cache.FIFO, cache.LRU
+	wb, wt := cache.WriteBack, cache.WriteThrough
+	// Line 0 is stored to between loads of line 8 in its DL1 set, which
+	// may evict it, and reloads of line 0 that may bring it back.
+	evicts := dataTrace([]uint64{0, 0, 8, 0, 8, 0, 0, 8, 0, 0, 8, 0}, ".s.s.s.ss.s.")
+	// A line only stored to: its first store fills the L2 and no DL1.
+	storeOnly := dataTrace([]uint64{3, 3, 3, 3}, "ssss")
+	// Line 0 stored to first: the later stores miss DL1 until a load
+	// fills it.
+	storeFirst := dataTrace([]uint64{0, 0, 0, 0, 0, 0}, "ss.s.s")
+	// Lines 0 and 16 share L2 set 0.
+	sharedL2 := dataTrace([]uint64{0, 16, 0, 16, 0, 16}, "..ssss")
+	// Line 2 fetched and stored to: an instruction and a data line ID in
+	// one L2 set.
+	b := trace.NewBuilder(5)
+	b.Fetch(2 * 64)
+	for _, k := range []trace.Kind{trace.Store, trace.Load, trace.Store, trace.Store} {
+		b.Append(trace.Access{Addr: 2 * 64, Kind: k})
+	}
+	bothStreams := b.Trace()
+	// Loads of lines 0 and 8 settle their DL1 set inside the first
+	// block, with line 1's later stores skipped around them.
+	var lines []uint64
+	kinds := ""
+	for i := 0; i < 100; i++ {
+		lines = append(lines, []uint64{0, 8, 1, 1}[i%4])
+		kinds += "...s"[i%4 : i%4+1]
+	}
+	settles := dataTrace(lines, kinds)
+	// The relocated form numbers the two granules of line 0 as two IDs
+	// in one L2 set.
+	aliased := trace.Trace{{Addr: 0, Kind: trace.Load}, {Addr: 32, Kind: trace.Store},
+		{Addr: 0, Kind: trace.Store}, {Addr: 32, Kind: trace.Store}}
+	always := func(cache.Stats, int) bool { return true }
+	for _, tc := range []struct {
+		name     string
+		cfg      Config
+		tr       trace.Trace
+		relocate bool
+		want     int // stores skipped by each cold run
+		outcome  func(dl1 cache.Stats, replayed int) bool
+	}{
+		{"random/settled", storeConfig(random, random, wb), evicts, false, 6, func(s cache.Stats, _ int) bool { return s.Misses == 2 }},
+		{"random/evicted", storeConfig(random, random, wb), evicts, false, 6, func(s cache.Stats, _ int) bool { return s.Misses >= 6 }},
+		{"fifo", storeConfig(fifo, random, wb), evicts, false, 6, always},
+		{"store-only", storeConfig(random, random, wb), storeOnly, false, 3, always},
+		{"store-first", storeConfig(random, random, wb), storeFirst, false, 3, always},
+		{"shared-l2", storeConfig(random, random, wb), sharedL2, false, 0, always},
+		{"both-streams", storeConfig(random, random, wb), bothStreams, false, 0, always},
+		{"aliased", storeConfig(random, random, wb), aliased, true, 0, always},
+		{"settles", storeConfig(random, random, wb), settles, false, 25, func(_ cache.Stats, n int) bool { return n < 10 }},
+		// A skipped store must change no DL1 state, and an LRU store
+		// miss ticks. A write-through L2 never holds a line only stored
+		// to, and an LRU L2's hits tick.
+		{"lru-dl1", storeConfig(lru, random, wb), evicts, false, 0, always},
+		{"write-through-l2", storeConfig(random, random, wt), storeOnly, false, 0, always},
+		{"lru-l2", storeConfig(random, lru, wb), evicts, false, 0, always},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ct := compile(t, tc.tr)
+			if tc.relocate {
+				rel, err := workload.FromTrace("aliased", "", tc.tr).Relocatable(workload.BaselineLayout(), 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ct = rel.Relocate(workload.BaselineLayout())
+			}
+			stores := 0
+			for _, op := range ct.Ops {
+				if op.Kind == trace.Store {
+					stores++
+				}
+			}
+			core, ref := mustNew(t, tc.cfg), mustNew(t, tc.cfg)
+			seen := false
+			for seed := 0; seed < 64; seed++ {
+				n := checkElidedRun(t, tc.cfg, core, ref, prng.Derive(0x5707E, seed), ct, tc.tr)
+				if got := stores - core.ReplayedStores(); got != tc.want {
+					t.Fatalf("seed %d skipped %d of %d stores, want %d", seed, got, stores, tc.want)
+				}
+				seen = seen || tc.outcome(core.dl1.End(), n)
+			}
+			if !seen {
+				t.Fatal("no seed shows the case's outcome")
+			}
+			if got, want := core.RunCompiled(ct), ref.Run(tc.tr); got != want {
+				t.Fatalf("warm: compiled %+v, reference %+v", got, want)
+			}
+			sameCacheState(t, core, ref)
+			if core.ReplayedOps() != len(ct.Ops) {
+				t.Fatalf("warm run replayed %d of %d ops", core.ReplayedOps(), len(ct.Ops))
+			}
+		})
+	}
 }

@@ -66,12 +66,18 @@ func TestRunAllFoldMatchesUnfolded(t *testing.T) {
 // fuzzConfig is a deliberately small hierarchy (8-set 2-way L1s, an 8-set
 // 4-way L2, 64 B lines) so a 32-line space conflicts at every level. The
 // selector picks the placement, the replacement and the write policy
-// (applied to DL1 and L2 alike).
+// (applied to DL1 and L2 alike); its top bit makes the L2 write-back
+// whatever the DL1's, the paper's arrangement under a write-through
+// DL1.
 func fuzzConfig(sel uint8) Config {
 	kinds := placement.Kinds()
 	pk := kinds[int(sel)%len(kinds)]
 	rk := []cache.ReplacementKind{cache.LRU, cache.Random, cache.FIFO, cache.PLRU}[int(sel>>3)%4]
 	write := []cache.WritePolicy{cache.WriteThrough, cache.WriteBack}[int(sel>>5)%2]
+	l2Write := write
+	if sel&0x80 != 0 {
+		l2Write = cache.WriteBack
+	}
 	mk := func(name string, size, ways int, w cache.WritePolicy) cache.Config {
 		return cache.Config{
 			Name: name, SizeBytes: size, Ways: ways, LineBytes: 64,
@@ -81,7 +87,7 @@ func fuzzConfig(sel uint8) Config {
 	return Config{
 		IL1: mk("IL1", 1024, 2, cache.WriteThrough),
 		DL1: mk("DL1", 1024, 2, write),
-		L2:  mk("L2", 2048, 4, write),
+		L2:  mk("L2", 2048, 4, l2Write),
 	}
 }
 
@@ -115,12 +121,16 @@ func fuzzTrace(data []byte) trace.Trace {
 // again after a Flush, and a warm replay of the second half of the trace
 // on the state the full trace left. The reseeded and flushed replays are
 // cold, so under Random, FIFO and LRU they skip the reads their mapping
-// makes certain hits; the warm ones must not. After every replay each
-// level's state must equal the reference's too (sameCacheState), so an
-// LRU restore that misses a stamp fails at once. Stale hints, deterministic plans
-// reused across reseeds and two IDs on one line all occur. The shared-bus
-// model must also give the folded and the unfolded Compiled the same
-// Results against a streaming co-runner.
+// makes certain hits, and with a write-through Random or FIFO DL1 over a
+// write-back Random L2 (the selector's top bit) the later stores to data
+// lines alone in their L2 set; the warm ones must not. After every
+// replay each level's state must equal the reference's too
+// (sameCacheState), L2 dirty bits included, so an LRU restore that
+// misses a stamp or a skipped store that leaves a line clean fails at
+// once. Stale hints, deterministic plans reused across reseeds and two
+// IDs on one line all occur. The shared-bus model must also give the
+// folded and the unfolded Compiled the same Results against a streaming
+// co-runner.
 func FuzzCompiledReplay(f *testing.F) {
 	f.Add(uint8(0), uint64(1), []byte("\x41\x41\x41\x01\x41\x81\x41\x00\x00\x50\x10\x50"))
 	f.Add(uint8(0x2B), uint64(7), []byte("\x40\x00\x40\x00\x40\x80\x40\x10\x20\x30\x40\x50\x60\x70\x40"))
@@ -165,6 +175,22 @@ func FuzzCompiledReplay(f *testing.F) {
 	// loads, which are skipped, and the warm replays' victims in set 0
 	// follow the restored stamps and tick.
 	f.Add(uint8(0x41), uint64(8), []byte("\x40\x50\xa0\x40\xa0\x50\x42\x40\xb0\x42\x50\x40\x60\x50"))
+	// RMRot/Random/write-through at both levels: two stores to a line
+	// only stored to both miss, since a write-through L2 never fills it,
+	// so neither store may be skipped.
+	f.Add(uint8(0x09), uint64(1), []byte("\x80\x80"))
+	// hRP/Random over a write-back L2: line 0 is alone in its L2 set at
+	// both reseeded runs, so its later stores are skipped, and line 1 or
+	// 2 shares its DL1 set and evicts it, so stores find it gone and a
+	// reload brings it back.
+	f.Add(uint8(0x89), uint64(2), []byte("\x40\x80\x42\x80\x44\x80\x40\x80\x42\x80\x44\x80\x40\x80\x42\x80\x40\x80"))
+	// Line 0 fetched, loaded and stored to: an instruction and a data
+	// line ID in one L2 set, so no store is skipped.
+	f.Add(uint8(0x89), uint64(3), []byte("\x00\x80\x80\x40\x80\x00\x80"))
+	// Stores to both granules of line 0: one ID in the compiled form,
+	// whose later stores are skipped, two in the relocated form replayed
+	// after the Flush, which keeps them.
+	f.Add(uint8(0x89), uint64(4), []byte("\x40\x80\x81\x80\x41\x81\x80"))
 	hog := streamTrace(1<<20, 600)
 	f.Fuzz(func(t *testing.T, sel uint8, seed uint64, data []byte) {
 		if len(data) > 2048 {

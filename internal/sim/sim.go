@@ -78,9 +78,10 @@ func New(cfg Config) (*Core, error) {
 		il1: il1, dl1: dl1, l2: l2,
 		lineBytes: cfg.IL1.LineBytes,
 		plan: indexPlan{
-			occ: make([]uint32, max(cfg.IL1.Sets(), cfg.DL1.Sets())),
+			occ: make([]uint32, max(cfg.IL1.Sets(), cfg.DL1.Sets(), cfg.L2.Sets())),
 			sI:  newSettle(cfg.IL1.Sets()),
 			sD:  newSettle(cfg.DL1.Sets()),
+			sk:  newStoreSkip(cfg.DL1),
 		},
 	}, nil
 }

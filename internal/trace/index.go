@@ -6,11 +6,11 @@ import (
 	"sync"
 )
 
-// ReplayIndex is the run-invariant half of L1 hit elision over a folded
-// op sequence, built on the first Tables call: only a run that can skip
-// reads needs it, so a campaign whose L1s never skip (PLRU L1s, or
-// runs on warm levels) never pays for it. It is safe for concurrent use and shared by every run of
-// its ops.
+// ReplayIndex is the run-invariant half of L1 hit elision and store
+// elision over a folded op sequence, built on the first Tables call:
+// only a run that can skip reads needs it, so a campaign whose L1s never
+// skip (PLRU L1s, or runs on warm levels) never pays for it. It is safe
+// for concurrent use and shared by every run of its ops.
 type ReplayIndex struct {
 	once  sync.Once
 	build func()
@@ -28,20 +28,35 @@ type ReplayIndex struct {
 // sim.Core.RunCompiled for the rules). A run replays Must plus the later
 // reads of the lines its mapping leaves contended, up to the op at which
 // their set settles, which it takes from the per-line lists of I and D.
+//
+// A store in Must may still be certain: on a cold write-back Random L2,
+// a data line alone in its L2 set under a run's mapping is filled by the
+// line's first data access and never evicted, so each later store to it
+// hits the L2. Such a run drops those stores, which it finds in the
+// per-line lists of Stores, from the ops it replays.
 type ReplayTables struct {
 	Must []uint64
 	I, D LineReads // instruction and data stream
+
+	ops        []Op // the indexed ops, for the lazy build of stores
+	storesOnce sync.Once
+	stores     LineOps
 }
 
-// LineReads indexes the later reads of one stream's line IDs: the ops
-// At[Off[id]:Off[id+1]], ascending, are the later reads of line id.
-// Programs rarely read a line twice within 64 folded ops, so op indices
-// are smaller than per-line block masks would be. With All, Read and
-// Accesses it holds what a run needs to choose the reads it skips and
-// count their hits.
-type LineReads struct {
+// LineOps lists ops per line ID of one stream: the ops
+// At[Off[id]:Off[id+1]], ascending, are line id's. Programs rarely touch
+// a line twice within 64 folded ops, so op indices are smaller than
+// per-line block masks would be.
+type LineOps struct {
 	Off []int
 	At  []uint32
+}
+
+// LineReads indexes the later reads of one stream's line IDs in its
+// LineOps. With All, Read and Accesses it holds what a run needs to
+// choose the reads it skips and count their hits.
+type LineReads struct {
+	LineOps
 
 	// All masks every later read of the stream, per block.
 	All []uint64
@@ -73,7 +88,7 @@ func newReplayIndex(ops []Op, iLines, dLines int) *ReplayIndex {
 		return nil
 	}
 	x := &ReplayIndex{}
-	x.build = func() { x.t = newTables(ops, iLines, dLines) }
+	x.build = func() { x.t.fill(ops, iLines, dLines) }
 	return x
 }
 
@@ -83,9 +98,9 @@ func (x *ReplayIndex) Tables() *ReplayTables {
 	return &x.t
 }
 
-func newTables(ops []Op, iLines, dLines int) ReplayTables {
+func (t *ReplayTables) fill(ops []Op, iLines, dLines int) {
 	nb := Blocks(len(ops))
-	t := ReplayTables{Must: make([]uint64, nb)}
+	t.ops, t.Must = ops, make([]uint64, nb)
 	streams := [2]*LineReads{&t.I, &t.D}
 	for s, n := range [2]int{iLines, dLines} {
 		r := streams[s]
@@ -128,7 +143,42 @@ func newTables(ops []Op, iLines, dLines int) ReplayTables {
 			}
 		}
 	}
-	return t
+}
+
+// Stores returns the data stream's later-store lists: per data line ID,
+// its stores after the stream's first access of the line, a load or a
+// store. Only a run that may skip stores needs them, so the first call
+// builds them, in O(len(ops)) time and four bytes per such store.
+func (t *ReplayTables) Stores() *LineOps {
+	t.storesOnce.Do(t.buildStores)
+	return &t.stores
+}
+
+func (t *ReplayTables) buildStores() {
+	n := len(t.D.Read)
+	s := &t.stores
+	s.Off = make([]int, n+1)
+	first := make([]int, n) // per line: 1 + the op of its first data access
+	for i, op := range t.ops {
+		switch {
+		case op.Kind == Fetch:
+		case first[op.ID] == 0:
+			first[op.ID] = i + 1
+		case op.Kind == Store:
+			s.Off[op.ID+1]++
+		}
+	}
+	for id := range n {
+		s.Off[id+1] += s.Off[id]
+	}
+	s.At = make([]uint32, s.Off[n])
+	next := append([]int(nil), s.Off[:n]...)
+	for i, op := range t.ops {
+		if op.Kind == Store && first[op.ID] <= i {
+			s.At[next[op.ID]] = uint32(i)
+			next[op.ID]++
+		}
+	}
 }
 
 // stream returns 0 for the instruction stream, 1 for the data stream.

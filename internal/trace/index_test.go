@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/prng"
@@ -12,6 +13,8 @@ import (
 // ascending order, All is their union, Read records the lines read, and
 // Last and Accesses count
 // each stream's accesses through each line's last access and in all.
+// Each data line's list in Stores holds exactly its stores after the
+// stream's first access of the line, in ascending order.
 func TestReplayIndex(t *testing.T) {
 	g := prng.New(0x1DE)
 	for round := 0; round < 200; round++ {
@@ -34,6 +37,8 @@ func TestReplayIndex(t *testing.T) {
 			read[s] = make([]bool, nLines)
 		}
 		later := make([]bool, n)
+		laterStore := make([]bool, n)
+		touched := make([]bool, nLines)
 		var acc [2]uint64
 		var last [2][]uint64
 		for s := range last {
@@ -44,6 +49,10 @@ func TestReplayIndex(t *testing.T) {
 			acc[s] += 1 + uint64(op.Rep)
 			last[s][op.ID] = acc[s]
 			must := op.Kind == Store || !read[s][op.ID]
+			if op.Kind != Fetch {
+				laterStore[i] = op.Kind == Store && touched[op.ID]
+				touched[op.ID] = true
+			}
 			if op.Kind != Store {
 				if read[s][op.ID] {
 					later[i] = true
@@ -85,6 +94,28 @@ func TestReplayIndex(t *testing.T) {
 				}
 			}
 		}
+		st := x.Stores()
+		if len(st.Off) != nLines+1 {
+			t.Fatalf("round %d: %d store offsets for %d lines", round, len(st.Off), nLines)
+		}
+		listed := make([]bool, n)
+		for id := 0; id < nLines; id++ {
+			at := st.At[st.Off[id]:st.Off[id+1]]
+			for j, i := range at {
+				if j > 0 && i <= at[j-1] {
+					t.Fatalf("round %d line %d: later stores %v not ascending", round, id, at)
+				}
+				if !laterStore[i] || int(ops[i].ID) != id {
+					t.Fatalf("round %d line %d: op %d (%+v) is not one of its later stores", round, id, i, ops[i])
+				}
+				listed[i] = true
+			}
+		}
+		for i := range ops {
+			if laterStore[i] && !listed[i] {
+				t.Fatalf("round %d op %d (%+v): a later store in no list", round, i, ops[i])
+			}
+		}
 		// Every later read is in its stream's All, and no op is in two
 		// of Must, I.All and D.All.
 		for i := range ops {
@@ -98,6 +129,29 @@ func TestReplayIndex(t *testing.T) {
 			if in != 1 {
 				t.Fatalf("round %d op %d in %d of Must, I.All, D.All", round, i, in)
 			}
+		}
+	}
+}
+
+// TestReplayIndexConcurrent builds one index's tables and later-store
+// lists from several goroutines at once, as a campaign's worker cores do
+// on their first runs; run it under -race.
+func TestReplayIndexConcurrent(t *testing.T) {
+	ops := []Op{{ID: 0, Kind: Load}, {ID: 0, Kind: Store}, {ID: 1, Kind: Store}, {ID: 1, Kind: Store}, {ID: 0, Kind: Fetch}}
+	x := newReplayIndex(ops, 2, 2)
+	got := make([]*LineOps, 4)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = x.Tables().Stores()
+		}()
+	}
+	wg.Wait()
+	for _, s := range got {
+		if s != got[0] || len(s.At) != 2 || s.At[0] != 1 || s.At[1] != 3 {
+			t.Fatalf("later stores %+v, want ops 1 and 3 in one shared list", *s)
 		}
 	}
 }
