@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short race vet fmt lint rmlint check-noalloc vuln fuzz-short loc verify smoke smoke-examples smoke-security smoke-serve smoke-metrics serve bench bench-hotpath bench-smoke bench-json full-bench
+.PHONY: build test test-short race vet fmt lint vuln fuzz-short loc verify smoke smoke-examples smoke-security smoke-serve smoke-metrics serve bench bench-hotpath bench-smoke bench-json full-bench
 
 build:
 	$(GO) build ./...
@@ -14,22 +14,15 @@ vet:
 fmt:
 	gofmt -w .
 
-# Fails when any file needs gofmt; CI's lint gate. rmlint is the house
-# static-analysis suite (determinism / hotpath / prngdiscipline / ctxflow
-# contracts; see README "Static analysis").
+# Fails when any file needs gofmt; CI's lint gate. The two tests are
+# the house static-analysis suite over the module (determinism / hotpath
+# / prngdiscipline / ctxflow contracts) and the zero-alloc escape gate
+# over the //rm:hotpath spans; `make test` runs them too (see README
+# "Static analysis").
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
-	$(GO) run ./cmd/rmlint ./...
-
-# The custom analyzers alone.
-rmlint:
-	$(GO) run ./cmd/rmlint ./...
-
-# Escape-analysis half of the zero-alloc contract: no //rm:hotpath span
-# may contain heap traffic per go build -gcflags=-m.
-check-noalloc:
-	sh scripts/check-noalloc.sh
+	$(GO) test -count=1 -run '^(TestSelfRun|TestNoHeapEscapeInHotpath)$$' ./internal/lint
 
 # Known-vulnerability scan; skipped gracefully where govulncheck (or the
 # network its database needs) is unavailable, so offline verify still
@@ -74,9 +67,9 @@ test-short:
 race:
 	$(GO) test -race ./...
 
-# The tier-1 gate plus lint, the zero-alloc gate, the vulnerability scan
-# and the race detector.
-verify: lint build check-noalloc vuln race
+# The tier-1 gate plus lint (which holds the zero-alloc gate), the
+# vulnerability scan and the race detector.
+verify: lint build vuln race
 
 # Exercise the binaries end-to-end at smoke scale (what CI runs).
 smoke: smoke-examples

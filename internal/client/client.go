@@ -8,7 +8,8 @@
 // entropy or the clock, so a given (seed, response sequence) always
 // produces the same delay schedule — retry behaviour is testable
 // bit-exactly, the same determinism discipline the simulation core
-// follows (and rmlint enforces on this package).
+// follows (and the lint suite's determinism analyzer enforces on this
+// package).
 package client
 
 import (

@@ -1,16 +1,11 @@
-package lint_test
+package lint
 
-import (
-	"testing"
-
-	"repro/internal/lint"
-	"repro/internal/lint/linttest"
-)
+import "testing"
 
 func TestCtxFlowLibrary(t *testing.T) {
-	linttest.Run(t, "testdata", lint.CtxFlow(), "ctxflow")
+	runFixture(t, CtxFlow(), "ctxflow")
 }
 
 func TestCtxFlowMainPackage(t *testing.T) {
-	linttest.Run(t, "testdata", lint.CtxFlow(), "ctxflow/cmd")
+	runFixture(t, CtxFlow(), "ctxflow/cmd")
 }

@@ -1,28 +1,23 @@
-package lint_test
+package lint
 
-import (
-	"testing"
-
-	"repro/internal/lint"
-	"repro/internal/lint/linttest"
-)
+import "testing"
 
 func TestDeterminism(t *testing.T) {
-	linttest.Run(t, "testdata", lint.Determinism([]string{"determinism"}), "determinism")
+	runFixture(t, Determinism([]string{"determinism"}), "determinism")
 }
 
 // TestDeterminismScopedToConfiguredPackages: the same constructs in a
 // package outside the result-affecting set produce no findings.
 func TestDeterminismScopedToConfiguredPackages(t *testing.T) {
-	diags := linttest.Findings(t, "testdata", lint.Determinism([]string{"determinism"}), "determinism/off")
+	diags := fixtureFindings(t, Determinism([]string{"determinism"}), "determinism/off")
 	if len(diags) != 0 {
 		t.Fatalf("non-result-affecting package got %d findings: %v", len(diags), diags)
 	}
 }
 
 // TestDefaultDeterminismPackages pins the production configuration: the
-// packages whose outputs feed campaign results, plus internal/obs so
-// the observability kit's own clock reads stay audited exceptions.
+// packages whose outputs feed campaign results, plus internal/obs and
+// internal/client, so their clock reads stay audited exceptions.
 func TestDefaultDeterminismPackages(t *testing.T) {
 	want := map[string]bool{
 		"repro/internal/cache":     true,
@@ -38,7 +33,7 @@ func TestDefaultDeterminismPackages(t *testing.T) {
 		"repro/internal/obs":       true,
 		"repro/internal/client":    true,
 	}
-	got := lint.DefaultDeterminismPackages()
+	got := DefaultDeterminismPackages()
 	if len(got) != len(want) {
 		t.Fatalf("got %d packages, want %d: %v", len(got), len(want), got)
 	}

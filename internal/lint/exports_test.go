@@ -140,7 +140,7 @@ func deadDeclarations(root string, patterns ...string) ([]string, error) {
 				continue
 			}
 		}
-		pos := strings.TrimPrefix(l.Fset().Position(obj.Pos()).String(), root+string(filepath.Separator))
+		pos := strings.TrimPrefix(l.fset.Position(obj.Pos()).String(), root+string(filepath.Separator))
 		dead = append(dead, d.name+" ("+pos+")")
 	}
 	sort.Strings(dead)

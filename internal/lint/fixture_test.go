@@ -1,7 +1,16 @@
-// Package linttest runs lint analyzers over analysistest-style fixture
-// trees and checks their findings against // want comments, mirroring
-// golang.org/x/tools/go/analysis/analysistest on the standard library
-// stack.
+package lint
+
+import (
+	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// The analyzer tests run one analyzer over analysistest-style fixture
+// trees, mirroring golang.org/x/tools/go/analysis/analysistest on the
+// standard library stack.
 //
 // Fixtures live under testdata/src/<pkg>; a line expecting diagnostics
 // carries a trailing comment of the form
@@ -11,39 +20,18 @@
 // with one quoted regular expression per expected diagnostic on that
 // line. Every diagnostic must be wanted and every want must be matched,
 // in both directions, or the test fails.
-package linttest
-
-import (
-	"go/token"
-	"path/filepath"
-	"regexp"
-	"strconv"
-	"strings"
-	"testing"
-
-	"repro/internal/lint"
-)
 
 // wantRe matches one quoted expectation inside a // want comment:
 // double-quoted (Go escapes apply) or backquoted (raw), as in
 // analysistest.
 var wantRe = regexp.MustCompile("\"((?:[^\"\\\\]|\\\\.)*)\"|`([^`]*)`")
 
-// Run loads each fixture package from <testdata>/src and applies the
-// analyzer, comparing findings to the fixtures' want comments.
-func Run(t *testing.T, testdata string, a *lint.Analyzer, pkgpaths ...string) {
+// runFixture applies the analyzer to each fixture package of
+// testdata/src, comparing findings to the fixtures' want comments.
+func runFixture(t *testing.T, a *Analyzer, pkgpaths ...string) {
 	t.Helper()
-	loader := lint.NewTestdataLoader(filepath.Join(testdata, "src"))
-	pkgs, err := loader.Load(pkgpaths...)
-	if err != nil {
-		t.Fatalf("linttest: load %v: %v", pkgpaths, err)
-	}
-	diags, err := lint.RunAnalyzers(pkgs, []*lint.Analyzer{a})
-	if err != nil {
-		t.Fatalf("linttest: run %s: %v", a.Name, err)
-	}
-
-	wants := collectWants(t, loader.Fset(), pkgs)
+	pkgs, diags := fixtureRun(t, a, pkgpaths...)
+	wants := collectWants(t, pkgs)
 	matched := make([]bool, len(wants))
 	for _, d := range diags {
 		ok := false
@@ -68,6 +56,30 @@ func Run(t *testing.T, testdata string, a *lint.Analyzer, pkgpaths ...string) {
 	}
 }
 
+// fixtureFindings returns the raw diagnostics of the analyzer on the
+// fixture packages, for tests that assert on counts or suppression
+// behaviour directly.
+func fixtureFindings(t *testing.T, a *Analyzer, pkgpaths ...string) []Diagnostic {
+	t.Helper()
+	_, diags := fixtureRun(t, a, pkgpaths...)
+	return diags
+}
+
+// fixtureRun loads the fixture packages from testdata/src, where import
+// path "x" resolves to testdata/src/x, and applies the analyzer.
+func fixtureRun(t *testing.T, a *Analyzer, pkgpaths ...string) ([]*Package, []Diagnostic) {
+	t.Helper()
+	pkgs, err := newLoader(filepath.Join("testdata", "src"), "").Load(pkgpaths...)
+	if err != nil {
+		t.Fatalf("load %v: %v", pkgpaths, err)
+	}
+	diags, err := RunAnalyzers(pkgs, []*Analyzer{a})
+	if err != nil {
+		t.Fatalf("run %s: %v", a.Name, err)
+	}
+	return pkgs, diags
+}
+
 type want struct {
 	file string
 	line int
@@ -76,7 +88,7 @@ type want struct {
 
 // collectWants scans every fixture file's comments for want
 // expectations.
-func collectWants(t *testing.T, fset *token.FileSet, pkgs []*lint.Package) []want {
+func collectWants(t *testing.T, pkgs []*Package) []want {
 	t.Helper()
 	var wants []want
 	for _, pkg := range pkgs {
@@ -87,19 +99,19 @@ func collectWants(t *testing.T, fset *token.FileSet, pkgs []*lint.Package) []wan
 					if !ok {
 						continue
 					}
-					pos := fset.Position(c.Pos())
+					pos := pkg.Fset.Position(c.Pos())
 					for _, m := range wantRe.FindAllStringSubmatch(rest, -1) {
 						pat := m[2] // backquoted: raw
 						if m[1] != "" || m[2] == "" {
 							var err error
 							pat, err = strconv.Unquote(`"` + m[1] + `"`)
 							if err != nil {
-								t.Fatalf("linttest: %s: bad want pattern %s: %v", pos, m[0], err)
+								t.Fatalf("%s: bad want pattern %s: %v", pos, m[0], err)
 							}
 						}
 						re, err := regexp.Compile(pat)
 						if err != nil {
-							t.Fatalf("linttest: %s: bad want regexp %q: %v", pos, pat, err)
+							t.Fatalf("%s: bad want regexp %q: %v", pos, pat, err)
 						}
 						wants = append(wants, want{file: pos.Filename, line: pos.Line, re: re})
 					}
@@ -108,23 +120,7 @@ func collectWants(t *testing.T, fset *token.FileSet, pkgs []*lint.Package) []wan
 		}
 	}
 	if len(wants) == 0 {
-		t.Fatalf("linttest: fixtures declare no // want expectations")
+		t.Fatalf("fixtures declare no // want expectations")
 	}
 	return wants
-}
-
-// Findings loads the fixture packages and returns the raw diagnostics,
-// for tests that assert on counts or suppression behaviour directly.
-func Findings(t *testing.T, testdata string, a *lint.Analyzer, pkgpaths ...string) []lint.Diagnostic {
-	t.Helper()
-	loader := lint.NewTestdataLoader(filepath.Join(testdata, "src"))
-	pkgs, err := loader.Load(pkgpaths...)
-	if err != nil {
-		t.Fatalf("linttest: load %v: %v", pkgpaths, err)
-	}
-	diags, err := lint.RunAnalyzers(pkgs, []*lint.Analyzer{a})
-	if err != nil {
-		t.Fatalf("linttest: run %s: %v", a.Name, err)
-	}
-	return diags
 }

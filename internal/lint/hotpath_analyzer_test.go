@@ -25,7 +25,7 @@ import (
 //     anything else may grow on the hot path)
 //
 // The static check is the cheap half of the gate; the compiler half is
-// scripts/check-noalloc.sh, which runs escape analysis over the same
+// TestNoHeapEscapeInHotpath, which runs escape analysis over the same
 // annotated spans.
 func Hotpath() *Analyzer {
 	a := &Analyzer{

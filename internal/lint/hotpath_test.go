@@ -1,12 +1,7 @@
-package lint_test
+package lint
 
-import (
-	"testing"
-
-	"repro/internal/lint"
-	"repro/internal/lint/linttest"
-)
+import "testing"
 
 func TestHotpath(t *testing.T) {
-	linttest.Run(t, "testdata", lint.Hotpath(), "hotpath")
+	runFixture(t, Hotpath(), "hotpath")
 }

@@ -19,12 +19,18 @@
 // dependencies. Porting an analyzer to the upstream framework is a
 // mechanical wrap of its Run function.
 //
+// The package has only test files: code that exists to check other code
+// is not part of the program. Two tests of gate_test.go run the suite on
+// the module as part of go test: TestSelfRun applies Default() to every
+// package, and TestNoHeapEscapeInHotpath intersects the compiler's
+// escape analysis with the //rm:hotpath spans. Both skip under -short.
+//
 // Source annotations recognized by the suite:
 //
 //	//rm:hotpath
 //	    In a function's doc comment: the function is part of the
 //	    zero-alloc replay contract. The hotpath analyzer checks its body
-//	    and scripts/check-noalloc.sh gates the compiler's escape
+//	    and TestNoHeapEscapeInHotpath gates the compiler's escape
 //	    analysis over its line span.
 //
 //	//rm:deterministic <justification>
@@ -189,9 +195,8 @@ func HotpathFuncs(p *Pass) []*ast.FuncDecl {
 }
 
 // HotpathSpan is the source line range of one //rm:hotpath-annotated
-// function: what cmd/rmlint -hotpath prints and what
-// scripts/check-noalloc.sh intersects with the compiler's escape
-// analysis.
+// function, which TestNoHeapEscapeInHotpath intersects with the
+// compiler's escape analysis.
 type HotpathSpan struct {
 	Name  string // function (or method) name
 	File  string
@@ -287,7 +292,7 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 }
 
 // Default returns the full suite with the repository's production
-// configuration — what cmd/rmlint runs.
+// configuration — what TestSelfRun runs.
 func Default() []*Analyzer {
 	return []*Analyzer{
 		Determinism(DefaultDeterminismPackages()),

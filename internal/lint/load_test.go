@@ -76,16 +76,6 @@ func NewLoader(root string) (*Loader, error) {
 	return newLoader(root, module), nil
 }
 
-// NewTestdataLoader returns a loader rooted at an analysistest-style
-// testdata source tree: import path "x" resolves to <srcRoot>/x. Used by
-// the linttest fixtures.
-func NewTestdataLoader(srcRoot string) *Loader {
-	return newLoader(srcRoot, "")
-}
-
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // dirFor maps an import path to a directory under the loader's root, or
 // ok=false when the path is external (standard library).
 func (l *Loader) dirFor(path string) (string, bool) {
@@ -188,15 +178,11 @@ func goFilesIn(dir string) ([]string, error) {
 	return names, nil
 }
 
-// Load resolves patterns to packages. Supported forms, matching the go
-// tool closely enough for the Makefile and CI: "./..." (every package
+// Load resolves go-style patterns to packages: "./..." (every package
 // under the root), "dir/..." or "./dir/..." (every package under dir),
 // and plain directories ("./internal/cache", "internal/cache"). Paths
 // are relative to the loader root.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
 	var dirs []string
 	seen := make(map[string]bool)
 	add := func(dir string) {

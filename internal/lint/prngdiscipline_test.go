@@ -1,12 +1,7 @@
-package lint_test
+package lint
 
-import (
-	"testing"
-
-	"repro/internal/lint"
-	"repro/internal/lint/linttest"
-)
+import "testing"
 
 func TestPRNGDiscipline(t *testing.T) {
-	linttest.Run(t, "testdata", lint.PRNGDiscipline(), "prngdiscipline")
+	runFixture(t, PRNGDiscipline(), "prngdiscipline")
 }

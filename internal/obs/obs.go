@@ -14,7 +14,7 @@
 //
 //   - Determinism. Campaign results are a pure function of the request;
 //     instrumentation must observe without influencing. The package is
-//     registered with the rmlint determinism analyzer, so its single
+//     registered with the lint suite's determinism analyzer, so its single
 //     wall-clock read (now, below) carries an audited //rm:deterministic
 //     justification, and no result-affecting package may read a clock at
 //     all. All timing derives from core.Event deliveries at run/phase

@@ -715,7 +715,8 @@ func memCycles(b cache.AccessBits) uint64 {
 
 // badLineSize is the replay loops' cold panic helper: formatting stays off
 // the annotated hot path so the escape-analysis gate
-// (scripts/check-noalloc.sh) sees no heap traffic in its span. noinline
+// (TestNoHeapEscapeInHotpath in internal/lint) sees no heap traffic in
+// its span. noinline
 // keeps the compiler from folding the Sprintf escape back into the
 // caller's span.
 //
