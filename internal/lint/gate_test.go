@@ -2,6 +2,7 @@ package lint
 
 import (
 	"errors"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"slices"
@@ -61,6 +62,71 @@ func TestSelfRun(t *testing.T) {
 	}
 	for _, d := range diags {
 		t.Error(d)
+	}
+}
+
+// TestCleanPackagesNoFindings runs the production suite over two clean
+// result-affecting packages through the module loader. Unlike the
+// whole-module self-run it also runs under -short.
+func TestCleanPackagesNoFindings(t *testing.T) {
+	l, err := NewLoader(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := l.Load("./internal/prng", "./internal/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var paths []string
+	for _, p := range pkgs {
+		paths = append(paths, p.Path)
+	}
+	if want := []string{"repro/internal/prng", "repro/internal/trace"}; !slices.Equal(paths, want) {
+		t.Fatalf("loaded %v, want %v", paths, want)
+	}
+	diags, err := RunAnalyzers(pkgs, Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diags {
+		t.Error(d)
+	}
+}
+
+// TestSeededViolationReported runs the production suite over a package
+// with a defer in a //rm:hotpath function, written to a temporary
+// directory outside the module, and wants exactly that finding.
+func TestSeededViolationReported(t *testing.T) {
+	src := t.TempDir()
+	dir := filepath.Join(src, "seeded")
+	if err := os.Mkdir(dir, 0o777); err != nil {
+		t.Fatal(err)
+	}
+	code := `package seeded
+
+func release() {}
+
+//rm:hotpath
+func Bad() {
+	defer release()
+}
+`
+	if err := os.WriteFile(filepath.Join(dir, "seeded.go"), []byte(code), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := newLoader(src, "").Load("seeded")
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags, err := RunAnalyzers(pkgs, Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(diags) != 1 || diags[0].Analyzer != "hotpath" || !strings.Contains(diags[0].Message, "defer") {
+		t.Fatalf("got %d findings %v, want one hotpath defer finding", len(diags), diags)
+	}
+	if diags[0].Pos.Line != 7 {
+		t.Errorf("finding at line %d, want 7: %s", diags[0].Pos.Line, diags[0])
 	}
 }
 
