@@ -100,11 +100,13 @@ func (c *Cache) Hits(n uint64) {
 
 // Misses adds n misses that changed no state to the run's counters: the
 // store misses of a write-through Random or FIFO level that a replay
-// skipped.
+// counted instead of serving. Like a served one, a counted access leaves
+// the level no longer cold.
 //
 //rm:hotpath
 func (c *Cache) Misses(n uint64) {
 	c.accesses += n
+	c.cold = c.cold && n == 0
 }
 
 // HitsUpTo counts as hits every access of the run beyond those already

@@ -353,19 +353,11 @@ func (c *Cache) HitElisionLimit(stores bool) int {
 	}
 }
 
-// SoleLineStoresHit reports whether, in a run on this level, every store
-// to a line alone in its set under the run's mapping hits once the
-// line's first access has filled it, and changes nothing but the line's
-// dirty bit, so a replay may skip the store and account for it at the
-// run's end. That needs a cold level (no access since construction,
-// Flush or Reseed), whose set starts empty and is then reached by the
-// line alone; a write-back level, on which that first access fills the
-// line whether it reads or stores (a write-through store miss fills
-// nothing, so a line only stored to never arrives); and Random
-// replacement, which evicts only on a miss and whose hits leave no
-// state.
-func (c *Cache) SoleLineStoresHit() bool {
-	return c.cold && c.writeBack && c.repl == Random
+// StatelessHits reports whether a hit changes no replacement state:
+// Random and FIFO hits. A replay may skip such a hit without restoring
+// anything; on a write-back level a store hit still dirties its line.
+func (c *Cache) StatelessHits() bool {
+	return c.repl == Random || c.repl == FIFO
 }
 
 // AllocatesOnWrite reports whether a store miss fills the line in: only

@@ -362,3 +362,42 @@ func TestSettledElisionMatchesFullReplay(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayBudget pins how much of perfbench's RM round store and hit
+// elision leave to replay: the twelve kernels on the RM paper platform
+// at BenchmarkHotPathKernels' seeds (prng.Derive(0xBE7C4, i)), one run
+// of each kernel per round, over 20 rounds. No round may replay more
+// than maxStores stores or maxOps ops. Results are pinned elsewhere
+// (TestSettledElisionMatchesFullReplay); this catches a change that
+// keeps them but silently narrows what the rules skip.
+func TestReplayBudget(t *testing.T) {
+	const maxStores, maxOps = 4000, 52000
+	s20, err := workload.ByName("synth20k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := PlatformFor(placement.RM)
+	p, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stores, ops [20]int
+	for _, w := range append(workload.EEMBC(), s20) {
+		ct, err := trace.Compile(w.Build(workload.DefaultLayout()), spec.LineBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range stores {
+			p.Reseed(prng.Derive(0xBE7C4, i))
+			p.RunCompiled(ct)
+			stores[i] += p.ReplayedStores()
+			ops[i] += p.ReplayedOps()
+		}
+	}
+	for i := range stores {
+		if stores[i] > maxStores || ops[i] > maxOps {
+			t.Errorf("round %d replayed %d stores and %d ops, over the budget of %d and %d", i, stores[i], ops[i], maxStores, maxOps)
+		}
+	}
+	t.Logf("replayed stores per round %v, ops %v", stores, ops)
+}

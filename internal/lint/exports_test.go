@@ -13,13 +13,11 @@ import (
 )
 
 // TestEveryDeclarationHasACaller is the dead-code gate: deadDeclarations
-// over the module and the perfbench module must find nothing.
+// over the module and the perfbench module, as loadModule loaded them,
+// must find nothing.
 func TestEveryDeclarationHasACaller(t *testing.T) {
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dead, err := deadDeclarations(root, "./...", "./perfbench")
+	m := loadModule(t)
+	dead, err := deadDeclarations(m.l, m.pkgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +33,15 @@ func TestDeadCodeGateFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dead, err := deadDeclarations(root, "./...")
+	l, err := NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := l.Load("./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead, err := deadDeclarations(l, pkgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,9 +58,9 @@ func TestDeadCodeGateFixture(t *testing.T) {
 	}
 }
 
-// deadDeclarations loads the packages matching patterns in the module at
-// root with the suite's own Loader and returns, sorted and with their
-// positions, every
+// deadDeclarations takes the packages l loaded from its module and
+// returns, sorted and with their positions relative to the module root,
+// every
 //
 //   - exported identifier of the root package or an internal/ package,
 //   - method of a named interface (exported ones only in those packages),
@@ -76,16 +82,7 @@ func TestDeadCodeGateFixture(t *testing.T) {
 // implement error or an interface declared in the import graph of their
 // package (Error, String, ServeHTTP, MarshalJSON, Import, ...: their
 // callers are dynamic).
-func deadDeclarations(root string, patterns ...string) ([]string, error) {
-	l, err := NewLoader(root)
-	if err != nil {
-		return nil, err
-	}
-	pkgs, err := l.Load(patterns...)
-	if err != nil {
-		return nil, err
-	}
-
+func deadDeclarations(l *Loader, pkgs []*Package) ([]string, error) {
 	decls := declarations(pkgs, l.module)
 	// A package type-checked again for a test declares its objects anew,
 	// at the positions of the loaded ones.
@@ -140,7 +137,7 @@ func deadDeclarations(root string, patterns ...string) ([]string, error) {
 				continue
 			}
 		}
-		pos := strings.TrimPrefix(l.fset.Position(obj.Pos()).String(), root+string(filepath.Separator))
+		pos := strings.TrimPrefix(l.fset.Position(obj.Pos()).String(), l.root+string(filepath.Separator))
 		dead = append(dead, d.name+" ("+pos+")")
 	}
 	sort.Strings(dead)

@@ -12,20 +12,20 @@ import (
 	"testing"
 )
 
-// loadModule returns the root of the module this package belongs to and
-// every package in it, the nested perfbench module's included, loaded
-// once per test binary.
-func loadModule(t *testing.T) (string, []*Package) {
+// loadModule returns the module this package belongs to, loaded once per
+// test binary: its loader and every package in it, the nested perfbench
+// module's included.
+func loadModule(t *testing.T) loadedModule {
 	t.Helper()
 	m, err := moduleOnce()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m.root, m.pkgs
+	return m
 }
 
 type loadedModule struct {
-	root string
+	l    *Loader
 	pkgs []*Package
 }
 
@@ -39,7 +39,7 @@ var moduleOnce = sync.OnceValues(func() (loadedModule, error) {
 		return loadedModule{}, err
 	}
 	pkgs, err := l.Load("./...")
-	return loadedModule{root, pkgs}, err
+	return loadedModule{l, pkgs}, err
 })
 
 // TestSelfRun runs the production suite over the whole module: every
@@ -50,7 +50,7 @@ func TestSelfRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module lint in -short mode")
 	}
-	_, pkgs := loadModule(t)
+	pkgs := loadModule(t).pkgs
 	for _, path := range DefaultDeterminismPackages() {
 		if !slices.ContainsFunc(pkgs, func(p *Package) bool { return p.Path == path }) {
 			t.Errorf("result-affecting package %s not in the module", path)
@@ -142,9 +142,10 @@ func TestNoHeapEscapeInHotpath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module escape analysis in -short mode")
 	}
-	root, pkgs := loadModule(t)
+	m := loadModule(t)
+	root := m.l.root
 	var spans []HotpathSpan
-	for _, p := range pkgs {
+	for _, p := range m.pkgs {
 		spans = append(spans, HotpathSpans(p)...)
 	}
 	if !slices.ContainsFunc(spans, func(s HotpathSpan) bool { return s.Name == "RunCompiled" }) {

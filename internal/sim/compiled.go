@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/placement"
@@ -42,11 +43,12 @@ import (
 // read; a set with k above Ways keeps every one; a set in between (only
 // Random's 2..Ways) settles during the run, and the loop marks its reads
 // as it goes from the level's settle scratch, sI or sD. A run whose
-// levels allow it then drops the stores its L2 must hit from keep (see
-// storeSkip). occ is the passes' per-set counter scratch, all zero
-// between runs; limI and limD remember the run's L1 limits for the LRU
-// restores after the loop, and ops and stores count the ops and the
-// stores the loop replayed.
+// levels allow it then drops from keep every store but each data line's
+// first, and the loop marks a line's next store again when the line
+// leaves the L2 (see storeSkip). occ is the pass's per-set counter
+// scratch, all zero between runs; limI and limD remember the run's L1
+// limits for the LRU restores after the loop, and ops and stores count
+// the ops and the stores the loop replayed.
 type indexPlan struct {
 	il1 []uint32 // IL1 entry per instruction line ID
 	dl1 []uint32 // DL1 entry per data line ID
@@ -54,7 +56,7 @@ type indexPlan struct {
 	l2d []uint32 // L2 entry per data line ID
 
 	keep   []uint64  // per 64-op block: the ops this run replays
-	occ    []uint32  // per L1 or L2 set: lines this run (keepOps)
+	occ    []uint32  // per L1 set: lines this run (keepOps)
 	limI   int       // this run's IL1 hit elision limit
 	limD   int       // this run's DL1 hit elision limit
 	sI, sD settle    // IL1 and DL1 settled-set scratch
@@ -127,7 +129,6 @@ func (c *Core) preparePlans(ct *trace.Compiled) {
 		c.plan.keep = planSlot(c.plan.keep, trace.Blocks(len(ct.Ops)))
 		c.plan.sI.size(len(ct.ILines))
 		c.plan.sD.size(len(ct.DLines))
-		c.plan.sk.alone = planSlot(c.plan.sk.alone, len(ct.DLines))
 	}
 	if fresh || c.il1.Policy().Randomized() {
 		placement.IndexAll(c.il1.Policy(), ct.ILines, c.plan.il1)
@@ -143,17 +144,16 @@ func (c *Core) preparePlans(ct *trace.Compiled) {
 }
 
 // keepOps fills the plan's keep mask for this run of ct, up to the
-// settling sets' reads, which the loop marks as it goes, and readies
-// their scratch and that of the stores it skips. It must run after
-// preparePlans and before the run's first access, while the levels'
-// cold state still describes the run's start. A run in which neither L1
+// settling sets' reads and the stores of lines that leave the L2, which
+// the loop marks as it goes, and readies the scratch of both. It must
+// run after preparePlans and before the run's first access, while the
+// levels' cold state still describes the run's start. A run in which neither L1
 // may skip reads, or of a Compiled without an Index, keeps every op
 // without building the index's tables.
 //
 //rm:hotpath
 func (c *Core) keepOps(ct *trace.Compiled) {
 	keep := c.plan.keep
-	c.plan.sk.n = 0
 	limI, limD := c.il1.HitElisionLimit(false), c.dl1.HitElisionLimit(true)
 	if ct.Index == nil {
 		limI, limD = 0, 0
@@ -172,10 +172,20 @@ func (c *Core) keepOps(ct *trace.Compiled) {
 	copy(keep, t.Must)
 	elide(keep, &t.I, c.plan.il1, c.plan.occ, limI, c.il1.Config().Ways, &c.plan.sI)
 	elide(keep, &t.D, c.plan.dl1, c.plan.occ, limD, c.dl1.Config().Ways, &c.plan.sD)
-	// A skipped store's DL1 access must change no state: limD > 0 means
-	// a cold write-through DL1, on which only an LRU store miss ticks.
-	if limD > 0 && c.dl1.Config().Replacement != cache.LRU && c.l2.SoleLineStoresHit() {
-		c.plan.sk.plan(keep, t.Stores(), c.plan.l2i, c.plan.l2d, c.plan.occ)
+	// No store's DL1 access may change state: limD > 0 means a cold
+	// write-through DL1, on which only an LRU store miss ticks. A skipped
+	// store's L2 hit may only set a dirty bit already set.
+	if limD > 0 && ct.DistinctDLines && c.dl1.StatelessHits() && c.l2.AllocatesOnWrite() && c.l2.StatelessHits() {
+		if s := t.Stores(); len(s.At) > 0 {
+			sk := &c.plan.sk
+			if sk.who == nil {
+				sk.alloc(c.dl1.Config(), c.l2.Config())
+			}
+			for b, m := range s.Later {
+				keep[b] &^= m
+			}
+			sk.stores, sk.hits, sk.on, sk.live = s, 0, true, true
+		}
 	}
 }
 
@@ -308,78 +318,74 @@ func (st *settle) done() {
 	st.n = 0
 }
 
-// storeSkip is the scratch of store elision in a run. On a cold
-// write-back Random L2 (cache.Cache.SoleLineStoresHit), a data line that
-// is alone in its L2 set under the run's mapping, counting every line ID
-// of both streams so that a line numbered twice is never alone, is
-// filled by its first data access and never evicted. Each of its later
-// stores (trace.ReplayTables.Stores) is an L2 hit that only sets the
-// line's dirty bit, so keepOps drops them from keep and the run adds
-// their L2 hits and dirty bits at its end (skipped).
+// storeSkip is the scratch of store elision in a run. It applies on a
+// write-back L2 whose hits change no state (Random or FIFO) under a cold,
+// write-through Random or FIFO DL1, to a Compiled whose data line IDs
+// have distinct addresses. A data line's store leaves the line resident
+// and dirty in its L2 way, which the line then owns: each later store to
+// it is an L2 hit that changes nothing, until an L2 fill evicts the way.
+// So keepOps drops every store but each line's first from keep
+// (trace.LineStores.Later), a replayed store makes its line the owner of
+// its way, and a fill that evicts an owner marks the owner's next store
+// in keep (evict). owner holds per L2 way (set*ways+way) 1 + the owning
+// data line ID, or 0.
 //
-// A skipped store's DL1 access is left to count. The DL1 is cold,
-// write-through and Random or FIFO, so the store changes no DL1 state,
-// and it hits exactly while its line is resident, from the read fill
-// that installs the line to the fill that evicts it. While live, the
-// loop reports each DL1 read fill (fill); who and from record per DL1
-// way (set*ways+way) the tracked line the last fill installed, as 1 +
-// its ID (0 for any other line), and the op of that fill. A fill that
-// evicts a tracked line counts the line's skipped stores inside its
-// residency as hits. After the op of the run's last skipped store
-// (last) no fill can change an outcome: stop counts each open
-// residency's stores from its fill on and ends the tracking.
+// No store's DL1 access is replayed. The DL1 is cold, write-through and
+// Random or FIFO, so a store changes no DL1 state, and it hits exactly
+// while its line is resident, from the read fill that installs the line
+// to the fill that evicts it. The loop reports each DL1 read fill (fill);
+// who and from record per DL1 way the line the last fill installed, as
+// 1 + its ID, and the op of that fill. A fill that evicts a line counts
+// the line's stores inside its residency as hits. After the op of the
+// run's last store no fill can change an outcome: stop counts each open
+// residency's stores from its fill on and ends the tracking (live).
+// hits counts the stores' DL1 hits so far.
 //
-// alone marks per data line ID the lines whose stores the run skips, n
-// counts those stores and hits their DL1 hits so far. who is all zero
-// between runs.
+// who, from and owner are allocated by the first run the rule applies
+// to, and are all zero between runs.
 type storeSkip struct {
-	stores    *trace.LineOps // the later stores of the run's Compiled
-	alone     []bool
-	who, from []uint32
-	ways      int
-	last      uint32
-	n, hits   uint64
-	live      bool
+	stores          *trace.LineStores // the run's Compiled's stores
+	who, from       []uint32          // per DL1 way
+	owner           []uint32          // per L2 way
+	dl1Ways, l2Ways int
+	hits            uint64
+	on, live        bool
 }
 
-func newStoreSkip(dl1 cache.Config) storeSkip {
+// alloc sizes the per-way scratch for the levels dl1 and l2, once per
+// core; noinline keeps its allocations out of keepOps' hot-path span.
+//
+//go:noinline
+func (sk *storeSkip) alloc(dl1, l2 cache.Config) {
 	n := dl1.Sets() * dl1.Ways
-	return storeSkip{who: make([]uint32, n), from: make([]uint32, n), ways: dl1.Ways}
+	sk.who, sk.from, sk.dl1Ways = make([]uint32, n), make([]uint32, n), dl1.Ways
+	sk.owner, sk.l2Ways = make([]uint32, l2.Sets()*l2.Ways), l2.Ways
 }
 
-// plan drops from keep the later stores of the data lines alone in
-// their L2 set under this run's plans, l2i and l2d, and readies the
-// run's tracking of them. occ must be zero on entry and is on return.
+// evict notes an L2 fill at op i that evicted the line in the way of
+// plan entry e. If a data line owned the way, it no longer does, and its
+// next store is marked in keep; evict reports whether that store is in
+// op i's block, which the loop is walking. The loop calls it only on such
+// an eviction, so it stays out of the loop's body.
 //
 //rm:hotpath
-func (sk *storeSkip) plan(keep []uint64, s *trace.LineOps, l2i, l2d, occ []uint32) {
-	for _, e := range l2i {
-		occ[e&cache.SetMask]++
+//go:noinline
+func (sk *storeSkip) evict(keep []uint64, e uint32, i int) bool {
+	w := int(e&cache.SetMask)*sk.l2Ways + int(e>>cache.SetBits)
+	id := sk.owner[w]
+	if id == 0 {
+		return false
 	}
-	for _, e := range l2d {
-		occ[e&cache.SetMask]++
+	sk.owner[w] = 0
+	s := sk.stores
+	at := s.At[s.Off[id-1]:s.Off[id]]
+	j, _ := slices.BinarySearch(at, uint32(i)+1)
+	if j == len(at) {
+		return false
 	}
-	sk.stores, sk.last, sk.hits = s, 0, 0
-	for id, e := range l2d {
-		at := s.At[s.Off[id]:s.Off[id+1]]
-		on := len(at) > 0 && occ[e&cache.SetMask] == 1
-		sk.alone[id] = on
-		if !on {
-			continue
-		}
-		for _, i := range at {
-			keep[i>>6] &^= 1 << (i & 63)
-		}
-		sk.n += uint64(len(at))
-		sk.last = max(sk.last, at[len(at)-1])
-	}
-	for _, e := range l2i {
-		occ[e&cache.SetMask] = 0
-	}
-	for _, e := range l2d {
-		occ[e&cache.SetMask] = 0
-	}
-	sk.live = sk.n > 0
+	a := at[j]
+	keep[a>>6] |= 1 << (a & 63)
+	return int(a>>6) == i>>6
 }
 
 // fill notes a DL1 read fill at op i of data line id into the way of
@@ -389,22 +395,19 @@ func (sk *storeSkip) plan(keep []uint64, s *trace.LineOps, l2i, l2d, occ []uint3
 //rm:hotpath
 //go:noinline
 func (sk *storeSkip) fill(e, id uint32, i int) {
-	if i > int(sk.last) {
+	if i > int(sk.stores.Last) {
 		sk.stop()
 		return
 	}
-	w := int(e&cache.SetMask)*sk.ways + int(e>>cache.SetBits)
+	w := int(e&cache.SetMask)*sk.dl1Ways + int(e>>cache.SetBits)
 	if who := sk.who[w]; who != 0 {
 		sk.hits += sk.count(who-1, sk.from[w], uint32(i))
 	}
-	sk.who[w], sk.from[w] = 0, uint32(i)
-	if sk.alone[id] {
-		sk.who[w] = id + 1
-	}
+	sk.who[w], sk.from[w] = id+1, uint32(i)
 }
 
-// stop ends the tracking: each tracked line still resident hits with
-// every skipped store from its fill on.
+// stop ends the tracking: each line still resident hits with every
+// store from its fill on.
 //
 //rm:hotpath
 func (sk *storeSkip) stop() {
@@ -417,51 +420,32 @@ func (sk *storeSkip) stop() {
 	sk.live = false
 }
 
-// count returns the number of line id's skipped stores between ops a
-// and b.
+// count returns the number of line id's stores between ops a and b.
 //
 //rm:hotpath
 func (sk *storeSkip) count(id, a, b uint32) uint64 {
 	at := sk.stores.At[sk.stores.Off[id]:sk.stores.Off[id+1]]
-	return uint64(below(at, b) - below(at, a))
+	j, _ := slices.BinarySearch(at, a)
+	k, _ := slices.BinarySearch(at, b)
+	return uint64(k - j)
 }
 
-// below returns the number of entries of the ascending at below x.
+// done accounts for the run's stores at its end, given the number the
+// loop replayed, and returns the number it skipped: it adds every
+// store's DL1 miss (the caller's HitsUpTo counts the hits) and each
+// skipped store's L2 hit, and zeroes the ownership scratch.
 //
 //rm:hotpath
-func below(at []uint32, x uint32) int {
-	lo, hi := 0, len(at)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if at[m] < x {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo
-}
-
-// skipped accounts for the run's skipped stores at its end and returns
-// their number: the DL1 misses among them (the caller's HitsUpTo counts
-// the hits), an L2 hit each, and the dirty bit of each line stored to.
-// l2d is the run's L2 plan of the data lines, whose way hints hold the
-// lines, which never left.
-//
-//rm:hotpath
-func (c *Core) skipped(l2d []uint32) uint64 {
-	sk := &c.plan.sk
+func (sk *storeSkip) done(dl1, l2 *cache.Cache, replayed uint64) uint64 {
 	if sk.live {
 		sk.stop()
 	}
-	c.dl1.Misses(sk.n - sk.hits)
-	c.l2.Hits(sk.n)
-	for id, on := range sk.alone {
-		if on {
-			c.l2.WriteHit(l2d[id])
-		}
-	}
-	return sk.n
+	n := uint64(len(sk.stores.At))
+	dl1.Misses(n - sk.hits)
+	l2.Hits(n - replayed)
+	clear(sk.owner)
+	sk.on = false
+	return n - replayed
 }
 
 // ReplayedOps returns the number of ops the last RunCompiled replayed;
@@ -490,11 +474,11 @@ func (c *Core) ReplayedStores() int { return c.plan.stores }
 //
 // RunCompiled replays only the ops whose outcome this run's mapping
 // leaves uncertain: each line ID's first read, the later reads of a line
-// until its L1 set can no longer miss, and the stores but those certain
-// to hit the L2 (the trace's ReplayIndex and keepOps). Skipping reads
-// needs an L1 that is cold (no access since construction, Flush or
-// Reseed) and that no store fills. With k allocating lines in a set
-// under this run's mapping:
+// until its L1 set can no longer miss, and the stores that can change
+// the L2 (the trace's ReplayIndex and keepOps). Skipping reads needs an
+// L1 that is cold (no access since construction, Flush or Reseed) and
+// that no store fills. With k allocating lines in a set under this run's
+// mapping:
 //
 //   - k at most cache.HitElisionLimit (1 under Random, Ways under FIFO
 //     and LRU): a line's first read leaves it resident and no fill
@@ -518,18 +502,14 @@ func (c *Core) ReplayedStores() int { return c.plan.stores }
 // level that allocates on write keep every op of their stream: the same
 // loop with every bit kept.
 //
-// A store is skipped when its L2 outcome is a certain, stateless hit
-// (see storeSkip): the L2 is cold, Random and write-back, the store's
-// data line is alone in its L2 set under this run's mapping, counting
-// the line IDs of both streams, and the store follows the line's first
-// data access, which filled it. The DL1 must be cold, write-through and
-// Random or FIFO, so the skipped store's DL1 access changes no state;
-// the loop counts whether it hit from the residency of its line, which
-// only read fills change. The run's end adds the skipped stores' DL1
-// misses, their L2 hits and store-bus cycles, and sets their lines' L2
-// dirty bits. LRU, PLRU and write-through L2s, LRU DL1s and warm levels
-// keep every store. Results, cache state and the replacement streams are
-// bit-identical to replaying every op.
+// Stores are skipped by L2 way ownership (see storeSkip) on a
+// write-back Random or FIFO L2 under a cold, write-through Random or
+// FIFO DL1: a run replays each data line's first store and the next
+// store after an L2 fill evicts the line, and no store reaches the DL1,
+// whose outcome the loop counts from the line's DL1 residency. LRU and
+// PLRU levels, write-through L2s, warm DL1s and Compileds whose data
+// line IDs may share an address keep every store. Results, cache state
+// and the replacement streams are bit-identical to replaying every op.
 //
 // This is the MBPTA campaign hot path: a campaign replays the same
 // Compiled hundreds of times (it is immutable and shared across worker
@@ -557,7 +537,7 @@ func (c *Core) RunCompiled(ct *trace.Compiled) Result {
 	ops, keep := ct.Ops, c.plan.keep
 	sI, sD, sk := &c.plan.sI, &c.plan.sD, &c.plan.sk
 	var cycles, h1, hd, stores uint64
-	replayed := 0
+	replayed, owning := 0, sk.on // owning: the run skips stores
 	for seg := 0; seg < len(keep); seg += segOps >> 6 {
 		end := min(seg+segOps>>6, len(keep))
 		lim := uint32(min(end<<6, len(ops))) // an index holds at most MaxUint32 ops
@@ -586,9 +566,13 @@ func (c *Core) RunCompiled(ct *trace.Compiled) Result {
 					if r&cache.BitHit != 0 {
 						continue
 					}
-					cycles += l2Hit + memCycles(c.l2Read(la, &l2iPlan[id]))
-					if r&cache.BitEvicted == 0 && sI.n > 0 && sI.fill(keep, e&cache.SetMask, i) {
-						m &= keep[b]
+					r2 := c.l2Read(la, &l2iPlan[id])
+					cycles += l2Hit + memCycles(r2)
+					// Both hooks must see the miss: one fill may settle the
+					// L1 set and evict an L2 owner.
+					settled := r&cache.BitEvicted == 0 && sI.n > 0 && sI.fill(keep, e&cache.SetMask, i)
+					if r2&cache.BitEvicted != 0 && owning && sk.evict(keep, l2iPlan[id], i) || settled {
+						m = keep[b] >> (i & 63) << (i & 63)
 					}
 				case trace.Load:
 					la, e := dlines[id], dl1Plan[id]
@@ -605,13 +589,24 @@ func (c *Core) RunCompiled(ct *trace.Compiled) Result {
 					if sk.live {
 						sk.fill(dl1Plan[id], id, i)
 					}
-					cycles += l2Hit + memCycles(c.l2Read(la, &l2dPlan[id]))
-					if r&cache.BitEvicted == 0 && sD.n > 0 && sD.fill(keep, e&cache.SetMask, i) {
-						m &= keep[b]
+					r2 := c.l2Read(la, &l2dPlan[id])
+					cycles += l2Hit + memCycles(r2)
+					settled := r&cache.BitEvicted == 0 && sD.n > 0 && sD.fill(keep, e&cache.SetMask, i)
+					if r2&cache.BitEvicted != 0 && owning && sk.evict(keep, l2dPlan[id], i) || settled {
+						m = keep[b] >> (i & 63) << (i & 63)
 					}
 				default:
 					stores++
-					cycles += memCycles(c.store(dlines[id], &dl1Plan[id], &l2dPlan[id]))
+					r := c.store(dlines[id], &dl1Plan[id], &l2dPlan[id], !owning)
+					cycles += memCycles(r)
+					if !owning {
+						continue
+					}
+					if r&cache.BitEvicted != 0 && sk.evict(keep, l2dPlan[id], i) {
+						m = keep[b] >> (i & 63) << (i & 63)
+					}
+					e := l2dPlan[id] // the line now owns its way
+					sk.owner[int(e&cache.SetMask)*sk.l2Ways+int(e>>cache.SetBits)] = id + 1
 				}
 			}
 		}
@@ -619,8 +614,8 @@ func (c *Core) RunCompiled(ct *trace.Compiled) Result {
 	sI.done()
 	sD.done()
 	c.plan.ops, c.plan.stores = replayed, int(stores)
-	if sk.n > 0 {
-		stores += c.skipped(l2dPlan)
+	if owning {
+		stores += sk.done(dl1, l2, stores)
 	}
 	if c.plan.limI == 0 && c.plan.limD == 0 {
 		il1.Hits(h1)
@@ -679,15 +674,16 @@ func (c *Core) l2Read(la uint64, e *uint32) cache.AccessBits {
 }
 
 // store serves a store. The L1 is write-through, so it only updates a
-// present line, and the L2 sees every store. Hits take the hinted way;
-// the slow paths refresh the hints. It returns the L2's access bits.
+// present line, and the L2 sees every store; with dl1 false the store
+// skips the DL1, whose outcome the caller counts. Hits take the hinted
+// way; the slow paths refresh the hints. It returns the L2's access bits.
 //
 //rm:hotpath
-func (c *Core) store(la uint64, e1, e2 *uint32) cache.AccessBits {
-	if c.dl1.Hinted(la, *e1) {
+func (c *Core) store(la uint64, e1, e2 *uint32, dl1 bool) cache.AccessBits {
+	if dl1 && c.dl1.Hinted(la, *e1) {
 		c.dl1.WriteHit(*e1)
 		c.dl1.Hits(1)
-	} else {
+	} else if dl1 {
 		_, *e1 = c.dl1.Write(la, *e1)
 	}
 	if c.l2.Hinted(la, *e2) {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/bits"
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
@@ -27,14 +28,22 @@ func elisionConfig(rk cache.ReplacementKind, write cache.WritePolicy) Config {
 	}
 }
 
-// dataTrace builds a data-only trace over 64-byte lines: access i stores
-// to lines[i] where store[i] is 's' and loads it otherwise.
-func dataTrace(lines []uint64, store string) trace.Trace {
+// dataTrace builds a trace over 64-byte lines: access i stores to
+// lines[i] where kinds[i] is 's', fetches it where it is 'f' and loads it
+// otherwise.
+func dataTrace(lines []uint64, kinds string) trace.Trace {
 	b := trace.NewBuilder(len(lines))
 	for i, l := range lines {
-		if i < len(store) && store[i] == 's' {
+		k := byte('.')
+		if i < len(kinds) {
+			k = kinds[i]
+		}
+		switch k {
+		case 's':
 			b.Store(l * 64)
-		} else {
+		case 'f':
+			b.Fetch(l * 64)
+		default:
 			b.Load(l * 64)
 		}
 	}
@@ -48,15 +57,15 @@ const settleRule = -1
 // ruleReplayed returns the number of ops of ct a run on cfg at seed
 // replays by the elision rules, found without the replay's marks: it
 // serves every op through fresh levels' slow paths (an op's folded reps
-// are hits and change nothing), counting a stream's stores and first
-// reads, the later reads of lines in sets with more allocating lines
-// than Ways, and the later reads of lines in sets with more than the
-// level's limit until the set has taken as many read-miss fills that
-// evicted nothing as it has allocating lines. A limit of 0, a warm level
-// or a nil Index replays everything. Under a cold write-through Random or
-// FIFO DL1 and a cold write-back Random L2, it does not count a store to
-// a data line ID the stream has touched before whose L2 set, counting
-// the line IDs of both streams, holds no other.
+// are hits and change nothing), counting a stream's first reads, the
+// later reads of lines in sets with more allocating lines than Ways, and
+// the later reads of lines in sets with more than the level's limit
+// until the set has taken as many read-miss fills that evicted nothing
+// as it has allocating lines. A limit of 0, a warm level or a nil Index
+// replays everything. It counts every store, but under a cold
+// write-through Random or FIFO DL1 and a write-back Random or FIFO L2,
+// on a Compiled with distinct data line addresses, the stores to a data
+// line that has stayed resident in the L2 since its previous store.
 func ruleReplayed(t *testing.T, cfg Config, seed uint64, ct *trace.Compiled) int {
 	t.Helper()
 	c := mustNew(t, cfg)
@@ -64,16 +73,6 @@ func ruleReplayed(t *testing.T, cfg Config, seed uint64, ct *trace.Compiled) int
 	if ct.Index == nil {
 		return len(ct.Ops)
 	}
-	l2IDs := map[uint32]int{}
-	for _, lines := range [][]uint64{ct.ILines, ct.DLines} {
-		for _, la := range lines {
-			l2IDs[c.l2.Policy().Index(la)]++
-		}
-	}
-	skipStores := cfg.DL1.Write == cache.WriteThrough &&
-		(cfg.DL1.Replacement == cache.Random || cfg.DL1.Replacement == cache.FIFO) &&
-		cfg.L2.Write == cache.WriteBack && cfg.L2.Replacement == cache.Random
-	touched := map[uint32]bool{}
 	type stream struct {
 		l1         *cache.Cache
 		lines      []uint64
@@ -85,6 +84,12 @@ func ruleReplayed(t *testing.T, cfg Config, seed uint64, ct *trace.Compiled) int
 		{l1: c.il1, lines: ct.ILines, lim: c.il1.HitElisionLimit(false), ways: cfg.IL1.Ways},
 		{l1: c.dl1, lines: ct.DLines, lim: c.dl1.HitElisionLimit(true), ways: cfg.DL1.Ways},
 	}
+	stateless := func(rk cache.ReplacementKind) bool { return rk == cache.Random || rk == cache.FIFO }
+	skipStores := streams[1].lim > 0 && stateless(cfg.DL1.Replacement) && ct.DistinctDLines &&
+		cfg.L2.Write == cache.WriteBack && stateless(cfg.L2.Replacement)
+	// resident holds the data lines stored to that have stayed in the L2
+	// since their last store.
+	resident := map[uint32]bool{}
 	for s, st := range streams {
 		st.k, st.settled, st.read = map[uint32]int{}, map[uint32]int{}, map[uint32]bool{}
 		seen := map[uint32]bool{}
@@ -102,11 +107,11 @@ func ruleReplayed(t *testing.T, cfg Config, seed uint64, ct *trace.Compiled) int
 			st = streams[0]
 		}
 		la := st.lines[op.ID]
-		set := st.l1.Policy().Index(la)
+		set, l2set := st.l1.Policy().Index(la), c.l2.Policy().Index(la)
 		k := st.k[set]
 		switch {
 		case op.Kind == trace.Store:
-			if !skipStores || !touched[op.ID] || l2IDs[c.l2.Policy().Index(la)] != 1 {
+			if !skipStores || !resident[op.ID] {
 				n++
 			}
 		case !st.read[op.ID] || st.lim == 0:
@@ -115,16 +120,24 @@ func ruleReplayed(t *testing.T, cfg Config, seed uint64, ct *trace.Compiled) int
 		case k > st.ways || st.settled[set] < k:
 			n++
 		}
-		if op.Kind != trace.Fetch {
-			touched[op.ID] = true
-		}
 		if op.Kind == trace.Store {
 			st.l1.Write(la, set)
-			continue
+			c.l2.Write(la, l2set)
+			resident[op.ID] = true
+		} else {
+			st.read[op.ID] = true
+			b, _ := st.l1.Read(la, set)
+			if b&(cache.BitFilled|cache.BitEvicted) == cache.BitFilled {
+				st.settled[set]++
+			}
+			if b&cache.BitHit == 0 {
+				c.l2.Read(la, l2set)
+			}
 		}
-		st.read[op.ID] = true
-		if b, _ := st.l1.Read(la, set); b&(cache.BitFilled|cache.BitEvicted) == cache.BitFilled {
-			st.settled[set]++
+		for id := range resident {
+			if la := ct.DLines[id]; !c.l2.LookupLine(la, c.l2.Policy().Index(la)) {
+				delete(resident, id)
+			}
 		}
 	}
 	return n
@@ -212,7 +225,7 @@ func TestElisionEligibility(t *testing.T) {
 		{"lru/store-alloc", cache.LRU, wb, shared, storeOnly, 5},
 		{"lru/store-noalloc", cache.LRU, wt, shared, storeOnly, 3},
 		{"plru/alone", cache.PLRU, wt, alone, "", 5},
-		{"random/store-noalloc", cache.Random, wt, shared, storeOnly, 3},
+		{"random/store-noalloc", cache.Random, wt, shared, storeOnly, 2},
 		{"random/store-writeback", cache.Random, wb, shared, storeOnly, 5},
 		{"fifo/store-alloc", cache.FIFO, wb, shared, storeOnly, 5},
 	} {
@@ -599,7 +612,8 @@ func checkElidedRun(t *testing.T, cfg Config, core, ref *Core, seed uint64, ct *
 // storeConfig is elisionConfig's write-through L1s, DL1 replacement dl1,
 // over a 16-set 4-way Modulo L2 with replacement l2 and write policy
 // write. Line L sits in DL1 set L%8 and L2 set L%16, so lines 0 and 8
-// contend in DL1 while each is alone in its L2 set.
+// contend in DL1 while each is alone in its L2 set, and lines 0, 16, 32,
+// 48 and 64 share L2 set 0.
 func storeConfig(dl1, l2 cache.ReplacementKind, write cache.WritePolicy) Config {
 	cfg := elisionConfig(dl1, cache.WriteThrough)
 	cfg.L2 = cache.Config{
@@ -609,34 +623,64 @@ func storeConfig(dl1, l2 cache.ReplacementKind, write cache.WritePolicy) Config 
 	return cfg
 }
 
-// TestStoreElision pins store elision: on a cold write-back Random L2,
-// the stores to a data line alone in its L2 set after the line's first
-// data access are skipped, and their DL1 hits and misses, L2 hits and
-// the line's L2 dirty bit are accounted at the run's end. Each case runs
-// a trace over 64 seeds on one core, every run checked by
-// checkElidedRun and skipping want stores, then once warm, which must
-// replay every op. Some seed must show the DL1 outcome a case is about.
+// TestStoreElision pins store elision: under a cold write-through Random
+// or FIFO DL1 and a write-back Random or FIFO L2, each data line's first
+// store is replayed, and its later stores are skipped until an L2 fill
+// evicts the line, after which its next store is replayed; every store's
+// DL1 hit or miss is counted from the DL1 residency of its line. Each
+// case runs a trace over 64 seeds on one core, every run checked by
+// checkElidedRun against ruleReplayed and the per-access reference
+// (Result and every level's state, L2 dirty bits and the DL1's cold flag
+// included), then once warm, which must replay every op. Where a case
+// gives want, each cold run skips exactly that many stores; some seed
+// must show the outcome a case is about.
 func TestStoreElision(t *testing.T) {
 	random, fifo, lru := cache.Random, cache.FIFO, cache.LRU
 	wb, wt := cache.WriteBack, cache.WriteThrough
 	// Line 0 is stored to between loads of line 8 in its DL1 set, which
-	// may evict it, and reloads of line 0 that may bring it back.
+	// may evict it, and reloads of line 0 that may bring it back; line 8
+	// is stored to twice. No line leaves the L2.
 	evicts := dataTrace([]uint64{0, 0, 8, 0, 8, 0, 0, 8, 0, 0, 8, 0}, ".s.s.s.ss.s.")
-	// A line only stored to: its first store fills the L2 and no DL1.
+	// A line only stored to: its first store fills the L2 and no DL1, and
+	// every store misses the DL1.
 	storeOnly := dataTrace([]uint64{3, 3, 3, 3}, "ssss")
+	// Line 0 loaded before its first store: the stores hit the DL1 until
+	// the run ends with the line resident.
+	loadedFirst := dataTrace([]uint64{0, 0, 0, 0}, ".sss")
 	// Line 0 stored to first: the later stores miss DL1 until a load
 	// fills it.
 	storeFirst := dataTrace([]uint64{0, 0, 0, 0, 0, 0}, "ss.s.s")
-	// Lines 0 and 16 share L2 set 0.
-	sharedL2 := dataTrace([]uint64{0, 16, 0, 16, 0, 16}, "..ssss")
-	// Line 2 fetched and stored to: an instruction and a data line ID in
-	// one L2 set.
-	b := trace.NewBuilder(5)
-	b.Fetch(2 * 64)
-	for _, k := range []trace.Kind{trace.Store, trace.Load, trace.Store, trace.Store} {
-		b.Append(trace.Access{Addr: 2 * 64, Kind: k})
+	// Line 0 stored to, then four more lines of its L2 set filled by
+	// fetches, loads or stores, then two more stores to line 0. A FIFO
+	// L2 evicts line 0 at the fourth fill, a Random one at any fill or
+	// at none.
+	evictBy := func(k byte) trace.Trace {
+		kinds := "s" + strings.Repeat(string(k), 4) + "ss"
+		return dataTrace([]uint64{0, 16, 32, 48, 64, 0, 0}, kinds)
 	}
-	bothStreams := b.Trace()
+	// The same with fetches, then a hundred loads alternating between
+	// lines 1 and 2, which nothing evicts from the DL1, before line 0's
+	// next store: it is marked in a later block than the eviction.
+	far := []uint64{0, 16, 32, 48, 64}
+	for i := 0; i < 100; i++ {
+		far = append(far, uint64(1+i%2))
+	}
+	farKinds := "sffff" + strings.Repeat(".", 100) + "ss"
+	farTrace := dataTrace(append(far, 0, 0), farKinds)
+	// Lines 16 and 32 settle their DL1 set while their L2 fills may
+	// evict line 0, which owns its way of their L2 set: a load can both
+	// count towards the settle and end line 0's ownership.
+	settling := []uint64{0, 16, 32, 0}
+	for i := 0; i < 40; i++ {
+		settling = append(settling, 16+16*uint64(i%2))
+	}
+	settleEvict := dataTrace(settling, "s..s")
+	// Lines 0 and 16 share L2 set 0, each owning a way of it; a fill of
+	// one may evict the other.
+	sharedL2 := dataTrace([]uint64{0, 16, 0, 16, 0, 16}, "..ssss")
+	// Line 2 fetched and stored to: an instruction and a data line ID on
+	// one L2 line, which a data line ID may own.
+	bothStreams := dataTrace([]uint64{2, 2, 2, 2, 2}, "fs.ss")
 	// Loads of lines 0 and 8 settle their DL1 set inside the first
 	// block, with line 1's later stores skipped around them.
 	var lines []uint64
@@ -646,35 +690,61 @@ func TestStoreElision(t *testing.T) {
 		kinds += "...s"[i%4 : i%4+1]
 	}
 	settles := dataTrace(lines, kinds)
-	// The relocated form numbers the two granules of line 0 as two IDs
-	// in one L2 set.
+	// The relocated form numbers the two granules of line 0 as two IDs.
 	aliased := trace.Trace{{Addr: 0, Kind: trace.Load}, {Addr: 32, Kind: trace.Store},
 		{Addr: 0, Kind: trace.Store}, {Addr: 32, Kind: trace.Store}}
 	always := func(cache.Stats, int) bool { return true }
-	for _, tc := range []struct {
+	misses := func(n uint64) func(cache.Stats, int) bool {
+		return func(s cache.Stats, _ int) bool { return s.Misses == n }
+	}
+	skips := func(n int) func(cache.Stats, int) bool {
+		return func(_ cache.Stats, skipped int) bool { return skipped == n }
+	}
+	const byRule = -1
+	type storeCase struct {
 		name     string
 		cfg      Config
 		tr       trace.Trace
 		relocate bool
-		want     int // stores skipped by each cold run
-		outcome  func(dl1 cache.Stats, replayed int) bool
-	}{
-		{"random/settled", storeConfig(random, random, wb), evicts, false, 6, func(s cache.Stats, _ int) bool { return s.Misses == 2 }},
-		{"random/evicted", storeConfig(random, random, wb), evicts, false, 6, func(s cache.Stats, _ int) bool { return s.Misses >= 6 }},
-		{"fifo", storeConfig(fifo, random, wb), evicts, false, 6, always},
-		{"store-only", storeConfig(random, random, wb), storeOnly, false, 3, always},
+		want     int // stores skipped by each cold run, or byRule
+		outcome  func(dl1 cache.Stats, skipped int) bool
+	}
+	cases := []storeCase{
+		// 6 loads and 6 stores: both lines resident in the DL1 from their
+		// first loads on, or line 0 evicted by every load of line 8.
+		{"random/settled", storeConfig(random, random, wb), evicts, false, 4, misses(2)},
+		{"random/evicted", storeConfig(random, random, wb), evicts, false, 4, func(s cache.Stats, _ int) bool { return s.Misses >= 6 }},
+		{"fifo", storeConfig(fifo, random, wb), evicts, false, 4, always},
+		{"store-only", storeConfig(random, random, wb), storeOnly, false, 3, misses(4)},
+		{"loaded-first", storeConfig(random, random, wb), loadedFirst, false, 2, misses(1)},
 		{"store-first", storeConfig(random, random, wb), storeFirst, false, 3, always},
-		{"shared-l2", storeConfig(random, random, wb), sharedL2, false, 0, always},
-		{"both-streams", storeConfig(random, random, wb), bothStreams, false, 0, always},
+		{"far/fifo", storeConfig(random, fifo, wb), farTrace, false, 1, always},
+		{"far/random", storeConfig(random, random, wb), farTrace, false, byRule, skips(1)},
+		{"shared-l2", storeConfig(random, random, wb), sharedL2, false, byRule, skips(2)},
+		{"settle-evict", storeConfig(random, random, wb), settleEvict, false, byRule, skips(0)},
+		{"both-streams", storeConfig(random, random, wb), bothStreams, false, 2, always},
+		{"settles", storeConfig(random, random, wb), settles, false, 24, func(_ cache.Stats, n int) bool { return n == 24 }},
 		{"aliased", storeConfig(random, random, wb), aliased, true, 0, always},
-		{"settles", storeConfig(random, random, wb), settles, false, 25, func(_ cache.Stats, n int) bool { return n < 10 }},
-		// A skipped store must change no DL1 state, and an LRU store
+		// A store's DL1 access must change no DL1 state, and an LRU store
 		// miss ticks. A write-through L2 never holds a line only stored
 		// to, and an LRU L2's hits tick.
 		{"lru-dl1", storeConfig(lru, random, wb), evicts, false, 0, always},
 		{"write-through-l2", storeConfig(random, random, wt), storeOnly, false, 0, always},
 		{"lru-l2", storeConfig(random, lru, wb), evicts, false, 0, always},
-	} {
+	}
+	// Line 0 leaves the L2 before its second store, under FIFO always,
+	// under Random at some seeds, and stays at others.
+	for _, k := range []struct {
+		name string
+		kind byte
+	}{{"fetch", 'f'}, {"load", '.'}, {"store", 's'}} {
+		tr := evictBy(k.kind)
+		cases = append(cases,
+			storeCase{"evict-by-" + k.name + "/fifo", storeConfig(random, fifo, wb), tr, false, 1, always},
+			storeCase{"evict-by-" + k.name + "/random", storeConfig(fifo, random, wb), tr, false, byRule, skips(1)},
+			storeCase{"kept-despite-" + k.name + "/random", storeConfig(fifo, random, wb), tr, false, byRule, skips(2)})
+	}
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ct := compile(t, tc.tr)
 			if tc.relocate {
@@ -693,11 +763,12 @@ func TestStoreElision(t *testing.T) {
 			core, ref := mustNew(t, tc.cfg), mustNew(t, tc.cfg)
 			seen := false
 			for seed := 0; seed < 64; seed++ {
-				n := checkElidedRun(t, tc.cfg, core, ref, prng.Derive(0x5707E, seed), ct, tc.tr)
-				if got := stores - core.ReplayedStores(); got != tc.want {
-					t.Fatalf("seed %d skipped %d of %d stores, want %d", seed, got, stores, tc.want)
+				checkElidedRun(t, tc.cfg, core, ref, prng.Derive(0x5707E, seed), ct, tc.tr)
+				skipped := stores - core.ReplayedStores()
+				if tc.want != byRule && skipped != tc.want {
+					t.Fatalf("seed %d skipped %d of %d stores, want %d", seed, skipped, stores, tc.want)
 				}
-				seen = seen || tc.outcome(core.dl1.End(), n)
+				seen = seen || tc.outcome(core.dl1.End(), skipped)
 			}
 			if !seen {
 				t.Fatal("no seed shows the case's outcome")
@@ -710,5 +781,42 @@ func TestStoreElision(t *testing.T) {
 				t.Fatalf("warm run replayed %d of %d ops", core.ReplayedOps(), len(ct.Ops))
 			}
 		})
+	}
+}
+
+// TestStoreScratchOnlyWhereUsed pins that a core allocates store
+// elision's per-way scratch on the first run that applies the rule: a
+// modulo+LRU baseline core, whose LRU levels keep every store, allocates
+// none of it over a relocated or a compiled run, and an RM core does on
+// its first run.
+func TestStoreScratchOnlyWhereUsed(t *testing.T) {
+	w, err := workload.ByName("tblook01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := paperConfig(placement.Modulo)
+	base.L2.Placement, base.L2.Replacement = placement.Modulo, cache.LRU
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		alloc bool
+	}{{"baseline", base, false}, {"rm", paperConfig(placement.RM), true}} {
+		rel, err := w.Relocatable(workload.BaselineLayout(), tc.cfg.DL1.LineBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ct, err := trace.Compile(w.Build(workload.DefaultLayout()), tc.cfg.DL1.LineBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		core := mustNew(t, tc.cfg)
+		for i, ct := range []*trace.Compiled{rel.Relocate(workload.BaselineLayout()), ct} {
+			core.Reseed(prng.Derive(0x5C4, i))
+			core.RunCompiled(ct)
+		}
+		sk := &core.plan.sk
+		if got := sk.who != nil || sk.from != nil || sk.owner != nil; got != tc.alloc {
+			t.Errorf("%s: store scratch allocated %v, want %v", tc.name, got, tc.alloc)
+		}
 	}
 }

@@ -122,8 +122,9 @@ func fuzzTrace(data []byte) trace.Trace {
 // on the state the full trace left. The reseeded and flushed replays are
 // cold, so under Random, FIFO and LRU they skip the reads their mapping
 // makes certain hits, and with a write-through Random or FIFO DL1 over a
-// write-back Random L2 (the selector's top bit) the later stores to data
-// lines alone in their L2 set; the warm ones must not. After every
+// write-back L2 of the same kind (the selector's top bit) the stores to
+// data lines that have stayed in the L2 since their previous store; the
+// warm ones and the relocated form must not. After every
 // replay each level's state must equal the reference's too
 // (sameCacheState), L2 dirty bits included, so an LRU restore that
 // misses a stamp or a skipped store that leaves a line clean fails at
@@ -179,18 +180,35 @@ func FuzzCompiledReplay(f *testing.F) {
 	// only stored to both miss, since a write-through L2 never fills it,
 	// so neither store may be skipped.
 	f.Add(uint8(0x09), uint64(1), []byte("\x80\x80"))
-	// hRP/Random over a write-back L2: line 0 is alone in its L2 set at
-	// both reseeded runs, so its later stores are skipped, and line 1 or
-	// 2 shares its DL1 set and evicts it, so stores find it gone and a
-	// reload brings it back.
+	// hRP/Random over a write-back L2: line 0's later stores are skipped
+	// while it stays in the L2, and line 1 or 2 shares its DL1 set and
+	// evicts it, so stores find it gone and a reload brings it back.
 	f.Add(uint8(0x89), uint64(2), []byte("\x40\x80\x42\x80\x44\x80\x40\x80\x42\x80\x44\x80\x40\x80\x42\x80\x40\x80"))
 	// Line 0 fetched, loaded and stored to: an instruction and a data
-	// line ID in one L2 set, so no store is skipped.
+	// line ID on one L2 line.
 	f.Add(uint8(0x89), uint64(3), []byte("\x00\x80\x80\x40\x80\x00\x80"))
 	// Stores to both granules of line 0: one ID in the compiled form,
 	// whose later stores are skipped, two in the relocated form replayed
 	// after the Flush, which keeps them.
 	f.Add(uint8(0x89), uint64(4), []byte("\x40\x80\x81\x80\x41\x81\x80"))
+	// Modulo/Random over a write-back L2: line 0, stored to and so dirty
+	// and owning its L2 way, shares L2 set 0 with lines 8, 16 and 24,
+	// whose fetches, loads or stores fill the set between line 0's
+	// stores and, at both reseeded runs of these seeds, evict it; its
+	// next store must then be replayed.
+	f.Add(uint8(0x8C), uint64(10), []byte("\x80\x10\x20\x30\x80\x10\x20\x30\x80\x10\x20\x30\x80"))
+	f.Add(uint8(0x8C), uint64(13), []byte("\x80\x50\x60\x70\x80\x50\x60\x70\x80\x50\x60\x70\x80"))
+	f.Add(uint8(0x8C), uint64(12), []byte("\x80\x90\xa0\xb0\x80\x90\xa0\xb0\x80\x90\xa0\xb0\x80"))
+	// hRP/FIFO over a write-back FIFO L2: two rounds of stores to all 32
+	// lines; an L2 set that hRP gives more than four lines evicts its
+	// oldest, owned line before the line's store of the second round.
+	var rounds []byte
+	for r := 0; r < 2; r++ {
+		for g := byte(0); g < 64; g += 2 {
+			rounds = append(rounds, 0x80|g)
+		}
+	}
+	f.Add(uint8(0x93), uint64(8), rounds)
 	hog := streamTrace(1<<20, 600)
 	f.Fuzz(func(t *testing.T, sel uint8, seed uint64, data []byte) {
 		if len(data) > 2048 {

@@ -160,7 +160,7 @@ func (c *Core) step(ct *trace.Compiled, op trace.Op) (local uint64, memTxns int)
 		b = c.l2Read(la, &c.plan.l2d[id])
 	default: // Store
 		local = l1Hit + storeBus
-		b = c.store(ct.DLines[id], &c.plan.dl1[id], &c.plan.l2d[id])
+		b = c.store(ct.DLines[id], &c.plan.dl1[id], &c.plan.l2d[id], true)
 	}
 	if b&cache.BitFilled != 0 {
 		memTxns++

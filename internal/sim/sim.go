@@ -78,10 +78,9 @@ func New(cfg Config) (*Core, error) {
 		il1: il1, dl1: dl1, l2: l2,
 		lineBytes: cfg.IL1.LineBytes,
 		plan: indexPlan{
-			occ: make([]uint32, max(cfg.IL1.Sets(), cfg.DL1.Sets(), cfg.L2.Sets())),
+			occ: make([]uint32, max(cfg.IL1.Sets(), cfg.DL1.Sets())),
 			sI:  newSettle(cfg.IL1.Sets()),
 			sD:  newSettle(cfg.DL1.Sets()),
-			sk:  newStoreSkip(cfg.DL1),
 		},
 	}, nil
 }

@@ -78,6 +78,12 @@ type Compiled struct {
 	// Accesses is the number of accesses of the source trace: len(Ops)
 	// plus every op's Rep.
 	Accesses int
+
+	// DistinctDLines reports that no two data line IDs share an address,
+	// as Compile numbers them. A run that skips stores needs it, since it
+	// follows a line's L2 residency by ID; workload.Relocatable numbers
+	// granules, so its Compileds may give one line two IDs.
+	DistinctDLines bool
 }
 
 // Len returns the number of accesses (not ops).
@@ -102,7 +108,7 @@ func Compile(t Trace, lineBytes int) (*Compiled, error) {
 	for _, a := range t {
 		n.Add(a.Kind, a.Addr>>shift, 0)
 	}
-	c := &Compiled{LineBytes: lineBytes, Accesses: len(t)}
+	c := &Compiled{LineBytes: lineBytes, Accesses: len(t), DistinctDLines: true}
 	c.Ops, c.Index = n.Finish()
 	c.ILines, _ = n.Lines(Fetch)
 	c.DLines, _ = n.Lines(Load)

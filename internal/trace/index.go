@@ -29,18 +29,19 @@ type ReplayIndex struct {
 // reads of the lines its mapping leaves contended, up to the op at which
 // their set settles, which it takes from the per-line lists of I and D.
 //
-// A store in Must may still be certain: on a cold write-back Random L2,
-// a data line alone in its L2 set under a run's mapping is filled by the
-// line's first data access and never evicted, so each later store to it
-// hits the L2. Such a run drops those stores, which it finds in the
-// per-line lists of Stores, from the ops it replays.
+// A store in Must may be certain too: on a write-back L2 whose hits
+// change no replacement state, a data line's store leaves the line
+// resident and dirty, so each later store to it is a stateless L2 hit
+// until a fill evicts it. Such a run drops the stores in Stores().Later
+// from the ops it replays and marks a line's next store again when its
+// L2 way is refilled, from the per-line lists of Stores.
 type ReplayTables struct {
 	Must []uint64
 	I, D LineReads // instruction and data stream
 
 	ops        []Op // the indexed ops, for the lazy build of stores
 	storesOnce sync.Once
-	stores     LineOps
+	stores     LineStores
 }
 
 // LineOps lists ops per line ID of one stream: the ops
@@ -50,6 +51,15 @@ type ReplayTables struct {
 type LineOps struct {
 	Off []int
 	At  []uint32
+}
+
+// LineStores lists the data stream's stores per line ID, in LineOps, and
+// masks in Later, per block, every store but each line's first. Last is
+// the op of the stream's last store.
+type LineStores struct {
+	LineOps
+	Later []uint64
+	Last  uint32
 }
 
 // LineReads indexes the later reads of one stream's line IDs in its
@@ -145,11 +155,10 @@ func (t *ReplayTables) fill(ops []Op, iLines, dLines int) {
 	}
 }
 
-// Stores returns the data stream's later-store lists: per data line ID,
-// its stores after the stream's first access of the line, a load or a
-// store. Only a run that may skip stores needs them, so the first call
-// builds them, in O(len(ops)) time and four bytes per such store.
-func (t *ReplayTables) Stores() *LineOps {
+// Stores returns the data stream's store lists. Only a run that may skip
+// stores needs them, so the first call builds them, in O(len(ops)) time
+// and four bytes per store.
+func (t *ReplayTables) Stores() *LineStores {
 	t.storesOnce.Do(t.buildStores)
 	return &t.stores
 }
@@ -158,15 +167,16 @@ func (t *ReplayTables) buildStores() {
 	n := len(t.D.Read)
 	s := &t.stores
 	s.Off = make([]int, n+1)
-	first := make([]int, n) // per line: 1 + the op of its first data access
+	s.Later = make([]uint64, len(t.Must))
 	for i, op := range t.ops {
-		switch {
-		case op.Kind == Fetch:
-		case first[op.ID] == 0:
-			first[op.ID] = i + 1
-		case op.Kind == Store:
-			s.Off[op.ID+1]++
+		if op.Kind != Store {
+			continue
 		}
+		if s.Off[op.ID+1] != 0 {
+			s.Later[i>>6] |= 1 << (i & 63)
+		}
+		s.Off[op.ID+1]++
+		s.Last = uint32(i)
 	}
 	for id := range n {
 		s.Off[id+1] += s.Off[id]
@@ -174,7 +184,7 @@ func (t *ReplayTables) buildStores() {
 	s.At = make([]uint32, s.Off[n])
 	next := append([]int(nil), s.Off[:n]...)
 	for i, op := range t.ops {
-		if op.Kind == Store && first[op.ID] <= i {
+		if op.Kind == Store {
 			s.At[next[op.ID]] = uint32(i)
 			next[op.ID]++
 		}

@@ -13,8 +13,9 @@ import (
 // ascending order, All is their union, Read records the lines read, and
 // Last and Accesses count
 // each stream's accesses through each line's last access and in all.
-// Each data line's list in Stores holds exactly its stores after the
-// stream's first access of the line, in ascending order.
+// Each data line's list in Stores holds exactly its stores, in ascending
+// order, Later masks every store but each line's first, and Last is the
+// last store's op.
 func TestReplayIndex(t *testing.T) {
 	g := prng.New(0x1DE)
 	for round := 0; round < 200; round++ {
@@ -38,7 +39,8 @@ func TestReplayIndex(t *testing.T) {
 		}
 		later := make([]bool, n)
 		laterStore := make([]bool, n)
-		touched := make([]bool, nLines)
+		stored := make([]bool, nLines)
+		lastStore := uint32(0)
 		var acc [2]uint64
 		var last [2][]uint64
 		for s := range last {
@@ -49,9 +51,10 @@ func TestReplayIndex(t *testing.T) {
 			acc[s] += 1 + uint64(op.Rep)
 			last[s][op.ID] = acc[s]
 			must := op.Kind == Store || !read[s][op.ID]
-			if op.Kind != Fetch {
-				laterStore[i] = op.Kind == Store && touched[op.ID]
-				touched[op.ID] = true
+			if op.Kind == Store {
+				laterStore[i] = stored[op.ID]
+				stored[op.ID] = true
+				lastStore = uint32(i)
 			}
 			if op.Kind != Store {
 				if read[s][op.ID] {
@@ -95,25 +98,31 @@ func TestReplayIndex(t *testing.T) {
 			}
 		}
 		st := x.Stores()
-		if len(st.Off) != nLines+1 {
-			t.Fatalf("round %d: %d store offsets for %d lines", round, len(st.Off), nLines)
+		if len(st.Off) != nLines+1 || len(st.Later) != len(x.Must) {
+			t.Fatalf("round %d: %d store offsets for %d lines, %d Later blocks", round, len(st.Off), nLines, len(st.Later))
+		}
+		if st.Last != lastStore {
+			t.Fatalf("round %d: last store at op %d, want %d", round, st.Last, lastStore)
 		}
 		listed := make([]bool, n)
 		for id := 0; id < nLines; id++ {
 			at := st.At[st.Off[id]:st.Off[id+1]]
 			for j, i := range at {
 				if j > 0 && i <= at[j-1] {
-					t.Fatalf("round %d line %d: later stores %v not ascending", round, id, at)
+					t.Fatalf("round %d line %d: stores %v not ascending", round, id, at)
 				}
-				if !laterStore[i] || int(ops[i].ID) != id {
-					t.Fatalf("round %d line %d: op %d (%+v) is not one of its later stores", round, id, i, ops[i])
+				if ops[i].Kind != Store || int(ops[i].ID) != id {
+					t.Fatalf("round %d line %d: op %d (%+v) is not one of its stores", round, id, i, ops[i])
 				}
 				listed[i] = true
 			}
 		}
-		for i := range ops {
-			if laterStore[i] && !listed[i] {
-				t.Fatalf("round %d op %d (%+v): a later store in no list", round, i, ops[i])
+		for i, op := range ops {
+			if op.Kind == Store && !listed[i] {
+				t.Fatalf("round %d op %d (%+v): a store in no list", round, i, op)
+			}
+			if got := st.Later[i>>6]>>(i&63)&1 != 0; got != laterStore[i] {
+				t.Fatalf("round %d op %d (%+v): Later bit %v, want %v", round, i, op, got, laterStore[i])
 			}
 		}
 		// Every later read is in its stream's All, and no op is in two
@@ -133,13 +142,13 @@ func TestReplayIndex(t *testing.T) {
 	}
 }
 
-// TestReplayIndexConcurrent builds one index's tables and later-store
-// lists from several goroutines at once, as a campaign's worker cores do
+// TestReplayIndexConcurrent builds one index's tables and store lists
+// from several goroutines at once, as a campaign's worker cores do
 // on their first runs; run it under -race.
 func TestReplayIndexConcurrent(t *testing.T) {
 	ops := []Op{{ID: 0, Kind: Load}, {ID: 0, Kind: Store}, {ID: 1, Kind: Store}, {ID: 1, Kind: Store}, {ID: 0, Kind: Fetch}}
 	x := newReplayIndex(ops, 2, 2)
-	got := make([]*LineOps, 4)
+	got := make([]*LineStores, 4)
 	var wg sync.WaitGroup
 	for g := range got {
 		wg.Add(1)
@@ -150,8 +159,8 @@ func TestReplayIndexConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	for _, s := range got {
-		if s != got[0] || len(s.At) != 2 || s.At[0] != 1 || s.At[1] != 3 {
-			t.Fatalf("later stores %+v, want ops 1 and 3 in one shared list", *s)
+		if s != got[0] || len(s.At) != 3 || s.At[0] != 1 || s.At[1] != 2 || s.At[2] != 3 || s.Later[0] != 1<<3 {
+			t.Fatalf("stores %+v, want ops 1, 2 and 3, op 3 a later store, in one shared list", *s)
 		}
 	}
 }
