@@ -320,10 +320,15 @@ func TestBuildAppliesWriteSetup(t *testing.T) {
 // TestSettledElisionMatchesFullReplay replays perfbench's twelve kernels
 // on the RM paper platform, whose Random L1s skip the later reads of
 // settled sets and whose write-back Random L2 lets a run skip the stores
-// it must hit, at 20 seeds each, and holds every Result to a replay of
-// the same ops that keeps every op (a Compiled without an Index). Some
-// run of each kernel must skip stores.
+// it must hit, at BenchmarkHotPathKernels' 20 seeds (prng.Derive(0xBE7C4,
+// i)), and holds every Result to a replay of the same ops that keeps
+// every op (a Compiled without an Index). Some run of each kernel must
+// skip stores. A round is one run of each kernel at one seed, and no
+// round may replay more than maxStores stores or maxOps ops: that
+// catches a change that keeps the Results but silently narrows what
+// store and hit elision skip.
 func TestSettledElisionMatchesFullReplay(t *testing.T) {
+	const maxStores, maxOps = 4000, 52000
 	s20, err := workload.ByName("synth20k")
 	if err != nil {
 		t.Fatal(err)
@@ -337,6 +342,7 @@ func TestSettledElisionMatchesFullReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var stores, ops [20]int
 	for _, w := range append(workload.EEMBC(), s20) {
 		ct, err := trace.Compile(w.Build(workload.DefaultLayout()), spec.LineBytes)
 		if err != nil {
@@ -345,8 +351,8 @@ func TestSettledElisionMatchesFullReplay(t *testing.T) {
 		all := *ct
 		all.Index = nil
 		skipped := 0
-		for i := 0; i < 20; i++ {
-			seed := prng.Derive(0x5E771E, i)
+		for i := range stores {
+			seed := prng.Derive(0xBE7C4, i)
 			elided.Reseed(seed)
 			full.Reseed(seed)
 			if got, want := elided.RunCompiled(ct), full.RunCompiled(&all); got != want {
@@ -356,42 +362,11 @@ func TestSettledElisionMatchesFullReplay(t *testing.T) {
 				t.Fatalf("%s: the full replay replayed %d of %d ops", w.Name, full.ReplayedOps(), len(ct.Ops))
 			}
 			skipped += full.ReplayedStores() - elided.ReplayedStores()
+			stores[i] += elided.ReplayedStores()
+			ops[i] += elided.ReplayedOps()
 		}
 		if skipped == 0 {
 			t.Fatalf("%s: no run skipped a store", w.Name)
-		}
-	}
-}
-
-// TestReplayBudget pins how much of perfbench's RM round store and hit
-// elision leave to replay: the twelve kernels on the RM paper platform
-// at BenchmarkHotPathKernels' seeds (prng.Derive(0xBE7C4, i)), one run
-// of each kernel per round, over 20 rounds. No round may replay more
-// than maxStores stores or maxOps ops. Results are pinned elsewhere
-// (TestSettledElisionMatchesFullReplay); this catches a change that
-// keeps them but silently narrows what the rules skip.
-func TestReplayBudget(t *testing.T) {
-	const maxStores, maxOps = 4000, 52000
-	s20, err := workload.ByName("synth20k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := PlatformFor(placement.RM)
-	p, err := spec.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stores, ops [20]int
-	for _, w := range append(workload.EEMBC(), s20) {
-		ct, err := trace.Compile(w.Build(workload.DefaultLayout()), spec.LineBytes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range stores {
-			p.Reseed(prng.Derive(0xBE7C4, i))
-			p.RunCompiled(ct)
-			stores[i] += p.ReplayedStores()
-			ops[i] += p.ReplayedOps()
 		}
 	}
 	for i := range stores {

@@ -175,7 +175,7 @@ func (c *Core) keepOps(ct *trace.Compiled) {
 	// No store's DL1 access may change state: limD > 0 means a cold
 	// write-through DL1, on which only an LRU store miss ticks. A skipped
 	// store's L2 hit may only set a dirty bit already set.
-	if limD > 0 && ct.DistinctDLines && c.dl1.StatelessHits() && c.l2.AllocatesOnWrite() && c.l2.StatelessHits() {
+	if limD > 0 && ct.DistinctDLines() && c.dl1.StatelessHits() && c.l2.AllocatesOnWrite() && c.l2.StatelessHits() {
 		if s := t.Stores(); len(s.At) > 0 {
 			sk := &c.plan.sk
 			if sk.who == nil {

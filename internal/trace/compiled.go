@@ -79,15 +79,20 @@ type Compiled struct {
 	// plus every op's Rep.
 	Accesses int
 
-	// DistinctDLines reports that no two data line IDs share an address,
-	// as Compile numbers them. A run that skips stores needs it, since it
-	// follows a line's L2 residency by ID; workload.Relocatable numbers
-	// granules, so its Compileds may give one line two IDs.
-	DistinctDLines bool
+	// distinctDLines is set by Compile alone, so a Compiled built or
+	// renumbered elsewhere reports false, the safe value.
+	distinctDLines bool
 }
 
 // Len returns the number of accesses (not ops).
 func (c *Compiled) Len() int { return c.Accesses }
+
+// DistinctDLines reports that no two data line IDs share an address,
+// which holds for the Compileds that Compile returns. A run that skips
+// stores needs it, since it follows a line's L2 residency by ID;
+// workload.Relocatable numbers granules, so its Compileds may give one
+// line two IDs and report false.
+func (c *Compiled) DistinctDLines() bool { return c.distinctDLines }
 
 // Compile renumbers the trace's unique cache-line addresses into dense
 // per-stream line IDs for the given line size, folds same-line reads (see
@@ -108,7 +113,7 @@ func Compile(t Trace, lineBytes int) (*Compiled, error) {
 	for _, a := range t {
 		n.Add(a.Kind, a.Addr>>shift, 0)
 	}
-	c := &Compiled{LineBytes: lineBytes, Accesses: len(t), DistinctDLines: true}
+	c := &Compiled{LineBytes: lineBytes, Accesses: len(t), distinctDLines: true}
 	c.Ops, c.Index = n.Finish()
 	c.ILines, _ = n.Lines(Fetch)
 	c.DLines, _ = n.Lines(Load)
