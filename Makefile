@@ -35,8 +35,8 @@ vuln:
 	fi
 
 # Seed-corpus fuzz pass over the kernel equivalence oracle, the hinted,
-# folded, hit-eliding and store-eliding replay against the per-access
-# reference, RM's bulk index plans against its scalar mapping, the
+# folded, miss-only, hit-eliding and store-eliding replay against the
+# per-access reference, RM's bulk index plans against its scalar mapping, the
 # lackey trace parser, the one-pass trace compiler against its two-pass
 # oracle, the baseline's trace relocation and the parsers of untrusted
 # bytes: service requests, checkpoints and durable-store blobs. FUZZTIME

@@ -71,8 +71,9 @@ func BenchmarkHotPathCompiled(b *testing.B) {
 // RM paper platform the mbpta-rm workload replays them on: ns/op is one
 // reseeded run, replayed-ops/op shows how many of the kernel's ops
 // (ops/op) a run replays after skipping its certain L1 hits and the
-// stores certain to hit the L2, and replayed-stores/op how many of
-// those are stores.
+// stores certain to hit the L2, replayed-stores/op how many of those
+// are stores, and misses/op the run's IL1 plus DL1 misses, which bound
+// the reads it must replay.
 func BenchmarkHotPathKernels(b *testing.B) {
 	s20, err := workload.ByName("synth20k")
 	if err != nil {
@@ -93,16 +94,18 @@ func BenchmarkHotPathKernels(b *testing.B) {
 			p.RunCompiled(ct) // warm-up: allocate the index plans
 			b.ReportAllocs()
 			b.ResetTimer()
-			replayed, stores := 0, 0
+			var replayed, stores, misses uint64
 			for i := 0; i < b.N; i++ {
 				p.Reseed(prng.Derive(0xBE7C4, i))
-				p.RunCompiled(ct)
-				replayed += p.ReplayedOps()
-				stores += p.ReplayedStores()
+				r := p.RunCompiled(ct)
+				replayed += uint64(p.ReplayedOps())
+				stores += uint64(p.ReplayedStores())
+				misses += r.IL1.Misses + r.DL1.Misses
 			}
 			b.ReportMetric(float64(len(ct.Ops)), "ops/op")
 			b.ReportMetric(float64(replayed)/float64(b.N), "replayed-ops/op")
 			b.ReportMetric(float64(stores)/float64(b.N), "replayed-stores/op")
+			b.ReportMetric(float64(misses)/float64(b.N), "misses/op")
 		})
 	}
 }

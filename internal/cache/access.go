@@ -201,12 +201,33 @@ func (c *Cache) access(la uint64, set uint32, write bool) (AccessBits, uint32) {
 		}
 		return 0, set
 	}
+	return c.fill(la, set, write)
+}
+
+// Fill performs a read of line la that the caller knows misses in the
+// set of plan entry e (its way hint is ignored): the miss half of Read,
+// the same victim draw and install, without the hint check or the tag
+// scan. A replay that knows which of its reads miss (see
+// sim.Core.RunCompiled) serves them this way. It returns what Read does.
+//
+//rm:hotpath
+func (c *Cache) Fill(la uint64, e uint32) (AccessBits, uint32) {
+	c.accesses++
+	c.cold = false
+	return c.fill(la, e&SetMask, false)
+}
+
+// fill serves a miss in set: pick a victim, install la, and apply the
+// fill's replacement update.
+//
+//rm:hotpath
+func (c *Cache) fill(la uint64, set uint32, write bool) (AccessBits, uint32) {
 	w := c.victim(set)
 	r := c.install(la, set, w, write)
 	e := set | uint32(w)<<SetBits
 	if c.repl == FIFO { // FIFO stamps on every fill, never on hits
 		c.tick++
-		c.lruTick[base+w] = c.tick
+		c.lruTick[int(set)*c.ways+w] = c.tick
 	} else {
 		c.ReadHit(e, 1) // LRU stamps, PLRU protects, Random keeps no state
 	}

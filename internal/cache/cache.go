@@ -320,16 +320,17 @@ func (c *Cache) Flush() {
 // level may hold in a run for every read of each of them after its first
 // to be a hit a replay may skip, or 0 if no read may be skipped. stores
 // reports whether the replayed stream stores to the level. A nonzero
-// limit also means that a set of more lines, up to Ways, settles: once
-// it holds all its lines, which a replay sees as that many fills that
-// evicted nothing, every later read of them hits.
+// limit on a level whose hits change no state (StatelessHits) also lets
+// a replay skip every read that hits, whatever the set's lines: such a
+// level changes state only on a read miss, so a read misses exactly when
+// it is its line's first since the run began or since a fill evicted the
+// line (see sim.Core.RunCompiled).
 //
 // Skipping needs a cold level (no access since construction, Flush or
 // Reseed), so every set starts empty, and a level whose lines only reads
 // fill, so a set's contents change only on its lines' read misses.
 // Random draws its victim among all ways, invalid ones included, so a
-// second line filling into the set can evict the first: the limit is 1,
-// and a set of 2 to Ways lines is certain only once it has settled.
+// second line filling into the set can evict the first: the limit is 1.
 // FIFO and LRU fill invalid ways first, so up to Ways lines never evict
 // each other: the limit is Ways. Random and FIFO hits leave no state. LRU
 // hits advance the tick and stamp the line, so a replay that skips them

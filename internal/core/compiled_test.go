@@ -318,9 +318,9 @@ func TestBuildAppliesWriteSetup(t *testing.T) {
 }
 
 // TestSettledElisionMatchesFullReplay replays perfbench's twelve kernels
-// on the RM paper platform, whose Random L1s skip the later reads of
-// settled sets and whose write-back Random L2 lets a run skip the stores
-// it must hit, at BenchmarkHotPathKernels' 20 seeds (prng.Derive(0xBE7C4,
+// on the RM paper platform, whose Random L1s replay only the reads that
+// miss and whose write-back Random L2 lets a run skip the stores it must
+// hit, at BenchmarkHotPathKernels' 20 seeds (prng.Derive(0xBE7C4,
 // i)), and holds every Result to a replay of the same ops that keeps
 // every op (a Compiled without an Index). Some run of each kernel must
 // skip stores. A round is one run of each kernel at one seed, and no
@@ -328,7 +328,7 @@ func TestBuildAppliesWriteSetup(t *testing.T) {
 // catches a change that keeps the Results but silently narrows what
 // store and hit elision skip.
 func TestSettledElisionMatchesFullReplay(t *testing.T) {
-	const maxStores, maxOps = 4000, 52000
+	const maxStores, maxOps = 4000, 23000
 	s20, err := workload.ByName("synth20k")
 	if err != nil {
 		t.Fatal(err)

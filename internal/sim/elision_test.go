@@ -50,22 +50,22 @@ func dataTrace(lines []uint64, kinds string) trace.Trace {
 	return b.Trace()
 }
 
-// settleRule marks a case whose replayed-op count depends on the seed:
-// the count ruleReplayed derives.
-const settleRule = -1
+// byRule marks a case whose replayed-op or skipped-store count depends
+// on the seed: the count ruleReplayed derives.
+const byRule = -1
 
 // ruleReplayed returns the number of ops of ct a run on cfg at seed
 // replays by the elision rules, found without the replay's marks: it
 // serves every op through fresh levels' slow paths (an op's folded reps
-// are hits and change nothing), counting a stream's first reads, the
-// later reads of lines in sets with more allocating lines than Ways, and
-// the later reads of lines in sets with more than the level's limit
-// until the set has taken as many read-miss fills that evicted nothing
-// as it has allocating lines. A limit of 0, a warm level or a nil Index
-// replays everything. It counts every store, but under a cold
-// write-through Random or FIFO DL1 and a write-back Random or FIFO L2,
-// on a Compiled with distinct data line addresses, the stores to a data
-// line that has stayed resident in the L2 since its previous store.
+// are hits and change nothing). A limit of 0, a warm level or a nil
+// Index replays a stream's every read. On a cold L1 under the miss rule
+// (Random or FIFO, a nonzero limit, a Compiled with distinct line
+// addresses) it counts the reads that miss in the reference L1; on
+// another cold L1 with a nonzero limit, each line's first read and the
+// later reads of lines in sets with more allocating lines than the
+// limit. It counts every store, but under a DL1 under the miss rule and
+// a write-back Random or FIFO L2 the stores to a data line that has
+// stayed resident in the L2 since its previous store.
 func ruleReplayed(t *testing.T, cfg Config, seed uint64, ct *trace.Compiled) int {
 	t.Helper()
 	c := mustNew(t, cfg)
@@ -74,24 +74,26 @@ func ruleReplayed(t *testing.T, cfg Config, seed uint64, ct *trace.Compiled) int
 		return len(ct.Ops)
 	}
 	type stream struct {
-		l1         *cache.Cache
-		lines      []uint64
-		lim, ways  int
-		k, settled map[uint32]int // per set: allocating lines, fills that evicted nothing
-		read       map[uint32]bool
-	}
-	streams := [2]*stream{
-		{l1: c.il1, lines: ct.ILines, lim: c.il1.HitElisionLimit(false), ways: cfg.IL1.Ways},
-		{l1: c.dl1, lines: ct.DLines, lim: c.dl1.HitElisionLimit(true), ways: cfg.DL1.Ways},
+		l1    *cache.Cache
+		lines []uint64
+		lim   int
+		miss  bool
+		k     map[uint32]int // per set: allocating lines
+		read  map[uint32]bool
 	}
 	stateless := func(rk cache.ReplacementKind) bool { return rk == cache.Random || rk == cache.FIFO }
-	skipStores := streams[1].lim > 0 && stateless(cfg.DL1.Replacement) && ct.DistinctDLines() &&
-		cfg.L2.Write == cache.WriteBack && stateless(cfg.L2.Replacement)
+	streams := [2]*stream{
+		{l1: c.il1, lines: ct.ILines, lim: c.il1.HitElisionLimit(false)},
+		{l1: c.dl1, lines: ct.DLines, lim: c.dl1.HitElisionLimit(true)},
+	}
+	streams[0].miss = streams[0].lim > 0 && stateless(cfg.IL1.Replacement) && ct.DistinctLines()
+	streams[1].miss = streams[1].lim > 0 && stateless(cfg.DL1.Replacement) && ct.DistinctLines()
+	skipStores := streams[1].miss && cfg.L2.Write == cache.WriteBack && stateless(cfg.L2.Replacement)
 	// resident holds the data lines stored to that have stayed in the L2
 	// since their last store.
 	resident := map[uint32]bool{}
 	for s, st := range streams {
-		st.k, st.settled, st.read = map[uint32]int{}, map[uint32]int{}, map[uint32]bool{}
+		st.k, st.read = map[uint32]int{}, map[uint32]bool{}
 		seen := map[uint32]bool{}
 		for _, op := range ct.Ops {
 			if (op.Kind == trace.Fetch) == (s == 0) && op.Kind != trace.Store && !seen[op.ID] {
@@ -108,28 +110,26 @@ func ruleReplayed(t *testing.T, cfg Config, seed uint64, ct *trace.Compiled) int
 		}
 		la := st.lines[op.ID]
 		set, l2set := st.l1.Policy().Index(la), c.l2.Policy().Index(la)
-		k := st.k[set]
-		switch {
-		case op.Kind == trace.Store:
+		if op.Kind == trace.Store {
 			if !skipStores || !resident[op.ID] {
 				n++
 			}
-		case !st.read[op.ID] || st.lim == 0:
-			n++
-		case k <= st.lim:
-		case k > st.ways || st.settled[set] < k:
-			n++
-		}
-		if op.Kind == trace.Store {
 			st.l1.Write(la, set)
 			c.l2.Write(la, l2set)
 			resident[op.ID] = true
 		} else {
-			st.read[op.ID] = true
 			b, _ := st.l1.Read(la, set)
-			if b&(cache.BitFilled|cache.BitEvicted) == cache.BitFilled {
-				st.settled[set]++
+			switch {
+			case !st.read[op.ID] || st.lim == 0:
+				n++
+			case st.miss:
+				if b&cache.BitHit == 0 {
+					n++
+				}
+			case st.k[set] > st.lim:
+				n++
 			}
+			st.read[op.ID] = true
 			if b&cache.BitHit == 0 {
 				c.l2.Read(la, l2set)
 			}
@@ -149,8 +149,8 @@ func ruleReplayed(t *testing.T, cfg Config, seed uint64, ct *trace.Compiled) int
 // (write-back), stores never counting as allocating, the cold-only rule
 // (no skipping on a warm level, even where the limit would allow it),
 // LRU state restored exactly on either L1, and aliased relocated IDs
-// counting as two lines. A Random set of two lines settles once both are
-// resident, which depends on the seed: random/shared expects what
+// counting as two lines. A Random set of two lines replays the reads
+// that miss, which depends on the seed: random/shared expects what
 // ruleReplayed counts, and every other case's count must agree with it.
 // Every replay must also equal the per-access reference, Result and
 // cache state.
@@ -212,7 +212,7 @@ func TestElisionEligibility(t *testing.T) {
 		want  int // ops replayed by the cold run
 	}{
 		{"random/alone", cache.Random, wt, alone, "", 2},
-		{"random/shared", cache.Random, wt, shared, "", settleRule},
+		{"random/shared", cache.Random, wt, shared, "", byRule},
 		{"fifo/alone", cache.FIFO, wt, alone, "", 2},
 		{"fifo/shared", cache.FIFO, wt, shared, "", 2},
 		{"fifo/three", cache.FIFO, wt, three, "", 7},
@@ -241,7 +241,7 @@ func TestElisionEligibility(t *testing.T) {
 				} else {
 					core.Reseed(prng.Derive(9, run))
 					ref.Reseed(prng.Derive(9, run))
-					if rule := ruleReplayed(t, cfg, prng.Derive(9, run), ct); want == settleRule {
+					if rule := ruleReplayed(t, cfg, prng.Derive(9, run), ct); want == byRule {
 						want = rule
 					} else if rule != want {
 						t.Fatalf("run %d: the rule replays %d ops, the case says %d", run, rule, want)
@@ -479,59 +479,24 @@ func TestBaselineElisionMatchesPerAccess(t *testing.T) {
 	}
 }
 
-// TestSettledSetElision pins settled-set elision on a cold Random L1: a
-// set with 2..Ways allocating lines stops replaying its lines' later
-// reads once all of them are resident. Each case runs one trace through
-// the IL1 (fetches) and the DL1 (loads) over several seeds on one core,
-// so a set left settling by one run must not leak into the next, and
-// every run must equal the per-access reference in Result and cache
-// state and replay exactly the ops ruleReplayed counts. The cases also
-// require the outcomes they are about to occur for some seed.
-func TestSettledSetElision(t *testing.T) {
-	// alternate returns n reads alternating between the given lines.
-	alternate := func(n int, lines ...uint64) []uint64 {
-		out := make([]uint64, n)
-		for i := range out {
-			out[i] = lines[i%len(lines)]
-		}
-		return out
-	}
-	// Lines 0 and 8 share set 0 of elisionConfig's 2-way L1s; line 1
-	// sits alone in set 1, so its later reads are skipped from the start
-	// and keep the others from folding.
-	long := append(alternate(segOps+200, 0, 1), alternate(600, 8, 1, 0, 1)...)
-	early := append([]uint64{0, 1, 8, 1}, alternate(segOps+200, 0, 1, 8, 1)...)
-	stop := append(alternate(4, 0, 8), alternate(100, 1, 2)...)
-	four := paperConfig(placement.Modulo)
-	four.IL1.Replacement, four.DL1.Replacement = cache.Random, cache.Random
-	for _, tc := range []struct {
-		name  string
-		cfg   Config
-		lines []uint64
-		// outcome reports whether a run that replayed n ops shows what
-		// the case is about; some seed must show it.
-		outcome func(n int) bool
-	}{
-		// Two lines: a seed whose second fill takes the free way settles
-		// the set at once, a seed whose fills keep evicting each other
-		// replays every op.
-		{"settles", elisionConfig(cache.Random, cache.WriteThrough), alternate(4, 0, 8), func(n int) bool { return n == 2 }},
-		{"unsettled", elisionConfig(cache.Random, cache.WriteThrough), alternate(4, 0, 8), func(n int) bool { return n == 4 }},
-		// Settling inside the first 64-op block drops the marked reads
-		// after it from the block the loop is walking.
-		{"mid-block", elisionConfig(cache.Random, cache.WriteThrough), alternate(200, 0, 8), func(n int) bool { return n > 2 && n < 60 }},
-		// Line 8 first appears in the second segment: the set settles
-		// there, after the first segment's marks were replayed and with
-		// the second's marked. Line 0 is read segOps/2+100 times before.
-		{"late-segment", elisionConfig(cache.Random, cache.WriteThrough), long, func(n int) bool { return n < segOps/2+120 }},
-		// The set settles in the first segment: the later segments
-		// never mark its reads.
-		{"early-segment", elisionConfig(cache.Random, cache.WriteThrough), early, func(n int) bool { return n < 100 }},
-		// The set's lines stop being read before it settles.
-		{"stops", elisionConfig(cache.Random, cache.WriteThrough), stop, func(n int) bool { return n == 6 }},
-		// Three lines in one set of a 4-way L1.
-		{"three-of-four", four, alternate(300, 0, 128, 256, 1), func(n int) bool { return n > 4 && n < 150 }},
-	} {
+// readCase is a trace of one line per read, run by runReadCases through
+// the IL1 (as fetches) and the DL1 (as loads) of cfg.
+type readCase struct {
+	name  string
+	cfg   Config
+	lines []uint64
+	// outcome reports whether a run whose L1 ended with stats l1 and
+	// that replayed n ops shows what the case is about; some seed must
+	// show it.
+	outcome func(l1 cache.Stats, n int) bool
+}
+
+// runReadCases runs each case over 64 seeds on one core, so a run's
+// marks and cursors must not leak into the next, each run checked by
+// checkElidedRun against ruleReplayed and the per-access reference, then
+// once warm, which must replay every op.
+func runReadCases(t *testing.T, cases []readCase) {
+	for _, tc := range cases {
 		for _, kind := range []trace.Kind{trace.Fetch, trace.Load} {
 			t.Run(tc.name+"/"+kind.String(), func(t *testing.T) {
 				lb := uint64(tc.cfg.IL1.LineBytes)
@@ -546,20 +511,111 @@ func TestSettledSetElision(t *testing.T) {
 				}
 				seen := false
 				core, ref := mustNew(t, tc.cfg), mustNew(t, tc.cfg)
+				l1 := core.dl1
+				if kind == trace.Fetch {
+					l1 = core.il1
+				}
 				for seed := 0; seed < 64; seed++ {
 					n := checkElidedRun(t, tc.cfg, core, ref, prng.Derive(0x5E77, seed), ct, tr)
-					seen = seen || tc.outcome(n)
+					seen = seen || tc.outcome(l1.End(), n)
 				}
 				if !seen {
 					t.Fatalf("no seed shows the case's outcome")
 				}
+				if got, want := core.RunCompiled(ct), ref.Run(tr); got != want {
+					t.Fatalf("warm: compiled %+v, reference %+v", got, want)
+				}
+				sameCacheState(t, core, ref)
+				if core.ReplayedOps() != len(ct.Ops) {
+					t.Fatalf("warm run replayed %d of %d ops", core.ReplayedOps(), len(ct.Ops))
+				}
 			})
 		}
 	}
+}
+
+// alternate returns n reads alternating between the given lines.
+func alternate(n int, lines ...uint64) []uint64 {
+	out := make([]uint64, n)
+	for i := range out {
+		out[i] = lines[i%len(lines)]
+	}
+	return out
+}
+
+// fourWay is the paper's geometry (128-set 4-way L1s) on Modulo with
+// Random L1s: lines 0, 128, 256, ... share L1 set 0.
+func fourWay() Config {
+	cfg := paperConfig(placement.Modulo)
+	cfg.IL1.Replacement, cfg.DL1.Replacement = cache.Random, cache.Random
+	return cfg
+}
+
+// TestMissOnlyReplay pins the miss rule: on a cold Random or FIFO L1, a
+// run of a Compiled with distinct line IDs replays a stream's first
+// reads and the reads of lines a fill has evicted since their previous
+// read, which the eviction marks, and skips every other read, whatever
+// the number of lines in the set.
+func TestMissOnlyReplay(t *testing.T) {
+	random, fifo := elisionConfig(cache.Random, cache.WriteThrough), elisionConfig(cache.FIFO, cache.WriteThrough)
+	var later []uint64 // line 0's next read 100 ops after line 8's fill
+	later = append(append(append(later, 0, 8), alternate(100, 1, 2)...), 0)
+	runReadCases(t, []readCase{
+		// A cyclic sweep of Ways+1 lines of one Random set, synth20k's
+		// shape: some reads hit and are skipped, so a run replays fewer
+		// ops than reads, and some miss and are replayed.
+		{"cyclic", fourWay(), alternate(200, 0, 128, 256, 384, 512), func(_ cache.Stats, n int) bool { return n > 5 && n < 200 }},
+		// Three lines over a 2-way FIFO set: the refill of line 0 evicts
+		// line 8, whose next read misses, while line 0's read between the
+		// fills of lines 8 and 16 hits.
+		{"fifo-over-ways", fifo, alternate(40, 0, 8, 0, 16), func(_ cache.Stats, n int) bool { return n > 3 && n < 40 }},
+		// Line 8's fill evicts line 0 and marks its next read one op on,
+		// in the block the loop is walking.
+		{"current-block", random, alternate(40, 0, 8), func(_ cache.Stats, n int) bool { return n > 2 }},
+		// Line 8's fill evicts line 0 and marks its next read in a later
+		// block; lines 1 and 2 sit alone in their sets.
+		{"later-block", random, later, func(_ cache.Stats, n int) bool { return n == 5 }},
+		// Line 8's fill evicts line 0, which is never read again.
+		{"never-again", random, []uint64{0, 8, 1, 2, 1, 2}, func(l1 cache.Stats, n int) bool { return l1.Evictions == 1 && n == 4 }},
+	})
+}
+
+// TestSettledSetElision pins the miss rule on a Random set of 2..Ways
+// lines, which settles: once all its lines are resident no fill reaches
+// it, so a run replays none of their later reads. The cases run as
+// TestMissOnlyReplay's do. Aliased IDs take no miss rule, and a set of
+// two of them, which only ever holds one, replays every later read.
+func TestSettledSetElision(t *testing.T) {
+	// Lines 0 and 8 share set 0 of elisionConfig's 2-way L1s; line 1
+	// sits alone in set 1, so its later reads hit and keep the others
+	// from folding.
+	long := append(alternate(1<<14+200, 0, 1), alternate(600, 8, 1, 0, 1)...)
+	early := append([]uint64{0, 1, 8, 1}, alternate(1<<14+200, 0, 1, 8, 1)...)
+	stop := append(alternate(4, 0, 8), alternate(100, 1, 2)...)
+	random := elisionConfig(cache.Random, cache.WriteThrough)
+	runReadCases(t, []readCase{
+		// Two lines: a seed whose second fill takes the free way settles
+		// the set at once, a seed whose fills keep evicting each other
+		// replays every op.
+		{"settles", random, alternate(4, 0, 8), func(_ cache.Stats, n int) bool { return n == 2 }},
+		{"unsettled", random, alternate(4, 0, 8), func(_ cache.Stats, n int) bool { return n == 4 }},
+		// The set settles inside the first 64-op block, with later reads
+		// of it left in the block.
+		{"mid-block", random, alternate(200, 0, 8), func(_ cache.Stats, n int) bool { return n > 2 && n < 60 }},
+		// Line 8 first appears after 8,292 reads of line 0, which all hit.
+		{"late-segment", random, long, func(_ cache.Stats, n int) bool { return n < 1<<13+120 }},
+		// The set settles early in a long trace.
+		{"early-segment", random, early, func(_ cache.Stats, n int) bool { return n < 100 }},
+		// The set's lines stop being read before it settles.
+		{"stops", random, stop, func(_ cache.Stats, n int) bool { return n == 6 }},
+		// Three lines in one set of a 4-way L1.
+		{"three-of-four", fourWay(), alternate(300, 0, 128, 256, 1), func(_ cache.Stats, n int) bool { return n > 4 && n < 150 }},
+	})
 
 	// Relocation numbers the two 32-byte granules of line 0 as two IDs
-	// in one set: two allocating lines of a 2-way set that only ever
-	// hold one line, so the set never settles, on either L1.
+	// in one set: the miss rule does not apply, and the set's two
+	// allocating lines, over Random's limit of 1, replay every later
+	// read, on either L1.
 	for _, kind := range []trace.Kind{trace.Fetch, trace.Load} {
 		t.Run("aliased/"+kind.String(), func(t *testing.T) {
 			cfg := elisionConfig(cache.Random, cache.WriteThrough)
@@ -669,7 +725,8 @@ func TestStoreElision(t *testing.T) {
 	farTrace := dataTrace(append(far, 0, 0), farKinds)
 	// Lines 16 and 32 settle their DL1 set while their L2 fills may
 	// evict line 0, which owns its way of their L2 set: a load can both
-	// count towards the settle and end line 0's ownership.
+	// evict a DL1 line, marking its next read, and end line 0's
+	// ownership.
 	settling := []uint64{0, 16, 32, 0}
 	for i := 0; i < 40; i++ {
 		settling = append(settling, 16+16*uint64(i%2))
@@ -700,7 +757,6 @@ func TestStoreElision(t *testing.T) {
 	skips := func(n int) func(cache.Stats, int, int) bool {
 		return func(_ cache.Stats, skipped, _ int) bool { return skipped == n }
 	}
-	const byRule = -1
 	type storeCase struct {
 		name     string
 		cfg      Config
@@ -816,8 +872,8 @@ func TestStoreScratchOnlyWhereUsed(t *testing.T) {
 			core.Reseed(prng.Derive(0x5C4, i))
 			core.RunCompiled(ct)
 		}
-		sk := &core.plan.sk
-		if got := sk.who != nil || sk.from != nil || sk.owner != nil; got != tc.alloc {
+		p := &core.plan
+		if got := p.rI.who != nil || p.rD.who != nil || p.rD.from != nil || p.sk.owner != nil; got != tc.alloc {
 			t.Errorf("%s: store scratch allocated %v, want %v", tc.name, got, tc.alloc)
 		}
 	}

@@ -119,12 +119,14 @@ func fuzzTrace(data []byte) trace.Trace {
 // numbers 32-byte granules, so the two granules of a 64-byte line get two
 // IDs, each with its own plan entry and way hint, the relocated form
 // again after a Flush, and a warm replay of the second half of the trace
-// on the state the full trace left. The reseeded and flushed replays are
-// cold, so under Random, FIFO and LRU they skip the reads their mapping
-// makes certain hits, and with a write-through Random or FIFO DL1 over a
-// write-back L2 of the same kind (the selector's top bit) the stores to
-// data lines that have stayed in the L2 since their previous store; the
-// warm ones and the relocated form must not. After every
+// on the state the full trace left, which a smaller Compiled than the
+// last replays. The reseeded and flushed replays are cold: under Random
+// and FIFO the compiled form replays only the reads that miss, and with
+// a write-through DL1 over a write-back L2 of the same kind (the
+// selector's top bit) skips the stores to data lines that have stayed in
+// the L2 since their previous store; under LRU, and the relocated form
+// under Random and FIFO, they skip the reads their mapping makes certain
+// hits. The warm ones must skip nothing. After every
 // replay each level's state must equal the reference's too
 // (sameCacheState), L2 dirty bits included, so an LRU restore that
 // misses a stamp or a skipped store that leaves a line clean fails at
@@ -209,6 +211,14 @@ func FuzzCompiledReplay(f *testing.F) {
 		}
 	}
 	f.Add(uint8(0x93), uint64(8), rounds)
+	// Modulo/Random: loads and fetches sweep lines 0, 8 and 16 in turn,
+	// Ways+1 lines over L1 set 0 (synth20k's five lines over four ways,
+	// at this geometry), so a fill may evict a line whose next read the
+	// replay must mark; under a write-through L2, and under a write-back
+	// one, with store elision on.
+	for _, sel := range []uint8{0x0A, 0x8C} {
+		f.Add(sel, uint64(14), []byte(strings.Repeat("\x40\x00\x50\x10\x60\x20", 12)))
+	}
 	hog := streamTrace(1<<20, 600)
 	f.Fuzz(func(t *testing.T, sel uint8, seed uint64, data []byte) {
 		if len(data) > 2048 {

@@ -79,8 +79,8 @@ func New(cfg Config) (*Core, error) {
 		lineBytes: cfg.IL1.LineBytes,
 		plan: indexPlan{
 			occ: make([]uint32, max(cfg.IL1.Sets(), cfg.DL1.Sets())),
-			sI:  newSettle(cfg.IL1.Sets()),
-			sD:  newSettle(cfg.DL1.Sets()),
+			rI:  newMissRule(il1),
+			rD:  newMissRule(dl1),
 		},
 	}, nil
 }

@@ -79,20 +79,21 @@ type Compiled struct {
 	// plus every op's Rep.
 	Accesses int
 
-	// distinctDLines is set by Compile alone, so a Compiled built or
+	// distinct is set by Compile alone, so a Compiled built or
 	// renumbered elsewhere reports false, the safe value.
-	distinctDLines bool
+	distinct bool
 }
 
 // Len returns the number of accesses (not ops).
 func (c *Compiled) Len() int { return c.Accesses }
 
-// DistinctDLines reports that no two data line IDs share an address,
-// which holds for the Compileds that Compile returns. A run that skips
-// stores needs it, since it follows a line's L2 residency by ID;
-// workload.Relocatable numbers granules, so its Compileds may give one
-// line two IDs and report false.
-func (c *Compiled) DistinctDLines() bool { return c.distinctDLines }
+// DistinctLines reports that no two line IDs of a stream share an
+// address, which holds for the Compileds that Compile returns. A run
+// that replays only an L1's read misses or skips stores needs it, since
+// it follows a line's L1 and L2 residency by ID; workload.Relocatable
+// numbers granules, so its Compileds may give one line two IDs in either
+// stream and report false.
+func (c *Compiled) DistinctLines() bool { return c.distinct }
 
 // Compile renumbers the trace's unique cache-line addresses into dense
 // per-stream line IDs for the given line size, folds same-line reads (see
@@ -113,7 +114,7 @@ func Compile(t Trace, lineBytes int) (*Compiled, error) {
 	for _, a := range t {
 		n.Add(a.Kind, a.Addr>>shift, 0)
 	}
-	c := &Compiled{LineBytes: lineBytes, Accesses: len(t), distinctDLines: true}
+	c := &Compiled{LineBytes: lineBytes, Accesses: len(t), distinct: true}
 	c.Ops, c.Index = n.Finish()
 	c.ILines, _ = n.Lines(Fetch)
 	c.DLines, _ = n.Lines(Load)

@@ -22,12 +22,14 @@ type ReplayIndex struct {
 //
 // Every run must replay Must: each store and each line ID's first read
 // (per stream). Every other read is a later read of a line already read
-// in this run. Once a cold level has a fixed mapping, a later read of a
-// line hits with certainty when no other line can fill into its L1 set,
-// or when the set already holds every line that can (see
-// sim.Core.RunCompiled for the rules). A run replays Must plus the later
-// reads of the lines its mapping leaves contended, up to the op at which
-// their set settles, which it takes from the per-line lists of I and D.
+// in this run. On a cold level whose hits change no state, a later read
+// misses only if a fill has evicted its line since the line's previous
+// read: a run replays Must and marks, from the per-line lists of I and
+// D, the next read of each line a fill evicts. On another cold level
+// with a fixed mapping, a later read hits with certainty when no other
+// line can fill into its L1 set: a run replays Must plus the later reads
+// of the lines its mapping leaves contended, which it takes from the
+// same lists (see sim.Core.RunCompiled for the rules).
 //
 // A store in Must may be certain too: on a write-back L2 whose hits
 // change no replacement state, a data line's store leaves the line
