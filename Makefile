@@ -36,7 +36,8 @@ vuln:
 
 # Seed-corpus fuzz pass over the kernel equivalence oracle, the hinted,
 # folded, miss-only, hit-eliding and store-eliding replay against the
-# per-access reference, RM's bulk index plans against its scalar mapping, the
+# per-access reference, RM's bulk index plans against its scalar mapping,
+# hRP's table-driven mapping against its row-parity definition, the
 # lackey trace parser, the one-pass trace compiler against its two-pass
 # oracle, the baseline's trace relocation and the parsers of untrusted
 # bytes: service requests, checkpoints and durable-store blobs. FUZZTIME
@@ -46,6 +47,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzAccessEquivalence -fuzztime=$(FUZZTIME) ./internal/cache
 	$(GO) test -run='^$$' -fuzz=FuzzCompiledReplay -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run='^$$' -fuzz=FuzzRMIndexAll -fuzztime=$(FUZZTIME) ./internal/placement
+	$(GO) test -run='^$$' -fuzz=FuzzHRPIndexAll -fuzztime=$(FUZZTIME) ./internal/placement
 	$(GO) test -run='^$$' -fuzz=FuzzParseLackey -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzCompile -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzRelocate -fuzztime=$(FUZZTIME) ./internal/workload

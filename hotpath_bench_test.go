@@ -72,8 +72,10 @@ func BenchmarkHotPathCompiled(b *testing.B) {
 // reseeded run, replayed-ops/op shows how many of the kernel's ops
 // (ops/op) a run replays after skipping its certain L1 hits and the
 // stores certain to hit the L2, replayed-stores/op how many of those
-// are stores, and misses/op the run's IL1 plus DL1 misses, which bound
-// the reads it must replay.
+// are stores, misses/op the run's IL1 plus DL1 misses, which bound
+// the reads it must replay, and evictions/op its IL1 plus DL1
+// evictions: the fills that make the miss rule's fill hook pass the
+// evicted line's hits and mark its next read.
 func BenchmarkHotPathKernels(b *testing.B) {
 	s20, err := workload.ByName("synth20k")
 	if err != nil {
@@ -94,18 +96,20 @@ func BenchmarkHotPathKernels(b *testing.B) {
 			p.RunCompiled(ct) // warm-up: allocate the index plans
 			b.ReportAllocs()
 			b.ResetTimer()
-			var replayed, stores, misses uint64
+			var replayed, stores, misses, evictions uint64
 			for i := 0; i < b.N; i++ {
 				p.Reseed(prng.Derive(0xBE7C4, i))
 				r := p.RunCompiled(ct)
 				replayed += uint64(p.ReplayedOps())
 				stores += uint64(p.ReplayedStores())
 				misses += r.IL1.Misses + r.DL1.Misses
+				evictions += r.IL1.Evictions + r.DL1.Evictions
 			}
 			b.ReportMetric(float64(len(ct.Ops)), "ops/op")
 			b.ReportMetric(float64(replayed)/float64(b.N), "replayed-ops/op")
 			b.ReportMetric(float64(stores)/float64(b.N), "replayed-stores/op")
 			b.ReportMetric(float64(misses)/float64(b.N), "misses/op")
+			b.ReportMetric(float64(evictions)/float64(b.N), "evictions/op")
 		})
 	}
 }

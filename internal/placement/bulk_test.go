@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"math/bits"
 	"testing"
 
 	"repro/internal/prng"
@@ -109,6 +110,44 @@ func FuzzRMIndexAll(f *testing.F) {
 		for i := len(lines) - 1; i >= 0; i-- { // reverse order: other segment runs
 			if want := p.Index(lines[i]); out[i] != want {
 				t.Fatalf("sets=%d seed=%#x: IndexAll[%d]=%d, Index(%#x)=%d", sets, seed, i, out[i], lines[i], want)
+			}
+		}
+	})
+}
+
+// FuzzHRPIndexAll checks hRP's table-driven mapping, bulk and scalar,
+// against its definition on arbitrary line tables, set counts and
+// seeds: index bit i of a line is parity(line & row_i) ^ const_i over
+// the hashed address bits, for the rows and constant the seed drew. The
+// bytes are read as 5-byte line addresses, wider than the hashed bits.
+func FuzzHRPIndexAll(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 1, 0, 0, 0, 0, 2, 0, 0, 0, 1, 0}, uint8(10), uint64(1))
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x07, 0xFF, 0xFF, 0xFF, 0xFF}, uint8(1), uint64(9))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, uint8(19), uint64(0xDEADBEEF))
+	f.Fuzz(func(t *testing.T, data []byte, setsLog uint8, seed uint64) {
+		sets := 2 << (setsLog % 20)
+		lines := make([]uint64, len(data)/5)
+		for i := range lines {
+			for _, b := range data[5*i : 5*i+5] {
+				lines[i] = lines[i]<<8 | uint64(b)
+			}
+		}
+		pol, err := NewHRP(sets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pol.Reseed(seed)
+		p := pol.(*hrpPolicy)
+		out := make([]uint32, len(lines))
+		IndexAll(p, lines, out)
+		for i, line := range lines {
+			a := line & (1<<HashedAddressBits - 1)
+			want := p.consts
+			for b, row := range p.rows {
+				want ^= uint32(bits.OnesCount64(a&row)&1) << uint(b)
+			}
+			if out[i] != want || p.Index(line) != want {
+				t.Fatalf("sets=%d seed=%#x line %#x: IndexAll %d, Index %d, definition %d", sets, seed, line, out[i], p.Index(line), want)
 			}
 		}
 	})

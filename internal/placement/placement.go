@@ -257,18 +257,27 @@ const HashedAddressBits = 27
 // rotate blocks feeding a cascade of 2-input XOR gates; for any fixed seed
 // the resulting function is affine over GF(2) in the address bits. The
 // simulator implements exactly that function class: on Reseed it draws a
-// random bit-matrix row per index bit plus an affine constant, and Index
-// computes parity(line & row) ^ constant per bit. This preserves the two
+// random bit-matrix row per index bit plus an affine constant, so index
+// bit i is parity(line & row_i) ^ constant_i. This preserves the two
 // properties the paper analyses: (i) each address is mapped to each set
 // with homogeneous probability 1/S across seeds, and (ii) any pair of
 // distinct addresses collides with probability ~1/S per seed -- including
 // pairs inside the same cache segment, which is the weakness RM removes.
+//
+// The map being affine, the index is the XOR of the images of the
+// address's 6-bit chunks: Reseed fills tab, chunk c's image of each of its
+// 64 values (the constant folded into chunk 0's), and Index XORs five
+// lookups, which cover HashedAddressBits.
 type hrpPolicy struct {
 	idxBits  uint
 	addrMask uint64
 	rows     []uint64 // one GF(2) row mask per index bit
 	consts   uint32   // affine constant, one bit per index bit
+	tab      [hrpChunks][64]uint32
 }
+
+// hrpChunks is the number of 6-bit chunks of the hashed address bits.
+const hrpChunks = (HashedAddressBits + 5) / 6
 
 // NewHRP returns hash-based random placement over sets sets, hashing the
 // low HashedAddressBits bits of the line address. The policy must be
@@ -303,15 +312,33 @@ func (p *hrpPolicy) Reseed(seed uint64) {
 		}
 	}
 	p.consts = uint32(g.Bits(int(p.idxBits)))
+	// Address bit b's image has index bit i set iff row_i has bit b. By
+	// linearity a chunk value's image is the XOR of its set bits' images:
+	// the values with bit k set are those below 1<<k, XORed with bit k's.
+	var col [6 * hrpChunks]uint32
+	for i, row := range p.rows {
+		for ; row != 0; row &= row - 1 {
+			col[bits.TrailingZeros64(row)] |= 1 << uint(i)
+		}
+	}
+	for c := range p.tab {
+		t := &p.tab[c]
+		t[0] = 0
+		if c == 0 {
+			t[0] = p.consts
+		}
+		for k, x := range col[6*c : 6*c+6] {
+			for v := range 1 << k {
+				t[v|1<<k] = t[v] ^ x
+			}
+		}
+	}
 }
 
 func (p *hrpPolicy) Index(line uint64) uint32 {
 	a := line & p.addrMask
-	v := p.consts
-	for i, row := range p.rows {
-		v ^= uint32(bits.OnesCount64(a&row)&1) << uint(i)
-	}
-	return v
+	t := &p.tab
+	return t[0][a&63] ^ t[1][a>>6&63] ^ t[2][a>>12&63] ^ t[3][a>>18&63] ^ t[4][a>>24&63]
 }
 
 func (p *hrpPolicy) Randomized() bool { return true }

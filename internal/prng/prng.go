@@ -87,6 +87,11 @@ func mix(z *uint64) uint64 {
 // byte's 64-clock image: its share of the post-jump state and of the 64
 // output bits, laid out in Bits order (clock j's output in bit 63-j).
 // Uint64 XORs twelve independent lookups instead of clocking 64 times.
+// The images sit in two tables. sl packs each byte's state share with
+// the low byte of its output share into one 8-byte entry, so a draw of
+// at most 8 bits (Intn of a power of two up to 256, Random replacement's
+// victim draw) reads one entry, one cache line, per state byte and 24 KB
+// in all; out holds the full output shares that only Uint64 reads.
 //
 // feed32, feed31 and feed29 serve the short steps of Bits: r clocks for
 // 1 <= r <= 8. As long as r does not exceed the lowest feedback tap, no
@@ -98,14 +103,10 @@ func mix(z *uint64) uint64 {
 // feedback, a pure function of those r bits. feedN[r-1][v] holds that
 // feedback for low bits v. The single-clock reference in the tests pins
 // every table to the serial stream.
-type jumpEntry struct {
-	out uint64 // the byte's share of the 64 output bits, Bits order
-	s   uint32 // the byte's share of the post-jump state
+type jumpTable struct {
+	sl  [4][256]uint64 // share of the post-jump state | low output byte << 32
+	out [4][256]uint64 // share of the 64 output bits, Bits order
 }
-
-// jumpTable is one register's jump images, indexed by byte position and
-// byte value.
-type jumpTable [4][256]jumpEntry
 
 var (
 	jump32, jump31, jump29 jumpTable
@@ -122,12 +123,12 @@ func init() {
 // entry is the XOR of the entries of its set bits, so only single-bit
 // states are clocked.
 func fillTables(poly uint32, jump *jumpTable, feed *[8][256]uint32) {
-	for k := range jump {
+	for k := range jump.sl {
 		for b := 1; b < 256; b++ {
 			low := b & -b
 			if b != low {
-				e, l := jump[k][b&^low], jump[k][low]
-				jump[k][b] = jumpEntry{out: e.out ^ l.out, s: e.s ^ l.s}
+				jump.sl[k][b] = jump.sl[k][b&^low] ^ jump.sl[k][low]
+				jump.out[k][b] = jump.out[k][b&^low] ^ jump.out[k][low]
 				continue
 			}
 			// A single-bit state: clock it 64 times. No register mask is
@@ -142,7 +143,7 @@ func fillTables(poly uint32, jump *jumpTable, feed *[8][256]uint32) {
 					s ^= poly
 				}
 			}
-			jump[k][b] = jumpEntry{out: out, s: s}
+			jump.sl[k][b], jump.out[k][b] = uint64(s)|uint64(uint8(out))<<32, out
 		}
 	}
 	for r := 1; r <= 8; r++ {
@@ -230,8 +231,29 @@ func (p *PRNG) Uint64() uint64 {
 //
 //rm:hotpath
 func (t *jumpTable) jump(s uint32) (uint32, uint64) {
-	e0, e1, e2, e3 := &t[0][uint8(s)], &t[1][uint8(s>>8)], &t[2][uint8(s>>16)], &t[3][uint8(s>>24)]
-	return e0.s ^ e1.s ^ e2.s ^ e3.s, e0.out ^ e1.out ^ e2.out ^ e3.out
+	b0, b1, b2, b3 := uint8(s), uint8(s>>8), uint8(s>>16), uint8(s>>24)
+	return uint32(t.sl[0][b0] ^ t.sl[1][b1] ^ t.sl[2][b2] ^ t.sl[3][b3]),
+		t.out[0][b0] ^ t.out[1][b1] ^ t.out[2][b2] ^ t.out[3][b3]
+}
+
+// jumpLow is jump that returns only the low 8 output bits.
+//
+//rm:hotpath
+func (t *jumpTable) jumpLow(s uint32) (uint32, uint8) {
+	b0, b1, b2, b3 := uint8(s), uint8(s>>8), uint8(s>>16), uint8(s>>24)
+	v := t.sl[0][b0] ^ t.sl[1][b1] ^ t.sl[2][b2] ^ t.sl[3][b3]
+	return uint32(v), uint8(v >> 32)
+}
+
+// low8 is Uint64's low byte: the same 64-clock jump, reading only sl.
+//
+//rm:hotpath
+func (p *PRNG) low8() uint8 {
+	s32, o32 := jump32.jumpLow(p.s32)
+	s31, o31 := jump31.jumpLow(p.s31)
+	s29, o29 := jump29.jumpLow(p.s29)
+	p.s32, p.s31, p.s29 = s32, s31, s29
+	return o32 ^ o31 ^ o29
 }
 
 // Intn returns a uniformly distributed integer in [0, n). It panics if
@@ -241,6 +263,9 @@ func (p *PRNG) Intn(n int) int {
 		panic("prng: Intn with non-positive n")
 	}
 	if n&(n-1) == 0 { // power of two: mask is exact
+		if n <= 256 {
+			return int(p.low8() & uint8(n-1))
+		}
 		return int(p.Uint64() & uint64(n-1))
 	}
 	max := ^uint64(0) - ^uint64(0)%uint64(n)

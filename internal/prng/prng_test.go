@@ -326,9 +326,11 @@ func referenceIntn(p *PRNG, n int) int {
 // single-clock reference in lockstep over 1000 seeds: first Bits(n) for
 // every n in 0..64, then Uint64, Intn and Bits draws interleaved in a
 // seed-dependent order. Outputs and LFSR states must agree after every
-// draw.
+// draw. The Intn widths include 256, the widest power of two drawn from
+// the low output bytes packed with the states, and 512, the narrowest
+// drawn from the full 64-bit outputs.
 func TestBatchedStepMatchesReference(t *testing.T) {
-	intns := []int{1, 2, 3, 4, 7, 8, 10, 64, 1000, 1<<62 + 1}
+	intns := []int{1, 2, 3, 4, 7, 8, 10, 16, 64, 128, 256, 512, 1000, 1<<62 + 1}
 	for seed := uint64(0); seed < 1000; seed++ {
 		a := New(seed * 0x9E3779B9)
 		b := clone(a)

@@ -33,17 +33,17 @@ import (
 //
 // The plan also selects the ops a run replays: keep has one bit per op
 // (trace.ReplayIndex layout). keepOps rebuilds it every run from the
-// trace's must-replay ops. An L1 under the miss rule (rI, rD) adds no
+// trace's must-replay ops, or, in a run whose levels allow it to skip
+// stores, from the same ops without every store but each data line's
+// first (the loop marks a line's next store again when the line leaves
+// the L2, see storeSkip). An L1 under the miss rule (rI, rD) adds no
 // read to it up front: the loop marks a line's next read when a fill
 // evicts the line. Any other L1 adds the later reads its fresh plan
 // leaves uncertain, by a set-occupancy pass over the line IDs, O(unique
 // lines) (see elide); occ is the pass's per-set counter scratch, all zero
-// between runs. A run whose levels allow it then drops from keep every
-// store but each data line's first, and the loop marks a line's next
-// store again when the line leaves the L2 (see storeSkip). limI and limD
-// remember the run's L1 limits for the hit counts and LRU restores after
-// the loop, and ops and stores count the ops and the stores the loop
-// replayed.
+// between runs. limI and limD remember the run's L1 limits for the hit
+// counts and LRU restores after the loop, and ops and stores count the
+// ops and the stores the loop replayed.
 type indexPlan struct {
 	il1 []uint32 // IL1 entry per instruction line ID
 	dl1 []uint32 // DL1 entry per data line ID
@@ -73,33 +73,39 @@ type indexPlan struct {
 // miss, which it serves with cache.Cache.Fill, and a fill that evicts a
 // line marks the line's next read in keep (fill).
 //
-// who holds per way (set*ways+way) 1 + the ID of the line the way holds,
-// or 0, and is all zero between runs; New allocates it for a Random or
-// FIFO level. cur holds per line ID the index in at of the first of the
-// line's later reads not yet passed; preparePlans sizes it per Compiled
-// and start resets it.
+// who holds per way (set*ways+way) the line the way holds, and is all
+// zero between runs; New allocates it for a Random or FIFO level. cur
+// holds per line ID the index in at of the first of the line's later
+// reads not yet passed; preparePlans sizes it per Compiled and start
+// resets it.
 //
 // On the DL1 of a run that skips stores (see storeSkip), no store's DL1
 // access is replayed. The DL1 is cold, write-through and Random or FIFO,
-// so a store changes no DL1 state, and it hits exactly while its line is
-// resident, from the read fill that installs the line to the fill that
-// evicts it. from holds per way the op of the fill that installed its
-// line, and a fill that evicts a line counts the line's stores inside
-// its residency as hits. After the op of the run's last store no fill
-// can change a store's outcome: stop counts each open residency's stores
-// from its fill on and ends the counting (live). hits counts the stores'
-// DL1 hits so far. from is allocated by the first run that skips stores.
+// so a store changes no DL1 state, and it misses exactly while its line
+// is not resident: before the line's first read, and from each eviction
+// of the line to its next read (trace.LineStores). misses starts at the
+// stores before their line's first read, and a fill that evicts a line
+// adds the line's stores between the eviction and its next read, or the
+// run's end; stores is the run's store lists while it counts.
 type missRule struct {
-	at        []uint32 // the stream's trace.LineReads At
-	off       []int    // and Off
-	cur       []uint32 // per line ID
-	who, from []uint32 // per way
-	ways      int
-	on        bool // the run applies the rule
+	at   []uint32 // the stream's trace.LineReads At
+	off  []int    // and Off
+	cur  []uint32 // per line ID
+	who  []resident
+	ways int
+	on   bool // the run applies the rule
 
-	stores *trace.LineStores // the run's Compiled's stores, while live
-	hits   uint64
-	live   bool
+	stores *trace.LineStores
+	misses uint64
+}
+
+// resident is the line a miss-rule way holds: 1 + its ID, or 0 for an
+// empty way, and the index in at and the op of the line's first later
+// read after the read that filled it (math.MaxUint32 for none). A line
+// hit while resident only if that op comes before the fill that evicts
+// it.
+type resident struct {
+	id, next, at uint32
 }
 
 // newMissRule returns the miss-rule scratch of level c: none unless its
@@ -109,7 +115,7 @@ func newMissRule(c *cache.Cache) missRule {
 		return missRule{}
 	}
 	cfg := c.Config()
-	return missRule{who: make([]uint32, cfg.Sets()*cfg.Ways), ways: cfg.Ways}
+	return missRule{who: make([]resident, cfg.Sets()*cfg.Ways), ways: cfg.Ways}
 }
 
 // start readies the rule for a run over the stream lr: every line's
@@ -134,83 +140,69 @@ func (r *missRule) start(lr *trace.LineReads) {
 func (r *missRule) fill(keep []uint64, e, id uint32, i int) bool {
 	w := int(e&cache.SetMask)*r.ways + int(e>>cache.SetBits)
 	old := r.who[w]
-	if r.live {
-		r.track(w, old, i)
+	n, at := r.cur[id], uint32(math.MaxUint32)
+	if n < uint32(r.off[id+1]) {
+		at = r.at[n]
 	}
-	r.who[w] = id + 1
-	if old == 0 {
+	r.who[w] = resident{id + 1, n, at}
+	if old.id == 0 {
 		return false
 	}
-	// Pass the reads the line hit while resident: a run passes each
-	// later read of a line once, each a compare, where replaying it
-	// would serve it.
-	j, hi := r.cur[old-1], uint32(r.off[old])
-	for j < hi && r.at[j] < uint32(i) {
-		j++
+	// A line never hit while resident has its next read marked straight
+	// away; one that was hit passes the reads it hit, each a compare,
+	// where replaying them would serve them.
+	j, a := old.next, old.at
+	if a < uint32(i) {
+		hi := uint32(r.off[old.id])
+		for j++; j < hi && r.at[j] < uint32(i); j++ {
+		}
+		a = math.MaxUint32
+		if j < hi {
+			a = r.at[j]
+		}
 	}
-	if j == hi {
-		r.cur[old-1] = hi
+	if r.stores != nil && uint32(i) < r.stores.Last {
+		r.misses += r.window(old.id-1, j, uint32(i))
+	}
+	if a == math.MaxUint32 {
 		return false
 	}
-	a := r.at[j]
 	keep[a>>6] |= 1 << (a & 63)
-	r.cur[old-1] = j + 1
+	r.cur[old.id-1] = j + 1
 	return int(a>>6) == i>>6
 }
 
-// track counts, as a fill at op i evicts line old-1 from way w, the
-// line's stores while it was resident, and notes the fill's op.
+// window returns the number of line id's stores after its eviction at op
+// i and before its next read, the j-th entry of at or none, all of which
+// miss. They lie between two consecutive reads of the line.
 //
 //rm:hotpath
-func (r *missRule) track(w int, old uint32, i int) {
-	if i > int(r.stores.Last) {
-		r.stop()
-		return
-	}
-	if old != 0 {
-		r.hits += r.count(old-1, r.from[w], uint32(i))
-	}
-	r.from[w] = uint32(i)
-}
-
-// stop ends the store counting: each line still resident hits with every
-// store from its fill on.
-//
-//rm:hotpath
-func (r *missRule) stop() {
-	for w, who := range r.who {
-		if who != 0 {
-			r.hits += r.count(who-1, r.from[w], math.MaxUint32)
-		}
-	}
-	r.live = false
-}
-
-// count returns the number of line id's stores between ops a and b.
-//
-//rm:hotpath
-func (r *missRule) count(id, a, b uint32) uint64 {
+func (r *missRule) window(id, j, i uint32) uint64 {
 	s := r.stores
-	lo, hi := s.Off[id], s.Off[id+1]
+	lo, hi := uint32(s.Off[id]), uint32(s.Off[id+1])
 	if lo == hi {
 		return 0
 	}
-	at := s.At[lo:hi]
-	j, _ := slices.BinarySearch(at, a)
-	k, _ := slices.BinarySearch(at, b)
-	return uint64(k - j)
+	lo = s.First[id]
+	if j > uint32(r.off[id]) {
+		lo = s.After[j-1]
+	}
+	if j < uint32(r.off[id+1]) {
+		hi = s.After[j]
+	}
+	for lo < hi && s.At[lo] < i {
+		lo++
+	}
+	return uint64(hi - lo)
 }
 
-// done ends the rule's run: it returns the stores' DL1 hits the rule
+// done ends the rule's run: it returns the stores' DL1 misses the rule
 // counted and empties who.
 //
 //rm:hotpath
 func (r *missRule) done() uint64 {
-	if r.live {
-		r.stop()
-	}
 	clear(r.who)
-	return r.hits
+	return r.misses
 }
 
 func planSlot[T uint32 | uint64 | bool](buf []T, n int) []T {
@@ -271,7 +263,7 @@ func (c *Core) keepOps(ct *trace.Compiled) {
 	rI, rD := &c.plan.rI, &c.plan.rD
 	rI.on = limI > 0 && ct.DistinctLines() && c.il1.StatelessHits()
 	rD.on = limD > 0 && ct.DistinctLines() && c.dl1.StatelessHits()
-	rD.live, rD.hits = false, 0
+	rD.stores, rD.misses = nil, 0
 	if limI == 0 && limD == 0 {
 		for b := range keep {
 			keep[b] = ^uint64(0)
@@ -282,7 +274,20 @@ func (c *Core) keepOps(ct *trace.Compiled) {
 		return
 	}
 	t := ct.Index.Tables()
-	copy(keep, t.Must)
+	// No store's DL1 access may change state: the DL1 rule means a cold
+	// write-through Random or FIFO DL1. A skipped store's L2 hit may only
+	// set a dirty bit already set.
+	if rD.on && c.l2.AllocatesOnWrite() && c.l2.StatelessHits() && len(t.Stores().At) > 0 {
+		s := t.Stores()
+		if c.plan.sk.owner == nil {
+			c.plan.sk.alloc(c.l2.Config())
+		}
+		copy(keep, s.Keep)
+		c.plan.sk.stores, c.plan.sk.on = s, true
+		rD.stores, rD.misses = s, s.Cold
+	} else {
+		copy(keep, t.Must)
+	}
 	if rI.on {
 		rI.start(&t.I)
 	} else {
@@ -292,21 +297,6 @@ func (c *Core) keepOps(ct *trace.Compiled) {
 		rD.start(&t.D)
 	} else {
 		elide(keep, &t.D, c.plan.dl1, c.plan.occ, limD)
-	}
-	// No store's DL1 access may change state: the DL1 rule means a cold
-	// write-through Random or FIFO DL1. A skipped store's L2 hit may only
-	// set a dirty bit already set.
-	if rD.on && c.l2.AllocatesOnWrite() && c.l2.StatelessHits() {
-		if s := t.Stores(); len(s.At) > 0 {
-			if c.plan.sk.owner == nil {
-				c.plan.allocStores(c.dl1.Config(), c.l2.Config())
-			}
-			for b, m := range s.Later {
-				keep[b] &^= m
-			}
-			c.plan.sk.stores, c.plan.sk.on = s, true
-			rD.stores, rD.live = s, true
-		}
 	}
 }
 
@@ -349,13 +339,14 @@ func elide(keep []uint64, r *trace.LineReads, plan []uint32, occ []uint32, limit
 // a Compiled whose line IDs have distinct addresses). A data line's store
 // leaves the line resident and dirty in its L2 way, which the line then
 // owns: each later store to it is an L2 hit that changes nothing, until
-// an L2 fill evicts the way. So keepOps drops every store but each line's
-// first from keep (trace.LineStores.Later), a replayed store makes its
-// line the owner of its way, and a fill that evicts an owner marks the
-// owner's next store in keep (evict). owner holds per L2 way
-// (set*ways+way) 1 + the owning data line ID, or 0; it is allocated by
-// the first run the rule applies to, and is all zero between runs. The
-// DL1's miss rule counts the stores' DL1 outcomes (missRule).
+// an L2 fill evicts the way. So keepOps starts keep from
+// trace.LineStores.Keep, which holds each line's first store and no later
+// one, a replayed store makes its line the owner of its way, and a fill
+// that evicts an owner marks the owner's next store in keep (evict).
+// owner holds per L2 way (set*ways+way) 1 + the owning data line ID, or
+// 0; it is allocated by the first run the rule applies to, and is all
+// zero between runs. The DL1's miss rule counts the stores' DL1 misses
+// (missRule).
 type storeSkip struct {
 	stores *trace.LineStores // the run's Compiled's stores
 	owner  []uint32          // per L2 way
@@ -363,14 +354,12 @@ type storeSkip struct {
 	on     bool
 }
 
-// allocStores sizes store elision's per-way scratch for the levels dl1
-// and l2, once per core; noinline keeps its allocations out of keepOps'
-// hot-path span.
+// alloc sizes the ownership scratch for the L2 l2, once per core;
+// noinline keeps its allocation out of keepOps' hot-path span.
 //
 //go:noinline
-func (p *indexPlan) allocStores(dl1, l2 cache.Config) {
-	p.rD.from = make([]uint32, dl1.Sets()*dl1.Ways)
-	p.sk.owner, p.sk.l2Ways = make([]uint32, l2.Sets()*l2.Ways), l2.Ways
+func (sk *storeSkip) alloc(l2 cache.Config) {
+	sk.owner, sk.l2Ways = make([]uint32, l2.Sets()*l2.Ways), l2.Ways
 }
 
 // evict notes an L2 fill at op i that evicted the line in the way of
@@ -400,15 +389,14 @@ func (sk *storeSkip) evict(keep []uint64, e uint32, i int) bool {
 }
 
 // done accounts for the run's stores at its end, given the number the
-// loop replayed and the stores' DL1 hits, and returns the number it
-// skipped: it adds every store's DL1 miss (the caller's HitsUpTo counts
-// the hits) and each skipped store's L2 hit, and zeroes the ownership
-// scratch.
+// loop replayed and the stores' DL1 misses, and returns the number it
+// skipped: it adds the DL1 misses (the caller's HitsUpTo counts the hits)
+// and each skipped store's L2 hit, and zeroes the ownership scratch.
 //
 //rm:hotpath
-func (sk *storeSkip) done(dl1, l2 *cache.Cache, replayed, hits uint64) uint64 {
+func (sk *storeSkip) done(dl1, l2 *cache.Cache, replayed, misses uint64) uint64 {
 	n := uint64(len(sk.stores.At))
-	dl1.Misses(n - hits)
+	dl1.Misses(misses)
 	l2.Hits(n - replayed)
 	clear(sk.owner)
 	sk.on = false
@@ -473,8 +461,10 @@ func (c *Core) ReplayedStores() int { return c.plan.stores }
 // Stores are skipped by L2 way ownership (see storeSkip) on a
 // write-back Random or FIFO L2 under a DL1 that takes the miss rule: a
 // run replays each data line's first store and the next store after an
-// L2 fill evicts the line, and no store reaches the DL1, whose outcome
-// the loop counts from the line's DL1 residency. LRU and PLRU levels,
+// L2 fill evicts the line, and no store reaches the DL1: a store misses
+// it exactly while its line is not resident, before the line's first
+// read or between an eviction and the line's next read, and the DL1 miss
+// rule counts those stores at each eviction. LRU and PLRU levels,
 // write-through L2s, warm DL1s and Compileds whose line IDs may share an
 // address keep every store. Results, cache state and the replacement
 // streams are bit-identical to replaying every op.
@@ -566,10 +556,10 @@ func (c *Core) RunCompiled(ct *trace.Compiled) Result {
 		}
 	}
 	rI.done()
-	hitsD := rD.done()
+	missesD := rD.done()
 	c.plan.ops, c.plan.stores = replayed, int(stores)
 	if owning {
-		stores += sk.done(dl1, l2, stores, hitsD)
+		stores += sk.done(dl1, l2, stores, missesD)
 	}
 	if c.plan.limI == 0 && c.plan.limD == 0 {
 		il1.Hits(h1)

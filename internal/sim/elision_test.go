@@ -842,6 +842,63 @@ func TestStoreElision(t *testing.T) {
 	}
 }
 
+// TestStoreMissWindows pins the DL1 store counting of store-eliding
+// runs: a store misses the cold write-through DL1 exactly when its line is
+// not resident, before the line's first read and from each eviction of
+// the line to its next read, or the run's end. Lines 0, 8 and 16 share a
+// 2-way Random DL1 set, so a load of 8 or 16 may evict line 0; line 1
+// sits alone in its set. Each case runs over 64 seeds on one core,
+// checked by checkElidedRun against the per-access reference and against
+// a full replay of the same ops (no ReplayIndex), Result for Result: DL1
+// and L2 Stats and Cycles. The DL1 misses of some seed must equal each
+// value a case lists.
+func TestStoreMissWindows(t *testing.T) {
+	cfg := storeConfig(cache.Random, cache.Random, cache.WriteBack)
+	for _, tc := range []struct {
+		name   string
+		tr     trace.Trace
+		misses []uint64 // DL1 misses some seed shows
+	}{
+		// Two stores before line 0's first load miss, the one after hits.
+		{"before-first-read", dataTrace([]uint64{0, 0, 0, 0}, "ss.s"), []uint64{3}},
+		// Line 3 is stored to and never read: each store misses.
+		{"never-read", dataTrace([]uint64{3, 0, 3, 0, 3}, "s.s.s"), []uint64{4}},
+		// Line 0 is evicted at op 2 or op 4 or not at all before its
+		// reload at op 6: the stores after the eviction miss, the ones
+		// before it hit.
+		{"between-eviction-and-read", dataTrace([]uint64{0, 0, 8, 0, 16, 0, 0, 0}, ".s.s.s.s"), []uint64{3, 5, 6}},
+		// Stores after line 0's last read: they miss from its eviction
+		// on, and all hit while it stays resident to the end.
+		{"after-last-read/evicted", dataTrace([]uint64{0, 0, 8, 0, 16, 0, 0}, ".s.s.ss"), []uint64{3, 5, 6}},
+		{"after-last-read/resident", dataTrace([]uint64{0, 0, 1, 0, 0}, ".s.ss"), []uint64{2}},
+		// Every eviction comes after the stream's last store (op 2).
+		{"eviction-after-last-store", dataTrace([]uint64{0, 0, 0, 8, 16, 0, 8}, ".ss...."), []uint64{4, 5}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ct := compile(t, tc.tr)
+			all := *ct
+			all.Index = nil
+			core, ref, full := mustNew(t, cfg), mustNew(t, cfg), mustNew(t, cfg)
+			seen := map[uint64]bool{}
+			for seed := 0; seed < 64; seed++ {
+				checkElidedRun(t, cfg, core, ref, prng.Derive(0x3155, seed), ct, tc.tr)
+				core.Reseed(prng.Derive(0x3155, seed))
+				got := core.RunCompiled(ct)
+				full.Reseed(prng.Derive(0x3155, seed))
+				if want := full.RunCompiled(&all); got != want {
+					t.Fatalf("seed %d: compiled %+v, full replay %+v", seed, got, want)
+				}
+				seen[got.DL1.Misses] = true
+			}
+			for _, n := range tc.misses {
+				if !seen[n] {
+					t.Errorf("no seed shows %d DL1 misses (seen %v)", n, seen)
+				}
+			}
+		})
+	}
+}
+
 // TestStoreScratchOnlyWhereUsed pins that a core allocates store
 // elision's per-way scratch on the first run that applies the rule: a
 // modulo+LRU baseline core, whose LRU levels keep every store, allocates
@@ -873,7 +930,7 @@ func TestStoreScratchOnlyWhereUsed(t *testing.T) {
 			core.RunCompiled(ct)
 		}
 		p := &core.plan
-		if got := p.rI.who != nil || p.rD.who != nil || p.rD.from != nil || p.sk.owner != nil; got != tc.alloc {
+		if got := p.rI.who != nil || p.rD.who != nil || p.sk.owner != nil; got != tc.alloc {
 			t.Errorf("%s: store scratch allocated %v, want %v", tc.name, got, tc.alloc)
 		}
 	}

@@ -3,6 +3,7 @@ package trace
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -34,9 +35,9 @@ type ReplayIndex struct {
 // A store in Must may be certain too: on a write-back L2 whose hits
 // change no replacement state, a data line's store leaves the line
 // resident and dirty, so each later store to it is a stateless L2 hit
-// until a fill evicts it. Such a run drops the stores in Stores().Later
-// from the ops it replays and marks a line's next store again when its
-// L2 way is refilled, from the per-line lists of Stores.
+// until a fill evicts it. Such a run starts from Stores().Keep instead of
+// Must and marks a line's next store again when its L2 way is refilled,
+// from the per-line lists of Stores.
 type ReplayTables struct {
 	Must []uint64
 	I, D LineReads // instruction and data stream
@@ -55,13 +56,27 @@ type LineOps struct {
 	At  []uint32
 }
 
-// LineStores lists the data stream's stores per line ID, in LineOps, and
-// masks in Later, per block, every store but each line's first. Last is
-// the op of the stream's last store.
+// LineStores lists the data stream's stores per line ID, in LineOps.
+// Keep is Must without every store but each line's first, per block: the
+// ops a run that skips stores starts from. Last is the op of the
+// stream's last store.
+//
+// The rest counts the stores' misses in a cold write-through DL1 whose
+// lines only a read fills. A store misses exactly when its line is not
+// resident: before the line's first read, and from each eviction of the
+// line to its next read. Cold counts the stores before their line's
+// first read and the stores of lines never read. After holds, per later
+// data read (the data stream's LineReads.At layout), the index in At of
+// the line's first store after that read, and First, per data line ID,
+// the same for the line's first read; so the stores of a line between
+// two consecutive reads are At[a:b] for the two reads' entries a and b.
 type LineStores struct {
 	LineOps
-	Later []uint64
+	Keep  []uint64
 	Last  uint32
+	Cold  uint64
+	After []uint32
+	First []uint32
 }
 
 // LineReads indexes the later reads of one stream's line IDs in its
@@ -159,7 +174,7 @@ func (t *ReplayTables) fill(ops []Op, iLines, dLines int) {
 
 // Stores returns the data stream's store lists. Only a run that may skip
 // stores needs them, so the first call builds them, in O(len(ops)) time
-// and four bytes per store.
+// and four bytes per store, per later data read and per data line.
 func (t *ReplayTables) Stores() *LineStores {
 	t.storesOnce.Do(t.buildStores)
 	return &t.stores
@@ -169,13 +184,13 @@ func (t *ReplayTables) buildStores() {
 	n := len(t.D.Read)
 	s := &t.stores
 	s.Off = make([]int, n+1)
-	s.Later = make([]uint64, len(t.Must))
+	s.Keep = slices.Clone(t.Must)
 	for i, op := range t.ops {
 		if op.Kind != Store {
 			continue
 		}
 		if s.Off[op.ID+1] != 0 {
-			s.Later[i>>6] |= 1 << (i & 63)
+			s.Keep[i>>6] &^= 1 << (i & 63)
 		}
 		s.Off[op.ID+1]++
 		s.Last = uint32(i)
@@ -184,11 +199,34 @@ func (t *ReplayTables) buildStores() {
 		s.Off[id+1] += s.Off[id]
 	}
 	s.At = make([]uint32, s.Off[n])
-	next := append([]int(nil), s.Off[:n]...)
+	s.After = make([]uint32, len(t.D.At))
+	s.First = make([]uint32, n)
+	// Per line, the index in At of its next store, and the index in D.At
+	// of its next later read, or -1 before its first read.
+	next := make([]uint32, n)
+	reads := make([]int, n)
+	for id := range n {
+		next[id], reads[id] = uint32(s.Off[id]), -1
+	}
 	for i, op := range t.ops {
-		if op.Kind == Store {
-			s.At[next[op.ID]] = uint32(i)
-			next[op.ID]++
+		id := op.ID
+		switch {
+		case op.Kind == Store:
+			s.At[next[id]] = uint32(i)
+			next[id]++
+		case op.Kind == Fetch:
+		case reads[id] < 0:
+			s.First[id] = next[id]
+			s.Cold += uint64(next[id]) - uint64(s.Off[id])
+			reads[id] = t.D.Off[id]
+		default:
+			s.After[reads[id]] = next[id]
+			reads[id]++
+		}
+	}
+	for id, read := range t.D.Read {
+		if !read {
+			s.Cold += uint64(s.Off[id+1] - s.Off[id])
 		}
 	}
 }

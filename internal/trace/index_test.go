@@ -14,8 +14,10 @@ import (
 // Last and Accesses count
 // each stream's accesses through each line's last access and in all.
 // Each data line's list in Stores holds exactly its stores, in ascending
-// order, Later masks every store but each line's first, and Last is the
-// last store's op.
+// order, Keep is Must without every store but each line's first, and
+// Last is the last store's op. Cold counts the stores before their
+// line's first load, and After and First hold, for each later load and
+// each line's first load, the index in At of the line's next store.
 func TestReplayIndex(t *testing.T) {
 	g := prng.New(0x1DE)
 	for round := 0; round < 200; round++ {
@@ -98,8 +100,9 @@ func TestReplayIndex(t *testing.T) {
 			}
 		}
 		st := x.Stores()
-		if len(st.Off) != nLines+1 || len(st.Later) != len(x.Must) {
-			t.Fatalf("round %d: %d store offsets for %d lines, %d Later blocks", round, len(st.Off), nLines, len(st.Later))
+		if len(st.Off) != nLines+1 || len(st.Keep) != len(x.Must) || len(st.After) != len(x.D.At) || len(st.First) != nLines {
+			t.Fatalf("round %d: %d store offsets, %d After and %d First entries for %d lines, %d Keep blocks",
+				round, len(st.Off), len(st.After), len(st.First), nLines, len(st.Keep))
 		}
 		if st.Last != lastStore {
 			t.Fatalf("round %d: last store at op %d, want %d", round, st.Last, lastStore)
@@ -121,8 +124,40 @@ func TestReplayIndex(t *testing.T) {
 			if op.Kind == Store && !listed[i] {
 				t.Fatalf("round %d op %d (%+v): a store in no list", round, i, op)
 			}
-			if got := st.Later[i>>6]>>(i&63)&1 != 0; got != laterStore[i] {
-				t.Fatalf("round %d op %d (%+v): Later bit %v, want %v", round, i, op, got, laterStore[i])
+			if got, want := st.Keep[i>>6]>>(i&63)&1 != 0, x.Must[i>>6]>>(i&63)&1 != 0 && !laterStore[i]; got != want {
+				t.Fatalf("round %d op %d (%+v): Keep bit %v, want %v", round, i, op, got, want)
+			}
+		}
+		// The next store after each load, found by a scan of At.
+		nextStore := func(id int, i uint32) uint32 {
+			k := st.Off[id]
+			for k < st.Off[id+1] && st.At[k] < i {
+				k++
+			}
+			return uint32(k)
+		}
+		cold := uint64(0)
+		loaded := make([]bool, nLines)
+		for i, op := range ops {
+			switch {
+			case op.Kind == Store && !loaded[op.ID]:
+				cold++
+			case op.Kind != Load:
+			case !loaded[op.ID]:
+				loaded[op.ID] = true
+				if got, want := st.First[op.ID], nextStore(int(op.ID), uint32(i)); got != want {
+					t.Fatalf("round %d op %d (%+v): First %d, want %d", round, i, op, got, want)
+				}
+			}
+		}
+		if st.Cold != cold {
+			t.Fatalf("round %d: %d cold stores, want %d", round, st.Cold, cold)
+		}
+		for id := 0; id < nLines; id++ {
+			for k := x.D.Off[id]; k < x.D.Off[id+1]; k++ {
+				if got, want := st.After[k], nextStore(id, x.D.At[k]); got != want {
+					t.Fatalf("round %d line %d: After[%d] (op %d) %d, want %d", round, id, k, x.D.At[k], got, want)
+				}
 			}
 		}
 		// Every later read is in its stream's All, and no op is in two
@@ -159,7 +194,7 @@ func TestReplayIndexConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	for _, s := range got {
-		if s != got[0] || len(s.At) != 3 || s.At[0] != 1 || s.At[1] != 2 || s.At[2] != 3 || s.Later[0] != 1<<3 {
+		if s != got[0] || len(s.At) != 3 || s.At[0] != 1 || s.At[1] != 2 || s.At[2] != 3 || s.Keep[0] != 0b10111 {
 			t.Fatalf("stores %+v, want ops 1, 2 and 3, op 3 a later store, in one shared list", *s)
 		}
 	}
