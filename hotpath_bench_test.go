@@ -114,6 +114,54 @@ func BenchmarkHotPathKernels(b *testing.B) {
 	}
 }
 
+// BenchmarkHotPathBaseline is BenchmarkHotPathKernels on the modulo+LRU
+// baseline platform the baseline-hwm workload replays: per kernel of
+// perfbench's twelve, compiled once in relocatable form and relocated to
+// 32 randomized layouts before the timer, ns/op is one run at the next
+// layout (its index plans rebuilt, as a baseline campaign's run rebuilds
+// them), replayed-ops/op the ops a run replays of the kernel's ops/op,
+// and replayed-stores/op the stores among them: its LRU DL1 skips the
+// reads its layout makes certain hits, and the run the stores it makes
+// certain at both levels. The steady state must report 0 allocs/op.
+func BenchmarkHotPathBaseline(b *testing.B) {
+	s20, err := workload.ByName("synth20k")
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := core.PlatformFor(placement.Modulo)
+	base := workload.BaselineLayout()
+	for _, w := range append(workload.EEMBC(), s20) {
+		b.Run(w.Name, func(b *testing.B) {
+			p, err := spec.Build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			rel, err := w.Relocatable(base, spec.LineBytes)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cts := make([]*trace.Compiled, 32)
+			for i := range cts {
+				cts[i] = rel.Relocate(workload.RandomizedLayoutFrom(base, prng.New(prng.Derive(0xBA5E, i))))
+			}
+			p.Reseed(0)
+			p.RunCompiled(cts[0]) // warm-up: allocate the index plans
+			b.ReportAllocs()
+			b.ResetTimer()
+			var replayed, stores uint64
+			for i := 0; i < b.N; i++ {
+				p.Reseed(uint64(i))
+				p.RunCompiled(cts[i%len(cts)])
+				replayed += uint64(p.ReplayedOps())
+				stores += uint64(p.ReplayedStores())
+			}
+			b.ReportMetric(float64(len(cts[0].Ops)), "ops/op")
+			b.ReportMetric(float64(replayed)/float64(b.N), "replayed-ops/op")
+			b.ReportMetric(float64(stores)/float64(b.N), "replayed-stores/op")
+		})
+	}
+}
+
 // BenchmarkHotPathBaselineCompiled runs the deterministic HWM baseline
 // protocol through the Engine: the trace builds and compiles once per
 // campaign in relocatable form, and each run relocates its line tables

@@ -99,14 +99,27 @@ func (c *Cache) Hits(n uint64) {
 }
 
 // Misses adds n misses that changed no state to the run's counters: the
-// store misses of a write-through Random or FIFO level that a replay
-// counted instead of serving. Like a served one, a counted access leaves
-// the level no longer cold.
+// store misses of a write-through level that a replay counted instead of
+// serving, which change nothing on a Random or FIFO level and only tick
+// an LRU one, whose tick the replay restores (RestoreLRU). Like a served
+// one, a counted access leaves the level no longer cold.
 //
 //rm:hotpath
 func (c *Cache) Misses(n uint64) {
 	c.accesses += n
 	c.cold = c.cold && n == 0
+}
+
+// Advance adds n to an LRU level's tick and does nothing on other kinds:
+// the ticks of n hits a replay skipped on lines whose stamps no victim
+// choice reads before a replayed access restamps them (see
+// sim.Core.RunCompiled). The caller counts the hits.
+//
+//rm:hotpath
+func (c *Cache) Advance(n uint64) {
+	if c.isLRU {
+		c.tick += n
+	}
 }
 
 // HitsUpTo counts as hits every access of the run beyond those already

@@ -340,6 +340,12 @@ func (c *Cache) Flush() {
 // occupancy count does not see. The paper's platform has write-through
 // no-allocate L1s, whose stores fill no line. PLRU skips nothing: its
 // tree bits record the order of the last touches.
+//
+// The same limit, asked with stores false, bounds the lines of a cold
+// write-back L2's set that a replay may count by every line that reaches
+// it, stored-to lines included, for a store to a line already in it to
+// be a certain hit: no fill into the set evicts, so the line stays
+// resident and dirty from its first store on (see sim.Core.RunCompiled).
 func (c *Cache) HitElisionLimit(stores bool) int {
 	if !c.cold || stores && c.AllocatesOnWrite() {
 		return 0

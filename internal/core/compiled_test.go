@@ -376,3 +376,64 @@ func TestSettledElisionMatchesFullReplay(t *testing.T) {
 	}
 	t.Logf("replayed stores per round %v, ops %v", stores, ops)
 }
+
+// TestBaselineStoreElisionMatchesFullReplay replays perfbench's twelve
+// kernels on the modulo+LRU DeterministicPlatform, each relocated at
+// rounds fixed seeds as a baseline campaign relocates it, and holds every
+// Result to a replay of the same ops that keeps every op (a Compiled
+// without an Index). Its LRU DL1 skips reads by occupancy, so a run skips
+// the middle stores of the data lines whose L2 set its layout makes
+// certain, those after the line's first read only if the DL1 set is
+// certain too: some run of some kernel must skip stores, and no round
+// (one run of each kernel at one seed) may replay more than maxStores
+// stores, which catches a change that keeps the Results but silently
+// narrows what the rule skips.
+func TestBaselineStoreElisionMatchesFullReplay(t *testing.T) {
+	const rounds, maxStores = 8, 15400
+	s20, err := workload.ByName("synth20k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := DeterministicPlatform()
+	elided, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := workload.BaselineLayout()
+	var stores, ops [rounds]int
+	skipped, total := 0, 0
+	for _, w := range append(workload.EEMBC(), s20) {
+		rel, err := w.Relocatable(base, spec.LineBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range stores {
+			seed := prng.Derive(0xB45E, i)
+			ct := rel.Relocate(workload.RandomizedLayoutFrom(base, prng.New(seed)))
+			all := *ct
+			all.Index = nil
+			elided.Reseed(seed)
+			full.Reseed(seed)
+			if got, want := elided.RunCompiled(ct), full.RunCompiled(&all); got != want {
+				t.Fatalf("%s seed %d: elided %+v, full replay %+v", w.Name, i, got, want)
+			}
+			skipped += full.ReplayedStores() - elided.ReplayedStores()
+			total += full.ReplayedStores()
+			stores[i] += elided.ReplayedStores()
+			ops[i] += elided.ReplayedOps()
+		}
+	}
+	if skipped == 0 {
+		t.Fatal("no run skipped a store")
+	}
+	for i := range stores {
+		if stores[i] > maxStores {
+			t.Errorf("round %d replayed %d stores, over the budget of %d", i, stores[i], maxStores)
+		}
+	}
+	t.Logf("replayed stores per round %v of %d, ops %v", stores, total/rounds, ops)
+}

@@ -50,3 +50,18 @@ func BenchmarkIndexAll(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkHRPReseed measures one hRP reseed at the paper's L2 geometry
+// (1,024 sets): drawing the hash rows and constant and building the
+// chunk tables Index reads, which every run of a campaign on the RM
+// platform pays once for its L2.
+func BenchmarkHRPReseed(b *testing.B) {
+	p, err := placement.NewHRP(1024)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p.Reseed(uint64(i))
+	}
+}

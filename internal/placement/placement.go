@@ -312,27 +312,61 @@ func (p *hrpPolicy) Reseed(seed uint64) {
 		}
 	}
 	p.consts = uint32(g.Bits(int(p.idxBits)))
-	// Address bit b's image has index bit i set iff row_i has bit b. By
-	// linearity a chunk value's image is the XOR of its set bits' images:
-	// the values with bit k set are those below 1<<k, XORed with bit k's.
-	var col [6 * hrpChunks]uint32
-	for i, row := range p.rows {
-		for ; row != 0; row &= row - 1 {
-			col[bits.TrailingZeros64(row)] |= 1 << uint(i)
-		}
-	}
+	col := p.columns()
+	// By linearity a chunk value's image is the XOR of its set bits'
+	// images: that of its low three bits (l) XOR that of its high three
+	// (h), each the XOR of up to three columns.
 	for c := range p.tab {
-		t := &p.tab[c]
-		t[0] = 0
+		x := (*[6]uint32)(col[6*c : 6*c+6])
+		var l0 uint32
 		if c == 0 {
-			t[0] = p.consts
+			l0 = p.consts
 		}
-		for k, x := range col[6*c : 6*c+6] {
-			for v := range 1 << k {
-				t[v|1<<k] = t[v] ^ x
-			}
+		l1 := l0 ^ x[0]
+		l2, l3 := l0^x[1], l1^x[1]
+		l4, l5, l6, l7 := l0^x[2], l1^x[2], l2^x[2], l3^x[2]
+		h3 := x[3] ^ x[4]
+		t := &p.tab[c]
+		for h, y := range [8]uint32{0, x[3], x[4], h3, x[5], x[3] ^ x[5], x[4] ^ x[5], h3 ^ x[5]} {
+			u := (*[8]uint32)(t[8*h : 8*h+8])
+			u[0], u[1], u[2], u[3] = l0^y, l1^y, l2^y, l3^y
+			u[4], u[5], u[6], u[7] = l4^y, l5^y, l6^y, l7^y
 		}
 	}
+}
+
+// columns returns the image of each address bit b: index bit i set iff
+// row_i has bit b. It transposes the rows eight at a time, one byte of
+// a row at once: spread8 puts the byte's bit u in the low bit of byte u
+// of a word, so acc[g][j] gathers in byte u bit 8j+u of rows 8g to 8g+7.
+// An index bit past the 32 an entry holds is dropped.
+func (p *hrpPolicy) columns() (col [6 * hrpChunks]uint32) {
+	var acc [4][(HashedAddressBits + 7) / 8]uint64
+	rows := p.rows[:min(len(p.rows), 32)]
+	for i, row := range rows {
+		a, sh := &acc[i>>3], uint(i&7)
+		for j := range a {
+			a[j] |= spread8(row>>(8*j)) << sh
+		}
+	}
+	groups := acc[:(len(rows)+7)/8]
+	for b := range col[:HashedAddressBits] {
+		j, sh := b>>3, uint(8*(b&7))
+		var v uint32
+		for g, a := range groups {
+			v |= uint32(a[j]>>sh&0xFF) << (8 * g)
+		}
+		col[b] = v
+	}
+	return col
+}
+
+// spread8 returns the low byte of x with its bit u moved to the low bit
+// of byte u: the byte copied to every byte, each byte masked to its own
+// bit, and a set bit carried up to bit 7 and shifted down.
+func spread8(x uint64) uint64 {
+	const ones = 0x0101010101010101
+	return (x&0xFF*ones&0x8040201008040201 + 0x7F7F7F7F7F7F7F7F) >> 7 & ones
 }
 
 func (p *hrpPolicy) Index(line uint64) uint32 {

@@ -36,8 +36,10 @@ import (
 // trace's must-replay ops, or, in a run whose levels allow it to skip
 // stores, from the same ops without every store but each data line's
 // first (the loop marks a line's next store again when the line leaves
-// the L2, see storeSkip). An L1 under the miss rule (rI, rD) adds no
-// read to it up front: the loop marks a line's next read when a fill
+// the L2) or without each data line's middle stores (certify adds back
+// those that lines' sets leave uncertain), see storeSkip. An L1 under
+// the miss rule (rI, rD) adds no read to it up front: the loop marks a
+// line's next read when a fill
 // evicts the line. Any other L1 adds the later reads its fresh plan
 // leaves uncertain, by a set-occupancy pass over the line IDs, O(unique
 // lines) (see elide); occ is the pass's per-set counter scratch, all zero
@@ -274,29 +276,45 @@ func (c *Core) keepOps(ct *trace.Compiled) {
 		return
 	}
 	t := ct.Index.Tables()
-	// No store's DL1 access may change state: the DL1 rule means a cold
-	// write-through Random or FIFO DL1. A skipped store's L2 hit may only
-	// set a dirty bit already set.
-	if rD.on && c.l2.AllocatesOnWrite() && c.l2.StatelessHits() && len(t.Stores().At) > 0 {
+	sk := &c.plan.sk
+	// A skipped store's L2 hit may only set a dirty bit already set, or
+	// tick an LRU L2 (storeSkip). Under the owner rule no store's DL1
+	// access may change state: the DL1 rule means a cold write-through
+	// Random or FIFO DL1.
+	wb, limL2 := c.l2.AllocatesOnWrite(), c.l2.HitElisionLimit(false)
+	switch {
+	case rD.on && wb && c.l2.StatelessHits() && len(t.Stores().At) > 0:
 		s := t.Stores()
-		if c.plan.sk.owner == nil {
-			c.plan.sk.alloc(c.l2.Config())
+		if sk.owner == nil {
+			sk.alloc(c.l2.Config())
 		}
 		copy(keep, s.Keep)
-		c.plan.sk.stores, c.plan.sk.on = s, true
+		sk.stores, sk.rule = s, byOwner
 		rD.stores, rD.misses = s, s.Cold
-	} else {
+	case !rD.on && limD > 0 && wb && limL2 > 0 && len(t.Stores().At) > 0:
+		s := t.Stores()
+		if sk.sets == nil || len(sk.link) < len(ct.DLines) {
+			sk.grow(c.l2.Config(), len(ct.DLines))
+		}
+		copy(keep, s.Ends)
+		sk.stores, sk.rule, sk.must = s, byCertainty, t.Must
+	default:
 		copy(keep, t.Must)
 	}
 	if rI.on {
 		rI.start(&t.I)
 	} else {
 		elide(keep, &t.I, c.plan.il1, c.plan.occ, limI)
+		vacate(c.plan.occ, c.plan.il1)
 	}
 	if rD.on {
 		rD.start(&t.D)
 	} else {
 		elide(keep, &t.D, c.plan.dl1, c.plan.occ, limD)
+		if sk.rule == byCertainty {
+			sk.certify(keep, ct, &c.plan, limL2, limD)
+		}
+		vacate(c.plan.occ, c.plan.dl1)
 	}
 }
 
@@ -305,7 +323,8 @@ func (c *Core) keepOps(ct *trace.Compiled) {
 // stream reads it (the levels that elide take no fill from a store); a
 // set holding at most limit allocating lines skips every later read of
 // its lines, and one holding more keeps them all. Limit 0 keeps the whole
-// stream. occ must be zero on entry and is on return.
+// stream. occ must be zero on entry; elide leaves in it, per set, the
+// allocating lines it counted, which vacate clears.
 //
 //rm:hotpath
 func elide(keep []uint64, r *trace.LineReads, plan []uint32, occ []uint32, limit int) {
@@ -328,30 +347,85 @@ func elide(keep []uint64, r *trace.LineReads, plan []uint32, occ []uint32, limit
 			}
 		}
 	}
+}
+
+// vacate zeroes the per-set counters of occ that the lines of plan count.
+//
+//rm:hotpath
+func vacate[T uint32 | l2Set](occ []T, plan []uint32) {
+	var zero T
 	for _, e := range plan {
-		occ[e&cache.SetMask] = 0
+		occ[e&cache.SetMask] = zero
 	}
 }
 
-// storeSkip is the scratch of store elision in a run. It applies on a
-// write-back L2 whose hits change no state (Random or FIFO) under a DL1
-// that takes the miss rule (a cold, write-through Random or FIFO DL1 and
-// a Compiled whose line IDs have distinct addresses). A data line's store
-// leaves the line resident and dirty in its L2 way, which the line then
-// owns: each later store to it is an L2 hit that changes nothing, until
-// an L2 fill evicts the way. So keepOps starts keep from
-// trace.LineStores.Keep, which holds each line's first store and no later
-// one, a replayed store makes its line the owner of its way, and a fill
-// that evicts an owner marks the owner's next store in keep (evict).
-// owner holds per L2 way (set*ways+way) 1 + the owning data line ID, or
-// 0; it is allocated by the first run the rule applies to, and is all
-// zero between runs. The DL1's miss rule counts the stores' DL1 misses
-// (missRule).
+// storeSkip is the scratch of store elision in a run, by one of two
+// rules.
+//
+// The owner rule applies on a write-back L2 whose hits change no state
+// (Random or FIFO) under a DL1 that takes the miss rule (a cold,
+// write-through Random or FIFO DL1 and a Compiled whose line IDs have
+// distinct addresses). A data line's store leaves the line resident and
+// dirty in its L2 way, which the line then owns: each later store to it
+// is an L2 hit that changes nothing, until an L2 fill evicts the way. So
+// keepOps starts keep from trace.LineStores.Keep, which holds each
+// line's first store and no later one, a replayed store makes its line
+// the owner of its way, and a fill that evicts an owner marks the owner's
+// next store in keep (evict). owner holds per L2 way (set*ways+way) 1 +
+// the owning data line ID, or 0; it is allocated by the first run the
+// rule applies to, and is all zero between runs. The DL1's miss rule
+// counts the stores' DL1 misses (missRule).
+//
+// The certainty rule applies on a cold write-back L2 other than PLRU
+// under a DL1 that skips reads by occupancy (elide). It skips a data
+// line's middle stores (all but its first and last) that this run's
+// mapping makes certain at both levels (certify): the line's L2 set
+// holds at most cache.HitElisionLimit of the lines that reach the L2
+// (every instruction line and every data line), and no other data line
+// ID has its address, so each of its stores after the first hits the
+// L2, where the first left the line resident and dirty and no fill
+// evicts it. A store before the line's first read misses the cold DL1,
+// which only that read fills; a later one hits it when the line's DL1
+// set holds at most the DL1's limit of read lines, and is kept
+// otherwise. A DL1 store miss changes nothing but an LRU DL1's tick.
+// keepOps starts keep from trace.LineStores.Ends, and certify adds back
+// the middle stores it cannot skip and sums early, the skipped stores'
+// DL1 misses (trace.LineStores.Early). An LRU L2 must tick once per
+// skipped hit: the loop advances its tick by the skipped stores (must
+// and not keep) before each replayed op and at each block's end, so
+// every replayed access stamps as in a full replay; a skipped hit's own
+// stamp is never read, since no victim is chosen in its set and the
+// line's replayed last store restamps it. The DL1's LRU state is
+// restored like that of skipped reads (cache.Cache.RestoreLRU). sets
+// (per L2 set) and link (per data line ID) are the certify scratch,
+// allocated on the first run the rule applies to; sets is all zero
+// between runs.
 type storeSkip struct {
 	stores *trace.LineStores // the run's Compiled's stores
-	owner  []uint32          // per L2 way
+	rule   skipRule
+	owner  []uint32 // per L2 way
 	l2Ways int
-	on     bool
+
+	must  []uint64 // the trace's ReplayTables.Must
+	sets  []l2Set
+	link  []uint32 // per data line ID: 1 + the previous data ID in its L2 set, or 0
+	early uint64
+}
+
+// skipRule is the store elision rule of a run.
+type skipRule uint8
+
+const (
+	keepStores  skipRule = iota // the run replays every store
+	byOwner                     // L2 way ownership
+	byCertainty                 // certain DL1 and L2 sets
+)
+
+// l2Set is the certify count of one L2 set: the lines that reach it in
+// the run, and 1 + the last data line ID counted in it, the head of its
+// data lines' link chain.
+type l2Set struct {
+	n, head uint32
 }
 
 // alloc sizes the ownership scratch for the L2 l2, once per core;
@@ -360,6 +434,75 @@ type storeSkip struct {
 //go:noinline
 func (sk *storeSkip) alloc(l2 cache.Config) {
 	sk.owner, sk.l2Ways = make([]uint32, l2.Sets()*l2.Ways), l2.Ways
+}
+
+// grow sizes the certify scratch for the L2 l2 and dLines data line IDs;
+// noinline keeps its allocations out of keepOps' hot-path span.
+//
+//go:noinline
+func (sk *storeSkip) grow(l2 cache.Config, dLines int) {
+	if sk.sets == nil {
+		sk.sets = make([]l2Set, l2.Sets())
+	}
+	sk.link = make([]uint32, dLines)
+}
+
+// certify adds to keep, which starts from trace.LineStores.Ends, the
+// middle stores of data lines whose L2 set this run leaves uncertain or
+// whose address another data line ID has, and those after the first read
+// of lines whose DL1 set it leaves uncertain, and sums into early the
+// DL1 misses of the stores it leaves out. p holds the run's plans, p.occ
+// the DL1 read lines per set elide counted; l2Lim and dl1Lim are the
+// levels' limits.
+//
+//rm:hotpath
+func (sk *storeSkip) certify(keep []uint64, ct *trace.Compiled, p *indexPlan, l2Lim, dl1Lim int) {
+	s, sets := sk.stores, sk.sets
+	l2i, l2d := p.l2i[:len(ct.ILines)], p.l2d[:len(ct.DLines)]
+	dl1, link := p.dl1[:len(l2d)], sk.link[:len(l2d)]
+	for _, e := range l2i {
+		sets[e&cache.SetMask].n++
+	}
+	for id, e := range l2d {
+		st := &sets[e&cache.SetMask]
+		st.n++
+		link[id], st.head = st.head, uint32(id)+1
+	}
+	distinct := ct.DistinctLines()
+	for id, e := range l2d {
+		lo, hi := s.Off[id]+1, s.Off[id+1]-1
+		if lo >= hi {
+			continue // no middle store
+		}
+		st := sets[e&cache.SetMask]
+		if st.n <= uint32(l2Lim) && (distinct || !aliased(ct.DLines, link, id, st.head)) {
+			sk.early += uint64(s.Early[id])
+			if p.occ[dl1[id]&cache.SetMask] <= uint32(dl1Lim) {
+				continue
+			}
+			// The DL1 set is uncertain: only the stores before the line's
+			// first read, which miss, stay skipped.
+			lo += int(s.Early[id])
+		}
+		for _, a := range s.At[lo:hi] {
+			keep[a>>6] |= 1 << (a & 63)
+		}
+	}
+	vacate(sets, l2i)
+	vacate(sets, l2d)
+}
+
+// aliased reports whether another data line ID of the link chain from
+// head has line id's address.
+//
+//rm:hotpath
+func aliased(lines []uint64, link []uint32, id int, head uint32) bool {
+	for j := head; j != 0; j = link[j-1] {
+		if int(j-1) != id && lines[j-1] == lines[id] {
+			return true
+		}
+	}
+	return false
 }
 
 // evict notes an L2 fill at op i that evicted the line in the way of
@@ -388,18 +531,31 @@ func (sk *storeSkip) evict(keep []uint64, e uint32, i int) bool {
 	return int(a>>6) == i>>6
 }
 
+// advance ticks the L2 by the skipped stores of skip, a block's not yet
+// ticked, that come before op i, and returns the rest.
+//
+//rm:hotpath
+func advance(l2 *cache.Cache, skip uint64, i int) uint64 {
+	before := skip & (1<<(i&63) - 1)
+	l2.Advance(uint64(bits.OnesCount64(before)))
+	return skip &^ before
+}
+
 // done accounts for the run's stores at its end, given the number the
-// loop replayed and the stores' DL1 misses, and returns the number it
-// skipped: it adds the DL1 misses (the caller's HitsUpTo counts the hits)
-// and each skipped store's L2 hit, and zeroes the ownership scratch.
+// loop replayed and the DL1 misses the miss rule counted, and returns the
+// number it skipped: it adds the DL1 misses (the caller's HitsUpTo
+// counts the hits) and each skipped store's L2 hit, and zeroes the
+// ownership scratch.
 //
 //rm:hotpath
 func (sk *storeSkip) done(dl1, l2 *cache.Cache, replayed, misses uint64) uint64 {
 	n := uint64(len(sk.stores.At))
-	dl1.Misses(misses)
+	dl1.Misses(misses + sk.early)
 	l2.Hits(n - replayed)
-	clear(sk.owner)
-	sk.on = false
+	if sk.rule == byOwner {
+		clear(sk.owner)
+	}
+	sk.rule, sk.early = keepStores, 0
 	return n - replayed
 }
 
@@ -458,16 +614,24 @@ func (c *Core) ReplayedStores() int { return c.plan.stores }
 // level that allocates on write keep every op of their stream: the same
 // loop with every bit kept.
 //
-// Stores are skipped by L2 way ownership (see storeSkip) on a
-// write-back Random or FIFO L2 under a DL1 that takes the miss rule: a
-// run replays each data line's first store and the next store after an
-// L2 fill evicts the line, and no store reaches the DL1: a store misses
-// it exactly while its line is not resident, before the line's first
-// read or between an eviction and the line's next read, and the DL1 miss
-// rule counts those stores at each eviction. LRU and PLRU levels,
-// write-through L2s, warm DL1s and Compileds whose line IDs may share an
-// address keep every store. Results, cache state and the replacement
-// streams are bit-identical to replaying every op.
+// Stores are skipped by one of two rules (see storeSkip). On a
+// write-back Random or FIFO L2 under a DL1 that takes the miss rule, by
+// L2 way ownership: a run replays each data line's first store and the
+// next store after an L2 fill evicts the line, and no store reaches the
+// DL1: a store misses it exactly while its line is not resident, before
+// the line's first read or between an eviction and the line's next read,
+// and the DL1 miss rule counts those stores at each eviction. On a cold
+// write-back L2 other than PLRU under a DL1 that skips by occupancy (the
+// modulo+LRU baseline's), by set certainty: a run skips the stores of a
+// data line but its first and last when its L2 set can hold all of its
+// lines and no other data line ID shares its address, those after the
+// line's first read only if its DL1 set can hold all of its read lines
+// too; each skipped store hits the L2, and the DL1 exactly when the
+// line's first read precedes it, and an LRU L2's tick is advanced by the
+// skipped stores before each replayed op. PLRU L2s, write-through L2s, warm
+// levels, PLRU DL1s and, under the ownership rule, Compileds whose line
+// IDs may share an address keep every store. Results, cache state and
+// the replacement streams are bit-identical to replaying every op.
 //
 // This is the MBPTA campaign hot path: a campaign replays the same
 // Compiled hundreds of times (it is immutable and shared across worker
@@ -496,11 +660,19 @@ func (c *Core) RunCompiled(ct *trace.Compiled) Result {
 	rI, rD, sk := &c.plan.rI, &c.plan.rD, &c.plan.sk
 	missI, missD := rI.on, rD.on // every replayed read of the stream misses
 	var cycles, h1, hd, stores uint64
-	replayed, owning := 0, sk.on // owning: the run skips stores
+	replayed := 0
+	owning, certain := sk.rule == byOwner, sk.rule == byCertainty
 	for b := range keep {
+		var skip uint64 // the block's skipped stores the L2 has not ticked
+		if certain {
+			skip = sk.must[b] &^ keep[b]
+		}
 		for m := keep[b]; m != 0; m &= m - 1 {
 			replayed++
 			i := b<<6 | bits.TrailingZeros64(m)
+			if skip != 0 {
+				skip = advance(l2, skip, i)
+			}
 			op := ops[i]
 			id := op.ID
 			marked := false // a hook marked an op in block b
@@ -554,11 +726,14 @@ func (c *Core) RunCompiled(ct *trace.Compiled) Result {
 				m = keep[b] >> (i & 63) << (i & 63)
 			}
 		}
+		if skip != 0 {
+			l2.Advance(uint64(bits.OnesCount64(skip)))
+		}
 	}
 	rI.done()
 	missesD := rD.done()
 	c.plan.ops, c.plan.stores = replayed, int(stores)
-	if owning {
+	if sk.rule != keepStores {
 		stores += sk.done(dl1, l2, stores, missesD)
 	}
 	if c.plan.limI == 0 && c.plan.limD == 0 {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/bits"
+	"slices"
 	"strings"
 	"testing"
 
@@ -54,24 +55,35 @@ func dataTrace(lines []uint64, kinds string) trace.Trace {
 // on the seed: the count ruleReplayed derives.
 const byRule = -1
 
-// ruleReplayed returns the number of ops of ct a run on cfg at seed
-// replays by the elision rules, found without the replay's marks: it
-// serves every op through fresh levels' slow paths (an op's folded reps
-// are hits and change nothing). A limit of 0, a warm level or a nil
-// Index replays a stream's every read. On a cold L1 under the miss rule
-// (Random or FIFO, a nonzero limit, a Compiled with distinct line
-// addresses) it counts the reads that miss in the reference L1; on
-// another cold L1 with a nonzero limit, each line's first read and the
-// later reads of lines in sets with more allocating lines than the
-// limit. It counts every store, but under a DL1 under the miss rule and
-// a write-back Random or FIFO L2 the stores to a data line that has
-// stayed resident in the L2 since its previous store.
-func ruleReplayed(t *testing.T, cfg Config, seed uint64, ct *trace.Compiled) int {
+// ruleReplayed returns the number of ops of ct, and of stores among
+// them, that a run on cfg at seed replays by the elision rules, found
+// without the replay's marks: it serves every op through fresh levels'
+// slow paths (an op's folded reps are hits and change nothing). A limit
+// of 0, a warm level or a nil Index replays a stream's every read. On a
+// cold L1 under the miss rule (Random or FIFO, a nonzero limit, a
+// Compiled with distinct line addresses) it counts the reads that miss in
+// the reference L1; on another cold L1 with a nonzero limit, each line's
+// first read and the later reads of lines in sets with more allocating
+// lines than the limit. It counts every store, but under a DL1 under the
+// miss rule and a write-back Random or FIFO L2 the stores to a data line
+// that has stayed resident in the L2 since its previous store, and under
+// another cold DL1 with a nonzero limit and a cold write-back L2 with a
+// nonzero limit the stores of a data line but its first and last, if the
+// line's L2 set holds at most the L2's limit of line IDs of either
+// stream and no other data line ID has its address, and the store comes
+// before the line's first read or the line's DL1 set holds at most the
+// DL1's limit of read lines.
+func ruleReplayed(t *testing.T, cfg Config, seed uint64, ct *trace.Compiled) (ops, stores int) {
 	t.Helper()
 	c := mustNew(t, cfg)
 	c.Reseed(seed)
 	if ct.Index == nil {
-		return len(ct.Ops)
+		for _, op := range ct.Ops {
+			if op.Kind == trace.Store {
+				stores++
+			}
+		}
+		return len(ct.Ops), stores
 	}
 	type stream struct {
 		l1    *cache.Cache
@@ -102,8 +114,40 @@ func ruleReplayed(t *testing.T, cfg Config, seed uint64, ct *trace.Compiled) int
 			}
 		}
 	}
+	// certain holds the stores the certainty rule skips.
+	certain := map[int]bool{}
+	if l2Lim := c.l2.HitElisionLimit(false); !streams[1].miss && streams[1].lim > 0 && cfg.L2.Write == cache.WriteBack && l2Lim > 0 {
+		l2k := map[uint32]int{}
+		for _, la := range append(slices.Clone(ct.ILines), ct.DLines...) {
+			l2k[c.l2.Policy().Index(la)]++
+		}
+		at := map[uint32][]int{}
+		for i, op := range ct.Ops {
+			if op.Kind == trace.Store {
+				at[op.ID] = append(at[op.ID], i)
+			}
+		}
+		first := map[uint32]int{} // per data line: its first read
+		for i := len(ct.Ops) - 1; i >= 0; i-- {
+			if op := ct.Ops[i]; op.Kind == trace.Load {
+				first[op.ID] = i
+			}
+		}
+		for id, at := range at {
+			la := ct.DLines[id]
+			if l2k[c.l2.Policy().Index(la)] > l2Lim || slices.Index(ct.DLines, la) != int(id) ||
+				slices.Index(ct.DLines[id+1:], la) >= 0 || len(at) < 3 {
+				continue
+			}
+			read, ok := first[id]
+			settled := streams[1].k[c.dl1.Policy().Index(la)] <= streams[1].lim
+			for _, i := range at[1 : len(at)-1] {
+				certain[i] = settled || !ok || i < read
+			}
+		}
+	}
 	n := 0
-	for _, op := range ct.Ops {
+	for i, op := range ct.Ops {
 		st := streams[1]
 		if op.Kind == trace.Fetch {
 			st = streams[0]
@@ -111,8 +155,9 @@ func ruleReplayed(t *testing.T, cfg Config, seed uint64, ct *trace.Compiled) int
 		la := st.lines[op.ID]
 		set, l2set := st.l1.Policy().Index(la), c.l2.Policy().Index(la)
 		if op.Kind == trace.Store {
-			if !skipStores || !resident[op.ID] {
+			if !(skipStores && resident[op.ID]) && !certain[i] {
 				n++
+				stores++
 			}
 			st.l1.Write(la, set)
 			c.l2.Write(la, l2set)
@@ -140,7 +185,7 @@ func ruleReplayed(t *testing.T, cfg Config, seed uint64, ct *trace.Compiled) int
 			}
 		}
 	}
-	return n
+	return n, stores
 }
 
 // TestElisionEligibility pins when RunCompiled may skip a read: the
@@ -241,7 +286,7 @@ func TestElisionEligibility(t *testing.T) {
 				} else {
 					core.Reseed(prng.Derive(9, run))
 					ref.Reseed(prng.Derive(9, run))
-					if rule := ruleReplayed(t, cfg, prng.Derive(9, run), ct); want == byRule {
+					if rule, _ := ruleReplayed(t, cfg, prng.Derive(9, run), ct); want == byRule {
 						want = rule
 					} else if rule != want {
 						t.Fatalf("run %d: the rule replays %d ops, the case says %d", run, rule, want)
@@ -641,8 +686,8 @@ func TestSettledSetElision(t *testing.T) {
 
 // checkElidedRun reseeds core and ref with seed, replays ct on core and
 // tr on ref, fails t unless Results and cache states agree and core
-// replayed the ops ruleReplayed counts, which its final keep mask must
-// hold too, and returns that count.
+// replayed the ops and the stores ruleReplayed counts, the ops being
+// those its final keep mask holds, and returns the op count.
 func checkElidedRun(t *testing.T, cfg Config, core, ref *Core, seed uint64, ct *trace.Compiled, tr trace.Trace) int {
 	t.Helper()
 	core.Reseed(seed)
@@ -652,8 +697,9 @@ func checkElidedRun(t *testing.T, cfg Config, core, ref *Core, seed uint64, ct *
 	}
 	sameCacheState(t, core, ref)
 	n := core.ReplayedOps()
-	if want := ruleReplayed(t, cfg, seed, ct); n != want {
-		t.Fatalf("seed %#x: replayed %d of %d ops, the rule %d", seed, n, len(ct.Ops), want)
+	if want, stores := ruleReplayed(t, cfg, seed, ct); n != want || core.ReplayedStores() != stores {
+		t.Fatalf("seed %#x: replayed %d of %d ops and %d stores, the rule %d and %d",
+			seed, n, len(ct.Ops), core.ReplayedStores(), want, stores)
 	}
 	kept := 0
 	for _, m := range core.plan.keep {
@@ -783,10 +829,13 @@ func TestStoreElision(t *testing.T) {
 		{"both-streams", storeConfig(random, random, wb), bothStreams, false, 2, always},
 		{"settles", storeConfig(random, random, wb), settles, false, 24, func(_ cache.Stats, _, n int) bool { return n < 10 }},
 		{"aliased", storeConfig(random, random, wb), aliased, true, 0, always},
-		// A store's DL1 access must change no DL1 state, and an LRU store
-		// miss ticks. A write-through L2 never holds a line only stored
-		// to, and an LRU L2's hits tick.
-		{"lru-dl1", storeConfig(lru, random, wb), evicts, false, 0, always},
+		// An LRU DL1 skips by occupancy, so the certainty rule skips line
+		// 0's two middle stores: lines 0 and 8 fill DL1 set 0's two ways
+		// and each sits alone in its L2 set. A write-through L2 never holds
+		// a line only stored to. A Random DL1 takes the miss rule, whose
+		// owner rule needs an L2 with stateless hits, and an LRU L2's hits
+		// tick.
+		{"lru-dl1", storeConfig(lru, random, wb), evicts, false, 2, always},
 		{"write-through-l2", storeConfig(random, random, wt), storeOnly, false, 0, always},
 		{"lru-l2", storeConfig(random, lru, wb), evicts, false, 0, always},
 	}
@@ -839,6 +888,112 @@ func TestStoreElision(t *testing.T) {
 				t.Fatalf("warm run replayed %d of %d ops", core.ReplayedOps(), len(ct.Ops))
 			}
 		})
+	}
+}
+
+// TestLRUStoreElision pins the certainty rule of store elision: under a
+// cold write-through DL1 that skips reads by occupancy (LRU, or a
+// relocated Compiled on FIFO) and a cold write-back L2, a data line's
+// stores but its first and last are skipped when its L2 set holds at
+// most the L2's limit of line IDs of either stream and no other data line
+// ID has its address, and the store precedes the line's first read or
+// its DL1 set holds at most the DL1's limit of read lines. storeConfig
+// puts line L in DL1 set L%8 of two ways and L2 set L%16 of four. Each
+// case runs over 8 seeds on one core, every run
+// checked by checkElidedRun against ruleReplayed (ops and stores) and the
+// per-access reference (Result and every level's state: the L2's LRU
+// tick and stamps, dirty bits, and the DL1's restored stamps), then once
+// warm, which must replay every op. want is the number of stores each
+// cold run skips on the LRU L2; the cases run on FIFO and Random L2s
+// too, where ruleReplayed alone gives the count.
+func TestLRUStoreElision(t *testing.T) {
+	// Fetches of lines 16, 32, 48 and 64, four more lines of line 0's L2
+	// set, evict line 0 from the LRU L2 between its stores, so its two
+	// middle stores are kept; line 1 sits alone and its one is skipped.
+	l2Over := dataTrace([]uint64{0, 0, 16, 32, 48, 64, 0, 0, 0, 1, 1, 1, 1}, ".sffffsss.sss")
+	// The same with the four lines only stored to, so the DL1 counts none
+	// of them.
+	l2OverStored := dataTrace([]uint64{0, 0, 16, 32, 48, 64, 0, 0, 0, 1, 1, 1, 1}, ".ssssssss.sss")
+	// Two granules of line 0 get two IDs in the relocated form, one in the
+	// compiled one; line 2 has one granule.
+	aliased := trace.Trace{
+		{Addr: 0, Kind: trace.Load}, {Addr: 32, Kind: trace.Store}, {Addr: 0, Kind: trace.Store},
+		{Addr: 32, Kind: trace.Store}, {Addr: 0, Kind: trace.Store}, {Addr: 32, Kind: trace.Store},
+		{Addr: 0, Kind: trace.Store}, {Addr: 128, Kind: trace.Load}, {Addr: 128, Kind: trace.Store},
+		{Addr: 128, Kind: trace.Store}, {Addr: 128, Kind: trace.Store},
+	}
+	lru, fifo := cache.LRU, cache.FIFO
+	for _, tc := range []struct {
+		name     string
+		dl1      cache.ReplacementKind
+		tr       trace.Trace
+		relocate bool
+		want     int // stores skipped by each cold run on the LRU L2
+	}{
+		// Line 0 loaded, then stored to four times: the middle two hit
+		// both levels.
+		{"certain", lru, dataTrace([]uint64{0, 0, 0, 0, 0}, ".ssss"), false, 2},
+		// Lines 0, 8 and 16 overfill DL1 set 0, so line 0's middle store
+		// is kept; line 1's is skipped.
+		{"uncertain-dl1", lru, dataTrace([]uint64{0, 8, 16, 1, 0, 1, 0, 1, 0, 1}, "....ssssss"), false, 1},
+		// In the same uncertain set, line 0's middle stores before its
+		// first read are certain misses and skipped, the one after kept.
+		{"uncertain-dl1/before-first-read", lru, dataTrace([]uint64{0, 0, 0, 0, 8, 16, 0, 0}, "sss...ss"), false, 2},
+		{"l2-over-ways/fetched", lru, l2Over, false, 1},
+		{"l2-over-ways/stored", lru, l2OverStored, false, 1},
+		// Line 3 is never read: its two middle stores miss the DL1.
+		{"store-only", lru, dataTrace([]uint64{3, 3, 3, 3}, "ssss"), false, 2},
+		// Stores 1 and 2 come before line 0's first read and miss the DL1,
+		// store 4 after it hits.
+		{"before-first-read", lru, dataTrace([]uint64{0, 0, 0, 0, 0, 0}, "sss.ss"), false, 3},
+		// Line 0 is stored to once and line 1 twice: nothing in between.
+		{"single-store", lru, dataTrace([]uint64{0, 0, 0, 1, 1, 1}, ".s..ss"), false, 0},
+		// Every store of line 0 follows its last read.
+		{"after-last-read", lru, dataTrace([]uint64{0, 1, 0, 0, 0, 0, 1}, "..ssss."), false, 2},
+		// Line 0's four stores in the compiled form, line 2's one.
+		{"aliased/compiled", lru, aliased, false, 5},
+		// The relocated form keeps line 0's granules' stores: another
+		// data ID has their address. Line 2's middle store is skipped.
+		{"aliased/relocated", lru, aliased, true, 1},
+		{"aliased/relocated-fifo", fifo, aliased, true, 1},
+		// Line 2 fetched and stored to: an instruction and a data line ID
+		// on one L2 line, two lines of its L2 set by ID.
+		{"both-streams", lru, dataTrace([]uint64{2, 2, 2, 2, 2, 2}, "f.sss."), false, 1},
+	} {
+		for _, l2 := range []cache.ReplacementKind{cache.LRU, cache.FIFO, cache.Random} {
+			t.Run(tc.name+"/"+l2.String(), func(t *testing.T) {
+				cfg := storeConfig(tc.dl1, l2, cache.WriteBack)
+				cfg.IL1.Replacement = cache.LRU
+				ct := compile(t, tc.tr)
+				if tc.relocate {
+					rel, err := workload.FromTrace("aliased", "", tc.tr).Relocatable(workload.BaselineLayout(), 64)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ct = rel.Relocate(workload.BaselineLayout())
+				}
+				stores := 0
+				for _, op := range ct.Ops {
+					if op.Kind == trace.Store {
+						stores++
+					}
+				}
+				core, ref := mustNew(t, cfg), mustNew(t, cfg)
+				for seed := 0; seed < 8; seed++ {
+					checkElidedRun(t, cfg, core, ref, prng.Derive(0x1205, seed), ct, tc.tr)
+					if skipped := stores - core.ReplayedStores(); l2 == cache.LRU && skipped != tc.want {
+						t.Fatalf("seed %d skipped %d of %d stores, want %d", seed, skipped, stores, tc.want)
+					}
+				}
+				if got, want := core.RunCompiled(ct), ref.Run(tc.tr); got != want {
+					t.Fatalf("warm: compiled %+v, reference %+v", got, want)
+				}
+				sameCacheState(t, core, ref)
+				if core.ReplayedOps() != len(ct.Ops) {
+					t.Fatalf("warm run replayed %d of %d ops", core.ReplayedOps(), len(ct.Ops))
+				}
+			})
+		}
 	}
 }
 
@@ -899,11 +1054,14 @@ func TestStoreMissWindows(t *testing.T) {
 	}
 }
 
-// TestStoreScratchOnlyWhereUsed pins that a core allocates store
-// elision's per-way scratch on the first run that applies the rule: a
-// modulo+LRU baseline core, whose LRU levels keep every store, allocates
-// none of it over a relocated or a compiled run, and an RM core does on
-// its first run.
+// TestStoreScratchOnlyWhereUsed pins that a core allocates each store
+// elision rule's scratch on the first run that applies the rule, and
+// the miss rule's only on a Random or FIFO L1. Each core replays a
+// compiled run, then a relocated one. A modulo+LRU baseline core takes
+// the certainty rule on either and never allocates the ownership or
+// miss rules' scratch. An RM core takes the ownership rule on the
+// compiled run, and the certainty rule only on the relocated one, whose
+// aliasing IDs make its Random DL1 skip by occupancy.
 func TestStoreScratchOnlyWhereUsed(t *testing.T) {
 	w, err := workload.ByName("tblook01")
 	if err != nil {
@@ -912,10 +1070,15 @@ func TestStoreScratchOnlyWhereUsed(t *testing.T) {
 	base := paperConfig(placement.Modulo)
 	base.L2.Placement, base.L2.Replacement = placement.Modulo, cache.LRU
 	for _, tc := range []struct {
-		name  string
-		cfg   Config
-		alloc bool
-	}{{"baseline", base, false}, {"rm", paperConfig(placement.RM), true}} {
+		name string
+		cfg  Config
+		// after each run: the ownership and miss rules' scratch, and the
+		// certainty rule's
+		owner, certain [2]bool
+	}{
+		{"baseline", base, [2]bool{false, false}, [2]bool{true, true}},
+		{"rm", paperConfig(placement.RM), [2]bool{true, true}, [2]bool{false, true}},
+	} {
 		rel, err := w.Relocatable(workload.BaselineLayout(), tc.cfg.DL1.LineBytes)
 		if err != nil {
 			t.Fatal(err)
@@ -925,13 +1088,16 @@ func TestStoreScratchOnlyWhereUsed(t *testing.T) {
 			t.Fatal(err)
 		}
 		core := mustNew(t, tc.cfg)
-		for i, ct := range []*trace.Compiled{rel.Relocate(workload.BaselineLayout()), ct} {
+		p := &core.plan
+		for i, ct := range []*trace.Compiled{ct, rel.Relocate(workload.BaselineLayout())} {
 			core.Reseed(prng.Derive(0x5C4, i))
 			core.RunCompiled(ct)
-		}
-		p := &core.plan
-		if got := p.rI.who != nil || p.rD.who != nil || p.sk.owner != nil; got != tc.alloc {
-			t.Errorf("%s: store scratch allocated %v, want %v", tc.name, got, tc.alloc)
+			if got := p.rI.who != nil || p.rD.who != nil || p.sk.owner != nil; got != tc.owner[i] {
+				t.Errorf("%s run %d: ownership and miss-rule scratch allocated %v, want %v", tc.name, i, got, tc.owner[i])
+			}
+			if got := p.sk.sets != nil || p.sk.link != nil; got != tc.certain[i] {
+				t.Errorf("%s run %d: certainty scratch allocated %v, want %v", tc.name, i, got, tc.certain[i])
+			}
 		}
 	}
 }

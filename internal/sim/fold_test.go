@@ -68,7 +68,8 @@ func TestRunAllFoldMatchesUnfolded(t *testing.T) {
 // selector picks the placement, the replacement and the write policy
 // (applied to DL1 and L2 alike); its top bit makes the L2 write-back
 // whatever the DL1's, the paper's arrangement under a write-through
-// DL1.
+// DL1. Selector 0x82 is the baseline's: modulo+LRU write-through L1s over
+// a write-back LRU L2.
 func fuzzConfig(sel uint8) Config {
 	kinds := placement.Kinds()
 	pk := kinds[int(sel)%len(kinds)]
@@ -126,7 +127,9 @@ func fuzzTrace(data []byte) trace.Trace {
 // selector's top bit) skips the stores to data lines that have stayed in
 // the L2 since their previous store; under LRU, and the relocated form
 // under Random and FIFO, they skip the reads their mapping makes certain
-// hits. The warm ones must skip nothing. After every
+// hits, and over a write-back L2 the middle stores of the data lines
+// whose DL1 and L2 sets it makes certain, which the relocated form's
+// aliased IDs never are. The warm ones must skip nothing. After every
 // replay each level's state must equal the reference's too
 // (sameCacheState), L2 dirty bits included, so an LRU restore that
 // misses a stamp or a skipped store that leaves a line clean fails at
@@ -218,6 +221,30 @@ func FuzzCompiledReplay(f *testing.F) {
 	// one, with store elision on.
 	for _, sel := range []uint8{0x0A, 0x8C} {
 		f.Add(sel, uint64(14), []byte(strings.Repeat("\x40\x00\x50\x10\x60\x20", 12)))
+	}
+	// Modulo/LRU over a write-back LRU L2, the baseline's arrangement
+	// (0x82), where the certainty rule skips middle stores: line 0 loaded
+	// and stored to four times; lines 0, 8 and 16 over DL1 set 0's two
+	// ways, with stores to line 0 and to line 1, alone in its set, between
+	// them, and with stores to line 0 before and after its first read;
+	// five IDs in L2 set 0 (data lines 0 and 16, fetched lines 8, 16 and
+	// 24); a line only stored to; stores before line 0's first read; a
+	// single store and a pair; stores after the last read; stores to both
+	// granules of line 0, two IDs in the relocated form; and one address
+	// fetched, loaded and stored to.
+	for _, data := range []string{
+		"\x40\x80\x80\x80\x80",
+		"\x40\x50\x60\x42\x80\x82\x80\x82\x80\x82",
+		"\x80\x80\x80\x40\x50\x60\x80\x80\x40",
+		"\x40\x80\x10\x20\x30\xa0\x80\x80\x80\x42\x82\x82\x82",
+		"\x86\x86\x86\x86",
+		"\x80\x80\x80\x40\x80\x80",
+		"\x40\x80\x40\x42\x82\x82",
+		"\x40\x42\x80\x80\x80\x80\x42",
+		"\x40\x81\x80\x81\x80\x81\x80\x44\x84\x84\x84",
+		"\x04\x44\x84\x84\x84\x44",
+	} {
+		f.Add(uint8(0x82), uint64(15), []byte(data))
 	}
 	hog := streamTrace(1<<20, 600)
 	f.Fuzz(func(t *testing.T, sel uint8, seed uint64, data []byte) {

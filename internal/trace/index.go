@@ -58,23 +58,29 @@ type LineOps struct {
 
 // LineStores lists the data stream's stores per line ID, in LineOps.
 // Keep is Must without every store but each line's first, per block: the
-// ops a run that skips stores starts from. Last is the op of the
-// stream's last store.
+// ops a run that skips stores by L2 ownership starts from. Ends is Must
+// without each line's middle stores (all but its first and last): the
+// ops a run that skips the stores of lines in certain sets starts from.
+// Last is the op of the stream's last store.
 //
 // The rest counts the stores' misses in a cold write-through DL1 whose
 // lines only a read fills. A store misses exactly when its line is not
 // resident: before the line's first read, and from each eviction of the
 // line to its next read. Cold counts the stores before their line's
-// first read and the stores of lines never read. After holds, per later
-// data read (the data stream's LineReads.At layout), the index in At of
-// the line's first store after that read, and First, per data line ID,
-// the same for the line's first read; so the stores of a line between
-// two consecutive reads are At[a:b] for the two reads' entries a and b.
+// first read and the stores of lines never read, and Early, per line ID,
+// its middle stores before its first read (all of them for a line never
+// read). After holds, per later data read (the data stream's
+// LineReads.At layout), the index in At of the line's first store after
+// that read, and First, per data line ID, the same for the line's first
+// read; so the stores of a line between two consecutive reads are
+// At[a:b] for the two reads' entries a and b.
 type LineStores struct {
 	LineOps
 	Keep  []uint64
+	Ends  []uint64
 	Last  uint32
 	Cold  uint64
+	Early []uint32
 	After []uint32
 	First []uint32
 }
@@ -174,7 +180,8 @@ func (t *ReplayTables) fill(ops []Op, iLines, dLines int) {
 
 // Stores returns the data stream's store lists. Only a run that may skip
 // stores needs them, so the first call builds them, in O(len(ops)) time
-// and four bytes per store, per later data read and per data line.
+// and four bytes per store, per later data read and per data line (two
+// masks besides).
 func (t *ReplayTables) Stores() *LineStores {
 	t.storesOnce.Do(t.buildStores)
 	return &t.stores
@@ -198,9 +205,11 @@ func (t *ReplayTables) buildStores() {
 	for id := range n {
 		s.Off[id+1] += s.Off[id]
 	}
+	s.Ends = slices.Clone(s.Keep)
 	s.At = make([]uint32, s.Off[n])
 	s.After = make([]uint32, len(t.D.At))
 	s.First = make([]uint32, n)
+	s.Early = make([]uint32, n)
 	// Per line, the index in At of its next store, and the index in D.At
 	// of its next later read, or -1 before its first read.
 	next := make([]uint32, n)
@@ -218,6 +227,7 @@ func (t *ReplayTables) buildStores() {
 		case reads[id] < 0:
 			s.First[id] = next[id]
 			s.Cold += uint64(next[id]) - uint64(s.Off[id])
+			s.Early[id] = middle(s.Off[id], next[id], s.Off[id+1])
 			reads[id] = t.D.Off[id]
 		default:
 			s.After[reads[id]] = next[id]
@@ -225,10 +235,22 @@ func (t *ReplayTables) buildStores() {
 		}
 	}
 	for id, read := range t.D.Read {
+		lo, hi := s.Off[id], s.Off[id+1]
+		if hi-lo > 1 {
+			a := s.At[hi-1]
+			s.Ends[a>>6] |= 1 << (a & 63)
+		}
 		if !read {
-			s.Cold += uint64(s.Off[id+1] - s.Off[id])
+			s.Cold += uint64(hi - lo)
+			s.Early[id] = middle(lo, uint32(hi), hi)
 		}
 	}
+}
+
+// middle returns how many of a line's stores At[lo:hi] lie in
+// At[lo:before] and are neither its first nor its last.
+func middle(lo int, before uint32, hi int) uint32 {
+	return uint32(max(0, min(int(before), hi-1)-lo-1))
 }
 
 // stream returns 0 for the instruction stream, 1 for the data stream.

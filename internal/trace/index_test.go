@@ -14,8 +14,10 @@ import (
 // Last and Accesses count
 // each stream's accesses through each line's last access and in all.
 // Each data line's list in Stores holds exactly its stores, in ascending
-// order, Keep is Must without every store but each line's first, and
-// Last is the last store's op. Cold counts the stores before their
+// order, Keep is Must without every store but each line's first, Ends
+// is Must without every store but each line's first and last, Early
+// counts each line's other stores before its first load, and Last is
+// the last store's op. Cold counts the stores before their
 // line's first load, and After and First hold, for each later load and
 // each line's first load, the index in At of the line's next store.
 func TestReplayIndex(t *testing.T) {
@@ -120,9 +122,35 @@ func TestReplayIndex(t *testing.T) {
 				listed[i] = true
 			}
 		}
+		// A middle store is neither its line's first nor its last.
+		middle := make([]bool, n)
+		early := make([]uint32, nLines)
+		firstLoad := make([]int, nLines)
+		for id := range firstLoad {
+			firstLoad[id] = n
+		}
+		for i := n - 1; i >= 0; i-- {
+			if ops[i].Kind == Load {
+				firstLoad[ops[i].ID] = i
+			}
+		}
+		for id := 0; id < nLines; id++ {
+			at := st.At[st.Off[id]:st.Off[id+1]]
+			for j, i := range at {
+				if middle[i] = j > 0 && j < len(at)-1; middle[i] && int(i) < firstLoad[id] {
+					early[id]++
+				}
+			}
+			if len(st.Early) != nLines || st.Early[id] != early[id] {
+				t.Fatalf("round %d line %d: Early %v, want %d", round, id, st.Early, early[id])
+			}
+		}
 		for i, op := range ops {
 			if op.Kind == Store && !listed[i] {
 				t.Fatalf("round %d op %d (%+v): a store in no list", round, i, op)
+			}
+			if got, want := st.Ends[i>>6]>>(i&63)&1 != 0, x.Must[i>>6]>>(i&63)&1 != 0 && !middle[i]; got != want {
+				t.Fatalf("round %d op %d (%+v): Ends bit %v, want %v", round, i, op, got, want)
 			}
 			if got, want := st.Keep[i>>6]>>(i&63)&1 != 0, x.Must[i>>6]>>(i&63)&1 != 0 && !laterStore[i]; got != want {
 				t.Fatalf("round %d op %d (%+v): Keep bit %v, want %v", round, i, op, got, want)
