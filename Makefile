@@ -36,7 +36,8 @@ vuln:
 
 # Seed-corpus fuzz pass over the kernel equivalence oracle, the hinted,
 # folded, miss-only, hit-eliding and store-eliding replay against the
-# per-access reference, RM's bulk index plans against its scalar mapping,
+# per-access reference, the two-phase shared-bus model against the per-op
+# loop it replaced, RM's bulk index plans against its scalar mapping,
 # hRP's table-driven mapping against its row-parity definition, the
 # lackey trace parser, the one-pass trace compiler against its two-pass
 # oracle, the baseline's trace relocation and the parsers of untrusted
@@ -46,6 +47,7 @@ FUZZTIME ?= 10s
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzAccessEquivalence -fuzztime=$(FUZZTIME) ./internal/cache
 	$(GO) test -run='^$$' -fuzz=FuzzCompiledReplay -fuzztime=$(FUZZTIME) ./internal/sim
+	$(GO) test -run='^$$' -fuzz=FuzzRunAll -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run='^$$' -fuzz=FuzzRMIndexAll -fuzztime=$(FUZZTIME) ./internal/placement
 	$(GO) test -run='^$$' -fuzz=FuzzHRPIndexAll -fuzztime=$(FUZZTIME) ./internal/placement
 	$(GO) test -run='^$$' -fuzz=FuzzParseLackey -fuzztime=$(FUZZTIME) ./internal/trace

@@ -32,20 +32,12 @@ import (
 // levels.
 //
 // The plan also selects the ops a run replays: keep has one bit per op
-// (trace.ReplayIndex layout). keepOps rebuilds it every run from the
-// trace's must-replay ops, or, in a run whose levels allow it to skip
-// stores, from the same ops without every store but each data line's
-// first (the loop marks a line's next store again when the line leaves
-// the L2) or without each data line's middle stores (certify adds back
-// those that lines' sets leave uncertain), see storeSkip. An L1 under
-// the miss rule (rI, rD) adds no read to it up front: the loop marks a
-// line's next read when a fill
-// evicts the line. Any other L1 adds the later reads its fresh plan
-// leaves uncertain, by a set-occupancy pass over the line IDs, O(unique
-// lines) (see elide); occ is the pass's per-set counter scratch, all zero
-// between runs. limI and limD remember the run's L1 limits for the hit
-// counts and LRU restores after the loop, and ops and stores count the
-// ops and the stores the loop replayed.
+// (trace.ReplayIndex layout), which keepOps rebuilds every run (see it,
+// missRule and storeSkip) and the loop extends as fills evict lines. occ
+// is elide's per-set counter scratch, all zero between runs. limI and
+// limD remember the run's L1 limits for the hit counts and LRU restores
+// after the loop, and ops and stores count the ops and the stores the
+// loop replayed.
 type indexPlan struct {
 	il1 []uint32 // IL1 entry per instruction line ID
 	dl1 []uint32 // DL1 entry per data line ID
@@ -691,6 +683,7 @@ func (c *Core) RunCompiled(ct *trace.Compiled) Result {
 					continue
 				}
 				r2 := c.l2Read(la, &l2iPlan[id])
+				c.log.note(i, cycles, r2)
 				cycles += l2Hit + memCycles(r2)
 				// Both hooks must see the miss: one fill may evict an L1
 				// line and an L2 owner.
@@ -709,11 +702,13 @@ func (c *Core) RunCompiled(ct *trace.Compiled) Result {
 					continue
 				}
 				r2 := c.l2Read(la, &l2dPlan[id])
+				c.log.note(i, cycles, r2)
 				cycles += l2Hit + memCycles(r2)
 				marked = r2&cache.BitEvicted != 0 && owning && sk.evict(keep, l2dPlan[id], i) || marked
 			default:
 				stores++
 				r := c.store(dlines[id], &dl1Plan[id], &l2dPlan[id], !owning)
+				c.log.note(i, cycles, r)
 				cycles += memCycles(r)
 				if !owning {
 					continue
@@ -828,12 +823,11 @@ func memCycles(b cache.AccessBits) uint64 {
 	return cycles
 }
 
-// badLineSize is the replay loops' cold panic helper: formatting stays off
+// badLineSize is the replays' cold panic helper: formatting stays off
 // the annotated hot path so the escape-analysis gate
 // (TestNoHeapEscapeInHotpath in internal/lint) sees no heap traffic in
-// its span. noinline
-// keeps the compiler from folding the Sprintf escape back into the
-// caller's span.
+// its span. noinline keeps the compiler from folding the Sprintf escape
+// back into the caller's span.
 //
 //go:noinline
 func badLineSize(got, want int) {

@@ -15,6 +15,7 @@ import (
 // multicore example and the contention ablation bench.
 type System struct {
 	cores []*Core
+	lanes []lane // per core: RunAll's transaction log and merge state
 }
 
 // busService is the bus occupancy of one memory transaction: its transfer
@@ -26,7 +27,7 @@ func NewSystem(cfg Config, n int) (*System, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("sim: system needs at least one core, got %d", n)
 	}
-	s := &System{}
+	s := &System{lanes: make([]lane, n)}
 	for i := 0; i < n; i++ {
 		c, err := New(cfg)
 		if err != nil {
@@ -45,140 +46,139 @@ func (s *System) Reseed(runSeed uint64) {
 }
 
 // RunAll replays one compiled trace per core concurrently under the
-// shared-bus model and returns per-core results. A nil entry is an idle
-// core. As with RunCompiled, each Result reports this call only: every
-// active core begins its three levels on entry and takes the per-call
-// Stats from End, so repeated RunAll calls (or interleaved RunCompiled
-// calls) never double-count. RunAll panics if len(cts) differs from the
-// core count or a compiled line size is not the platform's.
+// shared-bus model and returns per-core results; a nil entry is an idle
+// core. Each Result reports this call only. RunAll panics if len(cts)
+// differs from the core count or a compiled line size is not the
+// platform's.
 //
-// The model is event-driven: each core retires accesses in order; accesses
-// that need a memory transaction (L2 miss or L2 writeback) must win the
-// bus, which serves one transaction at a time. Arbitration is round-robin:
-// among cores whose request is pending when the bus frees, the one
-// following the last grantee wins. This is a time-composable bus in the
-// sense of the MBPTA multicore designs the paper cites.
+// An op that fills a core's L2 partition needs the bus once, and once
+// more for a dirty victim's writeback. The bus serves one transaction at
+// a time for busService cycles, and the core resumes memLatency after the
+// grant. The op that starts first wins, ties going round-robin from the
+// last grantee: a time-composable bus, as in the MBPTA multicore designs
+// the paper cites. Phase 1 replays each core alone with RunCompiled,
+// which logs those ops (txnLog); phase 2 (merge) replays only the logs
+// through the bus. A core's Cycles are its RunCompiled cycles plus its
+// waits for the bus and, per writeback, memLatency-writeback, the bus
+// transaction's length beyond RunCompiled's writeback charge. Its Stats
+// are RunCompiled's.
 func (s *System) RunAll(cts []*trace.Compiled) []Result {
-	n := len(s.cores)
-	if len(cts) != n {
+	if len(cts) != len(s.cores) {
 		panic("sim: RunAll needs one compiled trace per core")
 	}
 	for i, c := range s.cores {
-		if ct := cts[i]; ct != nil {
-			if ct.LineBytes != c.lineBytes {
-				badLineSize(ct.LineBytes, c.lineBytes)
-			}
-			c.preparePlans(ct)
-			c.il1.Begin()
-			c.dl1.Begin()
-			c.l2.Begin()
+		if ct := cts[i]; ct != nil && ct.LineBytes != c.lineBytes {
+			badLineSize(ct.LineBytes, c.lineBytes)
 		}
 	}
-	results := make([]Result, n)
-	clocks := make([]uint64, n) // core-local completion time
-	pos := make([]int, n)       // next op index per core
-	var busFreeAt uint64
-	lastGrant := n - 1
-
-	for {
-		// Pick the next core to advance: the unfinished core with the
-		// earliest local clock; round-robin from lastGrant breaks ties so
-		// bus contention resolves fairly.
-		sel := -1
-		for off := 1; off <= n; off++ {
-			i := (lastGrant + off) % n
-			if cts[i] == nil || pos[i] >= len(cts[i].Ops) {
-				continue
-			}
-			if sel == -1 || clocks[i] < clocks[sel] {
-				sel = i
-			}
-		}
-		if sel == -1 {
-			break
-		}
-		ct := cts[sel]
-		op := ct.Ops[pos[sel]]
-		local, memTxns := s.cores[sel].step(ct, op)
-		pos[sel]++
-		t := clocks[sel] + local
-		for k := 0; k < memTxns; k++ {
-			grant := t
-			if busFreeAt > grant {
-				grant = busFreeAt
-			}
-			busFreeAt = grant + busService
-			lastGrant = sel
-			t = grant + memLatency // the slot, then the rest of the DRAM latency
-		}
-		// The folded reads that directly followed op are L1 hits: they
-		// retire right after it, one l1Hit each.
-		clocks[sel] = t + uint64(op.Trail)*l1Hit
-	}
-
+	results := make([]Result, len(cts))
 	for i, c := range s.cores {
-		if cts[i] == nil {
-			continue
+		l := &s.lanes[i]
+		*l = lane{txns: l.txns[:0]}
+		if cts[i] != nil {
+			c.log = &l.txns
+			results[i] = c.RunCompiled(cts[i])
+			c.log = nil
+			l.seek(cts[i].Ops)
 		}
-		results[i] = Result{
-			Cycles:   clocks[i],
-			Accesses: cts[i].Accesses,
-			IL1:      c.il1.End(),
-			DL1:      c.dl1.End(),
-			L2:       c.l2.End(),
-		}
+	}
+	s.merge(cts)
+	for i := range results {
+		results[i].Cycles += s.lanes[i].bus
 	}
 	return results
 }
 
-// step replays one op of ct through the core's levels and returns the
-// core-local cycles plus the number of memory-bus transactions it needs
-// (an L2 fill, and an L2 dirty-victim writeback, one each). The reads
-// folded into the op are L1 hits, so they add no transactions; their
-// cycles are charged where they stood in the trace, through the Trail of
-// the op they followed (see RunAll). The index plans must already
-// describe ct.
-func (c *Core) step(ct *trace.Compiled, op trace.Op) (local uint64, memTxns int) {
-	id := op.ID
-	var b cache.AccessBits
-	switch op.Kind {
-	case trace.Fetch:
-		local = l1Hit
-		la := ct.ILines[id]
-		if !l1Read(c.il1, &c.plan.il1[id], la, op.Rep) {
-			return local, 0
-		}
-		local += l2Hit
-		b = c.l2Read(la, &c.plan.l2i[id])
-	case trace.Load:
-		local = l1Hit
-		la := ct.DLines[id]
-		if !l1Read(c.dl1, &c.plan.dl1[id], la, op.Rep) {
-			return local, 0
-		}
-		local += l2Hit
-		b = c.l2Read(la, &c.plan.l2d[id])
-	default: // Store
-		local = l1Hit + storeBus
-		b = c.store(ct.DLines[id], &c.plan.dl1[id], &c.plan.l2d[id], true)
-	}
-	if b&cache.BitFilled != 0 {
-		memTxns++
-	}
-	if b&cache.BitWriteback != 0 {
-		memTxns++
-	}
-	return local, memTxns
+// txn is one op that filled the L2, as RunCompiled logs it for RunAll:
+// its index, its L2 access bits and the loop's cycles before its L2
+// charge.
+type txn struct {
+	op     uint32
+	bits   cache.AccessBits
+	cycles uint64
 }
 
-// l1Read serves an L1 read and the rep reads folded into it: a hinted
-// hit, otherwise l1Slow. It reports whether the read missed the L1.
-func l1Read(l1 *cache.Cache, e *uint32, la uint64, rep uint16) bool {
-	if l1.Hinted(la, *e) {
-		n := 1 + uint64(rep)
-		l1.ReadHit(*e, n)
-		l1.Hits(n)
-		return false
+// txnLog is a core's log of txns; nil turns logging off.
+type txnLog []txn
+
+// note logs op i if the log is on and its L2 access b filled a line.
+//
+//rm:hotpath
+func (l *txnLog) note(i int, cycles uint64, b cache.AccessBits) {
+	if b&cache.BitFilled != 0 && l != nil {
+		l.add(i, cycles, b)
 	}
-	return l1Slow(l1, e, la, rep)&cache.BitHit == 0
+}
+
+// add appends to the log; noinline keeps the append out of RunCompiled's
+// hot-path span.
+//
+//go:noinline
+func (l *txnLog) add(i int, cycles uint64, b cache.AccessBits) {
+	*l = append(*l, txn{uint32(i), b, cycles})
+}
+
+// lane is a core's part of the merge: its log and the next txn in it,
+// the ops walked up to that txn, and the cycles they charge outside the
+// log (l1Hit per access, storeBus per store), the cycles the bus has
+// added so far, and the txn op's start.
+type lane struct {
+	txns           txnLog
+	next, op       int
+	base, bus, now uint64
+}
+
+// seek walks ops up to the next txn and sets now to its op's start.
+func (l *lane) seek(ops []trace.Op) {
+	if l.next == len(l.txns) {
+		return
+	}
+	x := l.txns[l.next]
+	for ; l.op < int(x.op); l.op++ {
+		l.base += l1Hit * (1 + uint64(ops[l.op].Trail))
+		if ops[l.op].Kind == trace.Store {
+			l.base += storeBus
+		}
+	}
+	l.now = l.base + x.cycles + l.bus
+}
+
+// merge replays the lanes' txns through the bus, serving first the one
+// whose op starts first, ties going round-robin from the last grantee:
+// the order in which the cores, stepping op by op from the earliest
+// clock, would reach them.
+func (s *System) merge(cts []*trace.Compiled) {
+	n, last := len(s.lanes), len(s.lanes)-1
+	var busFree uint64
+	for {
+		sel := -1
+		for off := 1; off <= n; off++ {
+			i := (last + off) % n
+			if l := &s.lanes[i]; l.next < len(l.txns) && (sel < 0 || l.now < s.lanes[sel].now) {
+				sel = i
+			}
+		}
+		if sel < 0 {
+			return
+		}
+		l, ops := &s.lanes[sel], cts[sel].Ops
+		x := l.txns[l.next]
+		t := l.now + l1Hit + l2Hit // the request, after the L1 and L2 lookups
+		if ops[x.op].Kind == trace.Store {
+			t = l.now + l1Hit + storeBus
+		}
+		k := 1 // the fill, then a dirty victim's writeback
+		if x.bits&cache.BitWriteback != 0 {
+			k, l.bus = 2, l.bus+memLatency-writeback
+		}
+		for ; k > 0; k-- {
+			grant := max(t, busFree)
+			l.bus += grant - t
+			busFree = grant + busService
+			t = grant + memLatency // the slot, then the rest of the DRAM latency
+		}
+		last = sel
+		l.next++
+		l.seek(ops)
+	}
 }

@@ -5,8 +5,11 @@
 // is modelled bit-exactly, the pipeline is reduced to cycle accounting,
 // which preserves the placement-induced execution-time distributions that
 // MBPTA analyses. Every run replays a compiled trace (trace.Compiled)
-// through the cache levels' replay methods, single-core (RunCompiled) or
-// under the shared-bus model (System.RunAll).
+// through one loop, RunCompiled. The shared-bus model (System.RunAll)
+// runs it per core, logging the ops that fill the core's L2 partition,
+// then merges only those ops on the bus. That split is exact: a core's
+// caches are private, so its hits, misses and replacement draws depend
+// on its own access order, never on timing; the bus only delays it.
 package sim
 
 import (
@@ -50,6 +53,7 @@ type Core struct {
 
 	// plan is the reusable per-run index-plan scratch (see RunCompiled).
 	plan indexPlan
+	log  *txnLog // System.RunAll's log while it replays this core, else nil
 }
 
 // New builds the platform. The L2 configuration describes this core's
