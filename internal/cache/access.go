@@ -110,6 +110,29 @@ func (c *Cache) Misses(n uint64) {
 	c.cold = c.cold && n == 0
 }
 
+// Evicted adds n evictions that a replay counted instead of serving to
+// the run's counters: those of the misses an LRU classification served
+// outside the level (see sim.Core.RunCompiled).
+//
+//rm:hotpath
+func (c *Cache) Evicted(n uint64) {
+	c.evictions += n
+}
+
+// Install puts line la, clean, into the way of plan entry e, displacing
+// whatever the way held without counting it: a replay that served a
+// set's misses outside the level leaves the set's final lines this way,
+// having counted the fills and evictions (Misses, Evicted). An LRU
+// level's stamps are then set by RestoreLRU.
+//
+//rm:hotpath
+func (c *Cache) Install(la uint64, e uint32) {
+	set, w := e&SetMask, e>>SetBits
+	c.addrs[int(set)*c.ways+int(w)] = la
+	c.valid[set] |= 1 << w
+	c.dirty[set] &^= 1 << w
+}
+
 // Advance adds n to an LRU level's tick and does nothing on other kinds:
 // the ticks of n hits a replay skipped on lines whose stamps no victim
 // choice reads before a replayed access restamps them (see

@@ -381,15 +381,16 @@ func TestSettledElisionMatchesFullReplay(t *testing.T) {
 // kernels on the modulo+LRU DeterministicPlatform, each relocated at
 // rounds fixed seeds as a baseline campaign relocates it, and holds every
 // Result to a replay of the same ops that keeps every op (a Compiled
-// without an Index). Its LRU DL1 skips reads by occupancy, so a run skips
-// the middle stores of the data lines whose L2 set its layout makes
-// certain, those after the line's first read only if the DL1 set is
-// certain too: some run of some kernel must skip stores, and no round
-// (one run of each kernel at one seed) may replay more than maxStores
-// stores, which catches a change that keeps the Results but silently
-// narrows what the rule skips.
+// without an Index). Its LRU DL1 skips reads by occupancy and classifies
+// the accesses of its over-full sets by one LRU pass, so a run skips
+// their hits, the misses whose L2 hit is certain, and the middle stores
+// of the data lines whose L2 set its layout makes certain: some run of
+// some kernel must skip stores, and no round (one run of each kernel at
+// one seed) may replay more than maxStores stores or maxOps ops, which
+// catches a change that keeps the Results but silently narrows what the
+// rules skip.
 func TestBaselineStoreElisionMatchesFullReplay(t *testing.T) {
-	const rounds, maxStores = 8, 15400
+	const rounds, maxStores, maxOps = 8, 7500, 11500
 	s20, err := workload.ByName("synth20k")
 	if err != nil {
 		t.Fatal(err)
@@ -431,8 +432,8 @@ func TestBaselineStoreElisionMatchesFullReplay(t *testing.T) {
 		t.Fatal("no run skipped a store")
 	}
 	for i := range stores {
-		if stores[i] > maxStores {
-			t.Errorf("round %d replayed %d stores, over the budget of %d", i, stores[i], maxStores)
+		if stores[i] > maxStores || ops[i] > maxOps {
+			t.Errorf("round %d replayed %d stores and %d ops, over the budget of %d and %d", i, stores[i], ops[i], maxStores, maxOps)
 		}
 	}
 	t.Logf("replayed stores per round %v of %d, ops %v", stores, total/rounds, ops)

@@ -33,11 +33,12 @@ import (
 //
 // The plan also selects the ops a run replays: keep has one bit per op
 // (trace.ReplayIndex layout), which keepOps rebuilds every run (see it,
-// missRule and storeSkip) and the loop extends as fills evict lines. occ
-// is elide's per-set counter scratch, all zero between runs. limI and
-// limD remember the run's L1 limits for the hit counts and LRU restores
-// after the loop, and ops and stores count the ops and the stores the
-// loop replayed.
+// missRule, lruPass and storeSkip) and the loop extends as fills evict
+// lines. occ is elide's per-set counter scratch, all zero between runs
+// (a run the LRU pass classifies keeps the DL1's counts until its end).
+// limI and limD remember the run's L1 limits for the hit counts and LRU
+// restores after the loop, and ops and stores count the ops and the
+// stores the loop replayed.
 type indexPlan struct {
 	il1 []uint32 // IL1 entry per instruction line ID
 	dl1 []uint32 // DL1 entry per data line ID
@@ -49,6 +50,7 @@ type indexPlan struct {
 	limI   int       // this run's IL1 hit elision limit
 	limD   int       // this run's DL1 hit elision limit
 	rI, rD missRule  // IL1 and DL1 miss-rule scratch
+	lp     lruPass   // DL1 LRU classification scratch
 	sk     storeSkip // skipped-store scratch
 
 	ops, stores int // replayed by the last RunCompiled
@@ -199,6 +201,213 @@ func (r *missRule) done() uint64 {
 	return r.misses
 }
 
+// lruPass is the DL1 scratch of the LRU classification in a run. It
+// applies on a cold write-through LRU DL1 that skips reads by occupancy
+// (elide), to a Compiled whose line IDs have distinct addresses. Such a
+// DL1 set changes state only through its own lines' accesses, so one
+// pass over the accesses of the sets that hold more than Ways read lines
+// (over-full sets, whose later reads elide cannot skip) decides every
+// one of them exactly, as LRU does: a read hits iff fewer than Ways
+// other lines of its set were filled or hit since its line's last touch,
+// a store hits iff its line is resident, and only a hit restamps the
+// line (classify). The loop then does no DL1 work for those sets: it
+// skips their hits, serves their misses at the L2 alone, and skips a
+// miss whose L2 hit is certain (settle). No store reaches the DL1: a
+// store misses exactly when its line is not resident, before the line's
+// first read (trace.LineStores.Cold) or, in an over-full set, after an
+// eviction, which the pass counts. At the run's end finish installs the
+// sets' final lines and their way hints, so that cache.Cache.RestoreLRU
+// stamps them.
+//
+// stamp and who hold, per DL1 way (set*ways+way), the pass's tick at the
+// last touch of the way's line (0 for a free way) and 1 + the line's ID
+// (0 for none); res, per data line ID, 1 + the way holding the line, or
+// 0. walk and hit hold one bit per op: the ops the pass visits, and the
+// read misses whose L2 hit the loop skips. All are zero between runs,
+// and allocated on the first run the pass applies to.
+type lruPass struct {
+	on        bool
+	ways      int
+	stamp     []uint64
+	who, res  []uint32
+	walk, hit []uint64
+	cold      uint64 // the stores' DL1 misses before their lines' first reads
+	misses    uint64 // the over-full sets' DL1 misses
+	evictions uint64 // and evictions
+	served    uint64 // the read misses whose L2 hit the loop skips
+}
+
+// size readies the pass's scratch for ct on the DL1 dl1; noinline keeps
+// its allocations out of keepOps' hot-path span.
+//
+//go:noinline
+func (lp *lruPass) size(dl1 cache.Config, ct *trace.Compiled) {
+	if lp.stamp == nil {
+		n := dl1.Sets() * dl1.Ways
+		lp.stamp, lp.who, lp.ways = make([]uint64, n), make([]uint32, n), dl1.Ways
+	}
+	if len(lp.res) < len(ct.DLines) {
+		lp.res = make([]uint32, len(ct.DLines))
+	}
+	nb := trace.Blocks(len(ct.Ops))
+	if len(lp.walk) < nb {
+		lp.walk, lp.hit = make([]uint64, nb), make([]uint64, nb)
+	}
+}
+
+// classify runs the pass over the over-full DL1 sets of a run of ct,
+// whose later reads elide has marked in walk: it marks their lines'
+// first reads and their stores after them, replays those ops in op order
+// on the sets' ways, as LRU fills and stamps them, collecting the reads
+// that miss in hit, then settles each over-full line's misses (settle).
+// p holds the run's plans and p.occ the DL1's read lines per set; sets
+// and l2Lim certify L2 sets for settle.
+//
+//rm:hotpath
+func (lp *lruPass) classify(keep []uint64, ct *trace.Compiled, t *trace.ReplayTables, p *indexPlan, sets []l2Set, l2Lim int) {
+	d, s := &t.D, t.Stores()
+	dl1 := p.dl1[:len(ct.DLines)]
+	occ, ways, walk, hit := p.occ, lp.ways, lp.walk, lp.hit
+	for id, e := range dl1 {
+		if occ[e&cache.SetMask] <= uint32(ways) || !d.Read[id] {
+			continue
+		}
+		h := d.Head[id]
+		walk[h>>6] |= 1 << (h & 63)
+		for _, a := range s.At[s.Off[id]:s.Off[id+1]] {
+			if a > h {
+				walk[a>>6] |= 1 << (a & 63)
+			}
+		}
+	}
+	ops, stamp, who, res := ct.Ops, lp.stamp, lp.who, lp.res[:len(dl1)]
+	var reads, stores, evictions uint64 // misses and evictions
+	tick := uint64(0)
+	for b, m := range walk {
+		if m == 0 {
+			continue
+		}
+		walk[b] = 0
+		var missed uint64 // the block's reads that miss
+		for ; m != 0; m &= m - 1 {
+			i := b<<6 | bits.TrailingZeros64(m)
+			op := ops[i]
+			tick++
+			if r := res[op.ID]; r != 0 { // a hit: the line is touched
+				stamp[r-1] = tick
+				continue
+			}
+			if op.Kind == trace.Store {
+				stores++
+				continue
+			}
+			missed |= 1 << (i & 63)
+			base := int(dl1[op.ID]&cache.SetMask) * ways
+			st := stamp[base : base+ways : base+ways]
+			v, oldest := 0, st[0] // a free way first: stamp 0, in way order
+			for w := 1; w < len(st); w++ {
+				if x := st[w]; x < oldest {
+					v, oldest = w, x
+				}
+			}
+			if old := who[base+v]; old != 0 {
+				res[old-1] = 0
+				evictions++
+			}
+			who[base+v], res[op.ID], st[v] = op.ID+1, uint32(base+v)+1, tick
+		}
+		hit[b] = missed
+		reads += uint64(bits.OnesCount64(missed))
+	}
+	lp.cold, lp.misses, lp.evictions = s.Cold, reads+stores, evictions
+	lp.served = reads - lp.settle(keep, ct, t, p, sets, l2Lim)
+}
+
+// settle decides, per over-full line, which of its read misses, all in
+// hit, the loop replays, at the L2 alone. It keeps them all where sets
+// leaves the line's L2 set uncertain (more than l2Lim lines; a nil sets
+// certifies none). Otherwise the line stays resident in the L2 from its
+// first L2 access on, so the rest hit there: it keeps only the first L2
+// access, if a read miss (no store precedes the line's first read), and
+// the last, if a read miss (no store follows the line's last miss), which
+// leaves the line's final stamp. The other misses stay in hit, whose L2
+// hits the loop skips. settle returns the number of misses it kept.
+//
+//rm:hotpath
+func (lp *lruPass) settle(keep []uint64, ct *trace.Compiled, t *trace.ReplayTables, p *indexPlan, sets []l2Set, l2Lim int) uint64 {
+	d, s := &t.D, t.Stores()
+	dl1, l2d := p.dl1[:len(ct.DLines)], p.l2d[:len(ct.DLines)]
+	occ, ways, hit := p.occ, uint32(lp.ways), lp.hit
+	var kept uint64
+	for id, e := range dl1 {
+		if occ[e&cache.SetMask] <= ways || !d.Read[id] {
+			continue
+		}
+		h, at := d.Head[id], d.At[d.Off[id]:d.Off[id+1]]
+		if sets == nil || sets[l2d[id]&cache.SetMask].n > uint32(l2Lim) {
+			for _, r := range at {
+				if hit[r>>6]>>(r&63)&1 != 0 {
+					hit[r>>6] &^= 1 << (r & 63)
+					keep[r>>6] |= 1 << (r & 63)
+					kept++
+				}
+			}
+			hit[h>>6] &^= 1 << (h & 63) // the first read, kept from Must
+			kept++
+			continue
+		}
+		lo, hi := s.Off[id], s.Off[id+1]
+		if lo < hi && s.At[lo] < h { // the first read is no first L2 access
+			keep[h>>6] &^= 1 << (h & 63)
+		} else {
+			hit[h>>6] &^= 1 << (h & 63)
+			kept++
+		}
+		last := h
+		for j := len(at) - 1; j >= 0; j-- {
+			if r := at[j]; hit[r>>6]>>(r&63)&1 != 0 {
+				last = r
+				break
+			}
+		}
+		if (lo == hi || s.At[hi-1] < last) && hit[last>>6]>>(last&63)&1 != 0 {
+			hit[last>>6] &^= 1 << (last & 63)
+			keep[last>>6] |= 1 << (last & 63)
+			kept++
+		}
+	}
+	return kept
+}
+
+// finish ends the pass's run on dl1 and l2: it installs each over-full
+// set's final lines in dl1 and their way hints in plan (per data line ID,
+// addresses lines), counts the DL1 misses (the cold stores' and the
+// pass's) and evictions and the skipped misses' L2 hits, and empties the
+// scratch and the DL1's counts in occ.
+//
+//rm:hotpath
+func (lp *lruPass) finish(dl1, l2 *cache.Cache, lines []uint64, plan []uint32, occ []uint32, blocks int) {
+	ways := lp.ways
+	for set := range len(lp.who) / ways {
+		if occ[set] > uint32(ways) {
+			for w := range ways {
+				g := set*ways + w
+				id := lp.who[g] - 1
+				e := uint32(set) | uint32(w)<<cache.SetBits
+				dl1.Install(lines[id], e)
+				plan[id] = e
+				lp.res[id], lp.who[g], lp.stamp[g] = 0, 0, 0
+			}
+		}
+		occ[set] = 0
+	}
+	dl1.Misses(lp.cold + lp.misses)
+	dl1.Evicted(lp.evictions)
+	l2.Hits(lp.served)
+	clear(lp.hit[:blocks])
+	lp.misses, lp.evictions, lp.served = 0, 0, 0
+}
+
 func planSlot[T uint32 | uint64 | bool](buf []T, n int) []T {
 	if cap(buf) < n {
 		return make([]T, n)
@@ -240,11 +449,13 @@ func (c *Core) preparePlans(ct *trace.Compiled) {
 
 // keepOps fills the plan's keep mask for this run of ct, up to the reads
 // of evicted lines and the stores of lines that leave the L2, which the
-// loop marks as it goes, and readies the scratch of both. It must run
-// after preparePlans and before the run's first access, while the levels'
-// cold state still describes the run's start. A run in which neither L1
-// may skip reads, or of a Compiled without an Index, keeps every op
-// without building the index's tables.
+// loop marks as it goes, and readies the scratch of both. On a DL1 the
+// LRU pass classifies, the pass runs here, whole, and leaves the DL1's
+// per-set counts in occ for the loop. keepOps must run after preparePlans
+// and before the run's first access, while the levels' cold state still
+// describes the run's start. A run in which neither L1 may skip reads, or
+// of a Compiled without an Index, keeps every op without building the
+// index's tables.
 //
 //rm:hotpath
 func (c *Core) keepOps(ct *trace.Compiled) {
@@ -254,9 +465,10 @@ func (c *Core) keepOps(ct *trace.Compiled) {
 		limI, limD = 0, 0
 	}
 	c.plan.limI, c.plan.limD = limI, limD
-	rI, rD := &c.plan.rI, &c.plan.rD
+	rI, rD, lp := &c.plan.rI, &c.plan.rD, &c.plan.lp
 	rI.on = limI > 0 && ct.DistinctLines() && c.il1.StatelessHits()
 	rD.on = limD > 0 && ct.DistinctLines() && c.dl1.StatelessHits()
+	lp.on = limD > 0 && ct.DistinctLines() && !c.dl1.StatelessHits()
 	rD.stores, rD.misses = nil, 0
 	if limI == 0 && limD == 0 {
 		for b := range keep {
@@ -283,13 +495,14 @@ func (c *Core) keepOps(ct *trace.Compiled) {
 		copy(keep, s.Keep)
 		sk.stores, sk.rule = s, byOwner
 		rD.stores, rD.misses = s, s.Cold
-	case !rD.on && limD > 0 && wb && limL2 > 0 && len(t.Stores().At) > 0:
+	case !rD.on && limD > 0 && wb && limL2 > 0:
 		s := t.Stores()
 		if sk.sets == nil || len(sk.link) < len(ct.DLines) {
 			sk.grow(c.l2.Config(), len(ct.DLines))
 		}
 		copy(keep, s.Ends)
 		sk.stores, sk.rule, sk.must = s, byCertainty, t.Must
+		sk.tally(ct, &c.plan)
 	default:
 		copy(keep, t.Must)
 	}
@@ -299,13 +512,24 @@ func (c *Core) keepOps(ct *trace.Compiled) {
 		elide(keep, &t.I, c.plan.il1, c.plan.occ, limI)
 		vacate(c.plan.occ, c.plan.il1)
 	}
-	if rD.on {
+	switch {
+	case rD.on:
 		rD.start(&t.D)
-	} else {
-		elide(keep, &t.D, c.plan.dl1, c.plan.occ, limD)
+	case lp.on:
+		lp.size(c.dl1.Config(), ct)
+		elide(lp.walk, &t.D, c.plan.dl1, c.plan.occ, limD)
+		var sets []l2Set
 		if sk.rule == byCertainty {
-			sk.certify(keep, ct, &c.plan, limL2, limD)
+			sets = sk.sets
 		}
+		lp.classify(keep, ct, t, &c.plan, sets, limL2)
+	default:
+		elide(keep, &t.D, c.plan.dl1, c.plan.occ, limD)
+	}
+	if sk.rule == byCertainty {
+		sk.certify(keep, ct, &c.plan, limL2, limD, lp.on)
+	}
+	if !rD.on && !lp.on {
 		vacate(c.plan.occ, c.plan.dl1)
 	}
 }
@@ -382,13 +606,17 @@ func vacate[T uint32 | l2Set](occ []T, plan []uint32) {
 // otherwise. A DL1 store miss changes nothing but an LRU DL1's tick.
 // keepOps starts keep from trace.LineStores.Ends, and certify adds back
 // the middle stores it cannot skip and sums early, the skipped stores'
-// DL1 misses (trace.LineStores.Early). An LRU L2 must tick once per
-// skipped hit: the loop advances its tick by the skipped stores (must
-// and not keep) before each replayed op and at each block's end, so
-// every replayed access stamps as in a full replay; a skipped hit's own
-// stamp is never read, since no victim is chosen in its set and the
-// line's replayed last store restamps it. The DL1's LRU state is
-// restored like that of skipped reads (cache.Cache.RestoreLRU). sets
+// DL1 misses (trace.LineStores.Early). Where the LRU pass classifies the
+// DL1 (lruPass), every store takes its DL1 outcome from the pass, so
+// certify keeps none for the DL1's sake and sums nothing, and the pass
+// skips the read misses of lines in certain L2 sets but each line's first
+// and last L2 access. An LRU L2 must tick once per skipped hit: the loop
+// advances its tick by the skipped stores and read misses (must and not
+// keep, and lruPass.hit) before each replayed op and at each block's
+// end, so every replayed access stamps as in a full replay; a skipped
+// hit's own stamp is never read, since no victim is chosen in its set
+// and the line's replayed last L2 access restamps it. The DL1's LRU state
+// is restored like that of skipped reads (cache.Cache.RestoreLRU). sets
 // (per L2 set) and link (per data line ID) are the certify scratch,
 // allocated on the first run the rule applies to; sets is all zero
 // between runs.
@@ -439,19 +667,14 @@ func (sk *storeSkip) grow(l2 cache.Config, dLines int) {
 	sk.link = make([]uint32, dLines)
 }
 
-// certify adds to keep, which starts from trace.LineStores.Ends, the
-// middle stores of data lines whose L2 set this run leaves uncertain or
-// whose address another data line ID has, and those after the first read
-// of lines whose DL1 set it leaves uncertain, and sums into early the
-// DL1 misses of the stores it leaves out. p holds the run's plans, p.occ
-// the DL1 read lines per set elide counted; l2Lim and dl1Lim are the
-// levels' limits.
+// tally counts, per L2 set, the lines of ct that reach it under p's
+// plans, and links each set's data line IDs for aliased.
 //
 //rm:hotpath
-func (sk *storeSkip) certify(keep []uint64, ct *trace.Compiled, p *indexPlan, l2Lim, dl1Lim int) {
-	s, sets := sk.stores, sk.sets
+func (sk *storeSkip) tally(ct *trace.Compiled, p *indexPlan) {
+	sets := sk.sets
 	l2i, l2d := p.l2i[:len(ct.ILines)], p.l2d[:len(ct.DLines)]
-	dl1, link := p.dl1[:len(l2d)], sk.link[:len(l2d)]
+	link := sk.link[:len(l2d)]
 	for _, e := range l2i {
 		sets[e&cache.SetMask].n++
 	}
@@ -460,6 +683,22 @@ func (sk *storeSkip) certify(keep []uint64, ct *trace.Compiled, p *indexPlan, l2
 		st.n++
 		link[id], st.head = st.head, uint32(id)+1
 	}
+}
+
+// certify adds to keep, which starts from trace.LineStores.Ends, the
+// middle stores of data lines whose L2 set this run leaves uncertain or
+// whose address another data line ID has, and, unless classified (the
+// LRU pass gives each store its DL1 outcome), those after the first read
+// of lines whose DL1 set it leaves uncertain, summing into early the DL1
+// misses of the stores it leaves out. p holds the run's plans, p.occ the
+// DL1 read lines per set elide counted; l2Lim and dl1Lim are the levels'
+// limits. It empties the counts tally left.
+//
+//rm:hotpath
+func (sk *storeSkip) certify(keep []uint64, ct *trace.Compiled, p *indexPlan, l2Lim, dl1Lim int, classified bool) {
+	s, sets := sk.stores, sk.sets
+	l2i, l2d := p.l2i[:len(ct.ILines)], p.l2d[:len(ct.DLines)]
+	dl1, link := p.dl1[:len(l2d)], sk.link[:len(l2d)]
 	distinct := ct.DistinctLines()
 	for id, e := range l2d {
 		lo, hi := s.Off[id]+1, s.Off[id+1]-1
@@ -468,6 +707,9 @@ func (sk *storeSkip) certify(keep []uint64, ct *trace.Compiled, p *indexPlan, l2
 		}
 		st := sets[e&cache.SetMask]
 		if st.n <= uint32(l2Lim) && (distinct || !aliased(ct.DLines, link, id, st.head)) {
+			if classified {
+				continue
+			}
 			sk.early += uint64(s.Early[id])
 			if p.occ[dl1[id]&cache.SetMask] <= uint32(dl1Lim) {
 				continue
@@ -523,14 +765,15 @@ func (sk *storeSkip) evict(keep []uint64, e uint32, i int) bool {
 	return int(a>>6) == i>>6
 }
 
-// advance ticks the L2 by the skipped stores of skip, a block's not yet
-// ticked, that come before op i, and returns the rest.
+// advance ticks the L2 by the skipped L2 hits of skip, a block's not yet
+// ticked, that come before op i, and returns the rest and the cycles of
+// those among them that are skipped read misses (served): l2Hit each.
 //
 //rm:hotpath
-func advance(l2 *cache.Cache, skip uint64, i int) uint64 {
+func advance(l2 *cache.Cache, skip, served uint64, i int) (uint64, uint64) {
 	before := skip & (1<<(i&63) - 1)
 	l2.Advance(uint64(bits.OnesCount64(before)))
-	return skip &^ before
+	return skip &^ before, l2Hit * uint64(bits.OnesCount64(before&served))
 }
 
 // done accounts for the run's stores at its end, given the number the
@@ -592,7 +835,12 @@ func (c *Core) ReplayedStores() int { return c.plan.stores }
 // skips every later read of its lines, since a line's first read leaves
 // it resident and no fill evicts it, and a set of more lines replays
 // them all. That is the fallback of Random and FIFO L1s for Compileds
-// whose IDs may alias (workload.Relocatable's), and the rule of LRU L1s.
+// whose IDs may alias, and the rule of LRU L1s. On an LRU DL1, for a
+// Compiled with distinct line addresses, the sets of more lines are
+// classified instead, by one exact LRU pass before the loop (see
+// lruPass): the loop skips their hits, serves their misses at the L2
+// alone and skips those whose L2 hit is certain, and the run ends by
+// installing the sets' final lines.
 //
 // A skipped read is a hit that draws no replacement randomness and
 // never reaches the L2. Random and FIFO hits leave no other state. LRU
@@ -618,12 +866,15 @@ func (c *Core) ReplayedStores() int { return c.plan.stores }
 // data line but its first and last when its L2 set can hold all of its
 // lines and no other data line ID shares its address, those after the
 // line's first read only if its DL1 set can hold all of its read lines
-// too; each skipped store hits the L2, and the DL1 exactly when the
-// line's first read precedes it, and an LRU L2's tick is advanced by the
-// skipped stores before each replayed op. PLRU L2s, write-through L2s, warm
-// levels, PLRU DL1s and, under the ownership rule, Compileds whose line
-// IDs may share an address keep every store. Results, cache state and
-// the replacement streams are bit-identical to replaying every op.
+// too or the LRU pass classifies the DL1; each skipped store hits the
+// L2, and an LRU L2's tick is advanced by the skipped stores and read
+// misses before each replayed op. Under the LRU pass no store reaches
+// the DL1, whose store misses are those before the line's first read and
+// those the pass counts; otherwise a skipped store hits the DL1 exactly
+// when the line's first read precedes it. PLRU L2s, write-through L2s,
+// warm levels, PLRU DL1s and, under the ownership rule, Compileds whose
+// line IDs may share an address keep every store. Results, cache state
+// and the replacement streams are bit-identical to replaying every op.
 //
 // This is the MBPTA campaign hot path: a campaign replays the same
 // Compiled hundreds of times (it is immutable and shared across worker
@@ -649,21 +900,31 @@ func (c *Core) RunCompiled(ct *trace.Compiled) Result {
 	il1Plan, l2iPlan := c.plan.il1[:len(ilines)], c.plan.l2i[:len(ilines)]
 	dl1Plan, l2dPlan := c.plan.dl1[:len(dlines)], c.plan.l2d[:len(dlines)]
 	ops, keep := ct.Ops, c.plan.keep
-	rI, rD, sk := &c.plan.rI, &c.plan.rD, &c.plan.sk
+	rI, rD, lp, sk := &c.plan.rI, &c.plan.rD, &c.plan.lp, &c.plan.sk
 	missI, missD := rI.on, rD.on // every replayed read of the stream misses
 	var cycles, h1, hd, stores uint64
 	replayed := 0
 	owning, certain := sk.rule == byOwner, sk.rule == byCertainty
+	classified, over, occ := lp.on, uint32(c.plan.limD), c.plan.occ
+	dl1Stores := !owning && !classified
 	for b := range keep {
-		var skip uint64 // the block's skipped stores the L2 has not ticked
+		// The block's skipped L2 hits the L2 has not ticked, and the read
+		// misses among them.
+		var skip, served uint64
 		if certain {
 			skip = sk.must[b] &^ keep[b]
+			if classified {
+				served = lp.hit[b]
+				skip |= served
+			}
 		}
 		for m := keep[b]; m != 0; m &= m - 1 {
 			replayed++
 			i := b<<6 | bits.TrailingZeros64(m)
 			if skip != 0 {
-				skip = advance(l2, skip, i)
+				var n uint64
+				skip, n = advance(l2, skip, served, i)
+				cycles += n
 			}
 			op := ops[i]
 			id := op.ID
@@ -698,6 +959,9 @@ func (c *Core) RunCompiled(ct *trace.Compiled) Result {
 					dl1.ReadHit(e, n)
 					hd += n
 					continue
+				} else if classified && occ[e&cache.SetMask] > over {
+					// A read of an over-full set is a miss the LRU pass
+					// classified: it reaches the L2 alone.
 				} else if l1Slow(dl1, &dl1Plan[id], la, op.Rep)&cache.BitHit != 0 {
 					continue
 				}
@@ -707,7 +971,7 @@ func (c *Core) RunCompiled(ct *trace.Compiled) Result {
 				marked = r2&cache.BitEvicted != 0 && owning && sk.evict(keep, l2dPlan[id], i) || marked
 			default:
 				stores++
-				r := c.store(dlines[id], &dl1Plan[id], &l2dPlan[id], !owning)
+				r := c.store(dlines[id], &dl1Plan[id], &l2dPlan[id], dl1Stores)
 				c.log.note(i, cycles, r)
 				cycles += memCycles(r)
 				if !owning {
@@ -723,6 +987,7 @@ func (c *Core) RunCompiled(ct *trace.Compiled) Result {
 		}
 		if skip != 0 {
 			l2.Advance(uint64(bits.OnesCount64(skip)))
+			cycles += l2Hit * uint64(bits.OnesCount64(skip&served))
 		}
 	}
 	rI.done()
@@ -730,6 +995,9 @@ func (c *Core) RunCompiled(ct *trace.Compiled) Result {
 	c.plan.ops, c.plan.stores = replayed, int(stores)
 	if sk.rule != keepStores {
 		stores += sk.done(dl1, l2, stores, missesD)
+	}
+	if classified {
+		lp.finish(dl1, l2, dlines, dl1Plan, occ, len(keep))
 	}
 	if c.plan.limI == 0 && c.plan.limD == 0 {
 		il1.Hits(h1)

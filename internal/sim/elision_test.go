@@ -64,15 +64,20 @@ const byRule = -1
 // Compiled with distinct line addresses) it counts the reads that miss in
 // the reference L1; on another cold L1 with a nonzero limit, each line's
 // first read and the later reads of lines in sets with more allocating
-// lines than the limit. It counts every store, but under a DL1 under the
-// miss rule and a write-back Random or FIFO L2 the stores to a data line
-// that has stayed resident in the L2 since its previous store, and under
-// another cold DL1 with a nonzero limit and a cold write-back L2 with a
-// nonzero limit the stores of a data line but its first and last, if the
-// line's L2 set holds at most the L2's limit of line IDs of either
-// stream and no other data line ID has its address, and the store comes
-// before the line's first read or the line's DL1 set holds at most the
-// DL1's limit of read lines.
+// lines than the limit, except that on an LRU DL1 with a Compiled of
+// distinct line addresses (the LRU classification) the reads of such
+// sets count only if they miss in the reference DL1 and the line's L2
+// set is uncertain, or the miss is the line's first or last L2 access
+// (its stores and read misses). It counts every store, but under a DL1
+// under the miss rule and a write-back Random or FIFO L2 the stores to a
+// data line that has stayed resident in the L2 since its previous store,
+// and under another cold DL1 with a nonzero limit and a cold write-back
+// L2 with a nonzero limit the stores of a data line but its first and
+// last, if the line's L2 set holds at most the L2's limit of line IDs of
+// either stream and no other data line ID has its address, and the store
+// comes before the line's first read, the line's DL1 set holds at most
+// the DL1's limit of read lines or the run is classified. An L2 set is
+// certain under that last arrangement alone.
 func ruleReplayed(t *testing.T, cfg Config, seed uint64, ct *trace.Compiled) (ops, stores int) {
 	t.Helper()
 	c := mustNew(t, cfg)
@@ -100,6 +105,7 @@ func ruleReplayed(t *testing.T, cfg Config, seed uint64, ct *trace.Compiled) (op
 	}
 	streams[0].miss = streams[0].lim > 0 && stateless(cfg.IL1.Replacement) && ct.DistinctLines()
 	streams[1].miss = streams[1].lim > 0 && stateless(cfg.DL1.Replacement) && ct.DistinctLines()
+	classified := streams[1].lim > 0 && cfg.DL1.Replacement == cache.LRU && ct.DistinctLines()
 	skipStores := streams[1].miss && cfg.L2.Write == cache.WriteBack && stateless(cfg.L2.Replacement)
 	// resident holds the data lines stored to that have stayed in the L2
 	// since their last store.
@@ -114,8 +120,9 @@ func ruleReplayed(t *testing.T, cfg Config, seed uint64, ct *trace.Compiled) (op
 			}
 		}
 	}
-	// certain holds the stores the certainty rule skips.
-	certain := map[int]bool{}
+	// certain holds the stores the certainty rule skips, and certainL2 the
+	// data lines whose L2 set it makes certain.
+	certain, certainL2 := map[int]bool{}, map[uint32]bool{}
 	if l2Lim := c.l2.HitElisionLimit(false); !streams[1].miss && streams[1].lim > 0 && cfg.L2.Write == cache.WriteBack && l2Lim > 0 {
 		l2k := map[uint32]int{}
 		for _, la := range append(slices.Clone(ct.ILines), ct.DLines...) {
@@ -133,19 +140,26 @@ func ruleReplayed(t *testing.T, cfg Config, seed uint64, ct *trace.Compiled) (op
 				first[op.ID] = i
 			}
 		}
+		for id, la := range ct.DLines {
+			certainL2[uint32(id)] = l2k[c.l2.Policy().Index(la)] <= l2Lim && slices.Index(ct.DLines, la) == id &&
+				slices.Index(ct.DLines[id+1:], la) < 0
+		}
 		for id, at := range at {
 			la := ct.DLines[id]
-			if l2k[c.l2.Policy().Index(la)] > l2Lim || slices.Index(ct.DLines, la) != int(id) ||
-				slices.Index(ct.DLines[id+1:], la) >= 0 || len(at) < 3 {
+			if !certainL2[id] || len(at) < 3 {
 				continue
 			}
 			read, ok := first[id]
-			settled := streams[1].k[c.dl1.Policy().Index(la)] <= streams[1].lim
+			settled := classified || streams[1].k[c.dl1.Policy().Index(la)] <= streams[1].lim
 			for _, i := range at[1 : len(at)-1] {
 				certain[i] = settled || !ok || i < read
 			}
 		}
 	}
+	// The classified reads that miss, and per data line the ops that reach
+	// the L2.
+	var misses []int
+	l2Ops := map[uint32][]int{}
 	n := 0
 	for i, op := range ct.Ops {
 		st := streams[1]
@@ -162,9 +176,14 @@ func ruleReplayed(t *testing.T, cfg Config, seed uint64, ct *trace.Compiled) (op
 			st.l1.Write(la, set)
 			c.l2.Write(la, l2set)
 			resident[op.ID] = true
+			l2Ops[op.ID] = append(l2Ops[op.ID], i)
 		} else {
 			b, _ := st.l1.Read(la, set)
 			switch {
+			case classified && op.Kind == trace.Load && st.k[set] > st.lim:
+				if b&cache.BitHit == 0 {
+					misses = append(misses, i)
+				}
 			case !st.read[op.ID] || st.lim == 0:
 				n++
 			case st.miss:
@@ -177,12 +196,21 @@ func ruleReplayed(t *testing.T, cfg Config, seed uint64, ct *trace.Compiled) (op
 			st.read[op.ID] = true
 			if b&cache.BitHit == 0 {
 				c.l2.Read(la, l2set)
+				if op.Kind == trace.Load {
+					l2Ops[op.ID] = append(l2Ops[op.ID], i)
+				}
 			}
 		}
 		for id := range resident {
 			if la := ct.DLines[id]; !c.l2.LookupLine(la, c.l2.Policy().Index(la)) {
 				delete(resident, id)
 			}
+		}
+	}
+	for _, i := range misses {
+		id := ct.Ops[i].ID
+		if l2 := l2Ops[id]; !certainL2[id] || i == l2[0] || i == l2[len(l2)-1] {
+			n++
 		}
 	}
 	return n, stores
@@ -892,12 +920,13 @@ func TestStoreElision(t *testing.T) {
 }
 
 // TestLRUStoreElision pins the certainty rule of store elision: under a
-// cold write-through DL1 that skips reads by occupancy (LRU, or a
-// relocated Compiled on FIFO) and a cold write-back L2, a data line's
-// stores but its first and last are skipped when its L2 set holds at
-// most the L2's limit of line IDs of either stream and no other data line
-// ID has its address, and the store precedes the line's first read or
-// its DL1 set holds at most the DL1's limit of read lines. storeConfig
+// cold write-through DL1 that skips reads by occupancy (LRU, or an
+// aliasing relocated Compiled on FIFO) and a cold write-back L2, a data
+// line's stores but its first and last are skipped when its L2 set holds
+// at most the L2's limit of line IDs of either stream and no other data
+// line ID has its address, and the store precedes the line's first read,
+// its DL1 set holds at most the DL1's limit of read lines, or the LRU
+// pass classifies the DL1 (distinct line addresses). storeConfig
 // puts line L in DL1 set L%8 of two ways and L2 set L%16 of four. Each
 // case runs over 8 seeds on one core, every run
 // checked by checkElidedRun against ruleReplayed (ops and stores) and the
@@ -933,12 +962,18 @@ func TestLRUStoreElision(t *testing.T) {
 		// Line 0 loaded, then stored to four times: the middle two hit
 		// both levels.
 		{"certain", lru, dataTrace([]uint64{0, 0, 0, 0, 0}, ".ssss"), false, 2},
-		// Lines 0, 8 and 16 overfill DL1 set 0, so line 0's middle store
-		// is kept; line 1's is skipped.
-		{"uncertain-dl1", lru, dataTrace([]uint64{0, 8, 16, 1, 0, 1, 0, 1, 0, 1}, "....ssssss"), false, 1},
+		// Lines 0, 8 and 16 overfill DL1 set 0, whose accesses the LRU
+		// pass classifies, so line 0's middle store is skipped like line
+		// 1's, alone in its set.
+		{"uncertain-dl1", lru, dataTrace([]uint64{0, 8, 16, 1, 0, 1, 0, 1, 0, 1}, "....ssssss"), false, 2},
+		// The same with a load of both granules of line 2 at the end: two
+		// IDs of one line in the relocated form, which the pass does not
+		// classify, so line 0's middle store is kept.
+		{"uncertain-dl1/aliased", lru, append(dataTrace([]uint64{0, 8, 16, 1, 0, 1, 0, 1, 0, 1}, "....ssssss"),
+			trace.Access{Addr: 128, Kind: trace.Load}, trace.Access{Addr: 160, Kind: trace.Load}), true, 1},
 		// In the same uncertain set, line 0's middle stores before its
-		// first read are certain misses and skipped, the one after kept.
-		{"uncertain-dl1/before-first-read", lru, dataTrace([]uint64{0, 0, 0, 0, 8, 16, 0, 0}, "sss...ss"), false, 2},
+		// first read are certain misses and skipped, the one after too.
+		{"uncertain-dl1/before-first-read", lru, dataTrace([]uint64{0, 0, 0, 0, 8, 16, 0, 0}, "sss...ss"), false, 3},
 		{"l2-over-ways/fetched", lru, l2Over, false, 1},
 		{"l2-over-ways/stored", lru, l2OverStored, false, 1},
 		// Line 3 is never read: its two middle stores miss the DL1.
@@ -983,6 +1018,95 @@ func TestLRUStoreElision(t *testing.T) {
 					checkElidedRun(t, cfg, core, ref, prng.Derive(0x1205, seed), ct, tc.tr)
 					if skipped := stores - core.ReplayedStores(); l2 == cache.LRU && skipped != tc.want {
 						t.Fatalf("seed %d skipped %d of %d stores, want %d", seed, skipped, stores, tc.want)
+					}
+				}
+				if got, want := core.RunCompiled(ct), ref.Run(tc.tr); got != want {
+					t.Fatalf("warm: compiled %+v, reference %+v", got, want)
+				}
+				sameCacheState(t, core, ref)
+				if core.ReplayedOps() != len(ct.Ops) {
+					t.Fatalf("warm run replayed %d of %d ops", core.ReplayedOps(), len(ct.Ops))
+				}
+			})
+		}
+	}
+}
+
+// TestLRUMissClassification pins the LRU pass: on a cold write-through
+// LRU DL1 and a Compiled with distinct line addresses, the accesses of
+// DL1 sets that hold more than Ways read lines are classified by one
+// exact LRU pass, their hits skipped, their misses served at the L2
+// alone, and a miss whose line's L2 set is certain skipped too unless it
+// is the line's first or last L2 access. Each case runs over 64 seeds on
+// one core, on storeConfig's modulo+LRU L1s over a write-back LRU L2
+// (line L in DL1 set L%8 of two ways and L2 set L%16 of four) and with
+// an RM DL1, whose sets the seed draws; every run is checked by
+// checkElidedRun against ruleReplayed and the per-access reference
+// (Result and every level's state), then once warm, which must replay
+// every op. On the modulo DL1 each run must replay want ops.
+func TestLRUMissClassification(t *testing.T) {
+	// sweep returns n loads cycling through lines, then a load of line 1,
+	// alone in its DL1 set, so the sweep's last loads fold apart.
+	sweep := func(n int, lines ...uint64) trace.Trace {
+		return dataTrace(append(alternate(n, lines...), 1), "")
+	}
+	// Lines 0, 8 and 16 share DL1 set 0: a store hit on line 0 restamps
+	// it, so each load of line 16 evicts line 8 and line 0 keeps hitting,
+	// as cacheb01's stores keep its lines.
+	var restamp []uint64
+	for i := 0; i < 12; i++ {
+		restamp = append(restamp, 0, 8, 0, 16)
+	}
+	// A store to line 8 before its first load makes that store line 8's
+	// first L2 access, so its first load is skipped; line 0's and line
+	// 16's first loads are their first L2 accesses and are kept.
+	storedFirst := append(trace.Trace{{Addr: 8 * 64, Kind: trace.Store}}, sweep(30, 0, 8, 16)...)
+	// Two granules of line 0 get two IDs in the relocated form.
+	aliased := append(trace.Trace{{Addr: 32, Kind: trace.Load}}, sweep(30, 0, 8, 16)...)
+	lru := storeConfig(cache.LRU, cache.LRU, cache.WriteBack)
+	rm := lru
+	rm.DL1.Placement = placement.RM
+	for _, tc := range []struct {
+		name     string
+		tr       trace.Trace
+		relocate bool
+		want     int // ops each cold run replays on the modulo DL1
+	}{
+		// Every load misses; each line's first and last are kept, with
+		// line 1's load.
+		{"cyclic/ways+1", sweep(60, 0, 8, 16), false, 7},
+		{"cyclic/ways+3", sweep(100, 0, 8, 16, 24, 32), false, 11},
+		// Line 0's first load, the first and last store of line 0 and
+		// the first and last loads of lines 8 and 16.
+		{"store-hits-restamp", dataTrace(restamp, strings.Repeat("..s.", 12)), false, 7},
+		// Lines 0, 16, 32, 48 and 64 overfill L2 set 0 as well: every
+		// miss is replayed, at the L2 alone.
+		{"uncertain-l2", sweep(50, 0, 16, 32, 48, 64), false, 51},
+		{"first-l2-read", storedFirst, false, 7},
+		// The pass needs distinct IDs: the relocated form replays every
+		// later read of DL1 set 0 through the DL1.
+		{"aliased", aliased, true, 32},
+	} {
+		for _, cfg := range []struct {
+			name string
+			cfg  Config
+		}{{"modulo", lru}, {"rm", rm}} {
+			t.Run(tc.name+"/"+cfg.name, func(t *testing.T) {
+				ct := compile(t, tc.tr)
+				if tc.relocate {
+					rel, err := workload.FromTrace("aliased", "", tc.tr).Relocatable(workload.BaselineLayout(), 64)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if ct = rel.Relocate(workload.BaselineLayout()); ct.DistinctLines() {
+						t.Fatal("the relocated form reports distinct lines")
+					}
+				}
+				core, ref := mustNew(t, cfg.cfg), mustNew(t, cfg.cfg)
+				for seed := 0; seed < 64; seed++ {
+					n := checkElidedRun(t, cfg.cfg, core, ref, prng.Derive(0xC1A55, seed), ct, tc.tr)
+					if cfg.name == "modulo" && n != tc.want {
+						t.Fatalf("seed %d replayed %d of %d ops, want %d", seed, n, len(ct.Ops), tc.want)
 					}
 				}
 				if got, want := core.RunCompiled(ct), ref.Run(tc.tr); got != want {
@@ -1055,13 +1179,16 @@ func TestStoreMissWindows(t *testing.T) {
 }
 
 // TestStoreScratchOnlyWhereUsed pins that a core allocates each store
-// elision rule's scratch on the first run that applies the rule, and
-// the miss rule's only on a Random or FIFO L1. Each core replays a
-// compiled run, then a relocated one. A modulo+LRU baseline core takes
-// the certainty rule on either and never allocates the ownership or
-// miss rules' scratch. An RM core takes the ownership rule on the
-// compiled run, and the certainty rule only on the relocated one, whose
-// aliasing IDs make its Random DL1 skip by occupancy.
+// elision rule's scratch and the LRU pass's on the first run that
+// applies the rule, and the miss rule's only on a Random or FIFO L1. Each
+// core replays a compiled run, a relocated one, and one relocated to a
+// layout that puts tblook01's table and result buffer on the same lines
+// (aliasing IDs). A modulo+LRU baseline core takes the certainty rule on
+// all three and the LRU pass on the first two, and never allocates the
+// ownership or miss rules' scratch. An RM core takes the ownership rule
+// on the first two, and the certainty rule only on the aliasing one,
+// whose IDs make its Random DL1 skip by occupancy; it never allocates the
+// pass's scratch.
 func TestStoreScratchOnlyWhereUsed(t *testing.T) {
 	w, err := workload.ByName("tblook01")
 	if err != nil {
@@ -1069,15 +1196,17 @@ func TestStoreScratchOnlyWhereUsed(t *testing.T) {
 	}
 	base := paperConfig(placement.Modulo)
 	base.L2.Placement, base.L2.Replacement = placement.Modulo, cache.LRU
+	aliasing := workload.BaselineLayout()
+	aliasing.Table = aliasing.Data
 	for _, tc := range []struct {
 		name string
 		cfg  Config
-		// after each run: the ownership and miss rules' scratch, and the
-		// certainty rule's
-		owner, certain [2]bool
+		// after each run: the ownership and miss rules' scratch, the
+		// certainty rule's and the LRU pass's
+		owner, certain, pass [3]bool
 	}{
-		{"baseline", base, [2]bool{false, false}, [2]bool{true, true}},
-		{"rm", paperConfig(placement.RM), [2]bool{true, true}, [2]bool{false, true}},
+		{"baseline", base, [3]bool{}, [3]bool{true, true, true}, [3]bool{true, true, true}},
+		{"rm", paperConfig(placement.RM), [3]bool{true, true, true}, [3]bool{false, false, true}, [3]bool{}},
 	} {
 		rel, err := w.Relocatable(workload.BaselineLayout(), tc.cfg.DL1.LineBytes)
 		if err != nil {
@@ -1089,7 +1218,10 @@ func TestStoreScratchOnlyWhereUsed(t *testing.T) {
 		}
 		core := mustNew(t, tc.cfg)
 		p := &core.plan
-		for i, ct := range []*trace.Compiled{ct, rel.Relocate(workload.BaselineLayout())} {
+		for i, ct := range []*trace.Compiled{ct, rel.Relocate(workload.BaselineLayout()), rel.Relocate(aliasing)} {
+			if got := ct.DistinctLines(); got != (i < 2) {
+				t.Fatalf("run %d: DistinctLines %v", i, got)
+			}
 			core.Reseed(prng.Derive(0x5C4, i))
 			core.RunCompiled(ct)
 			if got := p.rI.who != nil || p.rD.who != nil || p.sk.owner != nil; got != tc.owner[i] {
@@ -1097,6 +1229,9 @@ func TestStoreScratchOnlyWhereUsed(t *testing.T) {
 			}
 			if got := p.sk.sets != nil || p.sk.link != nil; got != tc.certain[i] {
 				t.Errorf("%s run %d: certainty scratch allocated %v, want %v", tc.name, i, got, tc.certain[i])
+			}
+			if got := p.lp.stamp != nil || p.lp.res != nil || p.lp.walk != nil; got != tc.pass[i] {
+				t.Errorf("%s run %d: LRU pass scratch allocated %v, want %v", tc.name, i, got, tc.pass[i])
 			}
 		}
 	}

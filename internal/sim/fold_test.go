@@ -121,15 +121,19 @@ func fuzzTrace(data []byte) trace.Trace {
 // IDs, each with its own plan entry and way hint, the relocated form
 // again after a Flush, and a warm replay of the second half of the trace
 // on the state the full trace left, which a smaller Compiled than the
-// last replays. The reseeded and flushed replays are cold: under Random
-// and FIFO the compiled form replays only the reads that miss, and with
-// a write-through DL1 over a write-back L2 of the same kind (the
+// last replays. A relocated form whose data touch one granule per line
+// reports distinct lines and takes the compiled form's rules. The
+// reseeded and flushed replays are cold: under Random and FIFO the
+// compiled form replays only the reads that miss, and with a
+// write-through DL1 over a write-back L2 of the same kind (the
 // selector's top bit) skips the stores to data lines that have stayed in
-// the L2 since their previous store; under LRU, and the relocated form
-// under Random and FIFO, they skip the reads their mapping makes certain
-// hits, and over a write-back L2 the middle stores of the data lines
-// whose DL1 and L2 sets it makes certain, which the relocated form's
-// aliased IDs never are. The warm ones must skip nothing. After every
+// the L2 since their previous store; under LRU, and an aliasing relocated
+// form under Random and FIFO, they skip the reads their mapping makes
+// certain hits, and over a write-back L2 the middle stores of the data
+// lines whose DL1 and L2 sets it makes certain, which aliased IDs never
+// are. An LRU DL1 with distinct lines classifies the accesses of its
+// sets of more than Ways lines by one LRU pass, and skips the read
+// misses whose L2 hit is certain. The warm ones must skip nothing. After every
 // replay each level's state must equal the reference's too
 // (sameCacheState), L2 dirty bits included, so an LRU restore that
 // misses a stamp or a skipped store that leaves a line clean fails at
@@ -245,6 +249,20 @@ func FuzzCompiledReplay(f *testing.F) {
 		"\x04\x44\x84\x84\x84\x44",
 	} {
 		f.Add(uint8(0x82), uint64(15), []byte(data))
+	}
+	// The baseline's arrangement with DL1 set 0 over-full, which the LRU
+	// pass classifies: loads sweeping lines 0, 8 and 16; the same with a
+	// store hit restamping line 0 before each load of line 16; lines 0,
+	// 8, 16 and 24 swept after a fetch of line 0, five IDs over L2 set
+	// 0's four ways, so every miss reaches the L2; and a store to line 8
+	// before the sweep, its first L2 access.
+	for _, data := range []string{
+		strings.Repeat("\x40\x50\x60", 10),
+		strings.Repeat("\x40\x50\x80\x60", 8),
+		"\x00" + strings.Repeat("\x40\x50\x60\x70", 8),
+		"\x90" + strings.Repeat("\x40\x50\x60", 10),
+	} {
+		f.Add(uint8(0x82), uint64(16), []byte(data))
 	}
 	hog := streamTrace(1<<20, 600)
 	f.Fuzz(func(t *testing.T, sel uint8, seed uint64, data []byte) {

@@ -61,7 +61,8 @@ func (s *System) Reseed(runSeed uint64) {
 // through the bus. A core's Cycles are its RunCompiled cycles plus its
 // waits for the bus and, per writeback, memLatency-writeback, the bus
 // transaction's length beyond RunCompiled's writeback charge. Its Stats
-// are RunCompiled's.
+// are RunCompiled's. After the merge a lane keeps at most logSlack times
+// the log capacity the call used.
 func (s *System) RunAll(cts []*trace.Compiled) []Result {
 	if len(cts) != len(s.cores) {
 		panic("sim: RunAll needs one compiled trace per core")
@@ -84,10 +85,19 @@ func (s *System) RunAll(cts []*trace.Compiled) []Result {
 	}
 	s.merge(cts)
 	for i := range results {
-		results[i].Cycles += s.lanes[i].bus
+		l := &s.lanes[i]
+		results[i].Cycles += l.bus
+		if cap(l.txns) > logSlack*len(l.txns) {
+			l.txns = make(txnLog, 0, len(l.txns))
+		}
 	}
 	return results
 }
+
+// logSlack bounds the log capacity a lane keeps between calls, as a
+// multiple of the last call's use: a co-runner that logged a long stream
+// once does not hold its peak for the System's life.
+const logSlack = 4
 
 // txn is one op that filled the L2, as RunCompiled logs it for RunAll:
 // its index, its L2 access bits and the loop's cycles before its L2

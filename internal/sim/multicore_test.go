@@ -197,6 +197,32 @@ func TestRunAllSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestRunAllLogShrinks pins the bound on the log capacity a lane keeps:
+// after a call that logs a long stream on core 1, a call that logs a
+// short one leaves core 1 at most logSlack times what that call used.
+func TestRunAllLogShrinks(t *testing.T) {
+	sys, err := NewSystem(paperConfig(placement.RM), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewSystem(paperConfig(placement.RM), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := compileAll(t, 32, nil, streamTrace(1<<26, 60000))
+	short := compileAll(t, 32, nil, streamTrace(1<<26, 600))
+	sys.Reseed(1)
+	fresh.Reseed(1)
+	sys.RunAll(long)
+	peak := cap(sys.lanes[1].txns)
+	sys.RunAll(short)
+	fresh.RunAll(short)
+	used := len(fresh.lanes[1].txns)
+	if c := cap(sys.lanes[1].txns); used == 0 || c > logSlack*used || c >= peak {
+		t.Fatalf("after a call with log capacity %d, a call logging %d fills keeps capacity %d", peak, used, c)
+	}
+}
+
 // BenchmarkRunAll times one reseeded RunAll on the RM paper platform's
 // four cores: tblook01 on core 0, alone (solo) and against three
 // co-runners (contended), the 160 KB synthetic streamer of the multicore

@@ -79,8 +79,8 @@ type Compiled struct {
 	// plus every op's Rep.
 	Accesses int
 
-	// distinct is set by Compile alone, so a Compiled built or
-	// renumbered elsewhere reports false, the safe value.
+	// distinct is set by Compile and CheckDistinct alone, so a Compiled
+	// built or renumbered elsewhere reports false, the safe value.
 	distinct bool
 }
 
@@ -89,11 +89,32 @@ func (c *Compiled) Len() int { return c.Accesses }
 
 // DistinctLines reports that no two line IDs of a stream share an
 // address, which holds for the Compileds that Compile returns. A run
-// that replays only an L1's read misses or skips stores needs it, since
-// it follows a line's L1 and L2 residency by ID; workload.Relocatable
-// numbers granules, so its Compileds may give one line two IDs in either
-// stream and report false.
+// that replays only an L1's read misses, classifies an LRU L1's reads or
+// skips stores needs it, since it follows a line's L1 and L2 residency
+// by ID; workload.Relocatable numbers granules, so its Compileds may
+// give one line two IDs in either stream and report it only after
+// CheckDistinct.
 func (c *Compiled) DistinctLines() bool { return c.distinct }
+
+// CheckDistinct sets DistinctLines from c's line tables: true exactly
+// when neither ILines nor DLines holds a line twice. It sorts a copy of
+// each, in O(n log n) time for n lines, and is for a Compiled built
+// outside Compile; call it before sharing c.
+func (c *Compiled) CheckDistinct() {
+	c.distinct = distinct(c.ILines) && distinct(c.DLines)
+}
+
+// distinct reports whether lines holds no value twice.
+func distinct(lines []uint64) bool {
+	sorted := slices.Clone(lines)
+	slices.Sort(sorted)
+	for k := 1; k < len(sorted); k++ {
+		if sorted[k] == sorted[k-1] {
+			return false
+		}
+	}
+	return true
+}
 
 // Compile renumbers the trace's unique cache-line addresses into dense
 // per-stream line IDs for the given line size, folds same-line reads (see

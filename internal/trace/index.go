@@ -99,6 +99,10 @@ type LineReads struct {
 	// instruction line is read.
 	Read []bool
 
+	// Head holds, per line ID, the op of the line's first read (0 for a
+	// line never read).
+	Head []uint32
+
 	// Last counts, per line ID, the stream's accesses (folded reps and
 	// stores included) up to and including the line's last access, and
 	// Accesses all of the stream's accesses: on an L1 that ticks once
@@ -140,6 +144,7 @@ func (t *ReplayTables) fill(ops []Op, iLines, dLines int) {
 		r.Off = make([]int, n+1)
 		r.All = make([]uint64, nb)
 		r.Read = make([]bool, n)
+		r.Head = make([]uint32, n)
 		r.Last = make([]uint64, n)
 	}
 	// Classify every op, counting each line's later reads in Off[id+1].
@@ -154,6 +159,7 @@ func (t *ReplayTables) fill(ops []Op, iLines, dLines int) {
 		case !r.Read[op.ID]:
 			t.Must[b] |= bit
 			r.Read[op.ID] = true
+			r.Head[op.ID] = uint32(i)
 		default:
 			r.All[b] |= bit
 			r.Off[op.ID+1]++
@@ -179,7 +185,8 @@ func (t *ReplayTables) fill(ops []Op, iLines, dLines int) {
 }
 
 // Stores returns the data stream's store lists. Only a run that may skip
-// stores needs them, so the first call builds them, in O(len(ops)) time
+// stores or classifies its DL1's stores needs them, so the first call
+// builds them, in O(len(ops)) time
 // and four bytes per store, per later data read and per data line (two
 // masks besides).
 func (t *ReplayTables) Stores() *LineStores {

@@ -10,8 +10,8 @@ import (
 // TestReplayIndex checks the tables of newReplayIndex against a direct classification
 // of every op: Must holds exactly the stores and each line ID's first
 // read per stream, each line's list holds exactly its later reads in
-// ascending order, All is their union, Read records the lines read, and
-// Last and Accesses count
+// ascending order, All is their union, Read records the lines read and
+// Head their first reads, and Last and Accesses count
 // each stream's accesses through each line's last access and in all.
 // Each data line's list in Stores holds exactly its stores, in ascending
 // order, Keep is Must without every store but each line's first, Ends
@@ -47,8 +47,9 @@ func TestReplayIndex(t *testing.T) {
 		lastStore := uint32(0)
 		var acc [2]uint64
 		var last [2][]uint64
+		var head [2][]uint32
 		for s := range last {
-			last[s] = make([]uint64, nLines)
+			last[s], head[s] = make([]uint64, nLines), make([]uint32, nLines)
 		}
 		for i, op := range ops {
 			s := stream(op.Kind)
@@ -63,6 +64,8 @@ func TestReplayIndex(t *testing.T) {
 			if op.Kind != Store {
 				if read[s][op.ID] {
 					later[i] = true
+				} else {
+					head[s][op.ID] = uint32(i)
 				}
 				read[s][op.ID] = true
 			}
@@ -81,8 +84,8 @@ func TestReplayIndex(t *testing.T) {
 			}
 			all := make([]uint64, len(x.Must))
 			for id := 0; id < nLines; id++ {
-				if r.Read[id] != read[s][id] {
-					t.Fatalf("round %d stream %d line %d: read %v, want %v", round, s, id, r.Read[id], read[s][id])
+				if r.Read[id] != read[s][id] || r.Head[id] != head[s][id] {
+					t.Fatalf("round %d stream %d line %d: read %v at op %d, want %v at %d", round, s, id, r.Read[id], r.Head[id], read[s][id], head[s][id])
 				}
 				at := r.At[r.Off[id]:r.Off[id+1]]
 				for j, i := range at {

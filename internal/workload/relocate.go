@@ -80,7 +80,9 @@ type anchors struct {
 // same line address; replay keys on line addresses, so that is harmless
 // (each ID keeps its own way hint, and a stale one costs one slow-path
 // access), and hit elision counts the two IDs as two lines of their set,
-// which can only keep more reads.
+// which can only keep more reads. A relocation in which no two IDs of a
+// stream share a line reports trace.Compiled.DistinctLines, which the
+// faster replay rules need.
 type Relocatable struct {
 	ops        []trace.Op // folded, see trace.Op
 	index      *trace.ReplayIndex
@@ -244,10 +246,12 @@ func (r *Relocatable) Len() int { return r.accesses }
 // shared ops and replay index plus fresh line tables, replaying exactly like
 // trace.Compile(w.Build(l), lineBytes): every stream touches the same
 // line sequence, though the ops may fold differently where two IDs share
-// a line. It costs O(unique lines), not O(accesses). Each call returns a new *trace.Compiled, since replay
-// caches per-Compiled index plans. Relocate panics if a field of l moved
-// from the base by other than a multiple of the granule, which no
-// RandomizedLayoutFrom draw does.
+// a line. The result reports DistinctLines where no two IDs of a stream
+// share a line at l (trace.Compiled.CheckDistinct). It costs
+// O(u log u) for u unique lines, not O(accesses). Each call returns a
+// new *trace.Compiled, since replay caches per-Compiled index plans.
+// Relocate panics if a field of l moved from the base by other than a
+// multiple of the granule, which no RandomizedLayoutFrom draw does.
 func (r *Relocatable) Relocate(l Layout) *trace.Compiled {
 	var delta [numFields]uint64
 	lf, bf := l.fields(), r.base.fields()
@@ -257,7 +261,7 @@ func (r *Relocatable) Relocate(l Layout) *trace.Compiled {
 			panic(fmt.Sprintf("workload: layout field %d moved by %d bytes, not a multiple of %d", f, delta[f], r.granule))
 		}
 	}
-	return &trace.Compiled{
+	ct := &trace.Compiled{
 		Ops:       r.ops,
 		Index:     r.index,
 		ILines:    r.lines(r.iref, &delta),
@@ -265,6 +269,8 @@ func (r *Relocatable) Relocate(l Layout) *trace.Compiled {
 		LineBytes: r.lineBytes,
 		Accesses:  r.accesses,
 	}
+	ct.CheckDistinct()
+	return ct
 }
 
 // lines relocates anchors in byte space (wrapping uint64, like the

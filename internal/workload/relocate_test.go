@@ -58,7 +58,8 @@ func replayCore(t *testing.T, lineBytes int) *sim.Core {
 // layout: per stream the same sequence of kinds and line addresses, the
 // same access count, and the same replay Result on a core reseeded alike.
 // The ops themselves may differ: relocation numbers granules, not lines,
-// so where two IDs share a line they fold apart.
+// so where two IDs share a line they fold apart. A relocated trace that
+// reports DistinctLines must have no line twice in a stream.
 func checkRelocation(t *testing.T, w Workload, base Layout, lineBytes int, seed uint64) {
 	t.Helper()
 	rel, err := w.Relocatable(base, lineBytes)
@@ -88,6 +89,9 @@ func checkRelocation(t *testing.T, w Workload, base Layout, lineBytes int, seed 
 				}
 			}
 		}
+		if got.DistinctLines() && !(distinctLines(got.ILines) && distinctLines(got.DLines)) {
+			t.Fatalf("%s (%d B lines, layout %+v): DistinctLines reported, but two IDs share a line", w.Name, lineBytes, l)
+		}
 		a.Reseed(seed)
 		b.Reseed(seed)
 		if rg, rw := a.RunCompiled(got), b.RunCompiled(want); rg != rw {
@@ -114,6 +118,64 @@ func TestRelocateMatchesCompile(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRelocateCertifiesDistinctLines holds Relocate's DistinctLines to
+// an exact check of each stream's line table (distinctLines, a map of
+// its lines): every built-in kernel relocated from BaselineLayout to
+// DefaultLayout and to randomized baseline layouts, at line sizes 16 to
+// 128 B. At 32 B, the platform's line, every one of those layouts keeps
+// its lines distinct, so the faster replay rules apply to them. A layout
+// that puts tblook01's table on its result buffer gives two IDs one line
+// and reports false.
+func TestRelocateCertifiesDistinctLines(t *testing.T) {
+	layouts := []Layout{DefaultLayout()}
+	for i := 0; i < 8; i++ {
+		layouts = append(layouts, RandomizedLayoutFrom(BaselineLayout(), prng.New(prng.Derive(0xD15, i))))
+	}
+	for _, w := range append(EEMBC(), Synthetic(20*1024, 2, 4)) {
+		for _, lb := range []int{16, 32, 64, 128} {
+			rel, err := w.Relocatable(BaselineLayout(), lb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, l := range layouts {
+				ct := rel.Relocate(l)
+				want := distinctLines(ct.ILines) && distinctLines(ct.DLines)
+				if ct.DistinctLines() != want {
+					t.Fatalf("%s (%d B lines, layout %d): DistinctLines %v, the exact check %v", w.Name, lb, i, ct.DistinctLines(), want)
+				}
+				if lb == LineBytes && !want {
+					t.Errorf("%s layout %d: two IDs share a 32 B line", w.Name, i)
+				}
+			}
+		}
+	}
+	w, err := ByName("tblook01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := w.Relocatable(BaselineLayout(), LineBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aliasing := BaselineLayout()
+	aliasing.Table = aliasing.Data
+	if ct := rel.Relocate(aliasing); ct.DistinctLines() || distinctLines(ct.DLines) {
+		t.Fatalf("aliasing layout: DistinctLines %v, exact check %v, want both false", ct.DistinctLines(), distinctLines(ct.DLines))
+	}
+}
+
+// distinctLines reports whether lines holds no value twice.
+func distinctLines(lines []uint64) bool {
+	seen := map[uint64]bool{}
+	for _, l := range lines {
+		if seen[l] {
+			return false
+		}
+		seen[l] = true
+	}
+	return true
 }
 
 // TestRelocatableRejectsLayoutDependentTraces pins the Build contract's
