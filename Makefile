@@ -14,15 +14,16 @@ vet:
 fmt:
 	gofmt -w .
 
-# Fails when any file needs gofmt; CI's lint gate. The two tests are
+# Fails when any file needs gofmt; CI's lint gate. The three tests are
 # the house static-analysis suite over the module (determinism / hotpath
-# / prngdiscipline / ctxflow contracts) and the zero-alloc escape gate
-# over the //rm:hotpath spans; `make test` runs them too (see README
+# / prngdiscipline / ctxflow contracts), the zero-alloc escape gate over
+# the //rm:hotpath spans, and the check that fuzz-short below fuzzes
+# every func Fuzz... of the module; `make test` runs them too (see README
 # "Static analysis").
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
-	$(GO) test -count=1 -run '^(TestSelfRun|TestNoHeapEscapeInHotpath)$$' ./internal/lint
+	$(GO) test -count=1 -run '^(TestSelfRun|TestNoHeapEscapeInHotpath|TestFuzzShortListsEveryTarget)$$' ./internal/lint
 
 # Known-vulnerability scan; skipped gracefully where govulncheck (or the
 # network its database needs) is unavailable, so offline verify still

@@ -60,11 +60,10 @@ type indexPlan struct {
 
 // missRule is one L1's scratch for the miss rule in a run. The rule
 // applies on a cold L1 whose hits change no state (Random or FIFO) and
-// that no store fills, to a Compiled whose line IDs have distinct
-// addresses. Such a level changes state only on a read miss, and a read
-// of a line misses exactly when it is the line's first read in the run or
-// a fill has evicted the line since its previous read: the line's own
-// read miss is the only fill that brings it back. So keepOps keeps none
+// that no store fills. Such a level changes state only on a read miss,
+// and a read of a line misses exactly when it is the line's first read in
+// the run or a fill has evicted the line since its previous read: the
+// line's own read miss is the only fill that brings it back. So keepOps keeps none
 // of the stream's later reads, every read the loop replays is a certain
 // miss, which it serves with cache.Cache.Fill, and a fill that evicts a
 // line marks the line's next read in keep (fill).
@@ -202,15 +201,14 @@ func (r *missRule) done() uint64 {
 }
 
 // lruPass is the DL1 scratch of the LRU classification in a run. It
-// applies on a cold write-through LRU DL1 that skips reads by occupancy
-// (elide), to a Compiled whose line IDs have distinct addresses. Such a
-// DL1 set changes state only through its own lines' accesses, so one
-// pass over the accesses of the sets that hold more than Ways read lines
-// (over-full sets, whose later reads elide cannot skip) decides every
-// one of them exactly, as LRU does: a read hits iff fewer than Ways
-// other lines of its set were filled or hit since its line's last touch,
-// a store hits iff its line is resident, and only a hit restamps the
-// line (classify). The loop then does no DL1 work for those sets: it
+// applies on a cold write-through LRU DL1, which skips reads by occupancy
+// (elide). Such a DL1 set changes state only through its own lines'
+// accesses, so one pass over the accesses of the sets that hold more
+// than Ways read lines (over-full sets, whose later reads elide cannot
+// skip) decides every one of them exactly, as LRU does: a read hits iff
+// fewer than Ways other lines of its set were filled or hit since its
+// line's last touch, a store hits iff its line is resident, and only a
+// hit restamps the line (classify). The loop then does no DL1 work for those sets: it
 // skips their hits, serves their misses at the L2 alone, and skips a
 // miss whose L2 hit is certain (settle). No store reaches the DL1: a
 // store misses exactly when its line is not resident, before the line's
@@ -264,7 +262,7 @@ func (lp *lruPass) size(dl1 cache.Config, ct *trace.Compiled) {
 // and l2Lim certify L2 sets for settle.
 //
 //rm:hotpath
-func (lp *lruPass) classify(keep []uint64, ct *trace.Compiled, t *trace.ReplayTables, p *indexPlan, sets []l2Set, l2Lim int) {
+func (lp *lruPass) classify(keep []uint64, ct *trace.Compiled, t *trace.ReplayTables, p *indexPlan, sets []uint32, l2Lim int) {
 	d, s := &t.D, t.Stores()
 	dl1 := p.dl1[:len(ct.DLines)]
 	occ, ways, walk, hit := p.occ, lp.ways, lp.walk, lp.hit
@@ -334,7 +332,7 @@ func (lp *lruPass) classify(keep []uint64, ct *trace.Compiled, t *trace.ReplayTa
 // hits the loop skips. settle returns the number of misses it kept.
 //
 //rm:hotpath
-func (lp *lruPass) settle(keep []uint64, ct *trace.Compiled, t *trace.ReplayTables, p *indexPlan, sets []l2Set, l2Lim int) uint64 {
+func (lp *lruPass) settle(keep []uint64, ct *trace.Compiled, t *trace.ReplayTables, p *indexPlan, sets []uint32, l2Lim int) uint64 {
 	d, s := &t.D, t.Stores()
 	dl1, l2d := p.dl1[:len(ct.DLines)], p.l2d[:len(ct.DLines)]
 	occ, ways, hit := p.occ, uint32(lp.ways), lp.hit
@@ -344,7 +342,7 @@ func (lp *lruPass) settle(keep []uint64, ct *trace.Compiled, t *trace.ReplayTabl
 			continue
 		}
 		h, at := d.Head[id], d.At[d.Off[id]:d.Off[id+1]]
-		if sets == nil || sets[l2d[id]&cache.SetMask].n > uint32(l2Lim) {
+		if sets == nil || sets[l2d[id]&cache.SetMask] > uint32(l2Lim) {
 			for _, r := range at {
 				if hit[r>>6]>>(r&63)&1 != 0 {
 					hit[r>>6] &^= 1 << (r & 63)
@@ -466,9 +464,9 @@ func (c *Core) keepOps(ct *trace.Compiled) {
 	}
 	c.plan.limI, c.plan.limD = limI, limD
 	rI, rD, lp := &c.plan.rI, &c.plan.rD, &c.plan.lp
-	rI.on = limI > 0 && ct.DistinctLines() && c.il1.StatelessHits()
-	rD.on = limD > 0 && ct.DistinctLines() && c.dl1.StatelessHits()
-	lp.on = limD > 0 && ct.DistinctLines() && !c.dl1.StatelessHits()
+	rI.on = limI > 0 && c.il1.StatelessHits()
+	rD.on = limD > 0 && c.dl1.StatelessHits()
+	lp.on = limD > 0 && !c.dl1.StatelessHits()
 	rD.stores, rD.misses = nil, 0
 	if limI == 0 && limD == 0 {
 		for b := range keep {
@@ -495,10 +493,10 @@ func (c *Core) keepOps(ct *trace.Compiled) {
 		copy(keep, s.Keep)
 		sk.stores, sk.rule = s, byOwner
 		rD.stores, rD.misses = s, s.Cold
-	case !rD.on && limD > 0 && wb && limL2 > 0:
+	case lp.on && wb && limL2 > 0:
 		s := t.Stores()
-		if sk.sets == nil || len(sk.link) < len(ct.DLines) {
-			sk.grow(c.l2.Config(), len(ct.DLines))
+		if sk.sets == nil {
+			sk.grow(c.l2.Config())
 		}
 		copy(keep, s.Ends)
 		sk.stores, sk.rule, sk.must = s, byCertainty, t.Must
@@ -518,29 +516,26 @@ func (c *Core) keepOps(ct *trace.Compiled) {
 	case lp.on:
 		lp.size(c.dl1.Config(), ct)
 		elide(lp.walk, &t.D, c.plan.dl1, c.plan.occ, limD)
-		var sets []l2Set
+		var sets []uint32
 		if sk.rule == byCertainty {
 			sets = sk.sets
 		}
 		lp.classify(keep, ct, t, &c.plan, sets, limL2)
-	default:
+	default: // limD is 0: every later read
 		elide(keep, &t.D, c.plan.dl1, c.plan.occ, limD)
 	}
 	if sk.rule == byCertainty {
-		sk.certify(keep, ct, &c.plan, limL2, limD, lp.on)
-	}
-	if !rD.on && !lp.on {
-		vacate(c.plan.occ, c.plan.dl1)
+		sk.certify(keep, ct, &c.plan, limL2)
 	}
 }
 
-// elide adds to keep the later reads of one stream that its L1, which
-// takes no miss rule, may miss in this run. A line allocates when the
-// stream reads it (the levels that elide take no fill from a store); a
-// set holding at most limit allocating lines skips every later read of
-// its lines, and one holding more keeps them all. Limit 0 keeps the whole
-// stream. occ must be zero on entry; elide leaves in it, per set, the
-// allocating lines it counted, which vacate clears.
+// elide adds to keep the later reads of one stream that its L1 may miss
+// in this run: all of them for limit 0, and otherwise, on an LRU L1, those
+// of crowded sets. A line allocates when the stream reads it (the levels
+// that elide take no fill from a store); a set holding at most limit
+// allocating lines skips every later read of its lines, and one holding
+// more keeps them all. occ must be zero on entry; elide leaves in it, per
+// set, the allocating lines it counted, which vacate clears.
 //
 //rm:hotpath
 func elide(keep []uint64, r *trace.LineReads, plan []uint32, occ []uint32, limit int) {
@@ -568,10 +563,9 @@ func elide(keep []uint64, r *trace.LineReads, plan []uint32, occ []uint32, limit
 // vacate zeroes the per-set counters of occ that the lines of plan count.
 //
 //rm:hotpath
-func vacate[T uint32 | l2Set](occ []T, plan []uint32) {
-	var zero T
+func vacate(occ []uint32, plan []uint32) {
 	for _, e := range plan {
-		occ[e&cache.SetMask] = zero
+		occ[e&cache.SetMask] = 0
 	}
 }
 
@@ -580,56 +574,44 @@ func vacate[T uint32 | l2Set](occ []T, plan []uint32) {
 //
 // The owner rule applies on a write-back L2 whose hits change no state
 // (Random or FIFO) under a DL1 that takes the miss rule (a cold,
-// write-through Random or FIFO DL1 and a Compiled whose line IDs have
-// distinct addresses). A data line's store leaves the line resident and
-// dirty in its L2 way, which the line then owns: each later store to it
-// is an L2 hit that changes nothing, until an L2 fill evicts the way. So
-// keepOps starts keep from trace.LineStores.Keep, which holds each
-// line's first store and no later one, a replayed store makes its line
-// the owner of its way, and a fill that evicts an owner marks the owner's
-// next store in keep (evict). owner holds per L2 way (set*ways+way) 1 +
-// the owning data line ID, or 0; it is allocated by the first run the
-// rule applies to, and is all zero between runs. The DL1's miss rule
-// counts the stores' DL1 misses (missRule).
+// write-through Random or FIFO DL1). A data line's store leaves the line
+// resident and dirty in its L2 way, which the line then owns: each later
+// store to it is an L2 hit that changes nothing, until an L2 fill evicts
+// the way. So keepOps starts keep from trace.LineStores.Keep, which holds
+// each line's first store and no later one, a replayed store makes its
+// line the owner of its way, and a fill that evicts an owner marks the
+// owner's next store in keep (evict). owner holds per L2 way
+// (set*ways+way) 1 + the owning data line ID, or 0; it is allocated by
+// the first run the rule applies to, and is all zero between runs. The
+// DL1's miss rule counts the stores' DL1 misses (missRule).
 //
 // The certainty rule applies on a cold write-back L2 other than PLRU
-// under a DL1 that skips reads by occupancy (elide). It skips a data
-// line's middle stores (all but its first and last) that this run's
-// mapping makes certain at both levels (certify): the line's L2 set
-// holds at most cache.HitElisionLimit of the lines that reach the L2
-// (every instruction line and every data line), and no other data line
-// ID has its address, so each of its stores after the first hits the
-// L2, where the first left the line resident and dirty and no fill
-// evicts it. A store before the line's first read misses the cold DL1,
-// which only that read fills; a later one hits it when the line's DL1
-// set holds at most the DL1's limit of read lines, and is kept
-// otherwise. A DL1 store miss changes nothing but an LRU DL1's tick.
-// keepOps starts keep from trace.LineStores.Ends, and certify adds back
-// the middle stores it cannot skip and sums early, the skipped stores'
-// DL1 misses (trace.LineStores.Early). Where the LRU pass classifies the
-// DL1 (lruPass), every store takes its DL1 outcome from the pass, so
-// certify keeps none for the DL1's sake and sums nothing, and the pass
-// skips the read misses of lines in certain L2 sets but each line's first
-// and last L2 access. An LRU L2 must tick once per skipped hit: the loop
-// advances its tick by the skipped stores and read misses (must and not
-// keep, and lruPass.hit) before each replayed op and at each block's
-// end, so every replayed access stamps as in a full replay; a skipped
-// hit's own stamp is never read, since no victim is chosen in its set
-// and the line's replayed last L2 access restamps it. The DL1's LRU state
-// is restored like that of skipped reads (cache.Cache.RestoreLRU). sets
-// (per L2 set) and link (per data line ID) are the certify scratch,
-// allocated on the first run the rule applies to; sets is all zero
-// between runs.
+// under a DL1 the LRU pass classifies (lruPass), which gives every store
+// its DL1 outcome. It skips a data line's middle stores (all but its
+// first and last) where this run's mapping makes the line's L2 set
+// certain (certify): the set holds at most cache.HitElisionLimit of the
+// lines that reach the L2 (every instruction line and every data line),
+// so each of the line's stores after the first hits the L2, where the
+// first left the line resident and dirty and no fill evicts it. keepOps
+// starts keep from trace.LineStores.Ends, and certify adds back the
+// middle stores of lines in uncertain sets; the pass skips the read
+// misses of lines in certain sets but each line's first and last L2
+// access. An LRU L2 must tick once per skipped hit: the loop advances its
+// tick by the skipped stores and read misses (must and not keep, and
+// lruPass.hit) before each replayed op and at each block's end, so every
+// replayed access stamps as in a full replay; a skipped hit's own stamp
+// is never read, since no victim is chosen in its set and the line's
+// replayed last L2 access restamps it. sets counts per L2 set the lines
+// that reach it in the run (tally); it is allocated by the first run the
+// rule applies to, and is all zero between runs.
 type storeSkip struct {
 	stores *trace.LineStores // the run's Compiled's stores
 	rule   skipRule
 	owner  []uint32 // per L2 way
 	l2Ways int
 
-	must  []uint64 // the trace's ReplayTables.Must
-	sets  []l2Set
-	link  []uint32 // per data line ID: 1 + the previous data ID in its L2 set, or 0
-	early uint64
+	must []uint64 // the trace's ReplayTables.Must
+	sets []uint32 // per L2 set
 }
 
 // skipRule is the store elision rule of a run.
@@ -638,15 +620,8 @@ type skipRule uint8
 const (
 	keepStores  skipRule = iota // the run replays every store
 	byOwner                     // L2 way ownership
-	byCertainty                 // certain DL1 and L2 sets
+	byCertainty                 // certain L2 sets
 )
-
-// l2Set is the certify count of one L2 set: the lines that reach it in
-// the run, and 1 + the last data line ID counted in it, the head of its
-// data lines' link chain.
-type l2Set struct {
-	n, head uint32
-}
 
 // alloc sizes the ownership scratch for the L2 l2, once per core;
 // noinline keeps its allocation out of keepOps' hot-path span.
@@ -656,67 +631,41 @@ func (sk *storeSkip) alloc(l2 cache.Config) {
 	sk.owner, sk.l2Ways = make([]uint32, l2.Sets()*l2.Ways), l2.Ways
 }
 
-// grow sizes the certify scratch for the L2 l2 and dLines data line IDs;
-// noinline keeps its allocations out of keepOps' hot-path span.
+// grow sizes the certify scratch for the L2 l2, once per core; noinline
+// keeps its allocation out of keepOps' hot-path span.
 //
 //go:noinline
-func (sk *storeSkip) grow(l2 cache.Config, dLines int) {
-	if sk.sets == nil {
-		sk.sets = make([]l2Set, l2.Sets())
-	}
-	sk.link = make([]uint32, dLines)
+func (sk *storeSkip) grow(l2 cache.Config) {
+	sk.sets = make([]uint32, l2.Sets())
 }
 
 // tally counts, per L2 set, the lines of ct that reach it under p's
-// plans, and links each set's data line IDs for aliased.
+// plans.
 //
 //rm:hotpath
 func (sk *storeSkip) tally(ct *trace.Compiled, p *indexPlan) {
 	sets := sk.sets
-	l2i, l2d := p.l2i[:len(ct.ILines)], p.l2d[:len(ct.DLines)]
-	link := sk.link[:len(l2d)]
-	for _, e := range l2i {
-		sets[e&cache.SetMask].n++
+	for _, e := range p.l2i[:len(ct.ILines)] {
+		sets[e&cache.SetMask]++
 	}
-	for id, e := range l2d {
-		st := &sets[e&cache.SetMask]
-		st.n++
-		link[id], st.head = st.head, uint32(id)+1
+	for _, e := range p.l2d[:len(ct.DLines)] {
+		sets[e&cache.SetMask]++
 	}
 }
 
 // certify adds to keep, which starts from trace.LineStores.Ends, the
-// middle stores of data lines whose L2 set this run leaves uncertain or
-// whose address another data line ID has, and, unless classified (the
-// LRU pass gives each store its DL1 outcome), those after the first read
-// of lines whose DL1 set it leaves uncertain, summing into early the DL1
-// misses of the stores it leaves out. p holds the run's plans, p.occ the
-// DL1 read lines per set elide counted; l2Lim and dl1Lim are the levels'
-// limits. It empties the counts tally left.
+// middle stores of data lines whose L2 set this run leaves uncertain,
+// with more than l2Lim lines. p holds the run's plans. It empties the
+// counts tally left.
 //
 //rm:hotpath
-func (sk *storeSkip) certify(keep []uint64, ct *trace.Compiled, p *indexPlan, l2Lim, dl1Lim int, classified bool) {
+func (sk *storeSkip) certify(keep []uint64, ct *trace.Compiled, p *indexPlan, l2Lim int) {
 	s, sets := sk.stores, sk.sets
 	l2i, l2d := p.l2i[:len(ct.ILines)], p.l2d[:len(ct.DLines)]
-	dl1, link := p.dl1[:len(l2d)], sk.link[:len(l2d)]
-	distinct := ct.DistinctLines()
 	for id, e := range l2d {
 		lo, hi := s.Off[id]+1, s.Off[id+1]-1
-		if lo >= hi {
-			continue // no middle store
-		}
-		st := sets[e&cache.SetMask]
-		if st.n <= uint32(l2Lim) && (distinct || !aliased(ct.DLines, link, id, st.head)) {
-			if classified {
-				continue
-			}
-			sk.early += uint64(s.Early[id])
-			if p.occ[dl1[id]&cache.SetMask] <= uint32(dl1Lim) {
-				continue
-			}
-			// The DL1 set is uncertain: only the stores before the line's
-			// first read, which miss, stay skipped.
-			lo += int(s.Early[id])
+		if lo >= hi || sets[e&cache.SetMask] <= uint32(l2Lim) {
+			continue // no middle store, or all of them hit
 		}
 		for _, a := range s.At[lo:hi] {
 			keep[a>>6] |= 1 << (a & 63)
@@ -724,19 +673,6 @@ func (sk *storeSkip) certify(keep []uint64, ct *trace.Compiled, p *indexPlan, l2
 	}
 	vacate(sets, l2i)
 	vacate(sets, l2d)
-}
-
-// aliased reports whether another data line ID of the link chain from
-// head has line id's address.
-//
-//rm:hotpath
-func aliased(lines []uint64, link []uint32, id int, head uint32) bool {
-	for j := head; j != 0; j = link[j-1] {
-		if int(j-1) != id && lines[j-1] == lines[id] {
-			return true
-		}
-	}
-	return false
 }
 
 // evict notes an L2 fill at op i that evicted the line in the way of
@@ -785,12 +721,12 @@ func advance(l2 *cache.Cache, skip, served uint64, i int) (uint64, uint64) {
 //rm:hotpath
 func (sk *storeSkip) done(dl1, l2 *cache.Cache, replayed, misses uint64) uint64 {
 	n := uint64(len(sk.stores.At))
-	dl1.Misses(misses + sk.early)
+	dl1.Misses(misses)
 	l2.Hits(n - replayed)
 	if sk.rule == byOwner {
 		clear(sk.owner)
 	}
-	sk.rule, sk.early = keepStores, 0
+	sk.rule = keepStores
 	return n - replayed
 }
 
@@ -824,23 +760,20 @@ func (c *Core) ReplayedStores() int { return c.plan.stores }
 // ReplayIndex and keepOps). Skipping reads needs an L1 that is cold (no
 // access since construction, Flush or Reseed) and that no store fills.
 //
-// On a Random or FIFO L1, for a Compiled whose line IDs have distinct
-// addresses (trace.Compiled.DistinctLines), the run replays only the
-// reads that miss (see missRule): a line's first read, and its next read
-// after a fill evicts it, which the loop marks at the eviction. Every
-// such read is a certain miss, served by cache.Cache.Fill without the
-// hint check or the tag scan. The other cold L1s skip by occupancy: with
-// k allocating lines in a set under this run's mapping, a set with k at
-// most cache.HitElisionLimit (1 under Random, Ways under FIFO and LRU)
-// skips every later read of its lines, since a line's first read leaves
-// it resident and no fill evicts it, and a set of more lines replays
-// them all. That is the fallback of Random and FIFO L1s for Compileds
-// whose IDs may alias, and the rule of LRU L1s. On an LRU DL1, for a
-// Compiled with distinct line addresses, the sets of more lines are
+// On a Random or FIFO L1 the run replays only the reads that miss (see
+// missRule): a line's first read, and its next read after a fill evicts
+// it, which the loop marks at the eviction. Every such read is a certain
+// miss, served by cache.Cache.Fill without the hint check or the tag
+// scan. An LRU L1 skips by occupancy: with k allocating lines in a set
+// under this run's mapping, a set with k at most cache.HitElisionLimit
+// (Ways) skips every later read of its lines, since a line's first read
+// leaves it resident and no fill evicts it. An LRU IL1 replays every
+// later read of a set of more lines; on an LRU DL1 those sets are
 // classified instead, by one exact LRU pass before the loop (see
 // lruPass): the loop skips their hits, serves their misses at the L2
 // alone and skips those whose L2 hit is certain, and the run ends by
-// installing the sets' final lines.
+// installing the sets' final lines. Every rule follows a line by its ID,
+// which trace.Compiled's distinct lines make sound.
 //
 // A skipped read is a hit that draws no replacement randomness and
 // never reaches the L2. Random and FIFO hits leave no other state. LRU
@@ -861,20 +794,15 @@ func (c *Core) ReplayedStores() int { return c.plan.stores }
 // DL1: a store misses it exactly while its line is not resident, before
 // the line's first read or between an eviction and the line's next read,
 // and the DL1 miss rule counts those stores at each eviction. On a cold
-// write-back L2 other than PLRU under a DL1 that skips by occupancy (the
-// modulo+LRU baseline's), by set certainty: a run skips the stores of a
-// data line but its first and last when its L2 set can hold all of its
-// lines and no other data line ID shares its address, those after the
-// line's first read only if its DL1 set can hold all of its read lines
-// too or the LRU pass classifies the DL1; each skipped store hits the
-// L2, and an LRU L2's tick is advanced by the skipped stores and read
-// misses before each replayed op. Under the LRU pass no store reaches
-// the DL1, whose store misses are those before the line's first read and
-// those the pass counts; otherwise a skipped store hits the DL1 exactly
-// when the line's first read precedes it. PLRU L2s, write-through L2s,
-// warm levels, PLRU DL1s and, under the ownership rule, Compileds whose
-// line IDs may share an address keep every store. Results, cache state
-// and the replacement streams are bit-identical to replaying every op.
+// write-back L2 other than PLRU under an LRU DL1 (the modulo+LRU
+// baseline's), by set certainty: a run skips the stores of a data line
+// but its first and last when its L2 set can hold all of its lines; each
+// skipped store hits the L2, and an LRU L2's tick is advanced by the
+// skipped stores and read misses before each replayed op. No store
+// reaches that DL1 either: its store misses are those before the line's
+// first read and those the LRU pass counts. PLRU L2s, write-through L2s,
+// warm levels and PLRU DL1s keep every store. Results, cache state and
+// the replacement streams are bit-identical to replaying every op.
 //
 // This is the MBPTA campaign hot path: a campaign replays the same
 // Compiled hundreds of times (it is immutable and shared across worker
@@ -912,11 +840,8 @@ func (c *Core) RunCompiled(ct *trace.Compiled) Result {
 		// misses among them.
 		var skip, served uint64
 		if certain {
-			skip = sk.must[b] &^ keep[b]
-			if classified {
-				served = lp.hit[b]
-				skip |= served
-			}
+			served = lp.hit[b]
+			skip = sk.must[b]&^keep[b] | served
 		}
 		for m := keep[b]; m != 0; m &= m - 1 {
 			replayed++

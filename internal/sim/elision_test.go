@@ -60,24 +60,20 @@ const byRule = -1
 // without the replay's marks: it serves every op through fresh levels'
 // slow paths (an op's folded reps are hits and change nothing). A limit
 // of 0, a warm level or a nil Index replays a stream's every read. On a
-// cold L1 under the miss rule (Random or FIFO, a nonzero limit, a
-// Compiled with distinct line addresses) it counts the reads that miss in
-// the reference L1; on another cold L1 with a nonzero limit, each line's
+// cold L1 under the miss rule (Random or FIFO, a nonzero limit) it counts
+// the reads that miss in the reference L1; on a cold LRU IL1, each line's
 // first read and the later reads of lines in sets with more allocating
-// lines than the limit, except that on an LRU DL1 with a Compiled of
-// distinct line addresses (the LRU classification) the reads of such
-// sets count only if they miss in the reference DL1 and the line's L2
-// set is uncertain, or the miss is the line's first or last L2 access
-// (its stores and read misses). It counts every store, but under a DL1
-// under the miss rule and a write-back Random or FIFO L2 the stores to a
-// data line that has stayed resident in the L2 since its previous store,
-// and under another cold DL1 with a nonzero limit and a cold write-back
-// L2 with a nonzero limit the stores of a data line but its first and
-// last, if the line's L2 set holds at most the L2's limit of line IDs of
-// either stream and no other data line ID has its address, and the store
-// comes before the line's first read, the line's DL1 set holds at most
-// the DL1's limit of read lines or the run is classified. An L2 set is
-// certain under that last arrangement alone.
+// lines than the limit; on a cold LRU DL1 (the LRU classification), each
+// line's first read and the reads of such sets that miss in the
+// reference DL1 where the line's L2 set is uncertain or the miss is the
+// line's first or last L2 access (its stores and read misses). It counts
+// every store, but under a DL1 under the miss rule and a write-back
+// Random or FIFO L2 the stores to a data line that has stayed resident in
+// the L2 since its previous store, and under a classified DL1 and a cold
+// write-back L2 with a nonzero limit the stores of a data line but its
+// first and last, if the line's L2 set holds at most the L2's limit of
+// line IDs of either stream. An L2 set is certain under that last
+// arrangement alone.
 func ruleReplayed(t *testing.T, cfg Config, seed uint64, ct *trace.Compiled) (ops, stores int) {
 	t.Helper()
 	c := mustNew(t, cfg)
@@ -103,9 +99,9 @@ func ruleReplayed(t *testing.T, cfg Config, seed uint64, ct *trace.Compiled) (op
 		{l1: c.il1, lines: ct.ILines, lim: c.il1.HitElisionLimit(false)},
 		{l1: c.dl1, lines: ct.DLines, lim: c.dl1.HitElisionLimit(true)},
 	}
-	streams[0].miss = streams[0].lim > 0 && stateless(cfg.IL1.Replacement) && ct.DistinctLines()
-	streams[1].miss = streams[1].lim > 0 && stateless(cfg.DL1.Replacement) && ct.DistinctLines()
-	classified := streams[1].lim > 0 && cfg.DL1.Replacement == cache.LRU && ct.DistinctLines()
+	streams[0].miss = streams[0].lim > 0 && stateless(cfg.IL1.Replacement)
+	streams[1].miss = streams[1].lim > 0 && stateless(cfg.DL1.Replacement)
+	classified := streams[1].lim > 0 && cfg.DL1.Replacement == cache.LRU
 	skipStores := streams[1].miss && cfg.L2.Write == cache.WriteBack && stateless(cfg.L2.Replacement)
 	// resident holds the data lines stored to that have stayed in the L2
 	// since their last store.
@@ -123,7 +119,7 @@ func ruleReplayed(t *testing.T, cfg Config, seed uint64, ct *trace.Compiled) (op
 	// certain holds the stores the certainty rule skips, and certainL2 the
 	// data lines whose L2 set it makes certain.
 	certain, certainL2 := map[int]bool{}, map[uint32]bool{}
-	if l2Lim := c.l2.HitElisionLimit(false); !streams[1].miss && streams[1].lim > 0 && cfg.L2.Write == cache.WriteBack && l2Lim > 0 {
+	if l2Lim := c.l2.HitElisionLimit(false); classified && cfg.L2.Write == cache.WriteBack && l2Lim > 0 {
 		l2k := map[uint32]int{}
 		for _, la := range append(slices.Clone(ct.ILines), ct.DLines...) {
 			l2k[c.l2.Policy().Index(la)]++
@@ -134,25 +130,14 @@ func ruleReplayed(t *testing.T, cfg Config, seed uint64, ct *trace.Compiled) (op
 				at[op.ID] = append(at[op.ID], i)
 			}
 		}
-		first := map[uint32]int{} // per data line: its first read
-		for i := len(ct.Ops) - 1; i >= 0; i-- {
-			if op := ct.Ops[i]; op.Kind == trace.Load {
-				first[op.ID] = i
-			}
-		}
 		for id, la := range ct.DLines {
-			certainL2[uint32(id)] = l2k[c.l2.Policy().Index(la)] <= l2Lim && slices.Index(ct.DLines, la) == id &&
-				slices.Index(ct.DLines[id+1:], la) < 0
+			certainL2[uint32(id)] = l2k[c.l2.Policy().Index(la)] <= l2Lim
 		}
 		for id, at := range at {
-			la := ct.DLines[id]
-			if !certainL2[id] || len(at) < 3 {
-				continue
-			}
-			read, ok := first[id]
-			settled := classified || streams[1].k[c.dl1.Policy().Index(la)] <= streams[1].lim
-			for _, i := range at[1 : len(at)-1] {
-				certain[i] = settled || !ok || i < read
+			if certainL2[id] && len(at) > 2 {
+				for _, i := range at[1 : len(at)-1] {
+					certain[i] = true
+				}
 			}
 		}
 	}
@@ -221,9 +206,9 @@ func ruleReplayed(t *testing.T, cfg Config, seed uint64, ct *trace.Compiled) (op
 // none), no skipping on a stored-to level that allocates on write
 // (write-back), stores never counting as allocating, the cold-only rule
 // (no skipping on a warm level, even where the limit would allow it),
-// LRU state restored exactly on either L1, and aliased relocated IDs
-// counting as two lines. A Random set of two lines replays the reads
-// that miss, which depends on the seed: random/shared expects what
+// LRU state restored exactly on either L1, and a relocation that would
+// give one line two IDs rebuilt instead. A Random set of two lines
+// replays the reads that miss, which depends on the seed: random/shared expects what
 // ruleReplayed counts, and every other case's count must agree with it.
 // Every replay must also equal the per-access reference, Result and
 // cache state.
@@ -393,8 +378,9 @@ func TestElisionEligibility(t *testing.T) {
 		sameCacheState(t, core, ref)
 	})
 
-	// Two relocated IDs on one line under LRU: the line's stamp is its
-	// last access over both IDs, here by the ID numbered first.
+	// Relocation numbers 32-byte granules, so fetches of both halves of
+	// line 0 would give it two IDs under LRU: Relocate rebuilds, and the
+	// one ID's reads fold into one op.
 	t.Run("lru/aliased", func(t *testing.T) {
 		cfg := elisionConfig(cache.LRU, wt)
 		b := trace.NewBuilder(3)
@@ -402,11 +388,7 @@ func TestElisionEligibility(t *testing.T) {
 			b.Fetch(a)
 		}
 		tr := b.Trace()
-		rel, err := workload.FromTrace("aliased", "", tr).Relocatable(workload.BaselineLayout(), 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ct := rel.Relocate(workload.BaselineLayout())
+		ct := relocated(t, tr)
 		core, ref := mustNew(t, cfg), mustNew(t, cfg)
 		core.Reseed(4)
 		ref.Reseed(4)
@@ -414,8 +396,8 @@ func TestElisionEligibility(t *testing.T) {
 			t.Fatalf("compiled %+v, reference %+v", got, want)
 		}
 		sameCacheState(t, core, ref)
-		if got := core.ReplayedOps(); got != 2 {
-			t.Fatalf("replayed %d of %d ops, want 2", got, len(ct.Ops))
+		if got := core.ReplayedOps(); got != 1 {
+			t.Fatalf("replayed %d of %d ops, want 1", got, len(ct.Ops))
 		}
 	})
 
@@ -453,10 +435,9 @@ func TestElisionEligibility(t *testing.T) {
 		}
 	})
 
-	// The relocated form numbers 32-byte granules, so the two halves of
-	// line 0 get two IDs in one set: elision counts them as two
-	// allocating lines and keeps their later reads, where the plain
-	// compile (one ID) skips them.
+	// Loads of both halves of line 0 would give it two IDs in one set of
+	// the relocated form: Relocate rebuilds, so each run replays the two
+	// lines' first reads, as the compiled form does.
 	t.Run("aliased", func(t *testing.T) {
 		cfg := elisionConfig(cache.Random, wt)
 		b := trace.NewBuilder(7)
@@ -464,26 +445,41 @@ func TestElisionEligibility(t *testing.T) {
 			b.Load(a)
 		}
 		tr := b.Trace()
-		rel, err := workload.FromTrace("aliased", "", tr).Relocatable(workload.BaselineLayout(), 64)
-		if err != nil {
-			t.Fatal(err)
+		ct := relocated(t, tr)
+		core, ref := mustNew(t, cfg), mustNew(t, cfg)
+		core.Reseed(3)
+		ref.Reseed(3)
+		if got, want := core.RunCompiled(ct), ref.Run(tr); got != want {
+			t.Fatalf("compiled %+v, reference %+v", got, want)
 		}
-		for _, tc := range []struct {
-			name string
-			ct   *trace.Compiled
-			want int
-		}{{"compiled", compile(t, tr), 2}, {"relocated", rel.Relocate(workload.BaselineLayout()), 5}} {
-			core, ref := mustNew(t, cfg), mustNew(t, cfg)
-			core.Reseed(3)
-			ref.Reseed(3)
-			if got, want := core.RunCompiled(tc.ct), ref.Run(tr); got != want {
-				t.Fatalf("%s: compiled %+v, reference %+v", tc.name, got, want)
-			}
-			if got := core.ReplayedOps(); got != tc.want {
-				t.Fatalf("%s replayed %d of %d ops, want %d", tc.name, got, len(tc.ct.Ops), tc.want)
-			}
+		if got := core.ReplayedOps(); got != 2 {
+			t.Fatalf("replayed %d of %d ops, want 2", got, len(ct.Ops))
 		}
 	})
+}
+
+// relocated relocates tr, captured as a workload, at 64-byte lines to
+// the baseline layout. Relocation numbers 32-byte granules, so where tr
+// touches both granules of a line two IDs would share it and Relocate
+// rebuilds: relocated fails t unless the result is tr's compiled form.
+func relocated(t *testing.T, tr trace.Trace) *trace.Compiled {
+	t.Helper()
+	rel, err := workload.FromTrace("relocated", "", tr).Relocatable(workload.BaselineLayout(), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := rel.Relocate(workload.BaselineLayout())
+	if !sameCompiled(ct, compile(t, tr)) {
+		t.Fatal("the relocated trace is not the compiled one")
+	}
+	return ct
+}
+
+// sameCompiled reports whether a and b have the same ops, line tables,
+// access count and line size.
+func sameCompiled(a, b *trace.Compiled) bool {
+	return slices.Equal(a.Ops, b.Ops) && slices.Equal(a.ILines, b.ILines) && slices.Equal(a.DLines, b.DLines) &&
+		a.Accesses == b.Accesses && a.LineBytes == b.LineBytes
 }
 
 func compile(t *testing.T, tr trace.Trace) *trace.Compiled {
@@ -625,10 +621,9 @@ func fourWay() Config {
 }
 
 // TestMissOnlyReplay pins the miss rule: on a cold Random or FIFO L1, a
-// run of a Compiled with distinct line IDs replays a stream's first
-// reads and the reads of lines a fill has evicted since their previous
-// read, which the eviction marks, and skips every other read, whatever
-// the number of lines in the set.
+// run replays a stream's first reads and the reads of lines a fill has
+// evicted since their previous read, which the eviction marks, and skips
+// every other read, whatever the number of lines in the set.
 func TestMissOnlyReplay(t *testing.T) {
 	random, fifo := elisionConfig(cache.Random, cache.WriteThrough), elisionConfig(cache.FIFO, cache.WriteThrough)
 	var later []uint64 // line 0's next read 100 ops after line 8's fill
@@ -656,8 +651,8 @@ func TestMissOnlyReplay(t *testing.T) {
 // TestSettledSetElision pins the miss rule on a Random set of 2..Ways
 // lines, which settles: once all its lines are resident no fill reaches
 // it, so a run replays none of their later reads. The cases run as
-// TestMissOnlyReplay's do. Aliased IDs take no miss rule, and a set of
-// two of them, which only ever holds one, replays every later read.
+// TestMissOnlyReplay's do. A relocation that would give one line two IDs
+// is rebuilt and takes the miss rule too.
 func TestSettledSetElision(t *testing.T) {
 	// Lines 0 and 8 share set 0 of elisionConfig's 2-way L1s; line 1
 	// sits alone in set 1, so its later reads hit and keep the others
@@ -685,10 +680,9 @@ func TestSettledSetElision(t *testing.T) {
 		{"three-of-four", fourWay(), alternate(300, 0, 128, 256, 1), func(_ cache.Stats, n int) bool { return n > 4 && n < 150 }},
 	})
 
-	// Relocation numbers the two 32-byte granules of line 0 as two IDs
-	// in one set: the miss rule does not apply, and the set's two
-	// allocating lines, over Random's limit of 1, replay every later
-	// read, on either L1.
+	// Relocation would number the two 32-byte granules of line 0 as two
+	// IDs in one set: Relocate rebuilds, and lines 0 and 1, alone in their
+	// sets, replay their first reads alone, on either L1.
 	for _, kind := range []trace.Kind{trace.Fetch, trace.Load} {
 		t.Run("aliased/"+kind.String(), func(t *testing.T) {
 			cfg := elisionConfig(cache.Random, cache.WriteThrough)
@@ -697,15 +691,11 @@ func TestSettledSetElision(t *testing.T) {
 				b.Append(trace.Access{Addr: a, Kind: kind})
 			}
 			tr := b.Trace()
-			rel, err := workload.FromTrace("aliased", "", tr).Relocatable(workload.BaselineLayout(), 64)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ct := rel.Relocate(workload.BaselineLayout())
+			ct := relocated(t, tr)
 			core, ref := mustNew(t, cfg), mustNew(t, cfg)
 			for seed := 0; seed < 8; seed++ {
-				if n := checkElidedRun(t, cfg, core, ref, prng.Derive(0xA11A5, seed), ct, tr); n != 5 {
-					t.Fatalf("seed %d replayed %d of %d ops, want 5", seed, n, len(ct.Ops))
+				if n := checkElidedRun(t, cfg, core, ref, prng.Derive(0xA11A5, seed), ct, tr); n != 2 {
+					t.Fatalf("seed %d replayed %d of %d ops, want 2", seed, n, len(ct.Ops))
 				}
 			}
 		})
@@ -821,7 +811,9 @@ func TestStoreElision(t *testing.T) {
 		kinds += "...s"[i%4 : i%4+1]
 	}
 	settles := dataTrace(lines, kinds)
-	// The relocated form numbers the two granules of line 0 as two IDs.
+	// Stores to both granules of line 0, which the relocated form would
+	// number as two IDs: Relocate rebuilds, so line 0's later stores are
+	// skipped as in the compiled form.
 	aliased := trace.Trace{{Addr: 0, Kind: trace.Load}, {Addr: 32, Kind: trace.Store},
 		{Addr: 0, Kind: trace.Store}, {Addr: 32, Kind: trace.Store}}
 	always := func(cache.Stats, int, int) bool { return true }
@@ -856,7 +848,7 @@ func TestStoreElision(t *testing.T) {
 		{"settle-evict", storeConfig(random, random, wb), settleEvict, false, byRule, skips(0)},
 		{"both-streams", storeConfig(random, random, wb), bothStreams, false, 2, always},
 		{"settles", storeConfig(random, random, wb), settles, false, 24, func(_ cache.Stats, _, n int) bool { return n < 10 }},
-		{"aliased", storeConfig(random, random, wb), aliased, true, 0, always},
+		{"aliased", storeConfig(random, random, wb), aliased, true, 2, always},
 		// An LRU DL1 skips by occupancy, so the certainty rule skips line
 		// 0's two middle stores: lines 0 and 8 fill DL1 set 0's two ways
 		// and each sits alone in its L2 set. A write-through L2 never holds
@@ -883,11 +875,7 @@ func TestStoreElision(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ct := compile(t, tc.tr)
 			if tc.relocate {
-				rel, err := workload.FromTrace("aliased", "", tc.tr).Relocatable(workload.BaselineLayout(), 64)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ct = rel.Relocate(workload.BaselineLayout())
+				ct = relocated(t, tc.tr)
 			}
 			stores := 0
 			for _, op := range ct.Ops {
@@ -920,15 +908,11 @@ func TestStoreElision(t *testing.T) {
 }
 
 // TestLRUStoreElision pins the certainty rule of store elision: under a
-// cold write-through DL1 that skips reads by occupancy (LRU, or an
-// aliasing relocated Compiled on FIFO) and a cold write-back L2, a data
-// line's stores but its first and last are skipped when its L2 set holds
-// at most the L2's limit of line IDs of either stream and no other data
-// line ID has its address, and the store precedes the line's first read,
-// its DL1 set holds at most the DL1's limit of read lines, or the LRU
-// pass classifies the DL1 (distinct line addresses). storeConfig
-// puts line L in DL1 set L%8 of two ways and L2 set L%16 of four. Each
-// case runs over 8 seeds on one core, every run
+// cold write-through LRU DL1, which the LRU pass classifies, and a cold
+// write-back L2, a data line's stores but its first and last are skipped
+// when its L2 set holds at most the L2's limit of line IDs of either
+// stream. storeConfig puts line L in DL1 set L%8 of two ways and L2 set
+// L%16 of four. Each case runs over 8 seeds on one core, every run
 // checked by checkElidedRun against ruleReplayed (ops and stores) and the
 // per-access reference (Result and every level's state: the L2's LRU
 // tick and stamps, dirty bits, and the DL1's restored stamps), then once
@@ -943,8 +927,8 @@ func TestLRUStoreElision(t *testing.T) {
 	// The same with the four lines only stored to, so the DL1 counts none
 	// of them.
 	l2OverStored := dataTrace([]uint64{0, 0, 16, 32, 48, 64, 0, 0, 0, 1, 1, 1, 1}, ".ssssssss.sss")
-	// Two granules of line 0 get two IDs in the relocated form, one in the
-	// compiled one; line 2 has one granule.
+	// Two granules of line 0 would get two IDs in the relocated form, which
+	// Relocate rebuilds as the compiled one; line 2 has one granule.
 	aliased := trace.Trace{
 		{Addr: 0, Kind: trace.Load}, {Addr: 32, Kind: trace.Store}, {Addr: 0, Kind: trace.Store},
 		{Addr: 32, Kind: trace.Store}, {Addr: 0, Kind: trace.Store}, {Addr: 32, Kind: trace.Store},
@@ -966,11 +950,11 @@ func TestLRUStoreElision(t *testing.T) {
 		// pass classifies, so line 0's middle store is skipped like line
 		// 1's, alone in its set.
 		{"uncertain-dl1", lru, dataTrace([]uint64{0, 8, 16, 1, 0, 1, 0, 1, 0, 1}, "....ssssss"), false, 2},
-		// The same with a load of both granules of line 2 at the end: two
-		// IDs of one line in the relocated form, which the pass does not
-		// classify, so line 0's middle store is kept.
+		// The same with a load of both granules of line 2 at the end, two
+		// IDs of one line in the relocated form: Relocate rebuilds, so line
+		// 0's middle store is skipped as above.
 		{"uncertain-dl1/aliased", lru, append(dataTrace([]uint64{0, 8, 16, 1, 0, 1, 0, 1, 0, 1}, "....ssssss"),
-			trace.Access{Addr: 128, Kind: trace.Load}, trace.Access{Addr: 160, Kind: trace.Load}), true, 1},
+			trace.Access{Addr: 128, Kind: trace.Load}, trace.Access{Addr: 160, Kind: trace.Load}), true, 2},
 		// In the same uncertain set, line 0's middle stores before its
 		// first read are certain misses and skipped, the one after too.
 		{"uncertain-dl1/before-first-read", lru, dataTrace([]uint64{0, 0, 0, 0, 8, 16, 0, 0}, "sss...ss"), false, 3},
@@ -987,10 +971,11 @@ func TestLRUStoreElision(t *testing.T) {
 		{"after-last-read", lru, dataTrace([]uint64{0, 1, 0, 0, 0, 0, 1}, "..ssss."), false, 2},
 		// Line 0's four stores in the compiled form, line 2's one.
 		{"aliased/compiled", lru, aliased, false, 5},
-		// The relocated form keeps line 0's granules' stores: another
-		// data ID has their address. Line 2's middle store is skipped.
-		{"aliased/relocated", lru, aliased, true, 1},
-		{"aliased/relocated-fifo", fifo, aliased, true, 1},
+		// The relocated form is rebuilt and skips the same stores; a FIFO
+		// DL1 takes the miss rule, and no store rule runs on an LRU L2
+		// under it.
+		{"aliased/relocated", lru, aliased, true, 5},
+		{"aliased/relocated-fifo", fifo, aliased, true, 0},
 		// Line 2 fetched and stored to: an instruction and a data line ID
 		// on one L2 line, two lines of its L2 set by ID.
 		{"both-streams", lru, dataTrace([]uint64{2, 2, 2, 2, 2, 2}, "f.sss."), false, 1},
@@ -1001,11 +986,7 @@ func TestLRUStoreElision(t *testing.T) {
 				cfg.IL1.Replacement = cache.LRU
 				ct := compile(t, tc.tr)
 				if tc.relocate {
-					rel, err := workload.FromTrace("aliased", "", tc.tr).Relocatable(workload.BaselineLayout(), 64)
-					if err != nil {
-						t.Fatal(err)
-					}
-					ct = rel.Relocate(workload.BaselineLayout())
+					ct = relocated(t, tc.tr)
 				}
 				stores := 0
 				for _, op := range ct.Ops {
@@ -1033,8 +1014,7 @@ func TestLRUStoreElision(t *testing.T) {
 }
 
 // TestLRUMissClassification pins the LRU pass: on a cold write-through
-// LRU DL1 and a Compiled with distinct line addresses, the accesses of
-// DL1 sets that hold more than Ways read lines are classified by one
+// LRU DL1, the accesses of DL1 sets that hold more than Ways read lines are classified by one
 // exact LRU pass, their hits skipped, their misses served at the L2
 // alone, and a miss whose line's L2 set is certain skipped too unless it
 // is the line's first or last L2 access. Each case runs over 64 seeds on
@@ -1061,7 +1041,7 @@ func TestLRUMissClassification(t *testing.T) {
 	// first L2 access, so its first load is skipped; line 0's and line
 	// 16's first loads are their first L2 accesses and are kept.
 	storedFirst := append(trace.Trace{{Addr: 8 * 64, Kind: trace.Store}}, sweep(30, 0, 8, 16)...)
-	// Two granules of line 0 get two IDs in the relocated form.
+	// Two granules of line 0 would get two IDs in the relocated form.
 	aliased := append(trace.Trace{{Addr: 32, Kind: trace.Load}}, sweep(30, 0, 8, 16)...)
 	lru := storeConfig(cache.LRU, cache.LRU, cache.WriteBack)
 	rm := lru
@@ -1083,9 +1063,9 @@ func TestLRUMissClassification(t *testing.T) {
 		// miss is replayed, at the L2 alone.
 		{"uncertain-l2", sweep(50, 0, 16, 32, 48, 64), false, 51},
 		{"first-l2-read", storedFirst, false, 7},
-		// The pass needs distinct IDs: the relocated form replays every
-		// later read of DL1 set 0 through the DL1.
-		{"aliased", aliased, true, 32},
+		// Relocate rebuilds, and the pass classifies the rebuilt form,
+		// whose first two loads fold into one op, like the sweep above.
+		{"aliased", aliased, true, 7},
 	} {
 		for _, cfg := range []struct {
 			name string
@@ -1094,13 +1074,7 @@ func TestLRUMissClassification(t *testing.T) {
 			t.Run(tc.name+"/"+cfg.name, func(t *testing.T) {
 				ct := compile(t, tc.tr)
 				if tc.relocate {
-					rel, err := workload.FromTrace("aliased", "", tc.tr).Relocatable(workload.BaselineLayout(), 64)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if ct = rel.Relocate(workload.BaselineLayout()); ct.DistinctLines() {
-						t.Fatal("the relocated form reports distinct lines")
-					}
+					ct = relocated(t, tc.tr)
 				}
 				core, ref := mustNew(t, cfg.cfg), mustNew(t, cfg.cfg)
 				for seed := 0; seed < 64; seed++ {
@@ -1182,13 +1156,11 @@ func TestStoreMissWindows(t *testing.T) {
 // elision rule's scratch and the LRU pass's on the first run that
 // applies the rule, and the miss rule's only on a Random or FIFO L1. Each
 // core replays a compiled run, a relocated one, and one relocated to a
-// layout that puts tblook01's table and result buffer on the same lines
-// (aliasing IDs). A modulo+LRU baseline core takes the certainty rule on
-// all three and the LRU pass on the first two, and never allocates the
-// ownership or miss rules' scratch. An RM core takes the ownership rule
-// on the first two, and the certainty rule only on the aliasing one,
-// whose IDs make its Random DL1 skip by occupancy; it never allocates the
-// pass's scratch.
+// layout that puts tblook01's table and result buffer on the same lines,
+// which Relocate rebuilds. A modulo+LRU baseline core takes the certainty
+// rule and the LRU pass on all three, and never allocates the ownership
+// or miss rules' scratch. An RM core takes the ownership rule on all
+// three, and never allocates the certainty rule's or the pass's scratch.
 func TestStoreScratchOnlyWhereUsed(t *testing.T) {
 	w, err := workload.ByName("tblook01")
 	if err != nil {
@@ -1201,37 +1173,43 @@ func TestStoreScratchOnlyWhereUsed(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  Config
-		// after each run: the ownership and miss rules' scratch, the
-		// certainty rule's and the LRU pass's
-		owner, certain, pass [3]bool
+		// whether each run allocates the ownership and miss rules'
+		// scratch, the certainty rule's and the LRU pass's
+		owner, certain, pass bool
 	}{
-		{"baseline", base, [3]bool{}, [3]bool{true, true, true}, [3]bool{true, true, true}},
-		{"rm", paperConfig(placement.RM), [3]bool{true, true, true}, [3]bool{false, false, true}, [3]bool{}},
+		{"baseline", base, false, true, true},
+		{"rm", paperConfig(placement.RM), true, false, false},
 	} {
-		rel, err := w.Relocatable(workload.BaselineLayout(), tc.cfg.DL1.LineBytes)
+		lb := tc.cfg.DL1.LineBytes
+		rel, err := w.Relocatable(workload.BaselineLayout(), lb)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ct, err := trace.Compile(w.Build(workload.DefaultLayout()), tc.cfg.DL1.LineBytes)
+		ct, err := trace.Compile(w.Build(workload.DefaultLayout()), lb)
 		if err != nil {
 			t.Fatal(err)
+		}
+		rebuilt, err := trace.Compile(w.Build(aliasing), lb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		aliased := rel.Relocate(aliasing)
+		if !sameCompiled(aliased, rebuilt) {
+			t.Fatalf("%s: the aliasing layout's relocation is not its rebuild", tc.name)
 		}
 		core := mustNew(t, tc.cfg)
 		p := &core.plan
-		for i, ct := range []*trace.Compiled{ct, rel.Relocate(workload.BaselineLayout()), rel.Relocate(aliasing)} {
-			if got := ct.DistinctLines(); got != (i < 2) {
-				t.Fatalf("run %d: DistinctLines %v", i, got)
-			}
+		for i, ct := range []*trace.Compiled{ct, rel.Relocate(workload.BaselineLayout()), aliased} {
 			core.Reseed(prng.Derive(0x5C4, i))
 			core.RunCompiled(ct)
-			if got := p.rI.who != nil || p.rD.who != nil || p.sk.owner != nil; got != tc.owner[i] {
-				t.Errorf("%s run %d: ownership and miss-rule scratch allocated %v, want %v", tc.name, i, got, tc.owner[i])
+			if got := p.rI.who != nil || p.rD.who != nil || p.sk.owner != nil; got != tc.owner {
+				t.Errorf("%s run %d: ownership and miss-rule scratch allocated %v, want %v", tc.name, i, got, tc.owner)
 			}
-			if got := p.sk.sets != nil || p.sk.link != nil; got != tc.certain[i] {
-				t.Errorf("%s run %d: certainty scratch allocated %v, want %v", tc.name, i, got, tc.certain[i])
+			if got := p.sk.sets != nil; got != tc.certain {
+				t.Errorf("%s run %d: certainty scratch allocated %v, want %v", tc.name, i, got, tc.certain)
 			}
-			if got := p.lp.stamp != nil || p.lp.res != nil || p.lp.walk != nil; got != tc.pass[i] {
-				t.Errorf("%s run %d: LRU pass scratch allocated %v, want %v", tc.name, i, got, tc.pass[i])
+			if got := p.lp.stamp != nil || p.lp.res != nil || p.lp.walk != nil; got != tc.pass {
+				t.Errorf("%s run %d: LRU pass scratch allocated %v, want %v", tc.name, i, got, tc.pass)
 			}
 		}
 	}

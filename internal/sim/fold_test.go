@@ -116,31 +116,28 @@ func fuzzTrace(data []byte) trace.Trace {
 // against the per-access reference Core.Run, which consults the placement
 // policy on every access and serves every access through the level's
 // slow path. Six replays share one core: two reseeded runs, a warm replay
-// without Reseed, a warm replay of the trace's relocated form, which
-// numbers 32-byte granules, so the two granules of a 64-byte line get two
-// IDs, each with its own plan entry and way hint, the relocated form
-// again after a Flush, and a warm replay of the second half of the trace
-// on the state the full trace left, which a smaller Compiled than the
-// last replays. A relocated form whose data touch one granule per line
-// reports distinct lines and takes the compiled form's rules. The
-// reseeded and flushed replays are cold: under Random and FIFO the
-// compiled form replays only the reads that miss, and with a
-// write-through DL1 over a write-back L2 of the same kind (the
-// selector's top bit) skips the stores to data lines that have stayed in
-// the L2 since their previous store; under LRU, and an aliasing relocated
-// form under Random and FIFO, they skip the reads their mapping makes
-// certain hits, and over a write-back L2 the middle stores of the data
-// lines whose DL1 and L2 sets it makes certain, which aliased IDs never
-// are. An LRU DL1 with distinct lines classifies the accesses of its
-// sets of more than Ways lines by one LRU pass, and skips the read
-// misses whose L2 hit is certain. The warm ones must skip nothing. After every
-// replay each level's state must equal the reference's too
+// without Reseed, a warm replay of the trace's relocated form, the
+// relocated form again after a Flush, and a warm replay of the second
+// half of the trace on the state the full trace left, which a smaller
+// Compiled than the last replays. The relocated form must equal the
+// compiled one (sameCompiled): relocation numbers 32-byte granules, and
+// where the trace touches both granules of a 64-byte line Relocate
+// rebuilds, so both forms take the same rules, with their own index
+// plans. The reseeded and flushed replays are cold: under Random and FIFO
+// they replay only the reads that miss, and with a write-through DL1
+// over a write-back L2 of the same kind (the selector's top bit) skip the
+// stores to data lines that have stayed in the L2 since their previous
+// store; under LRU they skip the reads their mapping makes certain hits,
+// an LRU DL1 classifies the accesses of its sets of more than Ways lines
+// by one LRU pass, and over a write-back L2 the run skips the middle
+// stores of the data lines whose L2 sets it makes certain and the read
+// misses whose L2 hit is certain. The warm ones must skip nothing. After
+// every replay each level's state must equal the reference's too
 // (sameCacheState), L2 dirty bits included, so an LRU restore that
 // misses a stamp or a skipped store that leaves a line clean fails at
-// once. Stale hints, deterministic plans reused across reseeds and two
-// IDs on one line all occur. The shared-bus model must also give the
-// folded and the unfolded Compiled the same Results against a streaming
-// co-runner.
+// once. Stale hints and deterministic plans reused across reseeds both
+// occur. The shared-bus model must also give the folded and the
+// unfolded Compiled the same Results against a streaming co-runner.
 func FuzzCompiledReplay(f *testing.F) {
 	f.Add(uint8(0), uint64(1), []byte("\x41\x41\x41\x01\x41\x81\x41\x00\x00\x50\x10\x50"))
 	f.Add(uint8(0x2B), uint64(7), []byte("\x40\x00\x40\x00\x40\x80\x40\x10\x20\x30\x40\x50\x60\x70\x40"))
@@ -149,8 +146,8 @@ func FuzzCompiledReplay(f *testing.F) {
 	// DL1 set between two loads of it, so the second load must miss.
 	f.Add(uint8(0x23), uint64(5), []byte("\x40\x90\xa0\x40"))
 	// Loads alternating between the two granules of one line: Compile
-	// folds them into one op, the relocated form keeps two IDs whose
-	// hints go stale against each other.
+	// folds them into one op, and the relocation, which would give the
+	// line two IDs, is rebuilt.
 	f.Add(uint8(0x33), uint64(3), []byte("\x44\x45\x44\x45\x45\x45\x04\x05\x04\x85\x44\x45"))
 	// Modulo/Random/write-through no-allocate: loads alternating between
 	// lines 0 and 8, two allocating lines in one DL1 set, so each may
@@ -197,8 +194,7 @@ func FuzzCompiledReplay(f *testing.F) {
 	// line ID on one L2 line.
 	f.Add(uint8(0x89), uint64(3), []byte("\x00\x80\x80\x40\x80\x00\x80"))
 	// Stores to both granules of line 0: one ID in the compiled form,
-	// whose later stores are skipped, two in the relocated form replayed
-	// after the Flush, which keeps them.
+	// whose later stores are skipped, and in the rebuilt relocated form.
 	f.Add(uint8(0x89), uint64(4), []byte("\x40\x80\x81\x80\x41\x81\x80"))
 	// Modulo/Random over a write-back L2: line 0, stored to and so dirty
 	// and owning its L2 way, shares L2 set 0 with lines 8, 16 and 24,
@@ -234,7 +230,7 @@ func FuzzCompiledReplay(f *testing.F) {
 	// five IDs in L2 set 0 (data lines 0 and 16, fetched lines 8, 16 and
 	// 24); a line only stored to; stores before line 0's first read; a
 	// single store and a pair; stores after the last read; stores to both
-	// granules of line 0, two IDs in the relocated form; and one address
+	// granules of line 0, whose relocation is rebuilt; and one address
 	// fetched, loaded and stored to.
 	for _, data := range []string{
 		"\x40\x80\x80\x80\x80",
@@ -288,6 +284,9 @@ func FuzzCompiledReplay(f *testing.F) {
 			t.Fatal(err)
 		}
 		relocated := rel.Relocate(workload.BaselineLayout())
+		if !sameCompiled(relocated, ct) {
+			t.Fatalf("sel %#x: the relocated form is not the compiled one", sel)
+		}
 		half := tr[len(tr)/2:]
 		ctHalf, err := trace.Compile(half, 64)
 		if err != nil {

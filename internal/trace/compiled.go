@@ -57,6 +57,12 @@ type Op struct {
 // a run replays a line's later reads only while its mapping leaves the
 // line's L1 set able to miss (see ReplayIndex and sim.Core.RunCompiled).
 //
+// No two line IDs of a stream share an address: Compile numbers lines,
+// and workload.Relocatable.Relocate rebuilds through Compile wherever its
+// IDs would (Aliased). The replay's skip rules follow each line's L1 and
+// L2 residency by its ID, so they rely on it; a Compiled built any other
+// way must keep it too.
+//
 // A Compiled is immutable after Compile and safe to share across
 // concurrently executing runs.
 type Compiled struct {
@@ -78,30 +84,16 @@ type Compiled struct {
 	// Accesses is the number of accesses of the source trace: len(Ops)
 	// plus every op's Rep.
 	Accesses int
-
-	// distinct is set by Compile and CheckDistinct alone, so a Compiled
-	// built or renumbered elsewhere reports false, the safe value.
-	distinct bool
 }
 
 // Len returns the number of accesses (not ops).
 func (c *Compiled) Len() int { return c.Accesses }
 
-// DistinctLines reports that no two line IDs of a stream share an
-// address, which holds for the Compileds that Compile returns. A run
-// that replays only an L1's read misses, classifies an LRU L1's reads or
-// skips stores needs it, since it follows a line's L1 and L2 residency
-// by ID; workload.Relocatable numbers granules, so its Compileds may
-// give one line two IDs in either stream and report it only after
-// CheckDistinct.
-func (c *Compiled) DistinctLines() bool { return c.distinct }
-
-// CheckDistinct sets DistinctLines from c's line tables: true exactly
-// when neither ILines nor DLines holds a line twice. It sorts a copy of
-// each, in O(n log n) time for n lines, and is for a Compiled built
-// outside Compile; call it before sharing c.
-func (c *Compiled) CheckDistinct() {
-	c.distinct = distinct(c.ILines) && distinct(c.DLines)
+// Aliased reports whether two line IDs of a stream share an address,
+// which no Compiled may do (see Compiled). It sorts a copy of each line
+// table, in O(n log n) time for n lines.
+func (c *Compiled) Aliased() bool {
+	return !distinct(c.ILines) || !distinct(c.DLines)
 }
 
 // distinct reports whether lines holds no value twice.
@@ -135,7 +127,7 @@ func Compile(t Trace, lineBytes int) (*Compiled, error) {
 	for _, a := range t {
 		n.Add(a.Kind, a.Addr>>shift, 0)
 	}
-	c := &Compiled{LineBytes: lineBytes, Accesses: len(t), distinct: true}
+	c := &Compiled{LineBytes: lineBytes, Accesses: len(t)}
 	c.Ops, c.Index = n.Finish()
 	c.ILines, _ = n.Lines(Fetch)
 	c.DLines, _ = n.Lines(Load)

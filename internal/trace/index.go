@@ -67,9 +67,7 @@ type LineOps struct {
 // lines only a read fills. A store misses exactly when its line is not
 // resident: before the line's first read, and from each eviction of the
 // line to its next read. Cold counts the stores before their line's
-// first read and the stores of lines never read, and Early, per line ID,
-// its middle stores before its first read (all of them for a line never
-// read). After holds, per later data read (the data stream's
+// first read and the stores of lines never read. After holds, per later data read (the data stream's
 // LineReads.At layout), the index in At of the line's first store after
 // that read, and First, per data line ID, the same for the line's first
 // read; so the stores of a line between two consecutive reads are
@@ -80,7 +78,6 @@ type LineStores struct {
 	Ends  []uint64
 	Last  uint32
 	Cold  uint64
-	Early []uint32
 	After []uint32
 	First []uint32
 }
@@ -216,7 +213,6 @@ func (t *ReplayTables) buildStores() {
 	s.At = make([]uint32, s.Off[n])
 	s.After = make([]uint32, len(t.D.At))
 	s.First = make([]uint32, n)
-	s.Early = make([]uint32, n)
 	// Per line, the index in At of its next store, and the index in D.At
 	// of its next later read, or -1 before its first read.
 	next := make([]uint32, n)
@@ -234,7 +230,6 @@ func (t *ReplayTables) buildStores() {
 		case reads[id] < 0:
 			s.First[id] = next[id]
 			s.Cold += uint64(next[id]) - uint64(s.Off[id])
-			s.Early[id] = middle(s.Off[id], next[id], s.Off[id+1])
 			reads[id] = t.D.Off[id]
 		default:
 			s.After[reads[id]] = next[id]
@@ -249,15 +244,8 @@ func (t *ReplayTables) buildStores() {
 		}
 		if !read {
 			s.Cold += uint64(hi - lo)
-			s.Early[id] = middle(lo, uint32(hi), hi)
 		}
 	}
-}
-
-// middle returns how many of a line's stores At[lo:hi] lie in
-// At[lo:before] and are neither its first nor its last.
-func middle(lo int, before uint32, hi int) uint32 {
-	return uint32(max(0, min(int(before), hi-1)-lo-1))
 }
 
 // stream returns 0 for the instruction stream, 1 for the data stream.

@@ -15,9 +15,8 @@ import (
 // each stream's accesses through each line's last access and in all.
 // Each data line's list in Stores holds exactly its stores, in ascending
 // order, Keep is Must without every store but each line's first, Ends
-// is Must without every store but each line's first and last, Early
-// counts each line's other stores before its first load, and Last is
-// the last store's op. Cold counts the stores before their
+// is Must without every store but each line's first and last, and Last
+// is the last store's op. Cold counts the stores before their
 // line's first load, and After and First hold, for each later load and
 // each line's first load, the index in At of the line's next store.
 func TestReplayIndex(t *testing.T) {
@@ -127,25 +126,10 @@ func TestReplayIndex(t *testing.T) {
 		}
 		// A middle store is neither its line's first nor its last.
 		middle := make([]bool, n)
-		early := make([]uint32, nLines)
-		firstLoad := make([]int, nLines)
-		for id := range firstLoad {
-			firstLoad[id] = n
-		}
-		for i := n - 1; i >= 0; i-- {
-			if ops[i].Kind == Load {
-				firstLoad[ops[i].ID] = i
-			}
-		}
 		for id := 0; id < nLines; id++ {
 			at := st.At[st.Off[id]:st.Off[id+1]]
 			for j, i := range at {
-				if middle[i] = j > 0 && j < len(at)-1; middle[i] && int(i) < firstLoad[id] {
-					early[id]++
-				}
-			}
-			if len(st.Early) != nLines || st.Early[id] != early[id] {
-				t.Fatalf("round %d line %d: Early %v, want %d", round, id, st.Early, early[id])
+				middle[i] = j > 0 && j < len(at)-1
 			}
 		}
 		for i, op := range ops {

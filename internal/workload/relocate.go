@@ -76,13 +76,10 @@ type anchors struct {
 // Line IDs are keyed by (field set, granule) per stream, with a granule of
 // min(lineBytes, LineBytes) bytes: a granule never straddles a line and
 // moves as one piece under any such layout, so objects that share a line
-// at the base layout but separate later stay exact. Two IDs may name the
-// same line address; replay keys on line addresses, so that is harmless
-// (each ID keeps its own way hint, and a stale one costs one slow-path
-// access), and hit elision counts the two IDs as two lines of their set,
-// which can only keep more reads. A relocation in which no two IDs of a
-// stream share a line reports trace.Compiled.DistinctLines, which the
-// faster replay rules need.
+// at the base layout but separate later stay exact. Where a layout would
+// give two IDs of a stream one line (objects that meet there, or two
+// granules of one line longer than LineBytes), Relocate rebuilds instead,
+// so every Compiled it returns has distinct lines, as trace.Compile's do.
 type Relocatable struct {
 	ops        []trace.Op // folded, see trace.Op
 	index      *trace.ReplayIndex
@@ -92,6 +89,7 @@ type Relocatable struct {
 	lineBytes  int
 	lineShift  uint
 	granule    uint64
+	build      func(l Layout) trace.Trace // the workload's trace, for Relocate's rebuilds
 }
 
 // Relocatable derives which layout fields each access of the workload
@@ -112,11 +110,13 @@ func (w Workload) Relocatable(base Layout, lineBytes int) (*Relocatable, error) 
 		lineBytes: lineBytes,
 		lineShift: uint(bits.TrailingZeros(uint(lineBytes))),
 		granule:   uint64(min(lineBytes, LineBytes)),
+		build:     w.Build,
 	}
 	var n *trace.Numbering
 	var reason string
 	if w.prog != nil {
 		n, r.accesses, reason = w.prog.walk(base, r.granule)
+		r.build = w.prog.build
 	} else {
 		n, r.accesses, reason = w.twoBuilds(base, r.granule)
 	}
@@ -242,16 +242,15 @@ func (p *program) walk(base Layout, granule uint64) (n *trace.Numbering, accesse
 // Len returns the number of accesses of the compiled trace.
 func (r *Relocatable) Len() int { return r.accesses }
 
-// Relocate returns the compiled trace of the workload at layout l: the
-// shared ops and replay index plus fresh line tables, replaying exactly like
-// trace.Compile(w.Build(l), lineBytes): every stream touches the same
-// line sequence, though the ops may fold differently where two IDs share
-// a line. The result reports DistinctLines where no two IDs of a stream
-// share a line at l (trace.Compiled.CheckDistinct). It costs
-// O(u log u) for u unique lines, not O(accesses). Each call returns a
-// new *trace.Compiled, since replay caches per-Compiled index plans.
-// Relocate panics if a field of l moved from the base by other than a
-// multiple of the granule, which no RandomizedLayoutFrom draw does.
+// Relocate returns the compiled trace of the workload at layout l, equal
+// to trace.Compile(w.Build(l), lineBytes): the shared ops and replay
+// index plus fresh line tables, in O(u log u) for u unique lines, not
+// O(accesses). Where two IDs of a stream would share a line at l
+// (trace.Compiled.Aliased), it returns that rebuild itself, which calls
+// Build. Each call returns a new *trace.Compiled, since replay caches
+// per-Compiled index plans. Relocate panics if a field of l moved from
+// the base by other than a multiple of the granule, which no
+// RandomizedLayoutFrom draw does.
 func (r *Relocatable) Relocate(l Layout) *trace.Compiled {
 	var delta [numFields]uint64
 	lf, bf := l.fields(), r.base.fields()
@@ -269,7 +268,14 @@ func (r *Relocatable) Relocate(l Layout) *trace.Compiled {
 		LineBytes: r.lineBytes,
 		Accesses:  r.accesses,
 	}
-	ct.CheckDistinct()
+	if ct.Aliased() {
+		var err error
+		if ct, err = trace.Compile(r.build(l), r.lineBytes); err != nil {
+			// Compile fails only on a line size Relocatable rejects, or
+			// past 2^32 accesses.
+			panic(err)
+		}
+	}
 	return ct
 }
 

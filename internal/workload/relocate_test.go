@@ -2,7 +2,9 @@ package workload
 
 import (
 	"errors"
+	"fmt"
 	"math/bits"
+	"slices"
 	"testing"
 
 	"repro/internal/cache"
@@ -11,25 +13,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
-
-// streamLines expands c into the line-address sequence of each stream
-// (0 = fetches, 1 = loads and stores), one entry per access, with the
-// kind of each.
-func streamLines(c *trace.Compiled) [2][]trace.Access {
-	var out [2][]trace.Access
-	for _, op := range c.Ops {
-		s, la := 1, uint64(0)
-		if op.Kind == trace.Fetch {
-			s, la = 0, c.ILines[op.ID]
-		} else {
-			la = c.DLines[op.ID]
-		}
-		for r := 0; r <= int(op.Rep); r++ {
-			out[s] = append(out[s], trace.Access{Addr: la, Kind: op.Kind})
-		}
-	}
-	return out
-}
 
 // replayCore builds a small RM/Random hierarchy at lineBytes, so the
 // replay comparison sees misses, evictions and writebacks.
@@ -52,52 +35,49 @@ func replayCore(t *testing.T, lineBytes int) *sim.Core {
 	return c
 }
 
-// checkRelocation compiles w relocatably at base and checks that, at base
-// itself and at the layout RandomizedLayoutFrom draws from seed, the
-// relocated trace replays like trace.Compile of a fresh build at that
-// layout: per stream the same sequence of kinds and line addresses, the
-// same access count, and the same replay Result on a core reseeded alike.
-// The ops themselves may differ: relocation numbers granules, not lines,
-// so where two IDs share a line they fold apart. A relocated trace that
-// reports DistinctLines must have no line twice in a stream.
+// checkRelocation compiles w relocatably at base and checks it
+// (checkRelocated) at base itself and at the layout RandomizedLayoutFrom
+// draws from seed.
 func checkRelocation(t *testing.T, w Workload, base Layout, lineBytes int, seed uint64) {
 	t.Helper()
 	rel, err := w.Relocatable(base, lineBytes)
 	if err != nil {
 		t.Fatalf("%s: %v", w.Name, err)
 	}
-	a, b := replayCore(t, lineBytes), replayCore(t, lineBytes)
 	for _, l := range []Layout{base, RandomizedLayoutFrom(base, prng.New(seed))} {
-		got := rel.Relocate(l)
-		want, err := trace.Compile(w.Build(l), lineBytes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Len() != want.Len() || got.LineBytes != want.LineBytes {
-			t.Fatalf("%s: relocated %d accesses of %d B lines, rebuilt %d of %d B",
-				w.Name, got.Len(), got.LineBytes, want.Len(), want.LineBytes)
-		}
-		gs, ws := streamLines(got), streamLines(want)
-		for s := range gs {
-			if len(gs[s]) != len(ws[s]) {
-				t.Fatalf("%s: stream %d has %d accesses relocated, %d rebuilt", w.Name, s, len(gs[s]), len(ws[s]))
-			}
-			for i := range gs[s] {
-				if gs[s][i] != ws[s][i] {
-					t.Fatalf("%s (%d B lines, layout %+v): stream %d access %d relocated to %v line %#x, rebuilt %v line %#x",
-						w.Name, lineBytes, l, s, i, gs[s][i].Kind, gs[s][i].Addr, ws[s][i].Kind, ws[s][i].Addr)
-				}
-			}
-		}
-		if got.DistinctLines() && !(distinctLines(got.ILines) && distinctLines(got.DLines)) {
-			t.Fatalf("%s (%d B lines, layout %+v): DistinctLines reported, but two IDs share a line", w.Name, lineBytes, l)
-		}
-		a.Reseed(seed)
-		b.Reseed(seed)
-		if rg, rw := a.RunCompiled(got), b.RunCompiled(want); rg != rw {
-			t.Fatalf("%s (%d B lines, layout %+v): relocated replay %+v, rebuilt %+v", w.Name, lineBytes, l, rg, rw)
-		}
+		checkRelocated(t, w, rel, l, seed)
 	}
+}
+
+// checkRelocated checks that rel, w's relocatable form, relocates to l
+// as trace.Compile of a fresh build at l, field for field (ops, line
+// tables, access count and line size), and that both replay alike on
+// cores reseeded with seed. It returns the relocated trace.
+func checkRelocated(t *testing.T, w Workload, rel *Relocatable, l Layout, seed uint64) *trace.Compiled {
+	t.Helper()
+	got := rel.Relocate(l)
+	want, err := trace.Compile(w.Build(l), rel.lineBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	where := fmt.Sprintf("%s (%d B lines, layout %+v)", w.Name, rel.lineBytes, l)
+	switch {
+	case !slices.Equal(got.Ops, want.Ops):
+		t.Fatalf("%s: %d ops relocated, %d rebuilt, or they differ", where, len(got.Ops), len(want.Ops))
+	case !slices.Equal(got.ILines, want.ILines) || !slices.Equal(got.DLines, want.DLines):
+		t.Fatalf("%s: line tables of %d and %d lines relocated, %d and %d rebuilt, or they differ",
+			where, len(got.ILines), len(got.DLines), len(want.ILines), len(want.DLines))
+	case got.Accesses != want.Accesses || got.LineBytes != want.LineBytes:
+		t.Fatalf("%s: relocated %d accesses of %d B lines, rebuilt %d of %d B",
+			where, got.Accesses, got.LineBytes, want.Accesses, want.LineBytes)
+	}
+	a, b := replayCore(t, rel.lineBytes), replayCore(t, rel.lineBytes)
+	a.Reseed(seed)
+	b.Reseed(seed)
+	if rg, rw := a.RunCompiled(got), b.RunCompiled(want); rg != rw {
+		t.Fatalf("%s: relocated replay %+v, rebuilt %+v", where, rg, rw)
+	}
+	return got
 }
 
 // TestRelocateMatchesCompile covers every workload, a captured trace,
@@ -120,62 +100,52 @@ func TestRelocateMatchesCompile(t *testing.T) {
 	}
 }
 
-// TestRelocateCertifiesDistinctLines holds Relocate's DistinctLines to
-// an exact check of each stream's line table (distinctLines, a map of
-// its lines): every built-in kernel relocated from BaselineLayout to
-// DefaultLayout and to randomized baseline layouts, at line sizes 16 to
-// 128 B. At 32 B, the platform's line, every one of those layouts keeps
-// its lines distinct, so the faster replay rules apply to them. A layout
-// that puts tblook01's table on its result buffer gives two IDs one line
-// and reports false.
-func TestRelocateCertifiesDistinctLines(t *testing.T) {
+// TestRelocateRebuildsAliasingLayouts pins when Relocate rebuilds. At
+// 32 B lines, the platform's, every built-in kernel relocated from
+// BaselineLayout to DefaultLayout and to randomized baseline layouts
+// keeps its IDs on distinct lines, so it shares the relocatable form's
+// ops. A layout that puts tblook01's table on its result buffer, and
+// 64 B lines over accesses to both 32 B granules of a line, would give
+// two IDs one line: Relocate returns the rebuilt trace instead, which
+// checkRelocated holds to trace.Compile of a fresh build.
+func TestRelocateRebuildsAliasingLayouts(t *testing.T) {
+	shared := func(rel *Relocatable, ct *trace.Compiled) bool { return &ct.Ops[0] == &rel.ops[0] }
 	layouts := []Layout{DefaultLayout()}
 	for i := 0; i < 8; i++ {
 		layouts = append(layouts, RandomizedLayoutFrom(BaselineLayout(), prng.New(prng.Derive(0xD15, i))))
 	}
 	for _, w := range append(EEMBC(), Synthetic(20*1024, 2, 4)) {
-		for _, lb := range []int{16, 32, 64, 128} {
-			rel, err := w.Relocatable(BaselineLayout(), lb)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, l := range layouts {
-				ct := rel.Relocate(l)
-				want := distinctLines(ct.ILines) && distinctLines(ct.DLines)
-				if ct.DistinctLines() != want {
-					t.Fatalf("%s (%d B lines, layout %d): DistinctLines %v, the exact check %v", w.Name, lb, i, ct.DistinctLines(), want)
-				}
-				if lb == LineBytes && !want {
-					t.Errorf("%s layout %d: two IDs share a 32 B line", w.Name, i)
-				}
+		rel, err := w.Relocatable(BaselineLayout(), LineBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, l := range layouts {
+			if !shared(rel, rel.Relocate(l)) {
+				t.Errorf("%s layout %d: rebuilt, so two IDs would share a 32 B line", w.Name, i)
 			}
 		}
 	}
-	w, err := ByName("tblook01")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel, err := w.Relocatable(BaselineLayout(), LineBytes)
+	tblook, err := ByName("tblook01")
 	if err != nil {
 		t.Fatal(err)
 	}
 	aliasing := BaselineLayout()
 	aliasing.Table = aliasing.Data
-	if ct := rel.Relocate(aliasing); ct.DistinctLines() || distinctLines(ct.DLines) {
-		t.Fatalf("aliasing layout: DistinctLines %v, exact check %v, want both false", ct.DistinctLines(), distinctLines(ct.DLines))
-	}
-}
-
-// distinctLines reports whether lines holds no value twice.
-func distinctLines(lines []uint64) bool {
-	seen := map[uint64]bool{}
-	for _, l := range lines {
-		if seen[l] {
-			return false
+	granules := FromTrace("granules", "", trace.Trace{{Addr: 0, Kind: trace.Load}, {Addr: 32, Kind: trace.Load},
+		{Addr: 32, Kind: trace.Store}, {Addr: 0, Kind: trace.Load}, {Addr: 96, Kind: trace.Fetch}, {Addr: 64, Kind: trace.Fetch}})
+	for _, tc := range []struct {
+		w         Workload
+		l         Layout
+		lineBytes int
+	}{{tblook, aliasing, LineBytes}, {granules, BaselineLayout(), 64}} {
+		rel, err := tc.w.Relocatable(BaselineLayout(), tc.lineBytes)
+		if err != nil {
+			t.Fatal(err)
 		}
-		seen[l] = true
+		if ct := checkRelocated(t, tc.w, rel, tc.l, 7); shared(rel, ct) {
+			t.Errorf("%s: relocated over the shared ops, which give two IDs one line", tc.w.Name)
+		}
 	}
-	return true
 }
 
 // TestRelocatableRejectsLayoutDependentTraces pins the Build contract's
@@ -261,8 +231,8 @@ func relocateSeeds() []relocateInput {
 }
 
 // FuzzRelocate checks relocation against a full rebuild for a fuzzed base
-// layout, line size and run-layout seed: each stream must touch the lines
-// trace.Compile(w.Build(layout)) gives it, in order, and replay alike. It
+// layout, line size and run-layout seed: the relocated trace must equal
+// trace.Compile(w.Build(layout)) field for field and replay alike. It
 // also checks the kernel's relocation walk against the two-build path.
 func FuzzRelocate(f *testing.F) {
 	for _, in := range relocateSeeds() {

@@ -143,6 +143,11 @@ type Workload struct {
 	// addresses use no field) satisfies both. A copy of a built-in whose
 	// Build is replaced still relocates as the built-in: wrap the new
 	// Build in a fresh Workload literal to have it checked.
+	//
+	// Relocatable.Relocate calls Build at a run's layout where relocating
+	// would give two IDs one line, and a campaign's workers relocate at
+	// once, so Build must be safe for concurrent calls, as the built-ins'
+	// and FromTrace's are.
 	Build func(l Layout) trace.Trace
 	// prog is a built-in workload's kernel, which Build runs through a
 	// trace.Builder; nil for every other workload.
