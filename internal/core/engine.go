@@ -567,13 +567,15 @@ func timingPlan(req Request, name string, res *Result) (plan, error) {
 		// Compile once per campaign: the trace is fixed while only seeds
 		// change, so all workers share one read-only Compiled and each run
 		// materializes its index plans from it (the campaign hot path).
+		// Counting tr first leaves it garbage while Compile builds the
+		// replay tables.
+		f, l, st := tr.Counts()
+		res.Trace.Accesses = len(tr)
+		res.Trace.Fetches, res.Trace.Loads, res.Trace.Stores = f, l, st
 		ct, err := trace.Compile(tr, req.Spec.LineBytes)
 		if err != nil {
 			return fmt.Errorf("core: campaign %s: %w", name, err)
 		}
-		f, l, st := tr.Counts()
-		res.Trace.Accesses = len(tr)
-		res.Trace.Fetches, res.Trace.Loads, res.Trace.Stores = f, l, st
 		do = func(p *sim.Core, run int) sim.Result {
 			p.Reseed(prng.Derive(req.MasterSeed, run))
 			return p.RunCompiled(ct)

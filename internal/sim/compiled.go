@@ -32,13 +32,12 @@ import (
 // levels.
 //
 // The plan also selects the ops a run replays: keep has one bit per op
-// (trace.ReplayIndex layout), which keepOps rebuilds every run (see it,
+// (trace.ReplayTables layout), which keepOps rebuilds every run (see it,
 // missRule, lruPass and storeSkip) and the loop extends as fills evict
-// lines. occ is elide's per-set counter scratch, all zero between runs
-// (a run the LRU pass classifies keeps the DL1's counts until its end).
-// limI and limD remember the run's L1 limits for the hit counts and LRU
-// restores after the loop, and ops and stores count the ops and the
-// stores the loop replayed.
+// lines. occ is elide's per-set counter scratch, all zero outside
+// keepOps. limI and limD remember the run's L1 limits for the hit counts
+// and LRU restores after the loop, and ops and stores count the ops and
+// the stores the loop replayed.
 type indexPlan struct {
 	il1 []uint32 // IL1 entry per instruction line ID
 	dl1 []uint32 // DL1 entry per data line ID
@@ -74,14 +73,14 @@ type indexPlan struct {
 // reads not yet passed; preparePlans sizes it per Compiled and start
 // resets it.
 //
-// On the DL1 of a run that skips stores (see storeSkip), no store's DL1
-// access is replayed. The DL1 is cold, write-through and Random or FIFO,
-// so a store changes no DL1 state, and it misses exactly while its line
-// is not resident: before the line's first read, and from each eviction
-// of the line to its next read (trace.LineStores). misses starts at the
-// stores before their line's first read, and a fill that evicts a line
-// adds the line's stores between the eviction and its next read, or the
-// run's end; stores is the run's store lists while it counts.
+// No store reaches a DL1 that takes the rule. The DL1 is cold,
+// write-through and Random or FIFO, so a store changes no DL1 state, and
+// it misses exactly while its line is not resident: before the line's
+// first read, and from each eviction of the line to its next read
+// (trace.LineStores). misses starts at the stores before their line's
+// first read, and a fill that evicts a line adds the line's stores
+// between the eviction and its next read, or the run's end; stores is
+// the data stream's store lists (nil on the IL1).
 type missRule struct {
 	at   []uint32 // the stream's trace.LineReads At
 	off  []int    // and Off
@@ -113,12 +112,16 @@ func newMissRule(c *cache.Cache) missRule {
 	return missRule{who: make([]resident, cfg.Sets()*cfg.Ways), ways: cfg.Ways}
 }
 
-// start readies the rule for a run over the stream lr: every line's
-// cursor at its first later read.
+// start readies the rule for a run over the stream lr, whose stores are
+// s (nil for none): every line's cursor at its first later read, and the
+// stores' misses at those before their lines' first reads.
 //
 //rm:hotpath
-func (r *missRule) start(lr *trace.LineReads) {
-	r.at, r.off = lr.At, lr.Off
+func (r *missRule) start(lr *trace.LineReads, s *trace.LineStores) {
+	r.at, r.off, r.stores, r.misses = lr.At, lr.Off, s, 0
+	if s != nil {
+		r.misses = s.Cold
+	}
 	for id := range r.cur {
 		r.cur[id] = uint32(r.off[id])
 	}
@@ -203,19 +206,21 @@ func (r *missRule) done() uint64 {
 // lruPass is the DL1 scratch of the LRU classification in a run. It
 // applies on a cold write-through LRU DL1, which skips reads by occupancy
 // (elide). Such a DL1 set changes state only through its own lines'
-// accesses, so one pass over the accesses of the sets that hold more
-// than Ways read lines (over-full sets, whose later reads elide cannot
-// skip) decides every one of them exactly, as LRU does: a read hits iff
-// fewer than Ways other lines of its set were filled or hit since its
-// line's last touch, a store hits iff its line is resident, and only a
-// hit restamps the line (classify). The loop then does no DL1 work for those sets: it
-// skips their hits, serves their misses at the L2 alone, and skips a
-// miss whose L2 hit is certain (settle). No store reaches the DL1: a
-// store misses exactly when its line is not resident, before the line's
-// first read (trace.LineStores.Cold) or, in an over-full set, after an
-// eviction, which the pass counts. At the run's end finish installs the
-// sets' final lines and their way hints, so that cache.Cache.RestoreLRU
-// stamps them.
+// accesses, so one pass decides every DL1 access of the run exactly, as
+// LRU does: a read hits iff fewer than Ways other lines of its set were
+// filled or hit since its line's last touch, a store hits iff its line is
+// resident, and only a hit restamps the line (classify). In a set of at
+// most Ways read lines only each line's first read misses, and the pass
+// visits those reads alone; in a set of more (an over-full set, whose
+// later reads elide cannot skip) it visits every read and each store
+// after its line's first read. The loop then does no DL1 work: it skips
+// the hits, serves the misses at the L2 alone, and skips an over-full
+// line's miss whose L2 hit is certain (settle). No store reaches the DL1:
+// a store misses exactly when its line is not resident, before the
+// line's first read (trace.LineStores.Cold) or, in an over-full set,
+// after an eviction, which the pass counts. At the run's end finish
+// installs the lines the pass left in the DL1's ways and their way hints,
+// so that cache.Cache.RestoreLRU stamps them.
 //
 // stamp and who hold, per DL1 way (set*ways+way), the pass's tick at the
 // last touch of the way's line (0 for a free way) and 1 + the line's ID
@@ -230,7 +235,7 @@ type lruPass struct {
 	who, res  []uint32
 	walk, hit []uint64
 	cold      uint64 // the stores' DL1 misses before their lines' first reads
-	misses    uint64 // the over-full sets' DL1 misses
+	misses    uint64 // the pass's DL1 misses
 	evictions uint64 // and evictions
 	served    uint64 // the read misses whose L2 hit the loop skips
 }
@@ -253,25 +258,28 @@ func (lp *lruPass) size(dl1 cache.Config, ct *trace.Compiled) {
 	}
 }
 
-// classify runs the pass over the over-full DL1 sets of a run of ct,
-// whose later reads elide has marked in walk: it marks their lines'
-// first reads and their stores after them, replays those ops in op order
-// on the sets' ways, as LRU fills and stamps them, collecting the reads
-// that miss in hit, then settles each over-full line's misses (settle).
-// p holds the run's plans and p.occ the DL1's read lines per set; sets
-// and l2Lim certify L2 sets for settle.
+// classify runs the pass over a run of ct, whose over-full sets' later
+// reads elide has marked in walk: it marks every read line's first read
+// and each over-full line's stores after it, replays those ops in op
+// order on the DL1's ways, as LRU fills and stamps them, collecting the
+// reads that miss in hit, then settles the misses (settle). p holds the
+// run's plans and p.occ the DL1's read lines per set; sets and l2Lim
+// certify L2 sets for settle.
 //
 //rm:hotpath
 func (lp *lruPass) classify(keep []uint64, ct *trace.Compiled, t *trace.ReplayTables, p *indexPlan, sets []uint32, l2Lim int) {
-	d, s := &t.D, t.Stores()
+	d, s := &t.D, &t.Stores
 	dl1 := p.dl1[:len(ct.DLines)]
 	occ, ways, walk, hit := p.occ, lp.ways, lp.walk, lp.hit
 	for id, e := range dl1 {
-		if occ[e&cache.SetMask] <= uint32(ways) || !d.Read[id] {
+		if !d.Read[id] {
 			continue
 		}
 		h := d.Head[id]
 		walk[h>>6] |= 1 << (h & 63)
+		if occ[e&cache.SetMask] <= uint32(ways) {
+			continue // its later reads and stores hit
+		}
 		for _, a := range s.At[s.Off[id]:s.Off[id+1]] {
 			if a > h {
 				walk[a>>6] |= 1 << (a & 63)
@@ -321,27 +329,35 @@ func (lp *lruPass) classify(keep []uint64, ct *trace.Compiled, t *trace.ReplayTa
 	lp.served = reads - lp.settle(keep, ct, t, p, sets, l2Lim)
 }
 
-// settle decides, per over-full line, which of its read misses, all in
-// hit, the loop replays, at the L2 alone. It keeps them all where sets
-// leaves the line's L2 set uncertain (more than l2Lim lines; a nil sets
-// certifies none). Otherwise the line stays resident in the L2 from its
-// first L2 access on, so the rest hit there: it keeps only the first L2
-// access, if a read miss (no store precedes the line's first read), and
-// the last, if a read miss (no store follows the line's last miss), which
-// leaves the line's final stamp. The other misses stay in hit, whose L2
-// hits the loop skips. settle returns the number of misses it kept.
+// settle decides, per read line, which of its read misses, all in hit,
+// the loop replays, at the L2 alone. A line of a set that is not
+// over-full misses at its first read alone, which stays kept from Must.
+// An over-full line keeps them all where sets leaves its L2 set uncertain
+// (more than l2Lim lines; a nil sets certifies none). Otherwise the line
+// stays resident in the L2 from its first L2 access on, so the rest hit
+// there: it keeps only the first L2 access, if a read miss (no store
+// precedes the line's first read), and the last, if a read miss (no store
+// follows the line's last miss), which leaves the line's final stamp. The
+// other misses stay in hit, whose L2 hits the loop skips. settle returns
+// the number of misses it kept.
 //
 //rm:hotpath
 func (lp *lruPass) settle(keep []uint64, ct *trace.Compiled, t *trace.ReplayTables, p *indexPlan, sets []uint32, l2Lim int) uint64 {
-	d, s := &t.D, t.Stores()
+	d, s := &t.D, &t.Stores
 	dl1, l2d := p.dl1[:len(ct.DLines)], p.l2d[:len(ct.DLines)]
 	occ, ways, hit := p.occ, uint32(lp.ways), lp.hit
 	var kept uint64
 	for id, e := range dl1 {
-		if occ[e&cache.SetMask] <= ways || !d.Read[id] {
+		if !d.Read[id] {
 			continue
 		}
-		h, at := d.Head[id], d.At[d.Off[id]:d.Off[id+1]]
+		h := d.Head[id]
+		if occ[e&cache.SetMask] <= ways {
+			hit[h>>6] &^= 1 << (h & 63) // the line's one miss, kept from Must
+			kept++
+			continue
+		}
+		at := d.At[d.Off[id]:d.Off[id+1]]
 		if sets == nil || sets[l2d[id]&cache.SetMask] > uint32(l2Lim) {
 			for _, r := range at {
 				if hit[r>>6]>>(r&63)&1 != 0 {
@@ -377,27 +393,23 @@ func (lp *lruPass) settle(keep []uint64, ct *trace.Compiled, t *trace.ReplayTabl
 	return kept
 }
 
-// finish ends the pass's run on dl1 and l2: it installs each over-full
-// set's final lines in dl1 and their way hints in plan (per data line ID,
-// addresses lines), counts the DL1 misses (the cold stores' and the
-// pass's) and evictions and the skipped misses' L2 hits, and empties the
-// scratch and the DL1's counts in occ.
+// finish ends the pass's run on dl1 and l2: it installs the lines the
+// pass left in the DL1's ways in dl1 and their way hints in plan (per
+// data line ID, addresses lines), counts the DL1 misses (the cold stores'
+// and the pass's) and evictions and the skipped misses' L2 hits, and
+// empties the scratch.
 //
 //rm:hotpath
-func (lp *lruPass) finish(dl1, l2 *cache.Cache, lines []uint64, plan []uint32, occ []uint32, blocks int) {
-	ways := lp.ways
-	for set := range len(lp.who) / ways {
-		if occ[set] > uint32(ways) {
-			for w := range ways {
-				g := set*ways + w
-				id := lp.who[g] - 1
-				e := uint32(set) | uint32(w)<<cache.SetBits
-				dl1.Install(lines[id], e)
-				plan[id] = e
-				lp.res[id], lp.who[g], lp.stamp[g] = 0, 0, 0
-			}
+func (lp *lruPass) finish(dl1, l2 *cache.Cache, lines []uint64, plan []uint32, blocks int) {
+	for g, who := range lp.who {
+		if who == 0 {
+			continue
 		}
-		occ[set] = 0
+		id := who - 1
+		e := uint32(g/lp.ways) | uint32(g%lp.ways)<<cache.SetBits
+		dl1.Install(lines[id], e)
+		plan[id] = e
+		lp.res[id], lp.who[g], lp.stamp[g] = 0, 0, 0
 	}
 	dl1.Misses(lp.cold + lp.misses)
 	dl1.Evicted(lp.evictions)
@@ -448,12 +460,11 @@ func (c *Core) preparePlans(ct *trace.Compiled) {
 // keepOps fills the plan's keep mask for this run of ct, up to the reads
 // of evicted lines and the stores of lines that leave the L2, which the
 // loop marks as it goes, and readies the scratch of both. On a DL1 the
-// LRU pass classifies, the pass runs here, whole, and leaves the DL1's
-// per-set counts in occ for the loop. keepOps must run after preparePlans
-// and before the run's first access, while the levels' cold state still
-// describes the run's start. A run in which neither L1 may skip reads, or
-// of a Compiled without an Index, keeps every op without building the
-// index's tables.
+// LRU pass classifies, the pass runs here, whole. keepOps must run after
+// preparePlans and before the run's first access, while the levels' cold
+// state still describes the run's start. A run in which neither L1 may
+// skip reads, or of a Compiled without an Index, keeps every op without
+// reading the tables.
 //
 //rm:hotpath
 func (c *Core) keepOps(ct *trace.Compiled) {
@@ -467,7 +478,6 @@ func (c *Core) keepOps(ct *trace.Compiled) {
 	rI.on = limI > 0 && c.il1.StatelessHits()
 	rD.on = limD > 0 && c.dl1.StatelessHits()
 	lp.on = limD > 0 && !c.dl1.StatelessHits()
-	rD.stores, rD.misses = nil, 0
 	if limI == 0 && limD == 0 {
 		for b := range keep {
 			keep[b] = ^uint64(0)
@@ -477,42 +487,37 @@ func (c *Core) keepOps(ct *trace.Compiled) {
 		}
 		return
 	}
-	t := ct.Index.Tables()
-	sk := &c.plan.sk
+	t, sk, s := ct.Index, &c.plan.sk, &ct.Index.Stores
 	// A skipped store's L2 hit may only set a dirty bit already set, or
-	// tick an LRU L2 (storeSkip). Under the owner rule no store's DL1
-	// access may change state: the DL1 rule means a cold write-through
-	// Random or FIFO DL1.
+	// tick an LRU L2 (storeSkip). Either DL1 rule counts every store's DL1
+	// outcome.
 	wb, limL2 := c.l2.AllocatesOnWrite(), c.l2.HitElisionLimit(false)
 	switch {
-	case rD.on && wb && c.l2.StatelessHits() && len(t.Stores().At) > 0:
-		s := t.Stores()
+	case rD.on && wb && c.l2.StatelessHits() && len(s.At) > 0:
 		if sk.owner == nil {
 			sk.alloc(c.l2.Config())
 		}
 		copy(keep, s.Keep)
 		sk.stores, sk.rule = s, byOwner
-		rD.stores, rD.misses = s, s.Cold
 	case lp.on && wb && limL2 > 0:
-		s := t.Stores()
 		if sk.sets == nil {
 			sk.grow(c.l2.Config())
 		}
-		copy(keep, s.Ends)
+		copy(keep, s.Keep)
 		sk.stores, sk.rule, sk.must = s, byCertainty, t.Must
 		sk.tally(ct, &c.plan)
 	default:
 		copy(keep, t.Must)
 	}
 	if rI.on {
-		rI.start(&t.I)
+		rI.start(&t.I, nil)
 	} else {
 		elide(keep, &t.I, c.plan.il1, c.plan.occ, limI)
 		vacate(c.plan.occ, c.plan.il1)
 	}
 	switch {
 	case rD.on:
-		rD.start(&t.D)
+		rD.start(&t.D, s)
 	case lp.on:
 		lp.size(c.dl1.Config(), ct)
 		elide(lp.walk, &t.D, c.plan.dl1, c.plan.occ, limD)
@@ -521,6 +526,7 @@ func (c *Core) keepOps(ct *trace.Compiled) {
 			sets = sk.sets
 		}
 		lp.classify(keep, ct, t, &c.plan, sets, limL2)
+		vacate(c.plan.occ, c.plan.dl1)
 	default: // limD is 0: every later read
 		elide(keep, &t.D, c.plan.dl1, c.plan.occ, limD)
 	}
@@ -570,7 +576,8 @@ func vacate(occ []uint32, plan []uint32) {
 }
 
 // storeSkip is the scratch of store elision in a run, by one of two
-// rules.
+// rules. Both apply only under a DL1 whose own rule (missRule or lruPass)
+// counts every store's DL1 outcome, so a skipped store only hits the L2.
 //
 // The owner rule applies on a write-back L2 whose hits change no state
 // (Random or FIFO) under a DL1 that takes the miss rule (a cold,
@@ -582,19 +589,18 @@ func vacate(occ []uint32, plan []uint32) {
 // line the owner of its way, and a fill that evicts an owner marks the
 // owner's next store in keep (evict). owner holds per L2 way
 // (set*ways+way) 1 + the owning data line ID, or 0; it is allocated by
-// the first run the rule applies to, and is all zero between runs. The
-// DL1's miss rule counts the stores' DL1 misses (missRule).
+// the first run the rule applies to, and is all zero between runs.
 //
 // The certainty rule applies on a cold write-back L2 other than PLRU
-// under a DL1 the LRU pass classifies (lruPass), which gives every store
-// its DL1 outcome. It skips a data line's middle stores (all but its
-// first and last) where this run's mapping makes the line's L2 set
-// certain (certify): the set holds at most cache.HitElisionLimit of the
-// lines that reach the L2 (every instruction line and every data line),
-// so each of the line's stores after the first hits the L2, where the
-// first left the line resident and dirty and no fill evicts it. keepOps
-// starts keep from trace.LineStores.Ends, and certify adds back the
-// middle stores of lines in uncertain sets; the pass skips the read
+// under a DL1 the LRU pass classifies (lruPass). It skips a data line's
+// middle stores (all but its first and last) where this run's mapping
+// makes the line's L2 set certain (certify): the set holds at most
+// cache.HitElisionLimit of the lines that reach the L2 (every instruction
+// line and every data line), so each of the line's stores after the
+// first hits the L2, where the first left the line resident and dirty
+// and no fill evicts it. keepOps starts keep from trace.LineStores.Keep,
+// and certify adds back every later store of lines in uncertain sets and
+// the last store of the others; the pass skips the read
 // misses of lines in certain sets but each line's first and last L2
 // access. An LRU L2 must tick once per skipped hit: the loop advances its
 // tick by the skipped stores and read misses (must and not keep, and
@@ -653,9 +659,10 @@ func (sk *storeSkip) tally(ct *trace.Compiled, p *indexPlan) {
 	}
 }
 
-// certify adds to keep, which starts from trace.LineStores.Ends, the
-// middle stores of data lines whose L2 set this run leaves uncertain,
-// with more than l2Lim lines. p holds the run's plans. It empties the
+// certify adds to keep, which starts from trace.LineStores.Keep, the
+// later stores of data lines whose L2 set this run leaves uncertain,
+// with more than l2Lim lines, and the last store of every other line
+// stored to more than once. p holds the run's plans. It empties the
 // counts tally left.
 //
 //rm:hotpath
@@ -663,9 +670,12 @@ func (sk *storeSkip) certify(keep []uint64, ct *trace.Compiled, p *indexPlan, l2
 	s, sets := sk.stores, sk.sets
 	l2i, l2d := p.l2i[:len(ct.ILines)], p.l2d[:len(ct.DLines)]
 	for id, e := range l2d {
-		lo, hi := s.Off[id]+1, s.Off[id+1]-1
-		if lo >= hi || sets[e&cache.SetMask] <= uint32(l2Lim) {
-			continue // no middle store, or all of them hit
+		lo, hi := s.Off[id]+1, s.Off[id+1]
+		if lo >= hi {
+			continue // no later store
+		}
+		if sets[e&cache.SetMask] <= uint32(l2Lim) {
+			lo = hi - 1 // the middle stores hit
 		}
 		for _, a := range s.At[lo:hi] {
 			keep[a>>6] |= 1 << (a & 63)
@@ -713,15 +723,12 @@ func advance(l2 *cache.Cache, skip, served uint64, i int) (uint64, uint64) {
 }
 
 // done accounts for the run's stores at its end, given the number the
-// loop replayed and the DL1 misses the miss rule counted, and returns the
-// number it skipped: it adds the DL1 misses (the caller's HitsUpTo
-// counts the hits) and each skipped store's L2 hit, and zeroes the
-// ownership scratch.
+// loop replayed, and returns the number it skipped: it adds each skipped
+// store's L2 hit and zeroes the ownership scratch.
 //
 //rm:hotpath
-func (sk *storeSkip) done(dl1, l2 *cache.Cache, replayed, misses uint64) uint64 {
+func (sk *storeSkip) done(l2 *cache.Cache, replayed uint64) uint64 {
 	n := uint64(len(sk.stores.At))
-	dl1.Misses(misses)
 	l2.Hits(n - replayed)
 	if sk.rule == byOwner {
 		clear(sk.owner)
@@ -757,7 +764,7 @@ func (c *Core) ReplayedStores() int { return c.plan.stores }
 // RunCompiled replays only the ops whose outcome this run's mapping
 // leaves uncertain: each line ID's first read, the later reads that may
 // miss in the L1, and the stores that can change the L2 (the trace's
-// ReplayIndex and keepOps). Skipping reads needs an L1 that is cold (no
+// ReplayTables and keepOps). Skipping reads needs an L1 that is cold (no
 // access since construction, Flush or Reseed) and that no store fills.
 //
 // On a Random or FIFO L1 the run replays only the reads that miss (see
@@ -768,12 +775,12 @@ func (c *Core) ReplayedStores() int { return c.plan.stores }
 // under this run's mapping, a set with k at most cache.HitElisionLimit
 // (Ways) skips every later read of its lines, since a line's first read
 // leaves it resident and no fill evicts it. An LRU IL1 replays every
-// later read of a set of more lines; on an LRU DL1 those sets are
-// classified instead, by one exact LRU pass before the loop (see
-// lruPass): the loop skips their hits, serves their misses at the L2
-// alone and skips those whose L2 hit is certain, and the run ends by
-// installing the sets' final lines. Every rule follows a line by its ID,
-// which trace.Compiled's distinct lines make sound.
+// later read of a set of more lines. An LRU DL1 is classified instead,
+// whole, by one exact LRU pass before the loop (see lruPass): the loop
+// skips its hits, serves its misses at the L2 alone and skips those whose
+// L2 hit is certain, and the run ends by installing the lines the pass
+// left in its ways. Every rule follows a line by its ID, which
+// trace.Compiled's distinct lines make sound.
 //
 // A skipped read is a hit that draws no replacement randomness and
 // never reaches the L2. Random and FIFO hits leave no other state. LRU
@@ -787,22 +794,22 @@ func (c *Core) ReplayedStores() int { return c.plan.stores }
 // level that allocates on write keep every op of their stream: the same
 // loop with every bit kept.
 //
-// Stores are skipped by one of two rules (see storeSkip). On a
-// write-back Random or FIFO L2 under a DL1 that takes the miss rule, by
-// L2 way ownership: a run replays each data line's first store and the
-// next store after an L2 fill evicts the line, and no store reaches the
-// DL1: a store misses it exactly while its line is not resident, before
-// the line's first read or between an eviction and the line's next read,
-// and the DL1 miss rule counts those stores at each eviction. On a cold
-// write-back L2 other than PLRU under an LRU DL1 (the modulo+LRU
-// baseline's), by set certainty: a run skips the stores of a data line
-// but its first and last when its L2 set can hold all of its lines; each
-// skipped store hits the L2, and an LRU L2's tick is advanced by the
-// skipped stores and read misses before each replayed op. No store
-// reaches that DL1 either: its store misses are those before the line's
-// first read and those the LRU pass counts. PLRU L2s, write-through L2s,
-// warm levels and PLRU DL1s keep every store. Results, cache state and
-// the replacement streams are bit-identical to replaying every op.
+// No store reaches a DL1 that takes either rule, which counts every
+// store's DL1 outcome itself: a store misses it exactly while its line is
+// not resident, before the line's first read or between an eviction and
+// the line's next read; the miss rule counts those stores at each
+// eviction, the LRU pass as it goes. Stores are skipped by one of two
+// rules (see storeSkip). On a write-back Random or FIFO L2 under a DL1
+// that takes the miss rule, by L2 way ownership: a run replays each data
+// line's first store and the next store after an L2 fill evicts the
+// line. On a cold write-back L2 other than PLRU under an LRU DL1 (the
+// modulo+LRU baseline's), by set certainty: a run skips the stores of a
+// data line but its first and last when its L2 set can hold all of its
+// lines; each skipped store hits the L2, and an LRU L2's tick is advanced
+// by the skipped stores and read misses before each replayed op. PLRU
+// L2s, write-through L2s, warm levels and PLRU DL1s keep every store.
+// Results, cache state and the replacement streams are bit-identical to
+// replaying every op.
 //
 // This is the MBPTA campaign hot path: a campaign replays the same
 // Compiled hundreds of times (it is immutable and shared across worker
@@ -833,8 +840,8 @@ func (c *Core) RunCompiled(ct *trace.Compiled) Result {
 	var cycles, h1, hd, stores uint64
 	replayed := 0
 	owning, certain := sk.rule == byOwner, sk.rule == byCertainty
-	classified, over, occ := lp.on, uint32(c.plan.limD), c.plan.occ
-	dl1Stores := !owning && !classified
+	classified := lp.on
+	dl1Stores := !missD && !classified // the DL1 has no rule
 	for b := range keep {
 		// The block's skipped L2 hits the L2 has not ticked, and the read
 		// misses among them.
@@ -879,14 +886,14 @@ func (c *Core) RunCompiled(ct *trace.Compiled) Result {
 				if missD {
 					_, dl1Plan[id] = dl1.Fill(la, dl1Plan[id])
 					marked = rD.fill(keep, dl1Plan[id], id, i)
+				} else if classified {
+					// A miss the LRU pass classified: it reaches the L2
+					// alone.
 				} else if e := dl1Plan[id]; dl1.Hinted(la, e) {
 					n := 1 + uint64(op.Rep)
 					dl1.ReadHit(e, n)
 					hd += n
 					continue
-				} else if classified && occ[e&cache.SetMask] > over {
-					// A read of an over-full set is a miss the LRU pass
-					// classified: it reaches the L2 alone.
 				} else if l1Slow(dl1, &dl1Plan[id], la, op.Rep)&cache.BitHit != 0 {
 					continue
 				}
@@ -916,13 +923,15 @@ func (c *Core) RunCompiled(ct *trace.Compiled) Result {
 		}
 	}
 	rI.done()
-	missesD := rD.done()
+	if missD {
+		dl1.Misses(rD.done())
+	}
 	c.plan.ops, c.plan.stores = replayed, int(stores)
 	if sk.rule != keepStores {
-		stores += sk.done(dl1, l2, stores, missesD)
+		stores += sk.done(l2, stores)
 	}
 	if classified {
-		lp.finish(dl1, l2, dlines, dl1Plan, occ, len(keep))
+		lp.finish(dl1, l2, dlines, dl1Plan, len(keep))
 	}
 	if c.plan.limI == 0 && c.plan.limD == 0 {
 		il1.Hits(h1)
@@ -930,7 +939,7 @@ func (c *Core) RunCompiled(ct *trace.Compiled) Result {
 	} else {
 		// Every access the levels have not counted is a hit: the
 		// hinted ones and the skipped reads.
-		t := ct.Index.Tables()
+		t := ct.Index
 		il1.HitsUpTo(t.I.Accesses)
 		dl1.HitsUpTo(t.D.Accesses)
 		if c.plan.limI > 0 {

@@ -538,7 +538,7 @@ func TestBaselineElisionMatchesPerAccess(t *testing.T) {
 			// An IL1-only skip replays at least every op outside the
 			// instruction stream's later reads.
 			dataOps += len(ct.Ops)
-			for _, m := range ct.Index.Tables().I.All {
+			for _, m := range ct.Index.I.All {
 				dataOps -= bits.OnesCount64(m)
 			}
 		}
@@ -1041,6 +1041,10 @@ func TestLRUMissClassification(t *testing.T) {
 	// first L2 access, so its first load is skipped; line 0's and line
 	// 16's first loads are their first L2 accesses and are kept.
 	storedFirst := append(trace.Trace{{Addr: 8 * 64, Kind: trace.Store}}, sweep(30, 0, 8, 16)...)
+	// A store to line 1, alone in DL1 set 1, before its one load: the
+	// store misses the DL1 and is line 1's first L2 access, and the load,
+	// its set's only miss, stays replayed.
+	storedAlone := append(trace.Trace{{Addr: 1 * 64, Kind: trace.Store}}, sweep(60, 0, 8, 16)...)
 	// Two granules of line 0 would get two IDs in the relocated form.
 	aliased := append(trace.Trace{{Addr: 32, Kind: trace.Load}}, sweep(30, 0, 8, 16)...)
 	lru := storeConfig(cache.LRU, cache.LRU, cache.WriteBack)
@@ -1063,6 +1067,7 @@ func TestLRUMissClassification(t *testing.T) {
 		// miss is replayed, at the L2 alone.
 		{"uncertain-l2", sweep(50, 0, 16, 32, 48, 64), false, 51},
 		{"first-l2-read", storedFirst, false, 7},
+		{"stored-alone", storedAlone, false, 8},
 		// Relocate rebuilds, and the pass classifies the rebuilt form,
 		// whose first two loads fold into one op, like the sweep above.
 		{"aliased", aliased, true, 7},
@@ -1102,7 +1107,7 @@ func TestLRUMissClassification(t *testing.T) {
 // 2-way Random DL1 set, so a load of 8 or 16 may evict line 0; line 1
 // sits alone in its set. Each case runs over 64 seeds on one core,
 // checked by checkElidedRun against the per-access reference and against
-// a full replay of the same ops (no ReplayIndex), Result for Result: DL1
+// a full replay of the same ops (a nil Index), Result for Result: DL1
 // and L2 Stats and Cycles. The DL1 misses of some seed must equal each
 // value a case lists.
 func TestStoreMissWindows(t *testing.T) {

@@ -55,7 +55,7 @@ type Op struct {
 // guarantees: it marks the ops every run must replay (stores and each
 // line ID's first read) and, per line ID, where its later reads sit, so
 // a run replays a line's later reads only while its mapping leaves the
-// line's L1 set able to miss (see ReplayIndex and sim.Core.RunCompiled).
+// line's L1 set able to miss (see ReplayTables and sim.Core.RunCompiled).
 //
 // No two line IDs of a stream share an address: Compile numbers lines,
 // and workload.Relocatable.Relocate rebuilds through Compile wherever its
@@ -70,11 +70,10 @@ type Compiled struct {
 	ILines []uint64 // unique instruction-stream line addresses, in first-touch order
 	DLines []uint64 // unique data-stream line addresses, in first-touch order
 
-	// Index is the run-invariant hit-elision index of Ops,
-	// whose tables the first run able to skip reads builds. It depends on
-	// the ops alone, so compiled traces sharing Ops share it. A nil Index
-	// replays every op.
-	Index *ReplayIndex
+	// Index holds the run-invariant replay tables of Ops, built with them.
+	// They depend on the ops alone, so compiled traces sharing Ops share
+	// them. A nil Index replays every op.
+	Index *ReplayTables
 
 	// LineBytes is the line size the byte addresses were compiled against.
 	// Replaying on a level with a different line size would mis-partition
@@ -110,7 +109,7 @@ func distinct(lines []uint64) bool {
 
 // Compile renumbers the trace's unique cache-line addresses into dense
 // per-stream line IDs for the given line size, folds same-line reads (see
-// Op) and indexes the result for hit elision, in one Numbering pass.
+// Op) in one Numbering pass, and builds the result's replay tables.
 // lineBytes must be a power of two >= 1. The result decompiles exactly
 // per stream: expanding each op Rep+1 times, the ops of one
 // stream give that stream's accesses in order, and ILines[op.ID] (or
@@ -229,18 +228,19 @@ func (t *lineTable) add(key uint64, mask uint16) uint32 {
 	return uint32(len(t.keys) - 1)
 }
 
-// Finish returns the folded ops and their replay index. The op buffer
-// was sized for every access, so it is handed over as it is, tail
-// included, unless folding left more than an eighth of it unused (the
-// most the allocator's own size classes round up by): then the ops are
-// copied out, so the trace does not keep the tail alive.
-func (n *Numbering) Finish() ([]Op, *ReplayIndex) {
+// Finish ends the numbering and returns the folded ops and their replay
+// tables. The op buffer was sized for every access, so it is handed over
+// as it is, tail included, unless folding left more than an eighth of it
+// unused (the most the allocator's own size classes round up by): then
+// the ops are copied out, so the trace does not keep the tail alive.
+func (n *Numbering) Finish() ([]Op, *ReplayTables) {
 	ops := n.ops[:len(n.ops):len(n.ops)]
 	if cap(n.ops)-len(ops) > cap(n.ops)/8 {
 		// Appending to nil copies without first zeroing the copy.
 		ops = slices.Clip(append([]Op(nil), ops...))
 	}
-	return ops, newReplayIndex(ops, len(n.tables[0].keys), len(n.tables[1].keys))
+	n.ops = nil // a copied-out buffer is garbage while the tables build
+	return ops, newReplayTables(ops, len(n.tables[0].keys), len(n.tables[1].keys))
 }
 
 // Lines returns the line table of k's stream: the keys and masks of its

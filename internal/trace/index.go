@@ -2,24 +2,13 @@ package trace
 
 import (
 	"math"
-	"math/bits"
 	"slices"
-	"sync"
 )
 
-// ReplayIndex is the run-invariant half of L1 hit elision and store
-// elision over a folded op sequence, built on the first Tables call:
-// only a run that can skip reads needs it, so a campaign whose L1s never
-// skip (PLRU L1s, or runs on warm levels) never pays for it. It is safe
-// for concurrent use and shared by every run of its ops.
-type ReplayIndex struct {
-	once  sync.Once
-	build func()
-	t     ReplayTables
-}
-
-// ReplayTables are the tables of a ReplayIndex. Its masks hold one bit
-// per op in blocks of 64, op i being bit i%64 of block i/64.
+// ReplayTables are the run-invariant half of L1 hit elision and store
+// elision over a folded op sequence, built once with the ops (Numbering's
+// Finish) and shared, read-only, by every run of them. Its masks hold one
+// bit per op in blocks of 64, op i being bit i%64 of block i/64.
 //
 // Every run must replay Must: each store and each line ID's first read
 // (per stream). Every other read is a later read of a line already read
@@ -35,16 +24,13 @@ type ReplayIndex struct {
 // A store in Must may be certain too: on a write-back L2 whose hits
 // change no replacement state, a data line's store leaves the line
 // resident and dirty, so each later store to it is a stateless L2 hit
-// until a fill evicts it. Such a run starts from Stores().Keep instead of
+// until a fill evicts it. Such a run starts from Stores.Keep instead of
 // Must and marks a line's next store again when its L2 way is refilled,
 // from the per-line lists of Stores.
 type ReplayTables struct {
-	Must []uint64
-	I, D LineReads // instruction and data stream
-
-	ops        []Op // the indexed ops, for the lazy build of stores
-	storesOnce sync.Once
-	stores     LineStores
+	Must   []uint64
+	I, D   LineReads  // instruction and data stream
+	Stores LineStores // the data stream's stores
 }
 
 // LineOps lists ops per line ID of one stream: the ops
@@ -58,24 +44,21 @@ type LineOps struct {
 
 // LineStores lists the data stream's stores per line ID, in LineOps.
 // Keep is Must without every store but each line's first, per block: the
-// ops a run that skips stores by L2 ownership starts from. Ends is Must
-// without each line's middle stores (all but its first and last): the
-// ops a run that skips the stores of lines in certain sets starts from.
-// Last is the op of the stream's last store.
+// ops a run that skips stores starts from. Last is the op of the
+// stream's last store.
 //
 // The rest counts the stores' misses in a cold write-through DL1 whose
 // lines only a read fills. A store misses exactly when its line is not
 // resident: before the line's first read, and from each eviction of the
 // line to its next read. Cold counts the stores before their line's
-// first read and the stores of lines never read. After holds, per later data read (the data stream's
-// LineReads.At layout), the index in At of the line's first store after
-// that read, and First, per data line ID, the same for the line's first
-// read; so the stores of a line between two consecutive reads are
-// At[a:b] for the two reads' entries a and b.
+// first read and the stores of lines never read. After holds, per later
+// data read (the data stream's LineReads.At layout), the index in At of
+// the line's first store after that read, and First, per data line ID,
+// the same for the line's first read; so the stores of a line between
+// two consecutive reads are At[a:b] for the two reads' entries a and b.
 type LineStores struct {
 	LineOps
 	Keep  []uint64
-	Ends  []uint64
 	Last  uint32
 	Cold  uint64
 	After []uint32
@@ -113,28 +96,17 @@ type LineReads struct {
 // Blocks returns the number of 64-op blocks of n ops.
 func Blocks(n int) int { return (n + 63) >> 6 }
 
-// newReplayIndex returns the index of ops, whose instruction and data
-// line IDs are below iLines and dLines. Building its tables costs
-// O(len(ops)) time and about four bytes per op. It returns nil, which
-// replays every op, for more than 1<<32 ops.
-func newReplayIndex(ops []Op, iLines, dLines int) *ReplayIndex {
+// newReplayTables returns the tables of ops, whose instruction and data
+// line IDs are below iLines and dLines, in two passes over the ops: one
+// classifies each op and counts each line's later reads and stores, the
+// other places them in their lists. They take about four bytes per op.
+// It returns nil, which replays every op, for more than 1<<32 ops.
+func newReplayTables(ops []Op, iLines, dLines int) *ReplayTables {
 	if uint64(len(ops)) > math.MaxUint32 {
 		return nil
 	}
-	x := &ReplayIndex{}
-	x.build = func() { x.t.fill(ops, iLines, dLines) }
-	return x
-}
-
-// Tables returns the index's tables, building them on the first call.
-func (x *ReplayIndex) Tables() *ReplayTables {
-	x.once.Do(x.build)
-	return &x.t
-}
-
-func (t *ReplayTables) fill(ops []Op, iLines, dLines int) {
 	nb := Blocks(len(ops))
-	t.ops, t.Must = ops, make([]uint64, nb)
+	t := &ReplayTables{Must: make([]uint64, nb)}
 	streams := [2]*LineReads{&t.I, &t.D}
 	for s, n := range [2]int{iLines, dLines} {
 		r := streams[s]
@@ -144,7 +116,10 @@ func (t *ReplayTables) fill(ops []Op, iLines, dLines int) {
 		r.Head = make([]uint32, n)
 		r.Last = make([]uint64, n)
 	}
-	// Classify every op, counting each line's later reads in Off[id+1].
+	s := &t.Stores
+	s.Off, s.Keep = make([]int, dLines+1), make([]uint64, nb)
+	// Classify every op, counting each line's later reads and stores in
+	// Off[id+1].
 	for i, op := range ops {
 		b, bit := i>>6, uint64(1)<<(i&63)
 		r := streams[stream(op.Kind)]
@@ -153,8 +128,14 @@ func (t *ReplayTables) fill(ops []Op, iLines, dLines int) {
 		switch {
 		case op.Kind == Store:
 			t.Must[b] |= bit
+			if s.Off[op.ID+1] == 0 {
+				s.Keep[b] |= bit
+			}
+			s.Off[op.ID+1]++
+			s.Last = uint32(i)
 		case !r.Read[op.ID]:
 			t.Must[b] |= bit
+			s.Keep[b] |= bit
 			r.Read[op.ID] = true
 			r.Head[op.ID] = uint32(i)
 		default:
@@ -162,90 +143,47 @@ func (t *ReplayTables) fill(ops []Op, iLines, dLines int) {
 			r.Off[op.ID+1]++
 		}
 	}
-	// Turn the counts into offsets and place each later read, in op order.
-	for _, r := range streams {
-		for id := range r.Read {
-			r.Off[id+1] += r.Off[id]
+	// Turn the counts into offsets; each list's cursor starts at its line's
+	// offset.
+	var next [3][]int
+	for k, l := range []*LineOps{&t.I.LineOps, &t.D.LineOps, &s.LineOps} {
+		n := len(l.Off) - 1
+		for id := range n {
+			l.Off[id+1] += l.Off[id]
 		}
-		r.At = make([]uint32, r.Off[len(r.Read)])
-		next := make([]int, len(r.Read))
-		copy(next, r.Off)
-		for b, m := range r.All {
-			for ; m != 0; m &= m - 1 {
-				i := b<<6 | bits.TrailingZeros64(m)
-				id := ops[i].ID
-				r.At[next[id]] = uint32(i)
-				next[id]++
-			}
-		}
+		l.At = make([]uint32, l.Off[n])
+		next[k] = slices.Clone(l.Off[:n])
 	}
-}
-
-// Stores returns the data stream's store lists. Only a run that may skip
-// stores or classifies its DL1's stores needs them, so the first call
-// builds them, in O(len(ops)) time
-// and four bytes per store, per later data read and per data line (two
-// masks besides).
-func (t *ReplayTables) Stores() *LineStores {
-	t.storesOnce.Do(t.buildStores)
-	return &t.stores
-}
-
-func (t *ReplayTables) buildStores() {
-	n := len(t.D.Read)
-	s := &t.stores
-	s.Off = make([]int, n+1)
-	s.Keep = slices.Clone(t.Must)
-	for i, op := range t.ops {
-		if op.Kind != Store {
-			continue
-		}
-		if s.Off[op.ID+1] != 0 {
-			s.Keep[i>>6] &^= 1 << (i & 63)
-		}
-		s.Off[op.ID+1]++
-		s.Last = uint32(i)
-	}
-	for id := range n {
-		s.Off[id+1] += s.Off[id]
-	}
-	s.Ends = slices.Clone(s.Keep)
-	s.At = make([]uint32, s.Off[n])
-	s.After = make([]uint32, len(t.D.At))
-	s.First = make([]uint32, n)
-	// Per line, the index in At of its next store, and the index in D.At
-	// of its next later read, or -1 before its first read.
-	next := make([]uint32, n)
-	reads := make([]int, n)
-	for id := range n {
-		next[id], reads[id] = uint32(s.Off[id]), -1
-	}
-	for i, op := range t.ops {
-		id := op.ID
+	nextI, nextD, nextS := next[0], next[1], next[2]
+	s.After, s.First = make([]uint32, len(t.D.At)), make([]uint32, dLines)
+	// Place each later read and store, in op order, noting each data read's
+	// next store.
+	for i, op := range ops {
+		id, first := op.ID, t.Must[i>>6]>>(i&63)&1 != 0
 		switch {
 		case op.Kind == Store:
-			s.At[next[id]] = uint32(i)
-			next[id]++
+			s.At[nextS[id]] = uint32(i)
+			nextS[id]++
 		case op.Kind == Fetch:
-		case reads[id] < 0:
-			s.First[id] = next[id]
-			s.Cold += uint64(next[id]) - uint64(s.Off[id])
-			reads[id] = t.D.Off[id]
+			if !first {
+				t.I.At[nextI[id]] = uint32(i)
+				nextI[id]++
+			}
+		case first:
+			s.First[id] = uint32(nextS[id])
+			s.Cold += uint64(nextS[id] - s.Off[id])
 		default:
-			s.After[reads[id]] = next[id]
-			reads[id]++
+			t.D.At[nextD[id]] = uint32(i)
+			s.After[nextD[id]] = uint32(nextS[id])
+			nextD[id]++
 		}
 	}
 	for id, read := range t.D.Read {
-		lo, hi := s.Off[id], s.Off[id+1]
-		if hi-lo > 1 {
-			a := s.At[hi-1]
-			s.Ends[a>>6] |= 1 << (a & 63)
-		}
 		if !read {
-			s.Cold += uint64(hi - lo)
+			s.Cold += uint64(s.Off[id+1] - s.Off[id])
 		}
 	}
+	return t
 }
 
 // stream returns 0 for the instruction stream, 1 for the data stream.

@@ -1,22 +1,20 @@
 package trace
 
 import (
-	"sync"
 	"testing"
 
 	"repro/internal/prng"
 )
 
-// TestReplayIndex checks the tables of newReplayIndex against a direct classification
+// TestReplayIndex checks newReplayTables against a direct classification
 // of every op: Must holds exactly the stores and each line ID's first
 // read per stream, each line's list holds exactly its later reads in
 // ascending order, All is their union, Read records the lines read and
 // Head their first reads, and Last and Accesses count
 // each stream's accesses through each line's last access and in all.
 // Each data line's list in Stores holds exactly its stores, in ascending
-// order, Keep is Must without every store but each line's first, Ends
-// is Must without every store but each line's first and last, and Last
-// is the last store's op. Cold counts the stores before their
+// order, Keep is Must without every store but each line's first, and
+// Last is the last store's op. Cold counts the stores before their
 // line's first load, and After and First hold, for each later load and
 // each line's first load, the index in At of the line's next store.
 func TestReplayIndex(t *testing.T) {
@@ -31,7 +29,7 @@ func TestReplayIndex(t *testing.T) {
 				ops[i].Rep = 0
 			}
 		}
-		x := newReplayIndex(ops, nLines, nLines).Tables()
+		x := newReplayTables(ops, nLines, nLines)
 		if len(x.Must) != Blocks(n) {
 			t.Fatalf("round %d: %d Must blocks for %d ops", round, len(x.Must), n)
 		}
@@ -103,7 +101,7 @@ func TestReplayIndex(t *testing.T) {
 				}
 			}
 		}
-		st := x.Stores()
+		st := &x.Stores
 		if len(st.Off) != nLines+1 || len(st.Keep) != len(x.Must) || len(st.After) != len(x.D.At) || len(st.First) != nLines {
 			t.Fatalf("round %d: %d store offsets, %d After and %d First entries for %d lines, %d Keep blocks",
 				round, len(st.Off), len(st.After), len(st.First), nLines, len(st.Keep))
@@ -124,20 +122,9 @@ func TestReplayIndex(t *testing.T) {
 				listed[i] = true
 			}
 		}
-		// A middle store is neither its line's first nor its last.
-		middle := make([]bool, n)
-		for id := 0; id < nLines; id++ {
-			at := st.At[st.Off[id]:st.Off[id+1]]
-			for j, i := range at {
-				middle[i] = j > 0 && j < len(at)-1
-			}
-		}
 		for i, op := range ops {
 			if op.Kind == Store && !listed[i] {
 				t.Fatalf("round %d op %d (%+v): a store in no list", round, i, op)
-			}
-			if got, want := st.Ends[i>>6]>>(i&63)&1 != 0, x.Must[i>>6]>>(i&63)&1 != 0 && !middle[i]; got != want {
-				t.Fatalf("round %d op %d (%+v): Ends bit %v, want %v", round, i, op, got, want)
 			}
 			if got, want := st.Keep[i>>6]>>(i&63)&1 != 0, x.Must[i>>6]>>(i&63)&1 != 0 && !laterStore[i]; got != want {
 				t.Fatalf("round %d op %d (%+v): Keep bit %v, want %v", round, i, op, got, want)
@@ -192,25 +179,13 @@ func TestReplayIndex(t *testing.T) {
 	}
 }
 
-// TestReplayIndexConcurrent builds one index's tables and store lists
-// from several goroutines at once, as a campaign's worker cores do
-// on their first runs; run it under -race.
-func TestReplayIndexConcurrent(t *testing.T) {
+// TestReplayIndexStores pins the store lists of a short op sequence: ops
+// 1, 2 and 3 are stores, op 3 a later store of line 1, so Keep holds
+// every op but op 3.
+func TestReplayIndexStores(t *testing.T) {
 	ops := []Op{{ID: 0, Kind: Load}, {ID: 0, Kind: Store}, {ID: 1, Kind: Store}, {ID: 1, Kind: Store}, {ID: 0, Kind: Fetch}}
-	x := newReplayIndex(ops, 2, 2)
-	got := make([]*LineStores, 4)
-	var wg sync.WaitGroup
-	for g := range got {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got[g] = x.Tables().Stores()
-		}()
-	}
-	wg.Wait()
-	for _, s := range got {
-		if s != got[0] || len(s.At) != 3 || s.At[0] != 1 || s.At[1] != 2 || s.At[2] != 3 || s.Keep[0] != 0b10111 {
-			t.Fatalf("stores %+v, want ops 1, 2 and 3, op 3 a later store, in one shared list", *s)
-		}
+	s := &newReplayTables(ops, 2, 2).Stores
+	if len(s.At) != 3 || s.At[0] != 1 || s.At[1] != 2 || s.At[2] != 3 || s.Keep[0] != 0b10111 {
+		t.Fatalf("stores %+v, want ops 1, 2 and 3, op 3 a later store", *s)
 	}
 }

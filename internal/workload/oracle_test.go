@@ -172,7 +172,7 @@ func twoBuildsOf(w Workload) Workload {
 
 // checkWalk checks that Relocatable of the built-in w, which walks its
 // kernel body once, gives exactly the two-build path's access count, ops
-// and anchor tables: the replay index's inputs are the ops and the
+// and anchor tables: the replay tables' inputs are the ops and the
 // tables' lengths, so it is equal too.
 func checkWalk(t *testing.T, w Workload, base Layout, lineBytes int) {
 	t.Helper()

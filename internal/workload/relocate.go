@@ -82,7 +82,7 @@ type anchors struct {
 // so every Compiled it returns has distinct lines, as trace.Compile's do.
 type Relocatable struct {
 	ops        []trace.Op // folded, see trace.Op
-	index      *trace.ReplayIndex
+	index      *trace.ReplayTables
 	accesses   int
 	iref, dref anchors
 	base       Layout
@@ -100,7 +100,7 @@ type Relocatable struct {
 // and offset. Any other workload builds at base and at base.tagged(),
 // and a trace that breaks the Build contract fails with a
 // *RelocationError. Both ways give a built-in workload the same ops,
-// replay index and anchors.
+// replay tables and anchors.
 func (w Workload) Relocatable(base Layout, lineBytes int) (*Relocatable, error) {
 	if lineBytes < 1 || lineBytes&(lineBytes-1) != 0 {
 		return nil, fmt.Errorf("workload: relocation needs a power-of-two line size, got %d", lineBytes)
@@ -244,13 +244,13 @@ func (r *Relocatable) Len() int { return r.accesses }
 
 // Relocate returns the compiled trace of the workload at layout l, equal
 // to trace.Compile(w.Build(l), lineBytes): the shared ops and replay
-// index plus fresh line tables, in O(u log u) for u unique lines, not
+// tables plus fresh line tables, in O(u log u) for u unique lines, not
 // O(accesses). Where two IDs of a stream would share a line at l
 // (trace.Compiled.Aliased), it returns that rebuild itself, which calls
-// Build. Each call returns a new *trace.Compiled, since replay caches
-// per-Compiled index plans. Relocate panics if a field of l moved from
-// the base by other than a multiple of the granule, which no
-// RandomizedLayoutFrom draw does.
+// Build and has replay tables of its own. Each call returns a new
+// *trace.Compiled, since replay caches per-Compiled index plans.
+// Relocate panics if a field of l moved from the base by other than a
+// multiple of the granule, which no RandomizedLayoutFrom draw does.
 func (r *Relocatable) Relocate(l Layout) *trace.Compiled {
 	var delta [numFields]uint64
 	lf, bf := l.fields(), r.base.fields()

@@ -148,6 +148,37 @@ func TestRelocateRebuildsAliasingLayouts(t *testing.T) {
 	}
 }
 
+// TestRelocateSharesReplayTables pins that the relocations of one
+// Relocatable share the replay tables it built once: two relocations of
+// tblook01 to different randomized baseline layouts return the same
+// Index and Ops, while the rebuild of a layout that puts its table on
+// its result buffer has tables of its own.
+func TestRelocateSharesReplayTables(t *testing.T) {
+	w, err := ByName("tblook01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := w.Relocatable(BaselineLayout(), LineBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	draw := func(i int) *trace.Compiled {
+		return rel.Relocate(RandomizedLayoutFrom(BaselineLayout(), prng.New(prng.Derive(0x7AB, i))))
+	}
+	a, b := draw(0), draw(1)
+	if slices.Equal(a.DLines, b.DLines) {
+		t.Fatal("the two randomized layouts relocate to the same data lines")
+	}
+	if a.Index == nil || a.Index != b.Index || &a.Ops[0] != &b.Ops[0] {
+		t.Errorf("two relocations have tables %p and %p, ops at %p and %p; want one shared set", a.Index, b.Index, &a.Ops[0], &b.Ops[0])
+	}
+	aliasing := BaselineLayout()
+	aliasing.Table = aliasing.Data
+	if c := rel.Relocate(aliasing); c.Index == nil || c.Index == a.Index {
+		t.Errorf("the aliasing layout's rebuild has tables %p, want its own (shared %p)", c.Index, a.Index)
+	}
+}
+
 // TestRelocatableRejectsLayoutDependentTraces pins the Build contract's
 // enforcement: a trace whose length, kinds or address arithmetic depends
 // on the layout, a field used twice or three times in one address
