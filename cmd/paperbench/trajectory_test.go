@@ -31,7 +31,10 @@ func TestMain(m *testing.M) {
 // gate. It regenerates the -short trajectory twice, once plainly and once
 // with -resume-check (every campaign interrupted at a checkpoint and
 // resumed), and requires each regeneration to be bit-identical to every
-// committed BENCH_PR*.json snapshot under compareReports' rule.
+// committed BENCH_PR*.json snapshot under compareReports' rule. The two
+// regenerations must also match each other group for group, with no
+// skip, so campaign groups that no committed snapshot holds yet are held
+// to the crash path too.
 func TestTrajectoryMatchesCommittedSnapshots(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates the short trajectory twice")
@@ -46,10 +49,22 @@ func TestTrajectoryMatchesCommittedSnapshots(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, mode := range []struct {
+	modes := []struct {
 		name  string
 		extra []string
-	}{{"plain", nil}, {"resume-check", []string{"-resume-check"}}} {
+	}{{"plain", nil}, {"resume-check", []string{"-resume-check"}}}
+	fresh := make([]*jsonReport, len(modes))
+	// Cleanups run once both parallel regenerations are done.
+	t.Cleanup(func() {
+		if fresh[0] == nil || fresh[1] == nil {
+			return // a regeneration failed and said why
+		}
+		diffs, skips := compareReports(*fresh[0], *fresh[1])
+		for _, d := range append(diffs, skips...) {
+			t.Errorf("plain vs resume-check: %s", d)
+		}
+	})
+	for m, mode := range modes {
 		t.Run(mode.name, func(t *testing.T) {
 			t.Parallel()
 			out := filepath.Join(t.TempDir(), "bench.json")
@@ -59,12 +74,12 @@ func TestTrajectoryMatchesCommittedSnapshots(t *testing.T) {
 			if log, err := cmd.CombinedOutput(); err != nil {
 				t.Fatalf("paperbench %s: %v\n%s", strings.Join(args, " "), err, log)
 			}
-			fresh, err := loadReport(out)
+			rep, err := loadReport(out)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i, old := range snapshots {
-				diffs, skips := compareReports(old, fresh)
+				diffs, skips := compareReports(old, rep)
 				if len(skips) > 0 {
 					t.Logf("%s: %d campaign groups have no baseline there, first %s", filepath.Base(paths[i]), len(skips), skips[0])
 				}
@@ -72,6 +87,7 @@ func TestTrajectoryMatchesCommittedSnapshots(t *testing.T) {
 					t.Errorf("%s: %s", filepath.Base(paths[i]), d)
 				}
 			}
+			fresh[m] = &rep
 		})
 	}
 }

@@ -84,25 +84,33 @@ func Example_engineBatch() {
 	// hrp: 50 runs
 }
 
-// A custom sweep over an Engine's pool: each worker builds one private
-// execution context and processes chunks of run indices, and every run
-// writes only its own slot, so the output is the same for any pool size.
-func ExampleShardRuns() {
-	eng := randmod.NewEngine(randmod.WithWorkers(3))
-	squares := make([]int, 10)
-	err := randmod.ShardRuns(context.Background(), eng.Pool(), 0, len(squares),
-		func() (struct{}, error) { return struct{}{}, nil },
-		func(_ struct{}, lo, hi int) error {
-			for run := lo; run < hi; run++ {
-				squares[run] = run * run
-			}
-			return nil
-		})
+// A multicore campaign: the workload runs on core 0 of the paper's
+// shared-bus platform, against one co-runner per other core (a Workload
+// with no Build leaves its core idle). Both campaigns draw the same
+// hardware seeds, so the difference is the bus contention alone.
+func Example_multicore() {
+	subject := randmod.SyntheticWorkload(8*1024, 4, 4)
+	hog := randmod.SyntheticWorkload(64*1024, 2, 4)
+	campaign := func(co randmod.Workload) randmod.Request {
+		return randmod.Request{
+			Spec:       randmod.PaperPlatform(randmod.RM),
+			Workload:   subject,
+			CoRunners:  []randmod.Workload{co, co, co},
+			Runs:       20,
+			MasterSeed: 5,
+		}
+	}
+	res, err := randmod.NewEngine().RunBatch(context.Background(),
+		[]randmod.Request{campaign(randmod.Workload{}), campaign(hog)})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(squares)
-	// Output: [0 1 4 9 16 25 36 49 64 81]
+	solo, contended := res[0], res[1]
+	fmt.Println("runs:", len(contended.Times))
+	fmt.Println("co-runners slow it down:", contended.Mean() > solo.Mean())
+	// Output:
+	// runs: 20
+	// co-runners slow it down: true
 }
 
 // Decoding a campaign service submission: the wire form names the

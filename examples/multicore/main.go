@@ -5,12 +5,12 @@
 // the MBPTA literature the paper builds on (Section 2: "MBPTA has been
 // evaluated on multicores comprising last-level caches and shared buses").
 //
-// The example sweeps hardware seeds for one benchmark alone and against
-// three memory-hungry co-runners, showing the contention slowdown that
-// the partitioned L2 bounds. The sweep fans out over an Engine's worker
-// pool with randmod.ShardRuns -- the sharding primitive for custom
-// execution contexts (here a 4-core sim.System instead of a single
-// core) -- and Ctrl-C cancels it mid-sweep.
+// The example runs one benchmark over the same hardware seeds alone and
+// against three memory-hungry co-runners, showing the contention slowdown
+// that the partitioned L2 bounds. Both are ordinary Engine campaigns
+// (randmod.Request's CoRunners put the subject on core 0 of a 4-core
+// system), batched over one worker pool, and Ctrl-C cancels them
+// mid-flight.
 package main
 
 import (
@@ -21,69 +21,45 @@ import (
 	"os/signal"
 
 	"repro"
-	"repro/internal/prng"
-	"repro/internal/sim"
-	"repro/internal/stats"
-	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 func main() {
 	const seeds = 25
-	subject, err := workload.ByName("canrdr01")
+	subject, err := randmod.WorkloadByName("canrdr01")
 	if err != nil {
 		log.Fatal(err)
 	}
-	hog := workload.Synthetic(160*1024, 8, 4) // streams through memory
-	layout := workload.DefaultLayout()
-	subjectTrace := subject.Build(layout)
-	// The platform is the paper's, RM in the L1s; every core replays
-	// compiled traces, shared read-only across the sweep's workers.
-	spec := randmod.PaperPlatform(randmod.RM)
-	subjectCT, err := trace.Compile(subjectTrace, spec.LineBytes)
-	if err != nil {
-		log.Fatal(err)
-	}
-	hogCT, err := trace.Compile(hog.Build(layout), spec.LineBytes)
-	if err != nil {
-		log.Fatal(err)
-	}
+	hog := randmod.SyntheticWorkload(160*1024, 8, 4) // streams through memory
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	// sweep collects the subject's cycle count over seeds-many hardware
-	// seeds; each worker owns a private 4-core system, and every run
-	// derives its seed from the run index, so the vector is bit-identical
-	// for any pool size.
-	pool := randmod.NewEngine().Pool()
-	sweep := func(cts []*trace.Compiled) []float64 {
-		times := make([]float64, seeds)
-		err := randmod.ShardRuns(ctx, pool, 0, seeds,
-			func() (*sim.System, error) { return sim.NewSystem(spec.Config(), 4) },
-			func(sys *sim.System, lo, hi int) error {
-				for run := lo; run < hi; run++ {
-					sys.Reseed(prng.Derive(1, run))
-					times[run] = float64(sys.RunAll(cts)[0].Cycles)
-				}
-				return nil
-			})
-		if err != nil {
-			log.Fatal(err)
+	// Solo leaves the three other cores idle (a Workload with no Build);
+	// every run derives its seed from the run index, so both campaigns
+	// draw the same seeds and their times are bit-identical for any pool
+	// size.
+	campaign := func(co randmod.Workload) randmod.Request {
+		return randmod.Request{
+			Spec:       randmod.PaperPlatform(randmod.RM),
+			Workload:   subject,
+			CoRunners:  []randmod.Workload{co, co, co},
+			Runs:       seeds,
+			MasterSeed: 1,
 		}
-		return times
 	}
-
-	solo := sweep([]*trace.Compiled{subjectCT, nil, nil, nil})
-	contended := sweep([]*trace.Compiled{subjectCT, hogCT, hogCT, hogCT})
+	res, err := randmod.NewEngine().RunBatch(ctx, []randmod.Request{campaign(randmod.Workload{}), campaign(hog)})
+	if err != nil {
+		log.Fatal(err)
+	}
+	solo, contended := res[0], res[1]
 
 	fmt.Printf("subject workload: %s (%d accesses), %d hardware seeds\n",
-		subject.Name, len(subjectTrace), seeds)
+		subject.Name, solo.Trace.Accesses, seeds)
 	fmt.Printf("co-runners:       3x synthetic 160KB streamers\n\n")
-	fmt.Printf("solo      mean %10.0f  max %10.0f cycles\n", stats.Mean(solo), stats.Max(solo))
+	fmt.Printf("solo      mean %10.0f  max %10.0f cycles\n", solo.Mean(), solo.HWM())
 	fmt.Printf("contended mean %10.0f  max %10.0f cycles  (+%.1f%% from shared-bus interference)\n",
-		stats.Mean(contended), stats.Max(contended),
-		100*(stats.Mean(contended)/stats.Mean(solo)-1))
+		contended.Mean(), contended.HWM(),
+		100*(contended.Mean()/solo.Mean()-1))
 	fmt.Println("\nthe per-core L2 partition keeps cache *storage* free of interference;")
 	fmt.Println("only bus bandwidth is shared, which MBPTA accounts for probabilistically.")
 }

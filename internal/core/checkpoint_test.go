@@ -18,13 +18,15 @@ import (
 )
 
 // ckptRequests returns one request per campaign kind, all with Analyze
-// where it applies, sized so campaigns afford several chunks per worker.
+// where it applies, sized so campaigns afford several chunks per worker,
+// and last a multicore MBPTA request against a small co-runner.
 func ckptRequests(t testing.TB) []Request {
 	t.Helper()
 	w, err := workload.ByName("tblook01")
 	if err != nil {
 		t.Fatal(err)
 	}
+	hog := workload.Synthetic(16*1024, 1, 4)
 	return []Request{
 		{Spec: PaperPlatform(placement.RM), Workload: w, Runs: 120, MasterSeed: 0xC4A1, Analyze: true},
 		{Spec: DeterministicPlatform(), Workload: w, Runs: 60, MasterSeed: 0xBA5E, Baseline: true},
@@ -34,6 +36,8 @@ func ckptRequests(t testing.TB) []Request {
 			Replacement: cache.Random,
 			ProbeLines:  128,
 		}},
+		{Name: "multicore", Spec: PaperPlatform(placement.RM), Workload: w, Runs: 60, MasterSeed: 0x3C0,
+			CoRunners: []workload.Workload{hog, {}, hog}, Analyze: true},
 	}
 }
 
@@ -312,8 +316,8 @@ func TestResumeMismatchRejected(t *testing.T) {
 // fails its campaign cleanly with a typed *PanicError, and the shared
 // pool releases every slot and runs the next campaign. The workload
 // builds once per campaign, under a pool slot, for every campaign kind
-// that has one: MBPTA, baseline (the relocatable compile) and the
-// occupancy protocol's victim.
+// that has one: MBPTA, baseline (the relocatable compile), the
+// occupancy protocol's victim and a multicore campaign's co-runner.
 func TestShardPanicRecovered(t *testing.T) {
 	w, err := workload.ByName("tblook01")
 	if err != nil {
@@ -331,6 +335,8 @@ func TestShardPanicRecovered(t *testing.T) {
 		"mbpta":     {Spec: PaperPlatform(placement.RM), Workload: bomb, Runs: 16, MasterSeed: 7},
 		"baseline":  {Spec: DeterministicPlatform(), Workload: bomb, Runs: 16, MasterSeed: 7, Baseline: true},
 		"occupancy": occupancy,
+		"co-runner": {Spec: PaperPlatform(placement.RM), Workload: w, Runs: 16, MasterSeed: 7,
+			CoRunners: []workload.Workload{bomb}},
 	}
 	eng := NewEngine(WithWorkers(2))
 	for name, req := range reqs {

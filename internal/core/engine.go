@@ -44,6 +44,15 @@ type Request struct {
 	// Analyze additionally applies the MBPTA statistical pipeline to the
 	// collected times and stores it in Result.Analysis.
 	Analyze bool
+	// CoRunners makes an MBPTA campaign multicore when non-empty: the
+	// Workload runs on core 0 of a shared-bus sim.System of
+	// 1+len(CoRunners) cores built from Spec, and CoRunners[i] on core
+	// i+1. Every program compiles once per campaign at the campaign
+	// layout; a co-runner whose Build is nil leaves its core idle. Run k
+	// reseeds the whole system with Derive(MasterSeed, k) and measures
+	// core 0, whose cache counters fill the per-level results. Baseline
+	// and Security campaigns reject it.
+	CoRunners []workload.Workload
 	// Security selects the attacker-campaign family instead of a timing
 	// campaign: Runs counts attack rounds on the standalone attacked cache
 	// described by the spec, and Result.Security carries the
@@ -301,8 +310,7 @@ func NewEngine(opts ...EngineOption) *Engine {
 func (e *Engine) Workers() int { return e.Pool().Workers() }
 
 // Pool returns the shared worker pool, allocating the GOMAXPROCS-sized
-// default on first use. Custom sweeps (ShardRuns) over it contend with
-// the Engine's campaigns instead of oversubscribing the host.
+// default on first use, so observers can poll its occupancy.
 func (e *Engine) Pool() *Pool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -524,10 +532,14 @@ type step func(run int, lv *LevelStats) float64
 
 // timingPlan returns the MBPTA or baseline part of the campaign loop.
 // The build compiles the workload once (relocatably for the baseline)
-// and records the MBPTA trace accounting in res.
+// and records the MBPTA trace accounting in res; a multicore campaign
+// (Request.CoRunners) compiles every co-runner once as well.
 func timingPlan(req Request, name string, res *Result) (plan, error) {
 	if req.Workload.Build == nil {
 		return plan{}, errors.New("core: campaign needs a workload")
+	}
+	if req.Baseline && len(req.CoRunners) > 0 {
+		return plan{}, errors.New("core: CoRunners do not apply to baseline campaigns")
 	}
 	layout := workload.DefaultLayout()
 	if req.Baseline {
@@ -536,7 +548,29 @@ func timingPlan(req Request, name string, res *Result) (plan, error) {
 	if req.Layout != nil {
 		layout = *req.Layout
 	}
+	// compile builds w at the campaign layout and compiles it once per
+	// campaign: the trace is fixed while only seeds change, so all workers
+	// share one read-only Compiled and each run materializes its index
+	// plans from it (the campaign hot path). The subject's trace
+	// accounting goes to res.
+	compile := func(w workload.Workload, subject bool) (*trace.Compiled, error) {
+		tr := w.Build(layout)
+		if len(tr) == 0 {
+			return nil, fmt.Errorf("core: workload %s built an empty trace", w.Name)
+		}
+		if subject {
+			f, l, st := tr.Counts()
+			res.Trace.Accesses = len(tr)
+			res.Trace.Fetches, res.Trace.Loads, res.Trace.Stores = f, l, st
+		}
+		ct, err := trace.Compile(tr, req.Spec.LineBytes)
+		if err != nil {
+			return nil, fmt.Errorf("core: campaign %s: %w", name, err)
+		}
+		return ct, nil
+	}
 	var do func(p *sim.Core, run int) sim.Result
+	var cores []*trace.Compiled // multicore: one compiled program per core, nil when idle
 	build := func() error {
 		if req.Baseline {
 			// Layouts change per run, the program does not: compile once at
@@ -560,21 +594,22 @@ func timingPlan(req Request, name string, res *Result) (plan, error) {
 			}
 			return nil
 		}
-		tr := req.Workload.Build(layout)
-		if len(tr) == 0 {
-			return fmt.Errorf("core: workload %s built an empty trace", req.Workload.Name)
-		}
-		// Compile once per campaign: the trace is fixed while only seeds
-		// change, so all workers share one read-only Compiled and each run
-		// materializes its index plans from it (the campaign hot path).
-		// Counting tr first leaves it garbage while Compile builds the
-		// replay tables.
-		f, l, st := tr.Counts()
-		res.Trace.Accesses = len(tr)
-		res.Trace.Fetches, res.Trace.Loads, res.Trace.Stores = f, l, st
-		ct, err := trace.Compile(tr, req.Spec.LineBytes)
+		ct, err := compile(req.Workload, true)
 		if err != nil {
-			return fmt.Errorf("core: campaign %s: %w", name, err)
+			return err
+		}
+		if len(req.CoRunners) > 0 {
+			cores = append(cores, ct)
+			for _, w := range req.CoRunners {
+				var cw *trace.Compiled
+				if w.Build != nil {
+					if cw, err = compile(w, false); err != nil {
+						return err
+					}
+				}
+				cores = append(cores, cw)
+			}
+			return nil
 		}
 		do = func(p *sim.Core, run int) sim.Result {
 			p.Reseed(prng.Derive(req.MasterSeed, run))
@@ -583,8 +618,21 @@ func timingPlan(req Request, name string, res *Result) (plan, error) {
 		return nil
 	}
 	// Each worker builds its own platform from the spec (simulators are
-	// not safe for concurrent use).
+	// not safe for concurrent use): one core, or a multicore campaign's
+	// shared-bus system.
 	worker := func() (step, error) {
+		if cores != nil {
+			sys, err := sim.NewSystem(req.Spec.Config(), len(cores))
+			if err != nil {
+				return nil, err
+			}
+			return func(run int, lv *LevelStats) float64 {
+				sys.Reseed(prng.Derive(req.MasterSeed, run))
+				r := sys.RunAll(cores)[0]
+				lv.add(r)
+				return float64(r.Cycles)
+			}, nil
+		}
 		p, err := req.Spec.Build()
 		if err != nil {
 			return nil, err
@@ -660,7 +708,7 @@ func (e *Engine) runOnce(ctx context.Context, index int, req Request) (Result, e
 	// The per-level counters ride the same chunks: integer sums are
 	// order-independent, and the frontier merges them in run order, so
 	// every checkpoint's counters match its frontier.
-	err = ShardRuns(ctx, e.Pool(), start, req.Runs, p.worker, func(do step, lo, hi int) error {
+	err = shardRuns(ctx, e.Pool(), start, req.Runs, p.worker, func(do step, lo, hi int) error {
 		ca := acc.newChunk(lo, hi)
 		for run := lo; run < hi; run++ {
 			if err := ctx.Err(); err != nil {

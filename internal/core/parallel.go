@@ -51,9 +51,9 @@ func normWorkers(workers, runs int) int {
 }
 
 // Pool is a shared allotment of simulation worker slots. Any number of
-// campaigns (and custom ShardRuns sweeps) can execute over one Pool
-// concurrently; the Pool caps how many simulation goroutines run at once
-// without influencing any campaign's results.
+// campaigns can execute over one Pool concurrently; the Pool caps how
+// many simulation goroutines run at once without influencing any
+// campaign's results.
 type Pool struct {
 	slots chan struct{}
 	// Occupancy accounting for observability polls (InUse, Acquires):
@@ -139,18 +139,18 @@ func protect(fn func() error) (err error) {
 	return fn()
 }
 
-// ShardRuns is the one sharding primitive: it executes runs [start, end)
-// over the pool's workers. Up to one worker per run each acquires a pool
-// slot, calls build once for its private execution context (simulators
-// are not safe for concurrent use) and then claims contiguous chunks of
-// run indices off a shared cursor, processing each with do(c, lo, hi).
+// shardRuns is the campaign loop's chunked sweep: it executes runs
+// [start, end) over the pool's workers. Up to one worker per run each
+// acquires a pool slot, calls build once for its private execution
+// context (simulators are not safe for concurrent use) and then claims
+// contiguous chunks of run indices off a shared cursor, processing each
+// with do(c, lo, hi).
 // Claiming is dynamic (stragglers rebalance), so do must derive all
 // randomness from the run index alone and write its outputs into
 // run-indexed slots; results are then bit-identical for any pool size,
-// any claiming order and whatever else runs over the pool. A nil pool
-// selects a private GOMAXPROCS-sized one; start > 0 resumes a sweep
-// whose earlier runs are already done, with the same chunk boundaries a
-// sweep of [start, end) alone would use.
+// any claiming order and whatever else runs over the pool. start > 0
+// resumes a sweep whose earlier runs are already done, with the same
+// chunk boundaries a sweep of [start, end) alone would use.
 //
 // The failure with the lowest chunk start is returned; build and
 // pool-acquire failures rank after every run failure. A panic in build or
@@ -159,12 +159,9 @@ func protect(fn func() error) (err error) {
 // sweep between chunks (and while waiting for pool slots) and returns
 // ctx.Err(); a do that polls ctx itself stops sooner. Runs that completed
 // keep their run-indexed outputs; the rest are untouched.
-func ShardRuns[T any](ctx context.Context, pool *Pool, start, end int, build func() (T, error), do func(c T, lo, hi int) error) error {
+func shardRuns[T any](ctx context.Context, pool *Pool, start, end int, build func() (T, error), do func(c T, lo, hi int) error) error {
 	if start >= end {
 		return nil
-	}
-	if pool == nil {
-		pool = NewPool(0)
 	}
 	workers := normWorkers(pool.Workers(), end-start)
 	chunk := chunkSize(end-start, workers)

@@ -188,7 +188,7 @@ func TestWorkerPoolUnderRace(t *testing.T) {
 func TestShardRunsContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var done atomic.Int64
-	err := ShardRuns(ctx, NewPool(2), 0, 10000,
+	err := shardRuns(ctx, NewPool(2), 0, 10000,
 		func() (int, error) { return 0, nil },
 		func(_ int, lo, hi int) error {
 			for run := lo; run < hi; run++ {
@@ -214,7 +214,7 @@ func TestShardRunsPoolShared(t *testing.T) {
 	pool := NewPool(2)
 	var inFlight, peak atomic.Int64
 	sweep := func(out []int32) error {
-		return ShardRuns(context.Background(), pool, 0, len(out),
+		return shardRuns(context.Background(), pool, 0, len(out),
 			func() (int, error) { return 0, nil },
 			func(_ int, lo, hi int) error {
 				n := inFlight.Add(1)

@@ -30,6 +30,9 @@ func securityPlan(req Request) (plan, error) {
 	if req.Analyze {
 		return plan{}, errors.New("core: the MBPTA analysis does not apply to security campaigns")
 	}
+	if len(req.CoRunners) > 0 {
+		return plan{}, errors.New("core: CoRunners do not apply to security campaigns")
+	}
 	spec, err := req.Security.Normalized()
 	if err != nil {
 		return plan{}, fmt.Errorf("core: %w", err)

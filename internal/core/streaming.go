@@ -56,9 +56,10 @@ type Snapshot struct {
 	AccumBytes int
 }
 
-// campaignAccum is the streaming state of one campaign, of any kind: the
-// central accumulators, merged chunk by chunk in canonical run-index
-// order at the campaign's commit frontier. ShardRuns claims chunks
+// campaignAccum is the streaming state of one campaign, of any kind
+// (single-core or multicore MBPTA, baseline, security): the central
+// accumulators, merged chunk by chunk in canonical run-index
+// order at the campaign's commit frontier. shardRuns claims chunks
 // dynamically, so they complete out of order; commit parks each one
 // (bounded by the chunk count, a few per worker) until the contiguous run
 // prefix reaches it, which makes the merge sequence, every snapshot and

@@ -8,10 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/evt"
 	"repro/internal/placement"
-	"repro/internal/prng"
-	"repro/internal/sim"
-	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -39,11 +35,10 @@ type MulticoreResult struct {
 }
 
 // Multicore runs the subject benchmark solo and against three streaming
-// co-runners on the 4-core shared-bus platform, with RM L1 caches,
-// collecting runs-many seeds for both configurations. The seed sweeps
-// execute over the engine's shared pool via core.ShardRuns -- the
-// extension point for drivers whose execution context is not a single
-// sim.Core.
+// co-runners on the 4-core shared-bus platform, with RM L1 caches: two
+// analyzed Engine campaigns of the same runs-many hardware seeds in one
+// batch, solo (three idle cores) and contended (three hogs, see
+// core.Request.CoRunners).
 func Multicore(ctx context.Context, eng *core.Engine, s Scale, subjectName string) (MulticoreResult, error) {
 	res := MulticoreResult{Subject: subjectName}
 	subject, err := workload.ByName(subjectName)
@@ -51,61 +46,24 @@ func Multicore(ctx context.Context, eng *core.Engine, s Scale, subjectName strin
 		return res, err
 	}
 	hog := workload.Synthetic(160*1024, 4, 4)
-	spec := core.PaperPlatform(placement.RM)
-	layout := workload.DefaultLayout()
-	subjectCT, err := trace.Compile(subject.Build(layout), spec.LineBytes)
-	if err != nil {
-		return res, err
-	}
-	hogCT, err := trace.Compile(hog.Build(layout), spec.LineBytes)
-	if err != nil {
-		return res, err
-	}
-	mkSystem := func() (*sim.System, error) { return sim.NewSystem(spec.Config(), 4) }
-
-	runs := s.Runs / 4
-	if runs < 40 {
-		runs = 40
-	}
-	collect := func(withHogs bool) ([]float64, error) {
-		times := make([]float64, runs)
-		cts := []*trace.Compiled{subjectCT, nil, nil, nil}
-		if withHogs {
-			cts = []*trace.Compiled{subjectCT, hogCT, hogCT, hogCT}
+	req := func(config string, co workload.Workload) core.Request {
+		return core.Request{
+			Name: "multicore/" + config + "/" + subjectName,
+			Spec: core.PaperPlatform(placement.RM), Workload: subject,
+			CoRunners: []workload.Workload{co, co, co},
+			Runs:      max(s.Runs/4, 40), MasterSeed: MasterSeed, Analyze: true,
 		}
-		err := core.ShardRuns(ctx, eng.Pool(), 0, runs, mkSystem, func(sys *sim.System, lo, hi int) error {
-			for r := lo; r < hi; r++ {
-				sys.Reseed(prng.Derive(MasterSeed, r))
-				times[r] = float64(sys.RunAll(cts)[0].Cycles)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return times, nil
 	}
-
-	solo, err := collect(false)
+	rs, err := eng.RunBatch(ctx, []core.Request{req("solo", workload.Workload{}), req("contended", hog)})
 	if err != nil {
 		return res, err
 	}
-	cont, err := collect(true)
-	if err != nil {
-		return res, err
-	}
-	res.SoloMean, res.SoloHWM = stats.Mean(solo), stats.Max(solo)
-	res.ContendedMean, res.ContendedHWM = stats.Mean(cont), stats.Max(cont)
+	solo, cont := rs[0], rs[1]
+	res.SoloMean, res.SoloHWM = solo.Mean(), solo.HWM()
+	res.ContendedMean, res.ContendedHWM = cont.Mean(), cont.HWM()
 	res.MeanSlowdown = res.ContendedMean/res.SoloMean - 1
-
-	if an, err := core.Analyze(solo); err == nil {
-		res.SoloPWCET = an.PWCET15
-		res.IIDPassSolo = an.IIDPass
-	}
-	if an, err := core.Analyze(cont); err == nil {
-		res.ContendedPWCET = an.PWCET15
-		res.IIDPassCont = an.IIDPass
-	}
+	res.SoloPWCET, res.IIDPassSolo = solo.Analysis.PWCET15, solo.Analysis.IIDPass
+	res.ContendedPWCET, res.IIDPassCont = cont.Analysis.PWCET15, cont.Analysis.IIDPass
 	return res, nil
 }
 

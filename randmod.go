@@ -29,19 +29,20 @@
 // campaign results are bit-identical to running each Request alone, for
 // any pool size. Cancelling ctx aborts mid-campaign with an error
 // wrapping context.Canceled and the partial measurement vector in the
-// Result.
+// Result. A Request with CoRunners runs its workload on core 0 of the
+// paper's shared-bus multicore, against the co-runners on the other
+// cores, through the same Engine.
 //
 // The surface is three parts: the Engine and what a Request needs, the
 // campaign service's wire form (DecodeWireRequest), and the MBPTA
-// analysis of a measurement vector (Analyze); HardwareASIC and ShardRuns
-// serve the paper's cost table and custom sweeps. Everything else lives
-// in the internal packages (placement policies, Benes networks, the cache
-// and platform simulator, EVT and i.i.d. statistics, hardware-cost
-// models), which the commands and examples of this module use directly.
+// analysis of a measurement vector (Analyze); HardwareASIC serves the
+// paper's cost table. Everything else lives in the internal packages
+// (placement policies, Benes networks, the cache and platform simulator,
+// EVT and i.i.d. statistics, hardware-cost models), which the commands
+// and examples of this module use directly.
 package randmod
 
 import (
-	"context"
 	"io"
 
 	"repro/internal/core"
@@ -123,18 +124,6 @@ type WireRequest = core.WireRequest
 // DecodeWireRequest reads one JSON-encoded WireRequest (unknown fields
 // are rejected so typos fail loudly).
 func DecodeWireRequest(r io.Reader) (WireRequest, error) { return core.DecodeWireRequest(r) }
-
-// ShardRuns fans independent, run-indexed simulations of runs [start,
-// end) out over a worker pool -- typically an Engine's Pool(), so the
-// sweep shares the machine with its campaigns (nil selects a private
-// GOMAXPROCS-sized pool). Each worker builds one private execution
-// context and processes chunks of runs with do(c, lo, hi); see
-// core.ShardRuns for the determinism contract. Cancelling ctx aborts the
-// sweep between chunks and returns ctx.Err(); completed runs keep their
-// run-indexed outputs.
-func ShardRuns[T any](ctx context.Context, pool *core.Pool, start, end int, build func() (T, error), do func(c T, lo, hi int) error) error {
-	return core.ShardRuns(ctx, pool, start, end, build, do)
-}
 
 // Analysis is the MBPTA pipeline output: i.i.d. tests, Gumbel fit, pWCET.
 type Analysis = core.Analysis
